@@ -188,14 +188,3 @@ def jacobian(spec: ProblemSpec, field: SolutionField) -> sp.csr_matrix:
                     [sp.csr_matrix(grid.quad_weights[None, :]), None]],
                    format='csr')
 
-
-def dump_triplets(matrix, path):
-    """Write a sparse matrix (or a vector) as 'row col value' text lines."""
-    with open(path, "w") as fh:
-        if sp.issparse(matrix):
-            coo = matrix.tocoo()
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {float(v)!r}\n")
-        else:
-            for r, v in enumerate(np.asarray(matrix).ravel()):
-                fh.write(f"{r} 0 {float(v)!r}\n")

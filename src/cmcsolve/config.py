@@ -22,8 +22,8 @@ dot-namespaced, values are scalars or comma-separated pairs):
   seed.path             path             (required for seed.strategy = file)
   output.dir            path             (default ".")
 
-Unknown keys are rejected; all numeric fields are validated against their
-admissible ranges.
+Unknown keys are rejected; every number must be finite, and all numeric
+fields are validated against their admissible ranges.
 """
 
 from __future__ import annotations
@@ -89,15 +89,23 @@ def _parse_lines(path) -> dict:
     return entries
 
 
+def _to_float(key, text):
+    """The one place a config number is parsed: finite floats only."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a number: {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {text!r}")
+    return value
+
+
 def _get_float(entries, key, default=None):
     if key not in entries:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    try:
-        return float(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {entries[key]!r}") from exc
+    return _to_float(key, entries[key])
 
 
 def _get_int(entries, key, default=None):
@@ -113,10 +121,7 @@ def _get_pair(entries, key):
     parts = entries[key].split(",")
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected two comma-separated numbers")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not numeric: {entries[key]!r}") from exc
+    return _to_float(key, parts[0]), _to_float(key, parts[1])
 
 
 def _parse_domain(entries, prefix) -> ConvexDomain:
@@ -165,8 +170,8 @@ def parse_config(path) -> RunConfig:
     hom_enabled = entries.get("homotopy.enabled", "false").lower()
     if hom_enabled not in ("true", "false"):
         raise ConfigError(f"homotopy.enabled must be true or false, got {hom_enabled!r}")
-    t_min_raw = entries.get("homotopy.t_min", "auto")
-    t_min = None if t_min_raw == "auto" else float(t_min_raw)
+    t_min = (None if entries.get("homotopy.t_min", "auto") == "auto"
+             else _get_float(entries, "homotopy.t_min"))
     if t_min is not None and not 0.0 < t_min <= 1.0:
         raise ConfigError(f"homotopy.t_min must lie in (0, 1], got {t_min}")
     steps = _get_int(entries, "homotopy.steps", 12)

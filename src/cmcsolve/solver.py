@@ -4,9 +4,20 @@ homotopy from a near-ball pair to the target pair.
 Every accepted iterate satisfies the admissibility guards (uniform convexity
 everywhere, spacelike bound in the primal Minkowski model): the guards are
 invariants of the iteration, not posterior checks.  Steps are damped by
-backtracking with an Armijo decrease condition on the residual 2-norm; the
-linear solves use a direct sparse factorization (SuperLU, with its built-in
-row/column equilibration).
+backtracking with an Armijo decrease condition on the residual 2-norm.
+
+Each Newton system is solved by a direct sparse LU (SuperLU) after scaling
+every row by its largest magnitude, which puts the curvature rows, the
+boundary h(Du) rows and the quadrature-weighted mean-zero row on one scale.
+The system has a dense border: the mean-zero row and the c column touch every
+node.  SuperLU's default column ordering (COLAMD on A^T A) joins all columns
+through that dense row and fills in badly, so the columns are ordered by
+minimum degree on the symmetric pattern A + A^T, where the border costs one
+dense row and column of the factor.  The pivot threshold 0.1 prefers the
+diagonal that ordering planned for, but the corner entry of the border (the
+mean-zero row at the c column) is zero, so off-diagonal pivots must stay
+allowed.  A failed factorization or a non-finite residual or direction ends
+the solve in NonConvergence.
 
 The homotopy walks increasing t through the super-level families Omega_t,
 Omega_tilde_t, warm-starting each Newton solve from the previous field
@@ -76,11 +87,19 @@ class HomotopyState:
     newton_iterations: int = 0
 
 
+# SuperLU column ordering and diagonal pivot threshold; the module docstring
+# gives the reasons for both
+LU_ORDERING = "MMD_AT_PLUS_A"
+LU_PIVOT_THRESH = 0.1
+
+
 def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     row_max = np.asarray(abs(jac).max(axis=1).todense()).ravel()
     row_max[row_max == 0] = 1.0
     scale = sp.diags(1.0 / row_max)
-    return splu((scale @ jac).tocsc()).solve(rhs / row_max)
+    lu = splu((scale @ jac).tocsc(), permc_spec=LU_ORDERING,
+              diag_pivot_thresh=LU_PIVOT_THRESH)
+    return lu.solve(rhs / row_max)
 
 
 def damped_step(spec: ProblemSpec, fld: SolutionField, direction: np.ndarray,
@@ -129,8 +148,9 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     """Solve the discrete system by damped Newton from an admissible field.
 
     Returns (field, NewtonInfo).  Raises NonConvergence with the best
-    iterate attached when the budget runs out or the line search stalls;
-    guard violations of the initial field propagate as-is.
+    iterate attached when the budget runs out, the line search stalls, the
+    linear solve fails or the residual or direction is not finite; guard
+    violations of the initial field propagate as-is.
     """
     opts = opts or SolveOptions()
     guard = admissibility_violation(spec, initial, opts.eps_convexity)
@@ -143,23 +163,32 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     res = residual(spec, fld)
     t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
+    def failure(reason, it, r_inf):
+        return NonConvergence(f"{reason} at iteration {it + 1}", best_field=fld,
+                              residual_norm=r_inf, iterations=it, t=t_label)
+
     for it in range(opts.max_newton):
         r_inf = float(np.max(np.abs(res)))
         info.residual_norms.append(r_inf)
+        if not np.isfinite(r_inf):
+            raise failure("non-finite residual", it, r_inf)
         if r_inf <= opts.tol_residual * (1.0 + abs(fld.c)):
             info.converged = True
             info.iterations = it
             return fld, info
 
         jac = jacobian(spec, fld)
-        direction = _solve_linear(jac, -res)
+        try:
+            direction = _solve_linear(jac, -res)
+        except RuntimeError as exc:   # SuperLU: singular factor
+            raise failure(f"linear solve failed ({exc})", it, r_inf) from exc
+        if not np.all(np.isfinite(direction)):
+            raise failure("non-finite Newton direction", it, r_inf)
         try:
             alpha, fld, res = damped_step(spec, fld, direction, opts,
                                           float(np.linalg.norm(res)))
         except StepRejection as exc:
-            raise NonConvergence(f"line search stalled at iteration {it + 1}",
-                                 best_field=fld, residual_norm=r_inf,
-                                 iterations=it, t=t_label) from exc
+            raise failure("line search stalled", it, r_inf) from exc
         info.alphas.append(alpha)
         logger.info("newton t=%s iter=%d res=%.9g alpha=%.9g c=%.9g",
                     t_str, it + 1, float(np.max(np.abs(res))), alpha, fld.c)

@@ -1,7 +1,8 @@
-"""Shared test utilities: random admissible states and finite-difference
-oracles for the pointwise operator derivatives."""
+"""Shared test utilities: random admissible states, finite-difference
+oracles for the pointwise operator derivatives, and a sparse-matrix dump."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from cmcsolve import ModelKind
 from cmcsolve.kernel import mean_curvature
@@ -47,3 +48,15 @@ def fd_operator_derivatives(du, d2u, model: ModelKind, step=1e-6):
         else:
             g_r[:, i, j] = g_r[:, j, i] = diff / 2.0
     return g_r, g_p
+
+
+def dump_triplets(matrix, path):
+    """Write a sparse matrix (or a vector) as 'row col value' text lines."""
+    with open(path, "w") as fh:
+        if sp.issparse(matrix):
+            coo = matrix.tocoo()
+            for r, c, v in zip(coo.row, coo.col, coo.data):
+                fh.write(f"{r} {c} {float(v)!r}\n")
+        else:
+            for r, v in enumerate(np.asarray(matrix).ravel()):
+                fh.write(f"{r} 0 {float(v)!r}\n")

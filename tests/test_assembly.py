@@ -5,8 +5,9 @@ from scipy.sparse.linalg import splu
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       RadialSolution, SolutionField, build_grid, jacobian,
                       newton_solve, radial_profile, residual, seed_field)
-from cmcsolve.assembly import dump_triplets, hessian_eig_bounds
+from cmcsolve.assembly import hessian_eig_bounds
 from cmcsolve.errors import ConfigError, SpacelikeViolation
+from helpers import dump_triplets
 
 MINK = ModelKind.MINKOWSKI
 EUC = ModelKind.EUCLIDEAN

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cmcsolve import solver
 from cmcsolve.cli import main
 from cmcsolve.fieldio import load_field, save_field
 
@@ -93,6 +94,21 @@ class TestSolveCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_singular_factor_exit_1(self, tmp_path, monkeypatch, capsys):
+        def singular_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver, "splu", singular_splu)
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            "non-convergence: linear solve failed (Factor is exactly singular)"
+            " at iteration 1"]
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert not summary["converged"]
+
     def test_homotopy_config(self, tmp_path):
         text = """
 model = minkowski
@@ -179,3 +195,31 @@ class TestVerifyCommand:
         report = json.loads(_json_tail(capsys.readouterr().out))
         assert report["dual_consistency"] is not None
         assert report["checks"]["dual_consistency"]["passed"]
+
+
+BAD_NUMBERS = [
+    ("homotopy.t_min", "abc"),
+    ("homotopy.t_min", "nan"),
+    ("solve.tol_residual", "nan"),
+    ("solve.eps_space", "-inf"),
+    ("grid.n_rho", "inf"),
+    ("omega_tilde.radius", "nan"),
+    ("omega.center", "0.0, inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("key, value", BAD_NUMBERS)
+def test_bad_config_number_exit_2(tmp_path, capsys, command, key, value):
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if not line.startswith(f"{key} "))
+    cfg = write_config(tmp_path, text=text, **{key: value})
+    argv = ["solve", "--config", str(cfg)]
+    if command == "verify":
+        argv = ["verify", "--field", str(tmp_path / "absent.csv"),
+                "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"config error: {key}")

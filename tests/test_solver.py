@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField,
-                      SolveOptions, build_grid, damped_step, lambda_bounds,
-                      newton_solve, run_homotopy, seed_field)
+from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
+                      SolutionField, SolveOptions, build_grid, damped_step,
+                      jacobian, lambda_bounds, newton_solve, run_homotopy,
+                      seed_field, solver)
 from cmcsolve.assembly import residual
 from cmcsolve.diagnostics import flux_identity
 from cmcsolve.errors import ConvexityLoss, NonConvergence
@@ -69,6 +70,106 @@ class TestNewtonSolve:
             SolveOptions(armijo_factor=1.5)
         with pytest.raises(ValueError):
             SolveOptions(tol_residual=-1.0)
+
+
+def _singular_splu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+class _NanLU:
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+class TestLinearSolve:
+    @pytest.fixture()
+    def lu_fills(self, monkeypatch):
+        """L + U entries of every factor made through solver.splu."""
+        fills = []
+        real_splu = solver.splu
+
+        def recording_splu(*args, **kwargs):
+            lu = real_splu(*args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        return fills
+
+    def test_concentric_fill(self, lu_fills):
+        # the dense mean-zero row and c column must not spread fill over
+        # the whole factor (COLAMD on A^T A: 1.18 M entries at 32x64)
+        _, fld, _ = solve_direct(Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK)
+        assert abs(fld.c - C_RADIAL) <= 1e-3
+        assert lu_fills and max(lu_fills) <= 400_000
+
+    @pytest.mark.parametrize("model, operator", [
+        (MINK, OperatorKind.GRAPH),
+        (EUC, OperatorKind.GRAPH),
+        (MINK, OperatorKind.INVERSE_HESSIAN),
+    ])
+    def test_direction_solves_newton_system(self, model, operator):
+        om, omt = Ellipse((0.05, 0), (1.0, 0.8)), Ball((0.1, 0), 0.4)
+        if operator is OperatorKind.INVERSE_HESSIAN:
+            om, omt = omt, om
+        grid = build_grid(om, 32, 64)
+        spec = ProblemSpec(om, omt, model, grid, operator=operator)
+        fld = seed_field(spec)
+        jac, res = jacobian(spec, fld), residual(spec, fld)
+        direction = solver._solve_linear(jac, -res)
+        r_inf = np.max(np.abs(res))
+        assert r_inf > 1e-6   # a real Newton step, not a converged field
+        assert np.max(np.abs(jac @ direction + res)) <= 1e-10 * (1.0 + r_inf)
+
+    @pytest.mark.parametrize("fake_splu, reason", [
+        (_singular_splu, "linear solve failed"),
+        (lambda *a, **k: _NanLU(), "non-finite Newton direction"),
+    ], ids=["singular", "nan"])
+    def test_failure_is_nonconvergence(self, monkeypatch, fake_splu, reason):
+        om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
+        grid = build_grid(om, 16, 32)
+        spec = ProblemSpec(om, omt, MINK, grid)
+        initial = seed_field(spec)
+        monkeypatch.setattr(solver, "splu", fake_splu)
+        with pytest.raises(NonConvergence, match=reason) as err:
+            newton_solve(spec, initial, t_label=0.5)
+        assert np.array_equal(err.value.best_field.u, grid.mean_zero(initial.u))
+        assert err.value.iterations == 0
+        assert err.value.t == 0.5
+        assert np.isfinite(err.value.residual_norm)
+
+    def test_nonfinite_residual_is_nonconvergence(self, monkeypatch):
+        om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
+        initial = seed_field(spec)
+        monkeypatch.setattr(solver, "residual",
+                            lambda spec, fld: np.full(spec.grid.n_nodes + 1, np.nan))
+        with pytest.raises(NonConvergence, match="non-finite residual"):
+            newton_solve(spec, initial)
+
+    def test_homotopy_bisects_on_failed_factor(self, monkeypatch):
+        # the first factor of the second step fails once: the step is
+        # bisected and the walk still reaches t = 1
+        real_newton, real_splu = solver.newton_solve, solver.splu
+        calls = {"newton": 0, "failed": False}
+
+        def counting_newton(*args, **kwargs):
+            calls["newton"] += 1
+            return real_newton(*args, **kwargs)
+
+        def failing_splu(*args, **kwargs):
+            if calls["newton"] == 2 and not calls["failed"]:
+                calls["failed"] = True
+                _singular_splu()
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", counting_newton)
+        monkeypatch.setattr(solver, "splu", failing_splu)
+        fld, history = run_homotopy(Ellipse((0, 0), (1.0, 0.8)),
+                                    Ball((0, 0), 0.4), MINK, 16, 32,
+                                    schedule=[0.5, 1.0])
+        assert calls["failed"]
+        assert [h.t for h in history] == [0.5, 0.75, 1.0]
 
 
 class TestDampedStep:
