@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .domains import ConvexDomain
-from .errors import ConfigError, ConvexityLoss, SingularHessian, SpacelikeViolation
+from .domains import ConvexDomain, require_inside_unit_ball
+from .errors import ConvexityLoss, SingularHessian, SpacelikeViolation
 from .grid import MappedGrid, SolutionField
 from .kernel import (DEFAULT_EPS_SPACE, ModelKind, coefficient_matrix,
                      mean_curvature, operator_derivatives)
@@ -56,15 +56,7 @@ class ProblemSpec:
             # ball: gradient values (primal) or node positions (dual)
             constrained = (self.omega_tilde if self.operator is OperatorKind.GRAPH
                            else self.omega)
-            phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-            rb = np.atleast_1d(constrained.boundary_radius(phi))
-            pts = constrained.peak + rb[:, None] * np.stack([np.cos(phi), np.sin(phi)],
-                                                            axis=-1)
-            worst = float(np.max(np.linalg.norm(pts, axis=-1)))
-            if worst > 1.0 - self.eps_space:
-                raise ConfigError(
-                    f"Minkowski model needs the gradient-image domain strictly "
-                    f"inside the unit ball: max boundary |y| = {worst:.9g}")
+            require_inside_unit_ball(constrained, self.eps_space)
 
 
 def _inverse_2x2(d2u):

@@ -29,7 +29,7 @@ from .fieldio import load_field, save_field
 from .grid import build_grid, transfer_field
 from .kernel import ModelKind
 from .radial import RadialSolution, radial_profile, seed_field
-from .solver import auto_t_min, newton_solve, run_homotopy
+from .solver import newton_solve, run_homotopy
 
 
 class _StdoutHandler(logging.StreamHandler):
@@ -98,13 +98,10 @@ def cmd_solve(args) -> int:
     converged = True
     try:
         if cfg.homotopy_enabled:
-            t_min = (cfg.homotopy_t_min if cfg.homotopy_t_min is not None
-                     else auto_t_min(cfg.omega, cfg.omega_tilde, cfg.n_rho))
-            schedule = (np.linspace(t_min, 1.0, cfg.homotopy_steps)
-                        if t_min < 1.0 else [1.0])
             fld, history = run_homotopy(cfg.omega, cfg.omega_tilde, cfg.model,
-                                        cfg.n_rho, cfg.n_phi, schedule=schedule,
-                                        opts=cfg.options)
+                                        cfg.n_rho, cfg.n_phi, opts=cfg.options,
+                                        steps=cfg.homotopy_steps,
+                                        t_min=cfg.homotopy_t_min)
             steps_summary = [{"t": h.t, "c": h.field.c,
                               "iterations": h.newton_iterations}
                              for h in history]

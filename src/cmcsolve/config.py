@@ -16,7 +16,7 @@ dot-namespaced, values are scalars or comma-separated pairs):
   solve.eps_convexity   float            (default 1e-8)
   solve.eps_space       float            (default 1e-6)
   homotopy.enabled      true | false     (default false)
-  homotopy.steps        int              (default 12)
+  homotopy.steps        int >= 2         (default 12)
   homotopy.t_min        auto | float     (default auto)
   seed.strategy         radial | quadratic | file   (default radial)
   seed.path             path             (required for seed.strategy = file)
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import Ball, ConvexDomain, Ellipse
+from .domains import Ball, ConvexDomain, Ellipse, require_inside_unit_ball
 from .errors import ConfigError
 from .kernel import ModelKind
 from .solver import SolveOptions
@@ -175,8 +175,8 @@ def parse_config(path) -> RunConfig:
     if t_min is not None and not 0.0 < t_min <= 1.0:
         raise ConfigError(f"homotopy.t_min must lie in (0, 1], got {t_min}")
     steps = _get_int(entries, "homotopy.steps", 12)
-    if steps < 1:
-        raise ConfigError(f"homotopy.steps must be >= 1, got {steps}")
+    if steps < 2:   # a one-point schedule from t_min < 1 never reaches t = 1
+        raise ConfigError(f"homotopy.steps must be >= 2, got {steps}")
 
     strategy = entries.get("seed.strategy", "radial")
     if strategy not in ("radial", "quadratic", "file"):
@@ -187,14 +187,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("seed.strategy = file requires seed.path")
 
     if model is ModelKind.MINKOWSKI:
-        # fail fast at parse time; ProblemSpec re-validates
-        phi = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        rb = np.atleast_1d(omega_tilde.boundary_radius(phi))
-        pts = omega_tilde.peak + rb[:, None] * np.stack([np.cos(phi), np.sin(phi)],
-                                                        axis=-1)
-        if float(np.max(np.linalg.norm(pts, axis=-1))) > 1.0 - options.eps_space:
-            raise ConfigError("Minkowski model requires omega_tilde strictly "
-                              "inside the unit ball")
+        # fail fast at parse time, before any grid is built
+        require_inside_unit_ball(omega_tilde, options.eps_space)
 
     return RunConfig(model=model, omega=omega, omega_tilde=omega_tilde,
                      n_rho=n_rho, n_phi=n_phi, options=options,

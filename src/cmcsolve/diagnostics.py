@@ -51,7 +51,7 @@ def lambda_bounds(omega, omega_tilde, n: int = 2,
     area_t, _ = omega_tilde.measures()
     lam1 = n * (area_t / area) ** (1.0 / n)
     phi = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-    rb = np.atleast_1d(omega_tilde.boundary_radius(phi))
+    rb = omega_tilde.boundary_radius(phi)
     pts = omega_tilde.peak + rb[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     y = np.linalg.norm(pts, axis=-1)
     if model is ModelKind.MINKOWSKI:

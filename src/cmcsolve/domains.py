@@ -1,31 +1,40 @@
-"""Uniformly convex planar domains represented by smooth defining functions.
+"""Uniformly convex planar domains as super-level sets of quadrics.
 
-A domain is the super-level set {h > 0} of a smooth concave function h with
-h = 0 on the boundary and D^2 h <= -theta I for a recorded theta > 0.  The
-gradient Dh points inward, so Dh/|Dh| is the inner unit normal on the
-boundary.  Two analytic kinds are provided (balls and axis-aligned ellipses)
-plus the super-level composites used by the continuation family, obtained by
-shifting h down by a constant level.
+A domain is the super-level set {h > 0} of a concave quadric
 
-Conventions:
-  * Ball(center, R):      h(x) = (R^2 - |x - center|^2) / (2R), so |Dh| = 1
-    on the boundary and D^2 h = -I/R exactly.
-  * Ellipse(center, a, b): h(x) = (s/2) (1 - ((x1-c1)/a)^2 - ((x2-c2)/b)^2)
-    with s chosen so the boundary gradient magnitude stays within a recorded
-    band [delta, 1/delta]; exact unit gradient is not needed because the
-    boundary condition h(Du) = 0 and the obliqueness direction are invariant
-    under positive scaling of h.
+  h(x) = h_max - (1/2) (x - x0)^T A (x - x0),   A symmetric positive definite,
+
+with h = 0 on the boundary and D^2 h = -A <= -theta I, theta the smallest
+eigenvalue of A.  The gradient Dh points inward, so Dh/|Dh| is the inner unit
+normal on the boundary.  Each class states its quadric once, through
+quadric() -> (x0, A) and h_max; everything else (defining function, boundary
+radius along a ray, its angular derivative, diameter, concavity and gradient
+bounds) is derived here from that quadric:
+
+  * Ball(center, R):       A = I/R, h_max = R/2, so |Dh| = 1 on the boundary.
+  * Ellipse(center, a, b): A = s diag(1/a^2, 1/b^2), h_max = s/2, with s
+    chosen so the boundary gradient magnitude stays within a recorded band
+    [delta, 1/delta]; exact unit gradient is not needed because the boundary
+    condition h(Du) = 0 and the obliqueness direction are invariant under
+    positive scaling of h.
+  * SublevelDomain(base, level): the base quadric with h_max lowered by
+    level, i.e. {h_base >= level}, used by the continuation family.
+
+The boundary point on the ray origin + r e is the positive root of the
+quadratic a r^2 + 2 b r + k = 0 with a = e^T A e, b = d^T A e,
+k = d^T A d - 2 h_max and d = origin - x0.  An interior origin gives k < 0,
+so the roots have opposite signs, and the positive one is evaluated in the
+cancellation-free form -k / (b + sqrt(b^2 - a k)) for b >= 0 and
+(sqrt(b^2 - a k) - b) / a otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DegenerateSublevel, NotOnBoundary, RootFindFailure
+from .errors import ConfigError, DegenerateSublevel, NotOnBoundary
 
 # Relative tolerance (times domain diameter) for "x is on the boundary".
 BOUNDARY_RTOL = 1e-9
@@ -34,20 +43,17 @@ BOUNDARY_RTOL = 1e-9
 _MEASURE_SAMPLES = 1024
 
 
+def _unit(phi):
+    """(cos phi, sin phi) and its counter-clockwise normal, shape (..., 2)."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)
+
+
 class ConvexDomain:
-    """Base class; subclasses provide the defining function."""
+    """Base class; subclasses provide quadric() and h_max."""
 
-    def defining(self, x):
-        """Evaluate (h, Dh, D2h) at points x of shape (..., 2).
-
-        Defined on all of R^2 by the same smooth formula; h > 0 strictly
-        inside, h = 0 on the boundary, h < 0 outside.
-        """
-        raise NotImplementedError
-
-    @property
-    def theta(self) -> float:
-        """Uniform concavity constant: D^2 h <= -theta I everywhere."""
+    def quadric(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x0, A): the peak and the constant Hessian -D^2 h."""
         raise NotImplementedError
 
     @property
@@ -55,18 +61,45 @@ class ConvexDomain:
         """Maximum of h, attained at the unique interior peak."""
         raise NotImplementedError
 
+    def defining(self, x):
+        """Evaluate (h, Dh, D2h) at points x of shape (..., 2).
+
+        Defined on all of R^2 by the same smooth formula; h > 0 strictly
+        inside, h = 0 on the boundary, h < 0 outside.
+        """
+        x0, a = self.quadric()
+        d = np.asarray(x, dtype=float) - x0
+        g = d @ a
+        h = self.h_max - 0.5 * np.sum(d * g, axis=-1)
+        return h, -g, np.broadcast_to(-a, d.shape[:-1] + (2, 2)).copy()
+
     @property
     def peak(self) -> np.ndarray:
         """Interior maximizer of h."""
-        raise NotImplementedError
+        return self.quadric()[0]
+
+    def _eig_range(self) -> tuple[float, float]:
+        lam = np.linalg.eigvalsh(self.quadric()[1])
+        return float(lam[0]), float(lam[-1])
+
+    @property
+    def theta(self) -> float:
+        """Uniform concavity constant: D^2 h <= -theta I everywhere."""
+        return self._eig_range()[0]
 
     @property
     def grad_bound_delta(self) -> float:
-        """delta > 0 with |Dh| in [delta, 1/delta] on the boundary."""
-        raise NotImplementedError
+        """delta > 0 with |Dh| in [delta, 1/delta] on the boundary.
+
+        On the boundary |Dh|^2 = 2 h_max |A d|^2 / d^T A d, which ranges over
+        2 h_max [lambda_min, lambda_max] of A.
+        """
+        lo, hi = self._eig_range()
+        return min(np.sqrt(2.0 * self.h_max * lo), 1.0 / np.sqrt(2.0 * self.h_max * hi))
 
     def diameter(self) -> float:
-        raise NotImplementedError
+        """Twice the longest semi-axis, sqrt(2 h_max / lambda_min)."""
+        return 2.0 * np.sqrt(2.0 * self.h_max / self._eig_range()[0])
 
     # -- derived geometry ---------------------------------------------------
 
@@ -84,42 +117,34 @@ class ConvexDomain:
 
     def boundary_radius(self, phi, origin=None):
         """Distance from origin (default: peak) to the boundary along
-        direction (cos phi, sin phi), by 1-D root finding on h.
+        direction (cos phi, sin phi): the positive root of the ray quadratic.
 
-        Convexity plus an interior origin make the root unique.
+        A scalar phi gives a float, an array phi an array of its shape.
+        Raises ValueError unless origin lies strictly inside the domain.
         """
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        origin = self.peak if origin is None else np.asarray(origin, dtype=float)
-        scale = max(np.sqrt(2.0 * self.h_max / self.theta), 1e-12)
-        out = np.empty(phi.shape)
-        for k, p in np.ndenumerate(phi):
-            e = np.array([np.cos(p), np.sin(p)])
-
-            def f(r):
-                return float(self.defining(origin + r * e)[0])
-
-            hi = scale
-            n_double = 0
-            while f(hi) > 0:
-                hi *= 2.0
-                n_double += 1
-                if n_double > 60:
-                    raise RootFindFailure(f"cannot bracket boundary along phi={p}")
-            out[k] = brentq(f, 0.0, hi, xtol=1e-15 * max(hi, 1.0), rtol=1e-15)
-        return out if out.size > 1 else float(out[0])
+        x0, a = self.quadric()
+        e, _ = _unit(np.asarray(phi, dtype=float))
+        d = np.zeros(2) if origin is None else np.asarray(origin, dtype=float) - x0
+        ae = e @ a
+        qa = np.sum(e * ae, axis=-1)
+        qb = ae @ d
+        qk = d @ a @ d - 2.0 * self.h_max
+        if not qk < 0.0:
+            raise ValueError(f"origin {d + x0} is not strictly inside the domain")
+        # root > |qb|, so neither branch divides by zero
+        root = np.sqrt(qb * qb - qa * qk)
+        r = np.where(qb >= 0.0, -qk / (qb + root), (root - qb) / qa)
+        return float(r) if r.ndim == 0 else r
 
     def boundary_radius_deriv(self, phi, origin=None):
         """dR/dphi by implicit differentiation of h(origin + R e(phi)) = 0."""
-        phi = np.asarray(phi, dtype=float)
-        origin = self.peak if origin is None else np.asarray(origin, dtype=float)
-        r = np.atleast_1d(np.asarray(self.boundary_radius(phi, origin)))
-        p = np.atleast_1d(phi)
-        e = np.stack([np.cos(p), np.sin(p)], axis=-1)
-        e_perp = np.stack([-np.sin(p), np.cos(p)], axis=-1)
-        x = origin + r[..., None] * e
-        _, dh, _ = self.defining(x)
-        rp = -r * np.einsum('...i,...i->...', dh, e_perp) / np.einsum('...i,...i->...', dh, e)
-        return rp if rp.size > 1 else float(rp[0])
+        x0, a = self.quadric()
+        origin = x0 if origin is None else np.asarray(origin, dtype=float)
+        r = np.asarray(self.boundary_radius(phi, origin))
+        e, e_perp = _unit(np.asarray(phi, dtype=float))
+        g = (origin - x0 + r[..., None] * e) @ a
+        rp = -r * np.sum(g * e_perp, axis=-1) / np.sum(g * e, axis=-1)
+        return float(rp) if rp.ndim == 0 else rp
 
     def sublevel(self, t: float) -> "ConvexDomain":
         """The super-level set {h >= (1-t) h_max} for t in (0, 1], wrapped
@@ -138,8 +163,8 @@ class ConvexDomain:
         else:
             dom = SublevelDomain(self, level)
         # resolvability floor: keep the level curve a few percent of the
-        # original size so grids and root finding stay well conditioned
-        rb = np.atleast_1d(dom.boundary_radius(np.linspace(0, 2 * np.pi, 8, endpoint=False)))
+        # original size so grids stay well conditioned
+        rb = dom.boundary_radius(np.linspace(0, 2 * np.pi, 8, endpoint=False))
         if np.min(rb) < 1e-2 * self.diameter():
             raise DegenerateSublevel(f"super-level set at t={t} has inradius "
                                      f"{np.min(rb):.3e}, below the resolvable floor")
@@ -150,8 +175,8 @@ class ConvexDomain:
         boundary quadrature about the peak (spectrally accurate for the
         smooth boundaries used here)."""
         phi = np.linspace(0, 2 * np.pi, _MEASURE_SAMPLES, endpoint=False)
-        r = np.atleast_1d(self.boundary_radius(phi))
-        rp = np.atleast_1d(self.boundary_radius_deriv(phi))
+        r = self.boundary_radius(phi)
+        rp = self.boundary_radius_deriv(phi)
         dphi = 2 * np.pi / _MEASURE_SAMPLES
         area = 0.5 * np.sum(r ** 2) * dphi
         perimeter = np.sum(np.sqrt(r ** 2 + rp ** 2)) * dphi
@@ -161,44 +186,36 @@ class ConvexDomain:
         raise NotImplementedError
 
 
+def require_inside_unit_ball(domain: ConvexDomain, eps_space: float) -> None:
+    """Raise ConfigError unless the sampled boundary of domain stays within
+    |y| <= 1 - eps_space: the Minkowski kernel's gradient slot must stay
+    strictly inside the unit ball."""
+    phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
+    pts = domain.peak + domain.boundary_radius(phi)[:, None] * _unit(phi)[0]
+    worst = float(np.max(np.linalg.norm(pts, axis=-1)))
+    if worst > 1.0 - eps_space:
+        raise ConfigError(f"Minkowski model needs the gradient-image domain strictly "
+                          f"inside the unit ball: max boundary |y| = {worst:.9g}")
+
+
 @dataclass(eq=True)
 class Ball(ConvexDomain):
     center: tuple[float, float]
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
         self.center = (float(self.center[0]), float(self.center[1]))
         self.radius = float(self.radius)
+        if not (0 < self.radius < np.inf and np.all(np.isfinite(self.center))):
+            raise ValueError(f"radius must be positive and center and radius finite, "
+                             f"got {self.center}, {self.radius}")
 
-    def defining(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - np.asarray(self.center)
-        r2 = np.sum(d * d, axis=-1)
-        h = (self.radius ** 2 - r2) / (2.0 * self.radius)
-        dh = -d / self.radius
-        d2h = np.broadcast_to(-np.eye(2) / self.radius, x.shape[:-1] + (2, 2)).copy()
-        return h, dh, d2h
-
-    @property
-    def theta(self):
-        return 1.0 / self.radius
+    def quadric(self):
+        return np.asarray(self.center), np.eye(2) / self.radius
 
     @property
     def h_max(self):
         return self.radius / 2.0
-
-    @property
-    def peak(self):
-        return np.asarray(self.center, dtype=float)
-
-    @property
-    def grad_bound_delta(self):
-        return 1.0
-
-    def diameter(self):
-        return 2.0 * self.radius
 
     def measures(self):
         return float(np.pi * self.radius ** 2), float(2 * np.pi * self.radius)
@@ -213,48 +230,22 @@ class Ellipse(ConvexDomain):
     semi_axes: tuple[float, float]
 
     def __post_init__(self):
-        a, b = self.semi_axes
-        if a <= 0 or b <= 0:
-            raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
         self.center = (float(self.center[0]), float(self.center[1]))
-        self.semi_axes = (float(a), float(b))
+        a, b = self.semi_axes = (float(self.semi_axes[0]), float(self.semi_axes[1]))
+        if not (0 < min(a, b) and max(a, b) < np.inf and np.all(np.isfinite(self.center))):
+            raise ValueError(f"semi-axes must be positive and center and semi-axes "
+                             f"finite, got {self.center}, {self.semi_axes}")
         # scale keeping boundary |Dh| = s*sqrt(cos^2/a^2 + sin^2/b^2) within
         # [1/2, 2]-ish: geometric-mean normalization, floored so min |Dh| >= 1/2
         self._scale = max(np.sqrt(a * b), max(a, b) / 2.0)
 
-    def defining(self, x):
-        x = np.asarray(x, dtype=float)
+    def quadric(self):
         a, b = self.semi_axes
-        s = self._scale
-        d = x - np.asarray(self.center)
-        q = (d[..., 0] / a) ** 2 + (d[..., 1] / b) ** 2
-        h = 0.5 * s * (1.0 - q)
-        dh = np.empty_like(d)
-        dh[..., 0] = -s * d[..., 0] / a ** 2
-        dh[..., 1] = -s * d[..., 1] / b ** 2
-        d2h = np.broadcast_to(-s * np.diag([1.0 / a ** 2, 1.0 / b ** 2]),
-                              x.shape[:-1] + (2, 2)).copy()
-        return h, dh, d2h
-
-    @property
-    def theta(self):
-        return self._scale / max(self.semi_axes) ** 2
+        return np.asarray(self.center), self._scale * np.diag([1.0 / a ** 2, 1.0 / b ** 2])
 
     @property
     def h_max(self):
         return self._scale / 2.0
-
-    @property
-    def peak(self):
-        return np.asarray(self.center, dtype=float)
-
-    @property
-    def grad_bound_delta(self):
-        a_max, a_min = max(self.semi_axes), min(self.semi_axes)
-        return min(self._scale / a_max, a_min / self._scale)
-
-    def diameter(self):
-        return 2.0 * max(self.semi_axes)
 
     def measures(self):
         area = float(np.pi * self.semi_axes[0] * self.semi_axes[1])
@@ -271,44 +262,18 @@ class SublevelDomain(ConvexDomain):
 
     base: ConvexDomain
     level: float
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.level < self.base.h_max:
             raise ValueError(f"level must be in (0, h_max), got {self.level}")
         self.level = float(self.level)
 
-    def defining(self, x):
-        h, dh, d2h = self.base.defining(x)
-        return h - self.level, dh, d2h
-
-    @property
-    def theta(self):
-        return self.base.theta
+    def quadric(self):
+        return self.base.quadric()
 
     @property
     def h_max(self):
         return self.base.h_max - self.level
-
-    @property
-    def peak(self):
-        return self.base.peak
-
-    @cached_property
-    def _boundary_stats(self):
-        phi = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        r = np.atleast_1d(self.boundary_radius(phi))
-        x = self.peak + r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        _, dh, _ = self.defining(x)
-        g = np.linalg.norm(dh, axis=-1)
-        return float(2 * np.max(r)), float(min(np.min(g), 1.0 / np.max(g)))
-
-    @property
-    def grad_bound_delta(self):
-        return self._boundary_stats[1]
-
-    def diameter(self):
-        return self._boundary_stats[0]
 
     def to_dict(self):
         return {"kind": "sublevel", "base": self.base.to_dict(), "level": self.level}

@@ -56,7 +56,7 @@ class FieldInterpolant:
 
         # dense periodic boundary-radius spline
         phi_dense = np.linspace(0, 2 * np.pi, 2 * n_phi + 1)
-        rb_dense = np.atleast_1d(grid.domain.boundary_radius(phi_dense[:-1]))
+        rb_dense = grid.domain.boundary_radius(phi_dense[:-1])
         self._rb = CubicSpline(phi_dense, np.append(rb_dense, rb_dense[0]),
                                bc_type='periodic')
 

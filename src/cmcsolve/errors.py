@@ -17,10 +17,6 @@ class DegenerateSublevel(CMCSolveError):
     """Requested super-level set is too small to be resolved."""
 
 
-class RootFindFailure(CMCSolveError):
-    """Boundary radius could not be bracketed along a ray from the peak."""
-
-
 class SpacelikeViolation(CMCSolveError):
     """|Du| reached the Minkowski light-cone guard at some node."""
 

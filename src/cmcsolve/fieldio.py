@@ -14,6 +14,7 @@ descriptors needed to rebuild the grid.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -59,32 +60,73 @@ def save_field(field: SolutionField, csv_path, omega=None, omega_tilde=None) -> 
         json.dump(header, fh, indent=2)
 
 
+def _header_int(header, key) -> int:
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field header {key} must be an integer, got {value!r}")
+    return value
+
+
 def load_field(csv_path) -> SolutionField:
-    """Rebuild the field from a CSV plus its JSON header."""
+    """Rebuild the field from a CSV plus its JSON header.
+
+    Every malformed header or row raises ConfigError: a header without a
+    finite c, integer resolutions, a boolean dual flag, a known model or a
+    valid domain; a row
+    without 10 columns, integer in-range indices or a finite u; a node
+    missing or given twice.
+    """
     hp = header_path(csv_path)
     if not Path(csv_path).exists() or not hp.exists():
         raise ConfigError(f"missing field file or header: {csv_path}")
-    with open(hp) as fh:
-        header = json.load(fh)
+    try:
+        header = json.loads(hp.read_text())
+        lines = Path(csv_path).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read field file {csv_path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ConfigError("field header is not a JSON object")
     for key in ("c", "model", "n_rho", "n_phi", "domain"):
         if key not in header:
             raise ConfigError(f"field header lacks required key {key!r}")
-    domain = domain_from_dict(header["domain"])
-    grid = build_grid(domain, int(header["n_rho"]), int(header["n_phi"]))
+    c = header["c"]
+    if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
+        raise ConfigError(f"field header c must be a finite number, got {c!r}")
+    n_rho, n_phi = _header_int(header, "n_rho"), _header_int(header, "n_phi")
+    dual = header.get("dual", False)
+    if not isinstance(dual, bool):
+        raise ConfigError(f"field header dual must be true or false, got {dual!r}")
 
-    u = np.empty(grid.n_nodes)
-    seen = np.zeros(grid.n_nodes, dtype=bool)
-    with open(csv_path) as fh:
-        cols = fh.readline().strip().split(",")
-        if tuple(cols) != CSV_COLUMNS:
-            raise ConfigError(f"unexpected CSV columns {cols}")
-        for line in fh:
-            parts = line.strip().split(",")
-            i, j = int(parts[0]), int(parts[1])
-            k = 0 if i == 0 else 1 + (i - 1) * grid.n_phi + j
-            u[k] = float(parts[4])
-            seen[k] = True
-    if not np.all(seen):
-        raise ConfigError(f"field file misses {int(np.sum(~seen))} nodes")
-    return SolutionField(grid, u, float(header["c"]),
-                         ModelKind(header["model"]), bool(header.get("dual", False)))
+    if not lines or tuple(lines[0].strip().split(",")) != CSV_COLUMNS:
+        raise ConfigError(f"unexpected CSV columns {lines[:1]}")
+    # row count first, so an absurd header resolution allocates nothing
+    n_nodes = 1 + n_rho * n_phi
+    if len(lines) - 1 != n_nodes:
+        raise ConfigError(f"field file has {len(lines) - 1} rows, header "
+                          f"resolution {n_rho}x{n_phi} needs {n_nodes}")
+    u = np.empty(n_nodes)
+    seen = np.zeros(n_nodes, dtype=bool)
+    for ln, line in enumerate(lines[1:], 2):
+        parts = line.split(",")
+        try:
+            if len(parts) != len(CSV_COLUMNS):
+                raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(parts)}")
+            i, j, value = int(parts[0]), int(parts[1]), float(parts[4])
+            if not (i == j == 0 or (1 <= i <= n_rho and 0 <= j < n_phi)):
+                raise ValueError(f"node index ({i}, {j}) out of range")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite u {parts[4]!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{csv_path} line {ln}: {exc}") from exc
+        k = 0 if i == 0 else 1 + (i - 1) * n_phi + j
+        if seen[k]:
+            raise ConfigError(f"{csv_path} line {ln}: node ({i}, {j}) given twice")
+        u[k] = value
+        seen[k] = True
+
+    try:
+        model = ModelKind(header["model"])
+        grid = build_grid(domain_from_dict(header["domain"]), n_rho, n_phi)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"invalid field header: {exc}") from exc
+    return SolutionField(grid, u, float(c), model, dual)

@@ -212,8 +212,8 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
 
     rho = np.linspace(0.0, 1.0, n_rho + 1)
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    r_b = np.atleast_1d(domain.boundary_radius(phi))
-    r_b_prime = np.atleast_1d(domain.boundary_radius_deriv(phi))
+    r_b = domain.boundary_radius(phi)
+    r_b_prime = domain.boundary_radius_deriv(phi)
 
     peak = domain.peak
     e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)

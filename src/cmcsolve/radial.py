@@ -150,8 +150,8 @@ def seed_field(spec, grid: MappedGrid | None = None,
     x_p = omega.peak
     y_c = omega_tilde.peak
     phi = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    r_out = float(np.max(np.atleast_1d(omega.boundary_radius(phi))))
-    r_in = float(np.min(np.atleast_1d(omega_tilde.boundary_radius(phi))))
+    r_out = float(np.max(omega.boundary_radius(phi)))
+    r_in = float(np.min(omega_tilde.boundary_radius(phi)))
     alpha = r_in / r_out
     d = nodes - x_p
     tol_b = omega_tilde.boundary_tol()

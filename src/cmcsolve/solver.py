@@ -211,12 +211,12 @@ def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> fl
 
     def admissible(t):
         for dom in (omega, omega_tilde):
-            cell = float(np.max(np.atleast_1d(dom.boundary_radius(phi)))) / n_rho
+            cell = float(np.max(dom.boundary_radius(phi))) / n_rho
             try:
                 sub = dom.sublevel(t)
             except DegenerateSublevel:
                 return False
-            if float(np.min(np.atleast_1d(sub.boundary_radius(phi)))) < 6 * cell:
+            if float(np.min(sub.boundary_radius(phi))) < 6 * cell:
                 return False
         return True
 
@@ -230,18 +230,21 @@ def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
                  model: ModelKind, n_rho: int, n_phi: int,
                  schedule=None, opts: SolveOptions | None = None,
                  operator: OperatorKind = OperatorKind.GRAPH,
-                 max_bisections: int = 4):
+                 max_bisections: int = 4, steps: int = 12,
+                 t_min: float | None = None):
     """Continuity-method solve: deform a near-ball pair into the target pair.
 
-    schedule: increasing t values ending at 1 (default: 12 uniform steps
-    from auto_t_min).  Returns (final field, [HomotopyState]).
+    schedule: increasing t values ending at 1 (default: `steps` uniform
+    steps from t_min, itself auto_t_min when None).  Returns (final field,
+    [HomotopyState]).
     """
     from .radial import seed_field
 
     opts = opts or SolveOptions()
     if schedule is None:
-        t_min = auto_t_min(omega, omega_tilde, n_rho)
-        schedule = np.linspace(t_min, 1.0, 12) if t_min < 1.0 else np.array([1.0])
+        if t_min is None:
+            t_min = auto_t_min(omega, omega_tilde, n_rho)
+        schedule = np.linspace(t_min, 1.0, steps) if t_min < 1.0 else np.array([1.0])
     schedule = [float(t) for t in schedule]
     if sorted(schedule) != schedule or schedule[-1] != 1.0:
         raise ValueError("schedule must be increasing and end at t = 1")

@@ -205,6 +205,7 @@ BAD_NUMBERS = [
     ("grid.n_rho", "inf"),
     ("omega_tilde.radius", "nan"),
     ("omega.center", "0.0, inf"),
+    ("homotopy.steps", "1"),
 ]
 
 
@@ -223,3 +224,90 @@ def test_bad_config_number_exit_2(tmp_path, capsys, command, key, value):
     assert "Traceback" not in err
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith(f"config error: {key}")
+
+
+def _cell(row, column, text):
+    def edit(lines, header):
+        parts = lines[row].split(",")
+        parts[column] = text
+        lines[row] = ",".join(parts)
+    return edit
+
+
+def _header(key, value):
+    return lambda lines, header: header.update({key: value})
+
+
+def _short_row(lines, header):
+    lines[5] = lines[5].rsplit(",", 1)[0]
+
+
+def _duplicate_row(lines, header):
+    lines[6] = lines[5]
+
+
+def _missing_row(lines, header):
+    del lines[7]
+
+
+# edits of a stored 16 x 32 field (CSV lines with the column row first, and
+# the JSON header); each must be rejected with exit code 2
+FIELD_CORRUPTIONS = {
+    "nan_u": _cell(5, 4, "nan"),
+    "inf_u": _cell(9, 4, "-inf"),
+    "fractional_rho_index": _cell(5, 0, "1.5"),
+    "rho_index_99": _cell(5, 0, "99"),
+    "phi_index_n_phi": _cell(5, 1, "32"),
+    "pole_phi_index": _cell(1, 1, "3"),
+    "short_row": _short_row,
+    "duplicate_row": _duplicate_row,
+    "missing_row": _missing_row,
+    "header_c_nan": _header("c", float("nan")),
+    "header_c_text": _header("c", "1.2"),
+    "header_n_rho_float": _header("n_rho", 16.5),
+    "header_n_phi_odd": _header("n_phi", 31),
+    "header_n_rho_huge": _header("n_rho", 10 ** 12),
+    "header_model": _header("model", "galilean"),
+    "header_domain": _header("domain", {"kind": "ball"}),
+    "header_radius_nan": _header("domain", {"kind": "ball", "center": [0.0, 0.0],
+                                            "radius": float("nan")}),
+    "header_dual_text": _header("dual", "false"),
+}
+
+
+class TestCorruptedFieldFile:
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("solved")
+        assert main(["solve", "--config", str(write_config(tmp))]) == 0
+        return tmp / "run"
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("corruption", sorted(FIELD_CORRUPTIONS))
+    def test_exit_2_one_line(self, solved, tmp_path, capsys, command, corruption):
+        lines = (solved / "field.csv").read_text().splitlines()
+        header = json.loads((solved / "field.json").read_text())
+        FIELD_CORRUPTIONS[corruption](lines, header)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        if command == "verify":
+            argv = ["verify", "--field", str(bad),
+                    "--config", str(write_config(tmp_path))]
+        else:
+            argv = ["solve", "--config", str(write_config(
+                tmp_path, **{"seed.strategy": "file", "seed.path": str(bad)}))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith("config error: ")
+
+    def test_header_not_json(self, solved, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text((solved / "field.csv").read_text())
+        (tmp_path / "bad.json").write_text("{not json")
+        assert main(["verify", "--field", str(bad),
+                     "--config", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read field file")

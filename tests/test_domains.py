@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.special import ellipe
 
 from cmcsolve import Ball, Ellipse
-from cmcsolve.domains import SublevelDomain, domain_from_dict
-from cmcsolve.errors import DegenerateSublevel, NotOnBoundary
+from cmcsolve.domains import SublevelDomain, domain_from_dict, require_inside_unit_ball
+from cmcsolve.errors import ConfigError, DegenerateSublevel, NotOnBoundary
 
 
 class TestBallDefining:
@@ -169,3 +169,95 @@ def test_ellipse_properties(cx, cy, a, b):
     x = ell.peak + r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     h, _, _ = ell.defining(x)
     assert np.max(np.abs(h)) < 1e-10 * ell.diameter()
+
+
+@st.composite
+def quadric_domains(draw):
+    """A ball or an ellipse, possibly nested in one or two super-level sets."""
+    center = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    if draw(st.booleans()):
+        dom = Ball(center, draw(st.floats(0.1, 3.0)))
+    else:
+        a = draw(st.floats(0.3, 2.0))
+        dom = Ellipse(center, (a, a * draw(st.floats(0.15, 1.0 / 0.15))))
+    for t in draw(st.lists(st.floats(0.2, 1.0), max_size=2)):
+        dom = dom.sublevel(t)
+    return dom
+
+
+@st.composite
+def interior_origins(draw, dom):
+    """The peak, or a point on a ray from it at most 90 % of the way out."""
+    if draw(st.booleans()):
+        return dom.peak
+    psi = draw(st.floats(0, 2 * np.pi))
+    frac = draw(st.floats(0.0, 0.9))
+    return dom.peak + frac * dom.boundary_radius(psi) * np.array([np.cos(psi), np.sin(psi)])
+
+
+RAYS = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+
+
+class TestRayRoots:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_root_on_boundary(self, data):
+        dom = data.draw(quadric_domains())
+        origin = data.draw(interior_origins(dom))
+        r = dom.boundary_radius(RAYS, origin)
+        assert np.all(r > 0)
+        x = origin + r[:, None] * np.stack([np.cos(RAYS), np.sin(RAYS)], axis=-1)
+        h, _, _ = dom.defining(x)
+        assert np.max(np.abs(h)) <= 1e-13 * dom.diameter()
+
+    @pytest.mark.parametrize("dom, offset", [
+        (Ellipse((0.2, -0.1), (1.0, 0.6)), (0.0, 0.0)),
+        (Ellipse((0.2, -0.1), (1.0, 0.6)), (0.3, 0.2)),
+        (Ball((0, 0), 1.0).sublevel(0.5), (-0.2, 0.1)),
+        (Ellipse((0, 0), (1.0, 0.8)).sublevel(0.4), (0.1, 0.1)),
+    ])
+    def test_deriv_against_central_differences(self, dom, offset):
+        origin = dom.peak + np.array(offset)
+        step = 1e-5
+        fd = (dom.boundary_radius(RAYS + step, origin)
+              - dom.boundary_radius(RAYS - step, origin)) / (2 * step)
+        assert np.allclose(dom.boundary_radius_deriv(RAYS, origin), fd,
+                           rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("dom", [Ball((0.1, 0), 0.7), Ellipse((0, 0), (1.0, 0.5)),
+                                     Ellipse((0, 0), (1.0, 0.5)).sublevel(0.3)])
+    def test_scalar_and_shape(self, dom):
+        for method in (dom.boundary_radius, dom.boundary_radius_deriv):
+            assert type(method(0.3)) is float
+            assert method(np.array([0.3])).shape == (1,)
+            assert method(np.zeros((3, 4)) + 0.3).shape == (3, 4)
+            assert method(np.array([0.3]))[0] == method(0.3)
+
+    @pytest.mark.parametrize("origin", [(1.5, 0.0), (1.0, 0.0), (0.0, -3.0)])
+    def test_origin_not_inside(self, origin):
+        with pytest.raises(ValueError):
+            Ball((0, 0), 1.0).boundary_radius(0.3, origin=np.array(origin))
+
+
+class TestQuadricMeasures:
+    @pytest.mark.parametrize("a, b", [(1.0, 0.8), (1.2, 0.5), (2.0, 0.7)])
+    def test_ellipse(self, a, b):
+        area, perim = Ellipse((0.1, -0.3), (a, b)).measures()
+        assert area == np.pi * a * b
+        assert perim == pytest.approx(4 * a * ellipe(1 - (b / a) ** 2), rel=1e-10)
+
+    @pytest.mark.parametrize("base", [Ball((0.2, 0), 0.9), Ellipse((0, 0.1), (1.0, 0.8))])
+    @pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
+    def test_sublevel_area_scales_with_t(self, base, t):
+        assert base.sublevel(t).measures()[0] == pytest.approx(
+            t * base.measures()[0], rel=1e-12)
+
+
+class TestUnitBallCheck:
+    def test_inside_passes(self):
+        require_inside_unit_ball(Ellipse((0.1, 0), (0.5, 0.3)), 1e-6)
+
+    @pytest.mark.parametrize("dom", [Ball((0, 0), 1.01), Ball((0.6, 0), 0.4 + 1e-7)])
+    def test_touching_or_outside_fails(self, dom):
+        with pytest.raises(ConfigError, match="unit ball"):
+            require_inside_unit_ball(dom, 1e-6)
