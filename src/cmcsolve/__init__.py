@@ -11,7 +11,7 @@ from .domains import Ball, ConvexDomain, Ellipse, SublevelDomain
 from .duality import (FieldInterpolant, dual_residual, dual_solve,
                       legendre_transform)
 from .grid import MappedGrid, SolutionField, build_grid, transfer_field
-from .kernel import ModelKind, PointState
+from .kernel import ModelKind
 from .radial import (RadialSolution, ode_crosscheck, radial_constant,
                      radial_profile, seed_field)
 from .solver import (HomotopyState, NewtonInfo, SolveOptions, damped_step,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "ConvexDomain", "Ellipse", "SublevelDomain",
-    "ModelKind", "PointState",
+    "ModelKind",
     "MappedGrid", "SolutionField", "build_grid", "transfer_field",
     "OperatorKind", "ProblemSpec", "residual", "jacobian",
     "SolveOptions", "NewtonInfo", "HomotopyState",

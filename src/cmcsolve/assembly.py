@@ -98,14 +98,13 @@ def hessian_eig_bounds(d2u):
     return mean - disc, mean + disc
 
 
-def admissibility_violation(spec: ProblemSpec, field: SolutionField,
-                            eps_convexity: float = 1e-8):
-    """Return the guard violation for a field, or None if admissible.
+def admissibility_violation(spec: ProblemSpec, du, d2u, eps_convexity: float = 1e-8):
+    """Return the guard violation for nodal derivatives (Du, D^2u), or None
+    if admissible.
 
     Guards: uniform convexity at every node; for the primal Minkowski
     operator also the spacelike bound max |Du| <= 1 - eps_space.
     """
-    du, d2u = field.derivatives()
     lam_min, _ = hessian_eig_bounds(d2u)
     k = int(np.argmin(lam_min))
     if lam_min[k] < eps_convexity:
@@ -143,40 +142,43 @@ def residual(spec: ProblemSpec, field: SolutionField) -> np.ndarray:
 
 
 def jacobian(spec: ProblemSpec, field: SolutionField) -> sp.csr_matrix:
-    """Analytic (N+1) x (N+1) Jacobian with respect to (u, c)."""
+    """Analytic (N+1) x (N+1) Jacobian with respect to (u, c).
+
+    The five recovery operators share one sparsity pattern, so each interior
+    row is that pattern's row with the node's operator derivatives as
+    weights, followed by the -1 of the c column.  The terms are summed in
+    the order dxx, dxy, dyy, dx, dy, which makes the matrix equal bit for
+    bit to the sum of diagonally weighted operators it replaces.  Boundary rows weight the bx, by pattern with
+    Dh_target(Du); the mean-zero row holds the quadrature weights.  Exact
+    zeros (the pole's quadrature weight, sums that cancel) are dropped: a
+    stored zero would change the fill-reducing ordering.
+    """
     grid = spec.grid
     n = grid.n_nodes
+    n_in = n - grid.n_phi   # the boundary ring is the last n_phi unknowns
     du, d2u = field.derivatives()
     g_r, g_p = operator_state_derivatives(spec, grid.nodes, du, d2u)
+    _, dh_b, _ = spec.omega_tilde.defining(grid.boundary_gradients(field.u))
 
-    bidx = grid.boundary_idx
-    du_b = grid.boundary_gradients(field.u)
-    _, dh_b, _ = spec.omega_tilde.defining(du_b)
+    ops = grid.ops   # dx, dy, dxx, dxy, dyy share one pattern
+    ptr = ops['dx'].indptr[:n_in + 1]
+    k = ptr[-1]
+    v_x, v_y, v_xx, v_xy, v_yy = (ops[name].data[:k]
+                                  for name in ('dx', 'dy', 'dxx', 'dxy', 'dyy'))
+    r = np.repeat(np.arange(n_in), np.diff(ptr))
+    inner = (g_r[r, 0, 0] * v_xx + 2.0 * g_r[r, 0, 1] * v_xy + g_r[r, 1, 1] * v_yy
+             + g_p[r, 0] * v_x + g_p[r, 1] * v_y)
 
-    w_xx = g_r[:, 0, 0].copy()
-    w_xy = 2.0 * g_r[:, 0, 1]
-    w_yy = g_r[:, 1, 1].copy()
-    w_x = g_p[:, 0].copy()
-    w_y = g_p[:, 1].copy()
-    w_xx[bidx] = 0.0
-    w_xy[bidx] = 0.0
-    w_yy[bidx] = 0.0
-    w_x[bidx] = 0.0
-    w_y[bidx] = 0.0
-    w_bx = np.zeros(n)
-    w_by = np.zeros(n)
-    w_bx[bidx] = dh_b[:, 0]
-    w_by[bidx] = dh_b[:, 1]
+    bx, by = ops['bx'], ops['by']   # one pattern, boundary rows only
+    b_ptr = bx.indptr[n_in:]
+    rb = np.repeat(np.arange(grid.n_phi), np.diff(b_ptr))
+    edge = dh_b[rb, 0] * bx.data + dh_b[rb, 1] * by.data
 
-    ops = grid.ops
-    m = (sp.diags(w_xx) @ ops['dxx'] + sp.diags(w_xy) @ ops['dxy']
-         + sp.diags(w_yy) @ ops['dyy'] + sp.diags(w_x) @ ops['dx']
-         + sp.diags(w_y) @ ops['dy'] + sp.diags(w_bx) @ ops['bx']
-         + sp.diags(w_by) @ ops['by'])
-
-    c_col = np.full(n, -1.0)
-    c_col[bidx] = 0.0
-    return sp.bmat([[m, sp.csr_matrix(c_col[:, None])],
-                    [sp.csr_matrix(grid.quad_weights[None, :]), None]],
-                   format='csr')
-
+    data = np.concatenate([np.insert(inner, ptr[1:], -1.0), edge, grid.quad_weights])
+    indices = np.concatenate([np.insert(ops['dx'].indices[:k], ptr[1:], n),
+                              bx.indices, np.arange(n)])
+    indptr = np.concatenate([ptr + np.arange(n_in + 1), k + n_in + b_ptr[1:],
+                             [len(data)]])
+    jac = sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    jac.eliminate_zeros()
+    return jac

@@ -85,9 +85,11 @@ def _initial_field(cfg: RunConfig, spec: ProblemSpec):
 def cmd_solve(args) -> int:
     try:
         cfg = parse_config(args.config)
-        grid = build_grid(cfg.omega, cfg.n_rho, cfg.n_phi)
-        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, grid,
-                           eps_space=cfg.options.eps_space)
+        # the homotopy builds its own grids; its report uses the field's grid
+        spec = None if cfg.homotopy_enabled else ProblemSpec(
+            cfg.omega, cfg.omega_tilde, cfg.model,
+            build_grid(cfg.omega, cfg.n_rho, cfg.n_phi),
+            eps_space=cfg.options.eps_space)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -124,6 +126,9 @@ def cmd_solve(args) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
+    if spec is None:
+        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, fld.grid,
+                           eps_space=cfg.options.eps_space)
     report = full_report(spec, fld)
     save_field(fld, out / "field.csv", omega=cfg.omega, omega_tilde=cfg.omega_tilde)
     report.to_json(out / "report.json")

@@ -148,7 +148,8 @@ class ConvexDomain:
 
     def sublevel(self, t: float) -> "ConvexDomain":
         """The super-level set {h >= (1-t) h_max} for t in (0, 1], wrapped
-        with the shifted defining function h - (1-t) h_max.
+        with the shifted defining function h - (1-t) h_max.  It is the
+        sqrt(t)-scaling of the domain about its peak.
 
         Returns self at t = 1.  Raises DegenerateSublevel when the level set
         is too small to resolve.
@@ -157,18 +158,19 @@ class ConvexDomain:
             raise ValueError(f"t must be in (0, 1], got {t}")
         if t == 1.0:
             return self
-        level = (1.0 - t) * self.h_max
-        if isinstance(self, SublevelDomain):
-            dom = SublevelDomain(self.base, self.level + level)
-        else:
-            dom = SublevelDomain(self, level)
         # resolvability floor: keep the level curve a few percent of the
-        # original size so grids stay well conditioned
-        rb = dom.boundary_radius(np.linspace(0, 2 * np.pi, 8, endpoint=False))
+        # original size so grids stay well conditioned.  It is decided from
+        # the scaled radii before the set is built, because for t below the
+        # float resolution (1-t) h_max rounds to h_max.
+        phi = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        rb = np.sqrt(t) * self.boundary_radius(phi)
         if np.min(rb) < 1e-2 * self.diameter():
             raise DegenerateSublevel(f"super-level set at t={t} has inradius "
                                      f"{np.min(rb):.3e}, below the resolvable floor")
-        return dom
+        level = (1.0 - t) * self.h_max
+        if isinstance(self, SublevelDomain):
+            return SublevelDomain(self.base, self.level + level)
+        return SublevelDomain(self, level)
 
     def measures(self) -> tuple[float, float]:
         """(area, perimeter); analytic when available, otherwise dense
@@ -184,6 +186,20 @@ class ConvexDomain:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+    def _require_finite(self) -> None:
+        """Raise ValueError unless the peak, A, h_max and the area
+        2 pi h_max / sqrt(det A) are finite and A, h_max and the area
+        positive: parameters near either end of the float range underflow
+        or overflow them."""
+        with np.errstate(all="ignore"):
+            x0, a = self.quadric()
+            lam = np.linalg.eigvalsh(a) if np.all(np.isfinite(a)) else [np.nan]
+            area = 2.0 * np.pi * self.h_max / np.prod(np.sqrt(lam))
+        if not (np.all(np.isfinite(x0)) and lam[0] > 0 and 0 < self.h_max < np.inf
+                and 0 < area < np.inf):
+            raise ValueError(f"{self!r} cannot be represented: its center, quadric, "
+                             f"h_max and area must be finite and positive")
 
 
 def require_inside_unit_ball(domain: ConvexDomain, eps_space: float) -> None:
@@ -206,9 +222,7 @@ class Ball(ConvexDomain):
     def __post_init__(self):
         self.center = (float(self.center[0]), float(self.center[1]))
         self.radius = float(self.radius)
-        if not (0 < self.radius < np.inf and np.all(np.isfinite(self.center))):
-            raise ValueError(f"radius must be positive and center and radius finite, "
-                             f"got {self.center}, {self.radius}")
+        self._require_finite()
 
     def quadric(self):
         return np.asarray(self.center), np.eye(2) / self.radius
@@ -232,15 +246,16 @@ class Ellipse(ConvexDomain):
     def __post_init__(self):
         self.center = (float(self.center[0]), float(self.center[1]))
         a, b = self.semi_axes = (float(self.semi_axes[0]), float(self.semi_axes[1]))
-        if not (0 < min(a, b) and max(a, b) < np.inf and np.all(np.isfinite(self.center))):
-            raise ValueError(f"semi-axes must be positive and center and semi-axes "
-                             f"finite, got {self.center}, {self.semi_axes}")
+        if not min(a, b) > 0:
+            raise ValueError(f"semi-axes must be positive, got {self.semi_axes}")
         # scale keeping boundary |Dh| = s*sqrt(cos^2/a^2 + sin^2/b^2) within
         # [1/2, 2]-ish: geometric-mean normalization, floored so min |Dh| >= 1/2
         self._scale = max(np.sqrt(a * b), max(a, b) / 2.0)
+        self._require_finite()
 
     def quadric(self):
-        a, b = self.semi_axes
+        # numpy scalars: an extreme axis overflows to inf instead of raising
+        a, b = np.asarray(self.semi_axes)
         return np.asarray(self.center), self._scale * np.diag([1.0 / a ** 2, 1.0 / b ** 2])
 
     @property

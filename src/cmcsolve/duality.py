@@ -214,19 +214,18 @@ def _clamp_to_extension(interp, x):
     return x
 
 
-def legendre_transform(field: SolutionField, dual_grid: MappedGrid,
-                       gap_tol: float | None = None) -> SolutionField:
+def legendre_transform(field: SolutionField, dual_grid: MappedGrid) -> SolutionField:
     """Transform a solved field onto a grid over its gradient image.
 
     For each dual node y the primal point x with Du(x) = y is found by
     Newton on the interpolated gradient (uniform convexity makes the root
-    unique); then utilde(y) = x . y - u(x).  The additive constant is
+    unique); then utilde(y) = x . y - u(x).  A gradient gap above
+    1e-8 (max |y| + 1) raises InversionFailure.  The additive constant is
     inherited, not re-normalized.  The stored dual constant is -c.
     """
     interp = FieldInterpolant(field)
     y = dual_grid.nodes
-    if gap_tol is None:
-        gap_tol = 1e-8 * (np.max(np.abs(y)) + 1.0)
+    gap_tol = 1e-8 * (np.max(np.abs(y)) + 1.0)
     x, gaps = invert_gradient(interp, y)
     worst = int(np.argmax(gaps))
     if gaps[worst] > gap_tol:
@@ -235,7 +234,7 @@ def legendre_transform(field: SolutionField, dual_grid: MappedGrid,
     return SolutionField(dual_grid, u_t, -field.c, field.model, dual=True)
 
 
-def dual_residual(dual: SolutionField, model=None) -> np.ndarray:
+def dual_residual(dual: SolutionField) -> np.ndarray:
     """Per-node deviation of the dual operator from the stored dual
     constant: -G(y, [D^2 utilde]^{-1}) - c_dual at every dual node.
 
@@ -245,17 +244,15 @@ def dual_residual(dual: SolutionField, model=None) -> np.ndarray:
     from .assembly import _inverse_2x2
     from .kernel import coefficient_matrix
 
-    model = model or dual.model
-    grid = dual.grid
     _, d2u = dual.derivatives()
     w = _inverse_2x2(d2u)
-    s = coefficient_matrix(grid.nodes, model)
+    s = coefficient_matrix(dual.grid.nodes, dual.model)
     return -np.einsum('...kl,...kl->...', s, w) - dual.c
 
 
-def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None,
-               n_rho: int | None = None, n_phi: int | None = None):
-    """Independently solve the dual problem on Omega_tilde.
+def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
+    """Independently solve the dual problem on Omega_tilde at the primal
+    grid's resolution.
 
     Swaps the domain roles, switches to the inverse-Hessian operator, seeds
     with the inscribed-ball quadratic, and runs the same Newton machinery
@@ -265,8 +262,7 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None,
     from .radial import seed_field
 
     opts = opts or SolveOptions()
-    n_rho = n_rho or spec.grid.n_rho
-    n_phi = n_phi or spec.grid.n_phi
+    n_rho, n_phi = spec.grid.n_rho, spec.grid.n_phi
     dual_grid = build_grid(spec.omega_tilde, n_rho, n_phi)
     dual_spec = ProblemSpec(spec.omega_tilde, spec.omega, spec.model, dual_grid,
                             operator=OperatorKind.INVERSE_HESSIAN,

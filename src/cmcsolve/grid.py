@@ -60,6 +60,8 @@ class MappedGrid:
     nodes: np.ndarray = field(repr=False)
     quad_weights: np.ndarray = field(repr=False)
     boundary_weights: np.ndarray = field(repr=False)
+    # name -> CSR operator; dx, dy, dxx, dxy, dyy share one indptr/indices
+    # pair, bx and by another
     ops: dict = field(repr=False)
 
     @property
@@ -241,6 +243,18 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
                       boundary_weights=boundary_weights, ops=ops)
 
 
+def _on_one_pattern(names, vals, rows, cols, n):
+    """CSR operators with the given values on one (row, col) list, sharing
+    one indptr/indices pair: one pattern, one coefficient set per name.
+
+    Each is converted from the same list (duplicates summed, explicit zeros
+    kept), so their patterns agree and sharing the index arrays is exact.
+    """
+    mats = [sp.csr_matrix((v, (rows, cols)), shape=(n, n)) for v in vals]
+    return {name: sp.csr_matrix((m.data, mats[0].indices, mats[0].indptr), shape=(n, n))
+            for name, m in zip(names, mats)}
+
+
 def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
     """Cartesian gradient operators for the boundary ring only, from mapped
     per-column differencing: a one-sided 4-point radial derivative along
@@ -293,10 +307,8 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
         vx.append(jinv_t[:, 0, 1] * wgt)
         vy.append(jinv_t[:, 1, 1] * wgt)
 
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    return {'bx': sp.csr_matrix((np.concatenate(vx), (r, c)), shape=(n_nodes, n_nodes)),
-            'by': sp.csr_matrix((np.concatenate(vy), (r, c)), shape=(n_nodes, n_nodes))}
+    return _on_one_pattern(['bx', 'by'], [np.concatenate(vx), np.concatenate(vy)],
+                           np.concatenate(rows), np.concatenate(cols), n_nodes)
 
 
 def _build_derivative_ops(nodes, n_rho, n_phi):
@@ -353,12 +365,9 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     add_group(np.asarray(node_index(n_rho, j, n_phi)), idxb, radial=e_rad,
               cubics=full, center=3 * 5 + 2)
 
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    names = ['dx', 'dy', 'dxx', 'dxy', 'dyy']
-    return {name: sp.csr_matrix((np.concatenate(vals[k]), (r, c)),
-                                shape=(n_nodes, n_nodes))
-            for k, name in enumerate(names)}
+    return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'],
+                           [np.concatenate(v) for v in vals],
+                           np.concatenate(rows), np.concatenate(cols), n_nodes)
 
 
 @dataclass

@@ -1,31 +1,22 @@
-"""Pointwise geometry of graph hypersurfaces from (Du, D^2 u).
+"""Pointwise operator of graph hypersurfaces from (Du, D^2 u).
 
 Two graph models share one set of formulas through a sign sigma:
-
-  Minkowski (sigma = -1, spacelike graphs, |Du| < 1):
-      v    = sqrt(1 - |Du|^2)
-      g_ij = delta_ij - u_i u_j          g^ij = delta_ij + u_i u_j / v^2
-      b^ij = delta_ij + u_i u_j / (v(1+v))   (positive square root of g^ij)
-      b_ij = delta_ij - u_i u_j / (1+v)
-
-  Euclidean (sigma = +1):
-      v    = sqrt(1 + |Du|^2),  signs of the rank-one parts flip.
-
-The shape matrix is a_ij = (1/v) b^ik u_kl b^lj; its eigenvalues are the
-principal curvatures and its trace is the mean curvature H, which equals the
-divergence form
+Minkowski (sigma = -1, spacelike graphs, |Du| < 1) and Euclidean
+(sigma = +1), with the speed v = sqrt(1 + sigma |Du|^2).  The mean curvature
+is the trace of the shape matrix (1/v) b^ik u_kl b^lj, b^ij the positive
+square root of the inverse metric g^ij; it equals the divergence form
 
       H = div(Du / v) = s_kl u_kl,  s_kl = (1/v)(delta_kl - sigma u_k u_l / v^2).
 
 Since the curvature function is the trace, H is linear in D^2 u and the
 operator derivatives are dH/du_kl = s_kl and dH/du_i given in closed form
-below.  Everything is vectorized over leading axes: du has shape (..., 2),
-d2u has shape (..., 2, 2).
+below.  This module holds only what the solver evaluates; the metric, the
+shape matrix, the principal curvatures and the shape-matrix route to dH/du_i
+are test oracles (tests/helpers.py).  Everything is vectorized over leading
+axes: du has shape (..., 2), d2u has shape (..., 2, 2).
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,22 +33,6 @@ class ModelKind(Enum):
     @property
     def sigma(self) -> float:
         return -1.0 if self is ModelKind.MINKOWSKI else 1.0
-
-
-@dataclass
-class PointState:
-    """Gradient and Hessian of u at a single point."""
-
-    du: np.ndarray
-    d2u: np.ndarray
-
-    def __post_init__(self):
-        self.du = np.asarray(self.du, dtype=float)
-        self.d2u = np.asarray(self.d2u, dtype=float)
-        if self.du.shape[-1] != 2 or self.d2u.shape[-2:] != (2, 2):
-            raise ValueError("PointState expects du (...,2) and d2u (...,2,2)")
-        if not np.allclose(self.d2u, np.swapaxes(self.d2u, -1, -2), atol=1e-12):
-            raise ValueError("d2u must be symmetric")
 
 
 def _check_spacelike(du, model, eps_space):
@@ -83,33 +58,6 @@ def _outer(du):
     return du[..., :, None] * du[..., None, :]
 
 
-def metric_quantities(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
-    """Return (v, g_lo, g_up, b_lo, b_up) at each state.
-
-    b_up is the positive square root of g_up and b_lo its inverse:
-    b_up b_up = g_up, b_lo b_up = I.
-    """
-    du = np.asarray(du, dtype=float)
-    v = speed_factor(du, model, eps_space)
-    s = model.sigma
-    eye = np.broadcast_to(np.eye(2), du.shape[:-1] + (2, 2))
-    pp = _outer(du)
-    v_ = v[..., None, None]
-    g_lo = eye + s * pp
-    g_up = eye - s * pp / v_ ** 2
-    b_up = eye - s * pp / (v_ * (1.0 + v_))
-    b_lo = eye + s * pp / (1.0 + v_)
-    return v, g_lo, g_up, b_lo, b_up
-
-
-def shape_matrix(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
-    """a_ij = (1/v) b^ik u_kl b^lj; symmetric, positive definite iff d2u is."""
-    d2u = np.asarray(d2u, dtype=float)
-    v, _, _, _, b_up = metric_quantities(du, model, eps_space)
-    a = np.einsum('...ik,...kl,...lj->...ij', b_up, d2u, b_up) / v[..., None, None]
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
 def coefficient_matrix(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
     """s_kl = (1/v)(delta_kl - sigma u_k u_l / v^2), the divergence-form
     coefficients: H = s_kl u_kl.  Equals dH/du_kl and (1/v) g^kl."""
@@ -125,12 +73,6 @@ def mean_curvature(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPA
     d2u = np.asarray(d2u, dtype=float)
     s = coefficient_matrix(du, model, eps_space)
     return np.einsum('...kl,...kl->...', s, d2u)
-
-
-def principal_curvatures(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
-    """Eigenvalues of the shape matrix, ascending."""
-    a = shape_matrix(du, d2u, model, eps_space)
-    return np.linalg.eigvalsh(a)
 
 
 def operator_derivatives(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
@@ -154,47 +96,3 @@ def operator_derivatives(du, d2u, model: ModelKind, eps_space: float = DEFAULT_E
     g_i = (-model.sigma * (tr[..., None] * du + 2.0 * rp) / v[..., None] ** 3
            + 3.0 * prp[..., None] * du / v[..., None] ** 5)
     return g_ij, g_i
-
-
-def gradient_term_shape_form(du, d2u, eps_space: float = DEFAULT_EPS_SPACE):
-    """Minkowski gradient derivative via the shape-matrix route:
-
-      G_i = (u_i / v^2) F_kl a_kl + (2/v) F_kl a_ml b^ik u_m,   F_kl = delta_kl.
-
-    Independent of operator_derivatives' direct formula; the two must agree.
-    """
-    du = np.asarray(du, dtype=float)
-    d2u = np.asarray(d2u, dtype=float)
-    model = ModelKind.MINKOWSKI
-    v, _, _, _, b_up = metric_quantities(du, model, eps_space)
-    a = shape_matrix(du, d2u, model, eps_space)
-    tr_a = np.trace(a, axis1=-2, axis2=-1)
-    bau = np.einsum('...ik,...km,...m->...i', b_up, a, du)
-    return du * (tr_a / v ** 2)[..., None] + 2.0 * bau / v[..., None]
-
-
-@dataclass
-class FStructureReport:
-    value: float
-    derivative_sum: float
-    homogeneity_gap: float
-    hessian_max_abs_eig: float
-
-
-def f_structure_check(kappas) -> FStructureReport:
-    """Structure identities of the curvature function F(kappa) = sum kappa_i
-    on the positive cone: dF/dkappa_i = 1, sum_i dF/dkappa_i kappa_i = F,
-    sum_i dF/dkappa_i = n, and the F-Hessian vanishes (degenerate concavity).
-    """
-    k = np.asarray(kappas, dtype=float)
-    if np.any(k <= 0):
-        raise ValueError("kappas must lie in the positive cone")
-    n = k.shape[-1]
-    value = float(np.sum(k))
-    dF = np.ones_like(k)
-    return FStructureReport(
-        value=value,
-        derivative_sum=float(np.sum(dF)),
-        homogeneity_gap=float(abs(np.sum(dF * k) - value)),
-        hessian_max_abs_eig=0.0,  # F linear in kappa
-    )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SeedFailure
-from .grid import MappedGrid, SolutionField
+from .grid import SolutionField
 from .kernel import ModelKind
 
 __all__ = ["RadialSolution", "radial_constant", "radial_profile",
@@ -108,8 +108,7 @@ def _is_ball(domain):
     return isinstance(domain, Ball)
 
 
-def seed_field(spec, grid: MappedGrid | None = None,
-               strategy: str = "auto") -> SolutionField:
+def seed_field(spec, strategy: str = "auto") -> SolutionField:
     """Admissible initial field for a problem instance.
 
     Ball pair: the exact radial profile about Omega's center, shifted in
@@ -127,7 +126,7 @@ def seed_field(spec, grid: MappedGrid | None = None,
 
     if strategy not in ("auto", "quadratic"):
         raise ValueError(f"unknown seed strategy {strategy!r}")
-    grid = spec.grid if grid is None else grid
+    grid = spec.grid
     omega, omega_tilde, model = spec.omega, spec.omega_tilde, spec.model
     nodes = grid.nodes
 
@@ -143,7 +142,7 @@ def seed_field(spec, grid: MappedGrid | None = None,
         u = u_vals + d @ y_c
         c = sol.c
         field0 = SolutionField(grid, grid.mean_zero(u), c, model)
-        if admissibility_violation(spec, field0) is None:
+        if admissibility_violation(spec, *field0.derivatives()) is None:
             return field0
         raise SeedFailure("exact radial seed failed the admissibility guards")
 
@@ -161,7 +160,8 @@ def seed_field(spec, grid: MappedGrid | None = None,
         h_img, _, _ = omega_tilde.defining(du_exact)
         field0 = SolutionField(grid, grid.mean_zero(u), _seed_constant(spec, alpha),
                                model)
-        if np.min(h_img) > -tol_b and admissibility_violation(spec, field0) is None:
+        if (np.min(h_img) > -tol_b
+                and admissibility_violation(spec, *field0.derivatives()) is None):
             return field0
         alpha *= 0.5
     raise SeedFailure("no admissible quadratic seed with alpha >= 1e-4")

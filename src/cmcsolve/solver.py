@@ -48,21 +48,24 @@ from .kernel import ModelKind
 logger = logging.getLogger("cmcsolve.solver")
 
 
+# backtracking: step factor, Armijo sufficient-decrease constant, and the
+# smallest step tried
+ARMIJO_FACTOR = 0.5
+ARMIJO_C = 1e-4
+ALPHA_MIN = 1e-12
+# t-increment halvings the homotopy may spend before giving up
+MAX_BISECTIONS = 4
+
+
 @dataclass
 class SolveOptions:
     tol_residual: float = 1e-10      # relative: ||res||_inf <= tol (1 + |c|)
     max_newton: int = 40
-    armijo_factor: float = 0.5
-    armijo_c: float = 1e-4
     eps_convexity: float = 1e-8
     eps_space: float = 1e-6
-    alpha_min: float = 1e-12
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_factor < 1.0:
-            raise ValueError("armijo_factor must be in (0, 1)")
-        for name in ("tol_residual", "max_newton", "armijo_c", "eps_convexity",
-                     "eps_space", "alpha_min"):
+        for name in ("tol_residual", "max_newton", "eps_convexity", "eps_space"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -107,9 +110,12 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, direction: np.ndarray,
     """Largest step alpha in {1, factor, factor^2, ...} that keeps the trial
     iterate admissible and achieves Armijo decrease of ||residual||_2.
 
-    Returns (alpha, trial_field, trial_residual).  Raises the violated guard
-    if no admissible step exists above alpha_min, StepRejection if admissible
-    steps exist but none achieves the decrease.
+    The trial derivatives are the linear combinations of those of the field
+    and the direction, so each trial costs no recovery mat-vec; a field is
+    built only for the accepted step.  Returns (alpha, trial_field,
+    trial_residual).  Raises the violated guard if no admissible step exists
+    above ALPHA_MIN, StepRejection if admissible steps exist but none
+    achieves the decrease.
     """
     grid = spec.grid
     n = grid.n_nodes
@@ -123,23 +129,21 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, direction: np.ndarray,
     alpha = 1.0
     any_admissible = False
     last_guard = None
-    while alpha >= opts.alpha_min:
-        trial = SolutionField(grid, fld.u + alpha * d_u, fld.c + alpha * d_c,
-                              fld.model, fld.dual)
-        guard = admissibility_violation(spec, trial, opts.eps_convexity)
+    while alpha >= ALPHA_MIN:
+        du, d2u = du0 + alpha * ddu, d2u0 + alpha * dd2u
+        guard = admissibility_violation(spec, du, d2u, opts.eps_convexity)
         if guard is None:
             any_admissible = True
-            res = residual_from_state(spec, trial.u, trial.c,
-                                      du0 + alpha * ddu, d2u0 + alpha * dd2u,
-                                      dub0 + alpha * ddub)
-            if np.linalg.norm(res) <= (1.0 - opts.armijo_c * alpha) * res_2norm:
-                return alpha, trial, res
+            u, c = fld.u + alpha * d_u, fld.c + alpha * d_c
+            res = residual_from_state(spec, u, c, du, d2u, dub0 + alpha * ddub)
+            if np.linalg.norm(res) <= (1.0 - ARMIJO_C * alpha) * res_2norm:
+                return alpha, SolutionField(grid, u, c, fld.model, fld.dual), res
         else:
             last_guard = guard
-        alpha *= opts.armijo_factor
+        alpha *= ARMIJO_FACTOR
     if not any_admissible and last_guard is not None:
         raise last_guard
-    raise StepRejection(f"no Armijo step above {opts.alpha_min}")
+    raise StepRejection(f"no Armijo step above {ALPHA_MIN}")
 
 
 def newton_solve(spec: ProblemSpec, initial: SolutionField,
@@ -153,7 +157,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     violations of the initial field propagate as-is.
     """
     opts = opts or SolveOptions()
-    guard = admissibility_violation(spec, initial, opts.eps_convexity)
+    guard = admissibility_violation(spec, *initial.derivatives(), opts.eps_convexity)
     if guard is not None:
         raise guard
 
@@ -230,8 +234,7 @@ def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
                  model: ModelKind, n_rho: int, n_phi: int,
                  schedule=None, opts: SolveOptions | None = None,
                  operator: OperatorKind = OperatorKind.GRAPH,
-                 max_bisections: int = 4, steps: int = 12,
-                 t_min: float | None = None):
+                 steps: int = 12, t_min: float | None = None):
     """Continuity-method solve: deform a near-ball pair into the target pair.
 
     schedule: increasing t values ending at 1 (default: `steps` uniform
@@ -270,7 +273,7 @@ def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
         try:
             fld, info = newton_solve(spec_t, initial, opts, t_label=t)
         except NonConvergence:
-            if prev_t is None or bisections >= max_bisections:
+            if prev_t is None or bisections >= MAX_BISECTIONS:
                 raise
             bisections += 1
             pending.insert(0, 0.5 * (prev_t + t))

@@ -1,11 +1,14 @@
-"""Shared test utilities: random admissible states, finite-difference
-oracles for the pointwise operator derivatives, and a sparse-matrix dump."""
+"""Shared test utilities: random admissible states, the shape-matrix
+oracles for the curvature kernel, finite-difference oracles for the
+pointwise operator derivatives, and a sparse-matrix dump."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from cmcsolve import ModelKind
-from cmcsolve.kernel import mean_curvature
+from cmcsolve.kernel import DEFAULT_EPS_SPACE, mean_curvature, speed_factor
 
 
 def random_states(rng, m, grad_max=0.9, eig_range=(0.1, 10.0)):
@@ -20,6 +23,81 @@ def random_states(rng, m, grad_max=0.9, eig_range=(0.1, 10.0)):
     lam = np.exp(rng.uniform(np.log(eig_range[0]), np.log(eig_range[1]), (m, 2)))
     d2u = np.einsum('mij,mj,mkj->mik', q, lam, q)
     return du, d2u
+
+
+@dataclass
+class PointState:
+    """Gradient and Hessian of u at a single point."""
+
+    du: np.ndarray
+    d2u: np.ndarray
+
+    def __post_init__(self):
+        self.du = np.asarray(self.du, dtype=float)
+        self.d2u = np.asarray(self.d2u, dtype=float)
+        if self.du.shape[-1] != 2 or self.d2u.shape[-2:] != (2, 2):
+            raise ValueError("PointState expects du (...,2) and d2u (...,2,2)")
+        if not np.allclose(self.d2u, np.swapaxes(self.d2u, -1, -2), atol=1e-12):
+            raise ValueError("d2u must be symmetric")
+
+
+def metric_quantities(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+    """Return (v, g_lo, g_up, b_lo, b_up) at each state.
+
+    Minkowski (sigma = -1):
+        v    = sqrt(1 - |Du|^2)
+        g_ij = delta_ij - u_i u_j          g^ij = delta_ij + u_i u_j / v^2
+        b^ij = delta_ij + u_i u_j / (v(1+v))   (positive square root of g^ij)
+        b_ij = delta_ij - u_i u_j / (1+v)
+    Euclidean (sigma = +1): v = sqrt(1 + |Du|^2), the rank-one signs flip.
+
+    b_up is the positive square root of g_up and b_lo its inverse:
+    b_up b_up = g_up, b_lo b_up = I.
+    """
+    du = np.asarray(du, dtype=float)
+    v = speed_factor(du, model, eps_space)
+    s = model.sigma
+    eye = np.broadcast_to(np.eye(2), du.shape[:-1] + (2, 2))
+    pp = du[..., :, None] * du[..., None, :]
+    v_ = v[..., None, None]
+    g_lo = eye + s * pp
+    g_up = eye - s * pp / v_ ** 2
+    b_up = eye - s * pp / (v_ * (1.0 + v_))
+    b_lo = eye + s * pp / (1.0 + v_)
+    return v, g_lo, g_up, b_lo, b_up
+
+
+def shape_matrix(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+    """a_ij = (1/v) b^ik u_kl b^lj; symmetric, positive definite iff d2u is.
+    Its eigenvalues are the principal curvatures, its trace the mean
+    curvature."""
+    d2u = np.asarray(d2u, dtype=float)
+    v, _, _, _, b_up = metric_quantities(du, model, eps_space)
+    a = np.einsum('...ik,...kl,...lj->...ij', b_up, d2u, b_up) / v[..., None, None]
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def principal_curvatures(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+    """Eigenvalues of the shape matrix, ascending."""
+    a = shape_matrix(du, d2u, model, eps_space)
+    return np.linalg.eigvalsh(a)
+
+
+def gradient_term_shape_form(du, d2u, eps_space: float = DEFAULT_EPS_SPACE):
+    """Minkowski gradient derivative via the shape-matrix route:
+
+      G_i = (u_i / v^2) F_kl a_kl + (2/v) F_kl a_ml b^ik u_m,   F_kl = delta_kl.
+
+    Independent of operator_derivatives' direct formula; the two must agree.
+    """
+    du = np.asarray(du, dtype=float)
+    d2u = np.asarray(d2u, dtype=float)
+    model = ModelKind.MINKOWSKI
+    v, _, _, _, b_up = metric_quantities(du, model, eps_space)
+    a = shape_matrix(du, d2u, model, eps_space)
+    tr_a = np.trace(a, axis1=-2, axis2=-1)
+    bau = np.einsum('...ik,...km,...m->...i', b_up, a, du)
+    return du * (tr_a / v ** 2)[..., None] + 2.0 * bau / v[..., None]
 
 
 def fd_operator_derivatives(du, d2u, model: ModelKind, step=1e-6):

@@ -13,11 +13,10 @@ from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField,
 from cmcsolve.diagnostics import flux_identity, full_report, mass_balance, \
     obliqueness_profile
 from cmcsolve.duality import FieldInterpolant, dual_solve
-from cmcsolve.kernel import (mean_curvature, operator_derivatives,
-                             shape_matrix)
+from cmcsolve.kernel import mean_curvature, operator_derivatives
 from cmcsolve.radial import RadialSolution
 from conftest import C_RADIAL, C_RADIAL_EUC, EUC, MINK, solve_direct
-from helpers import fd_operator_derivatives, random_states
+from helpers import fd_operator_derivatives, random_states, shape_matrix
 from test_assembly import fd_jacobian, smooth_convex_field
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       RadialSolution, SolutionField, build_grid, jacobian,
                       newton_solve, radial_profile, residual, seed_field)
-from cmcsolve.assembly import hessian_eig_bounds
+from cmcsolve.assembly import hessian_eig_bounds, operator_state_derivatives
 from cmcsolve.errors import ConfigError, SpacelikeViolation
 from helpers import dump_triplets
 
@@ -94,28 +95,81 @@ class TestResidual:
         assert np.all(np.isfinite(res))
 
 
+def jacobian_case(case, n_rho=12):
+    """(spec, field) of a named Jacobian test instance at n_rho x 2 n_rho."""
+    if case in ("mink_ball", "radial_seed"):
+        om, omt, model, op = Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, \
+            OperatorKind.GRAPH
+    elif case == "euc_ellipse":
+        om, omt, model, op = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4), \
+            EUC, OperatorKind.GRAPH
+    else:
+        om, omt, model, op = Ball((0, 0), 0.5), Ball((0, 0), 1.0), MINK, \
+            OperatorKind.INVERSE_HESSIAN
+    grid = build_grid(om, n_rho, 2 * n_rho)
+    spec = ProblemSpec(om, omt, model, grid, operator=op)
+    if case == "radial_seed":
+        return spec, seed_field(spec)
+    fld = smooth_convex_field(spec)
+    if case == "dual":
+        fld.u = grid.mean_zero(2.0 * 0.5 * np.sum(grid.nodes ** 2, axis=-1)
+                               + 0.02 * np.sin(grid.nodes[:, 0]))
+    return spec, fld
+
+
+def product_jacobian(spec, fld):
+    """Reference assembly: every recovery operator weighted by a diagonal
+    matrix and summed in the order dxx, dxy, dyy, dx, dy, bx, by, then the
+    border appended.  Sparse products and sums drop exact zeros."""
+    grid = spec.grid
+    n = grid.n_nodes
+    du, d2u = fld.derivatives()
+    g_r, g_p = operator_state_derivatives(spec, grid.nodes, du, d2u)
+    bidx = grid.boundary_idx
+    _, dh_b, _ = spec.omega_tilde.defining(grid.boundary_gradients(fld.u))
+    weights = {'dxx': g_r[:, 0, 0], 'dxy': 2.0 * g_r[:, 0, 1], 'dyy': g_r[:, 1, 1],
+               'dx': g_p[:, 0], 'dy': g_p[:, 1]}
+    m = None
+    for name, w in weights.items():
+        w = w.copy()
+        w[bidx] = 0.0
+        term = sp.diags(w) @ grid.ops[name]
+        m = term if m is None else m + term
+    for name, k in (('bx', 0), ('by', 1)):
+        w = np.zeros(n)
+        w[bidx] = dh_b[:, k]
+        m = m + sp.diags(w) @ grid.ops[name]
+    c_col = np.full(n, -1.0)
+    c_col[bidx] = 0.0
+    return sp.bmat([[m, sp.csr_matrix(c_col[:, None])],
+                    [sp.csr_matrix(grid.quad_weights[None, :]), None]], format='csr')
+
+
 class TestJacobian:
     @pytest.mark.parametrize("case", ["mink_ball", "euc_ellipse", "dual"])
     def test_against_finite_differences(self, case):
-        if case == "mink_ball":
-            om, omt, model, op = Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, \
-                OperatorKind.GRAPH
-        elif case == "euc_ellipse":
-            om, omt, model, op = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4), \
-                EUC, OperatorKind.GRAPH
-        else:
-            om, omt, model, op = Ball((0, 0), 0.5), Ball((0, 0), 1.0), MINK, \
-                OperatorKind.INVERSE_HESSIAN
-        grid = build_grid(om, 12, 24)
-        spec = ProblemSpec(om, omt, model, grid, operator=op)
-        fld = smooth_convex_field(spec)
-        if case == "dual":
-            fld.u = grid.mean_zero(2.0 * 0.5 * np.sum(grid.nodes ** 2, axis=-1)
-                                   + 0.02 * np.sin(grid.nodes[:, 0]))
+        spec, fld = jacobian_case(case)
         jac = np.asarray(jacobian(spec, fld).todense())
         fd = fd_jacobian(spec, fld)
         rel = np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
         assert rel <= 1e-5
+
+    @pytest.mark.parametrize("n_rho", [8, 16])
+    @pytest.mark.parametrize("case", ["mink_ball", "euc_ellipse", "dual", "radial_seed"])
+    def test_matches_product_assembly(self, case, n_rho):
+        # the pattern fill sums the same products in the same order, so the
+        # matrix, its pattern included, is the reference's bit for bit
+        spec, fld = jacobian_case(case, n_rho)
+        jac, ref = jacobian(spec, fld), product_jacobian(spec, fld)
+        ref.sort_indices()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(jac, attr), getattr(ref, attr))
+
+    def test_no_stored_zeros(self):
+        # the radial seed's symmetry makes some recovery sums exactly zero;
+        # a stored zero would change the LU ordering and its fill
+        spec, fld = jacobian_case("radial_seed", 16)
+        assert np.all(jacobian(spec, fld).data != 0.0)
 
     def test_constant_column_structure(self):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)

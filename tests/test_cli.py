@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cmcsolve import solver
+from cmcsolve import cli, solver
 from cmcsolve.cli import main
 from cmcsolve.fieldio import load_field, save_field
 
@@ -18,6 +18,21 @@ omega_tilde.center = 0.0, 0.0
 omega_tilde.radius = 0.5
 grid.n_rho = 16
 grid.n_phi = 32
+output.dir = {out}
+"""
+
+HOMOTOPY_CONFIG = """
+model = minkowski
+omega.kind = ellipse
+omega.center = 0, 0
+omega.semi_axes = 1.0, 0.8
+omega_tilde.kind = ball
+omega_tilde.center = 0, 0
+omega_tilde.radius = 0.4
+grid.n_rho = 16
+grid.n_phi = 32
+homotopy.enabled = true
+homotopy.steps = 8
 output.dir = {out}
 """
 
@@ -110,21 +125,7 @@ class TestSolveCommand:
         assert not summary["converged"]
 
     def test_homotopy_config(self, tmp_path):
-        text = """
-model = minkowski
-omega.kind = ellipse
-omega.center = 0, 0
-omega.semi_axes = 1.0, 0.8
-omega_tilde.kind = ball
-omega_tilde.center = 0, 0
-omega_tilde.radius = 0.4
-grid.n_rho = 16
-grid.n_phi = 32
-homotopy.enabled = true
-homotopy.steps = 8
-output.dir = {out}
-"""
-        cfg = write_config(tmp_path, text=text)
+        cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG)
         assert main(["solve", "--config", str(cfg)]) == 0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert len(summary["steps"]) == 8
@@ -226,6 +227,67 @@ def test_bad_config_number_exit_2(tmp_path, capsys, command, key, value):
     assert err.startswith(f"config error: {key}")
 
 
+# domains whose quadric, h_max or area underflows or overflows:
+# (prefix, kind, size key, value)
+UNREPRESENTABLE_DOMAINS = [
+    ("omega", "ellipse", "semi_axes", "1e-300, 1"),
+    ("omega_tilde", "ellipse", "semi_axes", "1e-200, 1"),
+    ("omega", "ellipse", "semi_axes", "1e300, 1e300"),
+    ("omega", "ball", "radius", "1e-300"),
+    ("omega", "ball", "radius", "1e300"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("prefix, kind, key, value", UNREPRESENTABLE_DOMAINS)
+def test_unrepresentable_domain_exit_2(tmp_path, capsys, command, prefix, kind,
+                                       key, value):
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if not line.startswith((f"{prefix}.kind ", f"{prefix}.radius ")))
+    cfg = write_config(tmp_path, text=text,
+                       **{f"{prefix}.kind": kind, f"{prefix}.{key}": value})
+    argv = ["solve", "--config", str(cfg)]
+    if command == "verify":
+        argv = ["verify", "--field", str(tmp_path / "absent.csv"),
+                "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"config error: {prefix}: ")
+
+
+@pytest.mark.parametrize("t_min", ["1e-5", "1e-17", "1e-300"])
+def test_unresolvable_t_min_exit_1(tmp_path, capsys, t_min):
+    # below the float resolution (1 - t) h_max rounds to h_max; the
+    # resolvability floor must still answer first
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if not line.startswith("grid."))
+    cfg = write_config(tmp_path, text=text, **{
+        "grid.n_rho": "8", "grid.n_phi": "16", "homotopy.enabled": "true",
+        "homotopy.t_min": t_min})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith("solver failure: ")
+    assert "below the resolvable floor" in err
+
+
+def test_homotopy_builds_each_grid_once(tmp_path, monkeypatch):
+    # one grid per schedule step; the report reuses the last one
+    builds = []
+    for module in (cli, solver):
+        real = module.build_grid
+        monkeypatch.setattr(module, "build_grid",
+                            lambda *a, real=real: builds.append(a) or real(*a))
+    assert main(["solve", "--config",
+                 str(write_config(tmp_path, text=HOMOTOPY_CONFIG))]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert len(summary["steps"]) == 8
+    assert len(builds) == 8
+
+
 def _cell(row, column, text):
     def edit(lines, header):
         parts = lines[row].split(",")
@@ -271,6 +333,11 @@ FIELD_CORRUPTIONS = {
     "header_domain": _header("domain", {"kind": "ball"}),
     "header_radius_nan": _header("domain", {"kind": "ball", "center": [0.0, 0.0],
                                             "radius": float("nan")}),
+    "header_radius_tiny": _header("domain", {"kind": "ball", "center": [0.0, 0.0],
+                                             "radius": 1e-300}),
+    "header_semi_axes_huge": _header("domain", {"kind": "ellipse",
+                                                "center": [0.0, 0.0],
+                                                "semi_axes": [1e300, 1e300]}),
     "header_dual_text": _header("dual", "false"),
 }
 

@@ -106,6 +106,15 @@ class TestSublevel:
         with pytest.raises(DegenerateSublevel):
             Ball((0, 0), 1.0).sublevel(1e-5)
 
+    @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
+                                     Ellipse((0, 0), (1.0, 0.8)).sublevel(0.5)])
+    @pytest.mark.parametrize("t", [1e-17, 1e-300])
+    def test_degenerate_below_float_resolution(self, dom, t):
+        # (1 - t) h_max rounds to h_max: the floor must answer before the
+        # level set is built
+        with pytest.raises(DegenerateSublevel):
+            dom.sublevel(t)
+
     def test_nested_flattening(self):
         ball = Ball((0, 0), 1.0)
         sub2 = ball.sublevel(0.6).sublevel(0.5)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcsolve import ModelKind, PointState, RadialSolution, radial_profile
+from cmcsolve import ModelKind, RadialSolution, radial_profile
 from cmcsolve.errors import SpacelikeViolation
-from cmcsolve.kernel import (coefficient_matrix, f_structure_check,
-                             gradient_term_shape_form, mean_curvature,
-                             metric_quantities, operator_derivatives,
-                             principal_curvatures, shape_matrix)
-from helpers import fd_operator_derivatives, random_states
+from cmcsolve.kernel import (coefficient_matrix, mean_curvature,
+                             operator_derivatives)
+from helpers import (PointState, fd_operator_derivatives,
+                     gradient_term_shape_form, metric_quantities,
+                     principal_curvatures, random_states, shape_matrix)
 
 MINK = ModelKind.MINKOWSKI
 EUC = ModelKind.EUCLIDEAN
@@ -157,21 +157,6 @@ class TestOperatorDerivatives:
         n = 2
         assert np.all(t_g >= sigma1 * n - 1e-12)
         assert np.all(t_g <= sigma2 * n + 1e-12)
-
-
-class TestFStructure:
-    @pytest.mark.parametrize("kappas, value", [((1.0, 1.0), 2.0),
-                                               ((0.3, 7.1), 7.4)])
-    def test_examples(self, kappas, value):
-        rep = f_structure_check(kappas)
-        assert rep.value == pytest.approx(value, abs=1e-15)
-        assert rep.derivative_sum == 2.0
-        assert rep.homogeneity_gap == 0.0
-        assert rep.hessian_max_abs_eig == 0.0
-
-    def test_positive_cone_required(self):
-        with pytest.raises(ValueError):
-            f_structure_check((1.0, -0.1))
 
 
 class TestPointState:

@@ -67,8 +67,6 @@ class TestNewtonSolve:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            SolveOptions(armijo_factor=1.5)
-        with pytest.raises(ValueError):
             SolveOptions(tol_residual=-1.0)
 
 
