@@ -60,9 +60,15 @@ class ProblemSpec:
 
 
 def _inverse_2x2(d2u):
+    """Batched inverse; raises SingularHessian where |det| <= 1e-14 |H|_F^2,
+    a test that scaling H does not change."""
     det = d2u[..., 0, 0] * d2u[..., 1, 1] - d2u[..., 0, 1] * d2u[..., 1, 0]
-    if np.any(np.abs(det) < 1e-14):
-        raise SingularHessian(f"Hessian determinant {np.min(np.abs(det)):.3e}")
+    norm2 = np.sum(d2u * d2u, axis=(-2, -1))
+    singular = np.abs(det) <= 1e-14 * norm2
+    if np.any(singular):
+        k = np.flatnonzero(singular)[0]
+        raise SingularHessian(f"Hessian determinant {det.flat[k]:.3e} at squared "
+                              f"norm {norm2.flat[k]:.3e}")
     w = np.empty_like(d2u)
     w[..., 0, 0] = d2u[..., 1, 1]
     w[..., 1, 1] = d2u[..., 0, 0]
@@ -141,8 +147,9 @@ def residual(spec: ProblemSpec, field: SolutionField) -> np.ndarray:
     return residual_from_state(spec, field.u, field.c, du, d2u, du_b)
 
 
-def jacobian(spec: ProblemSpec, field: SolutionField) -> sp.csr_matrix:
-    """Analytic (N+1) x (N+1) Jacobian with respect to (u, c).
+def jacobian(spec: ProblemSpec, du, d2u, du_b) -> sp.csr_matrix:
+    """Analytic (N+1) x (N+1) Jacobian with respect to (u, c) at nodal
+    derivatives (Du, D^2u) and boundary-ring gradients du_b.
 
     The five recovery operators share one sparsity pattern, so each interior
     row is that pattern's row with the node's operator derivatives as
@@ -156,9 +163,8 @@ def jacobian(spec: ProblemSpec, field: SolutionField) -> sp.csr_matrix:
     grid = spec.grid
     n = grid.n_nodes
     n_in = n - grid.n_phi   # the boundary ring is the last n_phi unknowns
-    du, d2u = field.derivatives()
     g_r, g_p = operator_state_derivatives(spec, grid.nodes, du, d2u)
-    _, dh_b, _ = spec.omega_tilde.defining(grid.boundary_gradients(field.u))
+    _, dh_b, _ = spec.omega_tilde.defining(du_b)
 
     ops = grid.ops   # dx, dy, dxx, dxy, dyy share one pattern
     ptr = ops['dx'].indptr[:n_in + 1]

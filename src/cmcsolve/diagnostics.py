@@ -50,10 +50,7 @@ def lambda_bounds(omega, omega_tilde, n: int = 2,
     area, perim = omega.measures()
     area_t, _ = omega_tilde.measures()
     lam1 = n * (area_t / area) ** (1.0 / n)
-    phi = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-    rb = omega_tilde.boundary_radius(phi)
-    pts = omega_tilde.peak + rb[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    y = np.linalg.norm(pts, axis=-1)
+    y = np.linalg.norm(omega_tilde.boundary_points(512), axis=-1)
     if model is ModelKind.MINKOWSKI:
         w = y / np.sqrt(1.0 - y ** 2)
     else:
@@ -73,9 +70,7 @@ def obliqueness_profile(spec: ProblemSpec, fld: SolutionField):
     bidx = grid.boundary_idx
     _, dh, _ = spec.omega_tilde.defining(du[bidx])
     beta = dh / np.linalg.norm(dh, axis=-1, keepdims=True)
-    _, dh_om, _ = spec.omega.defining(grid.nodes[bidx])
-    nu = dh_om / np.linalg.norm(dh_om, axis=-1, keepdims=True)
-    vals = np.einsum('ij,ij->i', beta, nu)
+    vals = np.einsum('ij,ij->i', beta, spec.omega.inward_normal(grid.nodes[bidx]))
     return vals, float(np.min(vals))
 
 
@@ -93,9 +88,7 @@ def flux_identity(spec: ProblemSpec, fld: SolutionField) -> float:
     (1/|Omega|) * boundary-integral of Du . nu_out * w(Du)."""
     grid = fld.grid
     du_b = grid.boundary_gradients(fld.u)
-    bidx = grid.boundary_idx
-    _, dh_om, _ = spec.omega.defining(grid.nodes[bidx])
-    nu_out = -dh_om / np.linalg.norm(dh_om, axis=-1, keepdims=True)
+    nu_out = -spec.omega.inward_normal(grid.nodes[grid.boundary_idx])
     g2 = np.sum(du_b * du_b, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         if spec.model is ModelKind.MINKOWSKI:

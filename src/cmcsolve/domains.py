@@ -8,24 +8,21 @@ with h = 0 on the boundary and D^2 h = -A <= -theta I, theta the smallest
 eigenvalue of A.  The gradient Dh points inward, so Dh/|Dh| is the inner unit
 normal on the boundary.  Each class states its quadric once, through
 quadric() -> (x0, A) and h_max; everything else (defining function, boundary
-radius along a ray, its angular derivative, diameter, concavity and gradient
-bounds) is derived here from that quadric:
+radius along a ray, its angular derivative, the extremal radii) is derived
+here from that quadric:
 
   * Ball(center, R):       A = I/R, h_max = R/2, so |Dh| = 1 on the boundary.
   * Ellipse(center, a, b): A = s diag(1/a^2, 1/b^2), h_max = s/2, with s
-    chosen so the boundary gradient magnitude stays within a recorded band
+    chosen so the boundary gradient magnitude stays within a band
     [delta, 1/delta]; exact unit gradient is not needed because the boundary
     condition h(Du) = 0 and the obliqueness direction are invariant under
     positive scaling of h.
   * SublevelDomain(base, level): the base quadric with h_max lowered by
     level, i.e. {h_base >= level}, used by the continuation family.
 
-The boundary point on the ray origin + r e is the positive root of the
-quadratic a r^2 + 2 b r + k = 0 with a = e^T A e, b = d^T A e,
-k = d^T A d - 2 h_max and d = origin - x0.  An interior origin gives k < 0,
-so the roots have opposite signs, and the positive one is evaluated in the
-cancellation-free form -k / (b + sqrt(b^2 - a k)) for b >= 0 and
-(sqrt(b^2 - a k) - b) / a otherwise.
+Every radius is measured from the peak: along the unit vector e the boundary
+lies at r = sqrt(2 h_max / e^T A e), so the inradius and outradius about the
+peak are sqrt(2 h_max / lambda) at the largest and smallest eigenvalue of A.
 """
 
 from __future__ import annotations
@@ -38,6 +35,15 @@ from .errors import ConfigError, DegenerateSublevel, NotOnBoundary
 
 # Relative tolerance (times domain diameter) for "x is on the boundary".
 BOUNDARY_RTOL = 1e-9
+
+# Admissible distances from the peak to the boundary: the cube roots of the
+# normal float range.  The quadrature weights scale like r^2 and the
+# potentials they integrate (the mean-zero row) like r |Du|, so a radius
+# cubed must stay a normal float; that also keeps the Hessian recovery
+# weights, which scale like 1/(r h)^2 for a relative cell size h, finite.
+# Outside it Ball(0, 1e-160) underflows r^2 in the recovery fits and
+# Ball(0, 1e150) overflows the mean-zero sum.
+RADIUS_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
 
 # Angles used for the dense boundary quadrature behind measures().
 _MEASURE_SAMPLES = 1024
@@ -78,28 +84,16 @@ class ConvexDomain:
         """Interior maximizer of h."""
         return self.quadric()[0]
 
-    def _eig_range(self) -> tuple[float, float]:
-        lam = np.linalg.eigvalsh(self.quadric()[1])
-        return float(lam[0]), float(lam[-1])
-
-    @property
-    def theta(self) -> float:
-        """Uniform concavity constant: D^2 h <= -theta I everywhere."""
-        return self._eig_range()[0]
-
-    @property
-    def grad_bound_delta(self) -> float:
-        """delta > 0 with |Dh| in [delta, 1/delta] on the boundary.
-
-        On the boundary |Dh|^2 = 2 h_max |A d|^2 / d^T A d, which ranges over
-        2 h_max [lambda_min, lambda_max] of A.
-        """
-        lo, hi = self._eig_range()
-        return min(np.sqrt(2.0 * self.h_max * lo), 1.0 / np.sqrt(2.0 * self.h_max * hi))
+    def radii(self) -> tuple[float, float]:
+        """(r_in, r_out): the smallest and largest distance from the peak to
+        the boundary, sqrt(2 h_max / lambda) at the largest and smallest
+        eigenvalue lambda of A."""
+        r_out, r_in = np.sqrt(2.0 * self.h_max / np.linalg.eigvalsh(self.quadric()[1]))
+        return float(r_in), float(r_out)
 
     def diameter(self) -> float:
-        """Twice the longest semi-axis, sqrt(2 h_max / lambda_min)."""
-        return 2.0 * np.sqrt(2.0 * self.h_max / self._eig_range()[0])
+        """Twice the outradius: the length of the major axis."""
+        return 2.0 * self.radii()[1]
 
     # -- derived geometry ---------------------------------------------------
 
@@ -115,36 +109,27 @@ class ConvexDomain:
                                 f"boundary tolerance {self.boundary_tol():.3e}")
         return dh / np.linalg.norm(dh, axis=-1, keepdims=True)
 
-    def boundary_radius(self, phi, origin=None):
-        """Distance from origin (default: peak) to the boundary along
-        direction (cos phi, sin phi): the positive root of the ray quadratic.
-
-        A scalar phi gives a float, an array phi an array of its shape.
-        Raises ValueError unless origin lies strictly inside the domain.
-        """
-        x0, a = self.quadric()
+    def boundary_radius(self, phi):
+        """Distance from the peak to the boundary along (cos phi, sin phi),
+        sqrt(2 h_max / e^T A e).  A scalar phi gives a float, an array phi an
+        array of its shape."""
         e, _ = _unit(np.asarray(phi, dtype=float))
-        d = np.zeros(2) if origin is None else np.asarray(origin, dtype=float) - x0
-        ae = e @ a
-        qa = np.sum(e * ae, axis=-1)
-        qb = ae @ d
-        qk = d @ a @ d - 2.0 * self.h_max
-        if not qk < 0.0:
-            raise ValueError(f"origin {d + x0} is not strictly inside the domain")
-        # root > |qb|, so neither branch divides by zero
-        root = np.sqrt(qb * qb - qa * qk)
-        r = np.where(qb >= 0.0, -qk / (qb + root), (root - qb) / qa)
+        r = np.sqrt(2.0 * self.h_max / np.sum(e * (e @ self.quadric()[1]), axis=-1))
         return float(r) if r.ndim == 0 else r
 
-    def boundary_radius_deriv(self, phi, origin=None):
-        """dR/dphi by implicit differentiation of h(origin + R e(phi)) = 0."""
-        x0, a = self.quadric()
-        origin = x0 if origin is None else np.asarray(origin, dtype=float)
-        r = np.asarray(self.boundary_radius(phi, origin))
+    def boundary_radius_deriv(self, phi):
+        """dR/dphi = -R e^T A e_perp / e^T A e, the derivative of the radius
+        above (e_perp = de/dphi)."""
         e, e_perp = _unit(np.asarray(phi, dtype=float))
-        g = (origin - x0 + r[..., None] * e) @ a
-        rp = -r * np.sum(g * e_perp, axis=-1) / np.sum(g * e, axis=-1)
+        ae = e @ self.quadric()[1]
+        qa = np.sum(e * ae, axis=-1)
+        rp = -np.sqrt(2.0 * self.h_max / qa) * np.sum(ae * e_perp, axis=-1) / qa
         return float(rp) if rp.ndim == 0 else rp
+
+    def boundary_points(self, n: int) -> np.ndarray:
+        """The n boundary points at uniform angles about the peak, (n, 2)."""
+        phi = np.linspace(0, 2 * np.pi, n, endpoint=False)
+        return self.peak + self.boundary_radius(phi)[:, None] * _unit(phi)[0]
 
     def sublevel(self, t: float) -> "ConvexDomain":
         """The super-level set {h >= (1-t) h_max} for t in (0, 1], wrapped
@@ -160,13 +145,12 @@ class ConvexDomain:
             return self
         # resolvability floor: keep the level curve a few percent of the
         # original size so grids stay well conditioned.  It is decided from
-        # the scaled radii before the set is built, because for t below the
-        # float resolution (1-t) h_max rounds to h_max.
-        phi = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-        rb = np.sqrt(t) * self.boundary_radius(phi)
-        if np.min(rb) < 1e-2 * self.diameter():
+        # the scaled inradius before the set is built, because for t below
+        # the float resolution (1-t) h_max rounds to h_max.
+        r_in = np.sqrt(t) * self.radii()[0]
+        if r_in < 1e-2 * self.diameter():
             raise DegenerateSublevel(f"super-level set at t={t} has inradius "
-                                     f"{np.min(rb):.3e}, below the resolvable floor")
+                                     f"{r_in:.3e}, below the resolvable floor")
         level = (1.0 - t) * self.h_max
         if isinstance(self, SublevelDomain):
             return SublevelDomain(self.base, self.level + level)
@@ -188,27 +172,26 @@ class ConvexDomain:
         raise NotImplementedError
 
     def _require_finite(self) -> None:
-        """Raise ValueError unless the peak, A, h_max and the area
-        2 pi h_max / sqrt(det A) are finite and A, h_max and the area
-        positive: parameters near either end of the float range underflow
-        or overflow them."""
+        """Raise ValueError unless the peak is finite, A positive definite
+        and both radii about the peak within RADIUS_RANGE (which makes h_max
+        positive and the area finite)."""
         with np.errstate(all="ignore"):
             x0, a = self.quadric()
-            lam = np.linalg.eigvalsh(a) if np.all(np.isfinite(a)) else [np.nan]
-            area = 2.0 * np.pi * self.h_max / np.prod(np.sqrt(lam))
-        if not (np.all(np.isfinite(x0)) and lam[0] > 0 and 0 < self.h_max < np.inf
-                and 0 < area < np.inf):
-            raise ValueError(f"{self!r} cannot be represented: its center, quadric, "
-                             f"h_max and area must be finite and positive")
+            lam = np.linalg.eigvalsh(a) if np.all(np.isfinite(a)) else np.array([np.nan])
+            radii = np.sqrt(2.0 * self.h_max / lam)
+        lo, hi = RADIUS_RANGE
+        if not (np.all(np.isfinite(x0)) and lam[0] > 0
+                and np.all((lo <= radii) & (radii <= hi))):
+            raise ValueError(f"{self!r} cannot be represented: its center must be "
+                             f"finite, its quadric positive definite and its radii "
+                             f"within [{lo:.3g}, {hi:.3g}]")
 
 
 def require_inside_unit_ball(domain: ConvexDomain, eps_space: float) -> None:
     """Raise ConfigError unless the sampled boundary of domain stays within
     |y| <= 1 - eps_space: the Minkowski kernel's gradient slot must stay
     strictly inside the unit ball."""
-    phi = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-    pts = domain.peak + domain.boundary_radius(phi)[:, None] * _unit(phi)[0]
-    worst = float(np.max(np.linalg.norm(pts, axis=-1)))
+    worst = float(np.max(np.linalg.norm(domain.boundary_points(256), axis=-1)))
     if worst > 1.0 - eps_space:
         raise ConfigError(f"Minkowski model needs the gradient-image domain strictly "
                           f"inside the unit ball: max boundary |y| = {worst:.9g}")

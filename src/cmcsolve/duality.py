@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline
 from scipy.spatial import cKDTree
 
 from .assembly import OperatorKind, ProblemSpec
@@ -43,22 +43,16 @@ class FieldInterpolant:
     Values and first derivatives come from a bicubic spline on the (rho,
     phi) parameter lattice chained through the polar map; the map inverse is
     closed form (phi by angle, rho = |x - peak| / r_b(phi)), with r_b and
-    its derivative from a dense periodic spline.  Beyond rho = 1 the spline
-    is Taylor-extended to second order so targets within a couple of cells
-    of the boundary remain evaluable.
+    its derivative exact from the domain.  Beyond rho = 1 the spline is
+    Taylor-extended to second order so targets within a couple of cells of
+    the boundary remain evaluable.
     """
 
     def __init__(self, field: SolutionField):
         grid = field.grid
         self.grid = grid
+        self.domain = grid.domain
         self.peak = grid.domain.peak
-        n_phi = grid.n_phi
-
-        # dense periodic boundary-radius spline
-        phi_dense = np.linspace(0, 2 * np.pi, 2 * n_phi + 1)
-        rb_dense = grid.domain.boundary_radius(phi_dense[:-1])
-        self._rb = CubicSpline(phi_dense, np.append(rb_dense, rb_dense[0]),
-                               bc_type='periodic')
 
         # parameter-space field spline, phi-padded for periodicity
         pad = 3
@@ -78,7 +72,7 @@ class FieldInterpolant:
     def params_of(self, x):
         d = np.asarray(x, dtype=float) - self.peak
         phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2 * np.pi)
-        rho = np.linalg.norm(d, axis=-1) / self._rb(phi)
+        rho = np.linalg.norm(d, axis=-1) / self.domain.boundary_radius(phi)
         return rho, phi
 
     def _spline_eval(self, rho, phi, drho=0, dphi=0):
@@ -108,8 +102,8 @@ class FieldInterpolant:
         rho, phi = self.params_of(x)
         u_r = self._spline_eval(rho, phi, drho=1)
         u_p = self._spline_eval(rho, phi, dphi=1)
-        rb = self._rb(phi)
-        rb_p = self._rb(phi, 1)
+        rb = self.domain.boundary_radius(phi)
+        rb_p = self.domain.boundary_radius_deriv(phi)
         e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         e_t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
         d = np.maximum(rho * rb, 1e-300)  # |x - peak|
@@ -128,10 +122,11 @@ class FieldInterpolant:
         if not hasattr(self, "_pole_grad_cache"):
             # gradient at the pole from the spline along two rays
             eps = 0.5 / self.grid.n_rho
+            rb = self.domain.boundary_radius
             gx = (self._spl.ev(eps, 0.0) - self._spl.ev(eps, np.pi)) / (
-                eps * (self._rb(0.0) + self._rb(np.pi)))
+                eps * (rb(0.0) + rb(np.pi)))
             gy = (self._spl.ev(eps, np.pi / 2) - self._spl.ev(eps, 3 * np.pi / 2)) / (
-                eps * (self._rb(np.pi / 2) + self._rb(3 * np.pi / 2)))
+                eps * (rb(np.pi / 2) + rb(3 * np.pi / 2)))
             self._pole_grad_cache = np.array([gx, gy])
         return self._pole_grad_cache
 
@@ -207,7 +202,7 @@ def _clamp_to_extension(interp, x):
     rho, phi = interp.params_of(x)
     over = rho > interp.rho_max
     if np.any(over):
-        rb = interp._rb(phi[over])
+        rb = interp.domain.boundary_radius(phi[over])
         e = np.stack([np.cos(phi[over]), np.sin(phi[over])], axis=-1)
         x = x.copy()
         x[over] = interp.peak + interp.rho_max * rb[:, None] * e

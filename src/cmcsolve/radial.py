@@ -54,9 +54,6 @@ class RadialSolution:
     def __post_init__(self):
         self.c = radial_constant(self.n, self.r0, self.t0, self.model)
 
-    def profile(self, r):
-        return radial_profile(self, r)
-
 
 def radial_profile(sol: RadialSolution, r):
     """(u(r) - u(0), u'(r), u''(r)) of the closed-form radial solution."""
@@ -114,10 +111,11 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
     Ball pair: the exact radial profile about Omega's center, shifted in
     gradient space by Omega_tilde's center (adding y_c . x translates the
     gradient image without touching the Hessian).  Otherwise: the quadratic
-    (alpha/2)|x - x_p|^2 + y_c . (x - x_p) with alpha stepped down until its
-    gradient image sits strictly inside the target; x_p, y_c are the
-    defining-function peaks.  The result is mean-zero projected and checked
-    for convexity/spacelike admissibility on the grid.
+    (alpha/2)|x - x_p|^2 + y_c . (x - x_p) with alpha, from the target's
+    inradius over Omega's outradius, stepped down until its gradient image
+    sits strictly inside the target; x_p, y_c are the defining-function
+    peaks.  The result is mean-zero projected and checked for
+    convexity/spacelike admissibility on the grid.
 
     strategy: "auto" picks the radial branch on primal ball pairs;
     "quadratic" forces the quadratic branch.
@@ -148,10 +146,7 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
 
     x_p = omega.peak
     y_c = omega_tilde.peak
-    phi = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    r_out = float(np.max(omega.boundary_radius(phi)))
-    r_in = float(np.min(omega_tilde.boundary_radius(phi)))
-    alpha = r_in / r_out
+    alpha = omega_tilde.radii()[0] / omega.radii()[1]
     d = nodes - x_p
     tol_b = omega_tilde.boundary_tol()
     while alpha >= 1e-4:

@@ -39,9 +39,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
-                       jacobian, residual, residual_from_state)
+                       jacobian, residual_from_state)
 from .domains import ConvexDomain
-from .errors import DegenerateSublevel, NonConvergence, StepRejection
+from .errors import NonConvergence, StepRejection
 from .grid import SolutionField, build_grid, transfer_field
 from .kernel import ModelKind
 
@@ -65,9 +65,13 @@ class SolveOptions:
     eps_space: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tol_residual", "max_newton", "eps_convexity", "eps_space"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("tol_residual", "eps_convexity", "eps_space"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite positive number, "
+                                 f"got {getattr(self, name)!r}")
+        if not (isinstance(self.max_newton, (int, np.integer)) and self.max_newton > 0):
+            raise ValueError(f"max_newton must be a positive integer, "
+                             f"got {self.max_newton!r}")
 
 
 @dataclass
@@ -105,22 +109,21 @@ def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     return lu.solve(rhs / row_max)
 
 
-def damped_step(spec: ProblemSpec, fld: SolutionField, direction: np.ndarray,
+def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndarray,
                 opts: SolveOptions, res_2norm: float):
     """Largest step alpha in {1, factor, factor^2, ...} that keeps the trial
     iterate admissible and achieves Armijo decrease of ||residual||_2.
 
-    The trial derivatives are the linear combinations of those of the field
-    and the direction, so each trial costs no recovery mat-vec; a field is
-    built only for the accepted step.  Returns (alpha, trial_field,
-    trial_residual).  Raises the violated guard if no admissible step exists
-    above ALPHA_MIN, StepRejection if admissible steps exist but none
-    achieves the decrease.
+    state is the field's (Du, D2u, boundary Du).  The trial state is the
+    linear combination of it and the direction's, so each trial costs no
+    recovery mat-vec; a field is built only for the accepted step.  Returns
+    (alpha, trial_field, trial_residual, trial_state).  Raises the violated
+    guard if no admissible step exists above ALPHA_MIN, StepRejection if
+    admissible steps exist but none achieves the decrease.
     """
     grid = spec.grid
     n = grid.n_nodes
-    du0, d2u0 = fld.derivatives()
-    dub0 = grid.boundary_gradients(fld.u)
+    du0, d2u0, dub0 = state
     d_u = direction[:n]
     d_c = direction[n]
     ddu, dd2u = grid.derivative_arrays(d_u)
@@ -135,9 +138,10 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, direction: np.ndarray,
         if guard is None:
             any_admissible = True
             u, c = fld.u + alpha * d_u, fld.c + alpha * d_c
-            res = residual_from_state(spec, u, c, du, d2u, dub0 + alpha * ddub)
+            trial = (du, d2u, dub0 + alpha * ddub)
+            res = residual_from_state(spec, u, c, *trial)
             if np.linalg.norm(res) <= (1.0 - ARMIJO_C * alpha) * res_2norm:
-                return alpha, SolutionField(grid, u, c, fld.model, fld.dual), res
+                return alpha, SolutionField(grid, u, c, fld.model, fld.dual), res, trial
         else:
             last_guard = guard
         alpha *= ARMIJO_FACTOR
@@ -157,14 +161,17 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     violations of the initial field propagate as-is.
     """
     opts = opts or SolveOptions()
-    guard = admissibility_violation(spec, *initial.derivatives(), opts.eps_convexity)
+    fld = initial.copy()
+    fld.u = spec.grid.mean_zero(fld.u)
+    # (Du, D2u, boundary Du) of the current iterate; damped_step returns the
+    # accepted trial's, so no iterate is differentiated twice
+    state = (*fld.derivatives(), spec.grid.boundary_gradients(fld.u))
+    guard = admissibility_violation(spec, *state[:2], opts.eps_convexity)
     if guard is not None:
         raise guard
 
-    fld = initial.copy()
-    fld.u = spec.grid.mean_zero(fld.u)
     info = NewtonInfo()
-    res = residual(spec, fld)
+    res = residual_from_state(spec, fld.u, fld.c, *state)
     t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
     def failure(reason, it, r_inf):
@@ -181,7 +188,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
             info.iterations = it
             return fld, info
 
-        jac = jacobian(spec, fld)
+        jac = jacobian(spec, *state)
         try:
             direction = _solve_linear(jac, -res)
         except RuntimeError as exc:   # SuperLU: singular factor
@@ -189,8 +196,8 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         if not np.all(np.isfinite(direction)):
             raise failure("non-finite Newton direction", it, r_inf)
         try:
-            alpha, fld, res = damped_step(spec, fld, direction, opts,
-                                          float(np.linalg.norm(res)))
+            alpha, fld, res, state = damped_step(spec, fld, state, direction, opts,
+                                                 float(np.linalg.norm(res)))
         except StepRejection as exc:
             raise failure("line search stalled", it, r_inf) from exc
         info.alphas.append(alpha)
@@ -209,54 +216,44 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
 
 
 def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> float:
-    """Smallest schedule parameter whose super-level sets still contain a
-    comfortably resolvable core (inradius of at least six radial cells)."""
-    phi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    """Smallest t on the 0.05 lattice whose super-level sets both keep a
+    comfortably resolvable core: an inradius of at least six radial cells of
+    the full domain, and above the sublevel floor of 1 % of its diameter.
 
-    def admissible(t):
-        for dom in (omega, omega_tilde):
-            cell = float(np.max(dom.boundary_radius(phi))) / n_rho
-            try:
-                sub = dom.sublevel(t)
-            except DegenerateSublevel:
-                return False
-            if float(np.min(sub.boundary_radius(phi))) < 6 * cell:
-                return False
-        return True
-
+    The super-level set at t is the sqrt(t)-scaling of the domain about its
+    peak, so its inradius is sqrt(t) r_in; 1.0 when no lattice point fits.
+    """
+    ratio = max(r_out / r_in for r_in, r_out in (omega.radii(), omega_tilde.radii()))
+    root_t = max(6.0 / n_rho, 2e-2) * ratio
     for t in np.arange(0.05, 1.0, 0.05):
-        if admissible(round(float(t), 10)):
-            return round(float(t), 10)
+        t = round(float(t), 10)
+        if np.sqrt(t) >= root_t:
+            return t
     return 1.0
 
 
 def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
                  model: ModelKind, n_rho: int, n_phi: int,
-                 schedule=None, opts: SolveOptions | None = None,
+                 opts: SolveOptions | None = None,
                  operator: OperatorKind = OperatorKind.GRAPH,
                  steps: int = 12, t_min: float | None = None):
     """Continuity-method solve: deform a near-ball pair into the target pair.
 
-    schedule: increasing t values ending at 1 (default: `steps` uniform
-    steps from t_min, itself auto_t_min when None).  Returns (final field,
+    Walks `steps` uniform values of t from t_min (auto_t_min when None) to
+    1, or t = 1 alone when t_min is 1.  Returns (final field,
     [HomotopyState]).
     """
     from .radial import seed_field
 
     opts = opts or SolveOptions()
-    if schedule is None:
-        if t_min is None:
-            t_min = auto_t_min(omega, omega_tilde, n_rho)
-        schedule = np.linspace(t_min, 1.0, steps) if t_min < 1.0 else np.array([1.0])
-    schedule = [float(t) for t in schedule]
-    if sorted(schedule) != schedule or schedule[-1] != 1.0:
-        raise ValueError("schedule must be increasing and end at t = 1")
+    if t_min is None:
+        t_min = auto_t_min(omega, omega_tilde, n_rho)
+    pending = [float(t) for t in np.linspace(t_min, 1.0, steps)] if t_min < 1.0 else [1.0]
 
     history: list[HomotopyState] = []
     c_history: list[tuple[float, float]] = []
     prev_field = None
     prev_t = None
-    pending = list(schedule)
     bisections = 0
 
     while pending:

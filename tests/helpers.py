@@ -1,13 +1,17 @@
 """Shared test utilities: random admissible states, the shape-matrix
 oracles for the curvature kernel, finite-difference oracles for the
-pointwise operator derivatives, and a sparse-matrix dump."""
+pointwise operator derivatives, a Hypothesis strategy of quadric domains,
+a field's Newton state, the quadric concavity and gradient-band oracles,
+the sampled auto_t_min reference, and a sparse-matrix dump."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
-from cmcsolve import ModelKind
+from cmcsolve import Ball, Ellipse, ModelKind
+from cmcsolve.errors import DegenerateSublevel
 from cmcsolve.kernel import DEFAULT_EPS_SPACE, mean_curvature, speed_factor
 
 
@@ -138,3 +142,63 @@ def dump_triplets(matrix, path):
         else:
             for r, v in enumerate(np.asarray(matrix).ravel()):
                 fh.write(f"{r} 0 {float(v)!r}\n")
+
+
+@st.composite
+def quadric_domains(draw):
+    """A ball or an ellipse, possibly nested in one or two super-level sets."""
+    center = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    if draw(st.booleans()):
+        dom = Ball(center, draw(st.floats(0.1, 3.0)))
+    else:
+        a = draw(st.floats(0.3, 2.0))
+        dom = Ellipse(center, (a, a * draw(st.floats(0.15, 1.0 / 0.15))))
+    for t in draw(st.lists(st.floats(0.2, 1.0), max_size=2)):
+        dom = dom.sublevel(t)
+    return dom
+
+
+def field_state(fld):
+    """(Du, D2u, boundary-ring Du) of a field: the state that
+    assembly.jacobian and solver.damped_step take."""
+    return (*fld.derivatives(), fld.grid.boundary_gradients(fld.u))
+
+
+def theta(dom):
+    """Uniform concavity constant: D^2 h <= -theta I everywhere, the
+    smallest eigenvalue of the quadric's A."""
+    return float(np.linalg.eigvalsh(dom.quadric()[1])[0])
+
+
+def grad_bound_delta(dom):
+    """delta > 0 with |Dh| in [delta, 1/delta] on the boundary.
+
+    On the boundary |Dh|^2 = 2 h_max |A d|^2 / d^T A d, which ranges over
+    2 h_max [lambda_min, lambda_max] of A.
+    """
+    lo, hi = np.linalg.eigvalsh(dom.quadric()[1])
+    return min(np.sqrt(2.0 * dom.h_max * lo), 1.0 / np.sqrt(2.0 * dom.h_max * hi))
+
+
+def sampled_auto_t_min(omega, omega_tilde, n_rho):
+    """Reference for solver.auto_t_min: the first t on the 0.05 lattice at
+    which both super-level sets exist and the 16-ray minimum of their
+    boundary radius is at least six radial cells (16-ray maximum radius of
+    the full domain over n_rho)."""
+    phi = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+
+    def admissible(t):
+        for dom in (omega, omega_tilde):
+            cell = float(np.max(dom.boundary_radius(phi))) / n_rho
+            try:
+                sub = dom.sublevel(t)
+            except DegenerateSublevel:
+                return False
+            if float(np.min(sub.boundary_radius(phi))) < 6 * cell:
+                return False
+        return True
+
+    for t in np.arange(0.05, 1.0, 0.05):
+        if admissible(round(float(t), 10)):
+            return round(float(t), 10)
+    return 1.0

@@ -6,9 +6,10 @@ from scipy.sparse.linalg import splu
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       RadialSolution, SolutionField, build_grid, jacobian,
                       newton_solve, radial_profile, residual, seed_field)
-from cmcsolve.assembly import hessian_eig_bounds, operator_state_derivatives
-from cmcsolve.errors import ConfigError, SpacelikeViolation
-from helpers import dump_triplets
+from cmcsolve.assembly import (_inverse_2x2, hessian_eig_bounds,
+                               operator_state_derivatives)
+from cmcsolve.errors import ConfigError, SingularHessian, SpacelikeViolation
+from helpers import dump_triplets, field_state
 
 MINK = ModelKind.MINKOWSKI
 EUC = ModelKind.EUCLIDEAN
@@ -149,7 +150,7 @@ class TestJacobian:
     @pytest.mark.parametrize("case", ["mink_ball", "euc_ellipse", "dual"])
     def test_against_finite_differences(self, case):
         spec, fld = jacobian_case(case)
-        jac = np.asarray(jacobian(spec, fld).todense())
+        jac = np.asarray(jacobian(spec, *field_state(fld)).todense())
         fd = fd_jacobian(spec, fld)
         rel = np.max(np.abs(jac - fd)) / np.max(np.abs(jac))
         assert rel <= 1e-5
@@ -160,7 +161,7 @@ class TestJacobian:
         # the pattern fill sums the same products in the same order, so the
         # matrix, its pattern included, is the reference's bit for bit
         spec, fld = jacobian_case(case, n_rho)
-        jac, ref = jacobian(spec, fld), product_jacobian(spec, fld)
+        jac, ref = jacobian(spec, *field_state(fld)), product_jacobian(spec, fld)
         ref.sort_indices()
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(jac, attr), getattr(ref, attr))
@@ -169,14 +170,14 @@ class TestJacobian:
         # the radial seed's symmetry makes some recovery sums exactly zero;
         # a stored zero would change the LU ordering and its fill
         spec, fld = jacobian_case("radial_seed", 16)
-        assert np.all(jacobian(spec, fld).data != 0.0)
+        assert np.all(jacobian(spec, *field_state(fld)).data != 0.0)
 
     def test_constant_column_structure(self):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
         grid = build_grid(om, 12, 24)
         spec = ProblemSpec(om, omt, MINK, grid)
         fld = smooth_convex_field(spec)
-        jac = jacobian(spec, fld)
+        jac = jacobian(spec, *field_state(fld))
         col = np.asarray(jac[:, grid.n_nodes].todense()).ravel()
         assert np.all(col[:grid.n_nodes][grid.interior_mask] == -1.0)
         assert np.all(col[grid.boundary_idx] == 0.0)
@@ -189,7 +190,7 @@ class TestJacobian:
         grid = build_grid(om, 12, 24)
         spec = ProblemSpec(om, omt, MINK, grid)
         fld, _ = newton_solve(spec, seed_field(spec))
-        jac = jacobian(spec, fld).tocsc()
+        jac = jacobian(spec, *field_state(fld)).tocsc()
         lu, lut = splu(jac), splu(jac.T.tocsc())
         rng = np.random.default_rng(0)
         y = rng.standard_normal(jac.shape[0])
@@ -223,6 +224,18 @@ class TestProblemSpec:
                         operator=OperatorKind.INVERSE_HESSIAN)
 
 
+class TestInverse2x2:
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_conditioned_passes_at_every_scale(self, scale):
+        h = scale * np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]])
+        assert np.allclose(_inverse_2x2(h) @ h, np.eye(2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_singular_fails_at_every_scale(self, scale):
+        with pytest.raises(SingularHessian):
+            _inverse_2x2(scale * np.array([[[1.0, 1.0], [1.0, 1.0]]]))
+
+
 class TestHessianEigBounds:
     def test_matches_eigvalsh(self):
         rng = np.random.default_rng(5)
@@ -239,7 +252,7 @@ def test_dump_triplets(tmp_path):
     grid = build_grid(om, 8, 16)
     spec = ProblemSpec(om, omt, MINK, grid)
     fld = smooth_convex_field(spec)
-    jac = jacobian(spec, fld)
+    jac = jacobian(spec, *field_state(fld))
     path = tmp_path / "jac.txt"
     dump_triplets(jac, path)
     rows = []

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcsolve import cli, solver
 from cmcsolve.cli import main
@@ -235,6 +240,7 @@ UNREPRESENTABLE_DOMAINS = [
     ("omega", "ellipse", "semi_axes", "1e300, 1e300"),
     ("omega", "ball", "radius", "1e-300"),
     ("omega", "ball", "radius", "1e300"),
+    ("omega", "ball", "radius", "-1"),
 ]
 
 
@@ -257,6 +263,45 @@ def test_unrepresentable_domain_exit_2(tmp_path, capsys, command, prefix, kind,
     assert err.startswith(f"config error: {prefix}: ")
 
 
+def _small_grid_config(tmp_path, **overrides):
+    """BASE_CONFIG at 8 x 16, with the given keys replaced."""
+    overrides = {"grid.n_rho": "8", "grid.n_phi": "16", **overrides}
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if line.split(" = ")[0] not in overrides)
+    return write_config(tmp_path, text=text, **overrides)
+
+
+@pytest.mark.parametrize("path", ["direct", "homotopy", "verify_header"])
+@pytest.mark.parametrize("radius", ["1e-160", "1e150"])
+def test_extreme_domain_size_exit_2(tmp_path, capsys, path, radius):
+    # representable, but the recovery fits underflow r^2 at 1e-160 and the
+    # mean-zero sum overflows at 1e150: the size is rejected where it enters
+    if path == "verify_header":
+        cfg = _small_grid_config(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) in (0, 3)
+        header_file = tmp_path / "run" / "field.json"
+        header = json.loads(header_file.read_text())
+        header["domain"]["radius"] = float(radius)
+        header_file.write_text(json.dumps(header))
+        argv = ["verify", "--field", str(tmp_path / "run" / "field.csv"),
+                "--config", str(cfg)]
+        prefix = "config error: invalid field header: "
+    else:
+        cfg = _small_grid_config(tmp_path, **{
+            "omega.radius": radius,
+            "homotopy.enabled": "true" if path == "homotopy" else "false"})
+        argv = ["solve", "--config", str(cfg)]
+        prefix = "config error: omega: "
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(prefix)
+
+
 @pytest.mark.parametrize("t_min", ["1e-5", "1e-17", "1e-300"])
 def test_unresolvable_t_min_exit_1(tmp_path, capsys, t_min):
     # below the float resolution (1 - t) h_max rounds to h_max; the
@@ -272,6 +317,68 @@ def test_unresolvable_t_min_exit_1(tmp_path, capsys, t_min):
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith("solver failure: ")
     assert "below the resolvable floor" in err
+
+
+# drawn replacements for one config value: non-finite, extreme, zero,
+# negative, non-integer, empty and garbage texts
+FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300",
+               "0", "-0", "-1", "-2.5", "0.5", "2.5", "", "abc", "1,2", "0x10", "1e", "--"]
+# keys whose valid values ask for a bigger grid or a longer run: only values
+# invalid for them are drawn
+INVALID_ONLY = {"grid.n_rho", "grid.n_phi", "homotopy.steps", "solve.max_newton"}
+FUZZ_KEYS = ["model", "omega.kind", "omega.center", "omega.radius", "omega_tilde.kind",
+             "omega_tilde.center", "omega_tilde.radius", "grid.n_rho", "grid.n_phi",
+             "solve.tol_residual", "solve.max_newton", "solve.eps_convexity",
+             "solve.eps_space", "homotopy.enabled", "homotopy.steps", "homotopy.t_min",
+             "seed.strategy"]
+
+
+def _invalid_for(key, value):
+    if key not in INVALID_ONLY:
+        return True
+    try:
+        v = float(value)
+    except ValueError:
+        return True
+    least = {"grid.n_rho": 8, "grid.n_phi": 16, "homotopy.steps": 2}.get(key, 1)
+    return not (np.isfinite(v) and v == int(v) and v >= least
+                and (key != "grid.n_phi" or v % 2 == 0))
+
+
+@st.composite
+def config_edits(draw):
+    key = draw(st.sampled_from(FUZZ_KEYS))
+    value = draw(st.sampled_from([v for v in FUZZ_VALUES if _invalid_for(key, v)])
+                 | st.text(max_size=6).filter(lambda v: "\n" not in v and "#" not in v
+                                              and _invalid_for(key, v)))
+    return key, value
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    """(field.csv of the 8 x 16 base config, a directory for fuzzed runs)."""
+    stored = tmp_path_factory.mktemp("stored")
+    assert main(["solve", "--config", str(_small_grid_config(stored))]) in (0, 3)
+    return stored / "run" / "field.csv", tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(edit=config_edits())
+def test_fuzzed_config_value(fuzz_dirs, edit):
+    field_csv, runs = fuzz_dirs
+    cfg = _small_grid_config(runs, **dict([edit]))
+    for argv in (["solve", "--config", str(cfg)],
+                 ["verify", "--field", str(field_csv), "--config", str(cfg)]):
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert len(err.getvalue().strip().splitlines()) <= 1
+        assert not caught, [str(w.message) for w in caught]
 
 
 def test_homotopy_builds_each_grid_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from scipy.special import ellipe
 from cmcsolve import Ball, Ellipse
 from cmcsolve.domains import SublevelDomain, domain_from_dict, require_inside_unit_ball
 from cmcsolve.errors import ConfigError, DegenerateSublevel, NotOnBoundary
+from helpers import grad_bound_delta, quadric_domains, theta
 
 
 class TestBallDefining:
@@ -48,7 +49,7 @@ class TestEllipseDefining:
 
     def test_gradient_band(self):
         ell = Ellipse((0, 0), (1.0, 0.8))
-        delta = ell.grad_bound_delta
+        delta = grad_bound_delta(ell)
         assert delta > 0.5
         t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         x = np.stack([np.cos(t), 0.8 * np.sin(t)], axis=-1)
@@ -63,7 +64,7 @@ class TestEllipseDefining:
         pts = rng.uniform(-0.7, 0.7, (100, 2))
         _, _, d2h = ell.defining(pts)
         eigs = np.linalg.eigvalsh(d2h)
-        assert np.all(eigs <= -ell.theta + 1e-12)
+        assert np.all(eigs <= -theta(ell) + 1e-12)
 
 
 class TestInwardNormal:
@@ -180,31 +181,14 @@ def test_ellipse_properties(cx, cy, a, b):
     assert np.max(np.abs(h)) < 1e-10 * ell.diameter()
 
 
-@st.composite
-def quadric_domains(draw):
-    """A ball or an ellipse, possibly nested in one or two super-level sets."""
-    center = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
-    if draw(st.booleans()):
-        dom = Ball(center, draw(st.floats(0.1, 3.0)))
-    else:
-        a = draw(st.floats(0.3, 2.0))
-        dom = Ellipse(center, (a, a * draw(st.floats(0.15, 1.0 / 0.15))))
-    for t in draw(st.lists(st.floats(0.2, 1.0), max_size=2)):
-        dom = dom.sublevel(t)
-    return dom
-
-
-@st.composite
-def interior_origins(draw, dom):
-    """The peak, or a point on a ray from it at most 90 % of the way out."""
-    if draw(st.booleans()):
-        return dom.peak
-    psi = draw(st.floats(0, 2 * np.pi))
-    frac = draw(st.floats(0.0, 0.9))
-    return dom.peak + frac * dom.boundary_radius(psi) * np.array([np.cos(psi), np.sin(psi)])
-
-
 RAYS = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+
+
+def _translated(d: dict, offset) -> dict:
+    """A domain's to_dict() form with its (base's) center moved by offset."""
+    if d["kind"] == "sublevel":
+        return {**d, "base": _translated(d["base"], offset)}
+    return {**d, "center": [c + o for c, o in zip(d["center"], offset)]}
 
 
 class TestRayRoots:
@@ -212,11 +196,10 @@ class TestRayRoots:
     @given(data=st.data())
     def test_root_on_boundary(self, data):
         dom = data.draw(quadric_domains())
-        origin = data.draw(interior_origins(dom))
-        r = dom.boundary_radius(RAYS, origin)
+        r = dom.boundary_radius(RAYS)
         assert np.all(r > 0)
-        x = origin + r[:, None] * np.stack([np.cos(RAYS), np.sin(RAYS)], axis=-1)
-        h, _, _ = dom.defining(x)
+        h, _, _ = dom.defining(dom.peak + r[:, None] * np.stack([np.cos(RAYS), np.sin(RAYS)],
+                                                                axis=-1))
         assert np.max(np.abs(h)) <= 1e-13 * dom.diameter()
 
     @pytest.mark.parametrize("dom, offset", [
@@ -226,12 +209,25 @@ class TestRayRoots:
         (Ellipse((0, 0), (1.0, 0.8)).sublevel(0.4), (0.1, 0.1)),
     ])
     def test_deriv_against_central_differences(self, dom, offset):
-        origin = dom.peak + np.array(offset)
+        # radii are taken about the peak, so translating the domain by
+        # offset leaves them and their derivative unchanged
+        moved = domain_from_dict(_translated(dom.to_dict(), offset))
+        assert np.allclose(moved.peak, dom.peak + np.array(offset), rtol=0, atol=1e-15)
+        assert np.allclose(moved.boundary_radius(RAYS), dom.boundary_radius(RAYS),
+                           rtol=1e-14, atol=0)
         step = 1e-5
-        fd = (dom.boundary_radius(RAYS + step, origin)
-              - dom.boundary_radius(RAYS - step, origin)) / (2 * step)
-        assert np.allclose(dom.boundary_radius_deriv(RAYS, origin), fd,
-                           rtol=0, atol=1e-8)
+        fd = (moved.boundary_radius(RAYS + step)
+              - moved.boundary_radius(RAYS - step)) / (2 * step)
+        assert np.allclose(moved.boundary_radius_deriv(RAYS), fd, rtol=0, atol=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dom=quadric_domains())
+    def test_radii_are_sampled_extremes(self, dom):
+        r = dom.boundary_radius(np.linspace(0, 2 * np.pi, 4096, endpoint=False))
+        r_in, r_out = dom.radii()
+        assert r_in == pytest.approx(np.min(r), rel=1e-12)
+        assert r_out == pytest.approx(np.max(r), rel=1e-12)
+        assert dom.diameter() == 2 * r_out
 
     @pytest.mark.parametrize("dom", [Ball((0.1, 0), 0.7), Ellipse((0, 0), (1.0, 0.5)),
                                      Ellipse((0, 0), (1.0, 0.5)).sublevel(0.3)])
@@ -241,11 +237,6 @@ class TestRayRoots:
             assert method(np.array([0.3])).shape == (1,)
             assert method(np.zeros((3, 4)) + 0.3).shape == (3, 4)
             assert method(np.array([0.3]))[0] == method(0.3)
-
-    @pytest.mark.parametrize("origin", [(1.5, 0.0), (1.0, 0.0), (0.0, -3.0)])
-    def test_origin_not_inside(self, origin):
-        with pytest.raises(ValueError):
-            Ball((0, 0), 1.0).boundary_radius(0.3, origin=np.array(origin))
 
 
 class TestQuadricMeasures:

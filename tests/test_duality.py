@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmcsolve import (Ball, ModelKind, OperatorKind, ProblemSpec,
+from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       SolutionField, build_grid)
 from cmcsolve.assembly import operator_value
 from cmcsolve.duality import (FieldInterpolant, dual_residual, dual_solve,
@@ -75,6 +75,16 @@ class TestLegendreTransform:
         with pytest.raises(InversionFailure) as err:
             legendre_transform(fld, big_grid)
         assert err.value.gap > 0.1
+
+
+@pytest.mark.parametrize("domain", [Ball((0.3, -0.2), 0.7), Ellipse((0.1, 0.4), (1.2, 0.5)),
+                                    Ellipse((0, 0), (1.0, 0.8)).sublevel(0.3)])
+def test_boundary_nodes_map_to_unit_rho(domain):
+    grid = build_grid(domain, 12, 24)
+    interp = FieldInterpolant(SolutionField(grid, np.zeros(grid.n_nodes), 0.0, MINK))
+    rho, phi = interp.params_of(grid.nodes[grid.boundary_idx])
+    assert np.max(np.abs(rho - 1.0)) <= 1e-14
+    assert np.allclose(phi, grid.phi, rtol=0, atol=1e-14)
 
 
 class TestDualResidual:

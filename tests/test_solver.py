@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       SolutionField, SolveOptions, build_grid, damped_step,
@@ -8,7 +10,9 @@ from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
 from cmcsolve.assembly import residual
 from cmcsolve.diagnostics import flux_identity
 from cmcsolve.errors import ConvexityLoss, NonConvergence
+from cmcsolve.grid import MappedGrid
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
+from helpers import field_state, quadric_domains, sampled_auto_t_min
 
 
 class TestNewtonSolve:
@@ -69,6 +73,35 @@ class TestNewtonSolve:
         with pytest.raises(ValueError):
             SolveOptions(tol_residual=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol_residual": float("nan")}, {"eps_space": float("inf")},
+        {"eps_convexity": 0.0}, {"max_newton": 2.5}, {"max_newton": float("nan")},
+        {"max_newton": 0},
+    ])
+    def test_options_must_be_finite_positive(self, kwargs):
+        with pytest.raises(ValueError):
+            SolveOptions(**kwargs)
+
+    def test_each_iterate_differentiated_once(self, monkeypatch):
+        # the initial field's state is computed once, every later one comes
+        # from the line search: k + 1 recoveries for a k-iteration solve
+        om, omt = Ball((0, 0), 1.0), Ball((0.2, 0), 0.3)
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
+        initial = seed_field(spec)
+        calls = {"derivative_arrays": 0, "boundary_gradients": 0}
+        for name in calls:
+            real = getattr(MappedGrid, name)
+
+            def counting(self, u, real=real, name=name):
+                calls[name] += 1
+                return real(self, u)
+
+            monkeypatch.setattr(MappedGrid, name, counting)
+        fld, info = newton_solve(spec, initial)
+        assert info.converged and info.iterations >= 2
+        assert calls == {"derivative_arrays": info.iterations + 1,
+                         "boundary_gradients": info.iterations + 1}
+
 
 def _singular_splu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
@@ -113,7 +146,7 @@ class TestLinearSolve:
         grid = build_grid(om, 32, 64)
         spec = ProblemSpec(om, omt, model, grid, operator=operator)
         fld = seed_field(spec)
-        jac, res = jacobian(spec, fld), residual(spec, fld)
+        jac, res = jacobian(spec, *field_state(fld)), residual(spec, fld)
         direction = solver._solve_linear(jac, -res)
         r_inf = np.max(np.abs(res))
         assert r_inf > 1e-6   # a real Newton step, not a converged field
@@ -140,8 +173,8 @@ class TestLinearSolve:
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
         spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
         initial = seed_field(spec)
-        monkeypatch.setattr(solver, "residual",
-                            lambda spec, fld: np.full(spec.grid.n_nodes + 1, np.nan))
+        monkeypatch.setattr(solver, "residual_from_state",
+                            lambda spec, *args: np.full(spec.grid.n_nodes + 1, np.nan))
         with pytest.raises(NonConvergence, match="non-finite residual"):
             newton_solve(spec, initial)
 
@@ -165,7 +198,7 @@ class TestLinearSolve:
         monkeypatch.setattr(solver, "splu", failing_splu)
         fld, history = run_homotopy(Ellipse((0, 0), (1.0, 0.8)),
                                     Ball((0, 0), 0.4), MINK, 16, 32,
-                                    schedule=[0.5, 1.0])
+                                    steps=2, t_min=0.5)
         assert calls["failed"]
         assert [h.t for h in history] == [0.5, 0.75, 1.0]
 
@@ -187,8 +220,8 @@ class TestDampedStep:
         direction[:n] = 100.0 * spec.grid.mean_zero(spec.grid.nodes[:, 0] ** 2)
         direction[n] = -50.0
         opts = SolveOptions()
-        alpha, trial, _ = damped_step(spec, fld, direction, opts,
-                                      float(np.linalg.norm(res)))
+        alpha, trial, _, _ = damped_step(spec, fld, field_state(fld), direction, opts,
+                                         float(np.linalg.norm(res)))
         assert alpha < 1.0
         du, d2u = trial.derivatives()
         assert np.min(np.linalg.eigvalsh(d2u)) >= opts.eps_convexity
@@ -205,26 +238,34 @@ class TestDampedStep:
                                    fld.c, fld.model)
         du, _ = trial_full.derivatives()
         assert np.max(np.linalg.norm(du, axis=-1)) > 1.0
-        alpha, trial, _ = damped_step(spec, fld, direction, SolveOptions(),
-                                      float(np.linalg.norm(res)))
+        alpha, trial, _, _ = damped_step(spec, fld, field_state(fld), direction,
+                                         SolveOptions(), float(np.linalg.norm(res)))
         du, _ = trial.derivatives()
         assert np.max(np.linalg.norm(du, axis=-1)) < 1.0 - 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(omega=quadric_domains(), omega_tilde=quadric_domains(),
+       n_rho=st.integers(8, 400))
+@example(omega=Ball((0, 0), 0.1), omega_tilde=Ball((0, 0), 3.0), n_rho=12)
+def test_auto_t_min_matches_sampled_reference(omega, omega_tilde, n_rho):
+    t = solver.auto_t_min(omega, omega_tilde, n_rho)
+    t_ref = sampled_auto_t_min(omega, omega_tilde, n_rho)
+    if t != t_ref:
+        # only at an exact tie, where the requirement falls on a lattice
+        # point and the sampled radii round to either side of it
+        ratio = max(r_out / r_in for r_in, r_out in (omega.radii(), omega_tilde.radii()))
+        need = (max(6.0 / n_rho, 2e-2) * ratio) ** 2
+        assert abs(t - t_ref) == pytest.approx(0.05)
+        assert min(t, t_ref) == pytest.approx(need, rel=1e-12)
 
 
 class TestHomotopy:
     def test_ball_pair_single_step(self):
         fld, history = run_homotopy(Ball((0, 0), 1.0), Ball((0, 0), 0.5),
-                                    MINK, 32, 64, schedule=[1.0])
+                                    MINK, 32, 64, t_min=1.0)
         assert len(history) == 1
         assert abs(fld.c - C_RADIAL) <= 1e-3
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            run_homotopy(Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, 16, 32,
-                         schedule=[0.5, 0.4, 1.0])
-        with pytest.raises(ValueError):
-            run_homotopy(Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, 16, 32,
-                         schedule=[0.5, 0.9])
 
     def test_ellipse_to_ball(self, ci_instances):
         spec, fld, history = ci_instances["ellipse_ball"]
