@@ -85,11 +85,9 @@ def _initial_field(cfg: RunConfig, spec: ProblemSpec):
 def cmd_solve(args) -> int:
     try:
         cfg = parse_config(args.config)
-        # the homotopy builds its own grids; its report uses the field's grid
-        spec = None if cfg.homotopy_enabled else ProblemSpec(
-            cfg.omega, cfg.omega_tilde, cfg.model,
-            build_grid(cfg.omega, cfg.n_rho, cfg.n_phi),
-            eps_space=cfg.options.eps_space)
+        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model,
+                           build_grid(cfg.omega, cfg.n_rho, cfg.n_phi),
+                           eps_space=cfg.options.eps_space)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -100,8 +98,7 @@ def cmd_solve(args) -> int:
     converged = True
     try:
         if cfg.homotopy_enabled:
-            fld, history = run_homotopy(cfg.omega, cfg.omega_tilde, cfg.model,
-                                        cfg.n_rho, cfg.n_phi, opts=cfg.options,
+            fld, history = run_homotopy(spec, cfg.options,
                                         steps=cfg.homotopy_steps,
                                         t_min=cfg.homotopy_t_min)
             steps_summary = [{"t": h.t, "c": h.field.c,
@@ -126,9 +123,6 @@ def cmd_solve(args) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
-    if spec is None:
-        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, fld.grid,
-                           eps_space=cfg.options.eps_space)
     report = full_report(spec, fld)
     save_field(fld, out / "field.csv", omega=cfg.omega, omega_tilde=cfg.omega_tilde)
     report.to_json(out / "report.json")

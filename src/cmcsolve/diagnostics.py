@@ -44,12 +44,12 @@ class Tolerances:
     dual_slack_factor: float = 2.0     # on |c_dual + c| vs flux discrepancy
 
 
-def lambda_bounds(omega, omega_tilde, n: int = 2,
-                  model: ModelKind = ModelKind.MINKOWSKI):
-    """(Lambda_1, Lambda_2) integral bounds for the solved constant."""
+def lambda_bounds(omega, omega_tilde, model: ModelKind = ModelKind.MINKOWSKI):
+    """(Lambda_1, Lambda_2) integral bounds for the solved constant in the
+    plane."""
     area, perim = omega.measures()
     area_t, _ = omega_tilde.measures()
-    lam1 = n * (area_t / area) ** (1.0 / n)
+    lam1 = 2 * (area_t / area) ** 0.5
     y = np.linalg.norm(omega_tilde.boundary_points(512), axis=-1)
     if model is ModelKind.MINKOWSKI:
         w = y / np.sqrt(1.0 - y ** 2)
@@ -169,7 +169,7 @@ def full_report(spec: ProblemSpec, fld: SolutionField,
                 tol: Tolerances | None = None) -> DiagnosticsReport:
     """Run every check against its tolerance and aggregate the report."""
     tol = tol or Tolerances()
-    lam1, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, 2, spec.model)
+    lam1, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, spec.model)
     _, obliq_min = obliqueness_profile(spec, fld)
     mass_err = mass_balance(spec, fld)
     flux_err = flux_identity(spec, fld)

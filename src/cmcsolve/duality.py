@@ -152,23 +152,17 @@ class FieldInterpolant:
         return h
 
 
-def invert_gradient(interp: FieldInterpolant, targets, x0=None):
-    """Solve interp.gradient(x) = y for each target y by damped Newton.
+def invert_gradient(interp: FieldInterpolant, targets):
+    """Solve interp.gradient(x) = y for each target y by damped Newton,
+    starting from the primal node whose gradient is nearest the target.
 
-    Returns (points, gaps); raises InversionFailure when some target stays
-    farther than the inversion tolerance from the reachable gradient image.
+    Returns (points, gaps): the gradient residual norm left at each point.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     grid = interp.grid
     scale = float(np.max(np.abs(targets))) + 1.0
-    x = np.empty_like(targets)
-    if x0 is not None:
-        x[:] = x0
-    else:
-        # start from the primal node whose gradient is nearest the target
-        tree = cKDTree(interp.gradient(grid.nodes))
-        _, nearest = tree.query(targets)
-        x[:] = grid.nodes[nearest]
+    _, nearest = cKDTree(interp.gradient(grid.nodes)).query(targets)
+    x = grid.nodes[nearest]
 
     res = interp.gradient(x) - targets
     rn = np.linalg.norm(res, axis=-1)
@@ -257,8 +251,7 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     from .radial import seed_field
 
     opts = opts or SolveOptions()
-    n_rho, n_phi = spec.grid.n_rho, spec.grid.n_phi
-    dual_grid = build_grid(spec.omega_tilde, n_rho, n_phi)
+    dual_grid = build_grid(spec.omega_tilde, spec.grid.n_rho, spec.grid.n_phi)
     dual_spec = ProblemSpec(spec.omega_tilde, spec.omega, spec.model, dual_grid,
                             operator=OperatorKind.INVERSE_HESSIAN,
                             eps_space=spec.eps_space)
@@ -268,8 +261,6 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
         return fld, info
     except NonConvergence:
         logger.info("dual direct solve failed; retrying with homotopy")
-        fld, history = run_homotopy(dual_spec.omega, dual_spec.omega_tilde,
-                                    spec.model, n_rho, n_phi, opts=opts,
-                                    operator=OperatorKind.INVERSE_HESSIAN)
+        fld, _ = run_homotopy(dual_spec, opts)
         fld.dual = True
         return fld, None

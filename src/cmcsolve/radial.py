@@ -66,7 +66,11 @@ def radial_profile(sol: RadialSolution, r):
         du = c * r / root
         u = (root - n) / c
     else:
-        root = np.sqrt(n ** 2 - c ** 2 * r ** 2)
+        # n^2 - c^2 r^2 = n^2 (r0^2 + t0^2 (r0^2 - r^2)) / ((1 + t0^2) r0^2),
+        # which does not cancel at r = r0 when t0 is large
+        r0, t0 = sol.r0, sol.t0
+        root = n * np.sqrt(r0 ** 2 + t0 ** 2 * (r0 - r) * (r0 + r)) / (
+            np.sqrt(1.0 + t0 ** 2) * r0)
         du = c * r / root
         u = (n - root) / c
     d2u = c * n ** 2 / root ** 3

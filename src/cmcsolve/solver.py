@@ -1,5 +1,5 @@
 """Damped Newton solve of the assembled system and the continuity-method
-homotopy from a near-ball pair to the target pair.
+homotopy that grows the target from a shrunken copy to its full size.
 
 Every accepted iterate satisfies the admissibility guards (uniform convexity
 everywhere, spacelike bound in the primal Minkowski model): the guards are
@@ -19,12 +19,10 @@ mean-zero row at the c column) is zero, so off-diagonal pivots must stay
 allowed.  A failed factorization or a non-finite residual or direction ends
 the solve in NonConvergence.
 
-The homotopy walks increasing t through the super-level families Omega_t,
-Omega_tilde_t, warm-starting each Newton solve from the previous field
-carried over on the shared parameter lattice.  The first step is seeded from
-the radial reference (exact on ball pairs, inscribed-ball quadratic
-otherwise); failed steps trigger bisection of the t increment before giving
-up.  Progress is logged one line per Newton iteration in the format
+The homotopy walks increasing t on the problem's own grid, replacing only
+the target by its super-level set at t, and bisects the t increment of a
+failed step before giving up.  Progress is logged one line per Newton
+iteration in the format
 
   newton t=<t|-> iter=<k> res=<inf-norm> alpha=<step> c=<constant>
 """
@@ -32,18 +30,17 @@ up.  Progress is logged one line per Newton iteration in the format
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
-                       jacobian, residual_from_state)
+from .assembly import (ProblemSpec, admissibility_violation, jacobian,
+                       residual_from_state)
 from .domains import ConvexDomain
 from .errors import NonConvergence, StepRejection
-from .grid import SolutionField, build_grid, transfer_field
-from .kernel import ModelKind
+from .grid import SolutionField
 
 logger = logging.getLogger("cmcsolve.solver")
 
@@ -87,7 +84,6 @@ class HomotopyState:
     """Snapshot of one continuation step."""
 
     t: float
-    omega_t: ConvexDomain
     omega_tilde_t: ConvexDomain
     field: SolutionField
     c_history: list  # [(t, c)] up to and including this step
@@ -232,23 +228,33 @@ def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> fl
     return 1.0
 
 
-def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
-                 model: ModelKind, n_rho: int, n_phi: int,
-                 opts: SolveOptions | None = None,
-                 operator: OperatorKind = OperatorKind.GRAPH,
+def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
                  steps: int = 12, t_min: float | None = None):
-    """Continuity-method solve: deform a near-ball pair into the target pair.
+    """Continuity-method solve on spec.grid: step t solves spec with the
+    target replaced by its super-level set at t, the sqrt(t)-scaling of
+    omega_tilde about its peak.
 
     Walks `steps` uniform values of t from t_min (auto_t_min when None) to
-    1, or t = 1 alone when t_min is 1.  Returns (final field,
+    1, or t = 1 alone when t_min is 1.  The first step is seeded by
+    seed_field; each later one starts from the previous field, with its
+    gradient image scaled about the target's peak onto the new target, and
+    the previous c.  For the graph operator, dilation is an exact symmetry
+    (v(x) = s u(x0 + (x - x0)/s) keeps the gradient image and has constant
+    c/s), so step t is the super-level pair (omega_t, omega_tilde_t) dilated
+    onto omega and its c is sqrt(t) times that pair's.  For the
+    inverse-Hessian operator, whose coefficients depend on node positions,
+    step t is the Legendre dual of the primal problem on omega_tilde_t with
+    image omega, on the fixed dual domain.  Returns (final field,
     [HomotopyState]).
     """
     from .radial import seed_field
 
     opts = opts or SolveOptions()
     if t_min is None:
-        t_min = auto_t_min(omega, omega_tilde, n_rho)
+        t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
     pending = [float(t) for t in np.linspace(t_min, 1.0, steps)] if t_min < 1.0 else [1.0]
+    # the warm start scales the gradient image about this potential's gradient
+    peak_potential = spec.grid.nodes @ spec.omega_tilde.peak
 
     history: list[HomotopyState] = []
     c_history: list[tuple[float, float]] = []
@@ -258,15 +264,12 @@ def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
 
     while pending:
         t = pending[0]
-        om_t = omega.sublevel(t)
-        omt_t = omega_tilde.sublevel(t)
-        grid_t = build_grid(om_t, n_rho, n_phi)
-        spec_t = ProblemSpec(om_t, omt_t, model, grid_t, operator=operator,
-                             eps_space=opts.eps_space)
+        spec_t = replace(spec, omega_tilde=spec.omega_tilde.sublevel(t))
         if prev_field is None:
             initial = seed_field(spec_t)
         else:
-            initial = transfer_field(prev_field, grid_t)
+            initial = replace(prev_field, u=peak_potential + np.sqrt(t / prev_t)
+                              * (prev_field.u - peak_potential))
         try:
             fld, info = newton_solve(spec_t, initial, opts, t_label=t)
         except NonConvergence:
@@ -277,7 +280,7 @@ def run_homotopy(omega: ConvexDomain, omega_tilde: ConvexDomain,
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
         c_history.append((t, fld.c))
-        history.append(HomotopyState(t=t, omega_t=om_t, omega_tilde_t=omt_t,
+        history.append(HomotopyState(t=t, omega_tilde_t=spec_t.omega_tilde,
                                      field=fld, c_history=list(c_history),
                                      newton_iterations=info.iterations))
         prev_field, prev_t = fld, t

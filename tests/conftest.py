@@ -42,8 +42,7 @@ def ci_instances(radial_32):
         "ellipse_ball": (Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4)),
         "ball_ellipse": (Ball((0, 0), 1.0), Ellipse((0, 0), (0.4, 0.3))),
     }.items():
-        fld, history = run_homotopy(om, omt, MINK, 32, 64)
-        grid = fld.grid
-        spec = ProblemSpec(om, omt, MINK, grid)
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 32, 64))
+        fld, history = run_homotopy(spec)
         out[name] = (spec, fld, history)
     return out

@@ -68,14 +68,14 @@ def test_criterion_3_integral_bounds(ci_instances):
     msgs = []
     ok = True
     for name, (spec, fld, _) in ci_instances.items():
-        lam1, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, 2, MINK)
+        lam1, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, MINK)
         delta = 3.0 * flux_identity(spec, fld) * abs(fld.c)
         inside = lam1 - delta <= fld.c <= lam2 + delta
         ok = ok and inside
         msgs.append(f"{name}: {lam1:.4f}-{delta:.1e} <= {fld.c:.4f} <= "
                     f"{lam2:.4f}+{delta:.1e}")
     spec, fld, _ = ci_instances["balls_concentric"]
-    _, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, 2, MINK)
+    _, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, MINK)
     sat = abs(fld.c - lam2)
     ok = ok and sat <= 2e-3
     report(3, ok, "; ".join(msgs) + f"; saturation |c-L2| = {sat:.2e} <= 2e-3")
@@ -176,11 +176,10 @@ def test_criterion_7_invariant_suites(radial_32):
 
 def test_criterion_8_homotopy_robustness(ci_instances):
     t0 = time.time()
-    fld, history = run_homotopy(Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4),
-                                MINK, 32, 64)
+    omega = Ellipse((0, 0), (1.0, 0.8))
+    spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 32, 64))
+    fld, history = run_homotopy(spec)
     elapsed = time.time() - t0
-    spec = ProblemSpec(Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4), MINK,
-                       fld.grid)
     rep = full_report(spec, fld)
     iters = [h.newton_iterations for h in history]
     ok = (len(history) <= 12 and max(iters) <= 15 and rep.all_pass

@@ -302,6 +302,19 @@ def test_extreme_domain_size_exit_2(tmp_path, capsys, path, radius):
     assert err.startswith(prefix)
 
 
+@pytest.mark.parametrize("homotopy", ["false", "true"])
+def test_huge_grid_exit_2(tmp_path, capsys, homotopy):
+    # a valid size too large to allocate is refused while the problem is set
+    # up, on both solve paths
+    cfg = _small_grid_config(tmp_path, **{"grid.n_rho": "1e20",
+                                          "homotopy.enabled": homotopy})
+    assert main(["solve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("t_min", ["1e-5", "1e-17", "1e-300"])
 def test_unresolvable_t_min_exit_1(tmp_path, capsys, t_min):
     # below the float resolution (1 - t) h_max rounds to h_max; the
@@ -382,17 +395,16 @@ def test_fuzzed_config_value(fuzz_dirs, edit):
 
 
 def test_homotopy_builds_each_grid_once(tmp_path, monkeypatch):
-    # one grid per schedule step; the report reuses the last one
+    # every schedule step and the report share the problem's one grid
     builds = []
-    for module in (cli, solver):
-        real = module.build_grid
-        monkeypatch.setattr(module, "build_grid",
-                            lambda *a, real=real: builds.append(a) or real(*a))
+    real = cli.build_grid
+    monkeypatch.setattr(cli, "build_grid",
+                        lambda *a: builds.append(a) or real(*a))
     assert main(["solve", "--config",
                  str(write_config(tmp_path, text=HOMOTOPY_CONFIG))]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert len(summary["steps"]) == 8
-    assert len(builds) == 8
+    assert len(builds) == 1
 
 
 def _cell(row, column, text):

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
-                      SolutionField, build_grid)
+                      SolutionField, build_grid, duality)
 from cmcsolve.assembly import operator_value
+from cmcsolve.diagnostics import flux_identity
 from cmcsolve.duality import (FieldInterpolant, dual_residual, dual_solve,
                               legendre_transform)
-from cmcsolve.errors import InversionFailure
+from cmcsolve.errors import InversionFailure, NonConvergence
 from cmcsolve.kernel import coefficient_matrix, mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile, seed_field
-from cmcsolve.solver import newton_solve
-from conftest import C_RADIAL, MINK
+from cmcsolve.solver import newton_solve, run_homotopy
+from conftest import C_RADIAL, EUC, MINK
 
 
 def quadratic_field(lam=0.5, n=16):
@@ -130,6 +131,38 @@ class TestDualResidual:
 
 
 class TestDualSolve:
+    def test_homotopy_on_inverse_hessian_spec(self):
+        # the dual continuation of an off-centre Euclidean pair reaches t = 1
+        # and agrees with the primal constant within the report's
+        # dual-consistency bound
+        omega, omega_tilde = Ball((1, 2), 2.0), Ellipse((0.1, 0), (0.5, 0.3))
+        spec = ProblemSpec(omega, omega_tilde, EUC, build_grid(omega, 32, 64))
+        fld, _ = newton_solve(spec, seed_field(spec))
+        dual_spec = ProblemSpec(omega_tilde, omega, EUC,
+                                build_grid(omega_tilde, 32, 64),
+                                operator=OperatorKind.INVERSE_HESSIAN)
+        dual, history = run_homotopy(dual_spec)
+        assert history[-1].t == 1.0
+        assert abs(dual.c + fld.c) <= 2.0 * flux_identity(spec, fld) * abs(fld.c)
+
+    def test_falls_back_to_homotopy(self, radial_32, monkeypatch):
+        spec, fld, _ = radial_32
+        real = duality.newton_solve
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NonConvergence("forced failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "newton_solve", fail_once)
+        dual, info = dual_solve(spec)
+        assert len(calls) == 1
+        assert info is None
+        assert dual.dual
+        assert abs(dual.c + fld.c) <= 2.0 * abs(fld.c - C_RADIAL)
+
     def test_concentric_constant(self, radial_32):
         spec, fld, _ = radial_32
         dual, info = dual_solve(spec)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ class TestRadialProfile:
         assert np.all(np.diff(du) > 0)
         assert du[-1] == pytest.approx(0.5, abs=1e-14)
         assert np.all(du < 1.0)
+
+    @pytest.mark.parametrize("t0", [0.5, 1e4, 1e8, 1e12])
+    def test_euclidean_boundary_slope_large_image(self, t0):
+        # n^2 - c^2 r^2 vanishes at r = r0 as t0 grows; the profile must not
+        # form it by cancellation
+        sol = RadialSolution(2, 1.0, t0, EUC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, du, d2u = radial_profile(sol, 1.0)
+        assert du == pytest.approx(t0, rel=1e-12)
+        assert np.isfinite(d2u)
 
 
 class TestOdeCrosscheck:

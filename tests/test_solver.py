@@ -196,9 +196,9 @@ class TestLinearSolve:
 
         monkeypatch.setattr(solver, "newton_solve", counting_newton)
         monkeypatch.setattr(solver, "splu", failing_splu)
-        fld, history = run_homotopy(Ellipse((0, 0), (1.0, 0.8)),
-                                    Ball((0, 0), 0.4), MINK, 16, 32,
-                                    steps=2, t_min=0.5)
+        omega = Ellipse((0, 0), (1.0, 0.8))
+        spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
+        fld, history = run_homotopy(spec, steps=2, t_min=0.5)
         assert calls["failed"]
         assert [h.t for h in history] == [0.5, 0.75, 1.0]
 
@@ -262,10 +262,26 @@ def test_auto_t_min_matches_sampled_reference(omega, omega_tilde, n_rho):
 
 class TestHomotopy:
     def test_ball_pair_single_step(self):
-        fld, history = run_homotopy(Ball((0, 0), 1.0), Ball((0, 0), 0.5),
-                                    MINK, 32, 64, t_min=1.0)
+        omega = Ball((0, 0), 1.0)
+        spec = ProblemSpec(omega, Ball((0, 0), 0.5), MINK, build_grid(omega, 32, 64))
+        fld, history = run_homotopy(spec, t_min=1.0)
         assert len(history) == 1
         assert abs(fld.c - C_RADIAL) <= 1e-3
+
+    def test_steps_are_dilated_super_level_pairs(self):
+        # dilating the domain is a symmetry of the graph problem: the step
+        # at t solves the super-level pair (omega_t, omega_tilde_t) scaled
+        # back onto omega, whose constant is sqrt(t) times that pair's
+        omega, omega_tilde = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4)
+        spec = ProblemSpec(omega, omega_tilde, MINK, build_grid(omega, 16, 32))
+        _, history = run_homotopy(spec, steps=3, t_min=0.5)
+        assert [h.t for h in history] == [0.5, 0.75, 1.0]
+        for state in history:
+            om_t = omega.sublevel(state.t)
+            spec_t = ProblemSpec(om_t, omega_tilde.sublevel(state.t), MINK,
+                                 build_grid(om_t, 16, 32))
+            fld_t, _ = newton_solve(spec_t, seed_field(spec_t))
+            assert state.field.c / np.sqrt(state.t) == pytest.approx(fld_t.c, rel=1e-9)
 
     def test_ellipse_to_ball(self, ci_instances):
         spec, fld, history = ci_instances["ellipse_ball"]
@@ -275,14 +291,13 @@ class TestHomotopy:
 
     def test_c_history_within_integral_bounds(self, ci_instances):
         # at every continuation step the solved constant obeys the
-        # area/perimeter bounds of its own domain pair, up to the
-        # discretization slack measured by the flux identity
+        # area/perimeter bounds of the pair it solved, (omega, omega_tilde_t),
+        # up to the discretization slack measured by the flux identity
         for name in ("ellipse_ball", "ball_ellipse"):
-            _, _, history = ci_instances[name]
+            spec, _, history = ci_instances[name]
             for state in history:
-                lam1, lam2 = lambda_bounds(state.omega_t, state.omega_tilde_t,
-                                           2, MINK)
-                spec_t = ProblemSpec(state.omega_t, state.omega_tilde_t, MINK,
+                lam1, lam2 = lambda_bounds(spec.omega, state.omega_tilde_t, MINK)
+                spec_t = ProblemSpec(spec.omega, state.omega_tilde_t, MINK,
                                      state.field.grid)
                 slack = 3.0 * flux_identity(spec_t, state.field) * abs(state.field.c)
                 c = state.field.c
