@@ -97,11 +97,15 @@ def operator_state_derivatives(spec: ProblemSpec, positions, du, d2u):
 
 
 def hessian_eig_bounds(d2u):
-    """(lambda_min, lambda_max) of each symmetric 2x2 in a batch."""
-    mean = 0.5 * (d2u[..., 0, 0] + d2u[..., 1, 1])
-    disc = np.sqrt((0.5 * (d2u[..., 0, 0] - d2u[..., 1, 1])) ** 2
-                   + d2u[..., 0, 1] ** 2)
-    return mean - disc, mean + disc
+    """(lambda_min, lambda_max) of each symmetric 2x2 in a batch.
+
+    The spread cannot overflow for finite entries; an infinite entry gives
+    NaN or infinite bounds, which every guard and check counts as failing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = 0.5 * (d2u[..., 0, 0] + d2u[..., 1, 1])
+        disc = np.hypot(0.5 * (d2u[..., 0, 0] - d2u[..., 1, 1]), d2u[..., 0, 1])
+        return mean - disc, mean + disc
 
 
 def admissibility_violation(spec: ProblemSpec, du, d2u, eps_convexity: float = 1e-8):
@@ -113,12 +117,12 @@ def admissibility_violation(spec: ProblemSpec, du, d2u, eps_convexity: float = 1
     """
     lam_min, _ = hessian_eig_bounds(d2u)
     k = int(np.argmin(lam_min))
-    if lam_min[k] < eps_convexity:
+    if not lam_min[k] >= eps_convexity:
         return ConvexityLoss(float(lam_min[k]), node=k)
     if spec.operator is OperatorKind.GRAPH and spec.model is ModelKind.MINKOWSKI:
         g = np.linalg.norm(du, axis=-1)
         k = int(np.argmax(g))
-        if g[k] >= 1.0 - spec.eps_space:
+        if not g[k] < 1.0 - spec.eps_space:
             return SpacelikeViolation(float(g[k]), node=k)
     return None
 

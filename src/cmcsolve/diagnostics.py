@@ -77,10 +77,13 @@ def obliqueness_profile(spec: ProblemSpec, fld: SolutionField):
 def mass_balance(spec: ProblemSpec, fld: SolutionField) -> float:
     """Relative error of integral(det D^2 u) against |Omega_tilde|."""
     _, d2u = fld.derivatives()
-    det = d2u[:, 0, 0] * d2u[:, 1, 1] - d2u[:, 0, 1] ** 2
-    vol = fld.grid.quadrature(det)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = d2u[:, 0, 0] * d2u[:, 1, 1] - d2u[:, 0, 1] ** 2
+        vol = fld.grid.quadrature(det)
     area_t, _ = spec.omega_tilde.measures()
-    return abs(vol - area_t) / area_t
+    err = abs(vol - area_t) / area_t
+    # as in flux_identity: an overflowing Hessian fails, it is not NaN
+    return err if np.isfinite(err) else float("inf")
 
 
 def flux_identity(spec: ProblemSpec, fld: SolutionField) -> float:
@@ -108,7 +111,8 @@ def hessian_pinching(fld: SolutionField):
     du, d2u = fld.derivatives()
     mask = fld.grid.interior_mask
     lam_min, lam_max = hessian_eig_bounds(d2u[mask])
-    grad_max = float(np.max(np.linalg.norm(du, axis=-1)))
+    with np.errstate(over="ignore"):  # an overflowing |Du| fails as inf
+        grad_max = float(np.max(np.hypot(du[:, 0], du[:, 1])))
     return float(np.min(lam_min)), float(np.max(lam_max)), grad_max
 
 

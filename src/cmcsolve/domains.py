@@ -277,12 +277,18 @@ class SublevelDomain(ConvexDomain):
         return {"kind": "sublevel", "base": self.base.to_dict(), "level": self.level}
 
 
+def _pair(value) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"expected a pair of numbers, got {value!r}")
+    return tuple(value)
+
+
 def domain_from_dict(d: dict) -> ConvexDomain:
     kind = d.get("kind")
     if kind == "ball":
-        return Ball(tuple(d["center"]), d["radius"])
+        return Ball(_pair(d["center"]), d["radius"])
     if kind == "ellipse":
-        return Ellipse(tuple(d["center"]), tuple(d["semi_axes"]))
+        return Ellipse(_pair(d["center"]), _pair(d["semi_axes"]))
     if kind == "sublevel":
         return SublevelDomain(domain_from_dict(d["base"]), d["level"])
     raise ValueError(f"unknown domain kind {kind!r}")

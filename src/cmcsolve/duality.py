@@ -11,8 +11,8 @@ D^2 utilde = [D^2 u]^{-1}, and solves
 so an independently solved dual constant must come out as -c.  The dual
 solve runs the ordinary Newton machinery with the inverse-Hessian operator
 and the domain roles swapped; the transform itself inverts the gradient map
-pointwise with a damped Newton iteration on a smooth spline interpolant of
-the primal field.
+pointwise with a damped Newton iteration on a tensor cubic spline of the
+primal field, periodic in the polar angle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import NdBSpline, make_interp_spline
+from scipy.linalg import solve_circulant
 from scipy.spatial import cKDTree
 
 from .assembly import OperatorKind, ProblemSpec
@@ -37,15 +38,39 @@ INVERSION_MAX_NEWTON = 30
 EXTENSION_CELLS = 2.0
 
 
+def lattice_spline(grid: MappedGrid, values) -> NdBSpline:
+    """Tensor cubic spline through nodal values on the (rho, phi) lattice:
+    periodic in phi, not-a-knot in rho.
+
+    values: (n_rho + 1, n_phi, ...) as grid.to_param_array lays them out;
+    trailing axes make a vector-valued spline.  On the uniform periodic
+    phi lattice the cubic B-splines take the values 1/6, 4/6, 1/6 at the
+    nodes, so the phi coefficients solve one circulant system; rho is then
+    fitted column by column.  Evaluate at (..., 2) points (rho, phi) with
+    phi in [0, 2 pi]; past rho = 1 the last polynomial piece continues.
+    """
+    n = grid.n_phi
+    h = 2 * np.pi / n
+    col = np.zeros(n)
+    col[[0, 1, -1]] = [4 / 6, 1 / 6, 1 / 6]
+    d = solve_circulant(col, values, baxis=1, outaxis=1)
+    # B-spline i is centred on phi_{i-1}: wrap one coefficient before, two after
+    c_phi = np.concatenate([d[:, -1:], d, d[:, :2]], axis=1)
+    fit_rho = make_interp_spline(grid.rho, c_phi, k=3, axis=0)
+    return NdBSpline((fit_rho.t, h * np.arange(-3, n + 4)), fit_rho.c, 3)
+
+
 class FieldInterpolant:
     """Smooth evaluator of a nodal field over its domain.
 
-    Values and first derivatives come from a bicubic spline on the (rho,
-    phi) parameter lattice chained through the polar map; the map inverse is
-    closed form (phi by angle, rho = |x - peak| / r_b(phi)), with r_b and
-    its derivative exact from the domain.  Beyond rho = 1 the spline is
-    Taylor-extended to second order so targets within a couple of cells of
-    the boundary remain evaluable.
+    Values and first derivatives come from a tensor cubic spline on the
+    (rho, phi) parameter lattice, periodic in phi (lattice_spline), chained
+    through the polar map; the map inverse is closed form (phi by angle,
+    rho = |x - peak| / r_b(phi)), with r_b and its derivative exact from
+    the domain.  Up to rho_max, a couple of cells past rho = 1, the
+    spline's last radial piece continues, so targets near the boundary
+    remain evaluable.  The nodal Hessians get a spline of their own, the
+    Jacobian of the gradient inversion.
     """
 
     def __init__(self, field: SolutionField):
@@ -53,21 +78,21 @@ class FieldInterpolant:
         self.grid = grid
         self.domain = grid.domain
         self.peak = grid.domain.peak
-
-        # parameter-space field spline, phi-padded for periodicity
-        pad = 3
-        arr = grid.to_param_array(field.u)
-        arr_p = np.concatenate([arr[:, -pad:], arr, arr[:, :pad]], axis=1)
-        phi_p = np.concatenate([grid.phi[-pad:] - 2 * np.pi, grid.phi,
-                                grid.phi[:pad] + 2 * np.pi])
-        self._spl = RectBivariateSpline(grid.rho, phi_p, arr_p, kx=3, ky=3)
         self.rho_max = 1.0 + EXTENSION_CELLS / grid.n_rho
-
-        # nodal Hessians on the parameter lattice for approximate Jacobians
+        self._spl = lattice_spline(grid, grid.to_param_array(field.u))
         _, d2u = field.derivatives()
-        self._d2u_arr = np.stack([grid.to_param_array(d2u[:, 0, 0]),
-                                  grid.to_param_array(d2u[:, 0, 1]),
-                                  grid.to_param_array(d2u[:, 1, 1])])
+        self._d2u_spl = lattice_spline(grid, np.stack(
+            [grid.to_param_array(d2u[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1))],
+            axis=-1))
+
+        # the pole is a smooth point of the field but a parameter-map
+        # singularity: its gradient is a symmetric difference along two rays
+        eps = 0.5 / grid.n_rho
+        ray = np.array([0.0, np.pi, np.pi / 2, 3 * np.pi / 2])
+        v = self._spl(np.stack([np.full(4, eps), ray], axis=-1))
+        rb = self.domain.boundary_radius(ray)
+        self._pole_grad = np.array([(v[0] - v[1]) / (eps * (rb[0] + rb[1])),
+                                    (v[2] - v[3]) / (eps * (rb[2] + rb[3]))])
 
     def params_of(self, x):
         d = np.asarray(x, dtype=float) - self.peak
@@ -75,33 +100,15 @@ class FieldInterpolant:
         rho = np.linalg.norm(d, axis=-1) / self.domain.boundary_radius(phi)
         return rho, phi
 
-    def _spline_eval(self, rho, phi, drho=0, dphi=0):
-        """Spline derivative with quadratic Taylor extension past rho = 1."""
-        inside = rho <= 1.0
-        rho_c = np.minimum(rho, 1.0)
-        out = self._spl.ev(rho_c, phi, dx=drho, dy=dphi)
-        if np.any(~inside):
-            dr = (rho - 1.0)[~inside]
-            p = phi[~inside]
-            v0 = self._spl.ev(np.ones_like(p), p, dx=drho, dy=dphi)
-            v1 = self._spl.ev(np.ones_like(p), p, dx=drho + 1, dy=dphi)
-            ext = v0 + dr * v1
-            if drho == 0:
-                v2 = self._spl.ev(np.ones_like(p), p, dx=2, dy=dphi)
-                ext = ext + 0.5 * dr ** 2 * v2
-            out[~inside] = ext
-        return out
-
     def value(self, x):
-        rho, phi = self.params_of(x)
-        return self._spline_eval(rho, phi)
+        return self._spl(np.stack(self.params_of(x), axis=-1))
 
     def gradient(self, x):
         """Cartesian gradient of the interpolant (exact chain rule)."""
-        x = np.asarray(x, dtype=float)
         rho, phi = self.params_of(x)
-        u_r = self._spline_eval(rho, phi, drho=1)
-        u_p = self._spline_eval(rho, phi, dphi=1)
+        pts = np.stack([rho, phi], axis=-1)
+        u_r = self._spl(pts, nu=(1, 0))
+        u_p = self._spl(pts, nu=(0, 1))
         rb = self.domain.boundary_radius(phi)
         rb_p = self.domain.boundary_radius_deriv(phi)
         e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -111,45 +118,14 @@ class FieldInterpolant:
         dphi_dx = e_t / d[..., None]
         drho_dx = e / rb[..., None] - (rho * rb_p / rb)[..., None] * dphi_dx
         grad = u_r[..., None] * drho_dx + u_p[..., None] * dphi_dx
-        # the pole is a smooth point of the field but a parameter-map
-        # singularity; fall back to a symmetric difference through the peak
-        near_pole = rho < 1e-9
-        if np.any(near_pole):
-            grad[near_pole] = self._pole_gradient()
+        grad[rho < 1e-9] = self._pole_grad
         return grad
 
-    def _pole_gradient(self):
-        if not hasattr(self, "_pole_grad_cache"):
-            # gradient at the pole from the spline along two rays
-            eps = 0.5 / self.grid.n_rho
-            rb = self.domain.boundary_radius
-            gx = (self._spl.ev(eps, 0.0) - self._spl.ev(eps, np.pi)) / (
-                eps * (rb(0.0) + rb(np.pi)))
-            gy = (self._spl.ev(eps, np.pi / 2) - self._spl.ev(eps, 3 * np.pi / 2)) / (
-                eps * (rb(np.pi / 2) + rb(3 * np.pi / 2)))
-            self._pole_grad_cache = np.array([gx, gy])
-        return self._pole_grad_cache
-
     def hessian_approx(self, x):
-        """Bilinear interpolation of the nodal Hessian (used only as the
-        Jacobian of the gradient-inversion Newton iteration)."""
-        rho, phi = self.params_of(x)
-        g = self.grid
-        ri = np.clip(rho * g.n_rho, 0, g.n_rho - 1e-12)
-        i0 = np.floor(ri).astype(int)
-        fr = ri - i0
-        pj = phi / (2 * np.pi / g.n_phi)
-        j0 = np.floor(pj).astype(int) % g.n_phi
-        fp = pj - np.floor(pj)
-        j1 = (j0 + 1) % g.n_phi
-        comps = []
-        for arr in self._d2u_arr:
-            comps.append((1 - fr) * ((1 - fp) * arr[i0, j0] + fp * arr[i0, j1])
-                         + fr * ((1 - fp) * arr[i0 + 1, j0] + fp * arr[i0 + 1, j1]))
-        h = np.empty(np.shape(rho) + (2, 2))
-        h[..., 0, 0], h[..., 0, 1], h[..., 1, 1] = comps
-        h[..., 1, 0] = h[..., 0, 1]
-        return h
+        """Spline of the nodal Hessians (used only as the Jacobian of the
+        gradient-inversion Newton iteration)."""
+        comps = self._d2u_spl(np.stack(self.params_of(x), axis=-1))
+        return comps[..., [[0, 1], [1, 2]]]
 
 
 def invert_gradient(interp: FieldInterpolant, targets):

@@ -79,12 +79,6 @@ class MappedGrid:
         m[self.boundary_idx] = False
         return m
 
-    def tolerance(self) -> float:
-        """Squared maximal cell extent: the O(h^2) truncation scale."""
-        rb_max = float(np.max(self.r_b))
-        h = max(rb_max / self.n_rho, rb_max * 2 * np.pi / self.n_phi)
-        return h * h
-
     def to_param_array(self, u: np.ndarray) -> np.ndarray:
         """Nodal vector -> (n_rho+1, n_phi) array on the parameter lattice
         (pole value replicated along row 0)."""

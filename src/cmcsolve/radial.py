@@ -60,6 +60,9 @@ def radial_profile(sol: RadialSolution, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r > sol.r0 * (1 + 1e-12)):
         raise ValueError(f"r must lie in [0, {sol.r0}]")
+    # the check admits roundoff past r0, where the Euclidean root turns
+    # negative once t0 is large
+    r = np.minimum(r, sol.r0)
     n, c = sol.n, sol.c
     if sol.model is ModelKind.MINKOWSKI:
         root = np.sqrt(n ** 2 + c ** 2 * r ** 2)
@@ -140,7 +143,7 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
         sol = RadialSolution(2, omega.radius, omega_tilde.radius, model)
         d = nodes - x_p
         r = np.linalg.norm(d, axis=-1)
-        u_vals, _, _ = radial_profile(sol, np.minimum(r, omega.radius))
+        u_vals, _, _ = radial_profile(sol, r)
         u = u_vals + d @ y_c
         c = sol.c
         field0 = SolutionField(grid, grid.mean_zero(u), c, model)

@@ -2,7 +2,8 @@
 oracles for the curvature kernel, finite-difference oracles for the
 pointwise operator derivatives, a Hypothesis strategy of quadric domains,
 a field's Newton state, the quadric concavity and gradient-band oracles,
-the sampled auto_t_min reference, and a sparse-matrix dump."""
+the sampled auto_t_min reference, a sparse-matrix dump, and a grid's
+truncation scale."""
 
 from dataclasses import dataclass
 
@@ -202,3 +203,10 @@ def sampled_auto_t_min(omega, omega_tilde, n_rho):
         if admissible(round(float(t), 10)):
             return round(float(t), 10)
     return 1.0
+
+
+def grid_tolerance(grid):
+    """Squared maximal cell extent of a grid: the O(h^2) truncation scale."""
+    rb_max = float(np.max(grid.r_b))
+    h = max(rb_max / grid.n_rho, rb_max * 2 * np.pi / grid.n_phi)
+    return h * h

@@ -16,8 +16,8 @@ from cmcsolve.duality import FieldInterpolant, dual_solve
 from cmcsolve.kernel import mean_curvature, operator_derivatives
 from cmcsolve.radial import RadialSolution
 from conftest import C_RADIAL, C_RADIAL_EUC, EUC, MINK, solve_direct
-from helpers import (fd_operator_derivatives, field_state, random_states,
-                     shape_matrix)
+from helpers import (fd_operator_derivatives, field_state, grid_tolerance,
+                     random_states, shape_matrix)
 from test_assembly import fd_jacobian, smooth_convex_field
 
 
@@ -106,10 +106,10 @@ def test_criterion_5_duality(radial_32):
     pts = rng.uniform(-0.7, 0.7, (500, 2))
     pts = pts[np.linalg.norm(pts, axis=-1) < 0.9][:200]
     invo = np.max(np.abs(interp_d.gradient(interp_p.gradient(pts)) - pts))
-    ok = gap <= budget and invo <= 5.0 * spec.grid.tolerance()
+    ok = gap <= budget and invo <= 5.0 * grid_tolerance(spec.grid)
     report(5, ok, f"|c_dual + c| = {gap:.2e} <= 2x primal error {budget:.2e}; "
                   f"gradient involution {invo:.2e} <= "
-                  f"{5.0 * spec.grid.tolerance():.2e}")
+                  f"{5.0 * grid_tolerance(spec.grid):.2e}")
 
 
 def test_criterion_6_obliqueness(ci_instances):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmcsolve import cli, solver
@@ -458,6 +458,8 @@ FIELD_CORRUPTIONS = {
                                                 "center": [0.0, 0.0],
                                                 "semi_axes": [1e300, 1e300]}),
     "header_dual_text": _header("dual", "false"),
+    "header_center_empty": _header("domain", {"kind": "ball", "center": [],
+                                              "radius": 1.0}),
 }
 
 
@@ -497,3 +499,74 @@ class TestCorruptedFieldFile:
         assert main(["verify", "--field", str(bad),
                      "--config", str(write_config(tmp_path))]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot read field file")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+CELL_TEXT = (st.sampled_from(FUZZ_VALUES) | st.floats().map(repr)
+             | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8))
+HEADER_KEYS = ["c", "model", "n_rho", "n_phi", "dual", "domain", "omega", "omega_tilde"]
+DOMAIN_KEYS = ["kind", "center", "radius", "semi_axes", "level", "base"]
+
+
+@st.composite
+def field_edits(draw):
+    """One corruption of the stored 8 x 16 field (130 CSV lines): a cell
+    replaced, a row dropped or repeated, or a header key, at the top level
+    or inside the domain, set to a JSON value."""
+    kind = draw(st.sampled_from(["cell", "drop_row", "repeat_row", "header", "domain"]))
+    if kind == "cell":
+        return kind, (draw(st.integers(1, 129)), draw(st.integers(0, 9)), draw(CELL_TEXT))
+    if kind == "drop_row":
+        return kind, (draw(st.integers(0, 129)),)
+    if kind == "repeat_row":
+        return kind, (draw(st.integers(1, 129)), draw(st.integers(1, 130)))
+    keys = HEADER_KEYS if kind == "header" else DOMAIN_KEYS
+    return kind, (draw(st.sampled_from(keys)), draw(JSON_VALUES))
+
+
+def _apply_field_edit(edit, lines, header):
+    kind, args = edit
+    if kind == "cell":
+        _cell(*args)(lines, header)
+    elif kind == "drop_row":
+        del lines[args[0]]
+    elif kind == "repeat_row":
+        lines.insert(args[1], lines[args[0]])
+    elif kind == "header":
+        header[args[0]] = args[1]
+    else:
+        header["domain"][args[0]] = args[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(edit=field_edits())
+# u = 1e300 at node (1, 9): its Hessians overflow the eigenvalue spread and
+# the determinant, which used to print numpy warnings
+@example(edit=("cell", (11, 4, "1e300")))
+@example(edit=("cell", (11, 4, "1e308")))
+def test_fuzzed_field_file(fuzz_dirs, edit):
+    field_csv, runs = fuzz_dirs
+    lines = field_csv.read_text().splitlines()
+    header = json.loads(field_csv.with_suffix(".json").read_text())
+    _apply_field_edit(edit, lines, header)
+    work = runs / "field_fuzz"
+    work.mkdir(exist_ok=True)
+    bad = work / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    (work / "bad.json").write_text(json.dumps(header))
+    for argv in (["verify", "--field", str(bad), "--config", str(_small_grid_config(work))],
+                 ["solve", "--config", str(_small_grid_config(
+                     work, **{"seed.strategy": "file", "seed.path": str(bad)}))]):
+        err = io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().strip().splitlines()) <= 1
+        assert not caught, [str(w.message) for w in caught]

@@ -12,6 +12,7 @@ from cmcsolve.duality import dual_solve
 from cmcsolve.kernel import mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile
 from conftest import C_RADIAL, MINK
+from helpers import grid_tolerance
 
 
 class TestLambdaBounds:
@@ -122,7 +123,7 @@ class TestHessianPinching:
         exact_max = max(np.max(upp), np.max(tangential))
         assert eig_min == pytest.approx(exact_min, rel=0.02)
         assert eig_max == pytest.approx(exact_max, rel=0.02)
-        assert grad_max == pytest.approx(0.5, abs=spec.grid.tolerance())
+        assert grad_max == pytest.approx(0.5, abs=grid_tolerance(spec.grid))
 
     def test_trace_between_extremes(self, radial_32):
         spec, fld, _ = radial_32

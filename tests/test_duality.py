@@ -1,17 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       SolutionField, build_grid, duality)
 from cmcsolve.assembly import operator_value
 from cmcsolve.diagnostics import flux_identity
 from cmcsolve.duality import (FieldInterpolant, dual_residual, dual_solve,
-                              legendre_transform)
+                              lattice_spline, legendre_transform)
 from cmcsolve.errors import InversionFailure, NonConvergence
 from cmcsolve.kernel import coefficient_matrix, mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile, seed_field
 from cmcsolve.solver import newton_solve, run_homotopy
 from conftest import C_RADIAL, EUC, MINK
+from helpers import grid_tolerance
 
 
 def quadratic_field(lam=0.5, n=16):
@@ -47,7 +53,7 @@ class TestLegendreTransform:
         pts = pts[np.linalg.norm(pts, axis=-1) < 0.9][:200]
         y = interp_p.gradient(pts)
         back = interp_d.gradient(y)
-        assert np.max(np.abs(back - pts)) <= 2.0 * spec.grid.tolerance()
+        assert np.max(np.abs(back - pts)) <= 2.0 * grid_tolerance(spec.grid)
 
     def test_hessian_reciprocity(self, radial_32):
         spec, fld, _ = radial_32
@@ -68,7 +74,7 @@ class TestLegendreTransform:
         back = legendre_transform(dual, spec.grid)
         grid = spec.grid
         diff = grid.mean_zero(back.u) - grid.mean_zero(fld.u)
-        assert np.max(np.abs(diff)) <= 5.0 * grid.tolerance()
+        assert np.max(np.abs(diff)) <= 5.0 * grid_tolerance(grid)
 
     def test_target_outside_image_fails(self, radial_32):
         spec, fld, _ = radial_32
@@ -86,6 +92,74 @@ def test_boundary_nodes_map_to_unit_rho(domain):
     rho, phi = interp.params_of(grid.nodes[grid.boundary_idx])
     assert np.max(np.abs(rho - 1.0)) <= 1e-14
     assert np.allclose(phi, grid.phi, rtol=0, atol=1e-14)
+
+
+class TestPeriodicInterpolant:
+    def test_gradient_continuous_across_seam(self, ci_instances):
+        _, fld, _ = ci_instances["ellipse_ball"]
+        interp = FieldInterpolant(fld)
+        phi = np.array([1e-13, -1e-13])
+        rb = interp.domain.boundary_radius(np.mod(phi, 2 * np.pi))
+        e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        for r in (0.3, 0.75, 0.95):
+            g = interp.gradient(interp.peak + r * rb[:, None] * e)
+            assert np.max(np.abs(g[0] - g[1])) <= 1e-11
+
+    def test_matches_periodic_reference_fit(self):
+        # the circulant phi fit equals scipy's periodic interpolation; rho is
+        # not-a-knot in both
+        grid = build_grid(Ellipse((0.1, -0.2), (1.0, 0.6)), 16, 32)
+        x, y = grid.nodes.T
+        arr = grid.to_param_array(np.exp(0.5 * x) * np.cos(y) + x * y ** 2)
+        phi = np.append(grid.phi, 2 * np.pi)
+        fit_phi = make_interp_spline(phi, np.concatenate([arr, arr[:, :1]], axis=1),
+                                     k=3, bc_type="periodic", axis=1)
+        fit_rho = make_interp_spline(grid.rho, fit_phi.c.T, k=3, axis=0)
+        ref = NdBSpline((fit_rho.t, fit_phi.t), fit_rho.c, 3)
+        spl = lattice_spline(grid, arr)
+        rng = np.random.default_rng(7)
+        rho_max = 1.0 + duality.EXTENSION_CELLS / grid.n_rho
+        pts = np.stack([rng.uniform(0, rho_max, 500),
+                        rng.uniform(0, 2 * np.pi, 500)], axis=-1)
+        for nu in ((0, 0), (1, 0), (0, 1)):
+            assert np.max(np.abs(spl(pts, nu=nu) - ref(pts, nu=nu))) <= 1e-12
+
+
+@functools.cache
+def _ellipse_grid():
+    return build_grid(Ellipse((0, 0), (1.0, 0.8)), 32, 64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(bx=st.floats(-0.02, 0.02), by=st.floats(-0.02, 0.02))
+@example(bx=-0.02, by=1e-7)
+def test_transform_of_shifted_quadratic(bx, by):
+    # u = 0.2 |x|^2 + b . x maps the ellipse onto its 0.4-scaled copy about
+    # b, and transforms to |y - b|^2 / 0.8; a dual node on the target's
+    # centre line inverts onto the phi = 0 seam
+    assume(np.hypot(bx, by) <= 0.02)
+    b = np.array([bx, by])
+    grid = _ellipse_grid()
+    u = 0.2 * np.sum(grid.nodes ** 2, axis=-1) + grid.nodes @ b
+    fld = SolutionField(grid, u, 0.0, MINK)
+    dual_grid = build_grid(Ellipse(tuple(b), (0.4, 0.32)), 32, 64)
+    dual = legendre_transform(fld, dual_grid)
+    shift = dual.u - np.sum((dual_grid.nodes - b) ** 2, axis=-1) / 0.8
+    assert np.max(shift) - np.min(shift) <= 1e-9
+
+
+def test_off_centre_target_transforms(ci_instances):
+    # ellipse -> off-centre ball: the transform's dual residual matches the
+    # centred instance's
+    omega = Ellipse((0, 0), (1.0, 0.8))
+    target = Ball((-0.00494, 2.78e-5), 0.4)
+    spec = ProblemSpec(omega, target, MINK, build_grid(omega, 32, 64))
+    fld, _ = run_homotopy(spec)
+    dual = legendre_transform(fld, build_grid(target, 32, 64))
+    c_spec, c_fld, _ = ci_instances["ellipse_ball"]
+    centred = legendre_transform(c_fld, build_grid(c_spec.omega_tilde, 32, 64))
+    assert (np.max(np.abs(dual_residual(dual)))
+            <= 1.1 * np.max(np.abs(dual_residual(centred))))
 
 
 class TestDualResidual:
@@ -181,7 +255,7 @@ class TestDualSolve:
         pts = rng.uniform(-0.7, 0.7, (400, 2))
         pts = pts[np.linalg.norm(pts, axis=-1) < 0.9][:200]
         back = interp_d.gradient(interp_p.gradient(pts))
-        assert np.max(np.abs(back - pts)) <= 5.0 * spec.grid.tolerance()
+        assert np.max(np.abs(back - pts)) <= 5.0 * grid_tolerance(spec.grid)
 
     def test_dual_field_convex_with_image_in_omega(self, radial_32):
         spec, fld, _ = radial_32

@@ -82,6 +82,14 @@ class TestRadialProfile:
         assert du == pytest.approx(t0, rel=1e-12)
         assert np.isfinite(d2u)
 
+    def test_roundoff_past_r0_is_r0(self):
+        # the domain check admits r0 (1 + 1e-12), where the Euclidean root
+        # r0^2 + t0^2 (r0^2 - r^2) is negative for a large t0
+        sol = RadialSolution(2, 1.0, 1e12, EUC)
+        past = radial_profile(sol, 1.0 + 1e-13)
+        assert np.all(np.isfinite(past))
+        assert past == radial_profile(sol, 1.0)
+
 
 class TestOdeCrosscheck:
     def test_minkowski_instance(self):
