@@ -143,7 +143,8 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
         sol = RadialSolution(2, omega.radius, omega_tilde.radius, model)
         d = nodes - x_p
         r = np.linalg.norm(d, axis=-1)
-        u_vals, _, _ = radial_profile(sol, r)
+        # far-off centres round boundary radii past radial_profile's check
+        u_vals, _, _ = radial_profile(sol, np.minimum(r, omega.radius))
         u = u_vals + d @ y_c
         c = sol.c
         field0 = SolutionField(grid, grid.mean_zero(u), c, model)

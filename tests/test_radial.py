@@ -139,6 +139,15 @@ class TestSeedField:
         # pure quadratic: constant Hessian across the grid
         assert np.max(np.abs(d2u - d2u[0])) < 1e-10
 
+    @pytest.mark.parametrize("center,radius", [((1e5, 0), 1.0), ((10, 0), 1e-4)])
+    def test_far_center_boundary_roundoff(self, center, radius):
+        # |center| / radius >= 1e4: boundary nodes round past the range
+        # check of radial_profile by more than its 1e-12 slack
+        om = Ball(center, radius)
+        spec = ProblemSpec(om, Ball((0, 0), 0.5), MINK, build_grid(om, 8, 16))
+        fld = seed_field(spec)
+        assert np.all(np.isfinite(fld.u))
+
     def test_unknown_strategy(self):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
         grid = build_grid(om, 16, 32)
