@@ -15,10 +15,13 @@ stay second-order accurate on the fanned polar layout:
 
   * pole: quadratic fit over the (centrally symmetric) first two rings;
   * first ring: cubic fit over 5 radial stations x 5 angular columns;
-  * interior rings: interpolatory biquadratic tensor fits on 3x3 blocks;
+  * interior rings: interpolatory biquadratic tensor fits on 3x3 blocks
+    (square design matrices, solved exactly, all rings in one batch);
   * boundary ring: one-sided cubic fits over 4 x 5 blocks (used for export
     and diagnostics), while the gradient-image condition rows use mapped
     per-column differences (see _build_boundary_gradient_ops).
+
+The pole, first-ring and boundary fits are least squares (pseudo-inverses).
 
 Every basis contains the quadratics, so linear and quadratic potentials are
 reproduced to machine precision on any of the supported domains; the
@@ -128,7 +131,7 @@ class MappedGrid:
 
 
 def _lsq_weights(offsets, radial=None, cubics=(), center=0):
-    """Batched local-fit pseudo-inverses.
+    """Batched local-fit weights.
 
     offsets: (G, m, 2) physical offsets of each stencil from its node.
     center:  position of the node itself inside its stencil.
@@ -137,33 +140,27 @@ def _lsq_weights(offsets, radial=None, cubics=(), center=0):
              pole the stencils are extremely anisotropic (tangential arcs
              shrink like rho), and a single isotropic scale would leave the
              design matrix ill conditioned.
-    cubics:  subset of {"r3", "r2t", "rt2", "t3"} naming cubic monomials in
-             the scaled frame to append to the quadratic basis.  Stencils on
-             a polar lattice are not centrally symmetric (one-sidedness at
-             the pole and boundary, arc spacing growing with radius), and
-             unmodeled cubic Taylor terms leak into the fitted Hessian at
-             first order; each appended monomial must remain resolvable on
-             the stencil (enough distinct radial or angular stations),
-             otherwise the fit turns near-singular.
+    cubics:  "biquadratic", or a subset of {"r3", "r2t", "rt2", "t3"} naming
+             cubic monomials in the scaled frame to append to the quadratic
+             basis.  Stencils on a polar lattice are not centrally symmetric
+             (one-sidedness at the pole and boundary, arc spacing growing
+             with radius), and unmodeled cubic Taylor terms leak into the
+             fitted Hessian at first order; each appended monomial must
+             remain resolvable on the stencil (enough distinct radial or
+             angular stations), otherwise the fit turns near-singular.
     Returns (G, 5, m): weights for (ux, uy, uxx, uxy, uyy).
 
-    Each derivative row annihilates constants up to least-squares roundoff;
-    the residual sum defect (machine-epsilon scale) is folded into the
-    center weight so constant fields cancel exactly in floating point,
-    keeping the roundoff of the large second-derivative weights tied to the
-    local variation of u instead of its absolute values.
+    A square (interpolatory) design matrix is solved exactly, a tall one
+    by pseudo-inverse; _fold_defect makes constants cancel exactly.
     """
     g, m, _ = offsets.shape
     if radial is None:
-        rot = np.broadcast_to(np.eye(2), (g, 2, 2))
-    else:
-        tang = radial[:, ::-1] * [-1.0, 1.0]
-        rot = np.stack([radial, tang], axis=1)  # rows: radial, tangential
-    local = np.einsum('gri,gmi->gmr', rot, offsets)  # (G, m, 2)
-    ell = np.max(np.abs(local), axis=1)  # (G, 2) per-direction scales
-    ell = np.maximum(ell, 1e-300)
-    d = local / ell[:, None, :]
-    rr, tt = d[..., 0], d[..., 1]
+        radial = np.broadcast_to([1.0, 0.0], (g, 2))
+    c, s = radial[:, :1], radial[:, 1:]  # (G, 1) each; tangential is (-s, c)
+    ox, oy = offsets[..., 0], offsets[..., 1]
+    local = np.stack([c * ox + s * oy, c * oy - s * ox], axis=1)  # (G, 2, m)
+    ell = np.maximum(np.abs(local).max(axis=2), 1e-300)  # per-direction scales
+    rr, tt = np.swapaxes(local / ell[:, :, None], 0, 1)
     cols = [np.ones_like(rr), rr, tt, 0.5 * rr ** 2, rr * tt, 0.5 * tt ** 2]
     if cubics == "biquadratic":
         # tensor completion of the quadratic basis: interpolatory on 3x3
@@ -174,28 +171,45 @@ def _lsq_weights(offsets, radial=None, cubics=(), center=0):
         terms = {"r3": rr ** 3, "r2t": rr ** 2 * tt, "rt2": rr * tt ** 2,
                  "t3": tt ** 3}
         cols += [terms[name] for name in cubics]
-    a = np.stack(cols, axis=-1)  # (G, m, n_basis)
-    w = np.linalg.pinv(a)[:, 1:6, :]  # coefficients in scaled rotated frame
-    w[:, :, center] -= w.sum(axis=2)
+    # coefficient weights in the scaled rotated frame: rows 1-5 of the
+    # design matrix's inverse (solving against its transpose, whose inverse
+    # is the inverse's transpose), or of its pseudo-inverse for a tall one
+    a_t = np.stack(cols, axis=1)  # (G, n_basis, m): the transposed design matrix
+    if m == len(cols):
+        w = np.swapaxes(np.linalg.solve(a_t, np.eye(m)[:, 1:6]), 1, 2)
+    else:
+        w = np.linalg.pinv(np.swapaxes(a_t, 1, 2))[:, 1:6, :]
 
-    lr, lt = ell[:, 0, None], ell[:, 1, None]
-    g1 = w[:, 0, :] / lr  # d/d(radial)
-    g2 = w[:, 1, :] / lt  # d/d(tangential)
-    h11 = w[:, 2, :] / lr ** 2
-    h12 = w[:, 3, :] / (lr * lt)
-    h22 = w[:, 4, :] / lt ** 2
+    # chain rule back through the scaling (inverse scales ir, it) and the
+    # rotation: the Cartesian weights are back @ w, with back block diagonal
+    # (gradient 2x2, Hessian 3x3)
+    ir, it, z = 1.0 / ell[:, :1], 1.0 / ell[:, 1:], np.zeros((g, 1))
+    back = np.stack([
+        c * ir, -s * it, z, z, z,
+        s * ir, c * it, z, z, z,
+        z, z, c * c * ir * ir, -2.0 * c * s * ir * it, s * s * it * it,
+        z, z, c * s * ir * ir, (c * c - s * s) * ir * it, -c * s * it * it,
+        z, z, s * s * ir * ir, 2.0 * c * s * ir * it, c * c * it * it,
+    ], axis=1).reshape(g, 5, 5)
+    return _fold_defect(back @ w, center)
 
-    # rotate gradient and Hessian weights back to Cartesian axes
-    q = np.swapaxes(rot, 1, 2)  # columns: radial, tangential
-    out = np.empty((g, 5, m))
-    out[:, 0] = q[:, 0, 0, None] * g1 + q[:, 0, 1, None] * g2
-    out[:, 1] = q[:, 1, 0, None] * g1 + q[:, 1, 1, None] * g2
-    for k, (p, s) in enumerate(((0, 0), (0, 1), (1, 1))):
-        out[:, 2 + k] = (q[:, p, 0, None] * q[:, s, 0, None] * h11
-                         + (q[:, p, 0, None] * q[:, s, 1, None]
-                            + q[:, p, 1, None] * q[:, s, 0, None]) * h12
-                         + q[:, p, 1, None] * q[:, s, 1, None] * h22)
-    return out
+
+def _fold_defect(w, center):
+    """Weights w (..., m) rounded per row to multiples of the smallest power
+    of two q with 2^53 q above the row's positive and negative sums (with a
+    margin), then the row-sum defect folded into the center weight.  Every
+    partial sum of a row is then exact, so constant fields cancel exactly in
+    any summation order, keeping the roundoff of the large second-derivative
+    weights tied to the local variation of u instead of its absolute values.
+    """
+    ones = np.ones(w.shape[-1])
+    half = 0.5 * (np.abs(w) @ ones + np.abs(w @ ones))[..., None]
+    q = np.ldexp(1.0, np.frexp(half * (1.0 + 2.0 ** -40))[1] - 53)
+    w /= q  # in place: every caller passes a temporary
+    np.rint(w, out=w)
+    w *= q
+    w[..., center] -= w @ ones
+    return w
 
 
 def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
@@ -241,12 +255,15 @@ def _on_one_pattern(names, vals, rows, cols, n):
     """CSR operators with the given values on one (row, col) list, sharing
     one indptr/indices pair: one pattern, one coefficient set per name.
 
-    Each is converted from the same list (duplicates summed, explicit zeros
-    kept), so their patterns agree and sharing the index arrays is exact.
+    The list is sorted once; each value array is then summed onto the sorted
+    unique keys (duplicates summed, explicit zeros kept).
     """
-    mats = [sp.csr_matrix((v, (rows, cols)), shape=(n, n)) for v in vals]
-    return {name: sp.csr_matrix((m.data, mats[0].indices, mats[0].indptr), shape=(n, n))
-            for name, m in zip(names, mats)}
+    keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
+    first = sp.csr_matrix((np.bincount(slot, vals[0], len(keys)), keys % n,
+                           np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+    return {name: sp.csr_matrix((np.bincount(slot, v, len(keys)), first.indices,
+                                 first.indptr), shape=(n, n))
+            for name, v in zip(names, vals)}
 
 
 def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
@@ -266,7 +283,6 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
 
-    rows, cols, vx, vy = [], [], [], []
     e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     e_t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
     # grad = J^{-T} (d/drho, d/dphi) with J = [x_rho | x_phi] at rho = 1;
@@ -280,7 +296,6 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
     jinv_t[:, 1, 0] = -x_phi[:, 0] / det
     jinv_t[:, 1, 1] = x_rho[:, 0] / det
 
-    center = np.asarray(node_index(n_rho, j, n_phi))
     # radial: f'(rho=1) ~ (-1/3 f_{n-3} + 3/2 f_{n-2} - 3 f_{n-1} + 11/6 f_n)/drho
     rad_st = [n_rho - 3, n_rho - 2, n_rho - 1, n_rho]
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
@@ -288,21 +303,14 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
     tan_st = [-2, -1, 1, 2]
     tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dphi)
 
-    for si, wgt in zip(rad_st, rad_w):
-        idx = np.asarray(node_index(si, j, n_phi))
-        rows.append(center)
-        cols.append(idx)
-        vx.append(jinv_t[:, 0, 0] * wgt)
-        vy.append(jinv_t[:, 1, 0] * wgt)
-    for dj, wgt in zip(tan_st, tan_w):
-        idx = np.asarray(node_index(n_rho, j + dj, n_phi))
-        rows.append(center)
-        cols.append(idx)
-        vx.append(jinv_t[:, 0, 1] * wgt)
-        vy.append(jinv_t[:, 1, 1] * wgt)
-
-    return _on_one_pattern(['bx', 'by'], [np.concatenate(vx), np.concatenate(vy)],
-                           np.concatenate(rows), np.concatenate(cols), n_nodes)
+    cols = np.stack([node_index(si, j, n_phi) for si in rad_st]
+                    + [node_index(n_rho, j + dj, n_phi) for dj in tan_st], axis=1)
+    # (n_phi, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
+    w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
+                                     jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
+    return _on_one_pattern(['bx', 'by'], [w[:, 0].ravel(), w[:, 1].ravel()],
+                           np.repeat(node_index(n_rho, j, n_phi), 8), cols.ravel(),
+                           n_nodes)
 
 
 def _build_derivative_ops(nodes, n_rho, n_phi):
@@ -341,14 +349,15 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     add_group(np.asarray(node_index(1, j, n_phi)), idx1, radial=e_rad,
               cubics=full, center=1 * 5 + 2)
 
-    # interior rings: centered 3x3 blocks with the interpolatory biquadratic
-    # tensor basis (second-order Hessians; the basis covers the cross terms
-    # induced by the fanned arc spacing)
-    for i in range(2, n_rho):
-        idx = np.stack([node_index(i + di, j + dj, n_phi)
-                        for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
-        add_group(np.asarray(node_index(i, j, n_phi)), idx, radial=e_rad,
-                  cubics="biquadratic", center=1 * 3 + 1)
+    # interior rings, all in one group: centered 3x3 blocks with the
+    # interpolatory biquadratic tensor basis (second-order Hessians; the
+    # basis covers the cross terms induced by the fanned arc spacing)
+    i, jj = np.repeat(np.arange(2, n_rho), n_phi), np.tile(j, n_rho - 2)
+    idx = np.stack([node_index(i + di, jj + dj, n_phi)
+                    for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
+    add_group(np.asarray(node_index(i, jj, n_phi)), idx,
+              radial=np.tile(e_rad, (n_rho - 2, 1)), cubics="biquadratic",
+              center=1 * 3 + 1)
 
     # boundary ring (recovery for export/diagnostics; the gradient-image
     # condition rows use the mapped per-column operators instead): one-sided

@@ -2,8 +2,8 @@
 oracles for the curvature kernel, finite-difference oracles for the
 pointwise operator derivatives, a Hypothesis strategy of quadric domains,
 a field's Newton state, the quadric concavity and gradient-band oracles,
-the sampled auto_t_min reference, a sparse-matrix dump, and a grid's
-truncation scale."""
+the sampled auto_t_min reference, a sparse-matrix dump, a grid's
+truncation scale, and the pseudo-inverse reference of the interior fits."""
 
 from dataclasses import dataclass
 
@@ -210,3 +210,44 @@ def grid_tolerance(grid):
     rb_max = float(np.max(grid.r_b))
     h = max(rb_max / grid.n_rho, rb_max * 2 * np.pi / grid.n_phi)
     return h * h
+
+
+def interior_fit_oracle(grid):
+    """Reference weights of the interior recovery rows (rings 2 .. n_rho-1).
+
+    Each node is fitted on its 3x3 block of neighbours by the biquadratic
+    tensor basis in its radial/tangential frame, scaled per direction to the
+    block's extent, with np.linalg.pinv of the design matrix; the fitted
+    derivatives are rotated back to Cartesian axes.  Returns (rows, cols,
+    weights): the node indices (K,), each block's node indices (K, 9) in
+    the order (di, dj) = (-1, -1), (-1, 0), ..., (1, 1), and a dict of (K, 9)
+    weights for dx, dy, dxx, dxy, dyy.
+    """
+    n_rho, n_phi = grid.n_rho, grid.n_phi
+    i = np.repeat(np.arange(2, n_rho), n_phi)
+    j = np.tile(np.arange(n_phi), n_rho - 2)
+
+    def index(ii, jj):
+        return 1 + (ii - 1) * n_phi + np.mod(jj, n_phi)
+
+    rows = index(i, j)
+    cols = np.stack([index(i + di, j + dj)
+                     for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
+    phi = grid.phi[j]
+    frame = np.stack([np.stack([np.cos(phi), np.sin(phi)], axis=-1),
+                      np.stack([-np.sin(phi), np.cos(phi)], axis=-1)], axis=1)
+    local = np.einsum('kai,kmi->kam', frame, grid.nodes[cols] - grid.nodes[rows][:, None])
+    scale = np.max(np.abs(local), axis=2)  # (K, 2)
+    x, y = np.moveaxis(local / scale[:, :, None], 1, 0)
+    design = np.stack([np.ones_like(x), x, y, x * x / 2, x * y, y * y / 2,
+                       x * x * y, x * y * y, x * x * y * y], axis=-1)
+    coef = np.linalg.pinv(design)  # (K, 9 basis, 9 nodes)
+    sr, st = scale[:, 0, None], scale[:, 1, None]
+    grad = np.stack([coef[:, 1] / sr, coef[:, 2] / st], axis=1)
+    hrt = coef[:, 4] / (sr * st)
+    hess = np.stack([np.stack([coef[:, 3] / sr ** 2, hrt], axis=1),
+                     np.stack([hrt, coef[:, 5] / st ** 2], axis=1)], axis=1)
+    grad = np.einsum('kam,kap->kpm', grad, frame)
+    hess = np.einsum('kabm,kap,kbq->kpqm', hess, frame, frame)
+    return rows, cols, {'dx': grad[:, 0], 'dy': grad[:, 1], 'dxx': hess[:, 0, 0],
+                        'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cmcsolve import Ball, Ellipse, ModelKind, SolutionField, build_grid, transfer_field
+from helpers import interior_fit_oracle, quadric_domains
 
 
 def derivative_errors(domain, n_rho, n_phi):
@@ -93,6 +95,36 @@ class TestDerivativeRecovery:
         u = 0.5 * np.sum(g.nodes ** 2, axis=-1)
         du_b = g.boundary_gradients(u)
         assert np.max(np.abs(du_b - g.nodes[g.boundary_idx])) < 1e-12
+
+
+class TestOperatorWeights:
+    @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
+                                     Ellipse((0.2, 0.1), (1.0, 0.6))])
+    @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (64, 128)])
+    def test_interior_rows_match_pinv_fit(self, dom, n_rho, n_phi):
+        g = build_grid(dom, n_rho, n_phi)
+        rows, cols, ref = interior_fit_oracle(g)
+        for name, w in ref.items():
+            op = g.ops[name]
+            assert np.all(np.diff(op.indptr)[rows] == 9)  # the block is the row
+            got = np.asarray(op[np.repeat(rows, 9), cols.ravel()]).reshape(w.shape)
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(op.data)), name
+
+    @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (64, 128)])
+    def test_constants_cancel_exactly(self, n_rho, n_phi):
+        g = build_grid(Ellipse((0.2, 0.1), (1.0, 0.6)), n_rho, n_phi)
+        ones = np.ones(g.n_nodes)
+        for name in ('dx', 'dy', 'dxx', 'dxy', 'dyy', 'bx', 'by'):
+            assert np.all(g.ops[name] @ ones == 0.0), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(dom=quadric_domains())
+def test_constants_cancel_exactly_on_any_domain(dom):
+    g = build_grid(dom, 8, 16)
+    ones = np.ones(g.n_nodes)
+    for name, op in g.ops.items():
+        assert np.all(op @ ones == 0.0), name
 
 
 class TestQuadrature:
