@@ -20,9 +20,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
-from scipy.linalg import solve_circulant
-from scipy.spatial import cKDTree
 
 from .assembly import OperatorKind, ProblemSpec
 from .errors import InversionFailure, NonConvergence
@@ -38,7 +35,7 @@ INVERSION_MAX_NEWTON = 30
 EXTENSION_CELLS = 2.0
 
 
-def lattice_spline(grid: MappedGrid, values) -> NdBSpline:
+def lattice_spline(grid: MappedGrid, values):
     """Tensor cubic spline through nodal values on the (rho, phi) lattice:
     periodic in phi, not-a-knot in rho.
 
@@ -49,6 +46,11 @@ def lattice_spline(grid: MappedGrid, values) -> NdBSpline:
     fitted column by column.  Evaluate at (..., 2) points (rho, phi) with
     phi in [0, 2 pi]; past rho = 1 the last polynomial piece continues.
     """
+    # imported here, not at module level: only the Legendre transform needs
+    # them, and they would slow every command's start-up
+    from scipy.interpolate import NdBSpline, make_interp_spline
+    from scipy.linalg import solve_circulant
+
     n = grid.n_phi
     h = 2 * np.pi / n
     col = np.zeros(n)
@@ -134,6 +136,8 @@ def invert_gradient(interp: FieldInterpolant, targets):
 
     Returns (points, gaps): the gradient residual norm left at each point.
     """
+    from scipy.spatial import cKDTree
+
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     grid = interp.grid
     scale = float(np.max(np.abs(targets))) + 1.0

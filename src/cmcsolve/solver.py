@@ -6,9 +6,10 @@ everywhere, spacelike bound in the primal Minkowski model): the guards are
 invariants of the iteration, not posterior checks.  Steps are damped by
 backtracking with an Armijo decrease condition on the residual 2-norm.
 
-Each Newton system is solved by a direct sparse LU (SuperLU) after scaling
-every row by its largest magnitude, which puts the curvature rows, the
-boundary h(Du) rows and the quadrature-weighted mean-zero row on one scale.
+The first Newton system of a solve is solved by a direct sparse LU
+(SuperLU) after scaling every row by its largest magnitude, which puts the
+curvature rows, the boundary h(Du) rows and the quadrature-weighted
+mean-zero row on one scale.
 The system has a dense border: the mean-zero row and the c column touch every
 node.  SuperLU's default column ordering (COLAMD on A^T A) joins all columns
 through that dense row and fills in badly, so the columns are ordered by
@@ -18,6 +19,18 @@ diagonal that ordering planned for, but the corner entry of the border (the
 mean-zero row at the c column) is zero, so off-diagonal pivots must stay
 allowed.  A failed factorization or a non-finite residual or direction ends
 the solve in NonConvergence.
+
+The factorization dominates an iteration, and within one solve the
+Jacobian changes little from iteration to iteration, so each solve factors
+once: every later system is solved by GMRES on the same row scaling,
+right-preconditioned by the first factor (a Newton-Krylov method; Kelley
+2003, Knoll & Keyes 2004), which needs a few Krylov iterations.  Under
+right preconditioning the residual GMRES minimises is the true residual of
+the scaled system, so its tolerance bounds the direction's actual error in
+the Newton equation.  If GMRES misses that tolerance within one restart
+cycle, or returns a non-finite vector, the current Jacobian is factored and
+solved directly, and that factor serves the rest of the solve.  No factor
+outlives its solve.
 
 The homotopy walks increasing t on the problem's own grid, replacing only
 the target by its super-level set at t, and bisects the t increment of a
@@ -34,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .assembly import (ProblemSpec, admissibility_violation, jacobian,
                        residual_from_state)
@@ -50,6 +63,10 @@ logger = logging.getLogger("cmcsolve.solver")
 ARMIJO_FACTOR = 0.5
 ARMIJO_C = 1e-4
 ALPHA_MIN = 1e-12
+# GMRES on the later Newton systems of a solve: relative residual of the
+# row-scaled system, and the Krylov dimension of its one restart cycle
+KRYLOV_RTOL = 1e-10
+KRYLOV_BUDGET = 20
 # t-increment halvings the homotopy may spend before giving up
 MAX_BISECTIONS = 4
 
@@ -77,6 +94,8 @@ class NewtonInfo:
     iterations: int = 0
     residual_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
+    factorizations: int = 0
+    krylov_iterations: int = 0
 
 
 @dataclass
@@ -96,13 +115,61 @@ LU_ORDERING = "MMD_AT_PLUS_A"
 LU_PIVOT_THRESH = 0.1
 
 
-def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+def _exponent(v: np.ndarray) -> int:
+    """e with max|v| in [2^(e-1), 2^e), 0 if v is zero or not finite:
+    scaling by 2^-e is exact and brings every entry to at most 1."""
+    return int(np.frexp(np.max(np.abs(v)))[1])
+
+
+def _norm2(v: np.ndarray) -> float:
+    """Euclidean norm of v computed at the exponent scale of v, so it
+    overflows (to inf, silently) only past the largest float; where the
+    plain dot product neither overflows nor underflows the result is the
+    same to the bit."""
+    e = _exponent(v)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+
+
+def _factor(jac: sp.csr_matrix):
+    """SuperLU factor of jac with every row scaled by its largest magnitude:
+    (factor, row scale)."""
     row_max = np.asarray(abs(jac).max(axis=1).todense()).ravel()
     row_max[row_max == 0] = 1.0
     scale = sp.diags(1.0 / row_max)
     lu = splu((scale @ jac).tocsc(), permc_spec=LU_ORDERING,
               diag_pivot_thresh=LU_PIVOT_THRESH)
-    return lu.solve(rhs / row_max)
+    return lu, row_max
+
+
+def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None):
+    """Solve jac d = rhs.
+
+    With a factor (from _factor, possibly of another Jacobian), GMRES
+    solves the system on the factor's row scaling, right-preconditioned by
+    it.  Without one, or when GMRES misses KRYLOV_RTOL within KRYLOV_BUDGET
+    iterations or returns a non-finite vector, jac is factored and solved
+    directly.  Returns (d, the factor used, GMRES iterations spent).
+    """
+    residuals = []
+    if factor is not None:
+        lu, row_max = factor
+        scaled = LinearOperator(jac.shape, dtype=float,
+                                matvec=lambda y: (jac @ lu.solve(y)) / row_max)
+        # GMRES takes plain 2-norms of the right-hand side: scale it exactly
+        # to at most 1 so they cannot overflow
+        b = rhs / row_max
+        e = _exponent(b)
+        y, status = gmres(scaled, np.ldexp(b, -e), rtol=KRYLOV_RTOL, atol=0.0,
+                          restart=KRYLOV_BUDGET, maxiter=1,
+                          callback=residuals.append, callback_type="pr_norm")
+        if status == 0:
+            direction = np.ldexp(lu.solve(y), e)
+            if np.all(np.isfinite(direction)):
+                return direction, factor, len(residuals)
+    factor = _factor(jac)
+    lu, row_max = factor
+    return lu.solve(rhs / row_max), factor, len(residuals)
 
 
 def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndarray,
@@ -136,7 +203,7 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndar
             u, c = fld.u + alpha * d_u, fld.c + alpha * d_c
             trial = (du, d2u, dub0 + alpha * ddub)
             res = residual_from_state(spec, u, c, *trial)
-            if np.linalg.norm(res) <= (1.0 - ARMIJO_C * alpha) * res_2norm:
+            if _norm2(res) <= (1.0 - ARMIJO_C * alpha) * res_2norm:
                 return alpha, SolutionField(grid, u, c, fld.model, fld.dual), res, trial
         else:
             last_guard = guard
@@ -151,7 +218,9 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
                  t_label: float | None = None):
     """Solve the discrete system by damped Newton from an admissible field.
 
-    Returns (field, NewtonInfo).  Raises NonConvergence with the best
+    The first Newton system is factored; the later ones run GMRES
+    preconditioned by the latest factor (see _solve_linear).  Returns
+    (field, NewtonInfo).  Raises NonConvergence with the best
     iterate attached when the budget runs out, the line search stalls, the
     linear solve fails or the residual or direction is not finite; guard
     violations of the initial field propagate as-is.
@@ -167,6 +236,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         raise guard
 
     info = NewtonInfo()
+    factor = None
     res = residual_from_state(spec, fld.u, fld.c, *state)
     t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
@@ -186,14 +256,17 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
 
         jac = jacobian(spec, *state)
         try:
-            direction = _solve_linear(jac, -res)
+            direction, new_factor, krylov = _solve_linear(jac, -res, factor)
         except RuntimeError as exc:   # SuperLU: singular factor
             raise failure(f"linear solve failed ({exc})", it, r_inf) from exc
+        info.factorizations += new_factor is not factor
+        info.krylov_iterations += krylov
+        factor = new_factor
         if not np.all(np.isfinite(direction)):
             raise failure("non-finite Newton direction", it, r_inf)
         try:
             alpha, fld, res, state = damped_step(spec, fld, state, direction, opts,
-                                                 float(np.linalg.norm(res)))
+                                                 _norm2(res))
         except StepRejection as exc:
             raise failure("line search stalled", it, r_inf) from exc
         info.alphas.append(alpha)

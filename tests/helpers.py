@@ -3,17 +3,20 @@ oracles for the curvature kernel, finite-difference oracles for the
 pointwise operator derivatives, a Hypothesis strategy of quadric domains,
 a field's Newton state, the quadric concavity and gradient-band oracles,
 the sampled auto_t_min reference, a sparse-matrix dump, a grid's
-truncation scale, and the pseudo-inverse reference of the interior fits."""
+truncation scale, the pseudo-inverse reference of the interior fits, and
+the direct reference of the Newton linear solve."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from cmcsolve import Ball, Ellipse, ModelKind
 from cmcsolve.errors import DegenerateSublevel
 from cmcsolve.kernel import DEFAULT_EPS_SPACE, mean_curvature, speed_factor
+from cmcsolve.solver import LU_ORDERING, LU_PIVOT_THRESH
 
 
 def random_states(rng, m, grad_max=0.9, eig_range=(0.1, 10.0)):
@@ -251,3 +254,15 @@ def interior_fit_oracle(grid):
     hess = np.einsum('kabm,kap,kbq->kpqm', hess, frame, frame)
     return rows, cols, {'dx': grad[:, 0], 'dy': grad[:, 1], 'dxx': hess[:, 0, 0],
                         'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}
+
+
+def factor_every_system(jac, rhs, factor=None):
+    """Reference for solver._solve_linear that ignores the factor it is
+    handed: every Newton system gets a fresh SuperLU factor of its
+    row-scaled matrix and a direct solve.  Same return shape: (direction,
+    (factor, row scale), 0 GMRES iterations)."""
+    row_max = abs(jac).max(axis=1).toarray().ravel()
+    row_max[row_max == 0] = 1.0
+    lu = splu((sp.diags(1.0 / row_max) @ jac).tocsc(), permc_spec=LU_ORDERING,
+              diag_pivot_thresh=LU_PIVOT_THRESH)
+    return lu.solve(rhs / row_max), (lu, row_max), 0

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cmcsolve
 from cmcsolve import cli, solver
 from cmcsolve.cli import main
 from cmcsolve.fieldio import load_field, save_field
@@ -548,6 +553,10 @@ def _apply_field_edit(edit, lines, header):
 # the determinant, which used to print numpy warnings
 @example(edit=("cell", (11, 4, "1e300")))
 @example(edit=("cell", (11, 4, "1e308")))
+# a huge stored c makes the residual 2-norm overflow in a plain dot product,
+# which used to print a numpy warning
+@example(edit=("header", ("c", 1.2613004718976084e+153)))
+@example(edit=("header", ("c", 1e300)))
 def test_fuzzed_field_file(fuzz_dirs, edit):
     field_csv, runs = fuzz_dirs
     lines = field_csv.read_text().splitlines()
@@ -570,3 +579,16 @@ def test_fuzzed_field_file(fuzz_dirs, edit):
         assert "Traceback" not in err.getvalue()
         assert len(err.getvalue().strip().splitlines()) <= 1
         assert not caught, [str(w.message) for w in caught]
+
+
+def test_cli_import_leaves_out_the_spline_stack():
+    # only the Legendre transform fits splines and queries a kd-tree; a
+    # command that does not run it must not pay for importing them
+    src = str(Path(cmcsolve.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cmcsolve.cli; print(sorted(m for m in "
+         "('scipy.interpolate', 'scipy.spatial') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -13,7 +13,8 @@ from cmcsolve.diagnostics import flux_identity
 from cmcsolve.errors import ConvexityLoss, NonConvergence
 from cmcsolve.grid import MappedGrid
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
-from helpers import field_state, quadric_domains, sampled_auto_t_min
+from helpers import (factor_every_system, field_state, quadric_domains,
+                     sampled_auto_t_min)
 
 
 class TestNewtonSolve:
@@ -148,7 +149,7 @@ class TestLinearSolve:
         spec = ProblemSpec(om, omt, model, grid, operator=operator)
         fld = seed_field(spec)
         jac, res = jacobian(spec, *field_state(fld)), residual(spec, fld)
-        direction = solver._solve_linear(jac, -res)
+        direction, _, _ = solver._solve_linear(jac, -res)
         r_inf = np.max(np.abs(res))
         assert r_inf > 1e-6   # a real Newton step, not a converged field
         assert np.max(np.abs(jac @ direction + res)) <= 1e-10 * (1.0 + r_inf)
@@ -202,6 +203,128 @@ class TestLinearSolve:
         fld, history = run_homotopy(spec, steps=2, t_min=0.5)
         assert calls["failed"]
         assert [h.t for h in history] == [0.5, 0.75, 1.0]
+
+
+def _ellipse_homotopy_spec():
+    omega = Ellipse((0, 0), (1.0, 0.8))
+    return ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 32, 64))
+
+
+class TestKrylovPath:
+    """Each Newton solve factors its first system only; the later ones run
+    GMRES preconditioned by that factor."""
+
+    @pytest.fixture()
+    def newton_system(self):
+        # the seed's Newton system on an off-centre pair, its factor, and
+        # the system after one full Newton step from the seed
+        om, omt = Ellipse((0.05, 0), (1.0, 0.8)), Ball((0.1, 0), 0.4)
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 32, 64))
+        fld = seed_field(spec)
+        jac, res = jacobian(spec, *field_state(fld)), residual(spec, fld)
+        direction, factor, _ = solver._solve_linear(jac, -res)
+        n = spec.grid.n_nodes
+        step = SolutionField(spec.grid, fld.u + direction[:n], fld.c + direction[n], MINK)
+        return spec, factor, jacobian(spec, *field_state(step)), residual(spec, step)
+
+    def test_matches_direct_path(self, ci_instances, monkeypatch):
+        # the same homotopy with every Newton system factored afresh
+        spec, fld, history = ci_instances["ellipse_ball"]
+        monkeypatch.setattr(solver, "_solve_linear", factor_every_system)
+        fld_ref, history_ref = run_homotopy(_ellipse_homotopy_spec())
+        assert [h.t for h in history] == [h.t for h in history_ref]
+        assert ([h.newton_iterations for h in history]
+                == [h.newton_iterations for h in history_ref])
+        for h, h_ref in zip(history, history_ref):
+            assert h.field.c == pytest.approx(h_ref.field.c, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-12
+
+    def test_one_factor_per_solve(self, monkeypatch):
+        real_newton, real_splu = solver.newton_solve, solver.splu
+        infos, factors = [], []
+
+        def recording_newton(*args, **kwargs):
+            fld, info = real_newton(*args, **kwargs)
+            infos.append(info)
+            return fld, info
+
+        def counting_splu(*args, **kwargs):
+            factors.append(None)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", recording_newton)
+        monkeypatch.setattr(solver, "splu", counting_splu)
+        _, history = run_homotopy(_ellipse_homotopy_spec())
+        assert len(history) == len(infos) == len(factors) == 12
+        assert [info.factorizations for info in infos] == [1] * 12
+        # every later system took at least one GMRES iteration
+        assert all(info.krylov_iterations >= info.iterations - 1 > 0 for info in infos)
+
+    def test_krylov_direction_meets_tolerance(self, newton_system):
+        spec, factor, jac, res = newton_system
+        direction, used, iterations = solver._solve_linear(jac, -res, factor)
+        assert used is factor
+        assert 0 < iterations <= solver.KRYLOV_BUDGET
+        lu, row_max = factor
+        scaled_res = (jac @ direction + res) / row_max
+        assert (np.linalg.norm(scaled_res)
+                <= solver.KRYLOV_RTOL * np.linalg.norm(res / row_max))
+
+    @pytest.mark.parametrize("kind", ["unrelated", "nan"])
+    def test_falls_back_to_fresh_factor(self, newton_system, kind):
+        spec, _, jac, res = newton_system
+        n = jac.shape[0]
+        if kind == "nan":
+            stale = (_NanLU(), np.ones(n))
+        else:
+            # the seed's Jacobian on a 64 x 32 grid: as many unknowns,
+            # numbered along other rings
+            other = ProblemSpec(spec.omega, spec.omega_tilde, MINK,
+                                build_grid(spec.omega, 64, 32))
+            stale = solver._factor(jacobian(other, *field_state(seed_field(other))))
+            assert stale[0].shape == (n, n)
+        direction, fresh, iterations = solver._solve_linear(jac, -res, stale)
+        assert fresh is not stale
+        assert iterations > 0
+        assert np.array_equal(fresh[1], abs(jac).max(axis=1).toarray().ravel())
+        r_inf = np.max(np.abs(res))
+        assert np.max(np.abs(jac @ direction + res)) <= 1e-10 * (1.0 + r_inf)
+
+    def test_failed_fresh_factor_is_nonconvergence(self, monkeypatch):
+        # GMRES never converges, so the second system is factored afresh,
+        # and that factor fails
+        real_splu = solver.splu
+        factors = []
+
+        def second_fails(*args, **kwargs):
+            factors.append(None)
+            if len(factors) == 2:
+                _singular_splu()
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+        monkeypatch.setattr(solver, "splu", second_fails)
+        spec = _ellipse_homotopy_spec()
+        with pytest.raises(NonConvergence, match="linear solve failed") as err:
+            newton_solve(spec, seed_field(spec))
+        assert len(factors) == 2
+        assert err.value.iterations == 1
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-10, 1.0, 3.7e10, 1e150])
+def test_norm2_matches_plain_norm(scale):
+    v = scale * np.random.default_rng(7).standard_normal(1000)
+    assert solver._norm2(v) == np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("value", [1e160, 1e300, -8e307])
+def test_norm2_does_not_overflow(value):
+    v = np.full(4, value)
+    assert solver._norm2(v) == pytest.approx(2 * abs(value), rel=1e-15)
+
+
+def test_norm2_past_the_largest_float_is_inf():
+    assert solver._norm2(np.full(4, 1.7e308)) == np.inf
 
 
 class TestDampedStep:
