@@ -5,8 +5,7 @@ Du(Omega) = Omega_tilde, for spacelike graphs in Minkowski space and for
 Euclidean graphs."""
 
 from .assembly import (OperatorKind, ProblemSpec, jacobian, residual)
-from .diagnostics import (DiagnosticsReport, Tolerances, full_report,
-                          lambda_bounds)
+from .diagnostics import DiagnosticsReport, full_report, lambda_bounds
 from .domains import Ball, ConvexDomain, Ellipse, SublevelDomain
 from .duality import (FieldInterpolant, dual_residual, dual_solve,
                       legendre_transform)
@@ -29,6 +28,6 @@ __all__ = [
     "RadialSolution", "radial_constant", "radial_profile", "ode_crosscheck",
     "seed_field",
     "FieldInterpolant", "legendre_transform", "dual_residual", "dual_solve",
-    "DiagnosticsReport", "Tolerances", "full_report", "lambda_bounds",
+    "DiagnosticsReport", "full_report", "lambda_bounds",
     "__version__",
 ]

@@ -41,7 +41,12 @@ class OperatorKind(Enum):
 @dataclass
 class ProblemSpec:
     """Problem instance: solve on omega for a potential whose gradient image
-    is omega_tilde, under the given model and operator."""
+    is omega_tilde, under the given model and operator.
+
+    The admissible class comes with the pair: uniform convexity
+    (lambda_min(D^2u) >= eps_convexity at every node) and, in the
+    Minkowski model, the spacelike bound |Du| < 1 - eps_space.
+    """
 
     omega: ConvexDomain
     omega_tilde: ConvexDomain
@@ -49,8 +54,13 @@ class ProblemSpec:
     grid: MappedGrid
     operator: OperatorKind = OperatorKind.GRAPH
     eps_space: float = DEFAULT_EPS_SPACE
+    eps_convexity: float = 1e-8
 
     def __post_init__(self):
+        for name in ("eps_convexity", "eps_space"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be a finite positive number, "
+                                 f"got {getattr(self, name)!r}")
         if self.model is ModelKind.MINKOWSKI:
             # the kernel's gradient slot must stay strictly inside the unit
             # ball: gradient values (primal) or node positions (dual)
@@ -108,16 +118,17 @@ def hessian_eig_bounds(d2u):
         return mean - disc, mean + disc
 
 
-def admissibility_violation(spec: ProblemSpec, du, d2u, eps_convexity: float = 1e-8):
+def admissibility_violation(spec: ProblemSpec, du, d2u):
     """Return the guard violation for nodal derivatives (Du, D^2u), or None
     if admissible.
 
-    Guards: uniform convexity at every node; for the primal Minkowski
-    operator also the spacelike bound max |Du| <= 1 - eps_space.
+    Guards: uniform convexity, lambda_min >= spec.eps_convexity at every
+    node; for the primal Minkowski operator also the spacelike bound
+    max |Du| < 1 - spec.eps_space.
     """
     lam_min, _ = hessian_eig_bounds(d2u)
     k = int(np.argmin(lam_min))
-    if not lam_min[k] >= eps_convexity:
+    if not lam_min[k] >= spec.eps_convexity:
         return ConvexityLoss(float(lam_min[k]), node=k)
     if spec.operator is OperatorKind.GRAPH and spec.model is ModelKind.MINKOWSKI:
         g = np.linalg.norm(du, axis=-1)

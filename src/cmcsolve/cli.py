@@ -86,8 +86,7 @@ def cmd_solve(args) -> int:
     try:
         cfg = parse_config(args.config)
         spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model,
-                           build_grid(cfg.omega, cfg.n_rho, cfg.n_phi),
-                           eps_space=cfg.options.eps_space)
+                           build_grid(cfg.omega, cfg.n_rho, cfg.n_phi), **cfg.guards)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -158,9 +157,8 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, grid,
-                           eps_space=cfg.options.eps_space)
-    except ConfigError as exc:
+        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, grid, **cfg.guards)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,10 @@ dot-namespaced, values are scalars or comma-separated pairs):
   omega_tilde.*         same as omega.*
   grid.n_rho            int >= 8
   grid.n_phi            even int >= 16
-  solve.tol_residual    float            (default 1e-10)
-  solve.max_newton      int              (default 40)
-  solve.eps_convexity   float            (default 1e-8)
-  solve.eps_space       float            (default 1e-6)
+  solve.tol_residual    float            (default: SolveOptions)
+  solve.max_newton      int              (default: SolveOptions)
+  solve.eps_convexity   float            (default: ProblemSpec)
+  solve.eps_space       float            (default: ProblemSpec)
   homotopy.enabled      true | false     (default false)
   homotopy.steps        int >= 2         (default 12)
   homotopy.t_min        auto | float     (default auto)
@@ -28,12 +28,12 @@ fields are validated against their admissible ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domains import Ball, ConvexDomain, Ellipse, require_inside_unit_ball
+from .domains import Ball, ConvexDomain, Ellipse
 from .errors import ConfigError
 from .kernel import ModelKind
 from .solver import SolveOptions
@@ -60,12 +60,13 @@ class RunConfig:
     n_rho: int
     n_phi: int
     options: SolveOptions
-    homotopy_enabled: bool = False
-    homotopy_steps: int = 12
-    homotopy_t_min: float | None = None   # None = auto
-    seed_strategy: str = "radial"
-    seed_path: str | None = None
-    output_dir: Path = field(default_factory=lambda: Path("."))
+    guards: dict   # the solve.eps_* keys given, as ProblemSpec keywords
+    homotopy_enabled: bool
+    homotopy_steps: int
+    homotopy_t_min: float | None   # None = auto
+    seed_strategy: str
+    seed_path: str | None
+    output_dir: Path
 
 
 def _parse_lines(path) -> dict:
@@ -115,6 +116,13 @@ def _get_int(entries, key, default=None):
     return int(v)
 
 
+def _solve_keys(entries, **getters) -> dict:
+    """name -> parsed value for each solve.<name> key the file sets; an
+    absent key keeps the default of the dataclass that reads it."""
+    return {name: get(entries, f"solve.{name}") for name, get in getters.items()
+            if f"solve.{name}" in entries}
+
+
 def _get_pair(entries, key):
     if key not in entries:
         raise ConfigError(f"missing required key {key!r}")
@@ -158,14 +166,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"grid.n_phi must be even and >= 16, got {n_phi}")
 
     try:
-        options = SolveOptions(
-            tol_residual=_get_float(entries, "solve.tol_residual", 1e-10),
-            max_newton=_get_int(entries, "solve.max_newton", 40),
-            eps_convexity=_get_float(entries, "solve.eps_convexity", 1e-8),
-            eps_space=_get_float(entries, "solve.eps_space", 1e-6),
-        )
+        options = SolveOptions(**_solve_keys(entries, tol_residual=_get_float,
+                                             max_newton=_get_int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # ProblemSpec validates the guards when the caller builds it
+    guards = _solve_keys(entries, eps_convexity=_get_float, eps_space=_get_float)
 
     hom_enabled = entries.get("homotopy.enabled", "false").lower()
     if hom_enabled not in ("true", "false"):
@@ -186,12 +192,8 @@ def parse_config(path) -> RunConfig:
     if strategy == "file" and seed_path is None:
         raise ConfigError("seed.strategy = file requires seed.path")
 
-    if model is ModelKind.MINKOWSKI:
-        # fail fast at parse time, before any grid is built
-        require_inside_unit_ball(omega_tilde, options.eps_space)
-
     return RunConfig(model=model, omega=omega, omega_tilde=omega_tilde,
-                     n_rho=n_rho, n_phi=n_phi, options=options,
+                     n_rho=n_rho, n_phi=n_phi, options=options, guards=guards,
                      homotopy_enabled=hom_enabled == "true",
                      homotopy_steps=steps, homotopy_t_min=t_min,
                      seed_strategy=strategy, seed_path=seed_path,

@@ -25,7 +25,7 @@ computed:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,14 +34,13 @@ from .grid import SolutionField
 from .kernel import ModelKind
 
 
-@dataclass
-class Tolerances:
-    mass_balance: float = 0.02
-    flux_identity: float = 0.02
-    obliqueness_min: float = 0.05
-    lambda_slack_factor: float = 3.0   # delta_h = factor * |c - flux average|
-    convexity_min: float = 0.0
-    dual_slack_factor: float = 2.0     # on |c_dual + c| vs flux discrepancy
+# pass bounds of the report's checks
+MASS_BALANCE_TOL = 0.02
+FLUX_IDENTITY_TOL = 0.02
+OBLIQUENESS_MIN = 0.05
+LAMBDA_SLACK_FACTOR = 3.0   # delta_h = factor * |c - flux average|
+CONVEXITY_MIN = 0.0
+DUAL_SLACK_FACTOR = 2.0     # on |c_dual + c| vs flux discrepancy
 
 
 def lambda_bounds(omega, omega_tilde, model: ModelKind = ModelKind.MINKOWSKI):
@@ -68,9 +67,13 @@ def obliqueness_profile(spec: ProblemSpec, fld: SolutionField):
     grid = fld.grid
     du, _ = fld.derivatives()
     bidx = grid.boundary_idx
-    _, dh, _ = spec.omega_tilde.defining(du[bidx])
-    beta = dh / np.linalg.norm(dh, axis=-1, keepdims=True)
-    vals = np.einsum('ij,ij->i', beta, spec.omega.inward_normal(grid.nodes[bidx]))
+    # a boundary gradient too large for Dh_target to be normalized fails as
+    # -inf, silently, like the other checks' overflowing values
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, dh, _ = spec.omega_tilde.defining(du[bidx])
+        beta = dh / np.linalg.norm(dh, axis=-1, keepdims=True)
+        vals = np.einsum('ij,ij->i', beta, spec.omega.inward_normal(grid.nodes[bidx]))
+    vals[~np.isfinite(vals)] = -np.inf
     return vals, float(np.min(vals))
 
 
@@ -92,8 +95,8 @@ def flux_identity(spec: ProblemSpec, fld: SolutionField) -> float:
     grid = fld.grid
     du_b = grid.boundary_gradients(fld.u)
     nu_out = -spec.omega.inward_normal(grid.nodes[grid.boundary_idx])
-    g2 = np.sum(du_b * du_b, axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g2 = np.sum(du_b * du_b, axis=-1)
         if spec.model is ModelKind.MINKOWSKI:
             w = 1.0 / np.sqrt(1.0 - g2)
         else:
@@ -139,19 +142,7 @@ class DiagnosticsReport:
         return all(c["passed"] for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "c": self.c,
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-            "delta_h": self.delta_h,
-            "obliqueness_min": self.obliqueness_min,
-            "hessian_eig_min": self.hessian_eig_min,
-            "hessian_eig_max": self.hessian_eig_max,
-            "grad_max": self.grad_max,
-            "mass_balance_rel_err": self.mass_balance_rel_err,
-            "flux_identity_rel_err": self.flux_identity_rel_err,
-            "dual_consistency": self.dual_consistency,
-            "checks": self.checks, "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)
@@ -169,16 +160,14 @@ class DiagnosticsReport:
 
 
 def full_report(spec: ProblemSpec, fld: SolutionField,
-                dual: SolutionField | None = None,
-                tol: Tolerances | None = None) -> DiagnosticsReport:
-    """Run every check against its tolerance and aggregate the report."""
-    tol = tol or Tolerances()
+                dual: SolutionField | None = None) -> DiagnosticsReport:
+    """Run every check against its bound and aggregate the report."""
     lam1, lam2 = lambda_bounds(spec.omega, spec.omega_tilde, spec.model)
     _, obliq_min = obliqueness_profile(spec, fld)
     mass_err = mass_balance(spec, fld)
     flux_err = flux_identity(spec, fld)
     eig_min, eig_max, grad_max = hessian_pinching(fld)
-    delta_h = tol.lambda_slack_factor * flux_err * abs(fld.c)
+    delta_h = LAMBDA_SLACK_FACTOR * flux_err * abs(fld.c)
     dual_gap = None if dual is None else abs(dual.c + fld.c)
 
     checks = {
@@ -186,21 +175,21 @@ def full_report(spec: ProblemSpec, fld: SolutionField,
                          "passed": bool(fld.c >= lam1 - delta_h)},
         "lambda_upper": {"value": fld.c, "bound": lam2 + delta_h,
                          "passed": bool(fld.c <= lam2 + delta_h)},
-        "mass_balance": {"value": mass_err, "bound": tol.mass_balance,
-                         "passed": bool(mass_err <= tol.mass_balance)},
-        "flux_identity": {"value": flux_err, "bound": tol.flux_identity,
-                          "passed": bool(flux_err <= tol.flux_identity)},
-        "obliqueness": {"value": obliq_min, "bound": tol.obliqueness_min,
-                        "passed": bool(obliq_min >= tol.obliqueness_min)},
-        "convexity": {"value": eig_min, "bound": tol.convexity_min,
-                      "passed": bool(eig_min > tol.convexity_min)},
+        "mass_balance": {"value": mass_err, "bound": MASS_BALANCE_TOL,
+                         "passed": bool(mass_err <= MASS_BALANCE_TOL)},
+        "flux_identity": {"value": flux_err, "bound": FLUX_IDENTITY_TOL,
+                          "passed": bool(flux_err <= FLUX_IDENTITY_TOL)},
+        "obliqueness": {"value": obliq_min, "bound": OBLIQUENESS_MIN,
+                        "passed": bool(obliq_min >= OBLIQUENESS_MIN)},
+        "convexity": {"value": eig_min, "bound": CONVEXITY_MIN,
+                      "passed": bool(eig_min > CONVEXITY_MIN)},
     }
     if spec.model is ModelKind.MINKOWSKI and spec.operator is OperatorKind.GRAPH:
         bound = 1.0 - spec.eps_space
         checks["spacelike"] = {"value": grad_max, "bound": bound,
                                "passed": bool(grad_max <= bound)}
     if dual_gap is not None:
-        bound = tol.dual_slack_factor * max(flux_err * abs(fld.c), 1e-8)
+        bound = DUAL_SLACK_FACTOR * max(flux_err * abs(fld.c), 1e-8)
         checks["dual_consistency"] = {"value": dual_gap, "bound": bound,
                                       "passed": bool(dual_gap <= bound)}
 

@@ -45,6 +45,12 @@ BOUNDARY_RTOL = 1e-9
 # Ball(0, 1e150) overflows the mean-zero sum.
 RADIUS_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
 
+# Farthest a peak may lie from the origin, in inradii.  Node coordinates
+# then resolve the inradius to 2^-26 of itself, so grid offsets stay
+# distinct; at 2^51 (Ball((0, 2.25e15), 1)) the first-ring nodes of an 8x16
+# grid round onto one another and the recovery fit is singular.
+CENTER_REACH = 2.0 ** 26
+
 # Angles used for the dense boundary quadrature behind measures().
 _MEASURE_SAMPLES = 1024
 
@@ -172,18 +178,21 @@ class ConvexDomain:
         raise NotImplementedError
 
     def _require_finite(self) -> None:
-        """Raise ValueError unless the peak is finite, A positive definite
-        and both radii about the peak within RADIUS_RANGE (which makes h_max
-        positive and the area finite)."""
+        """Raise ValueError unless the peak is finite and within CENTER_REACH
+        inradii of the origin, A positive definite and both radii about the
+        peak within RADIUS_RANGE (which makes h_max positive and the area
+        finite)."""
         with np.errstate(all="ignore"):
             x0, a = self.quadric()
             lam = np.linalg.eigvalsh(a) if np.all(np.isfinite(a)) else np.array([np.nan])
             radii = np.sqrt(2.0 * self.h_max / lam)
+            reach = np.max(np.abs(x0)) / radii[-1]
         lo, hi = RADIUS_RANGE
         if not (np.all(np.isfinite(x0)) and lam[0] > 0
-                and np.all((lo <= radii) & (radii <= hi))):
+                and np.all((lo <= radii) & (radii <= hi)) and reach <= CENTER_REACH):
             raise ValueError(f"{self!r} cannot be represented: its center must be "
-                             f"finite, its quadric positive definite and its radii "
+                             f"finite and within {CENTER_REACH:.3g} inradii of the "
+                             f"origin, its quadric positive definite and its radii "
                              f"within [{lo:.3g}, {hi:.3g}]")
 
 

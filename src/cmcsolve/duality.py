@@ -18,12 +18,15 @@ primal field, periodic in the polar angle.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
-from .assembly import OperatorKind, ProblemSpec
+from .assembly import OperatorKind, ProblemSpec, _inverse_2x2
 from .errors import InversionFailure, NonConvergence
-from .grid import MappedGrid, SolutionField, build_grid
+from .grid import MappedGrid, SolutionField, build_grid, lattice_spline
+from .kernel import coefficient_matrix
+from .radial import seed_field
 from .solver import SolveOptions, newton_solve, run_homotopy
 
 logger = logging.getLogger("cmcsolve.duality")
@@ -33,33 +36,6 @@ INVERSION_MAX_NEWTON = 30
 # how far (in units of radial cells) the interpolant is extended beyond the
 # boundary so gradient targets on the numerical image edge stay reachable
 EXTENSION_CELLS = 2.0
-
-
-def lattice_spline(grid: MappedGrid, values):
-    """Tensor cubic spline through nodal values on the (rho, phi) lattice:
-    periodic in phi, not-a-knot in rho.
-
-    values: (n_rho + 1, n_phi, ...) as grid.to_param_array lays them out;
-    trailing axes make a vector-valued spline.  On the uniform periodic
-    phi lattice the cubic B-splines take the values 1/6, 4/6, 1/6 at the
-    nodes, so the phi coefficients solve one circulant system; rho is then
-    fitted column by column.  Evaluate at (..., 2) points (rho, phi) with
-    phi in [0, 2 pi]; past rho = 1 the last polynomial piece continues.
-    """
-    # imported here, not at module level: only the Legendre transform needs
-    # them, and they would slow every command's start-up
-    from scipy.interpolate import NdBSpline, make_interp_spline
-    from scipy.linalg import solve_circulant
-
-    n = grid.n_phi
-    h = 2 * np.pi / n
-    col = np.zeros(n)
-    col[[0, 1, -1]] = [4 / 6, 1 / 6, 1 / 6]
-    d = solve_circulant(col, values, baxis=1, outaxis=1)
-    # B-spline i is centred on phi_{i-1}: wrap one coefficient before, two after
-    c_phi = np.concatenate([d[:, -1:], d, d[:, :2]], axis=1)
-    fit_rho = make_interp_spline(grid.rho, c_phi, k=3, axis=0)
-    return NdBSpline((fit_rho.t, h * np.arange(-3, n + 4)), fit_rho.c, 3)
 
 
 class FieldInterpolant:
@@ -210,9 +186,6 @@ def dual_residual(dual: SolutionField) -> np.ndarray:
     For a transform of a primal solution (c_dual = -c) this is the
     dual-consistency profile; its max-norm is the headline metric.
     """
-    from .assembly import _inverse_2x2
-    from .kernel import coefficient_matrix
-
     _, d2u = dual.derivatives()
     w = _inverse_2x2(d2u)
     s = coefficient_matrix(dual.grid.nodes, dual.model)
@@ -228,13 +201,10 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     (falling back to the homotopy on non-convergence).  Returns
     (dual_field, NewtonInfo-or-None).
     """
-    from .radial import seed_field
-
     opts = opts or SolveOptions()
     dual_grid = build_grid(spec.omega_tilde, spec.grid.n_rho, spec.grid.n_phi)
-    dual_spec = ProblemSpec(spec.omega_tilde, spec.omega, spec.model, dual_grid,
-                            operator=OperatorKind.INVERSE_HESSIAN,
-                            eps_space=spec.eps_space)
+    dual_spec = replace(spec, omega=spec.omega_tilde, omega_tilde=spec.omega,
+                        grid=dual_grid, operator=OperatorKind.INVERSE_HESSIAN)
     try:
         fld, info = newton_solve(dual_spec, seed_field(dual_spec), opts)
         fld.dual = True

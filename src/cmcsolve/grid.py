@@ -90,12 +90,6 @@ class MappedGrid:
         out[1:, :] = u[1:].reshape(self.n_rho, self.n_phi)
         return out
 
-    def from_param_array(self, arr: np.ndarray) -> np.ndarray:
-        u = np.empty(self.n_nodes)
-        u[0] = arr[0].mean()
-        u[1:] = arr[1:, :].ravel()
-        return u
-
     def derivative_arrays(self, u: np.ndarray):
         """(Du, D2u) at every node: Du (N, 2), D2u (N, 2, 2) symmetric."""
         du = np.stack([self.ops['dx'] @ u, self.ops['dy'] @ u], axis=-1)
@@ -130,7 +124,7 @@ class MappedGrid:
         return u - (w @ u) / w.sum()
 
 
-def _lsq_weights(offsets, radial=None, cubics=(), center=0):
+def _lsq_weights(offsets, radial=None, basis="quadratic", center=0):
     """Batched local-fit weights.
 
     offsets: (G, m, 2) physical offsets of each stencil from its node.
@@ -140,14 +134,14 @@ def _lsq_weights(offsets, radial=None, cubics=(), center=0):
              pole the stencils are extremely anisotropic (tangential arcs
              shrink like rho), and a single isotropic scale would leave the
              design matrix ill conditioned.
-    cubics:  "biquadratic", or a subset of {"r3", "r2t", "rt2", "t3"} naming
-             cubic monomials in the scaled frame to append to the quadratic
-             basis.  Stencils on a polar lattice are not centrally symmetric
-             (one-sidedness at the pole and boundary, arc spacing growing
-             with radius), and unmodeled cubic Taylor terms leak into the
-             fitted Hessian at first order; each appended monomial must
-             remain resolvable on the stencil (enough distinct radial or
-             angular stations), otherwise the fit turns near-singular.
+    basis:   "quadratic", "cubic" (the quadratics plus the four cubic
+             monomials of the scaled frame) or "biquadratic".  Stencils on a
+             polar lattice are not centrally symmetric (one-sidedness at the
+             pole and boundary, arc spacing growing with radius), and
+             unmodeled cubic Taylor terms leak into the fitted Hessian at
+             first order; every cubic monomial must remain resolvable on the
+             stencil (enough distinct radial and angular stations),
+             otherwise the fit turns near-singular.
     Returns (G, 5, m): weights for (ux, uy, uxx, uxy, uyy).
 
     A square (interpolatory) design matrix is solved exactly, a tall one
@@ -162,15 +156,13 @@ def _lsq_weights(offsets, radial=None, cubics=(), center=0):
     ell = np.maximum(np.abs(local).max(axis=2), 1e-300)  # per-direction scales
     rr, tt = np.swapaxes(local / ell[:, :, None], 0, 1)
     cols = [np.ones_like(rr), rr, tt, 0.5 * rr ** 2, rr * tt, 0.5 * tt ** 2]
-    if cubics == "biquadratic":
+    if basis == "biquadratic":
         # tensor completion of the quadratic basis: interpolatory on 3x3
         # blocks (9 dof, 9 nodes), leaving no residual space for stencil
         # patterns to hide in
         cols += [rr ** 2 * tt, rr * tt ** 2, rr ** 2 * tt ** 2]
-    elif cubics:
-        terms = {"r3": rr ** 3, "r2t": rr ** 2 * tt, "rt2": rr * tt ** 2,
-                 "t3": tt ** 3}
-        cols += [terms[name] for name in cubics]
+    elif basis == "cubic":
+        cols += [rr ** 3, rr ** 2 * tt, rr * tt ** 2, tt ** 3]
     # coefficient weights in the scaled rotated frame: rows 1-5 of the
     # design matrix's inverse (solving against its transpose, whose inverse
     # is the inverse's transpose), or of its pseudo-inverse for a tall one
@@ -317,10 +309,10 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     n_nodes = 1 + n_rho * n_phi
     rows, cols, vals = [], [], [[] for _ in range(5)]
 
-    def add_group(center_idx, stencil_idx, radial=None, cubics=(), center=0):
+    def add_group(center_idx, stencil_idx, radial=None, basis="quadratic", center=0):
         # center_idx (G,), stencil_idx (G, m)
         offsets = nodes[stencil_idx] - nodes[center_idx][:, None, :]
-        wts = _lsq_weights(offsets, radial, cubics, center)  # (G, 5, m)
+        wts = _lsq_weights(offsets, radial, basis, center)  # (G, 5, m)
         g, m = stencil_idx.shape
         rows.append(np.repeat(center_idx, m))
         cols.append(stencil_idx.ravel())
@@ -338,8 +330,6 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
                                    node_index(2 * np.ones(n_phi, int), j, n_phi)])
     add_group(np.array([0]), pole_stencil[None, :])
 
-    full = ("r3", "r2t", "rt2", "t3")
-
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
     # by the sparse constructor) x 5 angular columns, with the full cubic
@@ -347,7 +337,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     idx1 = np.stack([node_index(si, j + dj, n_phi)
                      for si in range(0, 5) for dj in (-2, -1, 0, 1, 2)], axis=1)
     add_group(np.asarray(node_index(1, j, n_phi)), idx1, radial=e_rad,
-              cubics=full, center=1 * 5 + 2)
+              basis="cubic", center=1 * 5 + 2)
 
     # interior rings, all in one group: centered 3x3 blocks with the
     # interpolatory biquadratic tensor basis (second-order Hessians; the
@@ -356,7 +346,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     idx = np.stack([node_index(i + di, jj + dj, n_phi)
                     for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
     add_group(np.asarray(node_index(i, jj, n_phi)), idx,
-              radial=np.tile(e_rad, (n_rho - 2, 1)), cubics="biquadratic",
+              radial=np.tile(e_rad, (n_rho - 2, 1)), basis="biquadratic",
               center=1 * 3 + 1)
 
     # boundary ring (recovery for export/diagnostics; the gradient-image
@@ -366,7 +356,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
                      for di in (-3, -2, -1, 0) for dj in (-2, -1, 0, 1, 2)],
                     axis=1)
     add_group(np.asarray(node_index(n_rho, j, n_phi)), idxb, radial=e_rad,
-              cubics=full, center=3 * 5 + 2)
+              basis="cubic", center=3 * 5 + 2)
 
     return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'],
                            [np.concatenate(v) for v in vals],
@@ -397,33 +387,49 @@ class SolutionField:
     def derivatives(self):
         return self.grid.derivative_arrays(self.u)
 
-    def mean_zero(self) -> "SolutionField":
-        return SolutionField(self.grid, self.grid.mean_zero(self.u), self.c,
-                             self.model, self.dual)
-
     def copy(self) -> "SolutionField":
         return SolutionField(self.grid, self.u.copy(), self.c, self.model, self.dual)
 
 
+def lattice_spline(grid: MappedGrid, values):
+    """Tensor cubic spline through nodal values on the (rho, phi) lattice:
+    periodic in phi, not-a-knot in rho.
+
+    values: (n_rho + 1, n_phi, ...) as grid.to_param_array lays them out;
+    trailing axes make a vector-valued spline.  On the uniform periodic
+    phi lattice the cubic B-splines take the values 1/6, 4/6, 1/6 at the
+    nodes, so the phi coefficients solve one circulant system; rho is then
+    fitted column by column.  Evaluate at (..., 2) points (rho, phi) with
+    phi in [0, 2 pi]; past rho = 1 the last polynomial piece continues.
+    """
+    # imported here, not at module level: only the Legendre transform and
+    # transfers between resolutions need them, and they would slow every
+    # command's start-up
+    from scipy.interpolate import NdBSpline, make_interp_spline
+    from scipy.linalg import solve_circulant
+
+    n = grid.n_phi
+    h = 2 * np.pi / n
+    col = np.zeros(n)
+    col[[0, 1, -1]] = [4 / 6, 1 / 6, 1 / 6]
+    d = solve_circulant(col, values, baxis=1, outaxis=1)
+    # B-spline i is centred on phi_{i-1}: wrap one coefficient before, two after
+    c_phi = np.concatenate([d[:, -1:], d, d[:, :2]], axis=1)
+    fit_rho = make_interp_spline(grid.rho, c_phi, k=3, axis=0)
+    return NdBSpline((fit_rho.t, h * np.arange(-3, n + 4)), fit_rho.c, 3)
+
+
 def transfer_field(field: SolutionField, new_grid: MappedGrid) -> SolutionField:
-    """Carry a field onto a grid over a deformed domain by interpolating on
-    the shared (rho, phi) parameter lattice (bilinear; index copy when the
-    resolutions match), then re-projecting onto the mean-zero space."""
+    """Carry a field onto a grid over a deformed domain through the shared
+    (rho, phi) parameter lattice (lattice_spline; index copy when the
+    resolutions match), then re-project onto the mean-zero space."""
     g0, g1 = field.grid, new_grid
     if (g0.n_rho, g0.n_phi) == (g1.n_rho, g1.n_phi):
         u_new = field.u.copy()
     else:
-        arr = g0.to_param_array(field.u)
-        ri = g1.rho * g0.n_rho
-        pj = g1.phi / (2 * np.pi / g0.n_phi)
-        i0 = np.clip(np.floor(ri).astype(int), 0, g0.n_rho - 1)
-        fr = ri - i0
-        j0 = np.floor(pj).astype(int) % g0.n_phi
-        fp = pj - np.floor(pj)
-        j1 = (j0 + 1) % g0.n_phi
-        vals = ((1 - fr)[:, None] * ((1 - fp)[None, :] * arr[i0][:, j0]
-                                     + fp[None, :] * arr[i0][:, j1])
-                + fr[:, None] * ((1 - fp)[None, :] * arr[i0 + 1][:, j0]
-                                 + fp[None, :] * arr[i0 + 1][:, j1]))
-        u_new = g1.from_param_array(vals)
+        # (rho, phi) of every new node in the unknown layout
+        rho = np.concatenate([[0.0], np.repeat(g1.rho[1:], g1.n_phi)])
+        phi = np.concatenate([[0.0], np.tile(g1.phi, g1.n_rho)])
+        spl = lattice_spline(g0, g0.to_param_array(field.u))
+        u_new = spl(np.stack([rho, phi], axis=-1))
     return SolutionField(g1, g1.mean_zero(u_new), field.c, field.model, field.dual)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import OperatorKind, admissibility_violation, operator_value
+from .domains import Ball
 from .errors import SeedFailure
 from .grid import SolutionField
 from .kernel import ModelKind
@@ -107,11 +109,6 @@ def ode_crosscheck(sol: RadialSolution, steps: int = 10_000) -> float:
     return dev
 
 
-def _is_ball(domain):
-    from .domains import Ball
-    return isinstance(domain, Ball)
-
-
 def seed_field(spec, strategy: str = "auto") -> SolutionField:
     """Admissible initial field for a problem instance.
 
@@ -121,14 +118,12 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
     (alpha/2)|x - x_p|^2 + y_c . (x - x_p) with alpha, from the target's
     inradius over Omega's outradius, stepped down until its gradient image
     sits strictly inside the target; x_p, y_c are the defining-function
-    peaks.  The result is mean-zero projected and checked for
-    convexity/spacelike admissibility on the grid.
+    peaks.  The result is mean-zero projected and checked against the
+    spec's convexity and spacelike guards on the grid.
 
     strategy: "auto" picks the radial branch on primal ball pairs;
     "quadratic" forces the quadratic branch.
     """
-    from .assembly import OperatorKind, admissibility_violation
-
     if strategy not in ("auto", "quadratic"):
         raise ValueError(f"unknown seed strategy {strategy!r}")
     grid = spec.grid
@@ -136,7 +131,7 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
     nodes = grid.nodes
 
     radial_ok = (strategy == "auto" and spec.operator is OperatorKind.GRAPH
-                 and _is_ball(omega) and _is_ball(omega_tilde))
+                 and isinstance(omega, Ball) and isinstance(omega_tilde, Ball))
     if radial_ok:
         x_p = np.asarray(omega.center, dtype=float)
         y_c = np.asarray(omega_tilde.center, dtype=float)
@@ -172,8 +167,6 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
 
 def _seed_constant(spec, alpha: float) -> float:
     """Curvature value of the quadratic seed at the peak, as a starting c."""
-    from .assembly import operator_value
-
     du0 = np.zeros((1, 2))
     d2u0 = alpha * np.eye(2)[None, :, :]
     pos0 = np.asarray(spec.omega.peak, dtype=float)[None, :]

@@ -54,6 +54,7 @@ from .assembly import (ProblemSpec, admissibility_violation, jacobian,
 from .domains import ConvexDomain
 from .errors import NonConvergence, StepRejection
 from .grid import SolutionField
+from .radial import seed_field
 
 logger = logging.getLogger("cmcsolve.solver")
 
@@ -73,16 +74,15 @@ MAX_BISECTIONS = 4
 
 @dataclass
 class SolveOptions:
+    """Newton controls; the admissibility guards belong to the ProblemSpec."""
+
     tol_residual: float = 1e-10      # relative: ||res||_inf <= tol (1 + |c|)
     max_newton: int = 40
-    eps_convexity: float = 1e-8
-    eps_space: float = 1e-6
 
     def __post_init__(self):
-        for name in ("tol_residual", "eps_convexity", "eps_space"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be a finite positive number, "
-                                 f"got {getattr(self, name)!r}")
+        if not 0.0 < self.tol_residual < np.inf:
+            raise ValueError(f"tol_residual must be a finite positive number, "
+                             f"got {self.tol_residual!r}")
         if not (isinstance(self.max_newton, (int, np.integer)) and self.max_newton > 0):
             raise ValueError(f"max_newton must be a positive integer, "
                              f"got {self.max_newton!r}")
@@ -105,7 +105,6 @@ class HomotopyState:
     t: float
     omega_tilde_t: ConvexDomain
     field: SolutionField
-    c_history: list  # [(t, c)] up to and including this step
     newton_iterations: int = 0
 
 
@@ -173,7 +172,7 @@ def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None):
 
 
 def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndarray,
-                opts: SolveOptions, res_2norm: float):
+                res_2norm: float):
     """Largest step alpha in {1, factor, factor^2, ...} that keeps the trial
     iterate admissible and achieves Armijo decrease of ||residual||_2.
 
@@ -197,7 +196,7 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndar
     last_guard = None
     while alpha >= ALPHA_MIN:
         du, d2u = du0 + alpha * ddu, d2u0 + alpha * dd2u
-        guard = admissibility_violation(spec, du, d2u, opts.eps_convexity)
+        guard = admissibility_violation(spec, du, d2u)
         if guard is None:
             any_admissible = True
             u, c = fld.u + alpha * d_u, fld.c + alpha * d_c
@@ -231,7 +230,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     # (Du, D2u, boundary Du) of the current iterate; damped_step returns the
     # accepted trial's, so no iterate is differentiated twice
     state = (*fld.derivatives(), spec.grid.boundary_gradients(fld.u))
-    guard = admissibility_violation(spec, *state[:2], opts.eps_convexity)
+    guard = admissibility_violation(spec, *state[:2])
     if guard is not None:
         raise guard
 
@@ -265,7 +264,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         if not np.all(np.isfinite(direction)):
             raise failure("non-finite Newton direction", it, r_inf)
         try:
-            alpha, fld, res, state = damped_step(spec, fld, state, direction, opts,
+            alpha, fld, res, state = damped_step(spec, fld, state, direction,
                                                  _norm2(res))
         except StepRejection as exc:
             raise failure("line search stalled", it, r_inf) from exc
@@ -320,8 +319,6 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     image omega, on the fixed dual domain.  Returns (final field,
     [HomotopyState]).
     """
-    from .radial import seed_field
-
     opts = opts or SolveOptions()
     if t_min is None:
         t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
@@ -330,7 +327,6 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     peak_potential = spec.grid.nodes @ spec.omega_tilde.peak
 
     history: list[HomotopyState] = []
-    c_history: list[tuple[float, float]] = []
     prev_field = None
     prev_t = None
     bisections = 0
@@ -352,10 +348,8 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             pending.insert(0, 0.5 * (prev_t + t))
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
-        c_history.append((t, fld.c))
         history.append(HomotopyState(t=t, omega_tilde_t=spec_t.omega_tilde,
-                                     field=fld, c_history=list(c_history),
-                                     newton_iterations=info.iterations))
+                                     field=fld, newton_iterations=info.iterations))
         prev_field, prev_t = fld, t
         pending.pop(0)
 

@@ -211,6 +211,17 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             ProblemSpec(om, Ball((0, 0), 1.01), MINK, grid)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_convexity": 0.0}, {"eps_convexity": -1e-8},
+        {"eps_convexity": float("nan")}, {"eps_space": float("inf")},
+        {"eps_space": 0.0}, {"eps_space": float("nan")},
+    ])
+    def test_guards_must_be_finite_positive(self, kwargs):
+        om = Ball((0, 0), 1.0)
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a finite "
+                                             "positive number"):
+            ProblemSpec(om, Ball((0, 0), 0.5), MINK, build_grid(om, 8, 16), **kwargs)
+
     def test_euclidean_unrestricted(self):
         om = Ball((0, 0), 1.0)
         grid = build_grid(om, 8, 16)

@@ -237,6 +237,21 @@ def test_bad_config_number_exit_2(tmp_path, capsys, command, key, value):
     assert err.startswith(f"config error: {key}")
 
 
+@pytest.mark.parametrize("key, value", [("solve.eps_convexity", "0"),
+                                        ("solve.eps_space", "-1")])
+def test_verify_bad_guard_exit_2(fuzz_dirs, capsys, key, value):
+    # the guards are validated where the ProblemSpec is built, after the
+    # field is read
+    field_csv, runs = fuzz_dirs
+    cfg = _small_grid_config(runs, **{key: value})
+    capsys.readouterr()
+    assert main(["verify", "--field", str(field_csv), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"config error: {key.split('.')[1]} must be a finite "
+                          "positive number")
+
+
 # domains whose quadric, h_max or area underflows or overflows:
 # (prefix, kind, size key, value)
 UNREPRESENTABLE_DOMAINS = [
@@ -553,6 +568,12 @@ def _apply_field_edit(edit, lines, header):
 # the determinant, which used to print numpy warnings
 @example(edit=("cell", (11, 4, "1e300")))
 @example(edit=("cell", (11, 4, "1e308")))
+# u = 1e300 at node (5, 0), inside the boundary ring's recovery stencils:
+# the obliqueness check's boundary gradients overflow
+@example(edit=("cell", (66, 4, "1e300")))
+# a centre 2^51 radii from the origin: the grid's nodes round onto one
+# another and the recovery weights overflowed before the fit failed
+@example(edit=("domain", ("center", [False, 2251799813685249.0])))
 # a huge stored c makes the residual 2-norm overflow in a plain dot product,
 # which used to print a numpy warning
 @example(edit=("header", ("c", 1.2613004718976084e+153)))

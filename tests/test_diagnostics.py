@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField,
-                      build_grid, lambda_bounds, radial_constant)
-from cmcsolve.diagnostics import (Tolerances, flux_identity, full_report,
-                                  hessian_pinching, mass_balance,
-                                  obliqueness_profile)
+                      build_grid, diagnostics, lambda_bounds, radial_constant)
+from cmcsolve.diagnostics import (flux_identity, full_report, hessian_pinching,
+                                  mass_balance, obliqueness_profile)
 from cmcsolve.duality import dual_solve
 from cmcsolve.kernel import mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile
@@ -159,12 +158,23 @@ class TestFullReport:
         assert report2.dual_consistency == pytest.approx(abs(dual.c + fld.c))
         assert report2.checks["dual_consistency"]["passed"]
 
-    def test_flags_consistent_with_values(self, radial_32):
+    def test_flags_consistent_with_values(self, radial_32, monkeypatch):
         spec, fld, _ = radial_32
-        report = full_report(spec, fld, tol=Tolerances(mass_balance=1e-12))
+        monkeypatch.setattr(diagnostics, "MASS_BALANCE_TOL", 1e-12)
+        report = full_report(spec, fld)
         assert not report.checks["mass_balance"]["passed"]
         assert report.checks["mass_balance"]["value"] > 1e-12
         assert not report.all_pass
+
+    def test_json_key_order(self, radial_32, tmp_path):
+        spec, fld, _ = radial_32
+        path = tmp_path / "report.json"
+        full_report(spec, fld).to_json(path)
+        assert list(json.loads(path.read_text())) == [
+            "model", "c", "lambda1", "lambda2", "delta_h", "obliqueness_min",
+            "hessian_eig_min", "hessian_eig_max", "grad_max",
+            "mass_balance_rel_err", "flux_identity_rel_err", "dual_consistency",
+            "checks", "all_pass"]
 
     def test_json_round_trip(self, radial_32, tmp_path):
         spec, fld, _ = radial_32

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.special import ellipe
 
 from cmcsolve import Ball, Ellipse
-from cmcsolve.domains import SublevelDomain, domain_from_dict, require_inside_unit_ball
+from cmcsolve.domains import (CENTER_REACH, SublevelDomain, domain_from_dict,
+                              require_inside_unit_ball)
 from cmcsolve.errors import ConfigError, DegenerateSublevel, NotOnBoundary
 from helpers import grad_bound_delta, quadric_domains, theta
 
@@ -251,6 +252,21 @@ class TestQuadricMeasures:
     def test_sublevel_area_scales_with_t(self, base, t):
         assert base.sublevel(t).measures()[0] == pytest.approx(
             t * base.measures()[0], rel=1e-12)
+
+
+class TestCenterReach:
+    @pytest.mark.parametrize("make", [lambda d: Ball((0, d), 1.0),
+                                      lambda d: Ellipse((d * 0.3, 0), (1.0, 0.3))])
+    def test_peak_within_reach_inradii(self, make):
+        # the ellipse's inradius is 0.3: both sit exactly at the reach
+        make(CENTER_REACH)
+        with pytest.raises(ValueError, match="inradii of the origin"):
+            make(1.01 * CENTER_REACH)
+
+    def test_unresolvable_grid_refused(self):
+        # at 2^51 inradii the nodes of an 8 x 16 grid round onto one another
+        with pytest.raises(ValueError, match="inradii of the origin"):
+            Ball((0, 2.0 ** 51 + 1), 1.0)
 
 
 class TestUnitBallCheck:

@@ -11,8 +11,9 @@ from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
 from cmcsolve.assembly import operator_value
 from cmcsolve.diagnostics import flux_identity
 from cmcsolve.duality import (FieldInterpolant, dual_residual, dual_solve,
-                              lattice_spline, legendre_transform)
+                              legendre_transform)
 from cmcsolve.errors import InversionFailure, NonConvergence
+from cmcsolve.grid import lattice_spline
 from cmcsolve.kernel import coefficient_matrix, mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile, seed_field
 from cmcsolve.solver import newton_solve, run_homotopy

@@ -190,3 +190,15 @@ class TestSolutionField:
         out = transfer_field(fld, g2)
         # constants transfer exactly and are projected to mean zero
         assert np.max(np.abs(out.u)) < 1e-12
+
+    def test_transfer_refinement_keeps_quadratics(self):
+        # |x|^2 = rho^2 on the unit ball: the lattice spline (cubic in rho,
+        # periodic in phi) carries it to a finer lattice exactly
+        dom = Ball((0, 0), 1.0)
+        g1 = build_grid(dom, 8, 16)
+        g2 = build_grid(dom, 16, 32)
+        fld = SolutionField(g1, g1.mean_zero(np.sum(g1.nodes ** 2, axis=-1)), 1.0,
+                            ModelKind.MINKOWSKI)
+        out = transfer_field(fld, g2)
+        exact = g2.mean_zero(np.sum(g2.nodes ** 2, axis=-1))
+        assert np.max(np.abs(out.u - exact)) <= 1e-12

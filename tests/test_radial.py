@@ -148,6 +148,19 @@ class TestSeedField:
         fld = seed_field(spec)
         assert np.all(np.isfinite(fld.u))
 
+    @pytest.mark.parametrize("strategy", ["auto", "quadratic"])
+    def test_seed_checks_the_spec_convexity_guard(self, strategy):
+        # a guard above the seed's smallest Hessian eigenvalue rejects it:
+        # the seed is held to the guard the solve enforces
+        om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
+        grid = build_grid(om, 16, 32)
+        _, d2u = seed_field(ProblemSpec(om, omt, MINK, grid),
+                            strategy=strategy).derivatives()
+        lam_min = np.min(np.linalg.eigvalsh(d2u))
+        spec = ProblemSpec(om, omt, MINK, grid, eps_convexity=2.0 * lam_min)
+        with pytest.raises(SeedFailure):
+            seed_field(spec, strategy=strategy)
+
     def test_unknown_strategy(self):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
         grid = build_grid(om, 16, 32)

@@ -76,13 +76,19 @@ class TestNewtonSolve:
             SolveOptions(tol_residual=-1.0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol_residual": float("nan")}, {"eps_space": float("inf")},
-        {"eps_convexity": 0.0}, {"max_newton": 2.5}, {"max_newton": float("nan")},
+        {"tol_residual": float("nan")}, {"tol_residual": float("inf")},
+        {"tol_residual": 0.0}, {"max_newton": 2.5}, {"max_newton": float("nan")},
         {"max_newton": 0},
     ])
     def test_options_must_be_finite_positive(self, kwargs):
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
+
+    @pytest.mark.parametrize("name", ["eps_convexity", "eps_space"])
+    def test_guards_are_not_options(self, name):
+        # the admissibility guards belong to the ProblemSpec
+        with pytest.raises(TypeError):
+            SolveOptions(**{name: 1e-6})
 
     def test_each_iterate_differentiated_once(self, monkeypatch):
         # the initial field's state is computed once, every later one comes
@@ -343,12 +349,11 @@ class TestDampedStep:
         direction = np.zeros(n + 1)
         direction[:n] = 100.0 * spec.grid.mean_zero(spec.grid.nodes[:, 0] ** 2)
         direction[n] = -50.0
-        opts = SolveOptions()
-        alpha, trial, _, _ = damped_step(spec, fld, field_state(fld), direction, opts,
+        alpha, trial, _, _ = damped_step(spec, fld, field_state(fld), direction,
                                          float(np.linalg.norm(res)))
         assert alpha < 1.0
         du, d2u = trial.derivatives()
-        assert np.min(np.linalg.eigvalsh(d2u)) >= opts.eps_convexity
+        assert np.min(np.linalg.eigvalsh(d2u)) >= spec.eps_convexity
         assert np.max(np.linalg.norm(du, axis=-1)) < 1.0
 
     def test_lightcone_pushing_direction(self, setup):
@@ -367,7 +372,7 @@ class TestDampedStep:
         du, _ = trial_full.derivatives()
         assert np.max(np.linalg.norm(du, axis=-1)) > 1.0
         alpha, trial, _, _ = damped_step(spec, fld, field_state(fld), direction,
-                                         SolveOptions(), float(np.linalg.norm(res)))
+                                         float(np.linalg.norm(res)))
         du, _ = trial.derivatives()
         assert np.max(np.linalg.norm(du, axis=-1)) < 1.0 - 1e-6
 
@@ -437,5 +442,9 @@ class TestHomotopy:
             assert all(h.newton_iterations <= 15 for h in history[1:])
 
     def test_c_history_recorded(self, ci_instances):
+        # the (t, c) history is the states' own: one state per accepted
+        # step, t strictly increasing to 1, each with its own field
         _, _, history = ci_instances["ellipse_ball"]
-        assert history[-1].c_history == [(h.t, h.field.c) for h in history]
+        ts = [h.t for h in history]
+        assert ts == sorted(set(ts)) and ts[-1] == 1.0
+        assert len({id(h.field) for h in history}) == len(history)
