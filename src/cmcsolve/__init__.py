@@ -11,8 +11,8 @@ from .duality import (FieldInterpolant, dual_residual, dual_solve,
                       legendre_transform)
 from .grid import MappedGrid, SolutionField, build_grid, transfer_field
 from .kernel import ModelKind
-from .radial import (RadialSolution, ode_crosscheck, radial_constant,
-                     radial_profile, seed_field)
+from .radial import (RadialSolution, radial_constant, radial_profile,
+                     seed_field)
 from .solver import (HomotopyState, NewtonInfo, SolveOptions, damped_step,
                      newton_solve, run_homotopy)
 
@@ -25,8 +25,7 @@ __all__ = [
     "OperatorKind", "ProblemSpec", "residual", "jacobian",
     "SolveOptions", "NewtonInfo", "HomotopyState",
     "newton_solve", "damped_step", "run_homotopy",
-    "RadialSolution", "radial_constant", "radial_profile", "ode_crosscheck",
-    "seed_field",
+    "RadialSolution", "radial_constant", "radial_profile", "seed_field",
     "FieldInterpolant", "legendre_transform", "dual_residual", "dual_solve",
     "DiagnosticsReport", "full_report", "lambda_bounds",
     "__version__",

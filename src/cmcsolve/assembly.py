@@ -87,13 +87,20 @@ def _inverse_2x2(d2u):
     return w / det[..., None, None]
 
 
+def inverse_hessian_operator(positions, d2u, model: ModelKind,
+                             eps_space: float = DEFAULT_EPS_SPACE):
+    """The Legendre-dual operator -s(y) : [D^2u]^{-1}, with s the kernel's
+    coefficient matrix at the node positions y."""
+    w = _inverse_2x2(np.asarray(d2u, dtype=float))
+    s = coefficient_matrix(positions, model, eps_space)
+    return -np.einsum('...kl,...kl->...', s, w)
+
+
 def operator_value(spec: ProblemSpec, positions, du, d2u):
     """Pointwise operator values at the given states."""
     if spec.operator is OperatorKind.GRAPH:
         return mean_curvature(du, d2u, spec.model, spec.eps_space)
-    w = _inverse_2x2(np.asarray(d2u, dtype=float))
-    s = coefficient_matrix(positions, spec.model, spec.eps_space)
-    return -np.einsum('...kl,...kl->...', s, w)
+    return inverse_hessian_operator(positions, d2u, spec.model, spec.eps_space)
 
 
 def operator_state_derivatives(spec: ProblemSpec, positions, du, d2u):

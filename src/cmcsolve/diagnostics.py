@@ -7,8 +7,8 @@ computed:
   * integral bounds on the solved constant,
         Lambda_1 = n (|Omega_tilde| / |Omega|)^{1/n},
         Lambda_2 = (|bd Omega| / |Omega|) max_{y in bd Omega_tilde} |y| w(y),
-    with the model weight w(y) = 1/sqrt(1 - |y|^2) (Minkowski) or
-    1/sqrt(1 + |y|^2) (Euclidean); the solved c must satisfy
+    with the model weight w(y) = 1/sqrt(1 + sigma |y|^2), sigma = -1
+    (Minkowski) or +1 (Euclidean); the solved c must satisfy
     Lambda_1 - delta_h <= c <= Lambda_2 + delta_h up to discretization slack.
   * mass balance |Omega_tilde| = integral of det D^2 u (the gradient map is
     a diffeomorphism onto the target).
@@ -49,12 +49,9 @@ def lambda_bounds(omega, omega_tilde, model: ModelKind = ModelKind.MINKOWSKI):
     area, perim = omega.measures()
     area_t, _ = omega_tilde.measures()
     lam1 = 2 * (area_t / area) ** 0.5
-    y = np.linalg.norm(omega_tilde.boundary_points(512), axis=-1)
-    if model is ModelKind.MINKOWSKI:
-        w = y / np.sqrt(1.0 - y ** 2)
-    else:
-        w = y / np.sqrt(1.0 + y ** 2)
-    lam2 = perim / area * float(np.max(w))
+    # |y| w(y) grows with |y|, so its maximum sits at the farthest point
+    y = omega_tilde.max_boundary_norm()
+    lam2 = perim / area * (y / np.sqrt(1.0 + model.sigma * y ** 2))
     return float(lam1), float(lam2)
 
 
@@ -96,11 +93,7 @@ def flux_identity(spec: ProblemSpec, fld: SolutionField) -> float:
     du_b = grid.boundary_gradients(fld.u)
     nu_out = -spec.omega.inward_normal(grid.nodes[grid.boundary_idx])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g2 = np.sum(du_b * du_b, axis=-1)
-        if spec.model is ModelKind.MINKOWSKI:
-            w = 1.0 / np.sqrt(1.0 - g2)
-        else:
-            w = 1.0 / np.sqrt(1.0 + g2)
+        w = 1.0 / np.sqrt(1.0 + spec.model.sigma * np.sum(du_b * du_b, axis=-1))
     flux = grid.boundary_integral(np.einsum('ij,ij->i', du_b, nu_out) * w)
     area, _ = spec.omega.measures()
     err = abs(fld.c - flux / area) / max(abs(fld.c), 1e-300)

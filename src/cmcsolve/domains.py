@@ -55,7 +55,7 @@ CENTER_REACH = 2.0 ** 26
 _MEASURE_SAMPLES = 1024
 
 
-def _unit(phi):
+def polar_frame(phi):
     """(cos phi, sin phi) and its counter-clockwise normal, shape (..., 2)."""
     c, s = np.cos(phi), np.sin(phi)
     return np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)
@@ -119,23 +119,35 @@ class ConvexDomain:
         """Distance from the peak to the boundary along (cos phi, sin phi),
         sqrt(2 h_max / e^T A e).  A scalar phi gives a float, an array phi an
         array of its shape."""
-        e, _ = _unit(np.asarray(phi, dtype=float))
+        e, _ = polar_frame(np.asarray(phi, dtype=float))
         r = np.sqrt(2.0 * self.h_max / np.sum(e * (e @ self.quadric()[1]), axis=-1))
         return float(r) if r.ndim == 0 else r
 
     def boundary_radius_deriv(self, phi):
         """dR/dphi = -R e^T A e_perp / e^T A e, the derivative of the radius
         above (e_perp = de/dphi)."""
-        e, e_perp = _unit(np.asarray(phi, dtype=float))
+        e, e_perp = polar_frame(np.asarray(phi, dtype=float))
         ae = e @ self.quadric()[1]
         qa = np.sum(e * ae, axis=-1)
         rp = -np.sqrt(2.0 * self.h_max / qa) * np.sum(ae * e_perp, axis=-1) / qa
         return float(rp) if rp.ndim == 0 else rp
 
-    def boundary_points(self, n: int) -> np.ndarray:
-        """The n boundary points at uniform angles about the peak, (n, 2)."""
-        phi = np.linspace(0, 2 * np.pi, n, endpoint=False)
-        return self.peak + self.boundary_radius(phi)[:, None] * _unit(phi)[0]
+    def max_boundary_norm(self) -> float:
+        """max |y| over the boundary, to roundoff.  In the eigenframe of A
+        the boundary is b + (alpha cos t, beta sin t); the stationary points
+        of |y|^2 are t = pi and t = 2 arctan(s) at the roots s of a quartic.
+        Every root's real part gives a boundary point, so spurious ones only
+        add candidates below the maximum."""
+        x0, a = self.quadric()
+        lam, q = np.linalg.eigh(a)
+        alpha, beta = np.sqrt(2.0 * self.h_max / lam)
+        b1, b2 = x0 @ q
+        k = beta ** 2 - alpha ** 2
+        roots = np.roots([-beta * b2, -2.0 * (alpha * b1 + k), 0.0,
+                          2.0 * (k - alpha * b1), beta * b2])
+        t = np.append(2.0 * np.arctan(roots.real), np.pi)
+        y = x0 + np.stack([alpha * np.cos(t), beta * np.sin(t)], axis=-1) @ q.T
+        return float(np.max(np.linalg.norm(y, axis=-1)))
 
     def sublevel(self, t: float) -> "ConvexDomain":
         """The super-level set {h >= (1-t) h_max} for t in (0, 1], wrapped
@@ -197,10 +209,10 @@ class ConvexDomain:
 
 
 def require_inside_unit_ball(domain: ConvexDomain, eps_space: float) -> None:
-    """Raise ConfigError unless the sampled boundary of domain stays within
+    """Raise ConfigError unless the boundary of domain stays within
     |y| <= 1 - eps_space: the Minkowski kernel's gradient slot must stay
     strictly inside the unit ball."""
-    worst = float(np.max(np.linalg.norm(domain.boundary_points(256), axis=-1)))
+    worst = domain.max_boundary_norm()
     if worst > 1.0 - eps_space:
         raise ConfigError(f"Minkowski model needs the gradient-image domain strictly "
                           f"inside the unit ball: max boundary |y| = {worst:.9g}")

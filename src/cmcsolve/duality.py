@@ -22,10 +22,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .assembly import OperatorKind, ProblemSpec, _inverse_2x2
+from .assembly import OperatorKind, ProblemSpec, inverse_hessian_operator
+from .domains import polar_frame
 from .errors import InversionFailure, NonConvergence
 from .grid import MappedGrid, SolutionField, build_grid, lattice_spline
-from .kernel import coefficient_matrix
 from .radial import seed_field
 from .solver import SolveOptions, newton_solve, run_homotopy
 
@@ -89,8 +89,7 @@ class FieldInterpolant:
         u_p = self._spl(pts, nu=(0, 1))
         rb = self.domain.boundary_radius(phi)
         rb_p = self.domain.boundary_radius_deriv(phi)
-        e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        e_t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+        e, e_t = polar_frame(phi)
         d = np.maximum(rho * rb, 1e-300)  # |x - peak|
         # drho/dx = e / rb - (rho rb'/rb) dphi/dx,  dphi/dx = e_t / d
         dphi_dx = e_t / d[..., None]
@@ -153,7 +152,7 @@ def _clamp_to_extension(interp, x):
     over = rho > interp.rho_max
     if np.any(over):
         rb = interp.domain.boundary_radius(phi[over])
-        e = np.stack([np.cos(phi[over]), np.sin(phi[over])], axis=-1)
+        e, _ = polar_frame(phi[over])
         x = x.copy()
         x[over] = interp.peak + interp.rho_max * rb[:, None] * e
     return x
@@ -187,9 +186,7 @@ def dual_residual(dual: SolutionField) -> np.ndarray:
     dual-consistency profile; its max-norm is the headline metric.
     """
     _, d2u = dual.derivatives()
-    w = _inverse_2x2(d2u)
-    s = coefficient_matrix(dual.grid.nodes, dual.model)
-    return -np.einsum('...kl,...kl->...', s, w) - dual.c
+    return inverse_hessian_operator(dual.grid.nodes, d2u, dual.model) - dual.c
 
 
 def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):

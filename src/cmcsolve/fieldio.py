@@ -36,14 +36,15 @@ def save_field(field: SolutionField, csv_path, omega=None, omega_tilde=None) -> 
     """Write the CSV table and its JSON header next to it."""
     grid = field.grid
     du, d2u = field.derivatives()
-    rows = [(0, 0)] + [(i, j) for i in range(1, grid.n_rho + 1)
-                       for j in range(grid.n_phi)]
+    i = np.repeat(np.arange(grid.n_rho + 1), [1] + [grid.n_phi] * grid.n_rho)
+    j = np.concatenate([[0], np.tile(np.arange(grid.n_phi), grid.n_rho)])
+    table = np.column_stack([grid.nodes, field.u, du, d2u[:, 0, 0], d2u[:, 0, 1],
+                             d2u[:, 1, 1]])
+    row = "%d,%d," + ",".join(["%r"] * 8) + "\n"   # %r of a float is its repr
     with open(csv_path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for k, (i, j) in enumerate(rows):
-            vals = (grid.nodes[k, 0], grid.nodes[k, 1], field.u[k],
-                    du[k, 0], du[k, 1], d2u[k, 0, 0], d2u[k, 0, 1], d2u[k, 1, 1])
-            fh.write(f"{i},{j}," + ",".join(repr(float(v)) for v in vals) + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n" + "".join(
+            [row % (a, b, *vals) for a, b, vals in zip(i.tolist(), j.tolist(),
+                                                       table.tolist())]))
     header = {
         "c": field.c,
         "model": field.model.value,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .domains import ConvexDomain
+from .domains import ConvexDomain, polar_frame
 from .kernel import ModelKind
 
 
@@ -218,7 +218,7 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     r_b_prime = domain.boundary_radius_deriv(phi)
 
     peak = domain.peak
-    e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    e, _ = polar_frame(phi)
     n_nodes = 1 + n_rho * n_phi
     nodes = np.empty((n_nodes, 2))
     nodes[0] = peak
@@ -275,8 +275,7 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
 
-    e = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    e_t = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+    e, e_t = polar_frame(phi)
     # grad = J^{-T} (d/drho, d/dphi) with J = [x_rho | x_phi] at rho = 1;
     # det J = r_b^2 (star-shapedness keeps it positive)
     x_rho = r_b[:, None] * e
@@ -321,7 +320,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
 
     j = np.arange(n_phi)
     phi = 2 * np.pi * j / n_phi
-    e_rad = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    e_rad, _ = polar_frame(phi)
 
     # pole: one fit over the first two rings plus the pole itself; the rings
     # are centrally symmetric, so plain quadratic suffices

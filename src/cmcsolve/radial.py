@@ -1,5 +1,5 @@
-"""Exact radially symmetric solutions on ball pairs, the radial ODE
-cross-check, and initial-guess construction.
+"""Exact radially symmetric solutions on ball pairs and initial-guess
+construction.
 
 For concentric balls B(0, R0) -> B(0, t0) the flux variable
 p(r) = u'(r) / sqrt(1 -+ u'(r)^2) satisfies p' + (n-1) p / r = c with
@@ -14,8 +14,8 @@ u'(R0) = t0 fixes the constant:
               u'(r) = c r / sqrt(n^2 - c^2 r^2)
 
 The Euclidean branch follows from the identical separation with the flipped
-sign under the square root; it is validated against the ODE integrator and
-the curvature kernel rather than quoted from anywhere.
+sign under the square root; the tests validate it against an ODE integrator
+and the curvature kernel rather than quoting it from anywhere.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .errors import SeedFailure
 from .grid import SolutionField
 from .kernel import ModelKind
 
-__all__ = ["RadialSolution", "radial_constant", "radial_profile",
-           "ode_crosscheck", "seed_field"]
+__all__ = ["RadialSolution", "radial_constant", "radial_profile", "seed_field"]
 
 
 def radial_constant(n: int, r0: float, t0: float, model: ModelKind) -> float:
@@ -80,33 +79,6 @@ def radial_profile(sol: RadialSolution, r):
         u = (n - root) / c
     d2u = c * n ** 2 / root ** 3
     return u, du, d2u
-
-
-def ode_crosscheck(sol: RadialSolution, steps: int = 10_000) -> float:
-    """Integrate p' = c - (n-1) p / r with the classical 4th-order one-step
-    method and return the maximal deviation from the closed form p = (c/n) r.
-
-    The origin is a regular singular point; the march starts one step out on
-    the leading-order expansion p(r) ~ (c/n) r.
-    """
-    n, c, r0 = sol.n, sol.c, sol.r0
-    h = r0 / steps
-    r = h
-    p = c / n * r
-
-    def rhs(r, p):
-        return c - (n - 1) * p / r
-
-    dev = abs(p - c / n * r)
-    for _ in range(steps - 1):
-        k1 = rhs(r, p)
-        k2 = rhs(r + 0.5 * h, p + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, p + 0.5 * h * k2)
-        k4 = rhs(r + h, p + h * k3)
-        p += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        r += h
-        dev = max(dev, abs(p - c / n * r))
-    return dev
 
 
 def seed_field(spec, strategy: str = "auto") -> SolutionField:

@@ -243,7 +243,8 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         return NonConvergence(f"{reason} at iteration {it + 1}", best_field=fld,
                               residual_norm=r_inf, iterations=it, t=t_label)
 
-    for it in range(opts.max_newton):
+    # max_newton steps leave max_newton + 1 residuals to test
+    for it in range(opts.max_newton + 1):
         r_inf = float(np.max(np.abs(res)))
         info.residual_norms.append(r_inf)
         if not np.isfinite(r_inf):
@@ -252,6 +253,10 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
             info.converged = True
             info.iterations = it
             return fld, info
+        if it == opts.max_newton:
+            raise NonConvergence(f"no convergence in {it} iterations (residual "
+                                 f"{r_inf:.3e})", best_field=fld, residual_norm=r_inf,
+                                 iterations=it, t=t_label)
 
         jac = jacobian(spec, *state)
         try:
@@ -271,16 +276,6 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         info.alphas.append(alpha)
         logger.info("newton t=%s iter=%d res=%.9g alpha=%.9g c=%.9g",
                     t_str, it + 1, float(np.max(np.abs(res))), alpha, fld.c)
-
-    r_inf = float(np.max(np.abs(res)))
-    if r_inf <= opts.tol_residual * (1.0 + abs(fld.c)):
-        info.converged = True
-        info.iterations = opts.max_newton
-        return fld, info
-    raise NonConvergence(f"no convergence in {opts.max_newton} iterations "
-                         f"(residual {r_inf:.3e})", best_field=fld,
-                         residual_norm=r_inf, iterations=opts.max_newton,
-                         t=t_label)
 
 
 def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> float:
@@ -317,8 +312,10 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     inverse-Hessian operator, whose coefficients depend on node positions,
     step t is the Legendre dual of the primal problem on omega_tilde_t with
     image omega, on the fixed dual domain.  Returns (final field,
-    [HomotopyState]).
+    [HomotopyState]); raises ValueError for steps < 2.
     """
+    if steps < 2:   # a one-point schedule from t_min < 1 never reaches t = 1
+        raise ValueError(f"steps must be >= 2, got {steps}")
     opts = opts or SolveOptions()
     if t_min is None:
         t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)

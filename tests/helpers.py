@@ -4,7 +4,8 @@ pointwise operator derivatives, a Hypothesis strategy of quadric domains,
 a field's Newton state, the quadric concavity and gradient-band oracles,
 the sampled auto_t_min reference, a sparse-matrix dump, a grid's
 truncation scale, the pseudo-inverse reference of the interior fits, and
-the direct reference of the Newton linear solve."""
+the direct reference of the Newton linear solve, and the radial ODE
+oracle."""
 
 from dataclasses import dataclass
 
@@ -266,3 +267,30 @@ def factor_every_system(jac, rhs, factor=None):
     lu = splu((sp.diags(1.0 / row_max) @ jac).tocsc(), permc_spec=LU_ORDERING,
               diag_pivot_thresh=LU_PIVOT_THRESH)
     return lu.solve(rhs / row_max), (lu, row_max), 0
+
+
+def ode_crosscheck(sol, steps: int = 10_000) -> float:
+    """Integrate p' = c - (n-1) p / r with the classical 4th-order one-step
+    method and return the maximal deviation from the closed form p = (c/n) r.
+
+    The origin is a regular singular point; the march starts one step out on
+    the leading-order expansion p(r) ~ (c/n) r.
+    """
+    n, c, r0 = sol.n, sol.c, sol.r0
+    h = r0 / steps
+    r = h
+    p = c / n * r
+
+    def rhs(r, p):
+        return c - (n - 1) * p / r
+
+    dev = abs(p - c / n * r)
+    for _ in range(steps - 1):
+        k1 = rhs(r, p)
+        k2 = rhs(r + 0.5 * h, p + 0.5 * h * k1)
+        k3 = rhs(r + 0.5 * h, p + 0.5 * h * k2)
+        k4 = rhs(r + h, p + h * k3)
+        p += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        r += h
+        dev = max(dev, abs(p - c / n * r))
+    return dev

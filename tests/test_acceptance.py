@@ -8,8 +8,7 @@ import pytest
 
 from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField,
                       build_grid, jacobian, lambda_bounds, newton_solve,
-                      ode_crosscheck, radial_profile, run_homotopy,
-                      seed_field)
+                      radial_profile, run_homotopy, seed_field)
 from cmcsolve.diagnostics import flux_identity, full_report, mass_balance, \
     obliqueness_profile
 from cmcsolve.duality import FieldInterpolant, dual_solve
@@ -17,7 +16,7 @@ from cmcsolve.kernel import mean_curvature, operator_derivatives
 from cmcsolve.radial import RadialSolution
 from conftest import C_RADIAL, C_RADIAL_EUC, EUC, MINK, solve_direct
 from helpers import (fd_operator_derivatives, field_state, grid_tolerance,
-                     random_states, shape_matrix)
+                     ode_crosscheck, random_states, shape_matrix)
 from test_assembly import fd_jacobian, smooth_convex_field
 
 

@@ -112,6 +112,17 @@ class TestSolveCommand:
             "omega_tilde.radius = 0.5", "omega_tilde.radius = 1.01"))
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    def test_off_centre_image_past_the_guard_exit_2(self, tmp_path, capsys):
+        # the farthest boundary point reaches |y| = 0.9999995 > 1 - eps_space,
+        # between the 256 rays a sampled check looks along
+        cfg = write_config(tmp_path, text=BASE_CONFIG.replace(
+            "omega_tilde.center = 0.0, 0.0", "omega_tilde.center = 0.3, 0.0037").replace(
+            "omega_tilde.radius = 0.5", "omega_tilde.radius = 0.6999766842009345"))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "0.9999995" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"omega.flavour": "sour"})
         assert main(["solve", "--config", str(cfg)]) == 2
@@ -172,6 +183,22 @@ class TestVerifyCommand:
         assert np.array_equal(loaded.u, fld.u)
         assert loaded.c == fld.c
         assert loaded.model is fld.model
+
+    def test_field_csv_rows_are_per_node_reprs(self, tmp_path, radial_32):
+        # reference: each node's row formatted on its own, pole first
+        spec, fld, _ = radial_32
+        grid = fld.grid
+        du, d2u = fld.derivatives()
+        keys = [(0, 0)] + [(i, j) for i in range(1, grid.n_rho + 1)
+                           for j in range(grid.n_phi)]
+        expected = ["rho_index,phi_index,x1,x2,u,du1,du2,d2u11,d2u12,d2u22"]
+        for k, (i, j) in enumerate(keys):
+            vals = (*grid.nodes[k], fld.u[k], *du[k], d2u[k, 0, 0], d2u[k, 0, 1],
+                    d2u[k, 1, 1])
+            expected.append(f"{i},{j}," + ",".join(repr(float(v)) for v in vals))
+        path = tmp_path / "f.csv"
+        save_field(fld, path)
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_corrupted_field_flags(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

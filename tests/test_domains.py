@@ -6,7 +6,7 @@ from scipy.special import ellipe
 
 from cmcsolve import Ball, Ellipse
 from cmcsolve.domains import (CENTER_REACH, SublevelDomain, domain_from_dict,
-                              require_inside_unit_ball)
+                              polar_frame, require_inside_unit_ball)
 from cmcsolve.errors import ConfigError, DegenerateSublevel, NotOnBoundary
 from helpers import grad_bound_delta, quadric_domains, theta
 
@@ -267,6 +267,32 @@ class TestCenterReach:
         # at 2^51 inradii the nodes of an 8 x 16 grid round onto one another
         with pytest.raises(ValueError, match="inradii of the origin"):
             Ball((0, 2.0 ** 51 + 1), 1.0)
+
+
+class TestMaxBoundaryNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(dom=quadric_domains())
+    def test_matches_dense_sample(self, dom):
+        # 10^5 angles about the peak, then 10^5 more across the best one's
+        # two neighbouring cells: the sample's own error is then far below
+        # 1e-12, and it may exceed the exact value by rounding only
+        def sampled(phi):
+            pts = dom.peak + dom.boundary_radius(phi)[:, None] * polar_frame(phi)[0]
+            norms = np.linalg.norm(pts, axis=-1)
+            return norms.max(), phi[np.argmax(norms)]
+
+        step = 2 * np.pi / 100_000
+        _, best = sampled(np.arange(100_000) * step)
+        sample, _ = sampled(np.linspace(best - step, best + step, 100_001))
+        exact = dom.max_boundary_norm()
+        assert exact >= sample * (1 - 4 * np.finfo(float).eps)
+        assert exact <= sample * (1 + 1e-12)
+
+    @pytest.mark.parametrize("dom, norm", [
+        (Ball((0, 0), 0.4), 0.4), (Ball((0.5, 0), 0.2), 0.7),
+        (Ball((0.3, 0.4), 0.5), 1.0), (Ellipse((0, 0.3), (0.2, 0.5)), 0.8)])
+    def test_closed_forms(self, dom, norm):
+        assert dom.max_boundary_norm() == pytest.approx(norm, rel=1e-15)
 
 
 class TestUnitBallCheck:

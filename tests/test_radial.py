@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, RadialSolution,
-                      build_grid, ode_crosscheck, radial_constant,
-                      radial_profile, seed_field)
+                      build_grid, radial_constant, radial_profile, seed_field)
 from cmcsolve.assembly import residual
 from cmcsolve.errors import SeedFailure
+from helpers import ode_crosscheck
 
 MINK = ModelKind.MINKOWSKI
 EUC = ModelKind.EUCLIDEAN

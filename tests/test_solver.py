@@ -71,6 +71,16 @@ class TestNewtonSolve:
         assert err.value.best_field is not None
         assert err.value.residual_norm > 0
 
+    def test_budget_failure_states_its_budget(self):
+        # the residual after the last allowed step is tested once, and a
+        # miss names the budget
+        om, omt = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4)
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
+        with pytest.raises(NonConvergence, match=r"^no convergence in 2 iterations "
+                                                 r"\(residual ") as err:
+            newton_solve(spec, seed_field(spec), SolveOptions(max_newton=2))
+        assert err.value.iterations == 2
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(tol_residual=-1.0)
@@ -400,6 +410,14 @@ class TestHomotopy:
         fld, history = run_homotopy(spec, t_min=1.0)
         assert len(history) == 1
         assert abs(fld.c - C_RADIAL) <= 1e-3
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_schedule_must_reach_one(self, steps):
+        # one point from t_min = 0.5 would return the t = 0.5 field
+        omega = Ellipse((0, 0), (1.0, 0.8))
+        spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
+        with pytest.raises(ValueError, match="steps must be >= 2"):
+            run_homotopy(spec, steps=steps, t_min=0.5)
 
     def test_steps_are_dilated_super_level_pairs(self):
         # dilating the domain is a symmetry of the graph problem: the step
