@@ -6,7 +6,7 @@ Euclidean graphs."""
 
 from .assembly import (OperatorKind, ProblemSpec, jacobian, residual)
 from .diagnostics import DiagnosticsReport, full_report, lambda_bounds
-from .domains import Ball, ConvexDomain, Ellipse, SublevelDomain
+from .domains import Ball, ConvexDomain, Ellipse
 from .duality import (FieldInterpolant, dual_residual, dual_solve,
                       legendre_transform)
 from .grid import MappedGrid, SolutionField, build_grid, transfer_field
@@ -19,7 +19,7 @@ from .solver import (HomotopyState, NewtonInfo, SolveOptions, damped_step,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "ConvexDomain", "Ellipse", "SublevelDomain",
+    "Ball", "ConvexDomain", "Ellipse",
     "ModelKind",
     "MappedGrid", "SolutionField", "build_grid", "transfer_field",
     "OperatorKind", "ProblemSpec", "residual", "jacobian",

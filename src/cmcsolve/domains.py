@@ -17,8 +17,11 @@ here from that quadric:
     [delta, 1/delta]; exact unit gradient is not needed because the boundary
     condition h(Du) = 0 and the obliqueness direction are invariant under
     positive scaling of h.
-  * SublevelDomain(base, level): the base quadric with h_max lowered by
-    level, i.e. {h_base >= level}, used by the continuation family.
+
+The super-level set {h >= (1-t) h_max} is the sqrt(t)-scaled copy of the
+domain about its peak, and sublevel(t) returns it as a domain of the same
+class: its defining function (h - (1-t) h_max)/sqrt(t) has the same zero set
+and keeps the |Dh| band of the class.
 
 Every radius is measured from the peak: along the unit vector e the boundary
 lies at r = sqrt(2 h_max / e^T A e), so the inradius and outradius about the
@@ -27,6 +30,7 @@ peak are sqrt(2 h_max / lambda) at the largest and smallest eigenvalue of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +54,6 @@ RADIUS_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
 # distinct; at 2^51 (Ball((0, 2.25e15), 1)) the first-ring nodes of an 8x16
 # grid round onto one another and the recovery fit is singular.
 CENTER_REACH = 2.0 ** 26
-
-# Angles used for the dense boundary quadrature behind measures().
-_MEASURE_SAMPLES = 1024
 
 
 def polar_frame(phi):
@@ -143,48 +144,48 @@ class ConvexDomain:
         alpha, beta = np.sqrt(2.0 * self.h_max / lam)
         b1, b2 = x0 @ q
         k = beta ** 2 - alpha ** 2
-        roots = np.roots([-beta * b2, -2.0 * (alpha * b1 + k), 0.0,
-                          2.0 * (k - alpha * b1), beta * b2])
+        coeffs = np.array([-beta * b2, -2.0 * (alpha * b1 + k), 0.0,
+                           2.0 * (k - alpha * b1), beta * b2])
+        # a coefficient below roundoff of the largest one is noise; as the
+        # leading one it only sends a root towards s = inf (t = pi), and
+        # np.roots would overflow dividing by it
+        coeffs[np.abs(coeffs) <= np.finfo(float).eps * np.max(np.abs(coeffs))] = 0.0
+        roots = np.roots(coeffs)
         t = np.append(2.0 * np.arctan(roots.real), np.pi)
         y = x0 + np.stack([alpha * np.cos(t), beta * np.sin(t)], axis=-1) @ q.T
         return float(np.max(np.linalg.norm(y, axis=-1)))
 
     def sublevel(self, t: float) -> "ConvexDomain":
-        """The super-level set {h >= (1-t) h_max} for t in (0, 1], wrapped
-        with the shifted defining function h - (1-t) h_max.  It is the
-        sqrt(t)-scaling of the domain about its peak.
+        """The super-level set {h >= (1-t) h_max} for t in (0, 1]: the
+        sqrt(t)-scaled copy of the domain about its peak, of the same class.
 
-        Returns self at t = 1.  Raises DegenerateSublevel when the level set
-        is too small to resolve.
+        Returns self at t = 1.  Raises DegenerateSublevel when the copy is
+        too small to resolve or cannot be represented (RADIUS_RANGE,
+        CENTER_REACH).
         """
         if not 0.0 < t <= 1.0:
             raise ValueError(f"t must be in (0, 1], got {t}")
         if t == 1.0:
             return self
         # resolvability floor: keep the level curve a few percent of the
-        # original size so grids stay well conditioned.  It is decided from
-        # the scaled inradius before the set is built, because for t below
-        # the float resolution (1-t) h_max rounds to h_max.
-        r_in = np.sqrt(t) * self.radii()[0]
+        # original size so grids stay well conditioned
+        k = np.sqrt(t)
+        r_in = k * self.radii()[0]
         if r_in < 1e-2 * self.diameter():
             raise DegenerateSublevel(f"super-level set at t={t} has inradius "
                                      f"{r_in:.3e}, below the resolvable floor")
-        level = (1.0 - t) * self.h_max
-        if isinstance(self, SublevelDomain):
-            return SublevelDomain(self.base, self.level + level)
-        return SublevelDomain(self, level)
+        try:
+            return self._scaled(k)
+        except ValueError as exc:
+            raise DegenerateSublevel(f"super-level set at t={t}: {exc}") from exc
+
+    def _scaled(self, k: float) -> "ConvexDomain":
+        """The copy scaled by k about the peak."""
+        raise NotImplementedError
 
     def measures(self) -> tuple[float, float]:
-        """(area, perimeter); analytic when available, otherwise dense
-        boundary quadrature about the peak (spectrally accurate for the
-        smooth boundaries used here)."""
-        phi = np.linspace(0, 2 * np.pi, _MEASURE_SAMPLES, endpoint=False)
-        r = self.boundary_radius(phi)
-        rp = self.boundary_radius_deriv(phi)
-        dphi = 2 * np.pi / _MEASURE_SAMPLES
-        area = 0.5 * np.sum(r ** 2) * dphi
-        perimeter = np.sum(np.sqrt(r ** 2 + rp ** 2)) * dphi
-        return float(area), float(perimeter)
+        """(area, perimeter)."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -235,6 +236,9 @@ class Ball(ConvexDomain):
     def h_max(self):
         return self.radius / 2.0
 
+    def _scaled(self, k):
+        return Ball(self.center, k * self.radius)
+
     def measures(self):
         return float(np.pi * self.radius ** 2), float(2 * np.pi * self.radius)
 
@@ -266,36 +270,28 @@ class Ellipse(ConvexDomain):
     def h_max(self):
         return self._scale / 2.0
 
+    def _scaled(self, k):
+        return Ellipse(self.center, (k * self.semi_axes[0], k * self.semi_axes[1]))
+
     def measures(self):
-        area = float(np.pi * self.semi_axes[0] * self.semi_axes[1])
-        return area, super().measures()[1]
+        """Area pi a b and perimeter 4 a E(1 - b^2/a^2) by the
+        arithmetic-geometric mean: 2 pi / M(a, b) times
+        (a^2 + b^2)/2 - sum_{n >= 1} 2^(n-1) c_n^2, c_n = (a_{n-1} - b_{n-1})/2.
+        The mean converges quadratically, so the terms left once a and b
+        agree to 1e-15 are below roundoff; RADIUS_RANGE keeps every square
+        a normal float."""
+        a, b = self.semi_axes
+        area = math.pi * a * b
+        total, weight = 0.5 * (a * a + b * b), 1.0
+        while abs(a - b) > 1e-15 * a:
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+            total -= weight * c * c
+            weight *= 2.0
+        return area, 2.0 * math.pi * total / (0.5 * (a + b))
 
     def to_dict(self):
         return {"kind": "ellipse", "center": list(self.center),
                 "semi_axes": list(self.semi_axes)}
-
-
-@dataclass(eq=True)
-class SublevelDomain(ConvexDomain):
-    """Super-level composite {h_base >= level}, defined by h_base - level."""
-
-    base: ConvexDomain
-    level: float
-
-    def __post_init__(self):
-        if not 0.0 < self.level < self.base.h_max:
-            raise ValueError(f"level must be in (0, h_max), got {self.level}")
-        self.level = float(self.level)
-
-    def quadric(self):
-        return self.base.quadric()
-
-    @property
-    def h_max(self):
-        return self.base.h_max - self.level
-
-    def to_dict(self):
-        return {"kind": "sublevel", "base": self.base.to_dict(), "level": self.level}
 
 
 def _pair(value) -> tuple:
@@ -311,5 +307,9 @@ def domain_from_dict(d: dict) -> ConvexDomain:
     if kind == "ellipse":
         return Ellipse(_pair(d["center"]), _pair(d["semi_axes"]))
     if kind == "sublevel":
-        return SublevelDomain(domain_from_dict(d["base"]), d["level"])
+        # written (never nested) by earlier versions: the set {h_base >= level}
+        base, level = domain_from_dict(d["base"]), d["level"]
+        if not 0.0 < level < base.h_max:
+            raise ValueError(f"level must be in (0, h_max), got {level}")
+        return base.sublevel(1.0 - level / base.h_max)
     raise ValueError(f"unknown domain kind {kind!r}")

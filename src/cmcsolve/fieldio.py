@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .domains import domain_from_dict
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateSublevel
 from .grid import SolutionField, build_grid
 from .kernel import ModelKind
 
@@ -128,6 +128,6 @@ def load_field(csv_path) -> SolutionField:
     try:
         model = ModelKind(header["model"])
         grid = build_grid(domain_from_dict(header["domain"]), n_rho, n_phi)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, DegenerateSublevel) as exc:
         raise ConfigError(f"invalid field header: {exc}") from exc
     return SolutionField(grid, u, float(c), model, dual)

@@ -92,7 +92,6 @@ class SolveOptions:
 class NewtonInfo:
     converged: bool = False
     iterations: int = 0
-    residual_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     factorizations: int = 0
     krylov_iterations: int = 0
@@ -103,7 +102,6 @@ class HomotopyState:
     """Snapshot of one continuation step."""
 
     t: float
-    omega_tilde_t: ConvexDomain
     field: SolutionField
     newton_iterations: int = 0
 
@@ -246,7 +244,6 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     # max_newton steps leave max_newton + 1 residuals to test
     for it in range(opts.max_newton + 1):
         r_inf = float(np.max(np.abs(res)))
-        info.residual_norms.append(r_inf)
         if not np.isfinite(r_inf):
             raise failure("non-finite residual", it, r_inf)
         if r_inf <= opts.tol_residual * (1.0 + abs(fld.c)):
@@ -298,8 +295,9 @@ def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> fl
 def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
                  steps: int = 12, t_min: float | None = None):
     """Continuity-method solve on spec.grid: step t solves spec with the
-    target replaced by its super-level set at t, the sqrt(t)-scaling of
-    omega_tilde about its peak.
+    target replaced by its super-level set at t, omega_tilde.sublevel(t):
+    the sqrt(t)-scaled copy of omega_tilde about its peak, a domain of the
+    same class with the same |Dh| band.
 
     Walks `steps` uniform values of t from t_min (auto_t_min when None) to
     1, or t = 1 alone when t_min is 1.  The first step is seeded by
@@ -345,8 +343,7 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             pending.insert(0, 0.5 * (prev_t + t))
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
-        history.append(HomotopyState(t=t, omega_tilde_t=spec_t.omega_tilde,
-                                     field=fld, newton_iterations=info.iterations))
+        history.append(HomotopyState(t=t, field=fld, newton_iterations=info.iterations))
         prev_field, prev_t = fld, t
         pending.pop(0)
 

@@ -379,6 +379,21 @@ def test_unresolvable_t_min_exit_1(tmp_path, capsys, t_min):
     assert "below the resolvable floor" in err
 
 
+def test_unrepresentable_sublevel_exit_1(tmp_path, capsys):
+    # the t = 0.05 copy of the target has radius 2.2e-103, below RADIUS_RANGE
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if not line.startswith(("grid.", "omega_tilde.radius")))
+    cfg = write_config(tmp_path, text=text, **{
+        "grid.n_rho": "8", "grid.n_phi": "16", "omega_tilde.radius": "1e-102",
+        "homotopy.enabled": "true", "homotopy.t_min": "0.05"})
+    assert main(["solve", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith("solver failure: ")
+    assert "cannot be represented" in err
+
+
 # drawn replacements for one config value: non-finite, extreme, zero,
 # negative, non-integer, empty and garbage texts
 FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300",
@@ -507,6 +522,14 @@ FIELD_CORRUPTIONS = {
     "header_dual_text": _header("dual", "false"),
     "header_center_empty": _header("domain", {"kind": "ball", "center": [],
                                               "radius": 1.0}),
+    # the sublevel kind of earlier versions: level outside (0, h_max), and a
+    # level whose set is below the resolvable floor (t = 1e-5)
+    "header_sublevel_level_h_max": _header("domain", {
+        "kind": "sublevel", "base": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "level": 0.5}),
+    "header_sublevel_below_floor": _header("domain", {
+        "kind": "sublevel", "base": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        "level": 0.5 * (1 - 1e-5)}),
 }
 
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
 
 from cmcsolve import Ball, Ellipse
-from cmcsolve.domains import (CENTER_REACH, SublevelDomain, domain_from_dict,
-                              polar_frame, require_inside_unit_ball)
+from cmcsolve.domains import (CENTER_REACH, domain_from_dict, polar_frame,
+                              require_inside_unit_ball)
 from cmcsolve.errors import ConfigError, DegenerateSublevel, NotOnBoundary
 from helpers import grad_bound_delta, quadric_domains, theta
 
@@ -118,10 +118,30 @@ class TestSublevel:
             dom.sublevel(t)
 
     def test_nested_flattening(self):
-        ball = Ball((0, 0), 1.0)
-        sub2 = ball.sublevel(0.6).sublevel(0.5)
-        assert isinstance(sub2, SublevelDomain)
-        assert sub2.base is ball
+        # a super-level set of a super-level set is again a scaled copy
+        sub2 = Ball((0, 0), 1.0).sublevel(0.6).sublevel(0.5)
+        assert sub2 == Ball((0, 0), np.sqrt(0.6) * np.sqrt(0.5))
+
+    @pytest.mark.parametrize("dom, copy", [
+        (Ball((0.2, -0.1), 0.8), Ball((0.2, -0.1), 0.8 * np.sqrt(0.3))),
+        (Ellipse((0.1, 0.3), (1.0, 0.6)),
+         Ellipse((0.1, 0.3), (np.sqrt(0.3), 0.6 * np.sqrt(0.3))))])
+    def test_scaled_copy_of_same_class(self, dom, copy):
+        # the copy's defining function is (h - (1-t) h_max)/sqrt(t)
+        sub = dom.sublevel(0.3)
+        assert sub == copy
+        x = np.random.default_rng(0).uniform(-1, 1, (50, 2))
+        h_sub, dh_sub, _ = sub.defining(x)
+        h, dh, _ = dom.defining(x)
+        assert np.allclose(h_sub, (h - 0.7 * dom.h_max) / np.sqrt(0.3), rtol=0, atol=1e-14)
+        assert np.allclose(dh_sub, dh / np.sqrt(0.3), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dom, t", [(Ball((0, 0), 1e-102), 0.05),
+                                        (Ball((0, 6e7), 1.0), 0.5)])
+    def test_unrepresentable_copy(self, dom, t):
+        # the copy's radius leaves RADIUS_RANGE, or its peak CENTER_REACH
+        with pytest.raises(DegenerateSublevel, match="cannot be represented"):
+            dom.sublevel(t)
 
     def test_level_curve_shape_near_peak(self):
         # second-order Taylor at the peak: the level curves approach the
@@ -155,6 +175,13 @@ class TestMeasures:
         assert perim == pytest.approx(5.672333577794897, rel=1e-9)
 
 
+class TestEllipsePerimeter:
+    @pytest.mark.parametrize("a, b", [(1.0, 0.01), (1e6, 1.0)])
+    def test_elongated(self, a, b):
+        _, perim = Ellipse((0, 0), (a, b)).measures()
+        assert perim == pytest.approx(4 * a * ellipe(1 - (b / a) ** 2), rel=1e-12)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("dom", [
         Ball((0.1, -0.2), 0.8),
@@ -164,6 +191,12 @@ class TestRoundTrip:
     def test_dict_round_trip(self, dom):
         back = domain_from_dict(dom.to_dict())
         assert back == dom
+
+    @pytest.mark.parametrize("base", [Ball((0.1, -0.2), 0.8), Ellipse((0, 0.3), (1.2, 0.5))])
+    def test_sublevel_header(self, base):
+        # earlier versions wrote {h_base >= level} with this kind
+        d = {"kind": "sublevel", "base": base.to_dict(), "level": 0.6 * base.h_max}
+        assert domain_from_dict(d) == base.sublevel(0.4)
 
 
 @settings(max_examples=50, deadline=None)
@@ -186,9 +219,7 @@ RAYS = np.linspace(0, 2 * np.pi, 16, endpoint=False)
 
 
 def _translated(d: dict, offset) -> dict:
-    """A domain's to_dict() form with its (base's) center moved by offset."""
-    if d["kind"] == "sublevel":
-        return {**d, "base": _translated(d["base"], offset)}
+    """A domain's to_dict() form with its center moved by offset."""
     return {**d, "center": [c + o for c, o in zip(d["center"], offset)]}
 
 
@@ -272,6 +303,8 @@ class TestCenterReach:
 class TestMaxBoundaryNorm:
     @settings(max_examples=60, deadline=None)
     @given(dom=quadric_domains())
+    # a subnormal peak coordinate made np.roots overflow on the quartic
+    @example(dom=Ball((1.0, 2.225073858507203e-309), 1.0))
     def test_matches_dense_sample(self, dom):
         # 10^5 angles about the peak, then 10^5 more across the best one's
         # two neighbouring cells: the sample's own error is then far below

@@ -447,9 +447,9 @@ class TestHomotopy:
         for name in ("ellipse_ball", "ball_ellipse"):
             spec, _, history = ci_instances[name]
             for state in history:
-                lam1, lam2 = lambda_bounds(spec.omega, state.omega_tilde_t, MINK)
-                spec_t = ProblemSpec(spec.omega, state.omega_tilde_t, MINK,
-                                     state.field.grid)
+                omega_tilde_t = spec.omega_tilde.sublevel(state.t)
+                lam1, lam2 = lambda_bounds(spec.omega, omega_tilde_t, MINK)
+                spec_t = ProblemSpec(spec.omega, omega_tilde_t, MINK, state.field.grid)
                 slack = 3.0 * flux_identity(spec_t, state.field) * abs(state.field.c)
                 c = state.field.c
                 assert lam1 - slack <= c <= lam2 + slack
