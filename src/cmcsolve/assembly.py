@@ -29,8 +29,12 @@ import scipy.sparse as sp
 from .domains import ConvexDomain, require_inside_unit_ball
 from .errors import ConvexityLoss, SingularHessian, SpacelikeViolation
 from .grid import MappedGrid, SolutionField
-from .kernel import (DEFAULT_EPS_SPACE, ModelKind, coefficient_matrix,
-                     mean_curvature, operator_derivatives)
+from .kernel import (EPS_SPACE, ModelKind, coefficient_matrix, mean_curvature,
+                     operator_derivatives)
+
+# uniform convexity guard, relative to the largest Hessian eigenvalue so that
+# dilating omega, scaling u or taking the Legendre transform leaves it alone
+CONVEXITY_RTOL = 1e-8
 
 
 class OperatorKind(Enum):
@@ -43,9 +47,9 @@ class ProblemSpec:
     """Problem instance: solve on omega for a potential whose gradient image
     is omega_tilde, under the given model and operator.
 
-    The admissible class comes with the pair: uniform convexity
-    (lambda_min(D^2u) >= eps_convexity at every node) and, in the
-    Minkowski model, the spacelike bound |Du| < 1 - eps_space.
+    The admissible class comes with the pair and has no settings: uniform
+    convexity (lambda_min > CONVEXITY_RTOL max lambda_max over the nodes)
+    and, in the Minkowski model, the spacelike bound |Du| < 1 - EPS_SPACE.
     """
 
     omega: ConvexDomain
@@ -53,20 +57,14 @@ class ProblemSpec:
     model: ModelKind
     grid: MappedGrid
     operator: OperatorKind = OperatorKind.GRAPH
-    eps_space: float = DEFAULT_EPS_SPACE
-    eps_convexity: float = 1e-8
 
     def __post_init__(self):
-        for name in ("eps_convexity", "eps_space"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be a finite positive number, "
-                                 f"got {getattr(self, name)!r}")
         if self.model is ModelKind.MINKOWSKI:
             # the kernel's gradient slot must stay strictly inside the unit
             # ball: gradient values (primal) or node positions (dual)
             constrained = (self.omega_tilde if self.operator is OperatorKind.GRAPH
                            else self.omega)
-            require_inside_unit_ball(constrained, self.eps_space)
+            require_inside_unit_ball(constrained)
 
 
 def _inverse_2x2(d2u):
@@ -87,28 +85,27 @@ def _inverse_2x2(d2u):
     return w / det[..., None, None]
 
 
-def inverse_hessian_operator(positions, d2u, model: ModelKind,
-                             eps_space: float = DEFAULT_EPS_SPACE):
+def inverse_hessian_operator(positions, d2u, model: ModelKind):
     """The Legendre-dual operator -s(y) : [D^2u]^{-1}, with s the kernel's
     coefficient matrix at the node positions y."""
     w = _inverse_2x2(np.asarray(d2u, dtype=float))
-    s = coefficient_matrix(positions, model, eps_space)
+    s = coefficient_matrix(positions, model)
     return -np.einsum('...kl,...kl->...', s, w)
 
 
 def operator_value(spec: ProblemSpec, positions, du, d2u):
     """Pointwise operator values at the given states."""
     if spec.operator is OperatorKind.GRAPH:
-        return mean_curvature(du, d2u, spec.model, spec.eps_space)
-    return inverse_hessian_operator(positions, d2u, spec.model, spec.eps_space)
+        return mean_curvature(du, d2u, spec.model)
+    return inverse_hessian_operator(positions, d2u, spec.model)
 
 
 def operator_state_derivatives(spec: ProblemSpec, positions, du, d2u):
     """(dG/d(d2u), dG/d(du)) at the given states; shapes (..., 2, 2), (..., 2)."""
     if spec.operator is OperatorKind.GRAPH:
-        return operator_derivatives(du, d2u, spec.model, spec.eps_space)
+        return operator_derivatives(du, d2u, spec.model)
     w = _inverse_2x2(np.asarray(d2u, dtype=float))
-    s = coefficient_matrix(positions, spec.model, spec.eps_space)
+    s = coefficient_matrix(positions, spec.model)
     g_r = np.einsum('...ik,...kl,...lj->...ij', w, s, w)
     return 0.5 * (g_r + np.swapaxes(g_r, -1, -2)), np.zeros_like(np.asarray(du, float))
 
@@ -129,18 +126,19 @@ def admissibility_violation(spec: ProblemSpec, du, d2u):
     """Return the guard violation for nodal derivatives (Du, D^2u), or None
     if admissible.
 
-    Guards: uniform convexity, lambda_min >= spec.eps_convexity at every
-    node; for the primal Minkowski operator also the spacelike bound
-    max |Du| < 1 - spec.eps_space.
+    Guards: uniform convexity, min lambda_min > CONVEXITY_RTOL max lambda_max
+    over the nodes, so a zero, concave or non-finite Hessian fails; for the
+    primal Minkowski operator also the spacelike bound
+    max |Du| < 1 - EPS_SPACE.
     """
-    lam_min, _ = hessian_eig_bounds(d2u)
+    lam_min, lam_max = hessian_eig_bounds(d2u)
     k = int(np.argmin(lam_min))
-    if not lam_min[k] >= spec.eps_convexity:
+    if not lam_min[k] > CONVEXITY_RTOL * np.max(lam_max):
         return ConvexityLoss(float(lam_min[k]), node=k)
     if spec.operator is OperatorKind.GRAPH and spec.model is ModelKind.MINKOWSKI:
         g = np.linalg.norm(du, axis=-1)
         k = int(np.argmax(g))
-        if not g[k] < 1.0 - spec.eps_space:
+        if not g[k] < 1.0 - EPS_SPACE:
             return SpacelikeViolation(float(g[k]), node=k)
     return None
 

@@ -86,7 +86,7 @@ def cmd_solve(args) -> int:
     try:
         cfg = parse_config(args.config)
         spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model,
-                           build_grid(cfg.omega, cfg.n_rho, cfg.n_phi), **cfg.guards)
+                           build_grid(cfg.omega, cfg.n_rho, cfg.n_phi))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, grid, **cfg.guards)
+        spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model, grid)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,6 @@ dot-namespaced, values are scalars or comma-separated pairs):
   grid.n_phi            even int >= 16
   solve.tol_residual    float            (default: SolveOptions)
   solve.max_newton      int              (default: SolveOptions)
-  solve.eps_convexity   float            (default: ProblemSpec)
-  solve.eps_space       float            (default: ProblemSpec)
   homotopy.enabled      true | false     (default false)
   homotopy.steps        int >= 2         (default 12)
   homotopy.t_min        auto | float     (default auto)
@@ -44,8 +42,7 @@ _KNOWN_KEYS = {
     "omega_tilde.kind", "omega_tilde.center", "omega_tilde.radius",
     "omega_tilde.semi_axes",
     "grid.n_rho", "grid.n_phi",
-    "solve.tol_residual", "solve.max_newton", "solve.eps_convexity",
-    "solve.eps_space",
+    "solve.tol_residual", "solve.max_newton",
     "homotopy.enabled", "homotopy.steps", "homotopy.t_min",
     "seed.strategy", "seed.path",
     "output.dir",
@@ -60,7 +57,6 @@ class RunConfig:
     n_rho: int
     n_phi: int
     options: SolveOptions
-    guards: dict   # the solve.eps_* keys given, as ProblemSpec keywords
     homotopy_enabled: bool
     homotopy_steps: int
     homotopy_t_min: float | None   # None = auto
@@ -116,13 +112,6 @@ def _get_int(entries, key, default=None):
     return int(v)
 
 
-def _solve_keys(entries, **getters) -> dict:
-    """name -> parsed value for each solve.<name> key the file sets; an
-    absent key keeps the default of the dataclass that reads it."""
-    return {name: get(entries, f"solve.{name}") for name, get in getters.items()
-            if f"solve.{name}" in entries}
-
-
 def _get_pair(entries, key):
     if key not in entries:
         raise ConfigError(f"missing required key {key!r}")
@@ -166,12 +155,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"grid.n_phi must be even and >= 16, got {n_phi}")
 
     try:
-        options = SolveOptions(**_solve_keys(entries, tol_residual=_get_float,
-                                             max_newton=_get_int))
+        options = SolveOptions(
+            tol_residual=_get_float(entries, "solve.tol_residual",
+                                    SolveOptions.tol_residual),
+            max_newton=_get_int(entries, "solve.max_newton", SolveOptions.max_newton))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # ProblemSpec validates the guards when the caller builds it
-    guards = _solve_keys(entries, eps_convexity=_get_float, eps_space=_get_float)
 
     hom_enabled = entries.get("homotopy.enabled", "false").lower()
     if hom_enabled not in ("true", "false"):
@@ -193,7 +182,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("seed.strategy = file requires seed.path")
 
     return RunConfig(model=model, omega=omega, omega_tilde=omega_tilde,
-                     n_rho=n_rho, n_phi=n_phi, options=options, guards=guards,
+                     n_rho=n_rho, n_phi=n_phi, options=options,
                      homotopy_enabled=hom_enabled == "true",
                      homotopy_steps=steps, homotopy_t_min=t_min,
                      seed_strategy=strategy, seed_path=seed_path,

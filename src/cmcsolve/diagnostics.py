@@ -5,10 +5,11 @@ The checks mirror what the theory pins down without constants that cannot be
 computed:
 
   * integral bounds on the solved constant,
-        Lambda_1 = n (|Omega_tilde| / |Omega|)^{1/n},
+        Lambda_1 = n (|Omega_tilde| / |Omega|)^{1/n} min(1, w(R_tilde)^3),
         Lambda_2 = (|bd Omega| / |Omega|) max_{y in bd Omega_tilde} |y| w(y),
     with the model weight w(y) = 1/sqrt(1 + sigma |y|^2), sigma = -1
-    (Minkowski) or +1 (Euclidean); the solved c must satisfy
+    (Minkowski) or +1 (Euclidean), and R_tilde = max |y| over the boundary
+    of Omega_tilde; the solved c must satisfy
     Lambda_1 - delta_h <= c <= Lambda_2 + delta_h up to discretization slack.
   * mass balance |Omega_tilde| = integral of det D^2 u (the gradient map is
     a diffeomorphism onto the target).
@@ -31,7 +32,7 @@ import numpy as np
 
 from .assembly import OperatorKind, ProblemSpec, hessian_eig_bounds
 from .grid import SolutionField
-from .kernel import ModelKind
+from .kernel import EPS_SPACE, ModelKind
 
 
 # pass bounds of the report's checks
@@ -48,10 +49,12 @@ def lambda_bounds(omega, omega_tilde, model: ModelKind = ModelKind.MINKOWSKI):
     plane."""
     area, perim = omega.measures()
     area_t, _ = omega_tilde.measures()
-    lam1 = 2 * (area_t / area) ** 0.5
-    # |y| w(y) grows with |y|, so its maximum sits at the farthest point
     y = omega_tilde.max_boundary_norm()
-    lam2 = perim / area * (y / np.sqrt(1.0 + model.sigma * y ** 2))
+    v = np.sqrt(1.0 + model.sigma * y ** 2)   # 1 / w(y)
+    # Lambda_1 needs s >= k I on the image: k = min(1, w^3), 1 for Minkowski
+    lam1 = 2 * (area_t / area) ** 0.5 * min(1.0, v ** -3)
+    # |y| w(y) grows with |y|, so its maximum sits at the farthest point
+    lam2 = perim / area * (y / v)
     return float(lam1), float(lam2)
 
 
@@ -178,7 +181,7 @@ def full_report(spec: ProblemSpec, fld: SolutionField,
                       "passed": bool(eig_min > CONVEXITY_MIN)},
     }
     if spec.model is ModelKind.MINKOWSKI and spec.operator is OperatorKind.GRAPH:
-        bound = 1.0 - spec.eps_space
+        bound = 1.0 - EPS_SPACE
         checks["spacelike"] = {"value": grad_max, "bound": bound,
                                "passed": bool(grad_max <= bound)}
     if dual_gap is not None:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSublevel, NotOnBoundary
+from .kernel import EPS_SPACE
 
 # Relative tolerance (times domain diameter) for "x is on the boundary".
 BOUNDARY_RTOL = 1e-9
@@ -54,6 +55,10 @@ RADIUS_RANGE = (np.finfo(float).tiny ** (1 / 3), np.finfo(float).max ** (1 / 3))
 # distinct; at 2^51 (Ball((0, 2.25e15), 1)) the first-ring nodes of an 8x16
 # grid round onto one another and the recovery fit is singular.
 CENTER_REACH = 2.0 ** 26
+
+# Resolvability floor of a super-level set: smallest inradius, as a fraction
+# of the full domain's diameter, that keeps grids well conditioned.
+SUBLEVEL_FLOOR = 1e-2
 
 
 def polar_frame(phi):
@@ -167,11 +172,9 @@ class ConvexDomain:
             raise ValueError(f"t must be in (0, 1], got {t}")
         if t == 1.0:
             return self
-        # resolvability floor: keep the level curve a few percent of the
-        # original size so grids stay well conditioned
         k = np.sqrt(t)
         r_in = k * self.radii()[0]
-        if r_in < 1e-2 * self.diameter():
+        if r_in < SUBLEVEL_FLOOR * self.diameter():
             raise DegenerateSublevel(f"super-level set at t={t} has inradius "
                                      f"{r_in:.3e}, below the resolvable floor")
         try:
@@ -209,12 +212,12 @@ class ConvexDomain:
                              f"within [{lo:.3g}, {hi:.3g}]")
 
 
-def require_inside_unit_ball(domain: ConvexDomain, eps_space: float) -> None:
+def require_inside_unit_ball(domain: ConvexDomain) -> None:
     """Raise ConfigError unless the boundary of domain stays within
-    |y| <= 1 - eps_space: the Minkowski kernel's gradient slot must stay
+    |y| <= 1 - EPS_SPACE: the Minkowski kernel's gradient slot must stay
     strictly inside the unit ball."""
     worst = domain.max_boundary_norm()
-    if worst > 1.0 - eps_space:
+    if worst > 1.0 - EPS_SPACE:
         raise ConfigError(f"Minkowski model needs the gradient-image domain strictly "
                           f"inside the unit ball: max boundary |y| = {worst:.9g}")
 

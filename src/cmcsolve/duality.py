@@ -203,11 +203,8 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     dual_spec = replace(spec, omega=spec.omega_tilde, omega_tilde=spec.omega,
                         grid=dual_grid, operator=OperatorKind.INVERSE_HESSIAN)
     try:
-        fld, info = newton_solve(dual_spec, seed_field(dual_spec), opts)
-        fld.dual = True
-        return fld, info
+        return newton_solve(dual_spec, seed_field(dual_spec), opts)
     except NonConvergence:
         logger.info("dual direct solve failed; retrying with homotopy")
         fld, _ = run_homotopy(dual_spec, opts)
-        fld.dual = True
         return fld, None

@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import SpacelikeViolation
 
-DEFAULT_EPS_SPACE = 1e-6
+# spacelike margin of the Minkowski model: every gradient the kernel takes
+# must satisfy |Du| < 1 - EPS_SPACE
+EPS_SPACE = 1e-6
 
 
 class ModelKind(Enum):
@@ -35,22 +37,22 @@ class ModelKind(Enum):
         return -1.0 if self is ModelKind.MINKOWSKI else 1.0
 
 
-def _check_spacelike(du, model, eps_space):
+def _check_spacelike(du, model):
     if model is not ModelKind.MINKOWSKI:
         return
     n2 = np.sum(du * du, axis=-1)
-    bad = n2 >= (1.0 - eps_space) ** 2
+    bad = n2 >= (1.0 - EPS_SPACE) ** 2
     if np.any(bad):
         flat = np.argmax(np.where(bad, n2, -np.inf).ravel())
         raise SpacelikeViolation(float(np.sqrt(n2.ravel()[flat])),
                                  node=int(flat) if n2.ndim else None)
 
 
-def speed_factor(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def speed_factor(du, model: ModelKind):
     """v = sqrt(1 + sigma |du|^2); raises SpacelikeViolation in the
-    Minkowski model when |du| reaches 1 - eps_space."""
+    Minkowski model when |du| reaches 1 - EPS_SPACE."""
     du = np.asarray(du, dtype=float)
-    _check_spacelike(du, model, eps_space)
+    _check_spacelike(du, model)
     return np.sqrt(1.0 + model.sigma * np.sum(du * du, axis=-1))
 
 
@@ -58,24 +60,24 @@ def _outer(du):
     return du[..., :, None] * du[..., None, :]
 
 
-def coefficient_matrix(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def coefficient_matrix(du, model: ModelKind):
     """s_kl = (1/v)(delta_kl - sigma u_k u_l / v^2), the divergence-form
     coefficients: H = s_kl u_kl.  Equals dH/du_kl and (1/v) g^kl."""
     du = np.asarray(du, dtype=float)
-    v = speed_factor(du, model, eps_space)
+    v = speed_factor(du, model)
     eye = np.broadcast_to(np.eye(2), du.shape[:-1] + (2, 2))
     v_ = v[..., None, None]
     return (eye - model.sigma * _outer(du) / v_ ** 2) / v_
 
 
-def mean_curvature(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def mean_curvature(du, d2u, model: ModelKind):
     """H = div(du / v) evaluated through the divergence form s_kl u_kl."""
     d2u = np.asarray(d2u, dtype=float)
-    s = coefficient_matrix(du, model, eps_space)
+    s = coefficient_matrix(du, model)
     return np.einsum('...kl,...kl->...', s, d2u)
 
 
-def operator_derivatives(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def operator_derivatives(du, d2u, model: ModelKind):
     """(G_ij, G_i): derivatives of H(du, d2u) with respect to the Hessian
     entries and the gradient entries.
 
@@ -88,8 +90,8 @@ def operator_derivatives(du, d2u, model: ModelKind, eps_space: float = DEFAULT_E
     """
     du = np.asarray(du, dtype=float)
     d2u = np.asarray(d2u, dtype=float)
-    v = speed_factor(du, model, eps_space)
-    g_ij = coefficient_matrix(du, model, eps_space)
+    v = speed_factor(du, model)
+    g_ij = coefficient_matrix(du, model)
     tr = np.trace(d2u, axis1=-2, axis2=-1)
     rp = np.einsum('...ij,...j->...i', d2u, du)
     prp = np.einsum('...i,...i->...', du, rp)

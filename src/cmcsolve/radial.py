@@ -91,7 +91,7 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
     inradius over Omega's outradius, stepped down until its gradient image
     sits strictly inside the target; x_p, y_c are the defining-function
     peaks.  The result is mean-zero projected and checked against the
-    spec's convexity and spacelike guards on the grid.
+    admissibility guards on the grid.
 
     strategy: "auto" picks the radial branch on primal ball pairs;
     "quadratic" forces the quadratic branch.

@@ -49,9 +49,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .assembly import (ProblemSpec, admissibility_violation, jacobian,
-                       residual_from_state)
-from .domains import ConvexDomain
+from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
+                       jacobian, residual_from_state)
+from .domains import SUBLEVEL_FLOOR, ConvexDomain
 from .errors import NonConvergence, StepRejection
 from .grid import SolutionField
 from .radial import seed_field
@@ -74,7 +74,7 @@ MAX_BISECTIONS = 4
 
 @dataclass
 class SolveOptions:
-    """Newton controls; the admissibility guards belong to the ProblemSpec."""
+    """Newton controls; the admissibility guards are not options."""
 
     tol_residual: float = 1e-10      # relative: ||res||_inf <= tol (1 + |c|)
     max_newton: int = 40
@@ -223,8 +223,10 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     violations of the initial field propagate as-is.
     """
     opts = opts or SolveOptions()
-    fld = initial.copy()
-    fld.u = spec.grid.mean_zero(fld.u)
+    # only (u, c) come from the initial field; grid, model and dual tag are
+    # the spec's, so a seed solved under another model leaves no trace
+    fld = SolutionField(spec.grid, spec.grid.mean_zero(initial.u), initial.c, spec.model,
+                        dual=spec.operator is OperatorKind.INVERSE_HESSIAN)
     # (Du, D2u, boundary Du) of the current iterate; damped_step returns the
     # accepted trial's, so no iterate is differentiated twice
     state = (*fld.derivatives(), spec.grid.boundary_gradients(fld.u))
@@ -278,13 +280,14 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
 def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> float:
     """Smallest t on the 0.05 lattice whose super-level sets both keep a
     comfortably resolvable core: an inradius of at least six radial cells of
-    the full domain, and above the sublevel floor of 1 % of its diameter.
+    the full domain, and above the sublevel floor, SUBLEVEL_FLOOR times its
+    diameter 2 r_out.
 
     The super-level set at t is the sqrt(t)-scaling of the domain about its
     peak, so its inradius is sqrt(t) r_in; 1.0 when no lattice point fits.
     """
     ratio = max(r_out / r_in for r_in, r_out in (omega.radii(), omega_tilde.radii()))
-    root_t = max(6.0 / n_rho, 2e-2) * ratio
+    root_t = max(6.0 / n_rho, 2.0 * SUBLEVEL_FLOOR) * ratio
     for t in np.arange(0.05, 1.0, 0.05):
         t = round(float(t), 10)
         if np.sqrt(t) >= root_t:

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import splu
 
 from cmcsolve import Ball, Ellipse, ModelKind
 from cmcsolve.errors import DegenerateSublevel
-from cmcsolve.kernel import DEFAULT_EPS_SPACE, mean_curvature, speed_factor
+from cmcsolve.kernel import mean_curvature, speed_factor
 from cmcsolve.solver import LU_ORDERING, LU_PIVOT_THRESH
 
 
@@ -50,7 +50,7 @@ class PointState:
             raise ValueError("d2u must be symmetric")
 
 
-def metric_quantities(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def metric_quantities(du, model: ModelKind):
     """Return (v, g_lo, g_up, b_lo, b_up) at each state.
 
     Minkowski (sigma = -1):
@@ -64,7 +64,7 @@ def metric_quantities(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE
     b_up b_up = g_up, b_lo b_up = I.
     """
     du = np.asarray(du, dtype=float)
-    v = speed_factor(du, model, eps_space)
+    v = speed_factor(du, model)
     s = model.sigma
     eye = np.broadcast_to(np.eye(2), du.shape[:-1] + (2, 2))
     pp = du[..., :, None] * du[..., None, :]
@@ -76,23 +76,23 @@ def metric_quantities(du, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE
     return v, g_lo, g_up, b_lo, b_up
 
 
-def shape_matrix(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def shape_matrix(du, d2u, model: ModelKind):
     """a_ij = (1/v) b^ik u_kl b^lj; symmetric, positive definite iff d2u is.
     Its eigenvalues are the principal curvatures, its trace the mean
     curvature."""
     d2u = np.asarray(d2u, dtype=float)
-    v, _, _, _, b_up = metric_quantities(du, model, eps_space)
+    v, _, _, _, b_up = metric_quantities(du, model)
     a = np.einsum('...ik,...kl,...lj->...ij', b_up, d2u, b_up) / v[..., None, None]
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def principal_curvatures(du, d2u, model: ModelKind, eps_space: float = DEFAULT_EPS_SPACE):
+def principal_curvatures(du, d2u, model: ModelKind):
     """Eigenvalues of the shape matrix, ascending."""
-    a = shape_matrix(du, d2u, model, eps_space)
+    a = shape_matrix(du, d2u, model)
     return np.linalg.eigvalsh(a)
 
 
-def gradient_term_shape_form(du, d2u, eps_space: float = DEFAULT_EPS_SPACE):
+def gradient_term_shape_form(du, d2u):
     """Minkowski gradient derivative via the shape-matrix route:
 
       G_i = (u_i / v^2) F_kl a_kl + (2/v) F_kl a_ml b^ik u_m,   F_kl = delta_kl.
@@ -102,8 +102,8 @@ def gradient_term_shape_form(du, d2u, eps_space: float = DEFAULT_EPS_SPACE):
     du = np.asarray(du, dtype=float)
     d2u = np.asarray(d2u, dtype=float)
     model = ModelKind.MINKOWSKI
-    v, _, _, _, b_up = metric_quantities(du, model, eps_space)
-    a = shape_matrix(du, d2u, model, eps_space)
+    v, _, _, _, b_up = metric_quantities(du, model)
+    a = shape_matrix(du, d2u, model)
     tr_a = np.trace(a, axis1=-2, axis2=-1)
     bau = np.einsum('...ik,...km,...m->...i', b_up, a, du)
     return du * (tr_a / v ** 2)[..., None] + 2.0 * bau / v[..., None]

@@ -6,9 +6,10 @@ from scipy.sparse.linalg import splu
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       RadialSolution, SolutionField, build_grid, jacobian,
                       newton_solve, radial_profile, residual, seed_field)
-from cmcsolve.assembly import (_inverse_2x2, hessian_eig_bounds,
-                               operator_state_derivatives)
-from cmcsolve.errors import ConfigError, SingularHessian, SpacelikeViolation
+from cmcsolve.assembly import (_inverse_2x2, admissibility_violation,
+                               hessian_eig_bounds, operator_state_derivatives)
+from cmcsolve.errors import (ConfigError, ConvexityLoss, SingularHessian,
+                             SpacelikeViolation)
 from helpers import dump_triplets, field_state
 
 MINK = ModelKind.MINKOWSKI
@@ -211,17 +212,6 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             ProblemSpec(om, Ball((0, 0), 1.01), MINK, grid)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"eps_convexity": 0.0}, {"eps_convexity": -1e-8},
-        {"eps_convexity": float("nan")}, {"eps_space": float("inf")},
-        {"eps_space": 0.0}, {"eps_space": float("nan")},
-    ])
-    def test_guards_must_be_finite_positive(self, kwargs):
-        om = Ball((0, 0), 1.0)
-        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a finite "
-                                             "positive number"):
-            ProblemSpec(om, Ball((0, 0), 0.5), MINK, build_grid(om, 8, 16), **kwargs)
-
     def test_euclidean_unrestricted(self):
         om = Ball((0, 0), 1.0)
         grid = build_grid(om, 8, 16)
@@ -256,6 +246,38 @@ class TestHessianEigBounds:
         eigs = np.linalg.eigvalsh(a)
         assert np.allclose(lo, eigs[:, 0], atol=1e-12)
         assert np.allclose(hi, eigs[:, 1], atol=1e-12)
+
+
+class TestConvexityGuard:
+    # the node under test sits among identity Hessians; None = admissible
+    CASES = [
+        (np.eye(2), None),
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), None),
+        (np.diag([1e-6, 1.0]), None),
+        (np.diag([1e-9, 1.0]), 3),
+        (np.diag([-1.0, 1.0]), 3),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), 3),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), 3),
+    ]
+
+    @staticmethod
+    def verdict(d2u):
+        om = Ball((0, 0), 1.0)
+        spec = ProblemSpec(om, Ball((0, 0), 0.5), EUC, build_grid(om, 8, 16))
+        guard = admissibility_violation(spec, np.zeros(d2u.shape[:-1]), d2u)
+        return None if guard is None else (type(guard), guard.node)
+
+    @pytest.mark.parametrize("case, node", CASES)
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_verdict_is_scale_free(self, case, node, scale):
+        d2u = np.repeat(np.eye(2)[None], 6, axis=0)
+        d2u[3] = case
+        expected = None if node is None else (ConvexityLoss, node)
+        assert self.verdict(d2u) == expected
+        assert self.verdict(scale * d2u) == expected
+
+    def test_zero_hessian_fails(self):
+        assert self.verdict(np.zeros((6, 2, 2))) == (ConvexityLoss, 0)
 
 
 def test_dump_triplets(tmp_path):

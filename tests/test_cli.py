@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cmcsolve
 from cmcsolve import cli, solver
 from cmcsolve.cli import main
+from cmcsolve.config import parse_config
 from cmcsolve.fieldio import load_field, save_field
 
 BASE_CONFIG = """
@@ -113,7 +114,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 2
 
     def test_off_centre_image_past_the_guard_exit_2(self, tmp_path, capsys):
-        # the farthest boundary point reaches |y| = 0.9999995 > 1 - eps_space,
+        # the farthest boundary point reaches |y| = 0.9999995 > 1 - EPS_SPACE,
         # between the 256 rays a sampled check looks along
         cfg = write_config(tmp_path, text=BASE_CONFIG.replace(
             "omega_tilde.center = 0.0, 0.0", "omega_tilde.center = 0.3, 0.0037").replace(
@@ -126,6 +127,14 @@ class TestSolveCommand:
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"omega.flavour": "sour"})
         assert main(["solve", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key", ["solve.eps_convexity", "solve.eps_space"])
+    def test_guard_is_not_a_key(self, tmp_path, capsys, key):
+        # the admissible class has no settings
+        cfg = write_config(tmp_path, **{key: "1e-8"})
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"unknown key {key!r}" in err[0]
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -158,6 +167,39 @@ class TestSolveCommand:
             "seed.strategy": "file",
             "seed.path": str(tmp_path / "run" / "field.csv")})
         assert main(["solve", "--config", str(cfg2)]) == 0
+
+    def test_seed_file_from_another_model(self, tmp_path):
+        # a Euclidean solution seeds the Minkowski solve; only (u, c) carry
+        # over, so the output is tagged minkowski and verify accepts it
+        euc, mink = tmp_path / "euc", tmp_path / "mink"
+        euc.mkdir()
+        mink.mkdir()
+        cfg = write_config(euc, text=BASE_CONFIG.replace("minkowski", "euclidean"))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        cfg2 = write_config(mink, **{"seed.strategy": "file",
+                                     "seed.path": str(euc / "run" / "field.csv")})
+        assert main(["solve", "--config", str(cfg2)]) == 0
+        header = json.loads((mink / "run" / "field.json").read_text())
+        assert header["model"] == "minkowski"
+        assert main(["verify", "--field", str(mink / "run" / "field.csv"),
+                     "--config", str(cfg2)]) == 0
+
+    @pytest.mark.parametrize("text", [
+        BASE_CONFIG.replace("minkowski", "euclidean"),
+        HOMOTOPY_CONFIG.replace("minkowski", "euclidean").replace(
+            "omega_tilde.center = 0, 0", "omega_tilde.center = 0.2, 0").replace(
+            "omega_tilde.radius = 0.4", "omega_tilde.radius = 1.5").replace(
+            "grid.n_rho = 16", "grid.n_rho = 32").replace(
+            "grid.n_phi = 32", "grid.n_phi = 64").replace(
+            "homotopy.steps = 8", "homotopy.steps = 12"),
+    ], ids=["concentric", "ellipse_homotopy"])
+    def test_euclidean_solution_meets_lambda1(self, tmp_path, text):
+        # the Euclidean coefficient matrix is only >= w^3 I, so Lambda_1
+        # carries that factor; without it both runs fail lambda_lower
+        cfg = write_config(tmp_path, text=text)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["checks"]["lambda_lower"]["passed"]
 
 
 class TestVerifyCommand:
@@ -239,7 +281,6 @@ BAD_NUMBERS = [
     ("homotopy.t_min", "abc"),
     ("homotopy.t_min", "nan"),
     ("solve.tol_residual", "nan"),
-    ("solve.eps_space", "-inf"),
     ("grid.n_rho", "inf"),
     ("omega_tilde.radius", "nan"),
     ("omega.center", "0.0, inf"),
@@ -262,21 +303,6 @@ def test_bad_config_number_exit_2(tmp_path, capsys, command, key, value):
     assert "Traceback" not in err
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith(f"config error: {key}")
-
-
-@pytest.mark.parametrize("key, value", [("solve.eps_convexity", "0"),
-                                        ("solve.eps_space", "-1")])
-def test_verify_bad_guard_exit_2(fuzz_dirs, capsys, key, value):
-    # the guards are validated where the ProblemSpec is built, after the
-    # field is read
-    field_csv, runs = fuzz_dirs
-    cfg = _small_grid_config(runs, **{key: value})
-    capsys.readouterr()
-    assert main(["verify", "--field", str(field_csv), "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.strip().splitlines() == [err.strip()]
-    assert err.startswith(f"config error: {key.split('.')[1]} must be a finite "
-                          "positive number")
 
 
 # domains whose quadric, h_max or area underflows or overflows:
@@ -403,9 +429,17 @@ FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-3
 INVALID_ONLY = {"grid.n_rho", "grid.n_phi", "homotopy.steps", "solve.max_newton"}
 FUZZ_KEYS = ["model", "omega.kind", "omega.center", "omega.radius", "omega_tilde.kind",
              "omega_tilde.center", "omega_tilde.radius", "grid.n_rho", "grid.n_phi",
-             "solve.tol_residual", "solve.max_newton", "solve.eps_convexity",
-             "solve.eps_space", "homotopy.enabled", "homotopy.steps", "homotopy.t_min",
-             "seed.strategy"]
+             "solve.tol_residual", "solve.max_newton", "homotopy.enabled",
+             "homotopy.steps", "homotopy.t_min", "seed.strategy"]
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = parse_config(path)
+    assert cfg.homotopy_enabled and cfg.n_rho == 32
 
 
 def _invalid_for(key, value):

@@ -38,6 +38,14 @@ class TestLambdaBounds:
             lam1, lam2 = lambda_bounds(Ball((0, 0), 1.0), omt)
             assert lam1 <= lam2
 
+    @pytest.mark.parametrize("t0", [0.05, 0.5, 2.0, 10.0])
+    def test_euclidean_lower_bound_below_radial_constant(self, t0):
+        # the Euclidean coefficient matrix is only >= w^3 I on the image,
+        # w = 1/sqrt(1 + t0^2) at its edge: Lambda_1 carries that factor
+        lam1, _ = lambda_bounds(Ball((0, 0), 1.0), Ball((0, 0), t0), ModelKind.EUCLIDEAN)
+        assert lam1 == pytest.approx(2.0 * t0 / (1.0 + t0 ** 2) ** 1.5, rel=1e-12)
+        assert lam1 <= radial_constant(2, 1.0, t0, ModelKind.EUCLIDEAN)
+
 
 class TestObliqueness:
     def test_concentric_is_one(self, radial_32):

@@ -330,9 +330,9 @@ class TestMaxBoundaryNorm:
 
 class TestUnitBallCheck:
     def test_inside_passes(self):
-        require_inside_unit_ball(Ellipse((0.1, 0), (0.5, 0.3)), 1e-6)
+        require_inside_unit_ball(Ellipse((0.1, 0), (0.5, 0.3)))
 
     @pytest.mark.parametrize("dom", [Ball((0, 0), 1.01), Ball((0.6, 0), 0.4 + 1e-7)])
     def test_touching_or_outside_fails(self, dom):
         with pytest.raises(ConfigError, match="unit ball"):
-            require_inside_unit_ball(dom, 1e-6)
+            require_inside_unit_ball(dom)

@@ -5,7 +5,8 @@ import pytest
 
 from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, RadialSolution,
                       build_grid, radial_constant, radial_profile, seed_field)
-from cmcsolve.assembly import residual
+from cmcsolve import assembly
+from cmcsolve.assembly import admissibility_violation, residual
 from cmcsolve.errors import SeedFailure
 from helpers import ode_crosscheck
 
@@ -149,17 +150,26 @@ class TestSeedField:
         assert np.all(np.isfinite(fld.u))
 
     @pytest.mark.parametrize("strategy", ["auto", "quadratic"])
-    def test_seed_checks_the_spec_convexity_guard(self, strategy):
-        # a guard above the seed's smallest Hessian eigenvalue rejects it:
-        # the seed is held to the guard the solve enforces
+    def test_seed_checks_the_spec_convexity_guard(self, strategy, monkeypatch):
+        # a guard above the seed's eigenvalue ratio rejects it: the seed is
+        # held to the guard the solve enforces
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
-        grid = build_grid(om, 16, 32)
-        _, d2u = seed_field(ProblemSpec(om, omt, MINK, grid),
-                            strategy=strategy).derivatives()
-        lam_min = np.min(np.linalg.eigvalsh(d2u))
-        spec = ProblemSpec(om, omt, MINK, grid, eps_convexity=2.0 * lam_min)
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
+        _, d2u = seed_field(spec, strategy=strategy).derivatives()
+        eigs = np.linalg.eigvalsh(d2u)
+        monkeypatch.setattr(assembly, "CONVEXITY_RTOL",
+                            2.0 * np.min(eigs) / np.max(eigs))
         with pytest.raises(SeedFailure):
             seed_field(spec, strategy=strategy)
+
+    @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e8, 1e10])
+    def test_radial_seed_admissible_at_any_scale(self, radius):
+        # D^2u scales like the target radius over the domain radius; the
+        # guard is relative, so the exact seed passes at every size
+        om = Ball((0, 0), radius)
+        spec = ProblemSpec(om, Ball((0, 0), 0.5), MINK, build_grid(om, 8, 16))
+        fld = seed_field(spec)
+        assert admissibility_violation(spec, *fld.derivatives()) is None
 
     def test_unknown_strategy(self):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
