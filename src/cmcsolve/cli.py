@@ -101,11 +101,16 @@ def cmd_solve(args) -> int:
                                         steps=cfg.homotopy_steps,
                                         t_min=cfg.homotopy_t_min)
             steps_summary = [{"t": h.t, "c": h.field.c,
-                              "iterations": h.newton_iterations}
+                              "iterations": h.newton_iterations,
+                              "factorizations": h.factorizations,
+                              "krylov_iterations": h.krylov_iterations}
                              for h in history]
         else:
             fld, info = newton_solve(spec, _initial_field(cfg, spec), cfg.options)
-            steps_summary = [{"t": 1.0, "c": fld.c, "iterations": info.iterations}]
+            steps_summary = [{"t": 1.0, "c": fld.c, "iterations": info.iterations,
+                              "factorizations": info.factorizations,
+                              "krylov_iterations": info.krylov_iterations}]
+            del info   # frees the factor before the report and the field write
     except NonConvergence as exc:
         converged = False
         fld = exc.best_field
@@ -165,7 +170,7 @@ def cmd_verify(args) -> int:
     dual = None
     if args.dual:
         try:
-            dual, _ = dual_solve(spec, cfg.options)
+            dual = dual_solve(spec, cfg.options)[0]   # the info holds a factor
         except CMCSolveError as exc:
             print(f"dual solve failure: {exc}", file=sys.stderr)
             return 1

@@ -6,10 +6,10 @@ everywhere, spacelike bound in the primal Minkowski model): the guards are
 invariants of the iteration, not posterior checks.  Steps are damped by
 backtracking with an Armijo decrease condition on the residual 2-norm.
 
-The first Newton system of a solve is solved by a direct sparse LU
-(SuperLU) after scaling every row by its largest magnitude, which puts the
-curvature rows, the boundary h(Du) rows and the quadrature-weighted
-mean-zero row on one scale.
+The first Newton system of a walk (or of a solve handed no factor) is
+solved by a direct sparse LU (SuperLU) after scaling every row by its
+largest magnitude, which puts the curvature rows, the boundary h(Du) rows
+and the quadrature-weighted mean-zero row on one scale.
 The system has a dense border: the mean-zero row and the c column touch every
 node.  SuperLU's default column ordering (COLAMD on A^T A) joins all columns
 through that dense row and fills in badly, so the columns are ordered by
@@ -20,17 +20,24 @@ mean-zero row at the c column) is zero, so off-diagonal pivots must stay
 allowed.  A failed factorization or a non-finite residual or direction ends
 the solve in NonConvergence.
 
-The factorization dominates an iteration, and within one solve the
-Jacobian changes little from iteration to iteration, so each solve factors
-once: every later system is solved by GMRES on the same row scaling,
-right-preconditioned by the first factor (a Newton-Krylov method; Kelley
-2003, Knoll & Keyes 2004), which needs a few Krylov iterations.  Under
-right preconditioning the residual GMRES minimises is the true residual of
-the scaled system, so its tolerance bounds the direction's actual error in
-the Newton equation.  If GMRES misses that tolerance within one restart
-cycle, or returns a non-finite vector, the current Jacobian is factored and
-solved directly, and that factor serves the rest of the solve.  No factor
-outlives its solve.
+The factorization dominates an iteration, and the Jacobian changes little
+from iteration to iteration, or from one homotopy step to the next (a
+sqrt(t)-dilation of the target on the same grid), so one factor can serve
+a whole homotopy walk: every later system is solved by GMRES on the same
+row scaling, right-preconditioned by the first factor (a Newton-Krylov
+method with a lagged preconditioner; Kelley 2003, Knoll & Keyes 2004),
+which needs a few Krylov iterations.  Under right preconditioning the residual GMRES
+minimises is the true residual of the scaled system, so its tolerance
+bounds the direction's actual error in the Newton equation.  If GMRES
+misses that tolerance within one restart cycle, or returns a non-finite
+vector, the current Jacobian is factored and solved directly, and that
+factor serves the rest of the solve.  A solve hands its factor on to the
+next homotopy step only while the factor is still good: it was made for
+the solve's last system, or GMRES on it took at most KRYLOV_BUDGET // 2
+iterations there.  Past that a stale factor drifts toward the budget and
+costs more Krylov iterations than a new factor saves, so the next step
+factors afresh.  The factor handed on lives on NewtonInfo.factor, so it is
+freed with the NewtonInfo; run_homotopy keeps none past its walk.
 
 The homotopy walks increasing t on the problem's own grid, replacing only
 the target by its super-level set at t, and bisects the t increment of a
@@ -64,7 +71,7 @@ logger = logging.getLogger("cmcsolve.solver")
 ARMIJO_FACTOR = 0.5
 ARMIJO_C = 1e-4
 ALPHA_MIN = 1e-12
-# GMRES on the later Newton systems of a solve: relative residual of the
+# GMRES on the later Newton systems of a walk: relative residual of the
 # row-scaled system, and the Krylov dimension of its one restart cycle
 KRYLOV_RTOL = 1e-10
 KRYLOV_BUDGET = 20
@@ -95,6 +102,9 @@ class NewtonInfo:
     alphas: list = field(default_factory=list)
     factorizations: int = 0
     krylov_iterations: int = 0
+    # (SuperLU factor, row scale) a later solve on the same grid may reuse,
+    # or None when the factor has gone stale (see the module docstring)
+    factor: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -104,6 +114,8 @@ class HomotopyState:
     t: float
     field: SolutionField
     newton_iterations: int = 0
+    factorizations: int = 0
+    krylov_iterations: int = 0
 
 
 # SuperLU column ordering and diagonal pivot threshold; the module docstring
@@ -142,11 +154,12 @@ def _factor(jac: sp.csr_matrix):
 def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None):
     """Solve jac d = rhs.
 
-    With a factor (from _factor, possibly of another Jacobian), GMRES
-    solves the system on the factor's row scaling, right-preconditioned by
-    it.  Without one, or when GMRES misses KRYLOV_RTOL within KRYLOV_BUDGET
-    iterations or returns a non-finite vector, jac is factored and solved
-    directly.  Returns (d, the factor used, GMRES iterations spent).
+    With a factor (from _factor, possibly of another Jacobian on the same
+    grid, such as an earlier homotopy step's), GMRES solves the system on
+    the factor's row scaling, right-preconditioned by it.  Without one, or
+    when GMRES misses KRYLOV_RTOL within KRYLOV_BUDGET iterations or returns
+    a non-finite vector, jac is factored and solved directly.  Returns (d,
+    the factor used, GMRES iterations spent, a missed cycle's included).
     """
     residuals = []
     if factor is not None:
@@ -212,15 +225,20 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndar
 
 def newton_solve(spec: ProblemSpec, initial: SolutionField,
                  opts: SolveOptions | None = None,
-                 t_label: float | None = None):
+                 t_label: float | None = None, factor=None):
     """Solve the discrete system by damped Newton from an admissible field.
 
-    The first Newton system is factored; the later ones run GMRES
-    preconditioned by the latest factor (see _solve_linear).  Returns
-    (field, NewtonInfo).  Raises NonConvergence with the best
-    iterate attached when the budget runs out, the line search stalls, the
-    linear solve fails or the residual or direction is not finite; guard
-    violations of the initial field propagate as-is.
+    factor is an optional (SuperLU factor, row scale) of an earlier system
+    on spec.grid, such as the previous homotopy step's info.factor.  Without
+    one the first Newton system is factored; every other system runs GMRES
+    preconditioned by the latest factor (see _solve_linear).  The factor the
+    solve ends with is left on info.factor while it is still good: made for
+    the last system, or GMRES took at most KRYLOV_BUDGET // 2 iterations on
+    it there; otherwise info.factor is None.  Returns (field, NewtonInfo).
+    Raises NonConvergence with the best iterate attached when the budget
+    runs out, the line search stalls, the linear solve fails or the
+    residual or direction is not finite; guard violations of the initial
+    field propagate as-is.
     """
     opts = opts or SolveOptions()
     # only (u, c) come from the initial field; grid, model and dual tag are
@@ -234,8 +252,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     if guard is not None:
         raise guard
 
-    info = NewtonInfo()
-    factor = None
+    info = NewtonInfo(factor=factor)
     res = residual_from_state(spec, fld.u, fld.c, *state)
     t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
@@ -262,9 +279,11 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
             direction, new_factor, krylov = _solve_linear(jac, -res, factor)
         except RuntimeError as exc:   # SuperLU: singular factor
             raise failure(f"linear solve failed ({exc})", it, r_inf) from exc
-        info.factorizations += new_factor is not factor
+        fresh = new_factor is not factor
+        info.factorizations += fresh
         info.krylov_iterations += krylov
         factor = new_factor
+        info.factor = factor if fresh or krylov <= KRYLOV_BUDGET // 2 else None
         if not np.all(np.isfinite(direction)):
             raise failure("non-finite Newton direction", it, r_inf)
         try:
@@ -306,10 +325,12 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     1, or t = 1 alone when t_min is 1.  The first step is seeded by
     seed_field; each later one starts from the previous field, with its
     gradient image scaled about the target's peak onto the new target, and
-    the previous c.  For the graph operator, dilation is an exact symmetry
-    (v(x) = s u(x0 + (x - x0)/s) keeps the gradient image and has constant
-    c/s), so step t is the super-level pair (omega_t, omega_tilde_t) dilated
-    onto omega and its c is sqrt(t) times that pair's.  For the
+    the previous c, and with the last accepted step's info.factor as the
+    preconditioner of its first Newton system; a failed attempt's factor is
+    dropped.  For the graph operator, dilation is an exact symmetry (v(x) =
+    s u(x0 + (x - x0)/s) keeps the gradient image and has constant c/s), so
+    step t is the super-level pair (omega_t, omega_tilde_t) dilated onto
+    omega and its c is sqrt(t) times that pair's.  For the
     inverse-Hessian operator, whose coefficients depend on node positions,
     step t is the Legendre dual of the primal problem on omega_tilde_t with
     image omega, on the fixed dual domain.  Returns (final field,
@@ -327,6 +348,7 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     history: list[HomotopyState] = []
     prev_field = None
     prev_t = None
+    factor = None
     bisections = 0
 
     while pending:
@@ -338,7 +360,7 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             initial = replace(prev_field, u=peak_potential + np.sqrt(t / prev_t)
                               * (prev_field.u - peak_potential))
         try:
-            fld, info = newton_solve(spec_t, initial, opts, t_label=t)
+            fld, info = newton_solve(spec_t, initial, opts, t_label=t, factor=factor)
         except NonConvergence:
             if prev_t is None or bisections >= MAX_BISECTIONS:
                 raise
@@ -346,8 +368,9 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             pending.insert(0, 0.5 * (prev_t + t))
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
-        history.append(HomotopyState(t=t, field=fld, newton_iterations=info.iterations))
-        prev_field, prev_t = fld, t
+        history.append(HomotopyState(t, fld, info.iterations, info.factorizations,
+                                     info.krylov_iterations))
+        prev_field, prev_t, factor = fld, t, info.factor
         pending.pop(0)
 
     return prev_field, history

@@ -160,6 +160,18 @@ class TestSolveCommand:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert len(summary["steps"]) == 8
 
+    @pytest.mark.parametrize("text", [BASE_CONFIG, HOMOTOPY_CONFIG],
+                             ids=["direct", "homotopy"])
+    def test_steps_report_linear_algebra(self, tmp_path, text):
+        cfg = write_config(tmp_path, text=text)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        steps = json.loads((tmp_path / "run" / "summary.json").read_text())["steps"]
+        # the first system of a run is always factored
+        assert steps[0]["factorizations"] == 1
+        for step in steps:
+            for key in ("factorizations", "krylov_iterations"):
+                assert isinstance(step[key], int) and step[key] >= 0
+
     def test_seed_file_strategy(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0

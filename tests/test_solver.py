@@ -197,28 +197,40 @@ class TestLinearSolve:
             newton_solve(spec, initial)
 
     def test_homotopy_bisects_on_failed_factor(self, monkeypatch):
-        # the first factor of the second step fails once: the step is
-        # bisected and the walk still reaches t = 1
-        real_newton, real_splu = solver.newton_solve, solver.splu
-        calls = {"newton": 0, "failed": False}
+        # GMRES misses once inside the second step, so that step factors
+        # afresh, and that factor fails once: the step is bisected, the
+        # retry starts from the first step's factor, and the walk still
+        # reaches t = 1
+        real_newton, real_splu, real_gmres = solver.newton_solve, solver.splu, solver.gmres
+        calls = {"newton": 0, "missed": False, "failed": False}
+        handed = []
 
         def counting_newton(*args, **kwargs):
             calls["newton"] += 1
+            handed.append(kwargs["factor"])
             return real_newton(*args, **kwargs)
 
+        def missing_gmres(A, b, **kwargs):
+            if calls["newton"] == 2 and not calls["missed"]:
+                calls["missed"] = True
+                return np.zeros_like(b), 1
+            return real_gmres(A, b, **kwargs)
+
         def failing_splu(*args, **kwargs):
-            if calls["newton"] == 2 and not calls["failed"]:
+            if calls["missed"] and not calls["failed"]:
                 calls["failed"] = True
                 _singular_splu()
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(solver, "newton_solve", counting_newton)
+        monkeypatch.setattr(solver, "gmres", missing_gmres)
         monkeypatch.setattr(solver, "splu", failing_splu)
         omega = Ellipse((0, 0), (1.0, 0.8))
         spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
         fld, history = run_homotopy(spec, steps=2, t_min=0.5)
         assert calls["failed"]
         assert [h.t for h in history] == [0.5, 0.75, 1.0]
+        assert handed[0] is None and handed[1] is not None and handed[2] is handed[1]
 
 
 def _ellipse_homotopy_spec():
@@ -227,8 +239,9 @@ def _ellipse_homotopy_spec():
 
 
 class TestKrylovPath:
-    """Each Newton solve factors its first system only; the later ones run
-    GMRES preconditioned by that factor."""
+    """A homotopy walk factors its first system; the later ones, in the same
+    step or the next, run GMRES preconditioned by that factor until it goes
+    stale."""
 
     @pytest.fixture()
     def newton_system(self):
@@ -255,9 +268,9 @@ class TestKrylovPath:
             assert h.field.c == pytest.approx(h_ref.field.c, rel=1e-12, abs=0.0)
         assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-12
 
-    def test_one_factor_per_solve(self, monkeypatch):
-        real_newton, real_splu = solver.newton_solve, solver.splu
-        infos, factors = [], []
+    def test_one_factor_per_walk(self, monkeypatch):
+        real_newton, real_splu, real_solve = solver.newton_solve, solver.splu, solver._solve_linear
+        infos, factors, krylov = [], [], []
 
         def recording_newton(*args, **kwargs):
             fld, info = real_newton(*args, **kwargs)
@@ -268,13 +281,50 @@ class TestKrylovPath:
             factors.append(None)
             return real_splu(*args, **kwargs)
 
+        def recording_solve(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            krylov.append(result[2])
+            return result
+
         monkeypatch.setattr(solver, "newton_solve", recording_newton)
         monkeypatch.setattr(solver, "splu", counting_splu)
+        monkeypatch.setattr(solver, "_solve_linear", recording_solve)
         _, history = run_homotopy(_ellipse_homotopy_spec())
-        assert len(history) == len(infos) == len(factors) == 12
-        assert [info.factorizations for info in infos] == [1] * 12
-        # every later system took at least one GMRES iteration
-        assert all(info.krylov_iterations >= info.iterations - 1 > 0 for info in infos)
+        assert len(history) == len(infos) == 12 and len(factors) == 1
+        assert [info.factorizations for info in infos] == [1] + [0] * 11
+        assert ([(h.factorizations, h.krylov_iterations) for h in history]
+                == [(info.factorizations, info.krylov_iterations) for info in infos])
+        # the walk's first system is factored; every later one takes GMRES
+        # on that factor
+        assert len(krylov) == sum(info.iterations for info in infos)
+        assert krylov[0] == 0
+        assert all(1 <= k <= solver.KRYLOV_BUDGET for k in krylov[1:])
+
+    def test_stale_factor_refreshed(self, monkeypatch):
+        # a walk on which the carried factor goes stale: a later step is
+        # handed no factor and factors afresh, and the iterates match the
+        # factor-every-system oracle
+        om = Ellipse((0.05, 0), (1.0, 0.8))
+        spec = ProblemSpec(om, Ball((0.1, 0), 0.8), MINK, build_grid(om, 32, 64))
+        real_newton = solver.newton_solve
+        handed = []
+
+        def recording_newton(*args, factor=None, **kwargs):
+            handed.append(factor)
+            return real_newton(*args, factor=factor, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", recording_newton)
+        fld, history = run_homotopy(spec)
+        assert 1 < sum(h.factorizations for h in history) < 12
+        assert any(f is None for f in handed[1:])
+        monkeypatch.setattr(solver, "_solve_linear", factor_every_system)
+        fld_ref, history_ref = run_homotopy(spec)
+        assert [h.t for h in history] == [h.t for h in history_ref]
+        assert ([h.newton_iterations for h in history]
+                == [h.newton_iterations for h in history_ref])
+        for h, h_ref in zip(history, history_ref):
+            assert h.field.c == pytest.approx(h_ref.field.c, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-12
 
     def test_krylov_direction_meets_tolerance(self, newton_system):
         spec, factor, jac, res = newton_system
