@@ -82,6 +82,16 @@ def _initial_field(cfg: RunConfig, spec: ProblemSpec):
     return seed_field(spec, strategy=strategy)
 
 
+def _step_entry(t, c, iterations, counts) -> dict:
+    """One summary.json step: t, c, Newton iterations and the solve's
+    linear-algebra counts, read off a NewtonInfo, HomotopyState or
+    NonConvergence."""
+    return {"t": t, "c": c, "iterations": iterations,
+            "factorizations": counts.factorizations,
+            "krylov_iterations": counts.krylov_iterations,
+            "krylov_misses": counts.krylov_misses}
+
+
 def cmd_solve(args) -> int:
     try:
         cfg = parse_config(args.config)
@@ -100,23 +110,18 @@ def cmd_solve(args) -> int:
             fld, history = run_homotopy(spec, cfg.options,
                                         steps=cfg.homotopy_steps,
                                         t_min=cfg.homotopy_t_min)
-            steps_summary = [{"t": h.t, "c": h.field.c,
-                              "iterations": h.newton_iterations,
-                              "factorizations": h.factorizations,
-                              "krylov_iterations": h.krylov_iterations}
+            steps_summary = [_step_entry(h.t, h.field.c, h.newton_iterations, h)
                              for h in history]
         else:
             fld, info = newton_solve(spec, _initial_field(cfg, spec), cfg.options)
-            steps_summary = [{"t": 1.0, "c": fld.c, "iterations": info.iterations,
-                              "factorizations": info.factorizations,
-                              "krylov_iterations": info.krylov_iterations}]
+            steps_summary = [_step_entry(1.0, fld.c, info.iterations, info)]
             del info   # frees the factor before the report and the field write
     except NonConvergence as exc:
         converged = False
         fld = exc.best_field
-        steps_summary = [{"t": exc.t if exc.t is not None else 1.0,
-                          "c": fld.c if fld is not None else None,
-                          "iterations": exc.iterations}]
+        steps_summary = [_step_entry(exc.t if exc.t is not None else 1.0,
+                                     fld.c if fld is not None else None,
+                                     exc.iterations, exc)]
         print(f"non-convergence: {exc}", file=sys.stderr)
         if fld is None:
             return 1

@@ -44,15 +44,21 @@ class StepRejection(CMCSolveError):
 class NonConvergence(CMCSolveError):
     """Newton iteration exhausted its budget.
 
-    Carries the best iterate seen so the caller can inspect or restart.
+    Carries the best iterate seen so the caller can inspect or restart, and
+    the failed solve's linear-algebra counts (as on NewtonInfo).
     """
 
     def __init__(self, message: str, best_field=None, residual_norm: float | None = None,
-                 iterations: int | None = None, t: float | None = None):
+                 iterations: int | None = None, t: float | None = None,
+                 factorizations: int = 0, krylov_iterations: int = 0,
+                 krylov_misses: int = 0):
         self.best_field = best_field
         self.residual_norm = residual_norm
         self.iterations = iterations
         self.t = t
+        self.factorizations = factorizations
+        self.krylov_iterations = krylov_iterations
+        self.krylov_misses = krylov_misses
         super().__init__(message)
 
 

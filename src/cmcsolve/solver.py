@@ -28,7 +28,13 @@ row scaling, right-preconditioned by the first factor (a Newton-Krylov
 method with a lagged preconditioner; Kelley 2003, Knoll & Keyes 2004),
 which needs a few Krylov iterations.  Under right preconditioning the residual GMRES
 minimises is the true residual of the scaled system, so its tolerance
-bounds the direction's actual error in the Newton equation.  If GMRES
+bounds the direction's actual error in the Newton equation.  That
+tolerance is a forcing term tied to the Newton stop test (Eisenstat &
+Walker 1996, with Kelley's 1995 safeguard): a system whose residual F sits
+above the stop target tol (1 + |c|) is solved to the relative residual
+max(KRYLOV_RTOL, KRYLOV_FORCING tol (1 + |c|) / ||F||_inf), so the linear
+error left in the direction is a fixed fraction of what the stop test can
+see, and no system is solved beyond the KRYLOV_RTOL floor.  If GMRES
 misses that tolerance within one restart cycle, or returns a non-finite
 vector, the current Jacobian is factored and solved directly, and that
 factor serves the rest of the solve.  A solve hands its factor on to the
@@ -71,9 +77,12 @@ logger = logging.getLogger("cmcsolve.solver")
 ARMIJO_FACTOR = 0.5
 ARMIJO_C = 1e-4
 ALPHA_MIN = 1e-12
-# GMRES on the later Newton systems of a walk: relative residual of the
-# row-scaled system, and the Krylov dimension of its one restart cycle
+# GMRES on the later Newton systems of a walk: the floor of the relative
+# residual of the row-scaled system, the fraction of the Newton stop target
+# a system's residual is solved down to (above that floor), and the Krylov
+# dimension of its one restart cycle
 KRYLOV_RTOL = 1e-10
+KRYLOV_FORCING = 0.25
 KRYLOV_BUDGET = 20
 # t-increment halvings the homotopy may spend before giving up
 MAX_BISECTIONS = 4
@@ -102,6 +111,9 @@ class NewtonInfo:
     alphas: list = field(default_factory=list)
     factorizations: int = 0
     krylov_iterations: int = 0
+    # fresh factors made because GMRES on a given one missed its tolerance
+    # or returned a non-finite vector
+    krylov_misses: int = 0
     # (SuperLU factor, row scale) a later solve on the same grid may reuse,
     # or None when the factor has gone stale (see the module docstring)
     factor: tuple | None = field(default=None, repr=False, compare=False)
@@ -116,6 +128,7 @@ class HomotopyState:
     newton_iterations: int = 0
     factorizations: int = 0
     krylov_iterations: int = 0
+    krylov_misses: int = 0
 
 
 # SuperLU column ordering and diagonal pivot threshold; the module docstring
@@ -151,26 +164,31 @@ def _factor(jac: sp.csr_matrix):
     return lu, row_max
 
 
-def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None):
-    """Solve jac d = rhs.
+def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None,
+                  target: float = 0.0):
+    """Solve jac d = rhs, the Newton system of the residual F = -rhs.
 
     With a factor (from _factor, possibly of another Jacobian on the same
     grid, such as an earlier homotopy step's), GMRES solves the system on
-    the factor's row scaling, right-preconditioned by it.  Without one, or
-    when GMRES misses KRYLOV_RTOL within KRYLOV_BUDGET iterations or returns
-    a non-finite vector, jac is factored and solved directly.  Returns (d,
-    the factor used, GMRES iterations spent, a missed cycle's included).
+    the factor's row scaling, right-preconditioned by it, to the relative
+    residual max(KRYLOV_RTOL, KRYLOV_FORCING target / ||rhs||_inf), where
+    target is the Newton stop target tol (1 + |c|); target 0 asks for
+    KRYLOV_RTOL.  Without a factor, or when GMRES misses that tolerance
+    within KRYLOV_BUDGET iterations or returns a non-finite vector, jac is
+    factored and solved directly.  Returns (d, the factor used, GMRES
+    iterations spent, a missed cycle's included).
     """
     residuals = []
     if factor is not None:
         lu, row_max = factor
         scaled = LinearOperator(jac.shape, dtype=float,
                                 matvec=lambda y: (jac @ lu.solve(y)) / row_max)
+        rtol = max(KRYLOV_RTOL, KRYLOV_FORCING * target / float(np.max(np.abs(rhs))))
         # GMRES takes plain 2-norms of the right-hand side: scale it exactly
         # to at most 1 so they cannot overflow
         b = rhs / row_max
         e = _exponent(b)
-        y, status = gmres(scaled, np.ldexp(b, -e), rtol=KRYLOV_RTOL, atol=0.0,
+        y, status = gmres(scaled, np.ldexp(b, -e), rtol=rtol, atol=0.0,
                           restart=KRYLOV_BUDGET, maxiter=1,
                           callback=residuals.append, callback_type="pr_norm")
         if status == 0:
@@ -231,14 +249,15 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     factor is an optional (SuperLU factor, row scale) of an earlier system
     on spec.grid, such as the previous homotopy step's info.factor.  Without
     one the first Newton system is factored; every other system runs GMRES
-    preconditioned by the latest factor (see _solve_linear).  The factor the
+    preconditioned by the latest factor, to a tolerance tied to the stop
+    target tol_residual (1 + |c|) (see _solve_linear).  The factor the
     solve ends with is left on info.factor while it is still good: made for
     the last system, or GMRES took at most KRYLOV_BUDGET // 2 iterations on
     it there; otherwise info.factor is None.  Returns (field, NewtonInfo).
-    Raises NonConvergence with the best iterate attached when the budget
-    runs out, the line search stalls, the linear solve fails or the
-    residual or direction is not finite; guard violations of the initial
-    field propagate as-is.
+    Raises NonConvergence with the best iterate and the solve's counts
+    attached when the budget runs out, the line search stalls, the linear
+    solve fails or the residual or direction is not finite; guard
+    violations of the initial field propagate as-is.
     """
     opts = opts or SolveOptions()
     # only (u, c) come from the initial field; grid, model and dual tag are
@@ -256,41 +275,46 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     res = residual_from_state(spec, fld.u, fld.c, *state)
     t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
-    def failure(reason, it, r_inf):
-        return NonConvergence(f"{reason} at iteration {it + 1}", best_field=fld,
-                              residual_norm=r_inf, iterations=it, t=t_label)
+    def failure(message, it, r_inf):
+        return NonConvergence(message, best_field=fld, residual_norm=r_inf,
+                              iterations=it, t=t_label,
+                              factorizations=info.factorizations,
+                              krylov_iterations=info.krylov_iterations,
+                              krylov_misses=info.krylov_misses)
 
     # max_newton steps leave max_newton + 1 residuals to test
     for it in range(opts.max_newton + 1):
         r_inf = float(np.max(np.abs(res)))
         if not np.isfinite(r_inf):
-            raise failure("non-finite residual", it, r_inf)
-        if r_inf <= opts.tol_residual * (1.0 + abs(fld.c)):
+            raise failure(f"non-finite residual at iteration {it + 1}", it, r_inf)
+        target = opts.tol_residual * (1.0 + abs(fld.c))
+        if r_inf <= target:
             info.converged = True
             info.iterations = it
             return fld, info
         if it == opts.max_newton:
-            raise NonConvergence(f"no convergence in {it} iterations (residual "
-                                 f"{r_inf:.3e})", best_field=fld, residual_norm=r_inf,
-                                 iterations=it, t=t_label)
+            raise failure(f"no convergence in {it} iterations (residual {r_inf:.3e})",
+                          it, r_inf)
 
         jac = jacobian(spec, *state)
         try:
-            direction, new_factor, krylov = _solve_linear(jac, -res, factor)
+            direction, new_factor, krylov = _solve_linear(jac, -res, factor, target)
         except RuntimeError as exc:   # SuperLU: singular factor
-            raise failure(f"linear solve failed ({exc})", it, r_inf) from exc
+            raise failure(f"linear solve failed ({exc}) at iteration {it + 1}",
+                          it, r_inf) from exc
         fresh = new_factor is not factor
         info.factorizations += fresh
         info.krylov_iterations += krylov
+        info.krylov_misses += fresh and factor is not None
         factor = new_factor
         info.factor = factor if fresh or krylov <= KRYLOV_BUDGET // 2 else None
         if not np.all(np.isfinite(direction)):
-            raise failure("non-finite Newton direction", it, r_inf)
+            raise failure(f"non-finite Newton direction at iteration {it + 1}", it, r_inf)
         try:
             alpha, fld, res, state = damped_step(spec, fld, state, direction,
                                                  _norm2(res))
         except StepRejection as exc:
-            raise failure("line search stalled", it, r_inf) from exc
+            raise failure(f"line search stalled at iteration {it + 1}", it, r_inf) from exc
         info.alphas.append(alpha)
         logger.info("newton t=%s iter=%d res=%.9g alpha=%.9g c=%.9g",
                     t_str, it + 1, float(np.max(np.abs(res))), alpha, fld.c)
@@ -369,7 +393,7 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
         history.append(HomotopyState(t, fld, info.iterations, info.factorizations,
-                                     info.krylov_iterations))
+                                     info.krylov_iterations, info.krylov_misses))
         prev_field, prev_t, factor = fld, t, info.factor
         pending.pop(0)
 

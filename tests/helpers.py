@@ -257,11 +257,11 @@ def interior_fit_oracle(grid):
                         'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}
 
 
-def factor_every_system(jac, rhs, factor=None):
-    """Reference for solver._solve_linear that ignores the factor it is
-    handed: every Newton system gets a fresh SuperLU factor of its
-    row-scaled matrix and a direct solve.  Same return shape: (direction,
-    (factor, row scale), 0 GMRES iterations)."""
+def factor_every_system(jac, rhs, factor=None, target=0.0):
+    """Reference for solver._solve_linear that ignores the factor and the
+    stop target it is handed: every Newton system gets a fresh SuperLU
+    factor of its row-scaled matrix and a direct solve.  Same return shape:
+    (direction, (factor, row scale), 0 GMRES iterations)."""
     row_max = abs(jac).max(axis=1).toarray().ravel()
     row_max[row_max == 0] = 1.0
     lu = splu((sp.diags(1.0 / row_max) @ jac).tocsc(), permc_spec=LU_ORDERING,

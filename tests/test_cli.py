@@ -153,6 +153,11 @@ class TestSolveCommand:
             " at iteration 1"]
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert not summary["converged"]
+        # a failed run's entry has a converged run's keys: the failed
+        # factor made nothing, and GMRES never ran
+        [step] = summary["steps"]
+        assert [step[key] for key in ("iterations", "factorizations",
+                                      "krylov_iterations", "krylov_misses")] == [0, 0, 0, 0]
 
     def test_homotopy_config(self, tmp_path):
         cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG)
@@ -166,11 +171,14 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, text=text)
         assert main(["solve", "--config", str(cfg)]) == 0
         steps = json.loads((tmp_path / "run" / "summary.json").read_text())["steps"]
-        # the first system of a run is always factored
+        # the first system of a run is always factored; these runs make no
+        # other factor, so GMRES never misses
         assert steps[0]["factorizations"] == 1
+        assert sum(step["factorizations"] for step in steps) == 1
         for step in steps:
-            for key in ("factorizations", "krylov_iterations"):
+            for key in ("factorizations", "krylov_iterations", "krylov_misses"):
                 assert isinstance(step[key], int) and step[key] >= 0
+            assert step["krylov_misses"] == 0
 
     def test_seed_file_strategy(self, tmp_path):
         cfg = write_config(tmp_path)

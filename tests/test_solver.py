@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -233,9 +235,24 @@ class TestLinearSolve:
         assert handed[0] is None and handed[1] is not None and handed[2] is handed[1]
 
 
-def _ellipse_homotopy_spec():
+def _ellipse_homotopy_spec(n_rho=32):
     omega = Ellipse((0, 0), (1.0, 0.8))
-    return ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 32, 64))
+    return ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, n_rho, 2 * n_rho))
+
+
+def _assert_walks_agree(history, history_ref):
+    """Same t schedule and per-step Newton counts, and every step's c and u
+    within the Newton stop target tol (1 + |c|) of the reference walk's:
+    GMRES stops at a fraction of that target, so two ways of solving the
+    Newton systems agree to it, not to roundoff."""
+    tol = SolveOptions().tol_residual
+    assert [h.t for h in history] == [h.t for h in history_ref]
+    assert ([h.newton_iterations for h in history]
+            == [h.newton_iterations for h in history_ref])
+    for h, h_ref in zip(history, history_ref):
+        target = tol * (1.0 + abs(h_ref.field.c))
+        assert abs(h.field.c - h_ref.field.c) <= target
+        assert np.max(np.abs(h.field.u - h_ref.field.u)) <= target
 
 
 class TestKrylovPath:
@@ -246,7 +263,8 @@ class TestKrylovPath:
     @pytest.fixture()
     def newton_system(self):
         # the seed's Newton system on an off-centre pair, its factor, and
-        # the system after one full Newton step from the seed
+        # the system after one full Newton step from the seed, with that
+        # step's c
         om, omt = Ellipse((0.05, 0), (1.0, 0.8)), Ball((0.1, 0), 0.4)
         spec = ProblemSpec(om, omt, MINK, build_grid(om, 32, 64))
         fld = seed_field(spec)
@@ -254,19 +272,25 @@ class TestKrylovPath:
         direction, factor, _ = solver._solve_linear(jac, -res)
         n = spec.grid.n_nodes
         step = SolutionField(spec.grid, fld.u + direction[:n], fld.c + direction[n], MINK)
-        return spec, factor, jacobian(spec, *field_state(step)), residual(spec, step)
+        return spec, factor, jacobian(spec, *field_state(step)), residual(spec, step), step.c
 
     def test_matches_direct_path(self, ci_instances, monkeypatch):
         # the same homotopy with every Newton system factored afresh
-        spec, fld, history = ci_instances["ellipse_ball"]
+        _, _, history = ci_instances["ellipse_ball"]
         monkeypatch.setattr(solver, "_solve_linear", factor_every_system)
-        fld_ref, history_ref = run_homotopy(_ellipse_homotopy_spec())
-        assert [h.t for h in history] == [h.t for h in history_ref]
-        assert ([h.newton_iterations for h in history]
-                == [h.newton_iterations for h in history_ref])
-        for h, h_ref in zip(history, history_ref):
-            assert h.field.c == pytest.approx(h_ref.field.c, rel=1e-12, abs=0.0)
-        assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-12
+        _, history_ref = run_homotopy(_ellipse_homotopy_spec())
+        _assert_walks_agree(history, history_ref)
+
+    def test_every_step_meets_stop_test(self, ci_instances):
+        # each step's field, recomputed on its own target, passes the
+        # Newton stop test the inexact linear solves were tied to
+        spec, _, history = ci_instances["ellipse_ball"]
+        tol = SolveOptions().tol_residual
+        assert len(history) == 12
+        for h in history:
+            spec_t = replace(spec, omega_tilde=spec.omega_tilde.sublevel(h.t))
+            r_inf = np.max(np.abs(residual(spec_t, h.field)))
+            assert r_inf <= tol * (1.0 + abs(h.field.c))
 
     def test_one_factor_per_walk(self, monkeypatch):
         real_newton, real_splu, real_solve = solver.newton_solve, solver.splu, solver._solve_linear
@@ -299,13 +323,24 @@ class TestKrylovPath:
         assert len(krylov) == sum(info.iterations for info in infos)
         assert krylov[0] == 0
         assert all(1 <= k <= solver.KRYLOV_BUDGET for k in krylov[1:])
+        assert all(h.krylov_misses == 0 for h in history)
+
+    def test_large_grid_walk_factors_once(self):
+        # at 128 x 256 a fixed 1e-10 GMRES tolerance sat on the roundoff
+        # floor and missed, refactoring every step; the forcing term asks
+        # for no more than the stop test can see
+        _, history = run_homotopy(_ellipse_homotopy_spec(128), steps=2)
+        assert len(history) == 2
+        assert sum(h.factorizations for h in history) == 1
+        assert sum(h.krylov_misses for h in history) == 0
 
     def test_stale_factor_refreshed(self, monkeypatch):
         # a walk on which the carried factor goes stale: a later step is
-        # handed no factor and factors afresh, and the iterates match the
+        # handed no factor and factors afresh, every other factor after the
+        # first comes from a GMRES miss, and the iterates match the
         # factor-every-system oracle
         om = Ellipse((0.05, 0), (1.0, 0.8))
-        spec = ProblemSpec(om, Ball((0.1, 0), 0.8), MINK, build_grid(om, 32, 64))
+        spec = ProblemSpec(om, Ball((0.1, 0), 0.85), MINK, build_grid(om, 32, 64))
         real_newton = solver.newton_solve
         handed = []
 
@@ -314,31 +349,57 @@ class TestKrylovPath:
             return real_newton(*args, factor=factor, **kwargs)
 
         monkeypatch.setattr(solver, "newton_solve", recording_newton)
-        fld, history = run_homotopy(spec)
-        assert 1 < sum(h.factorizations for h in history) < 12
+        _, history = run_homotopy(spec, steps=8)
+        factorizations = sum(h.factorizations for h in history)
+        assert 1 < factorizations < 8
         assert any(f is None for f in handed[1:])
+        assert (factorizations == sum(f is None for f in handed)
+                + sum(h.krylov_misses for h in history))
         monkeypatch.setattr(solver, "_solve_linear", factor_every_system)
-        fld_ref, history_ref = run_homotopy(spec)
-        assert [h.t for h in history] == [h.t for h in history_ref]
-        assert ([h.newton_iterations for h in history]
-                == [h.newton_iterations for h in history_ref])
-        for h, h_ref in zip(history, history_ref):
-            assert h.field.c == pytest.approx(h_ref.field.c, rel=1e-12, abs=0.0)
-        assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-12
+        _, history_ref = run_homotopy(spec, steps=8)
+        _assert_walks_agree(history, history_ref)
 
     def test_krylov_direction_meets_tolerance(self, newton_system):
-        spec, factor, jac, res = newton_system
-        direction, used, iterations = solver._solve_linear(jac, -res, factor)
-        assert used is factor
-        assert 0 < iterations <= solver.KRYLOV_BUDGET
+        # a stop target far below the residual asks GMRES for KRYLOV_RTOL;
+        # the real target tol (1 + |c|) asks for the looser forcing term
+        # eta, which takes fewer iterations
+        spec, factor, jac, res, c = newton_system
         lu, row_max = factor
-        scaled_res = (jac @ direction + res) / row_max
-        assert (np.linalg.norm(scaled_res)
-                <= solver.KRYLOV_RTOL * np.linalg.norm(res / row_max))
+        b_norm = np.linalg.norm(res / row_max)
+        target = SolveOptions().tol_residual * (1.0 + abs(c))
+        eta = solver.KRYLOV_FORCING * target / np.max(np.abs(res))
+        assert solver.KRYLOV_RTOL < eta < solver.KRYLOV_FORCING
+        spent = []
+        for stop_target, rtol in ((1e-30, solver.KRYLOV_RTOL), (target, eta)):
+            direction, used, iterations = solver._solve_linear(jac, -res, factor,
+                                                               stop_target)
+            assert used is factor
+            assert 0 < iterations <= solver.KRYLOV_BUDGET
+            assert np.linalg.norm((jac @ direction + res) / row_max) <= rtol * b_norm
+            spent.append(iterations)
+        assert spent[1] < spent[0]
+
+    def test_miss_is_counted(self, monkeypatch):
+        # GMRES misses once: that system is factored afresh, and the count
+        # tells the miss from the solve's first factor
+        real_gmres = solver.gmres
+        missed = []
+
+        def missing_once(A, b, **kwargs):
+            if not missed:
+                missed.append(True)
+                return np.zeros_like(b), 1
+            return real_gmres(A, b, **kwargs)
+
+        monkeypatch.setattr(solver, "gmres", missing_once)
+        spec = _ellipse_homotopy_spec()
+        _, info = newton_solve(spec, seed_field(spec))
+        assert missed and info.iterations >= 2
+        assert (info.factorizations, info.krylov_misses) == (2, 1)
 
     @pytest.mark.parametrize("kind", ["unrelated", "nan"])
     def test_falls_back_to_fresh_factor(self, newton_system, kind):
-        spec, _, jac, res = newton_system
+        spec, _, jac, res, _ = newton_system
         n = jac.shape[0]
         if kind == "nan":
             stale = (_NanLU(), np.ones(n))
@@ -375,6 +436,9 @@ class TestKrylovPath:
             newton_solve(spec, seed_field(spec))
         assert len(factors) == 2
         assert err.value.iterations == 1
+        # the counts of the failed solve: its first factor, no factor made
+        # for the miss
+        assert (err.value.factorizations, err.value.krylov_misses) == (1, 0)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-10, 1.0, 3.7e10, 1e150])
