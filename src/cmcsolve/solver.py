@@ -31,24 +31,28 @@ minimises is the true residual of the scaled system, so its tolerance
 bounds the direction's actual error in the Newton equation.  That
 tolerance is a forcing term tied to the Newton stop test (Eisenstat &
 Walker 1996, with Kelley's 1995 safeguard): a system whose residual F sits
-above the stop target tol (1 + |c|) is solved to the relative residual
-max(KRYLOV_RTOL, KRYLOV_FORCING tol (1 + |c|) / ||F||_inf), so the linear
-error left in the direction is a fixed fraction of what the stop test can
-see, and no system is solved beyond the KRYLOV_RTOL floor.  If GMRES
-misses that tolerance within one restart cycle, or returns a non-finite
-vector, the current Jacobian is factored and solved directly, and that
-factor serves the rest of the solve.  A solve hands its factor on to the
-next homotopy step only while the factor is still good: it was made for
-the solve's last system, or GMRES on it took at most KRYLOV_BUDGET // 2
-iterations there.  Past that a stale factor drifts toward the budget and
-costs more Krylov iterations than a new factor saves, so the next step
-factors afresh.  The factor handed on lives on NewtonInfo.factor, so it is
-freed with the NewtonInfo; run_homotopy keeps none past its walk.
+above the stop target tol (1 + |c|) is solved until the direction leaves
+||J d + F||_inf <= KRYLOV_FORCING tol (1 + |c|), in the norm the stop test
+reads, so the linear error left in the direction is a fixed fraction of
+what the stop test can see, and no system is solved beyond the relative
+residual KRYLOV_RTOL.  GMRES starts at the relative residual
+KRYLOV_FORCING tol (1 + |c|) / ||F||_inf of the row-scaled 2-norm; where
+that leaves the unscaled inf-norm above the bound, it goes on from its
+vector with the tolerance tightened by the excess.  If GMRES misses within
+KRYLOV_BUDGET iterations in all, or returns a non-finite vector, the
+current Jacobian is factored and solved directly, and that
+factor serves the rest of the solve and the next homotopy step: a fresh
+factor comes only from a walk's first system or a miss.  The factor handed
+on lives on NewtonInfo.factor, so it is freed with the NewtonInfo;
+run_homotopy keeps none past its walk.
 
 The homotopy walks increasing t on the problem's own grid, replacing only
 the target by its super-level set at t, and bisects the t increment of a
-failed step before giving up.  Progress is logged one line per Newton
-iteration in the format
+failed step before giving up.  Each step after the first starts from a
+predictor: the Lagrange extrapolation of the dilation-normalised field and
+c through the last PREDICTOR_POINTS accepted steps (Allgower & Georg 1990,
+ch. 2), so the corrector, Newton, mostly needs one iteration.  Progress
+is logged one line per Newton iteration in the format
 
   newton t=<t|-> iter=<k> res=<inf-norm> alpha=<step> c=<constant>
 """
@@ -65,7 +69,8 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
                        jacobian, residual_from_state)
 from .domains import SUBLEVEL_FLOOR, ConvexDomain
-from .errors import NonConvergence, StepRejection
+from .errors import (ConvexityLoss, NonConvergence, SpacelikeViolation,
+                     StepRejection)
 from .grid import SolutionField
 from .radial import seed_field
 
@@ -79,13 +84,15 @@ ARMIJO_C = 1e-4
 ALPHA_MIN = 1e-12
 # GMRES on the later Newton systems of a walk: the floor of the relative
 # residual of the row-scaled system, the fraction of the Newton stop target
-# a system's residual is solved down to (above that floor), and the Krylov
-# dimension of its one restart cycle
+# a system's residual is solved down to in the inf-norm (above that floor),
+# and the GMRES iterations one system may spend
 KRYLOV_RTOL = 1e-10
 KRYLOV_FORCING = 0.25
 KRYLOV_BUDGET = 20
 # t-increment halvings the homotopy may spend before giving up
 MAX_BISECTIONS = 4
+# accepted homotopy steps the start of the next one is extrapolated from
+PREDICTOR_POINTS = 3
 
 
 @dataclass
@@ -114,8 +121,8 @@ class NewtonInfo:
     # fresh factors made because GMRES on a given one missed its tolerance
     # or returned a non-finite vector
     krylov_misses: int = 0
-    # (SuperLU factor, row scale) a later solve on the same grid may reuse,
-    # or None when the factor has gone stale (see the module docstring)
+    # (SuperLU factor, row scale) the solve ended with, which a later solve
+    # on the same grid may reuse
     factor: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -170,31 +177,44 @@ def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None,
 
     With a factor (from _factor, possibly of another Jacobian on the same
     grid, such as an earlier homotopy step's), GMRES solves the system on
-    the factor's row scaling, right-preconditioned by it, to the relative
-    residual max(KRYLOV_RTOL, KRYLOV_FORCING target / ||rhs||_inf), where
-    target is the Newton stop target tol (1 + |c|); target 0 asks for
-    KRYLOV_RTOL.  Without a factor, or when GMRES misses that tolerance
-    within KRYLOV_BUDGET iterations or returns a non-finite vector, jac is
-    factored and solved directly.  Returns (d, the factor used, GMRES
-    iterations spent, a missed cycle's included).
+    the factor's row scaling, right-preconditioned by it, until the
+    direction leaves ||jac d - rhs||_inf <= KRYLOV_FORCING target, where
+    target is the Newton stop target tol (1 + |c|), or reaches the relative
+    residual KRYLOV_RTOL; target 0 asks for KRYLOV_RTOL.  Without a factor,
+    or when GMRES misses that within KRYLOV_BUDGET iterations or returns a
+    non-finite vector, jac is factored and solved directly.  Returns (d, the
+    factor used, GMRES iterations spent, a missed cycle's included).
     """
     residuals = []
     if factor is not None:
         lu, row_max = factor
         scaled = LinearOperator(jac.shape, dtype=float,
                                 matvec=lambda y: (jac @ lu.solve(y)) / row_max)
-        rtol = max(KRYLOV_RTOL, KRYLOV_FORCING * target / float(np.max(np.abs(rhs))))
         # GMRES takes plain 2-norms of the right-hand side: scale it exactly
         # to at most 1 so they cannot overflow
         b = rhs / row_max
         e = _exponent(b)
-        y, status = gmres(scaled, np.ldexp(b, -e), rtol=rtol, atol=0.0,
-                          restart=KRYLOV_BUDGET, maxiter=1,
-                          callback=residuals.append, callback_type="pr_norm")
-        if status == 0:
+        bound = KRYLOV_FORCING * target
+        rtol = max(KRYLOV_RTOL, bound / float(np.max(np.abs(rhs))))
+        y = None
+        while len(residuals) < KRYLOV_BUDGET:
+            y, status = gmres(scaled, np.ldexp(b, -e), x0=y, rtol=rtol, atol=0.0,
+                              restart=KRYLOV_BUDGET - len(residuals), maxiter=1,
+                              callback=residuals.append, callback_type="pr_norm")
             direction = np.ldexp(lu.solve(y), e)
-            if np.all(np.isfinite(direction)):
+            if status != 0 or not np.all(np.isfinite(direction)):
+                break
+            if rtol == KRYLOV_RTOL:
                 return direction, factor, len(residuals)
+            # rtol bounds the 2-norm of the row-scaled residual, which can
+            # sit on other rows than the unscaled residual's inf-norm: if
+            # that exceeds the bound, GMRES goes on from y until the scaled
+            # residual has shrunk by the excess
+            left = jac @ direction - rhs
+            excess = float(np.max(np.abs(left))) / bound
+            if excess <= 1.0:
+                return direction, factor, len(residuals)
+            rtol = max(KRYLOV_RTOL, _norm2(left / row_max) / _norm2(b) / excess)
     factor = _factor(jac)
     lu, row_max = factor
     return lu.solve(rhs / row_max), factor, len(residuals)
@@ -251,9 +271,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     one the first Newton system is factored; every other system runs GMRES
     preconditioned by the latest factor, to a tolerance tied to the stop
     target tol_residual (1 + |c|) (see _solve_linear).  The factor the
-    solve ends with is left on info.factor while it is still good: made for
-    the last system, or GMRES took at most KRYLOV_BUDGET // 2 iterations on
-    it there; otherwise info.factor is None.  Returns (field, NewtonInfo).
+    solve ends with is left on info.factor.  Returns (field, NewtonInfo).
     Raises NonConvergence with the best iterate and the solve's counts
     attached when the budget runs out, the line search stalls, the linear
     solve fails or the residual or direction is not finite; guard
@@ -298,16 +316,15 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
 
         jac = jacobian(spec, *state)
         try:
-            direction, new_factor, krylov = _solve_linear(jac, -res, factor, target)
+            direction, factor, krylov = _solve_linear(jac, -res, info.factor, target)
         except RuntimeError as exc:   # SuperLU: singular factor
             raise failure(f"linear solve failed ({exc}) at iteration {it + 1}",
                           it, r_inf) from exc
-        fresh = new_factor is not factor
+        fresh = factor is not info.factor
         info.factorizations += fresh
         info.krylov_iterations += krylov
-        info.krylov_misses += fresh and factor is not None
-        factor = new_factor
-        info.factor = factor if fresh or krylov <= KRYLOV_BUDGET // 2 else None
+        info.krylov_misses += fresh and info.factor is not None
+        info.factor = factor
         if not np.all(np.isfinite(direction)):
             raise failure(f"non-finite Newton direction at iteration {it + 1}", it, r_inf)
         try:
@@ -338,6 +355,23 @@ def auto_t_min(omega: ConvexDomain, omega_tilde: ConvexDomain, n_rho: int) -> fl
     return 1.0
 
 
+def _predicted_start(steps: list[HomotopyState], t: float,
+                     peak_potential: np.ndarray) -> SolutionField:
+    """Start of the homotopy step at t: the Lagrange extrapolation to t,
+    through the accepted steps given, of c and of the dilation-normalised
+    field w = (u - P) / sqrt(t_k), P = peak_potential, whose gradient image
+    is the same target (less its peak) at every t; u = P + sqrt(t) w.
+    Through one step that is its field with the gradient image scaled about
+    the target's peak onto the new target, and its c."""
+    w, c = 0.0, 0.0
+    for step in steps:
+        weight = np.prod([(t - other.t) / (step.t - other.t)
+                          for other in steps if other is not step])
+        w = w + weight / np.sqrt(step.t) * (step.field.u - peak_potential)
+        c += weight * step.field.c
+    return replace(steps[-1].field, u=peak_potential + np.sqrt(t) * w, c=float(c))
+
+
 def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
                  steps: int = 12, t_min: float | None = None):
     """Continuity-method solve on spec.grid: step t solves spec with the
@@ -347,54 +381,63 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
 
     Walks `steps` uniform values of t from t_min (auto_t_min when None) to
     1, or t = 1 alone when t_min is 1.  The first step is seeded by
-    seed_field; each later one starts from the previous field, with its
-    gradient image scaled about the target's peak onto the new target, and
-    the previous c, and with the last accepted step's info.factor as the
-    preconditioner of its first Newton system; a failed attempt's factor is
-    dropped.  For the graph operator, dilation is an exact symmetry (v(x) =
-    s u(x0 + (x - x0)/s) keeps the gradient image and has constant c/s), so
-    step t is the super-level pair (omega_t, omega_tilde_t) dilated onto
-    omega and its c is sqrt(t) times that pair's.  For the
-    inverse-Hessian operator, whose coefficients depend on node positions,
-    step t is the Legendre dual of the primal problem on omega_tilde_t with
-    image omega, on the fixed dual domain.  Returns (final field,
-    [HomotopyState]); raises ValueError for steps < 2.
+    seed_field; each later one starts from _predicted_start through the
+    last PREDICTOR_POINTS accepted steps, at their actual t, so a bisected
+    schedule needs no special case.  If the guards refuse that start's
+    solve (ConvexityLoss or SpacelikeViolation), the step is retried once
+    from the one-point start before any bisection.  The first Newton system
+    of a step is preconditioned by the last accepted step's info.factor; a
+    failed attempt's factor is dropped.  For the graph operator, dilation
+    is an exact symmetry (v(x) = s u(x0 + (x - x0)/s) keeps the gradient
+    image and has constant c/s), so step t is the super-level pair
+    (omega_t, omega_tilde_t) dilated onto omega and its c is sqrt(t) times
+    that pair's.  For the inverse-Hessian operator, whose coefficients
+    depend on node positions, step t is the Legendre dual of the primal
+    problem on omega_tilde_t with image omega, on the fixed dual domain.
+    Returns (final field, [HomotopyState]); raises ValueError for steps < 2
+    or a t_min outside (0, 1].
     """
     if steps < 2:   # a one-point schedule from t_min < 1 never reaches t = 1
         raise ValueError(f"steps must be >= 2, got {steps}")
+    if t_min is not None and not 0.0 < t_min <= 1.0:
+        raise ValueError(f"t_min must be in (0, 1], got {t_min!r}")
     opts = opts or SolveOptions()
     if t_min is None:
         t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
     pending = [float(t) for t in np.linspace(t_min, 1.0, steps)] if t_min < 1.0 else [1.0]
-    # the warm start scales the gradient image about this potential's gradient
     peak_potential = spec.grid.nodes @ spec.omega_tilde.peak
 
     history: list[HomotopyState] = []
-    prev_field = None
-    prev_t = None
     factor = None
     bisections = 0
 
     while pending:
         t = pending[0]
         spec_t = replace(spec, omega_tilde=spec.omega_tilde.sublevel(t))
-        if prev_field is None:
-            initial = seed_field(spec_t)
-        else:
-            initial = replace(prev_field, u=peak_potential + np.sqrt(t / prev_t)
-                              * (prev_field.u - peak_potential))
+        points = min(len(history), PREDICTOR_POINTS)
+        initial = (_predicted_start(history[-points:], t, peak_potential) if history
+                   else seed_field(spec_t))
         try:
-            fld, info = newton_solve(spec_t, initial, opts, t_label=t, factor=factor)
+            try:
+                fld, info = newton_solve(spec_t, initial, opts, t_label=t, factor=factor)
+            except (ConvexityLoss, SpacelikeViolation):
+                if points < 2:
+                    raise
+                logger.info("homotopy predictor refused: restarting t=%.6g from t=%.6g",
+                            t, history[-1].t)
+                fld, info = newton_solve(spec_t,
+                                         _predicted_start(history[-1:], t, peak_potential),
+                                         opts, t_label=t, factor=factor)
         except NonConvergence:
-            if prev_t is None or bisections >= MAX_BISECTIONS:
+            if not history or bisections >= MAX_BISECTIONS:
                 raise
             bisections += 1
-            pending.insert(0, 0.5 * (prev_t + t))
+            pending.insert(0, 0.5 * (history[-1].t + t))
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
         history.append(HomotopyState(t, fld, info.iterations, info.factorizations,
                                      info.krylov_iterations, info.krylov_misses))
-        prev_field, prev_t, factor = fld, t, info.factor
+        factor = info.factor
         pending.pop(0)
 
-    return prev_field, history
+    return history[-1].field, history

@@ -12,7 +12,7 @@ from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       seed_field, solver)
 from cmcsolve.assembly import CONVEXITY_RTOL, residual
 from cmcsolve.diagnostics import flux_identity
-from cmcsolve.errors import ConvexityLoss, NonConvergence
+from cmcsolve.errors import ConvexityLoss, NonConvergence, SpacelikeViolation
 from cmcsolve.grid import MappedGrid
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
 from helpers import (factor_every_system, field_state, quadric_domains,
@@ -240,25 +240,31 @@ def _ellipse_homotopy_spec(n_rho=32):
     return ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, n_rho, 2 * n_rho))
 
 
-def _assert_walks_agree(history, history_ref):
-    """Same t schedule and per-step Newton counts, and every step's c and u
-    within the Newton stop target tol (1 + |c|) of the reference walk's:
-    GMRES stops at a fraction of that target, so two ways of solving the
-    Newton systems agree to it, not to roundoff."""
+def _assert_steps_agree(history, history_ref):
+    """Same t schedule, and every step's c and u within the Newton stop
+    target tol (1 + |c|) of the reference walk's: GMRES stops at a fraction
+    of that target, and Newton at it, so two ways of reaching the same
+    steps agree to it, not to roundoff."""
     tol = SolveOptions().tol_residual
     assert [h.t for h in history] == [h.t for h in history_ref]
-    assert ([h.newton_iterations for h in history]
-            == [h.newton_iterations for h in history_ref])
     for h, h_ref in zip(history, history_ref):
         target = tol * (1.0 + abs(h_ref.field.c))
         assert abs(h.field.c - h_ref.field.c) <= target
         assert np.max(np.abs(h.field.u - h_ref.field.u)) <= target
 
 
+def _assert_walks_agree(history, history_ref):
+    """_assert_steps_agree, with the same Newton count at every step: two
+    ways of solving the Newton systems of one walk."""
+    _assert_steps_agree(history, history_ref)
+    assert ([h.newton_iterations for h in history]
+            == [h.newton_iterations for h in history_ref])
+
+
 class TestKrylovPath:
     """A homotopy walk factors its first system; the later ones, in the same
-    step or the next, run GMRES preconditioned by that factor until it goes
-    stale."""
+    step or the next, run GMRES preconditioned by the latest factor, and a
+    fresh factor comes only from a GMRES miss."""
 
     @pytest.fixture()
     def newton_system(self):
@@ -335,8 +341,8 @@ class TestKrylovPath:
         assert sum(h.krylov_misses for h in history) == 0
 
     def test_stale_factor_refreshed(self, monkeypatch):
-        # a walk on which the carried factor goes stale: a later step is
-        # handed no factor and factors afresh, every other factor after the
+        # a walk on which the carried factor goes stale: every step is
+        # handed the factor the last one ended with, every factor after the
         # first comes from a GMRES miss, and the iterates match the
         # factor-every-system oracle
         om = Ellipse((0.05, 0), (1.0, 0.8))
@@ -352,9 +358,8 @@ class TestKrylovPath:
         _, history = run_homotopy(spec, steps=8)
         factorizations = sum(h.factorizations for h in history)
         assert 1 < factorizations < 8
-        assert any(f is None for f in handed[1:])
-        assert (factorizations == sum(f is None for f in handed)
-                + sum(h.krylov_misses for h in history))
+        assert all(f is not None for f in handed[1:])
+        assert factorizations == 1 + sum(h.krylov_misses for h in history)
         monkeypatch.setattr(solver, "_solve_linear", factor_every_system)
         _, history_ref = run_homotopy(spec, steps=8)
         _assert_walks_agree(history, history_ref)
@@ -378,6 +383,34 @@ class TestKrylovPath:
             assert np.linalg.norm((jac @ direction + res) / row_max) <= rtol * b_norm
             spent.append(iterations)
         assert spent[1] < spent[0]
+        assert (np.max(np.abs(jac @ direction + res))
+                <= solver.KRYLOV_FORCING * target)
+
+    def test_krylov_goes_on_to_inf_norm_bound(self, newton_system, monkeypatch):
+        # at a stop target 100 times the real one, the forcing term's first
+        # cycle leaves the unscaled residual's inf-norm above its bound:
+        # GMRES goes on from that cycle's vector, with a tighter tolerance,
+        # on the same factor and within one budget
+        spec, factor, jac, res, c = newton_system
+        target = 100 * SolveOptions().tol_residual * (1.0 + abs(c))
+        real_gmres = solver.gmres
+        calls = []
+
+        def recording_gmres(A, b, **kwargs):
+            y, status = real_gmres(A, b, **kwargs)
+            calls.append((kwargs["x0"], kwargs["rtol"], y))
+            return y, status
+
+        monkeypatch.setattr(solver, "gmres", recording_gmres)
+        direction, used, iterations = solver._solve_linear(jac, -res, factor, target)
+        assert used is factor
+        assert len(calls) == 2 and iterations <= solver.KRYLOV_BUDGET
+        (x0, rtol, y), (x1, rtol1, _) = calls
+        assert x0 is None and x1 is y and rtol1 < rtol
+        lu, row_max = factor
+        d0 = np.ldexp(lu.solve(y), solver._exponent(res / row_max))
+        assert np.max(np.abs(jac @ d0 + res)) > solver.KRYLOV_FORCING * target
+        assert np.max(np.abs(jac @ direction + res)) <= solver.KRYLOV_FORCING * target
 
     def test_miss_is_counted(self, monkeypatch):
         # GMRES misses once: that system is factored afresh, and the count
@@ -439,6 +472,105 @@ class TestKrylovPath:
         # the counts of the failed solve: its first factor, no factor made
         # for the miss
         assert (err.value.factorizations, err.value.krylov_misses) == (1, 0)
+
+
+@pytest.fixture(scope="module")
+def one_point_walk():
+    """The benchmark walk (ci_instances' ellipse_ball) with every step after
+    the first started from the last one alone: the zero-order predictor,
+    the oracle of the extrapolated starts."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "PREDICTOR_POINTS", 1)
+        return run_homotopy(_ellipse_homotopy_spec())
+
+
+class TestPredictor:
+    """Each homotopy step after the first starts from the Lagrange
+    extrapolation through the last three accepted steps."""
+
+    def test_extrapolation_is_exact_for_quadratics(self):
+        # w = (u - P) / sqrt(t) and c quadratic in t, at an uneven
+        # (bisected) schedule: three points reproduce both at the next t
+        grid = build_grid(Ball((0, 0), 1.0), 8, 16)
+        peak = grid.nodes @ np.array([0.1, -0.2])
+        a, b, q = (grid.mean_zero(f) for f in (grid.nodes[:, 0] ** 2, grid.nodes[:, 1],
+                                                  grid.nodes[:, 0] * grid.nodes[:, 1]))
+
+        def state(t):
+            u = peak + np.sqrt(t) * (a + t * b + t * t * q)
+            return solver.HomotopyState(t, SolutionField(grid, u, 1.0 - t + 2.0 * t * t, MINK))
+
+        steps = [state(t) for t in (0.1, 0.2, 0.25)]
+        start = solver._predicted_start(steps, 0.4, peak)
+        exact = state(0.4).field
+        assert start.c == pytest.approx(exact.c, rel=1e-13)
+        assert np.max(np.abs(start.u - exact.u)) <= 1e-13
+        # through one point: the last field dilated about the peak, its c
+        one = solver._predicted_start(steps[-1:], 0.4, peak)
+        assert one.c == steps[-1].field.c
+        dilated = peak + np.sqrt(0.4 / 0.25) * (steps[-1].field.u - peak)
+        assert np.max(np.abs(one.u - dilated)) <= 1e-14
+
+    def test_one_newton_iteration_per_step(self, ci_instances, one_point_walk):
+        # the benchmark walk: after the seeded step and the one-point step,
+        # one Newton iteration per step, on one factor, to the one-point
+        # walk's answers
+        _, _, history = ci_instances["ellipse_ball"]
+        _, history_ref = one_point_walk
+        assert [h.newton_iterations for h in history] == [4, 2] + [1] * 10
+        assert [h.newton_iterations for h in history_ref] == [4] + [2] * 11
+        assert sum(h.factorizations for h in history) == 1
+        _assert_steps_agree(history, history_ref)
+
+    @pytest.mark.parametrize("guard", [ConvexityLoss(-1.0), SpacelikeViolation(1.0)],
+                             ids=["convexity", "spacelike"])
+    def test_refused_start_falls_back_to_one_point(self, monkeypatch, one_point_walk,
+                                                   guard):
+        # the guard refuses the first start extrapolated through two steps
+        # (the third solve): the step is retried from the one-point start,
+        # and the walk needs no bisection
+        real_newton, real_guard = solver.newton_solve, solver.admissibility_violation
+        starts, refuse = [], [False]
+
+        def recording_newton(spec, initial, *args, **kwargs):
+            starts.append(initial)
+            refuse[0] = len(starts) == 3
+            return real_newton(spec, initial, *args, **kwargs)
+
+        def refusing_guard(*args):
+            if refuse[0]:
+                refuse[0] = False
+                return guard
+            return real_guard(*args)
+
+        monkeypatch.setattr(solver, "newton_solve", recording_newton)
+        monkeypatch.setattr(solver, "admissibility_violation", refusing_guard)
+        _, history = run_homotopy(_ellipse_homotopy_spec())
+        _, history_ref = one_point_walk
+        assert len(starts) == len(history) + 1 == 13
+        # the retry starts from step 2 alone: its c, where the refused start
+        # had extrapolated c through steps 1 and 2
+        assert starts[3].c == history[1].field.c != starts[2].c
+        _assert_steps_agree(history, history_ref)
+
+    @pytest.mark.parametrize("omega, omega_tilde, model, newton", [
+        (Ball((0, 0), 0.4), Ellipse((0, 0), (1.0, 0.8)), MINK, 15),
+        (Ellipse((0.1, 0), (0.5, 0.3)), Ball((1, 2), 2.0), EUC, 20),
+    ], ids=["benchmark_swapped", "euclidean_offcentre"])
+    def test_dual_walk_matches_one_point_walk(self, monkeypatch, omega, omega_tilde,
+                                              model, newton):
+        # the inverse-Hessian walk of dual_solve's fallback.  On the
+        # Euclidean walk GMRES's row-scaled tolerance alone leaves more than
+        # the forcing bound in the residual's inf-norm, where a corrector
+        # iteration then stops just above the stop target (25 iterations)
+        dual_spec = ProblemSpec(omega, omega_tilde, model, build_grid(omega, 32, 64),
+                                operator=OperatorKind.INVERSE_HESSIAN)
+        _, history = run_homotopy(dual_spec)
+        monkeypatch.setattr(solver, "PREDICTOR_POINTS", 1)
+        _, history_ref = run_homotopy(dual_spec)
+        _assert_steps_agree(history, history_ref)
+        assert sum(h.newton_iterations for h in history) == newton
+        assert newton <= sum(h.newton_iterations for h in history_ref)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-10, 1.0, 3.7e10, 1e150])
@@ -533,6 +665,14 @@ class TestHomotopy:
         spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
         with pytest.raises(ValueError, match="steps must be >= 2"):
             run_homotopy(spec, steps=steps, t_min=0.5)
+
+    @pytest.mark.parametrize("t_min", [float("nan"), 1.5, 0.0, -0.5])
+    def test_t_min_must_be_in_unit_interval(self, t_min):
+        # NaN and t_min > 1 used to solve t = 1 alone, ignoring steps
+        omega = Ellipse((0, 0), (1.0, 0.8))
+        spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
+        with pytest.raises(ValueError, match=r"t_min must be in \(0, 1\]"):
+            run_homotopy(spec, steps=3, t_min=t_min)
 
     def test_steps_are_dilated_super_level_pairs(self):
         # dilating the domain is a symmetry of the graph problem: the step
