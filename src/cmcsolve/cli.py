@@ -55,6 +55,9 @@ def _setup_logging():
 
 
 def cmd_radial(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     try:
         sol = RadialSolution(args.n, args.r0, args.t0, ModelKind(args.model))
     except ValueError as exc:
@@ -68,7 +71,11 @@ def cmd_radial(args) -> int:
               for row in zip(r, u, du, d2u)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -89,7 +96,8 @@ def _step_entry(t, c, iterations, counts) -> dict:
     return {"t": t, "c": c, "iterations": iterations,
             "factorizations": counts.factorizations,
             "krylov_iterations": counts.krylov_iterations,
-            "krylov_misses": counts.krylov_misses}
+            "krylov_misses": counts.krylov_misses,
+            "lu_fill": counts.lu_fill}
 
 
 def cmd_solve(args) -> int:

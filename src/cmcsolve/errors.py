@@ -51,7 +51,7 @@ class NonConvergence(CMCSolveError):
     def __init__(self, message: str, best_field=None, residual_norm: float | None = None,
                  iterations: int | None = None, t: float | None = None,
                  factorizations: int = 0, krylov_iterations: int = 0,
-                 krylov_misses: int = 0):
+                 krylov_misses: int = 0, lu_fill: int = 0):
         self.best_field = best_field
         self.residual_norm = residual_norm
         self.iterations = iterations
@@ -59,6 +59,7 @@ class NonConvergence(CMCSolveError):
         self.factorizations = factorizations
         self.krylov_iterations = krylov_iterations
         self.krylov_misses = krylov_misses
+        self.lu_fill = lu_fill
         super().__init__(message)
 
 

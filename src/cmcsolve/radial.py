@@ -20,6 +20,7 @@ and the curvature kernel rather than quoting it from anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,14 +35,27 @@ __all__ = ["RadialSolution", "radial_constant", "radial_profile", "seed_field"]
 
 
 def radial_constant(n: int, r0: float, t0: float, model: ModelKind) -> float:
-    """Closed-form constant of the radial solution on B(0, r0) -> B(0, t0)."""
-    if n < 2 or r0 <= 0 or t0 <= 0:
-        raise ValueError(f"need n >= 2, r0 > 0, t0 > 0; got n={n}, r0={r0}, t0={t0}")
-    if model is ModelKind.MINKOWSKI:
-        if t0 >= 1:
-            raise ValueError(f"Minkowski gradient image radius must satisfy t0 < 1, got {t0}")
-        return n * t0 / (np.sqrt(1.0 - t0 ** 2) * r0)
-    return n * t0 / (np.sqrt(1.0 + t0 ** 2) * r0)
+    """Closed-form constant of the radial solution on B(0, r0) -> B(0, t0).
+
+    Raises ValueError unless n >= 2, r0 and t0 are finite and positive
+    (t0 < 1 in the Minkowski model), and unless n, r0, t0 and c all have
+    squares that are finite normal floats: radial_profile squares each of
+    them, and past that range its table would be NaN or wrong.
+    """
+    big = sys.float_info.max   # a Python float: compared exactly with any int n
+    if not (2 <= n <= big and 0 < r0 <= big and 0 < t0 <= big):   # false for a NaN too
+        raise ValueError(f"need finite n >= 2, r0 > 0, t0 > 0; got n={n}, r0={r0}, t0={t0}")
+    if model is ModelKind.MINKOWSKI and t0 >= 1:
+        raise ValueError(f"Minkowski gradient image radius must satisfy t0 < 1, got {t0}")
+    sign = -1.0 if model is ModelKind.MINKOWSKI else 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        n_, r0_, t0_ = np.float64(n), np.float64(r0), np.float64(t0)
+        c = n_ * t0_ / (np.sqrt(1.0 + sign * t0_ ** 2) * r0_)
+        squares = np.array([n_, r0_, t0_, c]) ** 2
+    if not np.all((squares >= sys.float_info.min) & (squares <= big)):
+        raise ValueError(f"radial solution out of floating-point range: n={n}, r0={r0}, "
+                         f"t0={t0} give c={float(c)!r}")
+    return float(c)
 
 
 @dataclass

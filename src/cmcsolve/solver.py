@@ -14,11 +14,21 @@ The system has a dense border: the mean-zero row and the c column touch every
 node.  SuperLU's default column ordering (COLAMD on A^T A) joins all columns
 through that dense row and fills in badly, so the columns are ordered by
 minimum degree on the symmetric pattern A + A^T, where the border costs one
-dense row and column of the factor.  The pivot threshold 0.1 prefers the
-diagonal that ordering planned for, but the corner entry of the border (the
-mean-zero row at the c column) is zero, so off-diagonal pivots must stay
-allowed.  A failed factorization or a non-finite residual or direction ends
-the solve in NonConvergence.
+dense row and column of the factor.  That ordering plans for diagonal
+pivots, and the pivot threshold 1e-3 keeps them: a diagonal entry is taken
+unless it is below 1e-3 of its column's largest (the small
+diagonal-preference tolerance of UMFPACK's symmetric strategy, Davis 2004).
+The corner entry of the border (the mean-zero row at the c column) is zero,
+so off-diagonal pivots stay allowed; on the concentric-ball system two are
+taken, at the c column and at one boundary node.  The threshold 0.1 took 16
+at 64 x 128 (at the pole, on the first two rings, near the boundary and at
+the border), and they spoilt the plan: the L+U fill was 183 k, 1.07 M and
+5.97 M at 32 x 64, 64 x 128 and 128 x 256, against 122 k, 596 k and 3.05 M
+at 1e-3.  Looser pivoting can leave a direct solve less accurate, so where
+a target is given the direct direction is held to the bound GMRES meets
+(below) by one step of iterative refinement on the same factor.  A failed
+factorization or a non-finite residual or direction ends the solve in
+NonConvergence.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -121,6 +131,8 @@ class NewtonInfo:
     # fresh factors made because GMRES on a given one missed its tolerance
     # or returned a non-finite vector
     krylov_misses: int = 0
+    # largest L + U entry count of the factors the solve made, 0 if none
+    lu_fill: int = 0
     # (SuperLU factor, row scale) the solve ended with, which a later solve
     # on the same grid may reuse
     factor: tuple | None = field(default=None, repr=False, compare=False)
@@ -136,12 +148,13 @@ class HomotopyState:
     factorizations: int = 0
     krylov_iterations: int = 0
     krylov_misses: int = 0
+    lu_fill: int = 0
 
 
 # SuperLU column ordering and diagonal pivot threshold; the module docstring
 # gives the reasons for both
 LU_ORDERING = "MMD_AT_PLUS_A"
-LU_PIVOT_THRESH = 0.1
+LU_PIVOT_THRESH = 1e-3
 
 
 def _exponent(v: np.ndarray) -> int:
@@ -182,7 +195,9 @@ def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None,
     target is the Newton stop target tol (1 + |c|), or reaches the relative
     residual KRYLOV_RTOL; target 0 asks for KRYLOV_RTOL.  Without a factor,
     or when GMRES misses that within KRYLOV_BUDGET iterations or returns a
-    non-finite vector, jac is factored and solved directly.  Returns (d, the
+    non-finite vector, jac is factored and solved directly, and with
+    target > 0 a direct direction that misses the same inf-norm bound takes
+    one step of iterative refinement on that factor.  Returns (d, the
     factor used, GMRES iterations spent, a missed cycle's included).
     """
     residuals = []
@@ -217,7 +232,14 @@ def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None,
             rtol = max(KRYLOV_RTOL, _norm2(left / row_max) / _norm2(b) / excess)
     factor = _factor(jac)
     lu, row_max = factor
-    return lu.solve(rhs / row_max), factor, len(residuals)
+    direction = lu.solve(rhs / row_max)
+    if target > 0.0:
+        # the direct direction is held to the bound GMRES meets: one step
+        # of iterative refinement on the same factor where it misses
+        left = jac @ direction - rhs
+        if np.max(np.abs(left)) > KRYLOV_FORCING * target:
+            direction = direction - lu.solve(left / row_max)
+    return direction, factor, len(residuals)
 
 
 def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndarray,
@@ -298,7 +320,8 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
                               iterations=it, t=t_label,
                               factorizations=info.factorizations,
                               krylov_iterations=info.krylov_iterations,
-                              krylov_misses=info.krylov_misses)
+                              krylov_misses=info.krylov_misses,
+                              lu_fill=info.lu_fill)
 
     # max_newton steps leave max_newton + 1 residuals to test
     for it in range(opts.max_newton + 1):
@@ -320,10 +343,11 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         except RuntimeError as exc:   # SuperLU: singular factor
             raise failure(f"linear solve failed ({exc}) at iteration {it + 1}",
                           it, r_inf) from exc
-        fresh = factor is not info.factor
-        info.factorizations += fresh
         info.krylov_iterations += krylov
-        info.krylov_misses += fresh and info.factor is not None
+        if factor is not info.factor:
+            info.factorizations += 1
+            info.krylov_misses += info.factor is not None
+            info.lu_fill = max(info.lu_fill, factor[0].L.nnz + factor[0].U.nnz)
         info.factor = factor
         if not np.all(np.isfinite(direction)):
             raise failure(f"non-finite Newton direction at iteration {it + 1}", it, r_inf)
@@ -436,7 +460,8 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
         history.append(HomotopyState(t, fld, info.iterations, info.factorizations,
-                                     info.krylov_iterations, info.krylov_misses))
+                                     info.krylov_iterations, info.krylov_misses,
+                                     info.lu_fill))
         factor = info.factor
         pending.pop(0)
 

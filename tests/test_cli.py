@@ -92,6 +92,38 @@ class TestRadialCommand:
         assert u == pytest.approx(2.0 - np.sqrt(3.0), abs=1e-12)
         assert du == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("args, message", [
+        (["--t0", "nan"], "t0=nan"),
+        (["--t0", "0.5", "--r0", "nan"], "r0=nan"),
+        (["--t0", "0.5", "--r0", "inf"], "r0=inf"),
+        (["--t0", "inf", "--model", "euclidean"], "t0=inf"),
+        # c overflows, or an input or c has a square past the float range
+        (["--t0", "0.5", "--r0", "1e-320"], "c=inf"),
+        (["--t0", "0.5", "--model", "euclidean", "--r0", "1e308"], "out of floating-point"),
+        (["--t0", "1e200", "--model", "euclidean"], "out of floating-point"),
+        (["--t0", "0.5", "--n", str(10 ** 400)], "need finite n"),
+        (["--t0", "0.5", "--samples", "-1"], "--samples"),
+        (["--t0", "0.5", "--samples", "0"], "--samples"),
+    ])
+    def test_bad_input_exit_2(self, capsys, args, message):
+        assert main(["radial", *args]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert "nan" not in captured.out
+
+    def test_unwritable_table_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "radial.csv"
+        assert main(["radial", "--t0", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write --out")
+        assert not out.exists()
+
+    def test_single_sample(self, capsys):
+        assert main(["radial", "--t0", "0.5", "--samples", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "r,u,du,d2u", "0.0,0.0,0.0," + repr(float(1.1547005383792517 / 2))]
+
 
 class TestSolveCommand:
     def test_concentric_run(self, tmp_path, capsys):
@@ -156,8 +188,8 @@ class TestSolveCommand:
         # a failed run's entry has a converged run's keys: the failed
         # factor made nothing, and GMRES never ran
         [step] = summary["steps"]
-        assert [step[key] for key in ("iterations", "factorizations",
-                                      "krylov_iterations", "krylov_misses")] == [0, 0, 0, 0]
+        assert [step[key] for key in ("iterations", "factorizations", "krylov_iterations",
+                                      "krylov_misses", "lu_fill")] == [0, 0, 0, 0, 0]
 
     def test_homotopy_config(self, tmp_path):
         cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG)
@@ -172,13 +204,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 0
         steps = json.loads((tmp_path / "run" / "summary.json").read_text())["steps"]
         # the first system of a run is always factored; these runs make no
-        # other factor, so GMRES never misses
+        # other factor, so GMRES never misses and no later step has a fill
         assert steps[0]["factorizations"] == 1
         assert sum(step["factorizations"] for step in steps) == 1
+        assert steps[0]["lu_fill"] > 0
         for step in steps:
-            for key in ("factorizations", "krylov_iterations", "krylov_misses"):
+            for key in ("factorizations", "krylov_iterations", "krylov_misses", "lu_fill"):
                 assert isinstance(step[key], int) and step[key] >= 0
             assert step["krylov_misses"] == 0
+            assert (step["lu_fill"] > 0) == (step["factorizations"] > 0)
 
     def test_seed_file_strategy(self, tmp_path):
         cfg = write_config(tmp_path)

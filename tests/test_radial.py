@@ -32,6 +32,10 @@ class TestRadialConstant:
         dict(n=2, r0=-1.0, t0=0.5, model=MINK),
         dict(n=1, r0=1.0, t0=0.5, model=MINK),
         dict(n=2, r0=1.0, t0=0.0, model=EUC),
+        dict(n=2, r0=np.nan, t0=0.5, model=MINK),
+        dict(n=2, r0=1.0, t0=np.inf, model=EUC),
+        dict(n=2, r0=1e-320, t0=0.5, model=MINK),   # c = inf
+        dict(n=2, r0=1e200, t0=0.5, model=EUC),     # r0^2 = inf, c^2 = 0
     ])
     def test_preconditions(self, kwargs):
         with pytest.raises(ValueError):

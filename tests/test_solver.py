@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
@@ -128,6 +129,9 @@ def _singular_splu(*args, **kwargs):
 
 
 class _NanLU:
+    # a factor with no entries, whose every solve is NaN
+    L = U = sp.csc_matrix((1, 1))
+
     def solve(self, rhs):
         return np.full_like(rhs, np.nan)
 
@@ -171,6 +175,43 @@ class TestLinearSolve:
         r_inf = np.max(np.abs(res))
         assert r_inf > 1e-6   # a real Newton step, not a converged field
         assert np.max(np.abs(jac @ direction + res)) <= 1e-10 * (1.0 + r_inf)
+
+    @pytest.mark.parametrize("om, omt, operator", [
+        (Ball((0, 0), 1.0), Ball((0, 0), 0.5), OperatorKind.GRAPH),
+        (Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4), OperatorKind.GRAPH),
+        (Ball((0, 0), 0.4), Ellipse((0, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN),
+    ], ids=["concentric", "ellipse_ball", "ellipse_ball_dual"])
+    def test_factor_keeps_planned_diagonal(self, om, omt, operator):
+        # SuperLU factors Pr A Pc = L U, which puts A[i, i] at
+        # (perm_r[i], perm_c[i]): a diagonal pivot keeps perm_r[i] ==
+        # perm_c[i].  Only the zero corner of the border needs others; the
+        # pivot threshold 0.1 took 7 here and grew the concentric fill to
+        # 182 720
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 32, 64), operator=operator)
+        lu, _ = solver._factor(jacobian(spec, *field_state(seed_field(spec))))
+        assert np.count_nonzero(lu.perm_r != lu.perm_c) <= 2
+        if operator is OperatorKind.GRAPH and isinstance(om, Ball):
+            assert lu.L.nnz + lu.U.nnz <= 130_000
+
+    @pytest.mark.parametrize("om, omt, model", [
+        (Ellipse((0, 0), (1.0, 0.3)), Ball((0, 0), 0.4), MINK),
+        (Ellipse((0, 0), (1.0, 0.5)), Ball((0.3, 0.2), 3.0), EUC),
+    ], ids=["minkowski", "euclidean"])
+    def test_fresh_factor_meets_forcing_bound(self, om, omt, model):
+        # on these seed systems the direct solve alone leaves the Newton
+        # equation above the bound GMRES is held to; one refinement step on
+        # the same factor, not counted as a GMRES iteration, meets it
+        spec = ProblemSpec(om, omt, model, build_grid(om, 32, 64))
+        fld = seed_field(spec)
+        jac, res = jacobian(spec, *field_state(fld)), residual(spec, fld)
+        target = SolveOptions().tol_residual * (1.0 + abs(fld.c))
+        bound = solver.KRYLOV_FORCING * target
+        assert np.max(np.abs(res)) > target
+        direction, (lu, row_max), iterations = solver._solve_linear(jac, -res, None, target)
+        assert iterations == 0
+        assert np.max(np.abs(jac @ direction + res)) <= bound
+        plain = lu.solve(-res / row_max)
+        assert np.max(np.abs(jac @ plain + res)) > bound
 
     @pytest.mark.parametrize("fake_splu, reason", [
         (_singular_splu, "linear solve failed"),
