@@ -2,10 +2,11 @@
 
   cmcsolve radial  --n 2 --r0 1 --t0 0.5 --model minkowski [--samples 101]
   cmcsolve solve   --config run.cfg
-  cmcsolve verify  --field field.csv --config run.cfg [--dual]
+  cmcsolve verify  --field field.csv --config run.cfg [--dual] [--out report.json]
 
 Exit codes: 0 success (solve: converged and all diagnostics pass),
-1 non-convergence, 2 configuration or schema error, 3 diagnostics failure.
+1 non-convergence, 2 configuration or schema error or an output that cannot
+be written, 3 diagnostics failure.
 Floating-point output on stdout uses 9 significant digits; stored artifacts
 keep full precision.
 """
@@ -25,7 +26,7 @@ from .config import RunConfig, parse_config
 from .diagnostics import full_report
 from .duality import dual_solve
 from .errors import CMCSolveError, ConfigError, NonConvergence
-from .fieldio import load_field, save_field
+from .fieldio import header_path, load_field, save_field
 from .grid import build_grid, transfer_field
 from .kernel import ModelKind
 from .radial import RadialSolution, radial_profile, seed_field
@@ -109,8 +110,19 @@ def cmd_solve(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # the artifacts must be writable before any solve time is spent
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write output.dir: {exc}", file=sys.stderr)
+        return 2
+    for path in (out / "field.csv", header_path(out / "field.csv"),
+                 out / "report.json", out / "summary.json"):
+        if path.is_dir():
+            print(f"error: cannot write output.dir: {path} is a directory",
+                  file=sys.stderr)
+            return 2
     steps_summary = []
     converged = True
     try:
@@ -141,13 +153,17 @@ def cmd_solve(args) -> int:
         return 1
 
     report = full_report(spec, fld)
-    save_field(fld, out / "field.csv", omega=cfg.omega, omega_tilde=cfg.omega_tilde)
-    report.to_json(out / "report.json")
     summary = {"c": fld.c, "model": cfg.model.value, "converged": converged,
                "all_pass": report.all_pass, "steps": steps_summary,
                "field": "field.csv", "report": "report.json"}
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    try:
+        save_field(fld, out / "field.csv", omega=cfg.omega, omega_tilde=cfg.omega_tilde)
+        report.to_json(out / "report.json")
+        with open(out / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2)
+    except OSError as exc:
+        print(f"error: cannot write output.dir: {exc}", file=sys.stderr)
+        return 2
     print(report.table())
     print(f"c = {fld.c:.9g}")
     if not converged:
@@ -188,7 +204,11 @@ def cmd_verify(args) -> int:
             print(f"dual solve failure: {exc}", file=sys.stderr)
             return 1
     report = full_report(spec, fld, dual=dual)
-    text = report.to_json(args.out)
+    try:
+        text = report.to_json(args.out)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     print(text)
     return 0 if report.all_pass else 3
 

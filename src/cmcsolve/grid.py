@@ -16,12 +16,15 @@ stay second-order accurate on the fanned polar layout:
   * pole: quadratic fit over the (centrally symmetric) first two rings;
   * first ring: cubic fit over 5 radial stations x 5 angular columns;
   * interior rings: interpolatory biquadratic tensor fits on 3x3 blocks
-    (square design matrices, solved exactly, all rings in one batch);
+    (9 nodes, 9 basis functions; the node's own grid ray is fitted in closed
+    form and the two side rays by one 6x6 solve per node, all rings in one
+    batch, see _interior_weights);
   * boundary ring: one-sided cubic fits over 4 x 5 blocks (used for export
     and diagnostics), while the gradient-image condition rows use mapped
     per-column differences (see _build_boundary_gradient_ops).
 
-The pole, first-ring and boundary fits are least squares (pseudo-inverses).
+The pole, first-ring and boundary fits are least squares, solved through a
+batched QR factorization of their tall design matrices.
 
 Every basis contains the quadratics, so linear and quadratic potentials are
 reproduced to machine precision on any of the supported domains; the
@@ -124,57 +127,29 @@ class MappedGrid:
         return u - (w @ u) / w.sum()
 
 
-def _lsq_weights(offsets, radial=None, basis="quadratic", center=0):
-    """Batched local-fit weights.
-
-    offsets: (G, m, 2) physical offsets of each stencil from its node.
-    center:  position of the node itself inside its stencil.
-    radial:  (G, 2) unit directions; when given, the fit runs in the rotated
-             radial/tangential frame with per-direction scaling.  Near the
-             pole the stencils are extremely anisotropic (tangential arcs
-             shrink like rho), and a single isotropic scale would leave the
-             design matrix ill conditioned.
-    basis:   "quadratic", "cubic" (the quadratics plus the four cubic
-             monomials of the scaled frame) or "biquadratic".  Stencils on a
-             polar lattice are not centrally symmetric (one-sidedness at the
-             pole and boundary, arc spacing growing with radius), and
-             unmodeled cubic Taylor terms leak into the fitted Hessian at
-             first order; every cubic monomial must remain resolvable on the
-             stencil (enough distinct radial and angular stations),
-             otherwise the fit turns near-singular.
-    Returns (G, 5, m): weights for (ux, uy, uxx, uxy, uyy).
-
-    A square (interpolatory) design matrix is solved exactly, a tall one
-    by pseudo-inverse; _fold_defect makes constants cancel exactly.
-    """
-    g, m, _ = offsets.shape
-    if radial is None:
-        radial = np.broadcast_to([1.0, 0.0], (g, 2))
+def _scaled_frame(offsets, radial):
+    """Offsets (G, m, 2) in each node's rotated radial/tangential frame,
+    scaled per direction to the stencil's extent: (rr, tt), each (G, m), and
+    the scales (G, 2).  radial (G, 2) holds the unit radial directions.
+    Near the pole the stencils are extremely anisotropic (tangential arcs
+    shrink like rho), and a single isotropic scale would leave the fits ill
+    conditioned."""
     c, s = radial[:, :1], radial[:, 1:]  # (G, 1) each; tangential is (-s, c)
     ox, oy = offsets[..., 0], offsets[..., 1]
-    local = np.stack([c * ox + s * oy, c * oy - s * ox], axis=1)  # (G, 2, m)
-    ell = np.maximum(np.abs(local).max(axis=2), 1e-300)  # per-direction scales
-    rr, tt = np.swapaxes(local / ell[:, :, None], 0, 1)
-    cols = [np.ones_like(rr), rr, tt, 0.5 * rr ** 2, rr * tt, 0.5 * tt ** 2]
-    if basis == "biquadratic":
-        # tensor completion of the quadratic basis: interpolatory on 3x3
-        # blocks (9 dof, 9 nodes), leaving no residual space for stencil
-        # patterns to hide in
-        cols += [rr ** 2 * tt, rr * tt ** 2, rr ** 2 * tt ** 2]
-    elif basis == "cubic":
-        cols += [rr ** 3, rr ** 2 * tt, rr * tt ** 2, tt ** 3]
-    # coefficient weights in the scaled rotated frame: rows 1-5 of the
-    # design matrix's inverse (solving against its transpose, whose inverse
-    # is the inverse's transpose), or of its pseudo-inverse for a tall one
-    a_t = np.stack(cols, axis=1)  # (G, n_basis, m): the transposed design matrix
-    if m == len(cols):
-        w = np.swapaxes(np.linalg.solve(a_t, np.eye(m)[:, 1:6]), 1, 2)
-    else:
-        w = np.linalg.pinv(np.swapaxes(a_t, 1, 2))[:, 1:6, :]
+    rr, tt = c * ox + s * oy, c * oy - s * ox
+    ell = np.maximum(np.stack([np.abs(rr).max(axis=1), np.abs(tt).max(axis=1)],
+                              axis=1), 1e-300)
+    return rr / ell[:, :1], tt / ell[:, 1:], ell
 
-    # chain rule back through the scaling (inverse scales ir, it) and the
-    # rotation: the Cartesian weights are back @ w, with back block diagonal
-    # (gradient 2x2, Hessian 3x3)
+
+def _cartesian_weights(w, radial, ell, center):
+    """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in the
+    scaled rotated frame -> Cartesian weights for (ux, uy, uxx, uxy, uyy),
+    rounded by _fold_defect.  The chain rule back through the scaling
+    (inverse scales ir, it) and the rotation gives back @ w, with back block
+    diagonal (gradient 2x2, Hessian 3x3)."""
+    g = w.shape[0]
+    c, s = radial[:, :1], radial[:, 1:]
     ir, it, z = 1.0 / ell[:, :1], 1.0 / ell[:, 1:], np.zeros((g, 1))
     back = np.stack([
         c * ir, -s * it, z, z, z,
@@ -184,6 +159,75 @@ def _lsq_weights(offsets, radial=None, basis="quadratic", center=0):
         z, z, s * s * ir * ir, 2.0 * c * s * ir * it, c * c * it * it,
     ], axis=1).reshape(g, 5, 5)
     return _fold_defect(back @ w, center)
+
+
+def _lsq_weights(offsets, radial, cubic, center):
+    """Batched least-squares fit weights.
+
+    offsets: (G, m, 2) physical offsets of each stencil from its node.
+    center:  position of the node itself inside its stencil.
+    radial:  (G, 2) unit directions of the rotated radial/tangential frame
+             the fit runs in (see _scaled_frame).
+    cubic:   complete the quadratic basis by the four cubic monomials of the
+             scaled frame.  Stencils on a polar lattice are not centrally
+             symmetric (one-sidedness at the pole and boundary, arc spacing
+             growing with radius), and unmodeled cubic Taylor terms leak
+             into the fitted Hessian at first order; every cubic monomial
+             must remain resolvable on the stencil (enough distinct radial
+             and angular stations), otherwise the fit turns near-singular.
+    Returns (G, 5, m): weights for (ux, uy, uxx, uxy, uyy).
+
+    The tall design matrix A = QR is factored by a batched QR; the
+    least-squares coefficients are R^-1 Q^T u, and as R is upper triangular
+    rows 1.. of R^-1 Q^T need only the trailing block of R.  A duplicated
+    stencil entry acts as a doubled least-squares weight.
+    """
+    rr, tt, ell = _scaled_frame(offsets, radial)
+    cols = [np.ones_like(rr), rr, tt, 0.5 * rr ** 2, rr * tt, 0.5 * tt ** 2]
+    if cubic:
+        cols += [rr ** 3, rr ** 2 * tt, rr * tt ** 2, tt ** 3]
+    q, r = np.linalg.qr(np.stack(cols, axis=2))  # (G, m, n), (G, n, n)
+    w = np.linalg.solve(r[:, 1:, 1:], np.swapaxes(q[:, :, 1:], 1, 2))[:, :5]
+    return _cartesian_weights(w, radial, ell, center)
+
+
+def _interior_weights(offsets, radial):
+    """Weights of the interpolatory biquadratic tensor fit on 3x3 blocks.
+
+    offsets: (G, 9, 2) in block order (di, dj) = (-1, -1), (-1, 0), ...,
+    (1, 1), di radial and dj angular, so entry 4 is the node itself; radial
+    (G, 2) is the direction of the node's own grid ray.  The basis is the
+    quadratics plus r^2 t, r t^2, r^2 t^2 of the scaled rotated frame: 9
+    functions through 9 nodes, leaving no residual space for stencil
+    patterns to hide in.
+
+    The centre ray (entries 1, 4, 7) lies on t = 0, where the basis reduces
+    to 1, r, r^2/2: the constant is the node value, and the r and r^2/2
+    coefficients are the three-point weights through (r-, 0, r+).  The six
+    t-carrying coefficients then interpolate the side rays' values less the
+    centre-ray quadratic (its Lagrange values there), one 6x6 solve per
+    node.  This is block elimination of the square 9x9 interpolation.
+    Returns (G, 5, 9) as _lsq_weights.
+    """
+    rr, tt, ell = _scaled_frame(offsets, radial)
+    rm, rp = rr[:, 1:2], rr[:, 7:8]  # (G, 1): r- < 0 < r+
+    dm, d0, dp = rm * (rm - rp), rm * rp, rp * (rp - rm)
+    side = [0, 2, 3, 5, 6, 8]
+    r, t = rr[:, side], tt[:, side]  # (G, 6)
+    # transposed side design matrix, rows t, rt, t^2/2, r^2 t, r t^2, r^2 t^2
+    b_t = np.stack([t, r * t, 0.5 * t * t, r * r * t, r * t * t, (r * t) ** 2], axis=1)
+    # rows t, rt, t^2/2 of its inverse (solved against the transpose)
+    w_side = np.swapaxes(np.linalg.solve(b_t, np.eye(6)[:, :3]), 1, 2)  # (G, 3, 6)
+    # centre-ray quadratic's Lagrange basis at the side nodes: (G, 6, 3)
+    lagrange = np.stack([r * (r - rp) / dm, (r - rm) * (r - rp) / d0,
+                         r * (r - rm) / dp], axis=2)
+    centre, t_rows = [1, 4, 7], np.array([[1], [3], [4]])
+    w = np.zeros((rr.shape[0], 5, 9))
+    w[:, 0, centre] = np.concatenate([-rp / dm, -(rm + rp) / d0, -rm / dp], axis=1)
+    w[:, 2, centre] = np.concatenate([2.0 / dm, 2.0 / d0, 2.0 / dp], axis=1)
+    w[:, t_rows, side] = w_side
+    w[:, t_rows, centre] = -w_side @ lagrange
+    return _cartesian_weights(w, radial, ell, center=4)
 
 
 def _fold_defect(w, center):
@@ -248,12 +292,22 @@ def _on_one_pattern(names, vals, rows, cols, n):
     one indptr/indices pair: one pattern, one coefficient set per name.
 
     The list is sorted once; each value array is then summed onto the sorted
-    unique keys (duplicates summed, explicit zeros kept).
+    unique keys (duplicates summed in list order, explicit zeros kept).  The
+    callers list each node's stencil as one run, in node order, and each
+    stencil nearly column-ordered, so the stable (run-merging) sort finds the
+    list almost sorted.
     """
-    keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
-    first = sp.csr_matrix((np.bincount(slot, vals[0], len(keys)), keys % n,
+    keys = rows.astype(np.int64) * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    distinct = np.empty(len(keys), dtype=bool)
+    distinct[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    slot = np.cumsum(distinct) - 1
+    keys = keys[distinct]
+    first = sp.csr_matrix((np.bincount(slot, vals[0][order], len(keys)), cols[order][distinct],
                            np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
-    return {name: sp.csr_matrix((np.bincount(slot, v, len(keys)), first.indices,
+    return {name: sp.csr_matrix((np.bincount(slot, v[order], len(keys)), first.indices,
                                  first.indptr), shape=(n, n))
             for name, v in zip(names, vals)}
 
@@ -306,17 +360,16 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
 
 def _build_derivative_ops(nodes, n_rho, n_phi):
     n_nodes = 1 + n_rho * n_phi
-    rows, cols, vals = [], [], [[] for _ in range(5)]
+    rows, cols, vals = [], [], []
 
-    def add_group(center_idx, stencil_idx, radial=None, basis="quadratic", center=0):
-        # center_idx (G,), stencil_idx (G, m)
-        offsets = nodes[stencil_idx] - nodes[center_idx][:, None, :]
-        wts = _lsq_weights(offsets, radial, basis, center)  # (G, 5, m)
-        g, m = stencil_idx.shape
-        rows.append(np.repeat(center_idx, m))
+    def add_group(center_idx, stencil_idx, weights):
+        # center_idx (G,), stencil_idx (G, m), weights (G, 5, m)
+        rows.append(np.repeat(center_idx, stencil_idx.shape[1]))
         cols.append(stencil_idx.ravel())
-        for c in range(5):
-            vals[c].append(wts[:, c, :].ravel())
+        vals.append(np.swapaxes(weights, 0, 1).reshape(5, -1))
+
+    def offsets(center_idx, stencil_idx):
+        return nodes[stencil_idx] - nodes[center_idx][:, None, :]
 
     j = np.arange(n_phi)
     phi = 2 * np.pi * j / n_phi
@@ -324,41 +377,46 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
 
     # pole: one fit over the first two rings plus the pole itself; the rings
     # are centrally symmetric, so plain quadratic suffices
+    pole = np.array([0])
     pole_stencil = np.concatenate([[0],
                                    node_index(np.ones(n_phi, int), j, n_phi),
-                                   node_index(2 * np.ones(n_phi, int), j, n_phi)])
-    add_group(np.array([0]), pole_stencil[None, :])
+                                   node_index(2 * np.ones(n_phi, int), j, n_phi)])[None, :]
+    add_group(pole, pole_stencil,
+              _lsq_weights(offsets(pole, pole_stencil), np.array([[1.0, 0.0]]),
+                           cubic=False, center=0))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
-    # by the sparse constructor) x 5 angular columns, with the full cubic
+    # into one pattern entry) x 5 angular columns, with the full cubic
     # basis in the rotated frame
+    ring1 = np.asarray(node_index(1, j, n_phi))
     idx1 = np.stack([node_index(si, j + dj, n_phi)
                      for si in range(0, 5) for dj in (-2, -1, 0, 1, 2)], axis=1)
-    add_group(np.asarray(node_index(1, j, n_phi)), idx1, radial=e_rad,
-              basis="cubic", center=1 * 5 + 2)
+    add_group(ring1, idx1, _lsq_weights(offsets(ring1, idx1), e_rad, cubic=True,
+                                        center=1 * 5 + 2))
 
     # interior rings, all in one group: centered 3x3 blocks with the
     # interpolatory biquadratic tensor basis (second-order Hessians; the
     # basis covers the cross terms induced by the fanned arc spacing)
     i, jj = np.repeat(np.arange(2, n_rho), n_phi), np.tile(j, n_rho - 2)
+    inner = np.asarray(node_index(i, jj, n_phi))
     idx = np.stack([node_index(i + di, jj + dj, n_phi)
                     for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
-    add_group(np.asarray(node_index(i, jj, n_phi)), idx,
-              radial=np.tile(e_rad, (n_rho - 2, 1)), basis="biquadratic",
-              center=1 * 3 + 1)
+    add_group(inner, idx, _interior_weights(offsets(inner, idx),
+                                            np.tile(e_rad, (n_rho - 2, 1))))
 
     # boundary ring (recovery for export/diagnostics; the gradient-image
     # condition rows use the mapped per-column operators instead): one-sided
     # 4x5 blocks with the full cubic basis
+    ring_b = np.asarray(node_index(n_rho, j, n_phi))
     idxb = np.stack([node_index(n_rho + di, j + dj, n_phi)
                      for di in (-3, -2, -1, 0) for dj in (-2, -1, 0, 1, 2)],
                     axis=1)
-    add_group(np.asarray(node_index(n_rho, j, n_phi)), idxb, radial=e_rad,
-              basis="cubic", center=3 * 5 + 2)
+    add_group(ring_b, idxb, _lsq_weights(offsets(ring_b, idxb), e_rad, cubic=True,
+                                         center=3 * 5 + 2))
 
     return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'],
-                           [np.concatenate(v) for v in vals],
+                           list(np.concatenate(vals, axis=1)),
                            np.concatenate(rows), np.concatenate(cols), n_nodes)
 
 

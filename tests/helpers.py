@@ -3,9 +3,9 @@ oracles for the curvature kernel, finite-difference oracles for the
 pointwise operator derivatives, a Hypothesis strategy of quadric domains,
 a field's Newton state, the quadric concavity and gradient-band oracles,
 the sampled auto_t_min reference, a sparse-matrix dump, a grid's
-truncation scale, the pseudo-inverse reference of the interior fits, and
-the direct reference of the Newton linear solve, and the radial ODE
-oracle."""
+truncation scale, the pseudo-inverse references of the interior and the
+least-squares fits, the direct reference of the Newton linear solve, and
+the radial ODE oracle."""
 
 from dataclasses import dataclass
 
@@ -216,6 +216,38 @@ def grid_tolerance(grid):
     return h * h
 
 
+def _pinv_fit(grid, rows, cols, phi, extra):
+    """Pseudo-inverse fit of each node rows (K,) on its stencil cols (K, m)
+    by the quadratics plus the monomials extra(x, y) in the frame rotated to
+    the angle phi (K,), scaled per direction to the stencil's extent; the
+    fitted derivatives are rotated back to Cartesian axes.  A stencil entry
+    listed twice weighs twice.  Returns (rows, cols, dict of (K, m) weights
+    for dx, dy, dxx, dxy, dyy)."""
+    frame = np.stack([np.stack([np.cos(phi), np.sin(phi)], axis=-1),
+                      np.stack([-np.sin(phi), np.cos(phi)], axis=-1)], axis=1)
+    local = np.einsum('kai,kmi->kam', frame, grid.nodes[cols] - grid.nodes[rows][:, None])
+    scale = np.max(np.abs(local), axis=2)  # (K, 2)
+    x, y = np.moveaxis(local / scale[:, :, None], 1, 0)
+    design = np.stack([np.ones_like(x), x, y, x * x / 2, x * y, y * y / 2,
+                       *extra(x, y)], axis=-1)
+    coef = np.linalg.pinv(design)  # (K, n basis, m nodes)
+    sr, st = scale[:, 0, None], scale[:, 1, None]
+    grad = np.stack([coef[:, 1] / sr, coef[:, 2] / st], axis=1)
+    hrt = coef[:, 4] / (sr * st)
+    hess = np.stack([np.stack([coef[:, 3] / sr ** 2, hrt], axis=1),
+                     np.stack([hrt, coef[:, 5] / st ** 2], axis=1)], axis=1)
+    grad = np.einsum('kam,kap->kpm', grad, frame)
+    hess = np.einsum('kabm,kap,kbq->kpqm', hess, frame, frame)
+    return rows, cols, {'dx': grad[:, 0], 'dy': grad[:, 1], 'dxx': hess[:, 0, 0],
+                        'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}
+
+
+def _lattice_index(grid, i, j):
+    """Unknown index of lattice node (i, j), the pole for i = 0."""
+    i, j = np.broadcast_arrays(i, j)
+    return np.where(i == 0, 0, 1 + (i - 1) * grid.n_phi + np.mod(j, grid.n_phi))
+
+
 def interior_fit_oracle(grid):
     """Reference weights of the interior recovery rows (rings 2 .. n_rho-1).
 
@@ -230,31 +262,41 @@ def interior_fit_oracle(grid):
     n_rho, n_phi = grid.n_rho, grid.n_phi
     i = np.repeat(np.arange(2, n_rho), n_phi)
     j = np.tile(np.arange(n_phi), n_rho - 2)
-
-    def index(ii, jj):
-        return 1 + (ii - 1) * n_phi + np.mod(jj, n_phi)
-
-    rows = index(i, j)
-    cols = np.stack([index(i + di, j + dj)
+    cols = np.stack([_lattice_index(grid, i + di, j + dj)
                      for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
-    phi = grid.phi[j]
-    frame = np.stack([np.stack([np.cos(phi), np.sin(phi)], axis=-1),
-                      np.stack([-np.sin(phi), np.cos(phi)], axis=-1)], axis=1)
-    local = np.einsum('kai,kmi->kam', frame, grid.nodes[cols] - grid.nodes[rows][:, None])
-    scale = np.max(np.abs(local), axis=2)  # (K, 2)
-    x, y = np.moveaxis(local / scale[:, :, None], 1, 0)
-    design = np.stack([np.ones_like(x), x, y, x * x / 2, x * y, y * y / 2,
-                       x * x * y, x * y * y, x * x * y * y], axis=-1)
-    coef = np.linalg.pinv(design)  # (K, 9 basis, 9 nodes)
-    sr, st = scale[:, 0, None], scale[:, 1, None]
-    grad = np.stack([coef[:, 1] / sr, coef[:, 2] / st], axis=1)
-    hrt = coef[:, 4] / (sr * st)
-    hess = np.stack([np.stack([coef[:, 3] / sr ** 2, hrt], axis=1),
-                     np.stack([hrt, coef[:, 5] / st ** 2], axis=1)], axis=1)
-    grad = np.einsum('kam,kap->kpm', grad, frame)
-    hess = np.einsum('kabm,kap,kbq->kpqm', hess, frame, frame)
-    return rows, cols, {'dx': grad[:, 0], 'dy': grad[:, 1], 'dxx': hess[:, 0, 0],
-                        'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}
+    return _pinv_fit(grid, _lattice_index(grid, i, j), cols, grid.phi[j],
+                     lambda x, y: (x * x * y, x * y * y, x * x * y * y))
+
+
+def lsq_fit_oracle(grid):
+    """Reference weights of the least-squares recovery rows, one (rows, cols,
+    weights) triple as interior_fit_oracle's per group:
+
+      * the pole, on itself and the first two rings, by the quadratics in
+        Cartesian axes;
+      * the first ring, on 5 radial stations x 5 angular columns (station 0
+        is the pole, listed once per column), and the boundary ring, on the
+        last 4 rings x 5 angular columns, both by the quadratics and the
+        four cubic monomials in the node's radial/tangential frame.
+
+    Each fit uses np.linalg.pinv of its design matrix, scaled per direction
+    to the stencil's extent.  A node listed twice in a stencil carries the
+    sum of its weights.
+    """
+    n_rho, n_phi = grid.n_rho, grid.n_phi
+    j = np.arange(n_phi)
+    pole = np.concatenate([[0], _lattice_index(grid, 1, j), _lattice_index(grid, 2, j)])
+    ring1 = np.stack([_lattice_index(grid, si, j + dj)
+                      for si in range(5) for dj in (-2, -1, 0, 1, 2)], axis=1)
+    ring_b = np.stack([_lattice_index(grid, n_rho + di, j + dj)
+                       for di in (-3, -2, -1, 0) for dj in (-2, -1, 0, 1, 2)], axis=1)
+
+    def cubic(x, y):
+        return x ** 3, x * x * y, x * y * y, y ** 3
+
+    return [_pinv_fit(grid, np.array([0]), pole[None, :], np.zeros(1), lambda x, y: ()),
+            _pinv_fit(grid, _lattice_index(grid, 1, j), ring1, grid.phi, cubic),
+            _pinv_fit(grid, _lattice_index(grid, n_rho, j), ring_b, grid.phi, cubic)]
 
 
 def factor_every_system(jac, rhs, factor=None, target=0.0):

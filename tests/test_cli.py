@@ -191,6 +191,34 @@ class TestSolveCommand:
         assert [step[key] for key in ("iterations", "factorizations", "krylov_iterations",
                                       "krylov_misses", "lu_fill")] == [0, 0, 0, 0, 0]
 
+    @pytest.mark.parametrize("blocked", ["output.dir under a file",
+                                         "field.csv is a directory"])
+    def test_unwritable_output_exit_2_before_solving(self, tmp_path, monkeypatch,
+                                                     capsys, blocked):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the output")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        if blocked == "output.dir under a file":
+            (tmp_path / "file").write_text("")
+            cfg = write_config(tmp_path, text=BASE_CONFIG.replace(
+                "output.dir = {out}", f"output.dir = {tmp_path / 'file' / 'run'}"))
+        else:
+            (tmp_path / "run" / "field.csv").mkdir(parents=True)
+            cfg = write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output.dir: ")
+
+    def test_failed_artifact_write_exit_2(self, tmp_path, monkeypatch, capsys):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_field", full_disk)
+        assert main(["solve", "--config", str(write_config(tmp_path))]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: cannot write output.dir: [Errno 28] No space left on device"]
+
     def test_homotopy_config(self, tmp_path):
         cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG)
         assert main(["solve", "--config", str(cfg)]) == 0
@@ -310,6 +338,17 @@ class TestVerifyCommand:
         assert code == 3
         report = json.loads(_json_tail(capsys.readouterr().out))
         assert not report["all_pass"]
+
+    def test_unwritable_report_file_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "verify.json"
+        assert main(["verify", "--field", str(tmp_path / "run" / "field.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write --out: ")
+        assert not out.exists()
 
     def test_schema_mismatch_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
 from cmcsolve import Ball, Ellipse, ModelKind, SolutionField, build_grid, transfer_field
-from helpers import interior_fit_oracle, quadric_domains
+from helpers import interior_fit_oracle, lsq_fit_oracle, quadric_domains
 
 
 def derivative_errors(domain, n_rho, n_phi):
@@ -99,8 +100,9 @@ class TestDerivativeRecovery:
 
 class TestOperatorWeights:
     @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
-                                     Ellipse((0.2, 0.1), (1.0, 0.6))])
-    @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (64, 128)])
+                                     Ellipse((0.2, 0.1), (1.0, 0.6)),
+                                     Ellipse((0.3, -0.2), (1.0, 0.3))])
+    @pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (16, 32), (64, 128)])
     def test_interior_rows_match_pinv_fit(self, dom, n_rho, n_phi):
         g = build_grid(dom, n_rho, n_phi)
         rows, cols, ref = interior_fit_oracle(g)
@@ -109,6 +111,20 @@ class TestOperatorWeights:
             assert np.all(np.diff(op.indptr)[rows] == 9)  # the block is the row
             got = np.asarray(op[np.repeat(rows, 9), cols.ravel()]).reshape(w.shape)
             assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(op.data)), name
+
+    @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
+                                     Ellipse((0.3, -0.2), (1.0, 0.3))])
+    @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (64, 128)])
+    def test_least_squares_rows_match_pinv_fit(self, dom, n_rho, n_phi):
+        g = build_grid(dom, n_rho, n_phi)
+        for rows, cols, ref in lsq_fit_oracle(g):
+            for name, w in ref.items():
+                op = g.ops[name]
+                # the stencil, duplicates summed, is the row
+                expected = sp.csr_matrix((w.ravel(), (np.repeat(rows, cols.shape[1]),
+                                                      cols.ravel())), shape=op.shape)
+                diff = (op[rows] - expected[rows]).toarray()
+                assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(op.data)), name
 
     @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (64, 128)])
     def test_constants_cancel_exactly(self, n_rho, n_phi):
