@@ -176,35 +176,33 @@ def jacobian(spec: ProblemSpec, du, d2u, du_b) -> sp.csr_matrix:
     weights, followed by the -1 of the c column.  The terms are summed in
     the order dxx, dxy, dyy, dx, dy, which makes the matrix equal bit for
     bit to the sum of diagonally weighted operators it replaces.  Boundary rows weight the bx, by pattern with
-    Dh_target(Du); the mean-zero row holds the quadrature weights.  Exact
-    zeros (the pole's quadrature weight, sums that cancel) are dropped: a
-    stored zero would change the fill-reducing ordering.
+    Dh_target(Du); the mean-zero row holds the quadrature weights.  The
+    pattern is the grid's bordered_pattern, built once per grid, so a call
+    only fills the entries.  Exact zeros (the pole's quadrature weight, sums
+    that cancel) are dropped: a stored zero would change the fill-reducing
+    ordering.
     """
     grid = spec.grid
     n = grid.n_nodes
-    n_in = n - grid.n_phi   # the boundary ring is the last n_phi unknowns
     g_r, g_p = operator_state_derivatives(spec, grid.nodes, du, d2u)
     _, dh_b, _ = spec.omega_tilde.defining(du_b)
 
-    ops = grid.ops   # dx, dy, dxx, dxy, dyy share one pattern
-    ptr = ops['dx'].indptr[:n_in + 1]
-    k = ptr[-1]
-    v_x, v_y, v_xx, v_xy, v_yy = (ops[name].data[:k]
-                                  for name in ('dx', 'dy', 'dxx', 'dxy', 'dyy'))
-    r = np.repeat(np.arange(n_in), np.diff(ptr))
-    inner = (g_r[r, 0, 0] * v_xx + 2.0 * g_r[r, 0, 1] * v_xy + g_r[r, 1, 1] * v_yy
-             + g_p[r, 0] * v_x + g_p[r, 1] * v_y)
+    ops, pattern = grid.ops, grid.bordered_pattern
+    r, rb, recovery = pattern.rows, pattern.boundary_rows, pattern.recovery
+    k = len(r)
+    inner = (g_r[r, 0, 0] * ops['dxx'].data[:k] + 2.0 * g_r[r, 0, 1] * ops['dxy'].data[:k]
+             + g_r[r, 1, 1] * ops['dyy'].data[:k] + g_p[r, 0] * ops['dx'].data[:k]
+             + g_p[r, 1] * ops['dy'].data[:k])
+    edge = dh_b[rb, 0] * ops['bx'].data + dh_b[rb, 1] * ops['by'].data
 
-    bx, by = ops['bx'], ops['by']   # one pattern, boundary rows only
-    b_ptr = bx.indptr[n_in:]
-    rb = np.repeat(np.arange(grid.n_phi), np.diff(b_ptr))
-    edge = dh_b[rb, 0] * bx.data + dh_b[rb, 1] * by.data
-
-    data = np.concatenate([np.insert(inner, ptr[1:], -1.0), edge, grid.quad_weights])
-    indices = np.concatenate([np.insert(ops['dx'].indices[:k], ptr[1:], n),
-                              bx.indices, np.arange(n)])
-    indptr = np.concatenate([ptr + np.arange(n_in + 1), k + n_in + b_ptr[1:],
-                             [len(data)]])
-    jac = sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    data = np.empty(len(pattern.indices))
+    interior = data[:len(recovery)]   # a view: the interior rows' entries
+    interior[:] = -1.0
+    interior[recovery] = inner
+    data[len(recovery):-n] = edge
+    data[-n:] = grid.quad_weights
+    # copies: eliminate_zeros compacts the pattern arrays in place
+    jac = sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                        shape=(n + 1, n + 1))
     jac.eliminate_zeros()
     return jac

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -171,7 +172,24 @@ def cmd_solve(args) -> int:
     return 0 if report.all_pass else 3
 
 
+def _unwritable(path: Path) -> str | None:
+    """Why a file cannot be written at path, or None if nothing shows that
+    it cannot."""
+    if path.is_dir():
+        return f"{path} is a directory"
+    if not path.parent.is_dir():
+        return f"{path.parent} is not a directory"
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        return f"{path} is not writable"
+    return None
+
+
 def cmd_verify(args) -> int:
+    # the report must be writable before any solve time is spent
+    reason = _unwritable(Path(args.out)) if args.out is not None else None
+    if reason is not None:
+        print(f"error: cannot write --out: {reason}", file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(args.config)
         fld = load_field(args.field)

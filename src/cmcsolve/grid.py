@@ -39,6 +39,8 @@ boundary integrals use arc-length weights sqrt(r_b^2 + r_b'^2) dphi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +54,22 @@ def node_index(i, j, n_phi):
     i = np.asarray(i)
     j = np.asarray(j)
     return np.where(i == 0, 0, 1 + (i - 1) * n_phi + np.mod(j, n_phi))
+
+
+class BorderedPattern(NamedTuple):
+    """CSR pattern of the (N+1) x (N+1) bordered system matrix on a grid:
+    each interior row is the shared recovery pattern's row followed by the
+    c column N, each boundary row the bx/by pattern's, and the last row, the
+    mean-zero row, runs over every node.  rows and boundary_rows give the
+    interior row (node) and the boundary ring position of each recovery
+    and bx/by entry; the interior rows' entries come first, and recovery
+    marks which of them are recovery entries, the rest being c entries."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: np.ndarray
+    boundary_rows: np.ndarray
+    recovery: np.ndarray
 
 
 @dataclass
@@ -125,6 +143,25 @@ class MappedGrid:
         """Project onto the discrete mean-zero space."""
         w = self.quad_weights
         return u - (w @ u) / w.sum()
+
+    @cached_property
+    def bordered_pattern(self) -> BorderedPattern:
+        """The bordered system matrix's pattern, built on first use (see
+        BorderedPattern)."""
+        n = self.n_nodes
+        n_in = n - self.n_phi   # the boundary ring is the last n_phi unknowns
+        ptr = self.ops['dx'].indptr[:n_in + 1]
+        k = ptr[-1]
+        b_ptr = self.ops['bx'].indptr[n_in:]
+        rows = np.repeat(np.arange(n_in), np.diff(ptr))
+        indices = np.concatenate([np.insert(self.ops['dx'].indices[:k], ptr[1:], n),
+                                  self.ops['bx'].indices, np.arange(n)])
+        indptr = np.concatenate([ptr + np.arange(n_in + 1), k + n_in + b_ptr[1:],
+                                 [len(indices)]])
+        recovery = np.ones(k + n_in, dtype=bool)
+        recovery[indptr[1:n_in + 1] - 1] = False
+        return BorderedPattern(indices.astype(np.int32), indptr.astype(np.int32), rows,
+                               np.repeat(np.arange(self.n_phi), np.diff(b_ptr)), recovery)
 
 
 def _scaled_frame(offsets, radial):
@@ -238,14 +275,17 @@ def _fold_defect(w, center):
     any summation order, keeping the roundoff of the large second-derivative
     weights tied to the local variation of u instead of its absolute values.
     """
+    # rows of one 2-D array: a stacked (..., m) @ (m,) product runs slice
+    # by slice, the 2-D one as one matrix-vector product
+    rows = w.reshape(-1, w.shape[-1])
     ones = np.ones(w.shape[-1])
-    half = 0.5 * (np.abs(w) @ ones + np.abs(w @ ones))[..., None]
+    half = 0.5 * (np.abs(rows) @ ones + np.abs(rows @ ones))[:, None]
     q = np.ldexp(1.0, np.frexp(half * (1.0 + 2.0 ** -40))[1] - 53)
-    w /= q  # in place: every caller passes a temporary
-    np.rint(w, out=w)
-    w *= q
-    w[..., center] -= w @ ones
-    return w
+    rows /= q  # in place: every caller passes a temporary
+    np.rint(rows, out=rows)
+    rows *= q
+    rows[:, center] -= rows @ ones
+    return rows.reshape(w.shape)
 
 
 def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:

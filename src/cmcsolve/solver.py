@@ -45,12 +45,15 @@ above the stop target tol (1 + |c|) is solved until the direction leaves
 ||J d + F||_inf <= KRYLOV_FORCING tol (1 + |c|), in the norm the stop test
 reads, so the linear error left in the direction is a fixed fraction of
 what the stop test can see, and no system is solved beyond the relative
-residual KRYLOV_RTOL.  GMRES starts at the relative residual
-KRYLOV_FORCING tol (1 + |c|) / ||F||_inf of the row-scaled 2-norm; where
-that leaves the unscaled inf-norm above the bound, it goes on from its
-vector with the tolerance tightened by the excess.  If GMRES misses within
-KRYLOV_BUDGET iterations in all, or returns a non-finite vector, the
-current Jacobian is factored and solved directly, and that
+residual KRYLOV_RTOL.  GMRES runs one Krylov space per system (_gmres):
+it keeps each preconditioned Arnoldi vector, so a direction is their
+combination and a system costs one triangular solve per iteration.  It
+first aims at the relative residual KRYLOV_FORCING tol (1 + |c|) / ||F||_inf
+of the row-scaled 2-norm; where the direction formed there leaves the
+unscaled inf-norm above the bound, the tolerance is tightened by the
+excess and the same Arnoldi process goes on, with no restart.  If GMRES
+misses within KRYLOV_BUDGET iterations, breaks down or meets a non-finite
+vector, the current Jacobian is factored and solved directly, and that
 factor serves the rest of the solve and the next homotopy step: a fresh
 factor comes only from a walk's first system or a miss.  The factor handed
 on lives on NewtonInfo.factor, so it is freed with the NewtonInfo;
@@ -74,7 +77,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 
 from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
                        jacobian, residual_from_state)
@@ -184,52 +188,97 @@ def _factor(jac: sp.csr_matrix):
     return lu, row_max
 
 
+def _gmres(jac: sp.csr_matrix, rhs: np.ndarray, factor, target: float):
+    """Right-preconditioned GMRES (Saad & Schultz 1986) for jac d = rhs on
+    the row scaling of factor = (SuperLU factor, row scale), on one Krylov
+    space of at most KRYLOV_BUDGET vectors.
+
+    Arnoldi orthogonalises by classical Gram-Schmidt run twice, and Givens
+    rotations keep the least-squares residual's 2-norm at hand.  Each
+    preconditioned vector z_k = lu.solve(v_k) is kept, so a direction is
+    the combination Z y of them: one triangular solve per iteration, none
+    more.  Once the 2-norm estimate meets the relative residual of
+    _solve_linear's forcing term, the direction is formed and its unscaled
+    inf-norm residual checked against KRYLOV_FORCING target; on an excess
+    the tolerance is tightened by it and the same Arnoldi process goes on.
+    Returns (d, iterations); d is None on a miss: the budget spent, a
+    breakdown or a non-finite vector.
+    """
+    lu, row_max = factor
+    # the plain 2-norms below: scale the right-hand side exactly to at most 1
+    # so they cannot overflow
+    b = rhs / row_max
+    e = _exponent(b)
+    bound = KRYLOV_FORCING * target
+    rtol = max(KRYLOV_RTOL, bound / float(np.max(np.abs(rhs))))
+    v = np.empty((KRYLOV_BUDGET + 1, len(b)))   # orthonormal Arnoldi basis
+    z = np.empty((KRYLOV_BUDGET, len(b)))       # lu.solve of each basis vector
+    r = np.zeros((KRYLOV_BUDGET, KRYLOV_BUDGET))   # rotated Hessenberg matrix
+    rotations = np.empty((KRYLOV_BUDGET, 2))
+    g = np.zeros(KRYLOV_BUDGET + 1)             # rotated right-hand side
+    v[0] = np.ldexp(b, -e)
+    g[0] = beta = np.linalg.norm(v[0])
+    v[0] /= beta
+    for k in range(KRYLOV_BUDGET):
+        z[k] = lu.solve(v[k])
+        w = (jac @ z[k]) / row_max
+        basis = v[:k + 1]
+        h = basis @ w
+        w -= h @ basis
+        again = basis @ w
+        w -= again @ basis
+        h += again
+        h_next = float(np.linalg.norm(w))
+        for i, (cos, sin) in enumerate(rotations[:k]):
+            h[i], h[i + 1] = cos * h[i] + sin * h[i + 1], cos * h[i + 1] - sin * h[i]
+        rho = np.hypot(h[k], h_next)
+        rotations[k] = cos, sin = h[k] / rho, h_next / rho
+        h[k] = rho
+        r[:k + 1, k] = h
+        g[k], g[k + 1] = cos * g[k], -sin * g[k]
+        if abs(g[k + 1]) <= rtol * beta:
+            y = solve_triangular(r[:k + 1, :k + 1], g[:k + 1])
+            direction = np.ldexp(y @ z[:k + 1], e)
+            if not np.all(np.isfinite(direction)):
+                return None, k + 1
+            if rtol == KRYLOV_RTOL:
+                return direction, k + 1
+            # rtol bounds the 2-norm of the row-scaled residual, which can
+            # sit on other rows than the unscaled residual's inf-norm: if
+            # that exceeds the bound, Arnoldi goes on until the scaled
+            # residual has shrunk by the excess
+            left = jac @ direction - rhs
+            excess = float(np.max(np.abs(left))) / bound
+            if excess <= 1.0:
+                return direction, k + 1
+            rtol = max(KRYLOV_RTOL, _norm2(left / row_max) / _norm2(b) / excess)
+        if not 0.0 < h_next < np.inf:
+            return None, k + 1
+        v[k + 1] = w / h_next
+    return None, KRYLOV_BUDGET
+
+
 def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None,
                   target: float = 0.0):
     """Solve jac d = rhs, the Newton system of the residual F = -rhs.
 
     With a factor (from _factor, possibly of another Jacobian on the same
-    grid, such as an earlier homotopy step's), GMRES solves the system on
+    grid, such as an earlier homotopy step's), _gmres solves the system on
     the factor's row scaling, right-preconditioned by it, until the
     direction leaves ||jac d - rhs||_inf <= KRYLOV_FORCING target, where
     target is the Newton stop target tol (1 + |c|), or reaches the relative
     residual KRYLOV_RTOL; target 0 asks for KRYLOV_RTOL.  Without a factor,
-    or when GMRES misses that within KRYLOV_BUDGET iterations or returns a
-    non-finite vector, jac is factored and solved directly, and with
-    target > 0 a direct direction that misses the same inf-norm bound takes
-    one step of iterative refinement on that factor.  Returns (d, the
-    factor used, GMRES iterations spent, a missed cycle's included).
+    or when GMRES misses that within KRYLOV_BUDGET iterations or meets a
+    breakdown or a non-finite vector, jac is factored and solved directly,
+    and with target > 0 a direct direction that misses the same inf-norm
+    bound takes one step of iterative refinement on that factor.  Returns
+    (d, the factor used, GMRES iterations spent, a miss's included).
     """
-    residuals = []
+    iterations = 0
     if factor is not None:
-        lu, row_max = factor
-        scaled = LinearOperator(jac.shape, dtype=float,
-                                matvec=lambda y: (jac @ lu.solve(y)) / row_max)
-        # GMRES takes plain 2-norms of the right-hand side: scale it exactly
-        # to at most 1 so they cannot overflow
-        b = rhs / row_max
-        e = _exponent(b)
-        bound = KRYLOV_FORCING * target
-        rtol = max(KRYLOV_RTOL, bound / float(np.max(np.abs(rhs))))
-        y = None
-        while len(residuals) < KRYLOV_BUDGET:
-            y, status = gmres(scaled, np.ldexp(b, -e), x0=y, rtol=rtol, atol=0.0,
-                              restart=KRYLOV_BUDGET - len(residuals), maxiter=1,
-                              callback=residuals.append, callback_type="pr_norm")
-            direction = np.ldexp(lu.solve(y), e)
-            if status != 0 or not np.all(np.isfinite(direction)):
-                break
-            if rtol == KRYLOV_RTOL:
-                return direction, factor, len(residuals)
-            # rtol bounds the 2-norm of the row-scaled residual, which can
-            # sit on other rows than the unscaled residual's inf-norm: if
-            # that exceeds the bound, GMRES goes on from y until the scaled
-            # residual has shrunk by the excess
-            left = jac @ direction - rhs
-            excess = float(np.max(np.abs(left))) / bound
-            if excess <= 1.0:
-                return direction, factor, len(residuals)
-            rtol = max(KRYLOV_RTOL, _norm2(left / row_max) / _norm2(b) / excess)
+        direction, iterations = _gmres(jac, rhs, factor, target)
+        if direction is not None:
+            return direction, factor, iterations
     factor = _factor(jac)
     lu, row_max = factor
     direction = lu.solve(rhs / row_max)
@@ -239,7 +288,7 @@ def _solve_linear(jac: sp.csr_matrix, rhs: np.ndarray, factor=None,
         left = jac @ direction - rhs
         if np.max(np.abs(left)) > KRYLOV_FORCING * target:
             direction = direction - lu.solve(left / row_max)
-    return direction, factor, len(residuals)
+    return direction, factor, iterations
 
 
 def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndarray,

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cmcsolve
-from cmcsolve import cli, solver
+from cmcsolve import cli, duality, solver
 from cmcsolve.cli import main
 from cmcsolve.config import parse_config
 from cmcsolve.fieldio import load_field, save_field
@@ -349,6 +349,29 @@ class TestVerifyCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write --out: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["missing directory", "a directory"])
+    def test_unwritable_report_exit_2_before_dual_solve(self, tmp_path, monkeypatch,
+                                                         capsys, blocked):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking --out")
+
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(duality, "newton_solve", no_solve)
+        monkeypatch.setattr(duality, "run_homotopy", no_solve)
+        if blocked == "missing directory":
+            out = tmp_path / "missing" / "verify.json"
+        else:
+            out = tmp_path / "verify.json"
+            out.mkdir()
+        assert main(["verify", "--field", str(tmp_path / "run" / "field.csv"),
+                     "--config", str(cfg), "--dual", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write --out: ")
+        assert captured.out == ""
 
     def test_schema_mismatch_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -13,6 +13,7 @@ from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       seed_field, solver)
 from cmcsolve.assembly import CONVEXITY_RTOL, residual
 from cmcsolve.diagnostics import flux_identity
+from cmcsolve.duality import dual_solve
 from cmcsolve.errors import ConvexityLoss, NonConvergence, SpacelikeViolation
 from cmcsolve.grid import MappedGrid
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
@@ -126,6 +127,17 @@ class TestNewtonSolve:
 
 def _singular_splu(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
+
+
+class _RecordingLU:
+    """A factor whose solves keep a copy of every vector handed to them."""
+
+    def __init__(self, lu):
+        self.lu, self.solved = lu, []
+
+    def solve(self, rhs):
+        self.solved.append(rhs.copy())
+        return self.lu.solve(rhs)
 
 
 class _NanLU:
@@ -244,7 +256,7 @@ class TestLinearSolve:
         # afresh, and that factor fails once: the step is bisected, the
         # retry starts from the first step's factor, and the walk still
         # reaches t = 1
-        real_newton, real_splu, real_gmres = solver.newton_solve, solver.splu, solver.gmres
+        real_newton, real_splu, real_gmres = solver.newton_solve, solver.splu, solver._gmres
         calls = {"newton": 0, "missed": False, "failed": False}
         handed = []
 
@@ -253,11 +265,11 @@ class TestLinearSolve:
             handed.append(kwargs["factor"])
             return real_newton(*args, **kwargs)
 
-        def missing_gmres(A, b, **kwargs):
+        def missing_gmres(*args):
             if calls["newton"] == 2 and not calls["missed"]:
                 calls["missed"] = True
-                return np.zeros_like(b), 1
-            return real_gmres(A, b, **kwargs)
+                return None, solver.KRYLOV_BUDGET
+            return real_gmres(*args)
 
         def failing_splu(*args, **kwargs):
             if calls["missed"] and not calls["failed"]:
@@ -266,7 +278,7 @@ class TestLinearSolve:
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(solver, "newton_solve", counting_newton)
-        monkeypatch.setattr(solver, "gmres", missing_gmres)
+        monkeypatch.setattr(solver, "_gmres", missing_gmres)
         monkeypatch.setattr(solver, "splu", failing_splu)
         omega = Ellipse((0, 0), (1.0, 0.8))
         spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
@@ -427,45 +439,71 @@ class TestKrylovPath:
         assert (np.max(np.abs(jac @ direction + res))
                 <= solver.KRYLOV_FORCING * target)
 
-    def test_krylov_goes_on_to_inf_norm_bound(self, newton_system, monkeypatch):
+    def test_krylov_goes_on_to_inf_norm_bound(self, newton_system):
         # at a stop target 100 times the real one, the forcing term's first
-        # cycle leaves the unscaled residual's inf-norm above its bound:
-        # GMRES goes on from that cycle's vector, with a tighter tolerance,
+        # candidate leaves the unscaled residual's inf-norm above its bound:
+        # GMRES goes on in the same Krylov space, with a tighter tolerance,
         # on the same factor and within one budget
         spec, factor, jac, res, c = newton_system
         target = 100 * SolveOptions().tol_residual * (1.0 + abs(c))
-        real_gmres = solver.gmres
-        calls = []
-
-        def recording_gmres(A, b, **kwargs):
-            y, status = real_gmres(A, b, **kwargs)
-            calls.append((kwargs["x0"], kwargs["rtol"], y))
-            return y, status
-
-        monkeypatch.setattr(solver, "gmres", recording_gmres)
-        direction, used, iterations = solver._solve_linear(jac, -res, factor, target)
-        assert used is factor
-        assert len(calls) == 2 and iterations <= solver.KRYLOV_BUDGET
-        (x0, rtol, y), (x1, rtol1, _) = calls
-        assert x0 is None and x1 is y and rtol1 < rtol
+        bound = solver.KRYLOV_FORCING * target
         lu, row_max = factor
-        d0 = np.ldexp(lu.solve(y), solver._exponent(res / row_max))
-        assert np.max(np.abs(jac @ d0 + res)) > solver.KRYLOV_FORCING * target
-        assert np.max(np.abs(jac @ direction + res)) <= solver.KRYLOV_FORCING * target
+        recording = (_RecordingLU(lu), row_max)
+        direction, used, iterations = solver._solve_linear(jac, -res, recording, target)
+        assert used is recording and iterations <= solver.KRYLOV_BUDGET
+        # one Arnoldi process: every vector preconditioned belongs to one
+        # orthonormal basis, started from the scaled right-hand side
+        basis = np.array(recording[0].solved)
+        b = -res / row_max
+        assert len(basis) == iterations
+        assert np.max(np.abs(basis @ basis.T - np.eye(iterations))) <= 1e-12
+        assert np.max(np.abs(basis[0] - b / np.linalg.norm(b))) <= 1e-15
+        # the first candidate: the least-squares direction on the shortest
+        # leading part of that basis that meets the forcing term
+        z = np.array([lu.solve(v) for v in basis]).T
+        az = (jac @ z) / row_max[:, None]
+        eta = bound / np.max(np.abs(res))
+        for k in range(1, iterations + 1):
+            y = np.linalg.lstsq(az[:, :k], b, rcond=None)[0]
+            if np.linalg.norm(az[:, :k] @ y - b) <= eta * np.linalg.norm(b):
+                break
+        assert k < iterations
+        assert np.max(np.abs(jac @ (z[:, :k] @ y) + res)) > bound
+        assert np.max(np.abs(jac @ direction + res)) <= bound
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 100.0],
+                             ids=["rtol-floor", "forcing", "inf-norm-excess"])
+    def test_one_triangular_solve_per_iteration(self, newton_system, scale):
+        # the direction is a combination of the preconditioned Arnoldi
+        # vectors GMRES kept: no solve beyond one per Krylov iteration
+        spec, factor, jac, res, c = newton_system
+        target = scale * SolveOptions().tol_residual * (1.0 + abs(c))
+        recording = (_RecordingLU(factor[0]), factor[1])
+        _, used, iterations = solver._solve_linear(jac, -res, recording, target)
+        assert used is recording
+        assert 0 < len(recording[0].solved) == iterations <= solver.KRYLOV_BUDGET
+
+    def test_dual_solve_keeps_one_krylov_space(self, ci_instances):
+        # the dual solve of the benchmark instance goes on past the inf-norm
+        # check in every system; restarting there spent 35 iterations
+        spec, _, _ = ci_instances["ellipse_ball"]
+        _, info = dual_solve(spec)
+        assert (info.factorizations, info.krylov_misses) == (1, 0)
+        assert info.krylov_iterations <= 32
 
     def test_miss_is_counted(self, monkeypatch):
         # GMRES misses once: that system is factored afresh, and the count
         # tells the miss from the solve's first factor
-        real_gmres = solver.gmres
+        real_gmres = solver._gmres
         missed = []
 
-        def missing_once(A, b, **kwargs):
+        def missing_once(*args):
             if not missed:
                 missed.append(True)
-                return np.zeros_like(b), 1
-            return real_gmres(A, b, **kwargs)
+                return None, solver.KRYLOV_BUDGET
+            return real_gmres(*args)
 
-        monkeypatch.setattr(solver, "gmres", missing_once)
+        monkeypatch.setattr(solver, "_gmres", missing_once)
         spec = _ellipse_homotopy_spec()
         _, info = newton_solve(spec, seed_field(spec))
         assert missed and info.iterations >= 2
@@ -503,7 +541,7 @@ class TestKrylovPath:
                 _singular_splu()
             return real_splu(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+        monkeypatch.setattr(solver, "_gmres", lambda *args: (None, solver.KRYLOV_BUDGET))
         monkeypatch.setattr(solver, "splu", second_fails)
         spec = _ellipse_homotopy_spec()
         with pytest.raises(NonConvergence, match="linear solve failed") as err:
