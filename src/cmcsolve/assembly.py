@@ -29,8 +29,8 @@ import scipy.sparse as sp
 from .domains import ConvexDomain, require_inside_unit_ball
 from .errors import ConvexityLoss, SingularHessian, SpacelikeViolation
 from .grid import MappedGrid, SolutionField
-from .kernel import (EPS_SPACE, ModelKind, coefficient_matrix, mean_curvature,
-                     operator_derivatives)
+from .kernel import (EPS_SPACE, ModelKind, _coefficients, _symmetric,
+                     mean_curvature, operator_derivatives)
 
 # uniform convexity guard, relative to the largest Hessian eigenvalue so that
 # dilating omega, scaling u or taking the Legendre transform leaves it alone
@@ -70,27 +70,26 @@ class ProblemSpec:
 def _inverse_2x2(d2u):
     """Batched inverse; raises SingularHessian where |det| <= 1e-14 |H|_F^2,
     a test that scaling H does not change."""
-    det = d2u[..., 0, 0] * d2u[..., 1, 1] - d2u[..., 0, 1] * d2u[..., 1, 0]
-    norm2 = np.sum(d2u * d2u, axis=(-2, -1))
+    r11, r12, r21, r22 = d2u[..., 0, 0], d2u[..., 0, 1], d2u[..., 1, 0], d2u[..., 1, 1]
+    det = r11 * r22 - r12 * r21
+    norm2 = r11 * r11 + r12 * r12 + r21 * r21 + r22 * r22
     singular = np.abs(det) <= 1e-14 * norm2
     if np.any(singular):
         k = np.flatnonzero(singular)[0]
         raise SingularHessian(f"Hessian determinant {det.flat[k]:.3e} at squared "
                               f"norm {norm2.flat[k]:.3e}")
     w = np.empty_like(d2u)
-    w[..., 0, 0] = d2u[..., 1, 1]
-    w[..., 1, 1] = d2u[..., 0, 0]
-    w[..., 0, 1] = -d2u[..., 0, 1]
-    w[..., 1, 0] = -d2u[..., 1, 0]
-    return w / det[..., None, None]
+    w[..., 0, 0], w[..., 0, 1] = r22 / det, -r12 / det
+    w[..., 1, 0], w[..., 1, 1] = -r21 / det, r11 / det
+    return w
 
 
 def inverse_hessian_operator(positions, d2u, model: ModelKind):
     """The Legendre-dual operator -s(y) : [D^2u]^{-1}, with s the kernel's
     coefficient matrix at the node positions y."""
     w = _inverse_2x2(np.asarray(d2u, dtype=float))
-    s = coefficient_matrix(positions, model)
-    return -np.einsum('...kl,...kl->...', s, w)
+    _, _, _, s11, s12, s22 = _coefficients(positions, model)
+    return -(s11 * w[..., 0, 0] + s12 * (w[..., 0, 1] + w[..., 1, 0]) + s22 * w[..., 1, 1])
 
 
 def operator_value(spec: ProblemSpec, positions, du, d2u):
@@ -101,13 +100,17 @@ def operator_value(spec: ProblemSpec, positions, du, d2u):
 
 
 def operator_state_derivatives(spec: ProblemSpec, positions, du, d2u):
-    """(dG/d(d2u), dG/d(du)) at the given states; shapes (..., 2, 2), (..., 2)."""
+    """(dG/d(d2u), dG/d(du)) at the given states; shapes (..., 2, 2), (..., 2).
+    The dual operator's are W s W, W = [D^2u]^{-1} symmetric, and zero."""
     if spec.operator is OperatorKind.GRAPH:
         return operator_derivatives(du, d2u, spec.model)
     w = _inverse_2x2(np.asarray(d2u, dtype=float))
-    s = coefficient_matrix(positions, spec.model)
-    g_r = np.einsum('...ik,...kl,...lj->...ij', w, s, w)
-    return 0.5 * (g_r + np.swapaxes(g_r, -1, -2)), np.zeros_like(np.asarray(du, float))
+    a, b, d = w[..., 0, 0], w[..., 0, 1], w[..., 1, 1]
+    _, _, _, s11, s12, s22 = _coefficients(positions, spec.model)
+    ws1, ws2 = a * s11 + b * s12, a * s12 + b * s22     # first row of W s
+    return (_symmetric(ws1 * a + ws2 * b, ws1 * b + ws2 * d,
+                       b * (b * s11 + d * s12) + d * (b * s12 + d * s22)),
+            np.zeros_like(np.asarray(du, float)))
 
 
 def hessian_eig_bounds(d2u):
@@ -190,9 +193,9 @@ def jacobian(spec: ProblemSpec, du, d2u, du_b) -> sp.csr_matrix:
     ops, pattern = grid.ops, grid.bordered_pattern
     r, rb, recovery = pattern.rows, pattern.boundary_rows, pattern.recovery
     k = len(r)
-    inner = (g_r[r, 0, 0] * ops['dxx'].data[:k] + 2.0 * g_r[r, 0, 1] * ops['dxy'].data[:k]
-             + g_r[r, 1, 1] * ops['dyy'].data[:k] + g_p[r, 0] * ops['dx'].data[:k]
-             + g_p[r, 1] * ops['dy'].data[:k])
+    inner = (g_r[:, 0, 0][r] * ops['dxx'].data[:k] + 2.0 * g_r[:, 0, 1][r] * ops['dxy'].data[:k]
+             + g_r[:, 1, 1][r] * ops['dyy'].data[:k] + g_p[:, 0][r] * ops['dx'].data[:k]
+             + g_p[:, 1][r] * ops['dy'].data[:k])
     edge = dh_b[rb, 0] * ops['bx'].data + dh_b[rb, 1] * ops['by'].data
 
     data = np.empty(len(pattern.indices))

@@ -107,7 +107,7 @@ def cmd_solve(args) -> int:
         cfg = parse_config(args.config)
         spec = ProblemSpec(cfg.omega, cfg.omega_tilde, cfg.model,
                            build_grid(cfg.omega, cfg.n_rho, cfg.n_phi))
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:   # MemoryError: a vast grid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -146,7 +146,7 @@ def cmd_solve(args) -> int:
         print(f"non-convergence: {exc}", file=sys.stderr)
         if fld is None:
             return 1
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:   # MemoryError: the homotopy schedule
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CMCSolveError as exc:

@@ -10,10 +10,10 @@ square root of the inverse metric g^ij; it equals the divergence form
 
 Since the curvature function is the trace, H is linear in D^2 u and the
 operator derivatives are dH/du_kl = s_kl and dH/du_i given in closed form
-below.  This module holds only what the solver evaluates; the metric, the
-shape matrix, the principal curvatures and the shape-matrix route to dH/du_i
-are test oracles (tests/helpers.py).  Everything is vectorized over leading
-axes: du has shape (..., 2), d2u has shape (..., 2, 2).
+below, written out in 2x2 components from one coefficient pass per call.  The
+metric, the shape matrix, the principal curvatures and the shape-matrix route
+to dH/du_i are test oracles (tests/helpers.py).  Everything is vectorized over
+leading axes: du has shape (..., 2), d2u has shape (..., 2, 2).
 """
 from __future__ import annotations
 
@@ -37,44 +37,42 @@ class ModelKind(Enum):
         return -1.0 if self is ModelKind.MINKOWSKI else 1.0
 
 
-def _check_spacelike(du, model):
-    if model is not ModelKind.MINKOWSKI:
-        return
-    n2 = np.sum(du * du, axis=-1)
-    bad = n2 >= (1.0 - EPS_SPACE) ** 2
-    if np.any(bad):
-        flat = np.argmax(np.where(bad, n2, -np.inf).ravel())
-        raise SpacelikeViolation(float(np.sqrt(n2.ravel()[flat])),
-                                 node=int(flat) if n2.ndim else None)
-
-
-def speed_factor(du, model: ModelKind):
-    """v = sqrt(1 + sigma |du|^2); raises SpacelikeViolation in the
-    Minkowski model when |du| reaches 1 - EPS_SPACE."""
+def _coefficients(du, model: ModelKind):
+    """(p1, p2, v, s11, s12, s22) at each state.  In the Minkowski model a
+    |du| >= 1 - EPS_SPACE raises SpacelikeViolation at the worst state's flat
+    index (None for a single state)."""
     du = np.asarray(du, dtype=float)
-    _check_spacelike(du, model)
-    return np.sqrt(1.0 + model.sigma * np.sum(du * du, axis=-1))
+    p1, p2 = du[..., 0], du[..., 1]
+    n2 = p1 * p1 + p2 * p2
+    if model is ModelKind.MINKOWSKI:
+        bad = n2 >= (1.0 - EPS_SPACE) ** 2
+        if np.any(bad):
+            flat = np.argmax(np.where(bad, n2, -np.inf).ravel())
+            raise SpacelikeViolation(float(np.sqrt(n2.ravel()[flat])),
+                                     node=int(flat) if n2.ndim else None)
+    v2 = 1.0 + model.sigma * n2
+    v, q = np.sqrt(v2), model.sigma / v2
+    return p1, p2, v, (1.0 - q * p1 * p1) / v, -q * p1 * p2 / v, (1.0 - q * p2 * p2) / v
 
 
-def _outer(du):
-    return du[..., :, None] * du[..., None, :]
+def _symmetric(a11, a12, a22):
+    """Symmetric (..., 2, 2) matrices stored entry by entry: [..., i, j] is contiguous."""
+    out = np.empty((2, 2) + np.shape(a11))
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = a11, a12, a12, a22
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def coefficient_matrix(du, model: ModelKind):
     """s_kl = (1/v)(delta_kl - sigma u_k u_l / v^2), the divergence-form
     coefficients: H = s_kl u_kl.  Equals dH/du_kl and (1/v) g^kl."""
-    du = np.asarray(du, dtype=float)
-    v = speed_factor(du, model)
-    eye = np.broadcast_to(np.eye(2), du.shape[:-1] + (2, 2))
-    v_ = v[..., None, None]
-    return (eye - model.sigma * _outer(du) / v_ ** 2) / v_
+    return _symmetric(*_coefficients(du, model)[3:])
 
 
 def mean_curvature(du, d2u, model: ModelKind):
     """H = div(du / v) evaluated through the divergence form s_kl u_kl."""
     d2u = np.asarray(d2u, dtype=float)
-    s = coefficient_matrix(du, model)
-    return np.einsum('...kl,...kl->...', s, d2u)
+    _, _, _, s11, s12, s22 = _coefficients(du, model)
+    return s11 * d2u[..., 0, 0] + s12 * (d2u[..., 0, 1] + d2u[..., 1, 0]) + s22 * d2u[..., 1, 1]
 
 
 def operator_derivatives(du, d2u, model: ModelKind):
@@ -88,13 +86,12 @@ def operator_derivatives(du, d2u, model: ModelKind):
     obtained by differentiating H = tr(r)/v - sigma p^T r p / v^3 in p.
     G_ij is symmetric positive definite for admissible states (ellipticity).
     """
-    du = np.asarray(du, dtype=float)
     d2u = np.asarray(d2u, dtype=float)
-    v = speed_factor(du, model)
-    g_ij = coefficient_matrix(du, model)
-    tr = np.trace(d2u, axis1=-2, axis2=-1)
-    rp = np.einsum('...ij,...j->...i', d2u, du)
-    prp = np.einsum('...i,...i->...', du, rp)
-    g_i = (-model.sigma * (tr[..., None] * du + 2.0 * rp) / v[..., None] ** 3
-           + 3.0 * prp[..., None] * du / v[..., None] ** 5)
-    return g_ij, g_i
+    p1, p2, v, s11, s12, s22 = _coefficients(du, model)
+    r11, r12, r21, r22 = d2u[..., 0, 0], d2u[..., 0, 1], d2u[..., 1, 0], d2u[..., 1, 1]
+    rp1, rp2 = r11 * p1 + r12 * p2, r21 * p1 + r22 * p2             # r p
+    v3 = v * v * v
+    a = -model.sigma / v3                            # G_i = b p_i + 2 a (r p)_i
+    b = a * (r11 + r22) + 3.0 * (p1 * rp1 + p2 * rp2) / (v3 * v * v)
+    g_i = np.stack([b * p1 + 2.0 * a * rp1, b * p2 + 2.0 * a * rp2])
+    return _symmetric(s11, s12, s22), np.moveaxis(g_i, 0, -1)

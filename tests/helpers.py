@@ -1,6 +1,7 @@
-"""Shared test utilities: random admissible states, the shape-matrix
-oracles for the curvature kernel, finite-difference oracles for the
-pointwise operator derivatives, a Hypothesis strategy of quadric domains,
+"""Shared test utilities: random admissible states, the speed factor with
+its spacelike check and the shape-matrix oracles for the curvature kernel,
+finite-difference oracles for the pointwise operator derivatives, a
+Hypothesis strategy of quadric domains,
 a field's Newton state, the quadric concavity and gradient-band oracles,
 the sampled auto_t_min reference, a sparse-matrix dump, a grid's
 truncation scale, the pseudo-inverse references of the interior and the
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from cmcsolve import Ball, Ellipse, ModelKind
-from cmcsolve.errors import DegenerateSublevel
-from cmcsolve.kernel import mean_curvature, speed_factor
+from cmcsolve.errors import DegenerateSublevel, SpacelikeViolation
+from cmcsolve.kernel import EPS_SPACE, mean_curvature
 from cmcsolve.solver import LU_ORDERING, LU_PIVOT_THRESH
 
 
@@ -32,6 +33,25 @@ def random_states(rng, m, grad_max=0.9, eig_range=(0.1, 10.0)):
     lam = np.exp(rng.uniform(np.log(eig_range[0]), np.log(eig_range[1]), (m, 2)))
     d2u = np.einsum('mij,mj,mkj->mik', q, lam, q)
     return du, d2u
+
+
+def _check_spacelike(du, model):
+    if model is not ModelKind.MINKOWSKI:
+        return
+    n2 = np.sum(du * du, axis=-1)
+    bad = n2 >= (1.0 - EPS_SPACE) ** 2
+    if np.any(bad):
+        flat = np.argmax(np.where(bad, n2, -np.inf).ravel())
+        raise SpacelikeViolation(float(np.sqrt(n2.ravel()[flat])),
+                                 node=int(flat) if n2.ndim else None)
+
+
+def speed_factor(du, model: ModelKind):
+    """v = sqrt(1 + sigma |du|^2); raises SpacelikeViolation in the
+    Minkowski model when |du| reaches 1 - EPS_SPACE."""
+    du = np.asarray(du, dtype=float)
+    _check_spacelike(du, model)
+    return np.sqrt(1.0 + model.sigma * np.sum(du * du, axis=-1))
 
 
 @dataclass
@@ -92,21 +112,21 @@ def principal_curvatures(du, d2u, model: ModelKind):
     return np.linalg.eigvalsh(a)
 
 
-def gradient_term_shape_form(du, d2u):
-    """Minkowski gradient derivative via the shape-matrix route:
+def gradient_term_shape_form(du, d2u, model=ModelKind.MINKOWSKI):
+    """Gradient derivative via the shape-matrix route:
 
-      G_i = (u_i / v^2) F_kl a_kl + (2/v) F_kl a_ml b^ik u_m,   F_kl = delta_kl.
+      G_i = -sigma [(u_i / v^2) F_kl a_kl + (2/v) F_kl a_ml b^ik u_m],   F_kl = delta_kl,
 
-    Independent of operator_derivatives' direct formula; the two must agree.
+    using b^ik u_k = u_i / v.  Independent of operator_derivatives' direct
+    formula; the two must agree.
     """
     du = np.asarray(du, dtype=float)
     d2u = np.asarray(d2u, dtype=float)
-    model = ModelKind.MINKOWSKI
     v, _, _, _, b_up = metric_quantities(du, model)
     a = shape_matrix(du, d2u, model)
     tr_a = np.trace(a, axis1=-2, axis2=-1)
     bau = np.einsum('...ik,...km,...m->...i', b_up, a, du)
-    return du * (tr_a / v ** 2)[..., None] + 2.0 * bau / v[..., None]
+    return -model.sigma * (du * (tr_a / v ** 2)[..., None] + 2.0 * bau / v[..., None])
 
 
 def fd_operator_derivatives(du, d2u, model: ModelKind, step=1e-6):

@@ -7,10 +7,11 @@ from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       RadialSolution, SolutionField, build_grid, jacobian,
                       newton_solve, radial_profile, residual, seed_field)
 from cmcsolve.assembly import (_inverse_2x2, admissibility_violation,
-                               hessian_eig_bounds, operator_state_derivatives)
+                               hessian_eig_bounds, inverse_hessian_operator,
+                               operator_state_derivatives)
 from cmcsolve.errors import (ConfigError, ConvexityLoss, SingularHessian,
                              SpacelikeViolation)
-from helpers import dump_triplets, field_state
+from helpers import dump_triplets, field_state, random_states
 
 MINK = ModelKind.MINKOWSKI
 EUC = ModelKind.EUCLIDEAN
@@ -228,6 +229,40 @@ class TestProblemSpec:
         with pytest.raises(ConfigError):
             ProblemSpec(om, Ball((0, 0), 0.5), MINK, grid,
                         operator=OperatorKind.INVERSE_HESSIAN)
+
+
+class TestDualOperatorDerivatives:
+    """dG/d(d2u) of the inverse-Hessian operator, W s W written out by entries."""
+
+    @pytest.fixture(params=[MINK, EUC], ids=["minkowski", "euclidean"])
+    def case(self, request):
+        om = Ball((0, 0), 0.9)
+        spec = ProblemSpec(om, Ball((0, 0), 1.0), request.param, build_grid(om, 8, 16),
+                           operator=OperatorKind.INVERSE_HESSIAN)
+        rng = np.random.default_rng(31)
+        du, d2u = random_states(rng, 400)
+        positions, _ = random_states(rng, 400)
+        return spec, positions, du, d2u
+
+    def test_symmetric_and_no_gradient_term(self, case):
+        spec, positions, du, d2u = case
+        g_r, g_p = operator_state_derivatives(spec, positions, du, d2u)
+        assert g_r.shape == d2u.shape and g_p.shape == du.shape
+        assert np.array_equal(g_r, np.swapaxes(g_r, -1, -2))
+        assert np.all(g_p == 0.0)
+
+    def test_against_finite_differences(self, case):
+        spec, positions, du, d2u = case
+        g_r, _ = operator_state_derivatives(spec, positions, du, d2u)
+        step = 1e-6
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            dr = np.zeros_like(d2u)
+            dr[:, i, j] = dr[:, j, i] = step
+            fd = (inverse_hessian_operator(positions, d2u + dr, spec.model)
+                  - inverse_hessian_operator(positions, d2u - dr, spec.model)) / (2 * step)
+            if i != j:   # the symmetric pair moves both entries
+                fd = fd / 2.0
+            assert np.max(np.abs(g_r[:, i, j] - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
 
 class TestInverse2x2:

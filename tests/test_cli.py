@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -502,6 +503,32 @@ def test_huge_grid_exit_2(tmp_path, capsys, homotopy):
     assert "Traceback" not in err
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("key, value, homotopy", [("grid.n_phi", "1e12", "false"),
+                                                   ("homotopy.steps", "1e18", "true")])
+def test_unallocatable_size_exit_2(tmp_path, monkeypatch, capsys, key, value, homotopy):
+    # a 7.3 TiB grid array or a 6.9 EiB homotopy schedule: numpy's allocation
+    # request fails, so nothing is allocated and nothing is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a problem too large to allocate")
+
+    monkeypatch.setattr(cli, "newton_solve", no_solve)
+    monkeypatch.setattr(solver, "newton_solve", no_solve)
+    cfg = _small_grid_config(tmp_path, **{key: value, "homotopy.enabled": homotopy})
+    # a 1 TiB address-space limit makes the request fail also where the
+    # kernel would overcommit it and fill the pages one by one
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 ** 40 if hard == resource.RLIM_INFINITY else min(2 ** 40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        assert main(["solve", "--config", str(cfg)]) == 2
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith("config error: Unable to allocate ")
 
 
 @pytest.mark.parametrize("t_min", ["1e-5", "1e-17", "1e-300"])

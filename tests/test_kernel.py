@@ -159,6 +159,60 @@ class TestOperatorDerivatives:
         assert np.all(t_g <= sigma2 * n + 1e-12)
 
 
+def _relative_error(value, oracle, axes):
+    """Largest error over the states, each relative to the state's largest
+    oracle entry."""
+    scale = np.max(np.abs(oracle), axis=axes, keepdims=True) if axes else np.abs(oracle)
+    return np.max(np.abs(value - oracle) / scale)
+
+
+class TestClosedFormAgainstOracle:
+    """The closed-form components against the shape-matrix oracle: s = g^kl / v,
+    H = tr(a), G_i by the shape-matrix route."""
+
+    @pytest.mark.parametrize("model", [MINK, EUC])
+    @pytest.mark.parametrize("shape", [(), (500,), (3, 4)], ids=["single", "batch", "block"])
+    def test_matches_shape_matrix_oracle(self, model, shape):
+        rng = np.random.default_rng(29)
+        m = int(np.prod(shape))
+        du, d2u = random_states(rng, m)
+        du, d2u = du.reshape(shape + (2,)), d2u.reshape(shape + (2, 2))
+        v, _, g_up, _, _ = metric_quantities(du, model)
+        s = coefficient_matrix(du, model)
+        h = mean_curvature(du, d2u, model)
+        g_r, g_p = operator_derivatives(du, d2u, model)
+        assert s.shape == g_r.shape == shape + (2, 2)
+        assert h.shape == shape and g_p.shape == shape + (2,)
+        s_oracle = g_up / np.asarray(v)[..., None, None]
+        assert _relative_error(s, s_oracle, (-2, -1)) <= 1e-13
+        assert np.array_equal(g_r, s)
+        h_oracle = np.trace(shape_matrix(du, d2u, model), axis1=-2, axis2=-1)
+        assert _relative_error(h, h_oracle, None) <= 1e-13
+        assert _relative_error(g_p, gradient_term_shape_form(du, d2u, model), (-1,)) <= 1e-13
+
+    @pytest.mark.parametrize("shape, worst", [((), None), ((7,), 5), ((3, 4), 6)],
+                             ids=["single", "batch", "block"])
+    @pytest.mark.parametrize("call", [
+        lambda du, d2u: coefficient_matrix(du, MINK),
+        lambda du, d2u: mean_curvature(du, d2u, MINK),
+        lambda du, d2u: operator_derivatives(du, d2u, MINK)],
+        ids=["coefficient_matrix", "mean_curvature", "operator_derivatives"])
+    def test_spacelike_violation_names_worst_node(self, call, shape, worst):
+        du = np.zeros(shape + (2,))
+        flat = du.reshape(-1, 2)
+        if worst is None:
+            flat[0] = (0.9999995, 0.0)
+        else:
+            flat[2] = (0.0, 0.9999995)     # past the margin, not the worst
+            flat[worst] = (0.6, -0.8)      # |du| = 1
+        with pytest.raises(SpacelikeViolation) as info:
+            call(du, np.broadcast_to(np.eye(2), shape + (2, 2)))
+        assert info.value.node == worst
+        assert info.value.grad_norm == pytest.approx(1.0 if worst is not None else 0.9999995)
+        # the Euclidean model has no gradient bound
+        coefficient_matrix(du, EUC)
+
+
 class TestPointState:
     def test_symmetry_required(self):
         with pytest.raises(ValueError):
