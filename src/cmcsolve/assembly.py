@@ -178,12 +178,13 @@ def jacobian(spec: ProblemSpec, du, d2u, du_b) -> sp.csr_matrix:
     row is that pattern's row with the node's operator derivatives as
     weights, followed by the -1 of the c column.  The terms are summed in
     the order dxx, dxy, dyy, dx, dy, which makes the matrix equal bit for
-    bit to the sum of diagonally weighted operators it replaces.  Boundary rows weight the bx, by pattern with
-    Dh_target(Du); the mean-zero row holds the quadrature weights.  The
-    pattern is the grid's bordered_pattern, built once per grid, so a call
-    only fills the entries.  Exact zeros (the pole's quadrature weight, sums
-    that cancel) are dropped: a stored zero would change the fill-reducing
-    ordering.
+    bit to the sum of diagonally weighted operators it replaces (the dual
+    operator's zero dx, dy terms are skipped).  Boundary rows weight the bx,
+    by pattern with Dh_target(Du); the mean-zero row holds the quadrature
+    weights.  The pattern is the grid's bordered_pattern, built once per
+    grid, so a call only fills the entries.  Exact zeros (the pole's
+    quadrature weight, sums that cancel) are dropped: a stored zero would
+    change the fill-reducing ordering.
     """
     grid = spec.grid
     n = grid.n_nodes
@@ -194,8 +195,10 @@ def jacobian(spec: ProblemSpec, du, d2u, du_b) -> sp.csr_matrix:
     r, rb, recovery = pattern.rows, pattern.boundary_rows, pattern.recovery
     k = len(r)
     inner = (g_r[:, 0, 0][r] * ops['dxx'].data[:k] + 2.0 * g_r[:, 0, 1][r] * ops['dxy'].data[:k]
-             + g_r[:, 1, 1][r] * ops['dyy'].data[:k] + g_p[:, 0][r] * ops['dx'].data[:k]
-             + g_p[:, 1][r] * ops['dy'].data[:k])
+             + g_r[:, 1, 1][r] * ops['dyy'].data[:k])
+    if spec.operator is OperatorKind.GRAPH:   # the dual operator's g_p is zero
+        inner += g_p[:, 0][r] * ops['dx'].data[:k]
+        inner += g_p[:, 1][r] * ops['dy'].data[:k]
     edge = dh_b[rb, 0] * ops['bx'].data + dh_b[rb, 1] * ops['by'].data
 
     data = np.empty(len(pattern.indices))

@@ -20,6 +20,10 @@ dot-namespaced, values are scalars or comma-separated pairs):
   seed.path             path             (required for seed.strategy = file)
   output.dir            path             (default ".")
 
+seed.strategy starts a solve without homotopy: radial from a ball pair's radial
+profile and any other pair's transport seed (radial.seed_field), quadratic from
+the transport seed for ball pairs too, file from a stored field.
+
 Unknown keys are rejected; every number must be finite, and all numeric
 fields are validated against their admissible ranges.
 """

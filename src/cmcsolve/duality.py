@@ -194,8 +194,9 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     grid's resolution.
 
     Swaps the domain roles, switches to the inverse-Hessian operator, seeds
-    with the inscribed-ball quadratic, and runs the same Newton machinery
-    (falling back to the homotopy on non-convergence).  Returns
+    with the transport seed of the swapped pair (Hessian M^-1, the inverse
+    of the primal seed's), and runs the same Newton machinery (falling back
+    to the homotopy on non-convergence).  Returns
     (dual_field, NewtonInfo-or-None).
     """
     opts = opts or SolveOptions()

@@ -11,9 +11,10 @@ square root of the inverse metric g^ij; it equals the divergence form
 Since the curvature function is the trace, H is linear in D^2 u and the
 operator derivatives are dH/du_kl = s_kl and dH/du_i given in closed form
 below, written out in 2x2 components from one coefficient pass per call.  The
-metric, the shape matrix, the principal curvatures and the shape-matrix route
-to dH/du_i are test oracles (tests/helpers.py).  Everything is vectorized over
-leading axes: du has shape (..., 2), d2u has shape (..., 2, 2).
+coefficient matrix s as a (..., 2, 2) array, the metric, the shape matrix, the
+principal curvatures and the shape-matrix route to dH/du_i are test oracles
+(tests/helpers.py).  Everything is vectorized over leading axes: du has shape
+(..., 2), d2u has shape (..., 2, 2).
 """
 from __future__ import annotations
 
@@ -60,12 +61,6 @@ def _symmetric(a11, a12, a22):
     out = np.empty((2, 2) + np.shape(a11))
     out[0, 0], out[0, 1], out[1, 0], out[1, 1] = a11, a12, a12, a22
     return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def coefficient_matrix(du, model: ModelKind):
-    """s_kl = (1/v)(delta_kl - sigma u_k u_l / v^2), the divergence-form
-    coefficients: H = s_kl u_kl.  Equals dH/du_kl and (1/v) g^kl."""
-    return _symmetric(*_coefficients(du, model)[3:])
 
 
 def mean_curvature(du, d2u, model: ModelKind):

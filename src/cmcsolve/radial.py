@@ -95,65 +95,59 @@ def radial_profile(sol: RadialSolution, r):
     return u, du, d2u
 
 
+def transport_hessian(omega, omega_tilde) -> np.ndarray:
+    """The SPD M with M S M = T, for T = A/2h_max of omega and S of
+    omega_tilde, so that y0 + M(x - x0) maps omega onto omega_tilde: the
+    linear optimal-transport map of the two quadrics.  M is the geometric
+    mean S^-1 # T, closed form on the unit-determinant multiples of 2x2
+    matrices (Bhatia 2007, 4.1.12).  Swapping the domains gives M^-1."""
+    t, s = (dom.quadric()[1] / (2.0 * dom.h_max) for dom in (omega, omega_tilde))
+    # sqrt(det) through the eigenvalues: the determinant itself can overflow
+    k_t, k_s = (np.prod(np.sqrt(np.linalg.eigvalsh(q))) for q in (t, s))
+    s = s / k_s
+    g = t / k_t + np.array([[s[1, 1], -s[0, 1]], [-s[0, 1], s[0, 0]]])   # adj s = s^-1
+    return np.sqrt(k_t) / np.sqrt(k_s) * g / np.sqrt(np.linalg.det(g))
+
+
 def seed_field(spec, strategy: str = "auto") -> SolutionField:
     """Admissible initial field for a problem instance.
 
-    Ball pair: the exact radial profile about Omega's center, shifted in
-    gradient space by Omega_tilde's center (adding y_c . x translates the
-    gradient image without touching the Hessian).  Otherwise: the quadratic
-    (alpha/2)|x - x_p|^2 + y_c . (x - x_p) with alpha, from the target's
-    inradius over Omega's outradius, stepped down until its gradient image
-    sits strictly inside the target; x_p, y_c are the defining-function
-    peaks.  The result is mean-zero projected and checked against the
-    admissibility guards on the grid.
+    Ball pair under the graph operator: the exact radial profile about
+    Omega's center, shifted in gradient space by Omega_tilde's center
+    (adding y_c . x translates the gradient image without touching the
+    Hessian).  Otherwise the transport seed (1/2) d^T M d + y0 . d,
+    d = x - x0, M = transport_hessian and x0, y0 the peaks, whose gradient
+    maps Omega onto Omega_tilde, with c the quadrature mean of the operator.
+    The field is mean-zero projected and held to the admissibility guards,
+    before any operator evaluation; a violation raises SeedFailure.
 
     strategy: "auto" picks the radial branch on primal ball pairs;
-    "quadratic" forces the quadratic branch.
+    "quadratic" forces the transport seed.
     """
     if strategy not in ("auto", "quadratic"):
         raise ValueError(f"unknown seed strategy {strategy!r}")
-    grid = spec.grid
-    omega, omega_tilde, model = spec.omega, spec.omega_tilde, spec.model
-    nodes = grid.nodes
+    grid, model = spec.grid, spec.model
+    omega, omega_tilde = spec.omega, spec.omega_tilde
+    d = grid.nodes - omega.peak
 
-    radial_ok = (strategy == "auto" and spec.operator is OperatorKind.GRAPH
-                 and isinstance(omega, Ball) and isinstance(omega_tilde, Ball))
-    if radial_ok:
-        x_p = np.asarray(omega.center, dtype=float)
-        y_c = np.asarray(omega_tilde.center, dtype=float)
+    if (strategy == "auto" and spec.operator is OperatorKind.GRAPH
+            and isinstance(omega, Ball) and isinstance(omega_tilde, Ball)):
         sol = RadialSolution(2, omega.radius, omega_tilde.radius, model)
-        d = nodes - x_p
         r = np.linalg.norm(d, axis=-1)
         # far-off centres round boundary radii past radial_profile's check
         u_vals, _, _ = radial_profile(sol, np.minimum(r, omega.radius))
-        u = u_vals + d @ y_c
-        c = sol.c
-        field0 = SolutionField(grid, grid.mean_zero(u), c, model)
+        field0 = SolutionField(grid, grid.mean_zero(u_vals + d @ omega_tilde.peak), sol.c,
+                               model)
         if admissibility_violation(spec, *field0.derivatives()) is None:
             return field0
         raise SeedFailure("exact radial seed failed the admissibility guards")
 
-    x_p = omega.peak
-    y_c = omega_tilde.peak
-    alpha = omega_tilde.radii()[0] / omega.radii()[1]
-    d = nodes - x_p
-    tol_b = omega_tilde.boundary_tol()
-    while alpha >= 1e-4:
-        u = 0.5 * alpha * np.sum(d * d, axis=-1) + d @ y_c
-        du_exact = alpha * d + y_c
-        h_img, _, _ = omega_tilde.defining(du_exact)
-        field0 = SolutionField(grid, grid.mean_zero(u), _seed_constant(spec, alpha),
-                               model)
-        if (np.min(h_img) > -tol_b
-                and admissibility_violation(spec, *field0.derivatives()) is None):
-            return field0
-        alpha *= 0.5
-    raise SeedFailure("no admissible quadratic seed with alpha >= 1e-4")
-
-
-def _seed_constant(spec, alpha: float) -> float:
-    """Curvature value of the quadratic seed at the peak, as a starting c."""
-    du0 = np.zeros((1, 2))
-    d2u0 = alpha * np.eye(2)[None, :, :]
-    pos0 = np.asarray(spec.omega.peak, dtype=float)[None, :]
-    return float(operator_value(spec, pos0, du0, d2u0)[0])
+    m = transport_hessian(omega, omega_tilde)
+    u = grid.mean_zero(0.5 * np.sum(d * (d @ m), axis=-1) + d @ omega_tilde.peak)
+    du, d2u = grid.derivative_arrays(u)
+    violation = admissibility_violation(spec, du, d2u)
+    if violation is not None:
+        raise SeedFailure(f"transport seed failed the admissibility guards: {violation}")
+    w = grid.quad_weights
+    return SolutionField(grid, u, w @ operator_value(spec, grid.nodes, du, d2u) / np.sum(w),
+                         model)

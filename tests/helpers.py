@@ -1,12 +1,12 @@
 """Shared test utilities: random admissible states, the speed factor with
-its spacelike check and the shape-matrix oracles for the curvature kernel,
-finite-difference oracles for the pointwise operator derivatives, a
-Hypothesis strategy of quadric domains,
-a field's Newton state, the quadric concavity and gradient-band oracles,
-the sampled auto_t_min reference, a sparse-matrix dump, a grid's
-truncation scale, the pseudo-inverse references of the interior and the
-least-squares fits, the direct reference of the Newton linear solve, and
-the radial ODE oracle."""
+its spacelike check, the coefficient matrix and the shape-matrix oracles
+for the curvature kernel, finite-difference oracles for the pointwise
+operator derivatives, a Hypothesis strategy of quadric domains, a field's
+Newton state, the quadric concavity and gradient-band oracles, the sampled
+auto_t_min reference, a sparse-matrix dump, a grid's truncation scale, the
+pseudo-inverse references of the interior and the least-squares fits, the
+isotropic quadratic seed, the direct reference of the Newton linear solve,
+and the radial ODE oracle."""
 
 from dataclasses import dataclass
 
@@ -15,9 +15,10 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from cmcsolve import Ball, Ellipse, ModelKind
+from cmcsolve import Ball, Ellipse, ModelKind, SolutionField
+from cmcsolve.assembly import admissibility_violation, operator_value
 from cmcsolve.errors import DegenerateSublevel, SpacelikeViolation
-from cmcsolve.kernel import EPS_SPACE, mean_curvature
+from cmcsolve.kernel import EPS_SPACE, _coefficients, _symmetric, mean_curvature
 from cmcsolve.solver import LU_ORDERING, LU_PIVOT_THRESH
 
 
@@ -52,6 +53,12 @@ def speed_factor(du, model: ModelKind):
     du = np.asarray(du, dtype=float)
     _check_spacelike(du, model)
     return np.sqrt(1.0 + model.sigma * np.sum(du * du, axis=-1))
+
+
+def coefficient_matrix(du, model: ModelKind):
+    """s_kl = (1/v)(delta_kl - sigma u_k u_l / v^2), the divergence-form
+    coefficients: H = s_kl u_kl.  Equals dH/du_kl and (1/v) g^kl."""
+    return _symmetric(*_coefficients(du, model)[3:])
 
 
 @dataclass
@@ -317,6 +324,25 @@ def lsq_fit_oracle(grid):
     return [_pinv_fit(grid, np.array([0]), pole[None, :], np.zeros(1), lambda x, y: ()),
             _pinv_fit(grid, _lattice_index(grid, 1, j), ring1, grid.phi, cubic),
             _pinv_fit(grid, _lattice_index(grid, n_rho, j), ring_b, grid.phi, cubic)]
+
+
+def isotropic_seed(spec):
+    """The isotropic quadratic seed (alpha/2)|x - x_p|^2 + y_c . (x - x_p)
+    about the two peaks, alpha the target's inradius over Omega's outradius,
+    with c the operator at the peak: an admissible start off the transport
+    map, whose Newton systems ask more of the linear solve than the transport
+    seed's."""
+    omega, omega_tilde, grid = spec.omega, spec.omega_tilde, spec.grid
+    alpha = omega_tilde.radii()[0] / omega.radii()[1]
+    d = grid.nodes - omega.peak
+    u = 0.5 * alpha * np.sum(d * d, axis=-1) + d @ omega_tilde.peak
+    c = operator_value(spec, omega.peak[None, :], np.zeros((1, 2)),
+                       alpha * np.eye(2)[None, :, :])[0]
+    fld = SolutionField(grid, grid.mean_zero(u), c, spec.model)
+    h_img, _, _ = omega_tilde.defining(alpha * d + omega_tilde.peak)
+    assert np.min(h_img) > -omega_tilde.boundary_tol()
+    assert admissibility_violation(spec, *fld.derivatives()) is None
+    return fld
 
 
 def factor_every_system(jac, rhs, factor=None, target=0.0):

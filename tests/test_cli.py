@@ -157,6 +157,19 @@ class TestSolveCommand:
         assert err.startswith("config error: ") and "0.9999995" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_image_on_the_spacelike_margin_exit_1(self, tmp_path, capsys):
+        # max boundary |y| = 1 - EPS_SPACE passes the config check; the seed's
+        # spacelike guard refuses it before the kernel sees the gradients
+        cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG.replace(
+            "omega_tilde.radius = 0.4", "omega_tilde.radius = 0.999999").replace(
+            "homotopy.enabled = true", "homotopy.enabled = false"))
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith("solver failure: transport seed failed the admissibility "
+                              "guards: spacelike guard violated")
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, **{"omega.flavour": "sour"})
         assert main(["solve", "--config", str(cfg)]) == 2

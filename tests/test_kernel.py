@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from cmcsolve import ModelKind, RadialSolution, radial_profile
 from cmcsolve.errors import SpacelikeViolation
-from cmcsolve.kernel import (coefficient_matrix, mean_curvature,
-                             operator_derivatives)
-from helpers import (PointState, fd_operator_derivatives,
+from cmcsolve.kernel import mean_curvature, operator_derivatives
+from helpers import (PointState, coefficient_matrix, fd_operator_derivatives,
                      gradient_term_shape_form, metric_quantities,
                      principal_curvatures, random_states, shape_matrix)
 

@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, RadialSolution,
-                      build_grid, radial_constant, radial_profile, seed_field)
+from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
+                      RadialSolution, build_grid, radial_constant, radial_profile,
+                      seed_field)
 from cmcsolve import assembly
+from cmcsolve.radial import transport_hessian
 from cmcsolve.assembly import admissibility_violation, residual
 from cmcsolve.errors import SeedFailure
 from helpers import ode_crosscheck
@@ -109,6 +111,70 @@ class TestOdeCrosscheck:
         assert ode_crosscheck(RadialSolution(3, 2.0, 0.7, MINK)) <= 1e-10
 
 
+TRANSPORT_PAIRS = [
+    (Ellipse((0.2, 0.1), (1.0, 0.35)), Ellipse((0, 0), (0.9, 0.2))),
+    (Ellipse((0.05, 0), (1.0, 0.8)), Ball((0.1, 0), 0.4)),
+    (Ball((0, 0), 0.4), Ellipse((0.3, -0.2), (0.5, 0.25))),
+    (Ellipse((0, 0), (1.0, 0.5)), Ellipse((0, 0), (0.45, 0.9))),
+]
+TRANSPORT_IDS = ["thin", "ellipse_ball", "ball_ellipse", "crossed"]
+
+
+def _quadric_matrix(dom):
+    """T = A / 2 h_max: the domain is (x - x0)^T T (x - x0) < 1."""
+    return dom.quadric()[1] / (2.0 * dom.h_max)
+
+
+class TestTransportSeed:
+    """The non-ball seed: the linear transport map between the quadrics."""
+
+    @pytest.mark.parametrize("om, omt", TRANSPORT_PAIRS, ids=TRANSPORT_IDS)
+    def test_hessian_carries_one_quadric_onto_the_other(self, om, omt):
+        m = transport_hessian(om, omt)
+        t, s = _quadric_matrix(om), _quadric_matrix(omt)
+        assert np.array_equal(m, m.T)
+        assert np.min(np.linalg.eigvalsh(m)) > 0
+        assert np.max(np.abs(m @ s @ m - t)) <= 1e-13 * np.max(np.abs(t))
+
+    def test_hessian_at_the_radius_extremes(self):
+        # det T and det S would overflow here; the scaled closed form does not
+        om, omt = Ellipse((0, 0), (1e-90, 3e-90)), Ellipse((0, 0), (2e90, 1e90))
+        m = transport_hessian(om, omt)
+        t, s = _quadric_matrix(om), _quadric_matrix(omt)
+        assert np.all(np.isfinite(m))
+        assert np.max(np.abs(m @ (s @ m) - t)) <= 1e-13 * np.max(np.abs(t))
+
+    @pytest.mark.parametrize("om, omt", TRANSPORT_PAIRS, ids=TRANSPORT_IDS)
+    @pytest.mark.parametrize("model", [MINK, EUC])
+    def test_boundary_gradients_on_target_boundary(self, om, omt, model):
+        # Du_0 maps the boundary of omega onto that of omega_tilde, and the
+        # least-squares recovery is exact on quadratics
+        grid = build_grid(om, 16, 32)
+        fld = seed_field(ProblemSpec(om, omt, model, grid))
+        du, d2u = fld.derivatives()
+        h, _, _ = omt.defining(du[grid.boundary_idx])
+        assert np.max(np.abs(h)) <= 1e-12 * omt.diameter()
+        assert np.max(np.abs(d2u - transport_hessian(om, omt))) <= 1e-10
+
+    @pytest.mark.parametrize("om, omt", TRANSPORT_PAIRS, ids=TRANSPORT_IDS)
+    def test_dual_seed_hessian_is_inverse(self, om, omt):
+        # the dual solve swaps the domains: the same formula gives M^-1
+        grid = build_grid(omt, 16, 32)
+        spec = ProblemSpec(omt, om, EUC, grid, operator=OperatorKind.INVERSE_HESSIAN)
+        _, d2u = seed_field(spec).derivatives()
+        m_inv = np.linalg.inv(transport_hessian(om, omt))
+        assert np.max(np.abs(d2u - m_inv)) <= 1e-10 * np.max(np.abs(m_inv))
+
+    def test_constant_is_quadrature_mean(self):
+        om, omt = TRANSPORT_PAIRS[0]
+        grid = build_grid(om, 16, 32)
+        spec = ProblemSpec(om, omt, MINK, grid)
+        fld = seed_field(spec)
+        g = assembly.operator_value(spec, grid.nodes, *fld.derivatives())
+        w = grid.quad_weights
+        assert fld.c == pytest.approx(w @ g / np.sum(w), rel=1e-14)
+
+
 class TestSeedField:
     def test_concentric_residual_small(self):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
@@ -136,13 +202,13 @@ class TestSeedField:
         assert np.min(h_img) > -omt.boundary_tol()
 
     def test_forced_quadratic_strategy(self):
-        om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
-        grid = build_grid(om, 16, 32)
-        spec = ProblemSpec(om, omt, MINK, grid)
-        fld = seed_field(spec, strategy="quadratic")
-        _, d2u = fld.derivatives()
-        # pure quadratic: constant Hessian across the grid
-        assert np.max(np.abs(d2u - d2u[0])) < 1e-10
+        # on a ball pair the transport seed is the isotropic quadratic with
+        # Hessian (r_tilde / r) I
+        for om, omt in ((Ball((0, 0), 1.0), Ball((0, 0), 0.5)),
+                        (Ball((0.3, -0.1), 2.0), Ball((0.1, 0.2), 0.3))):
+            spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
+            _, d2u = seed_field(spec, strategy="quadratic").derivatives()
+            assert np.max(np.abs(d2u - omt.radius / om.radius * np.eye(2))) < 1e-10
 
     @pytest.mark.parametrize("center,radius", [((1e5, 0), 1.0), ((10, 0), 1e-4)])
     def test_far_center_boundary_roundoff(self, center, radius):
