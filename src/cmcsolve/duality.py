@@ -73,21 +73,21 @@ class FieldInterpolant:
                                     (v[2] - v[3]) / (eps * (rb[2] + rb[3]))])
 
     def params_of(self, x):
+        """(rho, phi) of points x and the boundary radius r_b(phi)."""
         d = np.asarray(x, dtype=float) - self.peak
         phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2 * np.pi)
-        rho = np.linalg.norm(d, axis=-1) / self.domain.boundary_radius(phi)
-        return rho, phi
+        rb = self.domain.boundary_radius(phi)
+        return np.linalg.norm(d, axis=-1) / rb, phi, rb
 
     def value(self, x):
-        return self._spl(np.stack(self.params_of(x), axis=-1))
+        return self._spl(np.stack(self.params_of(x)[:2], axis=-1))
 
     def gradient(self, x):
         """Cartesian gradient of the interpolant (exact chain rule)."""
-        rho, phi = self.params_of(x)
+        rho, phi, rb = self.params_of(x)
         pts = np.stack([rho, phi], axis=-1)
         u_r = self._spl(pts, nu=(1, 0))
         u_p = self._spl(pts, nu=(0, 1))
-        rb = self.domain.boundary_radius(phi)
         rb_p = self.domain.boundary_radius_deriv(phi)
         e, e_t = polar_frame(phi)
         d = np.maximum(rho * rb, 1e-300)  # |x - peak|
@@ -101,7 +101,7 @@ class FieldInterpolant:
     def hessian_approx(self, x):
         """Spline of the nodal Hessians (used only as the Jacobian of the
         gradient-inversion Newton iteration)."""
-        comps = self._d2u_spl(np.stack(self.params_of(x), axis=-1))
+        comps = self._d2u_spl(np.stack(self.params_of(x)[:2], axis=-1))
         return comps[..., [[0, 1], [1, 2]]]
 
 
@@ -127,34 +127,32 @@ def invert_gradient(interp: FieldInterpolant, targets):
             break
         h = interp.hessian_approx(x[active])
         step = np.linalg.solve(h, res[active][..., None])[..., 0]
-        xa = x[active]
-        ra = rn[active]
+        xa, resa, ra = x[active], res[active], rn[active]
         alpha = np.ones(len(xa))
         for _ in range(12):
             trial = xa - alpha[:, None] * step
             trial = _clamp_to_extension(interp, trial)
-            rt = np.linalg.norm(interp.gradient(trial) - targets[active], axis=-1)
+            rest = interp.gradient(trial) - targets[active]
+            rt = np.linalg.norm(rest, axis=-1)
             better = rt <= ra
             xa = np.where(better[:, None], trial, xa)
+            resa = np.where(better[:, None], rest, resa)
             ra = np.where(better, rt, ra)
             alpha = np.where(better, alpha, alpha * 0.5)
             if np.all(better):
                 break
-        x[active] = xa
-        res[active] = interp.gradient(xa) - targets[active]
-        rn[active] = np.linalg.norm(res[active], axis=-1)
+        x[active], res[active], rn[active] = xa, resa, ra
         active = rn > INVERSION_TOL * scale
     return x, rn
 
 
 def _clamp_to_extension(interp, x):
-    rho, phi = interp.params_of(x)
+    rho, phi, rb = interp.params_of(x)
     over = rho > interp.rho_max
     if np.any(over):
-        rb = interp.domain.boundary_radius(phi[over])
         e, _ = polar_frame(phi[over])
         x = x.copy()
-        x[over] = interp.peak + interp.rho_max * rb[:, None] * e
+        x[over] = interp.peak + interp.rho_max * rb[over, None] * e
     return x
 
 

@@ -31,6 +31,15 @@ reproduced to machine precision on any of the supported domains; the
 recovery is a fixed sparse linear operator, so residual linearizations stay
 exactly consistent with the residual itself.
 
+Every domain is a quadric centred at its peak, so r_b(phi + pi) = r_b(phi)
+and node (i, j + n_phi/2) is the half-turn image of node (i, j).  The grid
+evaluates the boundary radius and the polar frame on the rays j < n_phi/2
+only and takes the other half as their exact image.  The fits run on node
+positions relative to the peak, so the operators do not depend on where the
+domain sits, and only the first half-rings are fitted: each image row is the
+same stencil shifted by n_phi/2, with the gradient weights negated and the
+Hessian weights copied (the pole's one fit is averaged with its image).
+
 Quadrature: mapped trapezoid in rho (the integrand carries the polar factor
 rho r_b^2, so the pole weight vanishes) and periodic trapezoid in phi;
 boundary integrals use arc-length weights sqrt(r_b^2 + r_b'^2) dphi.
@@ -39,7 +48,7 @@ boundary integrals use arc-length weights sqrt(r_b^2 + r_b'^2) dphi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -290,7 +299,9 @@ def _fold_defect(w, center):
 
 def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     """Construct the mapped grid with precomputed derivative operators and
-    quadrature weights."""
+    quadrature weights.  r_b, r_b' and the polar frame are evaluated on the
+    rays j < n_phi/2; the other half takes the same r_b, r_b' and the
+    negated frame, so the lattice is exactly symmetric under the half turn."""
     if n_rho < 8:
         raise ValueError(f"n_rho must be >= 8, got {n_rho}")
     if n_phi < 16 or n_phi % 2:
@@ -298,16 +309,17 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
 
     rho = np.linspace(0.0, 1.0, n_rho + 1)
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    r_b = domain.boundary_radius(phi)
-    r_b_prime = domain.boundary_radius_deriv(phi)
+    rays = phi[:n_phi // 2]
+    r_b = np.tile(domain.boundary_radius(rays), 2)
+    r_b_prime = np.tile(domain.boundary_radius_deriv(rays), 2)
+    e, e_t = polar_frame(rays)
+    e, e_t = np.concatenate([e, -e]), np.concatenate([e_t, -e_t])
 
-    peak = domain.peak
-    e, _ = polar_frame(phi)
+    # node positions relative to the peak, which the fits use
     n_nodes = 1 + n_rho * n_phi
-    nodes = np.empty((n_nodes, 2))
-    nodes[0] = peak
-    for i in range(1, n_rho + 1):
-        nodes[1 + (i - 1) * n_phi: 1 + i * n_phi] = peak + rho[i] * r_b[:, None] * e
+    pos = np.zeros((n_nodes, 2))
+    pos[1:] = ((rho[1:, None] * r_b)[..., None] * e).reshape(-1, 2)
+    nodes = domain.peak + pos
 
     # quadrature: trapezoid in rho of the polar integrand rho r_b^2, periodic
     # trapezoid in phi; pole weight is zero since the integrand vanishes there
@@ -319,8 +331,8 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
         w[1 + (i - 1) * n_phi: 1 + i * n_phi] = frac * rho[i] * r_b ** 2 * drho * dphi
     boundary_weights = np.sqrt(r_b ** 2 + r_b_prime ** 2) * dphi
 
-    ops = _build_derivative_ops(nodes, n_rho, n_phi)
-    ops.update(_build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi))
+    ops = _build_derivative_ops(pos, e, n_rho, n_phi)
+    ops.update(_build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi))
 
     return MappedGrid(domain=domain, n_rho=n_rho, n_phi=n_phi, rho=rho, phi=phi,
                       r_b=r_b, r_b_prime=r_b_prime, nodes=nodes, quad_weights=w,
@@ -352,11 +364,12 @@ def _on_one_pattern(names, vals, rows, cols, n):
             for name, v in zip(names, vals)}
 
 
-def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
+def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     """Cartesian gradient operators for the boundary ring only, from mapped
     per-column differencing: a one-sided 4-point radial derivative along
     each grid ray and a 4th-order centered tangential derivative along the
-    ring, pushed through the analytic map Jacobian.
+    ring, pushed through the analytic map Jacobian (e, e_t the rays' polar
+    frame).
 
     The gradient-image condition rows use these instead of the local
     least-squares fits: a least-squares patch averages out perturbations
@@ -369,7 +382,6 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
 
-    e, e_t = polar_frame(phi)
     # grad = J^{-T} (d/drho, d/dphi) with J = [x_rho | x_phi] at rho = 1;
     # det J = r_b^2 (star-shapedness keeps it positive)
     x_rho = r_b[:, None] * e
@@ -398,8 +410,14 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, phi, n_rho, n_phi):
                            n_nodes)
 
 
-def _build_derivative_ops(nodes, n_rho, n_phi):
+def _build_derivative_ops(pos, e, n_rho, n_phi):
+    """dx, dy, dxx, dxy, dyy from fits in the node positions pos relative to
+    the peak, in the rays' radial frames e.  pos and e are exactly odd under
+    the half turn, so the image of a node's fit sees the same scaled-frame
+    offsets: its weights are copied with the gradient rows negated."""
     n_nodes = 1 + n_rho * n_phi
+    half = n_phi // 2
+    sign = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None]  # half-turn parity per row
     rows, cols, vals = [], [], []
 
     def add_group(center_idx, stencil_idx, weights):
@@ -408,22 +426,31 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
         cols.append(stencil_idx.ravel())
         vals.append(np.swapaxes(weights, 0, 1).reshape(5, -1))
 
-    def offsets(center_idx, stencil_idx):
-        return nodes[stencil_idx] - nodes[center_idx][:, None, :]
+    def add_rings(center_idx, stencil_idx, fit):
+        # center_idx (K n_phi,) and stencil_idx (K n_phi, m) run ring by
+        # ring over K whole rings; fit(offsets, radial) weighs the first
+        # half of each ring, and the second half takes their images
+        m = stencil_idx.shape[1]
+        c = center_idx.reshape(-1, n_phi)[:, :half].ravel()
+        s = stencil_idx.reshape(-1, n_phi, m)[:, :half].reshape(-1, m)
+        k = len(c) // half
+        w = fit(pos[s] - pos[c][:, None, :], np.tile(e[:half], (k, 1)))
+        w = w.reshape(k, 1, half, 5, m)
+        add_group(center_idx, stencil_idx,
+                  np.concatenate([w, w * sign], axis=1).reshape(-1, 5, m))
 
     j = np.arange(n_phi)
-    phi = 2 * np.pi * j / n_phi
-    e_rad, _ = polar_frame(phi)
 
-    # pole: one fit over the first two rings plus the pole itself; the rings
-    # are centrally symmetric, so plain quadratic suffices
-    pole = np.array([0])
-    pole_stencil = np.concatenate([[0],
-                                   node_index(np.ones(n_phi, int), j, n_phi),
-                                   node_index(2 * np.ones(n_phi, int), j, n_phi)])[None, :]
-    add_group(pole, pole_stencil,
-              _lsq_weights(offsets(pole, pole_stencil), np.array([[1.0, 0.0]]),
-                           cubic=False, center=0))
+    # pole: one fit over the first two rings plus the pole itself, nodes 0
+    # .. 2 n_phi; the rings are centrally symmetric, so plain quadratic
+    # suffices.  Averaged with its half-turn image, the row is exactly
+    # symmetric too.
+    pole_stencil = np.arange(1 + 2 * n_phi)
+    image = np.concatenate([[0], np.roll(pole_stencil[1:].reshape(2, n_phi), -half,
+                                         axis=1).ravel()])
+    w = _lsq_weights(pos[None, pole_stencil], np.array([[1.0, 0.0]]), cubic=False, center=0)
+    add_group(np.array([0]), pole_stencil[None, :],
+              _fold_defect(0.5 * (w + sign * w[..., image]), center=0))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
@@ -432,8 +459,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     ring1 = np.asarray(node_index(1, j, n_phi))
     idx1 = np.stack([node_index(si, j + dj, n_phi)
                      for si in range(0, 5) for dj in (-2, -1, 0, 1, 2)], axis=1)
-    add_group(ring1, idx1, _lsq_weights(offsets(ring1, idx1), e_rad, cubic=True,
-                                        center=1 * 5 + 2))
+    add_rings(ring1, idx1, partial(_lsq_weights, cubic=True, center=1 * 5 + 2))
 
     # interior rings, all in one group: centered 3x3 blocks with the
     # interpolatory biquadratic tensor basis (second-order Hessians; the
@@ -442,8 +468,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     inner = np.asarray(node_index(i, jj, n_phi))
     idx = np.stack([node_index(i + di, jj + dj, n_phi)
                     for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
-    add_group(inner, idx, _interior_weights(offsets(inner, idx),
-                                            np.tile(e_rad, (n_rho - 2, 1))))
+    add_rings(inner, idx, _interior_weights)
 
     # boundary ring (recovery for export/diagnostics; the gradient-image
     # condition rows use the mapped per-column operators instead): one-sided
@@ -452,8 +477,7 @@ def _build_derivative_ops(nodes, n_rho, n_phi):
     idxb = np.stack([node_index(n_rho + di, j + dj, n_phi)
                      for di in (-3, -2, -1, 0) for dj in (-2, -1, 0, 1, 2)],
                     axis=1)
-    add_group(ring_b, idxb, _lsq_weights(offsets(ring_b, idxb), e_rad, cubic=True,
-                                         center=3 * 5 + 2))
+    add_rings(ring_b, idxb, partial(_lsq_weights, cubic=True, center=3 * 5 + 2))
 
     return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'],
                            list(np.concatenate(vals, axis=1)),

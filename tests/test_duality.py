@@ -43,6 +43,15 @@ class TestLegendreTransform:
         assert dual.c == -fld.c
         assert dual.dual
 
+    def test_gaps_are_the_residuals_at_the_points(self, ci_instances):
+        # the inversion keeps the residual of each accepted line-search
+        # trial instead of evaluating the gradient there again
+        _, fld, _ = ci_instances["ellipse_ball"]
+        interp = FieldInterpolant(fld)
+        y = build_grid(Ball((0, 0), 0.4), 32, 64).nodes
+        x, gaps = duality.invert_gradient(interp, y)
+        assert np.array_equal(gaps, np.linalg.norm(interp.gradient(x) - y, axis=-1))
+
     def test_involution_on_radial(self, radial_32):
         spec, fld, _ = radial_32
         dual_grid = build_grid(spec.omega_tilde, 32, 64)
@@ -90,7 +99,7 @@ class TestLegendreTransform:
 def test_boundary_nodes_map_to_unit_rho(domain):
     grid = build_grid(domain, 12, 24)
     interp = FieldInterpolant(SolutionField(grid, np.zeros(grid.n_nodes), 0.0, MINK))
-    rho, phi = interp.params_of(grid.nodes[grid.boundary_idx])
+    rho, phi, _ = interp.params_of(grid.nodes[grid.boundary_idx])
     assert np.max(np.abs(rho - 1.0)) <= 1e-14
     assert np.allclose(phi, grid.phi, rtol=0, atol=1e-14)
 

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmcsolve import Ball, Ellipse, ModelKind, SolutionField, build_grid, transfer_field
 from helpers import interior_fit_oracle, lsq_fit_oracle, quadric_domains
@@ -61,17 +64,22 @@ class TestBuild:
 
 
 class TestDerivativeRecovery:
-    @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
-                                     Ellipse((0, 0), (1.0, 0.8))])
-    def test_linear_exactness(self, dom):
+    # the thin off-centre ellipse's Hessian rows at ring 2 have absolute
+    # weight sums up to 7e4 and |u| is about 1.2 there, so the rounding of
+    # u alone leaves several 1e-12
+    @pytest.mark.parametrize("dom, hess_tol", [(Ball((0, 0), 1.0), 1e-12),
+                                               (Ellipse((0, 0), (1.0, 0.8)), 1e-12),
+                                               (Ellipse((0.3, -0.2), (1.0, 0.3)), 1e-11)])
+    def test_linear_exactness(self, dom, hess_tol):
         g = build_grid(dom, 16, 32)
         u = 2.0 * g.nodes[:, 0] - 3.0 * g.nodes[:, 1]
         du, d2u = g.derivative_arrays(u)
         assert np.max(np.abs(du - [2.0, -3.0])) < 1e-12
-        assert np.max(np.abs(d2u)) < 1e-12
+        assert np.max(np.abs(d2u)) < hess_tol
 
     @pytest.mark.parametrize("dom, tol", [(Ball((0, 0), 1.0), 1e-10),
-                                          (Ellipse((0, 0), (1.0, 0.8)), 1e-8)])
+                                          (Ellipse((0, 0), (1.0, 0.8)), 1e-8),
+                                          (Ellipse((0.3, -0.2), (1.0, 0.3)), 1e-8)])
     def test_quadratic_exactness(self, dom, tol):
         g = build_grid(dom, 16, 32)
         u = 0.5 * np.sum(g.nodes ** 2, axis=-1)
@@ -102,7 +110,8 @@ class TestOperatorWeights:
     @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
                                      Ellipse((0.2, 0.1), (1.0, 0.6)),
                                      Ellipse((0.3, -0.2), (1.0, 0.3))])
-    @pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (16, 32), (64, 128)])
+    @pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (8, 18), (16, 32), (16, 34),
+                                              (64, 128)])
     def test_interior_rows_match_pinv_fit(self, dom, n_rho, n_phi):
         g = build_grid(dom, n_rho, n_phi)
         rows, cols, ref = interior_fit_oracle(g)
@@ -114,7 +123,7 @@ class TestOperatorWeights:
 
     @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
                                      Ellipse((0.3, -0.2), (1.0, 0.3))])
-    @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (64, 128)])
+    @pytest.mark.parametrize("n_rho, n_phi", [(8, 18), (16, 32), (16, 34), (64, 128)])
     def test_least_squares_rows_match_pinv_fit(self, dom, n_rho, n_phi):
         g = build_grid(dom, n_rho, n_phi)
         for rows, cols, ref in lsq_fit_oracle(g):
@@ -141,6 +150,26 @@ def test_constants_cancel_exactly_on_any_domain(dom):
     ones = np.ones(g.n_nodes)
     for name, op in g.ops.items():
         assert np.all(op @ ones == 0.0), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(dom=quadric_domains(), n_phi=st.sampled_from([16, 18]))
+def test_half_turn_symmetry(dom, n_phi):
+    # T sends node (i, j) to (i, j + n_phi/2) and the pole to itself
+    g = build_grid(dom, 8, n_phi)
+    half = n_phi // 2
+    t = np.concatenate([[0], np.roll(np.arange(1, g.n_nodes).reshape(8, n_phi), -half,
+                                     axis=1).ravel()])
+    for a in (g.r_b, g.r_b_prime, g.quad_weights[1:].reshape(8, n_phi), g.boundary_weights):
+        assert np.array_equal(a[..., :half], a[..., half:])
+    for name, op in g.ops.items():
+        sign = -1.0 if name in ('dx', 'dy', 'bx', 'by') else 1.0
+        assert np.array_equal(op[t][:, t].toarray(), sign * op.toarray()), name
+
+    centred = build_grid(replace(dom, center=(0.0, 0.0)), 8, n_phi)
+    assert np.array_equal(centred.nodes[t], -centred.nodes)
+    for name, op in g.ops.items():  # the fits do not see where the domain sits
+        assert np.array_equal(op.data, centred.ops[name].data), name
 
 
 class TestQuadrature:
