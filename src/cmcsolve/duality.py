@@ -48,7 +48,7 @@ class FieldInterpolant:
     the domain.  Up to rho_max, a couple of cells past rho = 1, the
     spline's last radial piece continues, so targets near the boundary
     remain evaluable.  The nodal Hessians get a spline of their own, the
-    Jacobian of the gradient inversion.
+    Jacobian of the gradient inversion, which starts from nodal_du, nodal_d2u.
     """
 
     def __init__(self, field: SolutionField):
@@ -58,9 +58,9 @@ class FieldInterpolant:
         self.peak = grid.domain.peak
         self.rho_max = 1.0 + EXTENSION_CELLS / grid.n_rho
         self._spl = lattice_spline(grid, grid.to_param_array(field.u))
-        _, d2u = field.derivatives()
+        self.nodal_du, self.nodal_d2u = field.derivatives()
         self._d2u_spl = lattice_spline(grid, np.stack(
-            [grid.to_param_array(d2u[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1))],
+            [grid.to_param_array(self.nodal_d2u[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1))],
             axis=-1))
 
         # the pole is a smooth point of the field but a parameter-map
@@ -107,17 +107,14 @@ class FieldInterpolant:
 
 def invert_gradient(interp: FieldInterpolant, targets):
     """Solve interp.gradient(x) = y for each target y by damped Newton,
-    starting from the primal node whose gradient is nearest the target.
+    starting one Newton step on the nodal derivatives away from the node
+    whose gradient is nearest the target (_nodal_start).
 
     Returns (points, gaps): the gradient residual norm left at each point.
     """
-    from scipy.spatial import cKDTree
-
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    grid = interp.grid
     scale = float(np.max(np.abs(targets))) + 1.0
-    _, nearest = cKDTree(interp.gradient(grid.nodes)).query(targets)
-    x = grid.nodes[nearest]
+    x = _nodal_start(interp, targets)
 
     res = interp.gradient(x) - targets
     rn = np.linalg.norm(res, axis=-1)
@@ -144,6 +141,22 @@ def invert_gradient(interp: FieldInterpolant, targets):
         x[active], res[active], rn[active] = xa, resa, ra
         active = rn > INVERSION_TOL * scale
     return x, rn
+
+
+def _nodal_start(interp, targets):
+    """x_k + (D^2u_k)^-1 (y - Du_k) from the node k with Du_k nearest each y,
+    clamped; x_k where D^2u_k is not positive definite or the step not finite."""
+    from scipy.spatial import cKDTree
+
+    _, k = cKDTree(interp.nodal_du).query(targets)
+    h, r = interp.nodal_d2u[k], targets - interp.nodal_du[k]
+    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    det = a * c - b * b
+    with np.errstate(all="ignore"):
+        step = np.stack([c * r[:, 0] - b * r[:, 1],
+                         a * r[:, 1] - b * r[:, 0]], axis=-1) / det[:, None]
+    ok = (a > 0) & (det > 0) & np.all(np.isfinite(step), axis=-1)
+    return _clamp_to_extension(interp, interp.grid.nodes[k] + np.where(ok[:, None], step, 0.0))
 
 
 def _clamp_to_extension(interp, x):

@@ -31,14 +31,14 @@ reproduced to machine precision on any of the supported domains; the
 recovery is a fixed sparse linear operator, so residual linearizations stay
 exactly consistent with the residual itself.
 
-Every domain is a quadric centred at its peak, so r_b(phi + pi) = r_b(phi)
-and node (i, j + n_phi/2) is the half-turn image of node (i, j).  The grid
-evaluates the boundary radius and the polar frame on the rays j < n_phi/2
-only and takes the other half as their exact image.  The fits run on node
-positions relative to the peak, so the operators do not depend on where the
-domain sits, and only the first half-rings are fitted: each image row is the
-same stencil shifted by n_phi/2, with the gradient weights negated and the
-Hessian weights copied (the pole's one fit is averaged with its image).
+Every domain is a quadric with a diagonal A, so the lattice is symmetric
+under the half turn about the peak and the mirrors phi -> pi - phi and
+phi -> -phi.  The boundary radius, the polar frame (exactly (0, 1) on ray
+n_phi/4) and the fits, run on node positions relative to the peak, are
+evaluated on the fundamental rays j <= n_phi/4 only; every other ray is
+the exact image of one of them (_ray_images), its rows the source rows
+times the image's parity, reversed in angle under a mirror.  Ray 0, ray
+n_phi/4 and the pole, each its own image, are averaged with their images.
 
 Quadrature: mapped trapezoid in rho (the integrand carries the polar factor
 rho r_b^2, so the pole weight vanishes) and periodic trapezoid in phi;
@@ -58,11 +58,24 @@ from .domains import ConvexDomain, polar_frame
 from .kernel import ModelKind
 
 
-def node_index(i, j, n_phi):
-    """Unknown index of grid node (i, j); i = 0 is the pole for any j."""
-    i = np.asarray(i)
-    j = np.asarray(j)
-    return np.where(i == 0, 0, 1 + (i - 1) * n_phi + np.mod(j, n_phi))
+def _ray_images(n_phi):
+    """(source, flip) of every ray j: the fundamental ray source <= n_phi/4
+    it is the image of, and the signs (fx, fy) of that image (x, y) ->
+    (fx x, fy y): the identity, the x-mirror, the half turn or the y-mirror."""
+    q, half = n_phi // 4, n_phi // 2
+    j = np.arange(n_phi)
+    image = np.select([j <= q, j <= half, j <= half + q], [0, 1, 2], 3)
+    flip = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])[image]
+    return np.choose(image, [j, half - j, j - half, n_phi - j]), flip
+
+
+def _stencils(rings, dis, djs, n_phi):
+    """Unknown indices (len(rings) n_phi, len(dis) len(djs)) of the nodes
+    (i + di, j + dj), di-major, about every node (i, j) of the rings: node
+    (i, j) is 1 + (i - 1) n_phi + (j mod n_phi), and ring 0 the pole, 0."""
+    i = np.add.outer(rings, dis)[:, None, :, None]
+    j = np.mod(np.add.outer(np.arange(n_phi), djs), n_phi)[None, :, None, :]
+    return np.maximum(1 + (i - 1) * n_phi + j, 0).reshape(len(rings) * n_phi, -1)
 
 
 class BorderedPattern(NamedTuple):
@@ -103,14 +116,11 @@ class MappedGrid:
 
     @property
     def boundary_idx(self) -> np.ndarray:
-        j = np.arange(self.n_phi)
-        return np.asarray(node_index(self.n_rho, j, self.n_phi))
+        return np.arange(self.n_nodes - self.n_phi, self.n_nodes)
 
     @property
     def interior_mask(self) -> np.ndarray:
-        m = np.ones(self.n_nodes, dtype=bool)
-        m[self.boundary_idx] = False
-        return m
+        return np.arange(self.n_nodes) < self.n_nodes - self.n_phi
 
     def to_param_array(self, u: np.ndarray) -> np.ndarray:
         """Nodal vector -> (n_rho+1, n_phi) array on the parameter lattice
@@ -299,21 +309,30 @@ def _fold_defect(w, center):
 
 def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     """Construct the mapped grid with precomputed derivative operators and
-    quadrature weights.  r_b, r_b' and the polar frame are evaluated on the
-    rays j < n_phi/2; the other half takes the same r_b, r_b' and the
-    negated frame, so the lattice is exactly symmetric under the half turn."""
+    quadrature weights.  r_b, r_b' and the polar frame come from the
+    fundamental rays: a mirror flips one component of e, the other of e_t
+    and the sign of r_b'.  The symmetry needs a diagonal quadric A."""
     if n_rho < 8:
         raise ValueError(f"n_rho must be >= 8, got {n_rho}")
     if n_phi < 16 or n_phi % 2:
         raise ValueError(f"n_phi must be even and >= 16, got {n_phi}")
+    a = domain.quadric()[1]
+    if a[0, 1] or a[1, 0]:
+        raise ValueError(f"the grid's mirror images need a diagonal quadric, got {a.tolist()}")
 
     rho = np.linspace(0.0, 1.0, n_rho + 1)
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    rays = phi[:n_phi // 2]
-    r_b = np.tile(domain.boundary_radius(rays), 2)
-    r_b_prime = np.tile(domain.boundary_radius_deriv(rays), 2)
+    q = n_phi // 4
+    rays = phi[:q + 1]
     e, e_t = polar_frame(rays)
-    e, e_t = np.concatenate([e, -e]), np.concatenate([e_t, -e_t])
+    r_b_prime = domain.boundary_radius_deriv(rays)
+    if n_phi % 4 == 0:  # cos(pi/2) is 6e-17
+        e[q], e_t[q], r_b_prime[q] = (0.0, 1.0), (-1.0, 0.0), 0.0
+    source, flip = _ray_images(n_phi)
+    orientation = flip[:, 0] * flip[:, 1]  # -1 on the mirrors
+    r_b = domain.boundary_radius(rays)[source]
+    r_b_prime = orientation * r_b_prime[source]
+    e, e_t = flip * e[source], orientation[:, None] * flip * e_t[source]
 
     # node positions relative to the peak, which the fits use
     n_nodes = 1 + n_rho * n_phi
@@ -325,10 +344,8 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     # trapezoid in phi; pole weight is zero since the integrand vanishes there
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
-    w = np.zeros(n_nodes)
-    for i in range(1, n_rho + 1):
-        frac = 0.5 if i == n_rho else 1.0
-        w[1 + (i - 1) * n_phi: 1 + i * n_phi] = frac * rho[i] * r_b ** 2 * drho * dphi
+    frac = np.append(np.ones(n_rho - 1), 0.5)
+    w = np.append(0.0, (frac * rho[1:])[:, None] * r_b ** 2 * drho * dphi)
     boundary_weights = np.sqrt(r_b ** 2 + r_b_prime ** 2) * dphi
 
     ops = _build_derivative_ops(pos, e, n_rho, n_phi)
@@ -378,7 +395,6 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     per-column differences respond to them at full strength.
     """
     n_nodes = 1 + n_rho * n_phi
-    j = np.arange(n_phi)
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
 
@@ -387,97 +403,93 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     x_rho = r_b[:, None] * e
     x_phi = r_b_prime[:, None] * e + r_b[:, None] * e_t
     det = r_b ** 2
-    jinv_t = np.empty((n_phi, 2, 2))
-    jinv_t[:, 0, 0] = x_phi[:, 1] / det
-    jinv_t[:, 0, 1] = -x_rho[:, 1] / det
-    jinv_t[:, 1, 0] = -x_phi[:, 0] / det
-    jinv_t[:, 1, 1] = x_rho[:, 0] / det
+    jinv_t = np.stack([x_phi[:, 1], -x_rho[:, 1], -x_phi[:, 0], x_rho[:, 0]],
+                      axis=1).reshape(n_phi, 2, 2) / det[:, None, None]
 
     # radial: f'(rho=1) ~ (-1/3 f_{n-3} + 3/2 f_{n-2} - 3 f_{n-1} + 11/6 f_n)/drho
-    rad_st = [n_rho - 3, n_rho - 2, n_rho - 1, n_rho]
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
     # tangential: 4th-order centered along the periodic ring
-    tan_st = [-2, -1, 1, 2]
     tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dphi)
 
-    cols = np.stack([node_index(si, j, n_phi) for si in rad_st]
-                    + [node_index(n_rho, j + dj, n_phi) for dj in tan_st], axis=1)
+    # column 3 is the node itself
+    cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
+                           _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
     # (n_phi, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
     return _on_one_pattern(['bx', 'by'], [w[:, 0].ravel(), w[:, 1].ravel()],
-                           np.repeat(node_index(n_rho, j, n_phi), 8), cols.ravel(),
-                           n_nodes)
+                           np.repeat(cols[:, 3], 8), cols.ravel(), n_nodes)
 
 
 def _build_derivative_ops(pos, e, n_rho, n_phi):
     """dx, dy, dxx, dxy, dyy from fits in the node positions pos relative to
-    the peak, in the rays' radial frames e.  pos and e are exactly odd under
-    the half turn, so the image of a node's fit sees the same scaled-frame
-    offsets: its weights are copied with the gradient rows negated."""
+    the peak, in the rays' radial frames e.  pos and e are exact images of
+    the fundamental rays', so only those are fitted: the row of an image
+    node is its source row times the image's parity per operator, and entry
+    (di, dj) of a mirror image is entry (di, -dj) of its source."""
     n_nodes = 1 + n_rho * n_phi
-    half = n_phi // 2
-    sign = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None]  # half-turn parity per row
+    n_fit = n_phi // 4 + 1
+    source, flip = _ray_images(n_phi)
     rows, cols, vals = [], [], []
 
+    def parity(fx, fy):  # of (dx, dy, dxx, dxy, dyy) under (x, y) -> (fx x, fy y)
+        return np.stack(np.broadcast_arrays(fx, fy, 1.0, fx * fy, 1.0), axis=-1)
+
     def add_group(center_idx, stencil_idx, weights):
-        # center_idx (G,), stencil_idx (G, m), weights (G, 5, m)
+        # center_idx (G,), stencil_idx (G, m), weights (5, G, m)
         rows.append(np.repeat(center_idx, stencil_idx.shape[1]))
         cols.append(stencil_idx.ravel())
-        vals.append(np.swapaxes(weights, 0, 1).reshape(5, -1))
+        vals.append(weights.reshape(5, -1))
 
-    def add_rings(center_idx, stencil_idx, fit):
-        # center_idx (K n_phi,) and stencil_idx (K n_phi, m) run ring by
-        # ring over K whole rings; fit(offsets, radial) weighs the first
-        # half of each ring, and the second half takes their images
-        m = stencil_idx.shape[1]
-        c = center_idx.reshape(-1, n_phi)[:, :half].ravel()
-        s = stencil_idx.reshape(-1, n_phi, m)[:, :half].reshape(-1, m)
-        k = len(c) // half
-        w = fit(pos[s] - pos[c][:, None, :], np.tile(e[:half], (k, 1)))
-        w = w.reshape(k, 1, half, 5, m)
-        add_group(center_idx, stencil_idx,
-                  np.concatenate([w, w * sign], axis=1).reshape(-1, 5, m))
+    def symmetrized(w, entry_image, fx, fy):
+        # w (..., 5, m) averaged with its image, entry k from entry_image[k]
+        return 0.5 * (w + parity(fx, fy)[:, None] * w[..., entry_image])
 
-    j = np.arange(n_phi)
+    def add_rings(rings, dis, djs, fit):
+        # fit(offsets, radial) weighs the fundamental rays' blocks (di, dj)
+        stencil = _stencils(rings, dis, djs, n_phi)
+        k, m = len(rings), stencil.shape[1]
+        mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
+        s = stencil.reshape(k, n_phi, m)[:, :n_fit].reshape(-1, m)
+        w = fit(pos[s] - pos[s[:, mid, None]], np.tile(e[:n_fit], (k, 1))).reshape(k, n_fit, 5, m)
+        reverse = np.arange(m).reshape(len(dis), len(djs))[:, ::-1].ravel()
+        # their own images: ray 0 under the y-mirror, n_phi/4 under the x-mirror
+        for ray, f in [(0, (1.0, -1.0))] + [(n_fit - 1, (-1.0, 1.0))] * (n_phi % 4 == 0):
+            w[:, ray] = _fold_defect(symmetrized(w[:, ray], reverse, *f), mid)
+        # ray j takes its source ray's entries, reversed under a mirror
+        order = np.where(flip[:, :1] * flip[:, 1:] < 0, reverse, np.arange(m))
+        w = np.take(np.moveaxis(w, 2, 0).reshape(5, k, n_fit * m),
+                    (source[:, None] * m + order).ravel(), axis=2).reshape(5, k, n_phi, m)
+        w *= parity(*flip.T).T[:, None, :, None]
+        add_group(stencil[:, mid], stencil, w)
 
     # pole: one fit over the first two rings plus the pole itself, nodes 0
     # .. 2 n_phi; the rings are centrally symmetric, so plain quadratic
-    # suffices.  Averaged with its half-turn image, the row is exactly
-    # symmetric too.
+    # suffices.  Averaged with its y-mirror image and the result with its
+    # x-mirror image, the row is exactly symmetric under all three images.
     pole_stencil = np.arange(1 + 2 * n_phi)
-    image = np.concatenate([[0], np.roll(pole_stencil[1:].reshape(2, n_phi), -half,
-                                         axis=1).ravel()])
     w = _lsq_weights(pos[None, pole_stencil], np.array([[1.0, 0.0]]), cubic=False, center=0)
-    add_group(np.array([0]), pole_stencil[None, :],
-              _fold_defect(0.5 * (w + sign * w[..., image]), center=0))
+    j = np.arange(n_phi)
+    for ray, f in ((-j, (1.0, -1.0)), (n_phi // 2 - j, (-1.0, 1.0))):
+        w = symmetrized(w, np.append(0, 1 + np.mod(ray, n_phi) + [[0], [n_phi]]), *f)
+    add_group(np.array([0]), pole_stencil[None, :], np.swapaxes(_fold_defect(w, center=0), 0, 1))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
     # into one pattern entry) x 5 angular columns, with the full cubic
     # basis in the rotated frame
-    ring1 = np.asarray(node_index(1, j, n_phi))
-    idx1 = np.stack([node_index(si, j + dj, n_phi)
-                     for si in range(0, 5) for dj in (-2, -1, 0, 1, 2)], axis=1)
-    add_rings(ring1, idx1, partial(_lsq_weights, cubic=True, center=1 * 5 + 2))
+    add_rings([1], range(-1, 4), range(-2, 3), partial(_lsq_weights, cubic=True, center=1 * 5 + 2))
 
     # interior rings, all in one group: centered 3x3 blocks with the
     # interpolatory biquadratic tensor basis (second-order Hessians; the
     # basis covers the cross terms induced by the fanned arc spacing)
-    i, jj = np.repeat(np.arange(2, n_rho), n_phi), np.tile(j, n_rho - 2)
-    inner = np.asarray(node_index(i, jj, n_phi))
-    idx = np.stack([node_index(i + di, jj + dj, n_phi)
-                    for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
-    add_rings(inner, idx, _interior_weights)
+    add_rings(np.arange(2, n_rho), range(-1, 2), range(-1, 2), _interior_weights)
 
     # boundary ring (recovery for export/diagnostics; the gradient-image
     # condition rows use the mapped per-column operators instead): one-sided
     # 4x5 blocks with the full cubic basis
-    ring_b = np.asarray(node_index(n_rho, j, n_phi))
-    idxb = np.stack([node_index(n_rho + di, j + dj, n_phi)
-                     for di in (-3, -2, -1, 0) for dj in (-2, -1, 0, 1, 2)],
-                    axis=1)
-    add_rings(ring_b, idxb, partial(_lsq_weights, cubic=True, center=3 * 5 + 2))
+    add_rings([n_rho], range(-3, 1), range(-2, 3),
+              partial(_lsq_weights, cubic=True, center=3 * 5 + 2))
 
     return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'],
                            list(np.concatenate(vals, axis=1)),

@@ -4,9 +4,9 @@ for the curvature kernel, finite-difference oracles for the pointwise
 operator derivatives, a Hypothesis strategy of quadric domains, a field's
 Newton state, the quadric concavity and gradient-band oracles, the sampled
 auto_t_min reference, a sparse-matrix dump, a grid's truncation scale, the
-pseudo-inverse references of the interior and the least-squares fits, the
-isotropic quadratic seed, the direct reference of the Newton linear solve,
-and the radial ODE oracle."""
+lattice's unknown layout, the pseudo-inverse references of the interior and
+the least-squares fits, the isotropic quadratic seed, the direct reference
+of the Newton linear solve, and the radial ODE oracle."""
 
 from dataclasses import dataclass
 
@@ -269,8 +269,9 @@ def _pinv_fit(grid, rows, cols, phi, extra):
                         'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}
 
 
-def _lattice_index(grid, i, j):
-    """Unknown index of lattice node (i, j), the pole for i = 0."""
+def lattice_index(grid, i, j):
+    """Unknown index of lattice node (i, j), 1 + (i - 1) n_phi + (j mod n_phi),
+    and 0 (the pole) for i = 0."""
     i, j = np.broadcast_arrays(i, j)
     return np.where(i == 0, 0, 1 + (i - 1) * grid.n_phi + np.mod(j, grid.n_phi))
 
@@ -289,9 +290,9 @@ def interior_fit_oracle(grid):
     n_rho, n_phi = grid.n_rho, grid.n_phi
     i = np.repeat(np.arange(2, n_rho), n_phi)
     j = np.tile(np.arange(n_phi), n_rho - 2)
-    cols = np.stack([_lattice_index(grid, i + di, j + dj)
+    cols = np.stack([lattice_index(grid, i + di, j + dj)
                      for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=1)
-    return _pinv_fit(grid, _lattice_index(grid, i, j), cols, grid.phi[j],
+    return _pinv_fit(grid, lattice_index(grid, i, j), cols, grid.phi[j],
                      lambda x, y: (x * x * y, x * y * y, x * x * y * y))
 
 
@@ -312,18 +313,18 @@ def lsq_fit_oracle(grid):
     """
     n_rho, n_phi = grid.n_rho, grid.n_phi
     j = np.arange(n_phi)
-    pole = np.concatenate([[0], _lattice_index(grid, 1, j), _lattice_index(grid, 2, j)])
-    ring1 = np.stack([_lattice_index(grid, si, j + dj)
+    pole = np.concatenate([[0], lattice_index(grid, 1, j), lattice_index(grid, 2, j)])
+    ring1 = np.stack([lattice_index(grid, si, j + dj)
                       for si in range(5) for dj in (-2, -1, 0, 1, 2)], axis=1)
-    ring_b = np.stack([_lattice_index(grid, n_rho + di, j + dj)
+    ring_b = np.stack([lattice_index(grid, n_rho + di, j + dj)
                        for di in (-3, -2, -1, 0) for dj in (-2, -1, 0, 1, 2)], axis=1)
 
     def cubic(x, y):
         return x ** 3, x * x * y, x * y * y, y ** 3
 
     return [_pinv_fit(grid, np.array([0]), pole[None, :], np.zeros(1), lambda x, y: ()),
-            _pinv_fit(grid, _lattice_index(grid, 1, j), ring1, grid.phi, cubic),
-            _pinv_fit(grid, _lattice_index(grid, n_rho, j), ring_b, grid.phi, cubic)]
+            _pinv_fit(grid, lattice_index(grid, 1, j), ring1, grid.phi, cubic),
+            _pinv_fit(grid, lattice_index(grid, n_rho, j), ring_b, grid.phi, cubic)]
 
 
 def isotropic_seed(spec):

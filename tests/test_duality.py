@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import NdBSpline, make_interp_spline
+from scipy.spatial import cKDTree
 
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       SolutionField, build_grid, duality)
@@ -51,6 +52,57 @@ class TestLegendreTransform:
         y = build_grid(Ball((0, 0), 0.4), 32, 64).nodes
         x, gaps = duality.invert_gradient(interp, y)
         assert np.array_equal(gaps, np.linalg.norm(interp.gradient(x) - y, axis=-1))
+
+    def test_nodal_start_is_closer_than_the_nearest_node(self, ci_instances):
+        _, fld, _ = ci_instances["ellipse_ball"]
+        interp = FieldInterpolant(fld)
+        y = build_grid(Ball((0, 0), 0.4), 32, 64).nodes
+        nodes = fld.grid.nodes
+        nearest = nodes[cKDTree(interp.gradient(nodes)).query(y)[1]]
+        start = duality._nodal_start(interp, y)
+
+        def worst(x):
+            return np.max(np.linalg.norm(interp.gradient(x) - y, axis=-1))
+
+        assert worst(start) <= 0.05 * worst(nearest)
+
+    def test_nodal_start_keeps_the_points(self, ci_instances, monkeypatch):
+        # reference: the damped Newton run from the node whose spline
+        # gradient is nearest each target
+        _, fld, _ = ci_instances["ellipse_ball"]
+        interp = FieldInterpolant(fld)
+        y = build_grid(Ball((0, 0), 0.4), 32, 64).nodes
+        x, _ = duality.invert_gradient(interp, y)
+
+        def nearest_node(interp, targets):
+            nodes = interp.grid.nodes
+            return nodes[cKDTree(interp.gradient(nodes)).query(targets)[1]]
+
+        monkeypatch.setattr(duality, "_nodal_start", nearest_node)
+        x_ref, _ = duality.invert_gradient(interp, y)
+        assert np.max(np.abs(x - x_ref)) <= 1e-10
+
+    # Du = -x sends the disc onto itself, so the targets past rho_max cannot
+    # be reached; x^3/3 + y^2/2 has no gradient with a negative first
+    # component.  Neither has a positive definite Hessian at every node.
+    @pytest.mark.parametrize("u, target", [
+        (lambda x: -0.5 * np.sum(x ** 2, axis=-1), Ball((0, 0), 1.5)),
+        (lambda x: x[:, 0] ** 3 / 3 + 0.5 * x[:, 1] ** 2, Ball((0, 0), 0.5))])
+    def test_non_convex_field_fails_inversion(self, u, target):
+        grid = build_grid(Ball((0, 0), 1.0), 16, 32)
+        fld = SolutionField(grid, grid.mean_zero(u(grid.nodes)), 1.0, MINK)
+        dual_grid = build_grid(target, 16, 32)
+        y = dual_grid.nodes
+        # a target whose nearest node's Hessian is clearly indefinite or
+        # negative definite starts at that node
+        interp = FieldInterpolant(fld)
+        k = cKDTree(interp.nodal_du).query(y)[1]
+        h = interp.nodal_d2u[k]
+        bad = (h[:, 0, 0] < -1e-8) | (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2 < -1e-8)
+        assert np.any(bad)
+        assert np.array_equal(duality._nodal_start(interp, y)[bad], grid.nodes[k[bad]])
+        with pytest.raises(InversionFailure):
+            legendre_transform(fld, dual_grid)
 
     def test_involution_on_radial(self, radial_32):
         spec, fld, _ = radial_32

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcsolve import Ball, Ellipse, ModelKind, SolutionField, build_grid, transfer_field
-from helpers import interior_fit_oracle, lsq_fit_oracle, quadric_domains
+from cmcsolve.grid import _stencils
+from helpers import interior_fit_oracle, lattice_index, lsq_fit_oracle, quadric_domains
 
 
 def derivative_errors(domain, n_rho, n_phi):
@@ -154,22 +155,45 @@ def test_constants_cancel_exactly_on_any_domain(dom):
 
 @settings(max_examples=40, deadline=None)
 @given(dom=quadric_domains(), n_phi=st.sampled_from([16, 18]))
-def test_half_turn_symmetry(dom, n_phi):
-    # T sends node (i, j) to (i, j + n_phi/2) and the pole to itself
+def test_mirror_and_half_turn_symmetry(dom, n_phi):
+    # each image sends node (i, j) to (i, ray[j]) and the pole to itself,
+    # and (x, y) to (fx x, fy y)
     g = build_grid(dom, 8, n_phi)
-    half = n_phi // 2
-    t = np.concatenate([[0], np.roll(np.arange(1, g.n_nodes).reshape(8, n_phi), -half,
-                                     axis=1).ravel()])
-    for a in (g.r_b, g.r_b_prime, g.quad_weights[1:].reshape(8, n_phi), g.boundary_weights):
-        assert np.array_equal(a[..., :half], a[..., half:])
-    for name, op in g.ops.items():
-        sign = -1.0 if name in ('dx', 'dy', 'bx', 'by') else 1.0
-        assert np.array_equal(op[t][:, t].toarray(), sign * op.toarray()), name
-
     centred = build_grid(replace(dom, center=(0.0, 0.0)), 8, n_phi)
-    assert np.array_equal(centred.nodes[t], -centred.nodes)
+    j = np.arange(n_phi)
+    for ray, fx, fy in [(n_phi // 2 - j, -1.0, 1.0), (j + n_phi // 2, -1.0, -1.0),
+                        (-j, 1.0, -1.0)]:
+        ray = np.mod(ray, n_phi)
+        t = np.concatenate([[0], np.arange(1, g.n_nodes).reshape(8, n_phi)[:, ray].ravel()])
+        for a in (g.r_b, g.quad_weights[1:].reshape(8, n_phi), g.boundary_weights):
+            assert np.array_equal(a[..., ray], a)
+        assert np.array_equal(g.r_b_prime[ray], fx * fy * g.r_b_prime)
+        parity = {'dx': fx, 'dy': fy, 'dxx': 1.0, 'dxy': fx * fy, 'dyy': 1.0,
+                  'bx': fx, 'by': fy}
+        for name, op in g.ops.items():
+            assert np.array_equal(op[t][:, t].toarray(), parity[name] * op.toarray()), name
+        assert np.array_equal(centred.nodes[t], centred.nodes * [fx, fy])
     for name, op in g.ops.items():  # the fits do not see where the domain sits
         assert np.array_equal(op.data, centred.ops[name].data), name
+
+
+@pytest.mark.parametrize("n_phi", [16, 18])
+def test_stencil_layout(n_phi):
+    g = build_grid(Ball((0, 0), 1.0), 8, n_phi)
+    i, j = np.repeat(np.arange(1, 9), n_phi), np.tile(np.arange(n_phi), 8)
+    dis, djs = (-1, 0), (-2, -1, 0, 1, 2, n_phi + 1)
+    expected = np.stack([lattice_index(g, i + di, j + dj) for di in dis for dj in djs], axis=1)
+    assert np.array_equal(_stencils(np.arange(1, 9), dis, djs, n_phi), expected)
+    assert np.array_equal(g.boundary_idx, lattice_index(g, 8, np.arange(n_phi)))
+
+
+def test_rotated_quadric_rejected():
+    class Rotated(Ball):
+        def quadric(self):
+            return np.zeros(2), np.array([[1.0, 0.2], [0.2, 1.0]])
+
+    with pytest.raises(ValueError, match="diagonal quadric"):
+        build_grid(Rotated((0, 0), 1.0), 8, 16)
 
 
 class TestQuadrature:
