@@ -356,28 +356,20 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
                       boundary_weights=boundary_weights, ops=ops)
 
 
-def _on_one_pattern(names, vals, rows, cols, n):
-    """CSR operators with the given values on one (row, col) list, sharing
-    one indptr/indices pair: one pattern, one coefficient set per name.
-
-    The list is sorted once; each value array is then summed onto the sorted
-    unique keys (duplicates summed in list order, explicit zeros kept).  The
-    callers list each node's stencil as one run, in node order, and each
-    stencil nearly column-ordered, so the stable (run-merging) sort finds the
-    list almost sorted.
+def _on_one_pattern(names, groups, n):
+    """CSR operators sharing one indptr/indices pair: one pattern, one
+    coefficient set per name.  groups are (stencil (G, m), weights
+    (len(names), G, m)) pairs, one stencil row per node, in node order
+    through the last node; a row lists its unknowns once each, in
+    increasing order (explicit zeros are kept).
     """
-    keys = rows.astype(np.int64) * n + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    distinct = np.empty(len(keys), dtype=bool)
-    distinct[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    slot = np.cumsum(distinct) - 1
-    keys = keys[distinct]
-    first = sp.csr_matrix((np.bincount(slot, vals[0][order], len(keys)), cols[order][distinct],
-                           np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
-    return {name: sp.csr_matrix((np.bincount(slot, v[order], len(keys)), first.indices,
-                                 first.indptr), shape=(n, n))
+    sizes = np.concatenate([np.full(len(stencil), stencil.shape[1]) for stencil, _ in groups])
+    indptr = np.append(np.zeros(n + 1 - len(sizes), dtype=int), np.cumsum(sizes))
+    # + 0.0: mirrored zero weights are -0.0
+    vals = np.concatenate([w.reshape(len(names), -1) for _, w in groups], axis=1) + 0.0
+    first = sp.csr_matrix((vals[0], np.concatenate([stencil.ravel() for stencil, _ in groups]),
+                           indptr), shape=(n, n))
+    return {name: sp.csr_matrix((v, first.indices, first.indptr), shape=(n, n))
             for name, v in zip(names, vals)}
 
 
@@ -417,8 +409,9 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     # (n_phi, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
-    return _on_one_pattern(['bx', 'by'], [w[:, 0].ravel(), w[:, 1].ravel()],
-                           np.repeat(cols[:, 3], 8), cols.ravel(), n_nodes)
+    order = np.argsort(cols, axis=1)   # each row in column order
+    w = np.take_along_axis(np.swapaxes(w, 0, 1), order[None], axis=2)
+    return _on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)], n_nodes)
 
 
 def _build_derivative_ops(pos, e, n_rho, n_phi):
@@ -430,16 +423,10 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
     n_nodes = 1 + n_rho * n_phi
     n_fit = n_phi // 4 + 1
     source, flip = _ray_images(n_phi)
-    rows, cols, vals = [], [], []
+    groups = []   # (stencil (G, m), weights (5, G, m)), in node order
 
     def parity(fx, fy):  # of (dx, dy, dxx, dxy, dyy) under (x, y) -> (fx x, fy y)
         return np.stack(np.broadcast_arrays(fx, fy, 1.0, fx * fy, 1.0), axis=-1)
-
-    def add_group(center_idx, stencil_idx, weights):
-        # center_idx (G,), stencil_idx (G, m), weights (5, G, m)
-        rows.append(np.repeat(center_idx, stencil_idx.shape[1]))
-        cols.append(stencil_idx.ravel())
-        vals.append(weights.reshape(5, -1))
 
     def symmetrized(w, entry_image, fx, fy):
         # w (..., 5, m) averaged with its image, entry k from entry_image[k]
@@ -456,12 +443,21 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
         # their own images: ray 0 under the y-mirror, n_phi/4 under the x-mirror
         for ray, f in [(0, (1.0, -1.0))] + [(n_fit - 1, (-1.0, 1.0))] * (n_phi % 4 == 0):
             w[:, ray] = _fold_defect(symmetrized(w[:, ray], reverse, *f), mid)
-        # ray j takes its source ray's entries, reversed under a mirror
-        order = np.where(flip[:, :1] * flip[:, 1:] < 0, reverse, np.arange(m))
+        # ray j takes its source ray's entries, reversed under a mirror, in
+        # the column order of its stencil, which depends only on j (the pole
+        # entries of ring 1 first, in stencil order)
+        by_col = np.argsort(stencil[:n_phi], axis=1, kind="stable")
+        order = np.take_along_axis(np.where(flip[:, :1] * flip[:, 1:] < 0, reverse, np.arange(m)),
+                                   by_col, axis=1)
         w = np.take(np.moveaxis(w, 2, 0).reshape(5, k, n_fit * m),
                     (source[:, None] * m + order).ravel(), axis=2).reshape(5, k, n_phi, m)
         w *= parity(*flip.T).T[:, None, :, None]
-        add_group(stencil[:, mid], stencil, w)
+        stencil = np.take_along_axis(stencil, np.tile(by_col, (k, 1)), axis=1)
+        if rings[0] + dis[0] == 0:   # station 0 is the pole: its entries summed into one
+            w = np.concatenate([sum(np.moveaxis(w[..., :len(djs)], -1, 0))[..., None],
+                                w[..., len(djs):]], axis=-1)
+            stencil = stencil[:, len(djs) - 1:]
+        groups.append((stencil, w.reshape(5, len(stencil), -1)))
 
     # pole: one fit over the first two rings plus the pole itself, nodes 0
     # .. 2 n_phi; the rings are centrally symmetric, so plain quadratic
@@ -472,7 +468,7 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
     j = np.arange(n_phi)
     for ray, f in ((-j, (1.0, -1.0)), (n_phi // 2 - j, (-1.0, 1.0))):
         w = symmetrized(w, np.append(0, 1 + np.mod(ray, n_phi) + [[0], [n_phi]]), *f)
-    add_group(np.array([0]), pole_stencil[None, :], np.swapaxes(_fold_defect(w, center=0), 0, 1))
+    groups.append((pole_stencil[None, :], np.swapaxes(_fold_defect(w, center=0), 0, 1)))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
@@ -491,9 +487,7 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
     add_rings([n_rho], range(-3, 1), range(-2, 3),
               partial(_lsq_weights, cubic=True, center=3 * 5 + 2))
 
-    return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'],
-                           list(np.concatenate(vals, axis=1)),
-                           np.concatenate(rows), np.concatenate(cols), n_nodes)
+    return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'], groups, n_nodes)
 
 
 @dataclass

@@ -7,28 +7,45 @@ invariants of the iteration, not posterior checks.  Steps are damped by
 backtracking with an Armijo decrease condition on the residual 2-norm.
 
 The first Newton system of a walk (or of a solve handed no factor) is
-solved by a direct sparse LU (SuperLU) after scaling every row by its
-largest magnitude, which puts the curvature rows, the boundary h(Du) rows
-and the quadrature-weighted mean-zero row on one scale.
-The system has a dense border: the mean-zero row and the c column touch every
-node.  SuperLU's default column ordering (COLAMD on A^T A) joins all columns
-through that dense row and fills in badly, so the columns are ordered by
-minimum degree on the symmetric pattern A + A^T, where the border costs one
-dense row and column of the factor.  That ordering plans for diagonal
-pivots, and the pivot threshold 1e-3 keeps them: a diagonal entry is taken
-unless it is below 1e-3 of its column's largest (the small
-diagonal-preference tolerance of UMFPACK's symmetric strategy, Davis 2004).
-The corner entry of the border (the mean-zero row at the c column) is zero,
-so off-diagonal pivots stay allowed; on the concentric-ball system two are
-taken, at the c column and at one boundary node.  The threshold 0.1 took 16
-at 64 x 128 (at the pole, on the first two rings, near the boundary and at
-the border), and they spoilt the plan: the L+U fill was 183 k, 1.07 M and
-5.97 M at 32 x 64, 64 x 128 and 128 x 256, against 122 k, 596 k and 3.05 M
-at 1e-3.  Looser pivoting can leave a direct solve less accurate, so where
-a target is given the direct direction is held to the bound GMRES meets
-(below) by one step of iterative refinement on the same factor.  A failed
-factorization or a non-finite residual or direction ends the solve in
-NonConvergence.
+solved directly after scaling every row by its largest magnitude, which
+puts the curvature rows, the boundary h(Du) rows and the
+quadrature-weighted mean-zero row on one scale.  The node block K of the
+system (the N x N Jacobian of the node rows in u) sends constants to zero:
+every recovery and boundary-gradient row cancels a constant exactly, as u
+is determined only up to one.  The c column g and the mean-zero row w
+border K to make the (N+1)-system nonsingular, and that border is dense.
+So SuperLU factors only K^ = K + e_j e_j^T, and a solve of the bordered
+system is one triangular solve with K^ and a 2 x 2 step for (x_j, c), by
+block elimination (Keller's bordering algorithm, 1977): with z_j = K^-1 e_j
+(the constant vector, up to roundoff) and z_g = K^-1 g from one two-column
+solve per factor, a right-hand side (r, s) gives z = K^-1 r, then (a, gamma)
+from
+
+  (1 - z_j[j]) a + z_g[j] gamma = z[j],
+  (w^T z_j) a - (w^T z_g) gamma = s - w^T z,
+
+and x = z + a z_j - gamma z_g, with c-component gamma.  K^ is nonsingular
+and the 2 x 2 regular when K's left null vector y has y_j != 0 (then
+z_g[j] = y^T g / y_j).  j = N // 2 is a node at mid radius, an interior
+node whose (j, j) entry is in the pattern; on a test panel of four pairs
+(concentric balls at 64 x 128, a thin ellipse to a ball, a Euclidean
+ellipse pair and the dual operator) the directions agree with a plain LU
+of the whole bordered matrix to 5e-12 relative.  The columns of K^ are
+ordered by minimum degree on the symmetric pattern K^ + K^T, and that
+ordering plans for diagonal pivots, which the pivot threshold 1e-3 keeps: a
+diagonal entry is taken unless it is below 1e-3 of its column's largest
+(the small diagonal-preference tolerance of UMFPACK's symmetric strategy,
+Davis 2004).  On the concentric-ball system two others are taken, at the
+pivot node j and its outward neighbour.  The L+U fill is 118 k, 580 k and
+2.81 M at 32 x 64, 64 x 128 and 128 x 256; the whole bordered matrix's
+factor, under the same ordering and threshold, filled 122 k, 596 k and
+3.05 M, and the threshold 0.1 took 16 off-diagonal pivots there and filled
+183 k, 1.07 M and 5.97 M.  Looser pivoting can leave a direct solve less
+accurate, so where a target is given the direct direction is held to the
+bound GMRES meets (below) by one step of iterative refinement, against the
+full bordered Jacobian, on the same factor.  A failed factorization, a
+2 x 2 that is singular or not finite, or a non-finite residual or direction
+ends the solve in NonConvergence.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -74,6 +91,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,10 +153,11 @@ class NewtonInfo:
     # fresh factors made because GMRES on a given one missed its tolerance
     # or returned a non-finite vector
     krylov_misses: int = 0
-    # largest L + U entry count of the factors the solve made, 0 if none
+    # largest L + U entry count of the N x N SuperLU factors the solve made,
+    # 0 if none
     lu_fill: int = 0
-    # (SuperLU factor, row scale) the solve ended with, which a later solve
-    # on the same grid may reuse
+    # (BorderedLU, row scale) the solve ended with, which a later solve on
+    # the same grid may reuse
     factor: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -159,6 +178,10 @@ class HomotopyState:
 # gives the reasons for both
 LU_ORDERING = "MMD_AT_PLUS_A"
 LU_PIVOT_THRESH = 1e-3
+# the bordering step's 2 x 2 counts as singular when its determinant, the
+# difference of two products, is below this fraction of their magnitudes:
+# there it is roundoff
+BORDER_DET_RTOL = 1e-12
 
 
 def _exponent(v: np.ndarray) -> int:
@@ -177,20 +200,81 @@ def _norm2(v: np.ndarray) -> float:
         return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
 
+class BorderedLU(NamedTuple):
+    """Solves of the row-scaled bordered system [K g; w^T 0] (x, gamma) =
+    (r, s) through lu, the SuperLU factor of K + e_j e_j^T, and z = lu's
+    solves of (e_j, g) as two columns: with y = lu.solve(r), the pair
+    (a, gamma) = inverse (y[j], s - w^T y) makes x = y + a z[:, 0] -
+    gamma z[:, 1] (see the module docstring)."""
+
+    lu: object
+    j: int
+    w: np.ndarray
+    z: np.ndarray
+    inverse: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(rhs[:-1])
+        a, gamma = self.inverse @ (y[self.j], rhs[-1] - self.w @ y)
+        return np.append(y + self.z @ (a, -gamma), gamma)
+
+
+def _node_block(jac: sp.csr_matrix, row_max: np.ndarray):
+    """(K^, g, w, j) of jac = [K g; w^T 0] with every row scaled by 1 /
+    row_max: the node block K^ = K + e_j e_j^T in CSC form, the c column g,
+    the mean-zero row w and the pivot node j = N // 2, a node at mid radius
+    (see the module docstring).
+
+    jac is assembly.jacobian's bordered matrix, whose rows have sorted
+    columns: an interior node row ends in its c column entry, a boundary
+    row has none, and the last row is the mean-zero row.  K, g and w are
+    read off by that index arithmetic.
+    """
+    n = jac.shape[0] - 1
+    ptr, cols = jac.indptr, jac.indices
+    data = jac.data * np.repeat(1.0 / row_max, np.diff(ptr))
+    last = ptr[1:-1] - 1            # each node row's last entry
+    bordered = cols[last] == n      # the interior rows, ending in c
+    g = np.where(bordered, data[last], 0.0)
+    w = np.zeros(n)
+    w[cols[ptr[n]:]] = data[ptr[n]:]
+    keep = np.ones(ptr[n], dtype=bool)
+    keep[last[bordered]] = False
+    k_ptr = ptr[:-1] - np.append(0, np.cumsum(bordered))
+    k_data, k_cols = data[:ptr[n]][keep], cols[:ptr[n]][keep]
+    j = n // 2
+    jj = k_ptr[j] + np.searchsorted(k_cols[k_ptr[j]:k_ptr[j + 1]], j)
+    if jj == k_ptr[j + 1] or k_cols[jj] != j:   # an exact zero, eliminated
+        k_data, k_cols = np.insert(k_data, jj, 0.0), np.insert(k_cols, jj, j)
+        k_ptr[j + 1:] += 1
+    k_data[jj] += 1.0
+    return sp.csr_matrix((k_data, k_cols, k_ptr), shape=(n, n)).tocsc(), g, w, j
+
+
 def _factor(jac: sp.csr_matrix):
-    """SuperLU factor of jac with every row scaled by its largest magnitude:
-    (factor, row scale)."""
+    """BorderedLU of jac with every row scaled by its largest magnitude:
+    (factor, row scale).  Raises RuntimeError when SuperLU finds the node
+    block singular or the bordering step's 2 x 2 is singular or not
+    finite."""
     row_max = np.asarray(abs(jac).max(axis=1).todense()).ravel()
     row_max[row_max == 0] = 1.0
-    scale = sp.diags(1.0 / row_max)
-    lu = splu((scale @ jac).tocsc(), permc_spec=LU_ORDERING,
-              diag_pivot_thresh=LU_PIVOT_THRESH)
-    return lu, row_max
+    k_hat, g, w, j = _node_block(jac, row_max)
+    lu = splu(k_hat, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESH)
+    unit = np.zeros(len(g))
+    unit[j] = 1.0
+    z = lu.solve(np.stack([unit, g], axis=1))
+    m = np.array([[1.0 - z[j, 0], z[j, 1]], [w @ z[:, 0], -(w @ z[:, 1])]])
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    # not (a > b) also refuses NaN
+    if not abs(det) > BORDER_DET_RTOL * (abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])):
+        raise RuntimeError("singular bordering step")
+    inverse = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    return BorderedLU(lu, j, w, z, inverse), row_max
 
 
 def _gmres(jac: sp.csr_matrix, rhs: np.ndarray, factor, target: float):
     """Right-preconditioned GMRES (Saad & Schultz 1986) for jac d = rhs on
-    the row scaling of factor = (SuperLU factor, row scale), on one Krylov
+    the row scaling of factor = (BorderedLU, row scale), on one Krylov
     space of at most KRYLOV_BUDGET vectors.
 
     Arnoldi orthogonalises by classical Gram-Schmidt run twice, and Givens
@@ -337,7 +421,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
                  t_label: float | None = None, factor=None):
     """Solve the discrete system by damped Newton from an admissible field.
 
-    factor is an optional (SuperLU factor, row scale) of an earlier system
+    factor is an optional (BorderedLU, row scale) of an earlier system
     on spec.grid, such as the previous homotopy step's info.factor.  Without
     one the first Newton system is factored; every other system runs GMRES
     preconditioned by the latest factor, to a tolerance tied to the stop
@@ -389,14 +473,14 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         jac = jacobian(spec, *state)
         try:
             direction, factor, krylov = _solve_linear(jac, -res, info.factor, target)
-        except RuntimeError as exc:   # SuperLU: singular factor
+        except RuntimeError as exc:   # a singular factor or bordering step
             raise failure(f"linear solve failed ({exc}) at iteration {it + 1}",
                           it, r_inf) from exc
         info.krylov_iterations += krylov
         if factor is not info.factor:
             info.factorizations += 1
             info.krylov_misses += info.factor is not None
-            info.lu_fill = max(info.lu_fill, factor[0].L.nnz + factor[0].U.nnz)
+            info.lu_fill = max(info.lu_fill, factor[0].lu.L.nnz + factor[0].lu.U.nnz)
         info.factor = factor
         if not np.all(np.isfinite(direction)):
             raise failure(f"non-finite Newton direction at iteration {it + 1}", it, r_inf)

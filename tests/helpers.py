@@ -5,10 +5,12 @@ operator derivatives, a Hypothesis strategy of quadric domains, a field's
 Newton state, the quadric concavity and gradient-band oracles, the sampled
 auto_t_min reference, a sparse-matrix dump, a grid's truncation scale, the
 lattice's unknown layout, the pseudo-inverse references of the interior and
-the least-squares fits, the isotropic quadratic seed, the direct reference
-of the Newton linear solve, and the radial ODE oracle."""
+the least-squares fits, the isotropic quadratic seed, the full-matrix LU
+reference of the Newton linear solve, a factor stand-in that makes the
+bordering step singular, and the radial ODE oracle."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -346,16 +348,32 @@ def isotropic_seed(spec):
     return fld
 
 
-def factor_every_system(jac, rhs, factor=None, target=0.0):
-    """Reference for solver._solve_linear that ignores the factor and the
-    stop target it is handed: every Newton system gets a fresh SuperLU
-    factor of its row-scaled matrix and a direct solve.  Same return shape:
-    (direction, (factor, row scale), 0 GMRES iterations)."""
+def full_lu_solve(jac, rhs):
+    """Reference of the direct Newton solve: a plain SuperLU factor of the
+    whole row-scaled bordered matrix, c column and mean-zero row included,
+    and one solve.  Returns (direction, SuperLU factor, row scale)."""
     row_max = abs(jac).max(axis=1).toarray().ravel()
     row_max[row_max == 0] = 1.0
     lu = splu((sp.diags(1.0 / row_max) @ jac).tocsc(), permc_spec=LU_ORDERING,
               diag_pivot_thresh=LU_PIVOT_THRESH)
-    return lu.solve(rhs / row_max), (lu, row_max), 0
+    return lu.solve(rhs / row_max), lu, row_max
+
+
+def factor_every_system(jac, rhs, factor=None, target=0.0):
+    """Reference for solver._solve_linear that ignores the factor and the
+    stop target it is handed: every Newton system gets full_lu_solve.  Same
+    return shape: (direction, (factor, row scale), 0 GMRES iterations), the
+    factor carrying its SuperLU object as lu, as solver.BorderedLU does."""
+    direction, lu, row_max = full_lu_solve(jac, rhs)
+    return direction, (SimpleNamespace(lu=lu, solve=lu.solve), row_max), 0
+
+
+class ZeroLU:
+    """A stand-in for a SuperLU factor whose every solve is zero, which
+    makes the bordering step's 2 x 2 [[1, 0], [0, 0]], singular."""
+
+    def solve(self, rhs):
+        return np.zeros_like(rhs)
 
 
 def ode_crosscheck(sol, steps: int = 10_000) -> float:

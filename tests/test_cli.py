@@ -18,6 +18,7 @@ from cmcsolve import cli, duality, solver
 from cmcsolve.cli import main
 from cmcsolve.config import parse_config
 from cmcsolve.fieldio import load_field, save_field
+from helpers import ZeroLU
 
 BASE_CONFIG = """
 # concentric-ball instance
@@ -185,8 +186,13 @@ class TestSolveCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_singular_factor_exit_1(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", ["singular", "singular_border"])
+    def test_singular_factor_exit_1(self, tmp_path, monkeypatch, capsys, kind):
+        # SuperLU finds the node block singular, or its solves make the
+        # bordering step's 2 x 2 singular
         def singular_splu(*args, **kwargs):
+            if kind == "singular_border":
+                return ZeroLU()
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(solver, "splu", singular_splu)
@@ -194,9 +200,10 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        reason = ("Factor is exactly singular" if kind == "singular"
+                  else "singular bordering step")
         assert err.strip().splitlines() == [
-            "non-convergence: linear solve failed (Factor is exactly singular)"
-            " at iteration 1"]
+            f"non-convergence: linear solve failed ({reason}) at iteration 1"]
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert not summary["converged"]
         # a failed run's entry has a converged run's keys: the failed

@@ -151,6 +151,9 @@ def test_constants_cancel_exactly_on_any_domain(dom):
     ones = np.ones(g.n_nodes)
     for name, op in g.ops.items():
         assert np.all(op @ ones == 0.0), name
+        # each row's columns increasing, none twice, as the bordered
+        # Jacobian's factor reads them (its c entry last)
+        assert op.has_canonical_format, name
 
 
 @settings(max_examples=40, deadline=None)

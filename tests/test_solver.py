@@ -17,8 +17,8 @@ from cmcsolve.duality import dual_solve
 from cmcsolve.errors import ConvexityLoss, NonConvergence, SpacelikeViolation
 from cmcsolve.grid import MappedGrid
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
-from helpers import (factor_every_system, field_state, isotropic_seed,
-                     quadric_domains, sampled_auto_t_min)
+from helpers import (ZeroLU, factor_every_system, field_state, full_lu_solve,
+                     isotropic_seed, quadric_domains, sampled_auto_t_min)
 
 
 class TestNewtonSolve:
@@ -141,11 +141,13 @@ class _RecordingLU:
 
 
 class _NanLU:
-    # a factor with no entries, whose every solve is NaN
+    # a factor with no entries, whose every solve of one vector is NaN; its
+    # solve of two columns, the bordering step's, returns them as they are,
+    # which leaves that step's 2 x 2 regular
     L = U = sp.csc_matrix((1, 1))
 
     def solve(self, rhs):
-        return np.full_like(rhs, np.nan)
+        return rhs.copy() if rhs.ndim == 2 else np.full_like(rhs, np.nan)
 
 
 class TestLinearSolve:
@@ -169,6 +171,53 @@ class TestLinearSolve:
         _, fld, _ = solve_direct(Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK)
         assert abs(fld.c - C_RADIAL) <= 1e-3
         assert lu_fills and max(lu_fills) <= 400_000
+
+    @pytest.mark.parametrize("om, omt, model, operator, n_rho", [
+        (Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, OperatorKind.GRAPH, 64),
+        (Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4), MINK, OperatorKind.GRAPH, 32),
+        (Ellipse((0, 0), (1.0, 0.6)), Ellipse((0.1, 0), (0.5, 0.3)), EUC,
+         OperatorKind.GRAPH, 32),
+        (Ball((0.1, 0), 0.5), Ellipse((0, 0), (1.0, 0.8)), MINK,
+         OperatorKind.INVERSE_HESSIAN, 32),
+    ], ids=["concentric_64", "thin_ellipse_ball", "euclidean", "dual"])
+    def test_bordering_matches_full_factor(self, monkeypatch, om, omt, model, operator,
+                                           n_rho):
+        # SuperLU sees only the N x N node block, its pivot node's diagonal
+        # raised by 1; the c column and the mean-zero row are taken out by
+        # the 2 x 2 bordering step.  At the seed and one full Newton step on,
+        # the direction is the plain LU's of the whole bordered matrix
+        shapes = []
+        real_splu = solver.splu
+
+        def spying_splu(a, **kwargs):
+            shapes.append(a.shape)
+            return real_splu(a, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", spying_splu)
+        spec = ProblemSpec(om, omt, model, build_grid(om, n_rho, 2 * n_rho), operator=operator)
+        n = spec.grid.n_nodes
+        fld = seed_field(spec)
+        for _ in range(2):
+            jac, res = jacobian(spec, *field_state(fld)), residual(spec, fld)
+            direction, _, _ = solver._solve_linear(jac, -res)
+            reference, _, _ = full_lu_solve(jac, -res)
+            assert np.max(np.abs(direction - reference)) <= 1e-10 * np.max(np.abs(reference))
+            fld = replace(fld, u=fld.u + reference[:n], c=fld.c + reference[n])
+        assert shapes == [(n, n)] * 2
+
+    def test_pivot_node_without_diagonal(self):
+        # a Jacobian whose (j, j) entry at the pivot node j = N // 2 is an
+        # exact zero, and so not stored: the entry e_j e_j^T adds is put in
+        spec = ProblemSpec(Ball((0, 0), 1.0), Ball((0.2, 0), 0.3), MINK,
+                           build_grid(Ball((0, 0), 1.0), 16, 32))
+        fld = seed_field(spec)
+        jac, res = jacobian(spec, *field_state(fld)), residual(spec, fld)
+        j = spec.grid.n_nodes // 2
+        jac[j, j] = 0.0
+        jac.eliminate_zeros()
+        direction, _, _ = solver._solve_linear(jac, -res)
+        reference, _, _ = full_lu_solve(jac, -res)
+        assert np.max(np.abs(direction - reference)) <= 1e-10 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("model, operator", [
         (MINK, OperatorKind.GRAPH),
@@ -196,11 +245,13 @@ class TestLinearSolve:
     def test_factor_keeps_planned_diagonal(self, om, omt, operator):
         # SuperLU factors Pr A Pc = L U, which puts A[i, i] at
         # (perm_r[i], perm_c[i]): a diagonal pivot keeps perm_r[i] ==
-        # perm_c[i].  Only the zero corner of the border needs others; the
-        # pivot threshold 0.1 took 7 here and grew the concentric fill to
-        # 182 720
+        # perm_c[i].  Two others are taken here, at the pivot node of the
+        # bordering step and its outward neighbour on the same ray; the
+        # pivot threshold 0.1 took 7 on the bordered matrix and grew the
+        # concentric fill to 182 720
         spec = ProblemSpec(om, omt, MINK, build_grid(om, 32, 64), operator=operator)
-        lu, _ = solver._factor(jacobian(spec, *field_state(seed_field(spec))))
+        factor, _ = solver._factor(jacobian(spec, *field_state(seed_field(spec))))
+        lu = factor.lu
         assert np.count_nonzero(lu.perm_r != lu.perm_c) <= 2
         if operator is OperatorKind.GRAPH and isinstance(om, Ball):
             assert lu.L.nnz + lu.U.nnz <= 130_000
@@ -228,7 +279,8 @@ class TestLinearSolve:
     @pytest.mark.parametrize("fake_splu, reason", [
         (_singular_splu, "linear solve failed"),
         (lambda *a, **k: _NanLU(), "non-finite Newton direction"),
-    ], ids=["singular", "nan"])
+        (lambda *a, **k: ZeroLU(), r"linear solve failed \(singular bordering step"),
+    ], ids=["singular", "nan", "singular_border"])
     def test_failure_is_nonconvergence(self, monkeypatch, fake_splu, reason):
         om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
         grid = build_grid(om, 16, 32)
@@ -521,7 +573,7 @@ class TestKrylovPath:
             other = ProblemSpec(spec.omega, spec.omega_tilde, MINK,
                                 build_grid(spec.omega, 64, 32))
             stale = solver._factor(jacobian(other, *field_state(seed_field(other))))
-            assert stale[0].shape == (n, n)
+            assert stale[0].lu.shape == (n - 1, n - 1)
         direction, fresh, iterations = solver._solve_linear(jac, -res, stale)
         assert fresh is not stale
         assert iterations > 0
