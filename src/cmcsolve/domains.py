@@ -121,21 +121,25 @@ class ConvexDomain:
                                 f"boundary tolerance {self.boundary_tol():.3e}")
         return dh / np.linalg.norm(dh, axis=-1, keepdims=True)
 
+    def radius_along(self, e):
+        """(R, dR/dphi) along unit vectors e (..., 2), e = (cos phi, sin phi):
+        the distance from the peak to the boundary, R = sqrt(2 h_max /
+        e^T A e), and its derivative -R e^T A e_perp / e^T A e, with e_perp =
+        de/dphi = (-e_2, e_1)."""
+        ae = e @ self.quadric()[1]
+        qa = np.sum(e * ae, axis=-1)
+        r = np.sqrt(2.0 * self.h_max / qa)
+        return r, -r * (ae[..., 1] * e[..., 0] - ae[..., 0] * e[..., 1]) / qa
+
     def boundary_radius(self, phi):
-        """Distance from the peak to the boundary along (cos phi, sin phi),
-        sqrt(2 h_max / e^T A e).  A scalar phi gives a float, an array phi an
-        array of its shape."""
-        e, _ = polar_frame(np.asarray(phi, dtype=float))
-        r = np.sqrt(2.0 * self.h_max / np.sum(e * (e @ self.quadric()[1]), axis=-1))
+        """R(phi) of radius_along.  A scalar phi gives a float, an array phi
+        an array of its shape."""
+        r = self.radius_along(polar_frame(np.asarray(phi, dtype=float))[0])[0]
         return float(r) if r.ndim == 0 else r
 
     def boundary_radius_deriv(self, phi):
-        """dR/dphi = -R e^T A e_perp / e^T A e, the derivative of the radius
-        above (e_perp = de/dphi)."""
-        e, e_perp = polar_frame(np.asarray(phi, dtype=float))
-        ae = e @ self.quadric()[1]
-        qa = np.sum(e * ae, axis=-1)
-        rp = -np.sqrt(2.0 * self.h_max / qa) * np.sum(ae * e_perp, axis=-1) / qa
+        """dR/dphi of radius_along, shaped as boundary_radius."""
+        rp = self.radius_along(polar_frame(np.asarray(phi, dtype=float))[0])[1]
         return float(rp) if rp.ndim == 0 else rp
 
     def max_boundary_norm(self) -> float:

@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from .assembly import OperatorKind, ProblemSpec, inverse_hessian_operator
-from .domains import polar_frame
 from .errors import InversionFailure, NonConvergence
 from .grid import MappedGrid, SolutionField, build_grid, lattice_spline
 from .radial import seed_field
@@ -72,24 +71,33 @@ class FieldInterpolant:
         self._pole_grad = np.array([(v[0] - v[1]) / (eps * (rb[0] + rb[1])),
                                     (v[2] - v[3]) / (eps * (rb[2] + rb[3]))])
 
+    def _polar(self, x):
+        """(rho, phi, r_b, r_b', e) of points x: e = (x - peak)/|x - peak|,
+        (1, 0) at the peak, and r_b, r_b' the domain's radius_along e.  Only
+        the spline coordinate phi takes a trigonometric call."""
+        d = np.asarray(x, dtype=float) - self.peak
+        dist = np.linalg.norm(d, axis=-1)
+        phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2 * np.pi)
+        with np.errstate(invalid="ignore"):
+            e = d / dist[..., None]
+        e[dist == 0] = (1.0, 0.0)
+        rb, rb_p = self.domain.radius_along(e)
+        return dist / rb, phi, rb, rb_p, e
+
     def params_of(self, x):
         """(rho, phi) of points x and the boundary radius r_b(phi)."""
-        d = np.asarray(x, dtype=float) - self.peak
-        phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2 * np.pi)
-        rb = self.domain.boundary_radius(phi)
-        return np.linalg.norm(d, axis=-1) / rb, phi, rb
+        return self._polar(x)[:3]
 
     def value(self, x):
         return self._spl(np.stack(self.params_of(x)[:2], axis=-1))
 
     def gradient(self, x):
         """Cartesian gradient of the interpolant (exact chain rule)."""
-        rho, phi, rb = self.params_of(x)
+        rho, phi, rb, rb_p, e = self._polar(x)
         pts = np.stack([rho, phi], axis=-1)
         u_r = self._spl(pts, nu=(1, 0))
         u_p = self._spl(pts, nu=(0, 1))
-        rb_p = self.domain.boundary_radius_deriv(phi)
-        e, e_t = polar_frame(phi)
+        e_t = np.stack([-e[..., 1], e[..., 0]], axis=-1)
         d = np.maximum(rho * rb, 1e-300)  # |x - peak|
         # drho/dx = e / rb - (rho rb'/rb) dphi/dx,  dphi/dx = e_t / d
         dphi_dx = e_t / d[..., None]
@@ -160,12 +168,11 @@ def _nodal_start(interp, targets):
 
 
 def _clamp_to_extension(interp, x):
-    rho, phi, rb = interp.params_of(x)
+    rho, _, rb, _, e = interp._polar(x)
     over = rho > interp.rho_max
     if np.any(over):
-        e, _ = polar_frame(phi[over])
         x = x.copy()
-        x[over] = interp.peak + interp.rho_max * rb[over, None] * e
+        x[over] = interp.peak + interp.rho_max * rb[over, None] * e[over]
     return x
 
 

@@ -38,13 +38,14 @@ def save_field(field: SolutionField, csv_path, omega=None, omega_tilde=None) -> 
     du, d2u = field.derivatives()
     i = np.repeat(np.arange(grid.n_rho + 1), [1] + [grid.n_phi] * grid.n_rho)
     j = np.concatenate([[0], np.tile(np.arange(grid.n_phi), grid.n_rho)])
-    table = np.column_stack([grid.nodes, field.u, du, d2u[:, 0, 0], d2u[:, 0, 1],
+    table = np.column_stack([i, j, grid.nodes, field.u, du, d2u[:, 0, 0], d2u[:, 0, 1],
                              d2u[:, 1, 1]])
-    row = "%d,%d," + ",".join(["%r"] * 8) + "\n"   # %r of a float is its repr
+    # one formatting pass over the whole table: %d of an integral float is
+    # its integer, %r of a float its repr
+    row = "%d,%d," + ",".join(["%r"] * 8) + "\n"
     with open(csv_path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n" + "".join(
-            [row % (a, b, *vals) for a, b, vals in zip(i.tolist(), j.tolist(),
-                                                       table.tolist())]))
+        fh.write(",".join(CSV_COLUMNS) + "\n"
+                 + (row * len(table)) % tuple(table.ravel().tolist()))
     header = {
         "c": field.c,
         "model": field.model.value,

@@ -39,6 +39,11 @@ evaluated on the fundamental rays j <= n_phi/4 only; every other ray is
 the exact image of one of them (_ray_images), its rows the source rows
 times the image's parity, reversed in angle under a mirror.  Ray 0, ray
 n_phi/4 and the pole, each its own image, are averaged with their images.
+A round quadric (A[0, 0] == A[1, 1]) gives a lattice symmetric under every
+rotation by 2 pi / n_phi, on which each node of a ring sees the same
+stencil in its own scaled rotated frame: there only ray 0 of each ring is
+fitted, and its frame weights are taken through the frame of every
+fundamental ray.
 
 Quadrature: mapped trapezoid in rho (the integrand carries the polar factor
 rho r_b^2, so the pole weight vanishes) and periodic trapezoid in phi;
@@ -198,12 +203,13 @@ def _scaled_frame(offsets, radial):
     return rr / ell[:, :1], tt / ell[:, 1:], ell
 
 
-def _cartesian_weights(w, radial, ell, center):
+def _cartesian_weights(w, ell, radial, center):
     """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in the
-    scaled rotated frame -> Cartesian weights for (ux, uy, uxx, uxy, uyy),
-    rounded by _fold_defect.  The chain rule back through the scaling
-    (inverse scales ir, it) and the rotation gives back @ w, with back block
-    diagonal (gradient 2x2, Hessian 3x3)."""
+    frame rotated to radial (G, 2) and scaled by ell (G, 2) -> Cartesian
+    weights for (ux, uy, uxx, uxy, uyy), rounded by _fold_defect.  The
+    chain rule back through the scaling (inverse scales ir, it) and the
+    rotation gives back @ w, with back block diagonal (gradient 2x2,
+    Hessian 3x3)."""
     g = w.shape[0]
     c, s = radial[:, :1], radial[:, 1:]
     ir, it, z = 1.0 / ell[:, :1], 1.0 / ell[:, 1:], np.zeros((g, 1))
@@ -217,11 +223,10 @@ def _cartesian_weights(w, radial, ell, center):
     return _fold_defect(back @ w, center)
 
 
-def _lsq_weights(offsets, radial, cubic, center):
+def _lsq_weights(offsets, radial, cubic):
     """Batched least-squares fit weights.
 
     offsets: (G, m, 2) physical offsets of each stencil from its node.
-    center:  position of the node itself inside its stencil.
     radial:  (G, 2) unit directions of the rotated radial/tangential frame
              the fit runs in (see _scaled_frame).
     cubic:   complete the quadratic basis by the four cubic monomials of the
@@ -231,7 +236,9 @@ def _lsq_weights(offsets, radial, cubic, center):
              into the fitted Hessian at first order; every cubic monomial
              must remain resolvable on the stencil (enough distinct radial
              and angular stations), otherwise the fit turns near-singular.
-    Returns (G, 5, m): weights for (ux, uy, uxx, uxy, uyy).
+    Returns the frame weights (G, 5, m) of (r, t, r^2/2, rt, t^2/2) and
+    the scales ell (G, 2), which _cartesian_weights takes to the weights
+    for (ux, uy, uxx, uxy, uyy).
 
     The tall design matrix A = QR is factored by a batched QR; the
     least-squares coefficients are R^-1 Q^T u, and as R is upper triangular
@@ -243,8 +250,7 @@ def _lsq_weights(offsets, radial, cubic, center):
     if cubic:
         cols += [rr ** 3, rr ** 2 * tt, rr * tt ** 2, tt ** 3]
     q, r = np.linalg.qr(np.stack(cols, axis=2))  # (G, m, n), (G, n, n)
-    w = np.linalg.solve(r[:, 1:, 1:], np.swapaxes(q[:, :, 1:], 1, 2))[:, :5]
-    return _cartesian_weights(w, radial, ell, center)
+    return np.linalg.solve(r[:, 1:, 1:], np.swapaxes(q[:, :, 1:], 1, 2))[:, :5], ell
 
 
 def _interior_weights(offsets, radial):
@@ -263,7 +269,7 @@ def _interior_weights(offsets, radial):
     t-carrying coefficients then interpolate the side rays' values less the
     centre-ray quadratic (its Lagrange values there), one 6x6 solve per
     node.  This is block elimination of the square 9x9 interpolation.
-    Returns (G, 5, 9) as _lsq_weights.
+    Returns frame weights (G, 5, 9) and scales (G, 2) as _lsq_weights.
     """
     rr, tt, ell = _scaled_frame(offsets, radial)
     rm, rp = rr[:, 1:2], rr[:, 7:8]  # (G, 1): r- < 0 < r+
@@ -283,7 +289,7 @@ def _interior_weights(offsets, radial):
     w[:, 2, centre] = np.concatenate([2.0 / dm, 2.0 / d0, 2.0 / dp], axis=1)
     w[:, t_rows, side] = w_side
     w[:, t_rows, centre] = -w_side @ lagrange
-    return _cartesian_weights(w, radial, ell, center=4)
+    return w, ell
 
 
 def _fold_defect(w, center):
@@ -319,6 +325,7 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     a = domain.quadric()[1]
     if a[0, 1] or a[1, 0]:
         raise ValueError(f"the grid's mirror images need a diagonal quadric, got {a.tolist()}")
+    round_lattice = bool(a[0, 0] == a[1, 1])   # symmetric under every ray rotation
 
     rho = np.linspace(0.0, 1.0, n_rho + 1)
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -348,7 +355,7 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     w = np.append(0.0, (frac * rho[1:])[:, None] * r_b ** 2 * drho * dphi)
     boundary_weights = np.sqrt(r_b ** 2 + r_b_prime ** 2) * dphi
 
-    ops = _build_derivative_ops(pos, e, n_rho, n_phi)
+    ops = _build_derivative_ops(pos, e, n_rho, n_phi, round_lattice)
     ops.update(_build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi))
 
     return MappedGrid(domain=domain, n_rho=n_rho, n_phi=n_phi, rho=rho, phi=phi,
@@ -414,14 +421,18 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     return _on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)], n_nodes)
 
 
-def _build_derivative_ops(pos, e, n_rho, n_phi):
+def _build_derivative_ops(pos, e, n_rho, n_phi, round_lattice):
     """dx, dy, dxx, dxy, dyy from fits in the node positions pos relative to
     the peak, in the rays' radial frames e.  pos and e are exact images of
-    the fundamental rays', so only those are fitted: the row of an image
+    the fundamental rays', so only those get weights: the row of an image
     node is its source row times the image's parity per operator, and entry
-    (di, dj) of a mirror image is entry (di, -dj) of its source."""
+    (di, dj) of a mirror image is entry (di, -dj) of its source.  On a round
+    lattice every node of a ring sees the same stencil in its own scaled
+    rotated frame, so only ray 0 of each ring is fitted, and its frame
+    weights go through each fundamental ray's frame (_cartesian_weights)."""
     n_nodes = 1 + n_rho * n_phi
     n_fit = n_phi // 4 + 1
+    fitted = 1 if round_lattice else n_fit   # rays fitted per ring
     source, flip = _ray_images(n_phi)
     groups = []   # (stencil (G, m), weights (5, G, m)), in node order
 
@@ -433,12 +444,16 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
         return 0.5 * (w + parity(fx, fy)[:, None] * w[..., entry_image])
 
     def add_rings(rings, dis, djs, fit):
-        # fit(offsets, radial) weighs the fundamental rays' blocks (di, dj)
+        # fit(offsets, radial) weighs the fitted rays' blocks (di, dj) in
+        # their scaled rotated frames
         stencil = _stencils(rings, dis, djs, n_phi)
         k, m = len(rings), stencil.shape[1]
         mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
-        s = stencil.reshape(k, n_phi, m)[:, :n_fit].reshape(-1, m)
-        w = fit(pos[s] - pos[s[:, mid, None]], np.tile(e[:n_fit], (k, 1))).reshape(k, n_fit, 5, m)
+        s = stencil.reshape(k, n_phi, m)[:, :fitted].reshape(-1, m)
+        w, ell = fit(pos[s] - pos[s[:, mid, None]], np.tile(e[:fitted], (k, 1)))
+        if round_lattice:   # one ring's frame weights serve all its rays
+            w, ell = np.repeat(w, n_fit, axis=0), np.repeat(ell, n_fit, axis=0)
+        w = _cartesian_weights(w, ell, np.tile(e[:n_fit], (k, 1)), mid).reshape(k, n_fit, 5, m)
         reverse = np.arange(m).reshape(len(dis), len(djs))[:, ::-1].ravel()
         # their own images: ray 0 under the y-mirror, n_phi/4 under the x-mirror
         for ray, f in [(0, (1.0, -1.0))] + [(n_fit - 1, (-1.0, 1.0))] * (n_phi % 4 == 0):
@@ -464,7 +479,9 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
     # suffices.  Averaged with its y-mirror image and the result with its
     # x-mirror image, the row is exactly symmetric under all three images.
     pole_stencil = np.arange(1 + 2 * n_phi)
-    w = _lsq_weights(pos[None, pole_stencil], np.array([[1.0, 0.0]]), cubic=False, center=0)
+    radial = np.array([[1.0, 0.0]])
+    w = _cartesian_weights(*_lsq_weights(pos[None, pole_stencil], radial, cubic=False),
+                           radial, center=0)
     j = np.arange(n_phi)
     for ray, f in ((-j, (1.0, -1.0)), (n_phi // 2 - j, (-1.0, 1.0))):
         w = symmetrized(w, np.append(0, 1 + np.mod(ray, n_phi) + [[0], [n_phi]]), *f)
@@ -474,7 +491,7 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
     # whose duplicated entries act as least-squares weights and are summed
     # into one pattern entry) x 5 angular columns, with the full cubic
     # basis in the rotated frame
-    add_rings([1], range(-1, 4), range(-2, 3), partial(_lsq_weights, cubic=True, center=1 * 5 + 2))
+    add_rings([1], range(-1, 4), range(-2, 3), partial(_lsq_weights, cubic=True))
 
     # interior rings, all in one group: centered 3x3 blocks with the
     # interpolatory biquadratic tensor basis (second-order Hessians; the
@@ -484,8 +501,7 @@ def _build_derivative_ops(pos, e, n_rho, n_phi):
     # boundary ring (recovery for export/diagnostics; the gradient-image
     # condition rows use the mapped per-column operators instead): one-sided
     # 4x5 blocks with the full cubic basis
-    add_rings([n_rho], range(-3, 1), range(-2, 3),
-              partial(_lsq_weights, cubic=True, center=3 * 5 + 2))
+    add_rings([n_rho], range(-3, 1), range(-2, 3), partial(_lsq_weights, cubic=True))
 
     return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'], groups, n_nodes)
 
@@ -511,8 +527,23 @@ class SolutionField:
             raise ValueError(f"u must have shape ({self.grid.n_nodes},)")
         self.c = float(self.c)
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "u":   # a new u has derivatives of its own
+            self.__dict__.pop("_derivatives", None)
+
     def derivatives(self):
-        return self.grid.derivative_arrays(self.u)
+        """(Du, D2u) of u (grid.derivative_arrays), computed on the first
+        call and shared, read-only, by later calls until u is rebound; an
+        in-place edit of u is not seen.  Transient fields, such as Newton
+        iterates and seeds, are differentiated by grid.derivative_arrays,
+        so they keep no arrays alive."""
+        if "_derivatives" not in self.__dict__:
+            arrays = self.grid.derivative_arrays(self.u)
+            for a in arrays:
+                a.flags.writeable = False
+            self._derivatives = arrays
+        return self._derivatives
 
     def copy(self) -> "SolutionField":
         return SolutionField(self.grid, self.u.copy(), self.c, self.model, self.dual)

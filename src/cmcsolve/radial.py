@@ -138,7 +138,7 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
         u_vals, _, _ = radial_profile(sol, np.minimum(r, omega.radius))
         field0 = SolutionField(grid, grid.mean_zero(u_vals + d @ omega_tilde.peak), sol.c,
                                model)
-        if admissibility_violation(spec, *field0.derivatives()) is None:
+        if admissibility_violation(spec, *grid.derivative_arrays(field0.u)) is None:
             return field0
         raise SeedFailure("exact radial seed failed the admissibility guards")
 

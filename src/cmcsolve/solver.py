@@ -439,7 +439,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
                         dual=spec.operator is OperatorKind.INVERSE_HESSIAN)
     # (Du, D2u, boundary Du) of the current iterate; damped_step returns the
     # accepted trial's, so no iterate is differentiated twice
-    state = (*fld.derivatives(), spec.grid.boundary_gradients(fld.u))
+    state = (*spec.grid.derivative_arrays(fld.u), spec.grid.boundary_gradients(fld.u))
     guard = admissibility_violation(spec, *state[:2])
     if guard is not None:
         raise guard

@@ -2,8 +2,9 @@
 its spacelike check, the coefficient matrix and the shape-matrix oracles
 for the curvature kernel, finite-difference oracles for the pointwise
 operator derivatives, a Hypothesis strategy of quadric domains, a field's
-Newton state, the quadric concavity and gradient-band oracles, the sampled
-auto_t_min reference, a sparse-matrix dump, a grid's truncation scale, the
+Newton state, the per-row reference text of field.csv, the quadric
+concavity and gradient-band oracles, the sampled auto_t_min reference, a
+sparse-matrix dump, a grid's truncation scale, the
 lattice's unknown layout, the pseudo-inverse references of the interior and
 the least-squares fits, the isotropic quadratic seed, the full-matrix LU
 reference of the Newton linear solve, a factor stand-in that makes the
@@ -196,6 +197,20 @@ def field_state(fld):
     """(Du, D2u, boundary-ring Du) of a field: the state that
     assembly.jacobian and solver.damped_step take."""
     return (*fld.derivatives(), fld.grid.boundary_gradients(fld.u))
+
+
+def csv_reference(fld):
+    """The text of field.csv, one node's row formatted at a time: the header
+    row, then the pole as (0, 0) and ring nodes (i, j) in unknown order,
+    each float by its repr."""
+    grid = fld.grid
+    du, d2u = fld.derivatives()
+    keys = [(0, 0)] + [(i, j) for i in range(1, grid.n_rho + 1) for j in range(grid.n_phi)]
+    lines = ["rho_index,phi_index,x1,x2,u,du1,du2,d2u11,d2u12,d2u22"]
+    for k, (i, j) in enumerate(keys):
+        vals = (*grid.nodes[k], fld.u[k], *du[k], d2u[k, 0, 0], d2u[k, 0, 1], d2u[k, 1, 1])
+        lines.append(f"{i},{j}," + ",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
 
 
 def theta(dom):

@@ -18,7 +18,7 @@ from cmcsolve import cli, duality, solver
 from cmcsolve.cli import main
 from cmcsolve.config import parse_config
 from cmcsolve.fieldio import load_field, save_field
-from helpers import ZeroLU
+from helpers import ZeroLU, csv_reference
 
 BASE_CONFIG = """
 # concentric-ball instance
@@ -332,18 +332,27 @@ class TestVerifyCommand:
     def test_field_csv_rows_are_per_node_reprs(self, tmp_path, radial_32):
         # reference: each node's row formatted on its own, pole first
         spec, fld, _ = radial_32
-        grid = fld.grid
-        du, d2u = fld.derivatives()
-        keys = [(0, 0)] + [(i, j) for i in range(1, grid.n_rho + 1)
-                           for j in range(grid.n_phi)]
-        expected = ["rho_index,phi_index,x1,x2,u,du1,du2,d2u11,d2u12,d2u22"]
-        for k, (i, j) in enumerate(keys):
-            vals = (*grid.nodes[k], fld.u[k], *du[k], d2u[k, 0, 0], d2u[k, 0, 1],
-                    d2u[k, 1, 1])
-            expected.append(f"{i},{j}," + ",".join(repr(float(v)) for v in vals))
         path = tmp_path / "f.csv"
         save_field(fld, path)
-        assert path.read_text() == "\n".join(expected) + "\n"
+        assert path.read_bytes() == csv_reference(fld).encode()
+
+    @pytest.mark.parametrize("model", [cmcsolve.ModelKind.MINKOWSKI,
+                                       cmcsolve.ModelKind.EUCLIDEAN])
+    @pytest.mark.parametrize("omega", [cmcsolve.Ball((0.1, -0.2), 1.0),
+                                       cmcsolve.Ellipse((0, 0), (1.0, 0.8))])
+    def test_field_csv_bytes_match_per_row_reference(self, tmp_path, model, omega):
+        # the one formatting pass over the whole table writes the same bytes
+        # as formatting each row on its own, for the seeds of both models
+        # and for values whose repr is unusual
+        spec = cmcsolve.ProblemSpec(omega, cmcsolve.Ball((0, 0), 0.5), model,
+                                    cmcsolve.build_grid(omega, 8, 16))
+        fld = cmcsolve.seed_field(spec)
+        odd = fld.copy()
+        odd.u[:4] = [-0.0, 1e16, 1e-5, 5e-324]
+        for k, f in enumerate([fld, odd]):
+            path = tmp_path / f"f{k}.csv"
+            save_field(f, path)
+            assert path.read_bytes() == csv_reference(f).encode()
 
     def test_corrupted_field_flags(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -651,6 +660,28 @@ def test_fuzzed_config_value(fuzz_dirs, edit):
         if code != 0:
             assert len(err.getvalue().strip().splitlines()) <= 1
         assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("text", [BASE_CONFIG, HOMOTOPY_CONFIG])
+def test_solved_field_differentiated_once(tmp_path, monkeypatch, text):
+    # the report's checks and the field write share one differentiation of
+    # the solved field
+    calls, solved = [], []
+    real = cmcsolve.MappedGrid.derivative_arrays
+    monkeypatch.setattr(cmcsolve.MappedGrid, "derivative_arrays",
+                        lambda grid, u: calls.append(bool(solved)) or real(grid, u))
+
+    def marking(solve):
+        def run(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            solved.append(True)
+            return out
+        return run
+
+    for name in ("newton_solve", "run_homotopy"):
+        monkeypatch.setattr(cli, name, marking(getattr(cli, name)))
+    assert main(["solve", "--config", str(write_config(tmp_path, text=text))]) == 0
+    assert solved and calls.count(True) == 1
 
 
 def test_homotopy_builds_each_grid_once(tmp_path, monkeypatch):

@@ -156,6 +156,18 @@ def test_boundary_nodes_map_to_unit_rho(domain):
     assert np.allclose(phi, grid.phi, rtol=0, atol=1e-14)
 
 
+def test_peak_maps_to_ray_zero():
+    # x - peak has no direction at the peak: the polar map takes ray 0
+    # there, as arctan2(0, 0) = 0 does, and the gradient is the pole's
+    dom = Ellipse((0.1, 0.4), (1.2, 0.5))
+    grid = build_grid(dom, 12, 24)
+    u = 0.5 * np.sum(grid.nodes ** 2, axis=-1)   # Du(x) = x
+    interp = FieldInterpolant(SolutionField(grid, grid.mean_zero(u), 0.0, MINK))
+    rho, phi, rb = interp.params_of(dom.peak[None])
+    assert (rho[0], phi[0], rb[0]) == (0.0, 0.0, dom.boundary_radius(0.0))
+    assert np.allclose(interp.gradient(dom.peak[None])[0], dom.peak, rtol=0, atol=1e-6)
+
+
 class TestPeriodicInterpolant:
     def test_gradient_continuous_across_seam(self, ci_instances):
         _, fld, _ = ci_instances["ellipse_ball"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmcsolve import Ball, Ellipse, ModelKind, SolutionField, build_grid, transfer_field
+from cmcsolve import grid as grid_module
 from cmcsolve.grid import _stencils
 from helpers import interior_fit_oracle, lattice_index, lsq_fit_oracle, quadric_domains
 
@@ -190,6 +191,40 @@ def test_stencil_layout(n_phi):
     assert np.array_equal(g.boundary_idx, lattice_index(g, 8, np.arange(n_phi)))
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.1)])
+@pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (32, 64), (64, 128)])
+def test_round_lattice_fits_match_per_ray_fits(center, n_rho, n_phi):
+    # a ball fits ray 0 of each ring and an ellipse 2^-40 off round every
+    # fundamental ray; their lattices agree to 2^-40, so must the operators
+    ball = build_grid(Ball(center, 0.7), n_rho, n_phi)
+    near = build_grid(Ellipse(center, (0.7, 0.7 * (1.0 + 2.0 ** -40))), n_rho, n_phi)
+    for name, op in ball.ops.items():
+        other = near.ops[name]
+        assert np.array_equal(op.indptr, other.indptr), name
+        assert np.array_equal(op.indices, other.indices), name
+        assert np.max(np.abs(op.data - other.data)) <= 1e-10 * np.max(np.abs(op.data)), name
+
+
+@pytest.mark.parametrize("n_phi", [16, 18])
+@pytest.mark.parametrize("dom, rays", [(Ball((0.1, 0), 0.7), lambda n_phi: 1),
+                                       (Ellipse((0.1, 0), (1.0, 0.8)),
+                                        lambda n_phi: n_phi // 4 + 1)])
+def test_fit_batch_sizes(monkeypatch, dom, rays, n_phi):
+    # stencil rows per fit: the pole's one, then the first, interior and
+    # boundary rings, each ring fitted once on a round lattice and once per
+    # fundamental ray otherwise
+    batches = []
+    for name in ("_lsq_weights", "_interior_weights"):
+        def spy(offsets, *args, real=getattr(grid_module, name), name=name, **kwargs):
+            batches.append((name, len(offsets)))
+            return real(offsets, *args, **kwargs)
+        monkeypatch.setattr(grid_module, name, spy)
+    n_rho, k = 8, rays(n_phi)
+    build_grid(dom, n_rho, n_phi)
+    assert batches == [("_lsq_weights", 1), ("_lsq_weights", k),
+                       ("_interior_weights", (n_rho - 2) * k), ("_lsq_weights", k)]
+
+
 def test_rotated_quadric_rejected():
     class Rotated(Ball):
         def quadric(self):
@@ -242,6 +277,18 @@ class TestSolutionField:
         g = build_grid(Ball((0, 0), 1.0), 8, 16)
         with pytest.raises(ValueError):
             SolutionField(g, np.zeros(5), 0.0, ModelKind.MINKOWSKI)
+
+    def test_derivatives_shared_until_u_rebound(self):
+        g = build_grid(Ball((0, 0), 1.0), 8, 16)
+        fld = SolutionField(g, g.mean_zero(np.sum(g.nodes ** 2, axis=-1)), 1.0,
+                            ModelKind.MINKOWSKI)
+        du, d2u = fld.derivatives()
+        assert fld.derivatives()[0] is du and fld.derivatives()[1] is d2u
+        assert not (du.flags.writeable or d2u.flags.writeable)
+        fld.u = g.mean_zero(g.nodes[:, 0] ** 3)
+        for got, expected in zip(fld.derivatives(), g.derivative_arrays(fld.u)):
+            assert np.array_equal(got, expected)
+        assert fld.copy().derivatives()[0] is not fld.derivatives()[0]
 
     def test_transfer_same_lattice(self):
         dom = Ball((0, 0), 1.0)
