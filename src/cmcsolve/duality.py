@@ -12,7 +12,8 @@ so an independently solved dual constant must come out as -c.  The dual
 solve runs the ordinary Newton machinery with the inverse-Hessian operator
 and the domain roles swapped; the transform itself inverts the gradient map
 pointwise with a damped Newton iteration on a tensor cubic spline of the
-primal field, periodic in the polar angle.
+primal field over the polar lattice of the unit disk, periodic in the polar
+angle, read through the grid's linear map x = peak + L xi.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ class FieldInterpolant:
     """Smooth evaluator of a nodal field over its domain.
 
     Values and first derivatives come from a tensor cubic spline on the
-    (rho, phi) parameter lattice, periodic in phi (lattice_spline), chained
-    through the polar map; the map inverse is closed form (phi by angle,
-    rho = |x - peak| / r_b(phi)), with r_b and its derivative exact from
-    the domain.  Up to rho_max, a couple of cells past rho = 1, the
-    spline's last radial piece continues, so targets near the boundary
-    remain evaluable.  The nodal Hessians get a spline of their own, the
-    Jacobian of the gradient inversion, which starts from nodal_du, nodal_d2u.
+    (rho, phi) parameter lattice of the unit disk, periodic in phi
+    (lattice_spline), chained through the grid's map x = peak + L xi; the
+    map inverse is closed form: xi = L^-1 (x - peak), rho = |xi| and phi
+    the angle of xi, and the gradient is L^-T D_xi u.  Up to rho_max, a
+    couple of cells past rho = 1, the spline's last radial piece continues,
+    so targets near the boundary remain evaluable.  The nodal Hessians get
+    a spline of their own, the Jacobian of the gradient inversion, which
+    starts from nodal_du, nodal_d2u.
     """
 
     def __init__(self, field: SolutionField):
@@ -55,6 +57,7 @@ class FieldInterpolant:
         self.grid = grid
         self.domain = grid.domain
         self.peak = grid.domain.peak
+        self._inv = np.linalg.inv(grid.disk_map)   # L^-1
         self.rho_max = 1.0 + EXTENSION_CELLS / grid.n_rho
         self._spl = lattice_spline(grid, grid.to_param_array(field.u))
         self.nodal_du, self.nodal_d2u = field.derivatives()
@@ -63,53 +66,48 @@ class FieldInterpolant:
             axis=-1))
 
         # the pole is a smooth point of the field but a parameter-map
-        # singularity: its gradient is a symmetric difference along two rays
+        # singularity: its unit-disk gradient is a symmetric difference
+        # along the xi axes
         eps = 0.5 / grid.n_rho
         ray = np.array([0.0, np.pi, np.pi / 2, 3 * np.pi / 2])
         v = self._spl(np.stack([np.full(4, eps), ray], axis=-1))
-        rb = self.domain.boundary_radius(ray)
-        self._pole_grad = np.array([(v[0] - v[1]) / (eps * (rb[0] + rb[1])),
-                                    (v[2] - v[3]) / (eps * (rb[2] + rb[3]))])
+        self._pole_grad = np.array([v[0] - v[1], v[2] - v[3]]) / (2 * eps) @ self._inv
 
     def _polar(self, x):
-        """(rho, phi, r_b, r_b', e) of points x: e = (x - peak)/|x - peak|,
-        (1, 0) at the peak, and r_b, r_b' the domain's radius_along e.  Only
-        the spline coordinate phi takes a trigonometric call."""
-        d = np.asarray(x, dtype=float) - self.peak
-        dist = np.linalg.norm(d, axis=-1)
-        phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), 2 * np.pi)
+        """(rho, phi, e) of points x: xi = L^-1 (x - peak), rho = |xi|,
+        e = xi / rho ((1, 0) at the peak) and phi its angle."""
+        xi = (np.asarray(x, dtype=float) - self.peak) @ self._inv.T
+        rho = np.linalg.norm(xi, axis=-1)
+        phi = np.mod(np.arctan2(xi[..., 1], xi[..., 0]), 2 * np.pi)
         with np.errstate(invalid="ignore"):
-            e = d / dist[..., None]
-        e[dist == 0] = (1.0, 0.0)
-        rb, rb_p = self.domain.radius_along(e)
-        return dist / rb, phi, rb, rb_p, e
+            e = xi / rho[..., None]
+        e[rho == 0] = (1.0, 0.0)
+        return rho, phi, e
 
     def params_of(self, x):
-        """(rho, phi) of points x and the boundary radius r_b(phi)."""
-        return self._polar(x)[:3]
+        """(rho, phi) of points x."""
+        return self._polar(x)[:2]
 
     def value(self, x):
-        return self._spl(np.stack(self.params_of(x)[:2], axis=-1))
+        return self._spl(np.stack(self.params_of(x), axis=-1))
 
     def gradient(self, x):
         """Cartesian gradient of the interpolant (exact chain rule)."""
-        rho, phi, rb, rb_p, e = self._polar(x)
+        rho, phi, e = self._polar(x)
         pts = np.stack([rho, phi], axis=-1)
         u_r = self._spl(pts, nu=(1, 0))
         u_p = self._spl(pts, nu=(0, 1))
         e_t = np.stack([-e[..., 1], e[..., 0]], axis=-1)
-        d = np.maximum(rho * rb, 1e-300)  # |x - peak|
-        # drho/dx = e / rb - (rho rb'/rb) dphi/dx,  dphi/dx = e_t / d
-        dphi_dx = e_t / d[..., None]
-        drho_dx = e / rb[..., None] - (rho * rb_p / rb)[..., None] * dphi_dx
-        grad = u_r[..., None] * drho_dx + u_p[..., None] * dphi_dx
+        # D_xi u = u_rho e + (u_phi / rho) e_t, and Du = L^-T D_xi u
+        d_xi = u_r[..., None] * e + (u_p / np.maximum(rho, 1e-300))[..., None] * e_t
+        grad = d_xi @ self._inv
         grad[rho < 1e-9] = self._pole_grad
         return grad
 
     def hessian_approx(self, x):
         """Spline of the nodal Hessians (used only as the Jacobian of the
         gradient-inversion Newton iteration)."""
-        comps = self._d2u_spl(np.stack(self.params_of(x)[:2], axis=-1))
+        comps = self._d2u_spl(np.stack(self.params_of(x), axis=-1))
         return comps[..., [[0, 1], [1, 2]]]
 
 
@@ -168,11 +166,12 @@ def _nodal_start(interp, targets):
 
 
 def _clamp_to_extension(interp, x):
-    rho, _, rb, _, e = interp._polar(x)
+    """x pulled back along its ray from the peak to rho <= rho_max."""
+    rho = interp.params_of(x)[0]
     over = rho > interp.rho_max
     if np.any(over):
         x = x.copy()
-        x[over] = interp.peak + interp.rho_max * rb[over, None] * e[over]
+        x[over] = interp.peak + (interp.rho_max / rho[over])[:, None] * (x[over] - interp.peak)
     return x
 
 

@@ -1,53 +1,51 @@
 """Boundary-fitted polar grid over a convex domain and nodal derivative
 recovery.
 
-Nodes are x(rho_i, phi_j) = peak + rho_i * r_b(phi_j) (cos phi_j, sin phi_j)
-with rho uniform on [0, 1] and phi uniform periodic; r_b is the distance from
-the defining-function peak to the boundary (convexity plus an interior peak
-guarantee star-shapedness).  The pole rho = 0 is a single shared unknown.
+Every domain is the image x = peak + L xi of the unit disk |xi| < 1 under its
+own linear map L (ConvexDomain.disk_map).  The grid is the polar lattice of
+the unit disk mapped by L: nodes are x(rho_i, phi_j) = peak + L rho_i (cos
+phi_j, sin phi_j) with rho uniform on [0, 1] and phi uniform periodic.  The
+pole rho = 0 is a single shared unknown.
 
 Unknown layout: index 0 is the pole; node (i, j) for 1 <= i <= n_rho maps to
 1 + (i-1) n_phi + j.  The rho = 1 ring lies on the boundary.
 
 Cartesian Du and D^2 u at a node are recovered from local polynomial fits in
-physical offsets, with the basis chosen per region so the fitted Hessians
-stay second-order accurate on the fanned polar layout:
+the unit-disk offsets, with the basis chosen per region so the fitted
+Hessians stay second-order accurate on the fanned polar layout:
 
   * pole: quadratic fit over the (centrally symmetric) first two rings;
   * first ring: cubic fit over 5 radial stations x 5 angular columns;
   * interior rings: interpolatory biquadratic tensor fits on 3x3 blocks
     (9 nodes, 9 basis functions; the node's own grid ray is fitted in closed
-    form and the two side rays by one 6x6 solve per node, all rings in one
-    batch, see _interior_weights);
+    form and the two side rays by one 6x6 solve per node, see
+    _interior_weights);
   * boundary ring: one-sided cubic fits over 4 x 5 blocks (used for export
     and diagnostics), while the gradient-image condition rows use mapped
     per-column differences (see _build_boundary_gradient_ops).
 
 The pole, first-ring and boundary fits are least squares, solved through a
-batched QR factorization of their tall design matrices.
-
-Every basis contains the quadratics, so linear and quadratic potentials are
-reproduced to machine precision on any of the supported domains; the
+batched QR factorization of their tall design matrices.  The fitted
+unit-disk derivatives go to Cartesian ones by the constant chain rule
+Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1.  Every basis contains the
+quadratics, which an affine map keeps, so linear and quadratic potentials
+are reproduced to machine precision on any of the supported domains; the
 recovery is a fixed sparse linear operator, so residual linearizations stay
 exactly consistent with the residual itself.
 
-Every domain is a quadric with a diagonal A, so the lattice is symmetric
-under the half turn about the peak and the mirrors phi -> pi - phi and
-phi -> -phi.  The boundary radius, the polar frame (exactly (0, 1) on ray
-n_phi/4) and the fits, run on node positions relative to the peak, are
-evaluated on the fundamental rays j <= n_phi/4 only; every other ray is
-the exact image of one of them (_ray_images), its rows the source rows
-times the image's parity, reversed in angle under a mirror.  Ray 0, ray
-n_phi/4 and the pole, each its own image, are averaged with their images.
-A round quadric (A[0, 0] == A[1, 1]) gives a lattice symmetric under every
-rotation by 2 pi / n_phi, on which each node of a ring sees the same
-stencil in its own scaled rotated frame: there only ray 0 of each ring is
-fitted, and its frame weights are taken through the frame of every
-fundamental ray.
+The unit-disk lattice is symmetric under every rotation by 2 pi / n_phi, so
+each node of a ring sees the same stencil in its own scaled rotated frame:
+only ray 0 of each ring is fitted, and its frame weights are taken through
+the frame of every fundamental ray j <= n_phi/4.  The half turn and the
+mirrors phi -> pi - phi and phi -> -phi commute with a diagonal L (the grid
+refuses a rotated quadric), so every other ray is the exact image of a
+fundamental one (_ray_images), its rows the source rows times the image's
+parity, reversed in angle under a mirror.  Ray 0, ray n_phi/4 and the pole,
+each its own image, are averaged with their images.
 
-Quadrature: mapped trapezoid in rho (the integrand carries the polar factor
-rho r_b^2, so the pole weight vanishes) and periodic trapezoid in phi;
-boundary integrals use arc-length weights sqrt(r_b^2 + r_b'^2) dphi.
+Quadrature: det L times the unit disk's trapezoid in rho of the polar
+integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
+boundary integrals use arc-length weights |L e_t| dphi.
 """
 
 from __future__ import annotations
@@ -106,8 +104,7 @@ class MappedGrid:
     n_phi: int
     rho: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
-    r_b: np.ndarray = field(repr=False)
-    r_b_prime: np.ndarray = field(repr=False)
+    disk_map: np.ndarray = field(repr=False)   # L: nodes are peak + L rho e(phi)
     nodes: np.ndarray = field(repr=False)
     quad_weights: np.ndarray = field(repr=False)
     boundary_weights: np.ndarray = field(repr=False)
@@ -203,13 +200,14 @@ def _scaled_frame(offsets, radial):
     return rr / ell[:, :1], tt / ell[:, 1:], ell
 
 
-def _cartesian_weights(w, ell, radial, center):
+def _cartesian_weights(w, ell, radial, center, chain):
     """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in the
     frame rotated to radial (G, 2) and scaled by ell (G, 2) -> Cartesian
     weights for (ux, uy, uxx, uxy, uyy), rounded by _fold_defect.  The
     chain rule back through the scaling (inverse scales ir, it) and the
-    rotation gives back @ w, with back block diagonal (gradient 2x2,
-    Hessian 3x3)."""
+    rotation gives the unit-disk derivatives back @ w, with back block
+    diagonal (gradient 2x2, Hessian 3x3), and the constant 5x5 chain takes
+    them through the domain's linear map."""
     g = w.shape[0]
     c, s = radial[:, :1], radial[:, 1:]
     ir, it, z = 1.0 / ell[:, :1], 1.0 / ell[:, 1:], np.zeros((g, 1))
@@ -220,13 +218,13 @@ def _cartesian_weights(w, ell, radial, center):
         z, z, c * s * ir * ir, (c * c - s * s) * ir * it, -c * s * it * it,
         z, z, s * s * ir * ir, 2.0 * c * s * ir * it, c * c * it * it,
     ], axis=1).reshape(g, 5, 5)
-    return _fold_defect(back @ w, center)
+    return _fold_defect((chain @ back) @ w, center)
 
 
 def _lsq_weights(offsets, radial, cubic):
     """Batched least-squares fit weights.
 
-    offsets: (G, m, 2) physical offsets of each stencil from its node.
+    offsets: (G, m, 2) unit-disk offsets of each stencil from its node.
     radial:  (G, 2) unit directions of the rotated radial/tangential frame
              the fit runs in (see _scaled_frame).
     cubic:   complete the quadratic basis by the four cubic monomials of the
@@ -315,9 +313,9 @@ def _fold_defect(w, center):
 
 def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     """Construct the mapped grid with precomputed derivative operators and
-    quadrature weights.  r_b, r_b' and the polar frame come from the
-    fundamental rays: a mirror flips one component of e, the other of e_t
-    and the sign of r_b'.  The symmetry needs a diagonal quadric A."""
+    quadrature weights.  The polar frame comes from the fundamental rays: a
+    mirror flips one component of e and the other of e_t.  The mirrors
+    commute with the domain's map only when its quadric A is diagonal."""
     if n_rho < 8:
         raise ValueError(f"n_rho must be >= 8, got {n_rho}")
     if n_phi < 16 or n_phi % 2:
@@ -325,41 +323,40 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     a = domain.quadric()[1]
     if a[0, 1] or a[1, 0]:
         raise ValueError(f"the grid's mirror images need a diagonal quadric, got {a.tolist()}")
-    round_lattice = bool(a[0, 0] == a[1, 1])   # symmetric under every ray rotation
+    disk_map = domain.disk_map()
 
     rho = np.linspace(0.0, 1.0, n_rho + 1)
     phi = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
     q = n_phi // 4
-    rays = phi[:q + 1]
-    e, e_t = polar_frame(rays)
-    r_b_prime = domain.boundary_radius_deriv(rays)
+    e, e_t = polar_frame(phi[:q + 1])
     if n_phi % 4 == 0:  # cos(pi/2) is 6e-17
-        e[q], e_t[q], r_b_prime[q] = (0.0, 1.0), (-1.0, 0.0), 0.0
+        e[q], e_t[q] = (0.0, 1.0), (-1.0, 0.0)
     source, flip = _ray_images(n_phi)
-    orientation = flip[:, 0] * flip[:, 1]  # -1 on the mirrors
-    r_b = domain.boundary_radius(rays)[source]
-    r_b_prime = orientation * r_b_prime[source]
-    e, e_t = flip * e[source], orientation[:, None] * flip * e_t[source]
+    e, e_t = flip * e[source], (flip[:, :1] * flip[:, 1:]) * flip * e_t[source]
 
-    # node positions relative to the peak, which the fits use
+    # unit-disk node positions relative to the peak, which the fits use
     n_nodes = 1 + n_rho * n_phi
-    pos = np.zeros((n_nodes, 2))
-    pos[1:] = ((rho[1:, None] * r_b)[..., None] * e).reshape(-1, 2)
-    nodes = domain.peak + pos
+    xi = np.zeros((n_nodes, 2))
+    xi[1:] = (rho[1:, None, None] * e).reshape(-1, 2)
+    nodes = domain.peak + xi @ disk_map.T
 
-    # quadrature: trapezoid in rho of the polar integrand rho r_b^2, periodic
-    # trapezoid in phi; pole weight is zero since the integrand vanishes there
+    # quadrature: trapezoid in rho of the polar integrand rho, periodic
+    # trapezoid in phi, times the map's Jacobian det L; the pole weight is
+    # zero since the integrand vanishes there
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
     frac = np.append(np.ones(n_rho - 1), 0.5)
-    w = np.append(0.0, (frac * rho[1:])[:, None] * r_b ** 2 * drho * dphi)
-    boundary_weights = np.sqrt(r_b ** 2 + r_b_prime ** 2) * dphi
+    w = np.append(0.0, np.repeat(np.linalg.det(disk_map) * frac * rho[1:] * drho * dphi, n_phi))
+    boundary_weights = np.linalg.norm(e_t @ disk_map.T, axis=1) * dphi
 
-    ops = _build_derivative_ops(pos, e, n_rho, n_phi, round_lattice)
-    ops.update(_build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi))
+    # the chain rule Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1, L diagonal
+    ia, ib = 1.0 / np.diag(disk_map)
+    chain = np.diag([ia, ib, ia * ia, ia * ib, ib * ib])
+    ops = _build_derivative_ops(xi, e, chain, n_rho, n_phi)
+    ops.update(_build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi))
 
     return MappedGrid(domain=domain, n_rho=n_rho, n_phi=n_phi, rho=rho, phi=phi,
-                      r_b=r_b, r_b_prime=r_b_prime, nodes=nodes, quad_weights=w,
+                      disk_map=disk_map, nodes=nodes, quad_weights=w,
                       boundary_weights=boundary_weights, ops=ops)
 
 
@@ -380,12 +377,11 @@ def _on_one_pattern(names, groups, n):
             for name, v in zip(names, vals)}
 
 
-def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
+def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     """Cartesian gradient operators for the boundary ring only, from mapped
     per-column differencing: a one-sided 4-point radial derivative along
     each grid ray and a 4th-order centered tangential derivative along the
-    ring, pushed through the analytic map Jacobian (e, e_t the rays' polar
-    frame).
+    ring, pushed through the map Jacobian (e, e_t the rays' polar frame).
 
     The gradient-image condition rows use these instead of the local
     least-squares fits: a least-squares patch averages out perturbations
@@ -397,13 +393,9 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
 
-    # grad = J^{-T} (d/drho, d/dphi) with J = [x_rho | x_phi] at rho = 1;
-    # det J = r_b^2 (star-shapedness keeps it positive)
-    x_rho = r_b[:, None] * e
-    x_phi = r_b_prime[:, None] * e + r_b[:, None] * e_t
-    det = r_b ** 2
-    jinv_t = np.stack([x_phi[:, 1], -x_rho[:, 1], -x_phi[:, 0], x_rho[:, 0]],
-                      axis=1).reshape(n_phi, 2, 2) / det[:, None, None]
+    # grad = J^{-T} (d/drho, d/dphi) with J = [x_rho | x_phi] = L [e | e_t]
+    # at rho = 1; [e | e_t] is a rotation, so J^{-T} = L^{-T} [e | e_t]
+    jinv_t = np.linalg.inv(disk_map).T @ np.stack([e, e_t], axis=2)
 
     # radial: f'(rho=1) ~ (-1/3 f_{n-3} + 3/2 f_{n-2} - 3 f_{n-1} + 11/6 f_n)/drho
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
@@ -421,18 +413,18 @@ def _build_boundary_gradient_ops(r_b, r_b_prime, e, e_t, n_rho, n_phi):
     return _on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)], n_nodes)
 
 
-def _build_derivative_ops(pos, e, n_rho, n_phi, round_lattice):
-    """dx, dy, dxx, dxy, dyy from fits in the node positions pos relative to
-    the peak, in the rays' radial frames e.  pos and e are exact images of
-    the fundamental rays', so only those get weights: the row of an image
-    node is its source row times the image's parity per operator, and entry
-    (di, dj) of a mirror image is entry (di, -dj) of its source.  On a round
-    lattice every node of a ring sees the same stencil in its own scaled
-    rotated frame, so only ray 0 of each ring is fitted, and its frame
-    weights go through each fundamental ray's frame (_cartesian_weights)."""
+def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
+    """dx, dy, dxx, dxy, dyy from fits in the unit-disk node positions xi
+    relative to the peak, in the rays' radial frames e, taken to Cartesian
+    derivatives by chain.  Every node of a ring sees the same stencil in its
+    own scaled rotated frame, so only ray 0 of each ring is fitted, and its
+    frame weights go through each fundamental ray's frame and chain
+    (_cartesian_weights).  xi and e are exact images of the
+    fundamental rays', so only those get weights: the row of an image node
+    is its source row times the image's parity per operator, and entry
+    (di, dj) of a mirror image is entry (di, -dj) of its source."""
     n_nodes = 1 + n_rho * n_phi
     n_fit = n_phi // 4 + 1
-    fitted = 1 if round_lattice else n_fit   # rays fitted per ring
     source, flip = _ray_images(n_phi)
     groups = []   # (stencil (G, m), weights (5, G, m)), in node order
 
@@ -444,16 +436,15 @@ def _build_derivative_ops(pos, e, n_rho, n_phi, round_lattice):
         return 0.5 * (w + parity(fx, fy)[:, None] * w[..., entry_image])
 
     def add_rings(rings, dis, djs, fit):
-        # fit(offsets, radial) weighs the fitted rays' blocks (di, dj) in
-        # their scaled rotated frames
+        # fit(offsets, radial) weighs ray 0's blocks (di, dj) in their
+        # scaled rotated frames
         stencil = _stencils(rings, dis, djs, n_phi)
         k, m = len(rings), stencil.shape[1]
         mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
-        s = stencil.reshape(k, n_phi, m)[:, :fitted].reshape(-1, m)
-        w, ell = fit(pos[s] - pos[s[:, mid, None]], np.tile(e[:fitted], (k, 1)))
-        if round_lattice:   # one ring's frame weights serve all its rays
-            w, ell = np.repeat(w, n_fit, axis=0), np.repeat(ell, n_fit, axis=0)
-        w = _cartesian_weights(w, ell, np.tile(e[:n_fit], (k, 1)), mid).reshape(k, n_fit, 5, m)
+        s = stencil[::n_phi]   # ray 0 of each ring
+        w, ell = fit(xi[s] - xi[s[:, mid, None]], np.tile(e[:1], (k, 1)))
+        w = _cartesian_weights(np.repeat(w, n_fit, axis=0), np.repeat(ell, n_fit, axis=0),
+                               np.tile(e[:n_fit], (k, 1)), mid, chain).reshape(k, n_fit, 5, m)
         reverse = np.arange(m).reshape(len(dis), len(djs))[:, ::-1].ravel()
         # their own images: ray 0 under the y-mirror, n_phi/4 under the x-mirror
         for ray, f in [(0, (1.0, -1.0))] + [(n_fit - 1, (-1.0, 1.0))] * (n_phi % 4 == 0):
@@ -480,8 +471,8 @@ def _build_derivative_ops(pos, e, n_rho, n_phi, round_lattice):
     # x-mirror image, the row is exactly symmetric under all three images.
     pole_stencil = np.arange(1 + 2 * n_phi)
     radial = np.array([[1.0, 0.0]])
-    w = _cartesian_weights(*_lsq_weights(pos[None, pole_stencil], radial, cubic=False),
-                           radial, center=0)
+    w = _cartesian_weights(*_lsq_weights(xi[None, pole_stencil], radial, cubic=False),
+                           radial, 0, chain)
     j = np.arange(n_phi)
     for ray, f in ((-j, (1.0, -1.0)), (n_phi // 2 - j, (-1.0, 1.0))):
         w = symmetrized(w, np.append(0, 1 + np.mod(ray, n_phi) + [[0], [n_phi]]), *f)

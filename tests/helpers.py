@@ -255,20 +255,22 @@ def sampled_auto_t_min(omega, omega_tilde, n_rho):
 
 def grid_tolerance(grid):
     """Squared maximal cell extent of a grid: the O(h^2) truncation scale."""
-    rb_max = float(np.max(grid.r_b))
-    h = max(rb_max / grid.n_rho, rb_max * 2 * np.pi / grid.n_phi)
+    r_out = grid.domain.radii()[1]
+    h = max(r_out / grid.n_rho, r_out * 2 * np.pi / grid.n_phi)
     return h * h
 
 
 def _pinv_fit(grid, rows, cols, phi, extra):
     """Pseudo-inverse fit of each node rows (K,) on its stencil cols (K, m)
-    by the quadratics plus the monomials extra(x, y) in the frame rotated to
-    the angle phi (K,), scaled per direction to the stencil's extent; the
-    fitted derivatives are rotated back to Cartesian axes.  A stencil entry
-    listed twice weighs twice.  Returns (rows, cols, dict of (K, m) weights
-    for dx, dy, dxx, dxy, dyy)."""
-    frame = np.stack([np.stack([np.cos(phi), np.sin(phi)], axis=-1),
-                      np.stack([-np.sin(phi), np.cos(phi)], axis=-1)], axis=1)
+    by the quadratics plus the monomials extra(x, y) in the unit-disk
+    offsets xi = L^-1 (x - x_row) of the grid's map L, in the frame rotated
+    to the angle phi (K,) and scaled per direction to the stencil's extent;
+    the fitted derivatives are taken back to Cartesian axes through the
+    rotation and L.  A stencil entry listed twice weighs twice.  Returns
+    (rows, cols, dict of (K, m) weights for dx, dy, dxx, dxy, dyy)."""
+    rotation = np.stack([np.stack([np.cos(phi), np.sin(phi)], axis=-1),
+                         np.stack([-np.sin(phi), np.cos(phi)], axis=-1)], axis=1)
+    frame = rotation @ np.linalg.inv(grid.disk_map)   # x offsets -> frame coordinates
     local = np.einsum('kai,kmi->kam', frame, grid.nodes[cols] - grid.nodes[rows][:, None])
     scale = np.max(np.abs(local), axis=2)  # (K, 2)
     x, y = np.moveaxis(local / scale[:, :, None], 1, 0)

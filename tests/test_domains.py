@@ -240,17 +240,13 @@ class TestRayRoots:
         (Ball((0, 0), 1.0).sublevel(0.5), (-0.2, 0.1)),
         (Ellipse((0, 0), (1.0, 0.8)).sublevel(0.4), (0.1, 0.1)),
     ])
-    def test_deriv_against_central_differences(self, dom, offset):
+    def test_radii_invariant_under_translation(self, dom, offset):
         # radii are taken about the peak, so translating the domain by
-        # offset leaves them and their derivative unchanged
+        # offset leaves them unchanged
         moved = domain_from_dict(_translated(dom.to_dict(), offset))
         assert np.allclose(moved.peak, dom.peak + np.array(offset), rtol=0, atol=1e-15)
         assert np.allclose(moved.boundary_radius(RAYS), dom.boundary_radius(RAYS),
                            rtol=1e-14, atol=0)
-        step = 1e-5
-        fd = (moved.boundary_radius(RAYS + step)
-              - moved.boundary_radius(RAYS - step)) / (2 * step)
-        assert np.allclose(moved.boundary_radius_deriv(RAYS), fd, rtol=0, atol=1e-8)
 
     @settings(max_examples=100, deadline=None)
     @given(dom=quadric_domains())
@@ -264,11 +260,27 @@ class TestRayRoots:
     @pytest.mark.parametrize("dom", [Ball((0.1, 0), 0.7), Ellipse((0, 0), (1.0, 0.5)),
                                      Ellipse((0, 0), (1.0, 0.5)).sublevel(0.3)])
     def test_scalar_and_shape(self, dom):
-        for method in (dom.boundary_radius, dom.boundary_radius_deriv):
-            assert type(method(0.3)) is float
-            assert method(np.array([0.3])).shape == (1,)
-            assert method(np.zeros((3, 4)) + 0.3).shape == (3, 4)
-            assert method(np.array([0.3]))[0] == method(0.3)
+        method = dom.boundary_radius
+        assert type(method(0.3)) is float
+        assert method(np.array([0.3])).shape == (1,)
+        assert method(np.zeros((3, 4)) + 0.3).shape == (3, 4)
+        assert method(np.array([0.3]))[0] == method(0.3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dom=quadric_domains())
+def test_disk_map_sends_unit_circle_onto_boundary(dom):
+    lmap = dom.disk_map()
+    assert np.array_equal(lmap, lmap.T)
+    h, _, _ = dom.defining(dom.peak + polar_frame(RAYS)[0] @ lmap.T)
+    assert np.max(np.abs(h)) <= 1e-13 * dom.diameter()
+
+
+@pytest.mark.parametrize("dom, diag", [(Ball((0.1, 0), 0.7), (0.7, 0.7)),
+                                       (Ellipse((0.2, 0.1), (1.0, 0.35)), (1.0, 0.35)),
+                                       (Ellipse((0, 0), (0.9, 0.2)), (0.9, 0.2))])
+def test_disk_map_of_the_classes(dom, diag):
+    assert np.array_equal(dom.disk_map(), np.diag(diag))
 
 
 class TestQuadricMeasures:

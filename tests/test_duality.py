@@ -151,7 +151,7 @@ class TestLegendreTransform:
 def test_boundary_nodes_map_to_unit_rho(domain):
     grid = build_grid(domain, 12, 24)
     interp = FieldInterpolant(SolutionField(grid, np.zeros(grid.n_nodes), 0.0, MINK))
-    rho, phi, _ = interp.params_of(grid.nodes[grid.boundary_idx])
+    rho, phi = interp.params_of(grid.nodes[grid.boundary_idx])
     assert np.max(np.abs(rho - 1.0)) <= 1e-14
     assert np.allclose(phi, grid.phi, rtol=0, atol=1e-14)
 
@@ -163,8 +163,8 @@ def test_peak_maps_to_ray_zero():
     grid = build_grid(dom, 12, 24)
     u = 0.5 * np.sum(grid.nodes ** 2, axis=-1)   # Du(x) = x
     interp = FieldInterpolant(SolutionField(grid, grid.mean_zero(u), 0.0, MINK))
-    rho, phi, rb = interp.params_of(dom.peak[None])
-    assert (rho[0], phi[0], rb[0]) == (0.0, 0.0, dom.boundary_radius(0.0))
+    rho, phi = interp.params_of(dom.peak[None])
+    assert (rho[0], phi[0]) == (0.0, 0.0)
     assert np.allclose(interp.gradient(dom.peak[None])[0], dom.peak, rtol=0, atol=1e-6)
 
 

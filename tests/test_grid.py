@@ -31,14 +31,15 @@ def derivative_errors(domain, n_rho, n_phi):
 class TestBuild:
     def test_ball_rings(self):
         g = build_grid(Ball((0, 0), 1.0), 8, 16)
-        assert np.allclose(g.r_b, 1.0, atol=1e-12)
+        assert np.array_equal(g.disk_map, np.eye(2))
         radii = np.linalg.norm(g.nodes[1:], axis=-1).reshape(8, 16)
         assert np.allclose(radii, radii[:, :1], atol=1e-12)
 
     def test_ellipse_axis_radii(self):
         g = build_grid(Ellipse((0, 0), (1.0, 0.8)), 8, 16)
-        assert g.r_b[0] == pytest.approx(1.0, abs=1e-12)
-        assert g.r_b[4] == pytest.approx(0.8, abs=1e-12)  # phi = pi/2
+        boundary = g.nodes[g.boundary_idx]
+        assert np.allclose(boundary[0], (1.0, 0.0), rtol=0, atol=1e-12)
+        assert np.allclose(boundary[4], (0.0, 0.8), rtol=0, atol=1e-12)  # phi = pi/2
 
     @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0),
                                      Ellipse((0.2, 0), (1.0, 0.6))])
@@ -169,9 +170,8 @@ def test_mirror_and_half_turn_symmetry(dom, n_phi):
                         (-j, 1.0, -1.0)]:
         ray = np.mod(ray, n_phi)
         t = np.concatenate([[0], np.arange(1, g.n_nodes).reshape(8, n_phi)[:, ray].ravel()])
-        for a in (g.r_b, g.quad_weights[1:].reshape(8, n_phi), g.boundary_weights):
+        for a in (g.quad_weights[1:].reshape(8, n_phi), g.boundary_weights):
             assert np.array_equal(a[..., ray], a)
-        assert np.array_equal(g.r_b_prime[ray], fx * fy * g.r_b_prime)
         parity = {'dx': fx, 'dy': fy, 'dxx': 1.0, 'dxy': fx * fy, 'dyy': 1.0,
                   'bx': fx, 'by': fy}
         for name, op in g.ops.items():
@@ -193,9 +193,9 @@ def test_stencil_layout(n_phi):
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.1)])
 @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (32, 64), (64, 128)])
-def test_round_lattice_fits_match_per_ray_fits(center, n_rho, n_phi):
-    # a ball fits ray 0 of each ring and an ellipse 2^-40 off round every
-    # fundamental ray; their lattices agree to 2^-40, so must the operators
+def test_near_round_ellipse_operators_match_ball(center, n_rho, n_phi):
+    # a ball and an ellipse 2^-40 off round fit the same unit-disk lattice,
+    # and their maps agree to 2^-40, so must the operators
     ball = build_grid(Ball(center, 0.7), n_rho, n_phi)
     near = build_grid(Ellipse(center, (0.7, 0.7 * (1.0 + 2.0 ** -40))), n_rho, n_phi)
     for name, op in ball.ops.items():
@@ -206,23 +206,20 @@ def test_round_lattice_fits_match_per_ray_fits(center, n_rho, n_phi):
 
 
 @pytest.mark.parametrize("n_phi", [16, 18])
-@pytest.mark.parametrize("dom, rays", [(Ball((0.1, 0), 0.7), lambda n_phi: 1),
-                                       (Ellipse((0.1, 0), (1.0, 0.8)),
-                                        lambda n_phi: n_phi // 4 + 1)])
-def test_fit_batch_sizes(monkeypatch, dom, rays, n_phi):
+@pytest.mark.parametrize("dom", [Ball((0.1, 0), 0.7), Ellipse((0.1, 0), (1.0, 0.8))])
+def test_fit_batch_sizes(monkeypatch, dom, n_phi):
     # stencil rows per fit: the pole's one, then the first, interior and
-    # boundary rings, each ring fitted once on a round lattice and once per
-    # fundamental ray otherwise
+    # boundary rings, each ring fitted once on the unit-disk lattice
     batches = []
     for name in ("_lsq_weights", "_interior_weights"):
         def spy(offsets, *args, real=getattr(grid_module, name), name=name, **kwargs):
             batches.append((name, len(offsets)))
             return real(offsets, *args, **kwargs)
         monkeypatch.setattr(grid_module, name, spy)
-    n_rho, k = 8, rays(n_phi)
+    n_rho = 8
     build_grid(dom, n_rho, n_phi)
-    assert batches == [("_lsq_weights", 1), ("_lsq_weights", k),
-                       ("_interior_weights", (n_rho - 2) * k), ("_lsq_weights", k)]
+    assert batches == [("_lsq_weights", 1), ("_lsq_weights", 1),
+                       ("_interior_weights", n_rho - 2), ("_lsq_weights", 1)]
 
 
 def test_rotated_quadric_rejected():

@@ -1,0 +1,92 @@
+"""The paper's class as a tier-1 panel, and the refinement order of c on a
+thin non-round pair.
+
+The panel pairs Omega = Ellipse((0.2, 0.1), (1, b)), b in PANEL_B, with four
+targets, in both models at 32x64.  Every domain is an Ellipse, so no pair
+takes the radial seed.  Each pair is solved directly (Newton at t = 1 from
+the transport seed); the direct solve must pass every diagnostic, and
+dual_solve must pass dual_consistency against it.  A pair that fails today
+is marked strict xfail with its measured failure, so a fix shows as an
+XPASS that fails the suite until its mark is lifted.
+"""
+
+import functools
+
+import pytest
+
+from cmcsolve import (Ball, Ellipse, ProblemSpec, build_grid, newton_solve,
+                      seed_field)
+from cmcsolve.diagnostics import full_report
+from cmcsolve.duality import dual_solve
+from cmcsolve.errors import ConvexityLoss
+from conftest import EUC, MINK
+
+PANEL_B = (1.0, 0.6, 0.35, 0.2, 0.1)
+TARGETS = {"round": Ellipse((0, 0), (0.4, 0.4)),
+           "offset": Ellipse((0.3, -0.2), (0.5, 0.25)),
+           "high": Ellipse((0, 0.5), (0.3, 0.3)),
+           "flat": Ellipse((0, 0), (0.9, 0.2))}
+
+
+def _xfail(reason, raises=AssertionError):
+    return pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+
+
+_CONVEXITY_LOSS = _xfail("the direct solve raises ConvexityLoss at node 2001 "
+                         "(min eig 2.1e-8)", raises=ConvexityLoss)
+
+DIRECT_FAILS = {
+    (MINK, 0.2, "flat"): _xfail("mass_balance 2.30e-2 above its 2e-2 bound"),
+    (MINK, 0.1, "flat"): _CONVEXITY_LOSS,
+    (EUC, 0.1, "flat"): _xfail("mass_balance 2.007e-2 above its 2e-2 bound"),
+}
+
+DUAL_MISSES = {
+    (MINK, 1.0, "flat"): _xfail("dual gap 1.80e-2 above its 1.09e-2 bound"),
+    (MINK, 0.6, "flat"): _xfail("dual gap 1.90e-2 above its 6.91e-3 bound"),
+    (MINK, 0.35, "offset"): _xfail("dual gap 1.53e-3 above its 7.82e-4 bound"),
+    (MINK, 0.35, "flat"): _xfail("dual gap 2.02e-2 above its 3.63e-3 bound"),
+    (MINK, 0.2, "offset"): _xfail("dual gap 6.42e-3 above its 1.06e-3 bound"),
+    (MINK, 0.1, "offset"): _xfail("dual gap 2.87e-2 above its 1.23e-2 bound"),
+    (MINK, 0.1, "flat"): _CONVEXITY_LOSS,
+    (EUC, 0.2, "round"): _xfail("dual gap 2.05e-5 above its 1.45e-5 bound"),
+}
+
+
+def _panel(marks):
+    return [pytest.param(model, b, target, marks=marks.get((model, b, target), ()),
+                         id=f"{model.value}-b{b}-{target}")
+            for model in (MINK, EUC) for b in PANEL_B for target in TARGETS]
+
+
+@functools.cache
+def _solved(model, b, target):
+    omega = Ellipse((0.2, 0.1), (1.0, b))
+    spec = ProblemSpec(omega, TARGETS[target], model, build_grid(omega, 32, 64))
+    fld, _ = newton_solve(spec, seed_field(spec))
+    return spec, fld
+
+
+@pytest.mark.parametrize("model, b, target", _panel(DIRECT_FAILS))
+def test_direct_solve_passes_every_diagnostic(model, b, target):
+    report = full_report(*_solved(model, b, target))
+    assert report.all_pass, {k: v for k, v in report.checks.items() if not v["passed"]}
+
+
+@pytest.mark.parametrize("model, b, target", _panel(DUAL_MISSES))
+def test_dual_solve_passes_dual_consistency(model, b, target):
+    spec, fld = _solved(model, b, target)
+    dual, _ = dual_solve(spec)
+    check = full_report(spec, fld, dual=dual).checks["dual_consistency"]
+    assert check["passed"], check
+
+
+def test_c_refines_at_second_order_on_a_thin_ellipse():
+    # the direct solve at 32x64, 64x128 and 128x256: successive differences
+    # of c shrink by about 4 (measured 4.59)
+    omega, target = Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4)
+    c = []
+    for n in (32, 64, 128):
+        spec = ProblemSpec(omega, target, MINK, build_grid(omega, n, 2 * n))
+        c.append(newton_solve(spec, seed_field(spec))[0].c)
+    assert (c[1] - c[0]) / (c[2] - c[1]) == pytest.approx(4.0, abs=1.0)

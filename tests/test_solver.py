@@ -686,7 +686,7 @@ class TestPredictor:
 
     @pytest.mark.parametrize("omega, omega_tilde, model, newton", [
         (Ball((0, 0), 0.4), Ellipse((0, 0), (1.0, 0.8)), MINK, 15),
-        (Ellipse((0.1, 0), (0.5, 0.3)), Ball((1, 2), 2.0), EUC, 20),
+        (Ellipse((0.1, 0), (0.5, 0.3)), Ball((1, 2), 2.0), EUC, 16),
     ], ids=["benchmark_swapped", "euclidean_offcentre"])
     def test_dual_walk_matches_one_point_walk(self, monkeypatch, omega, omega_tilde,
                                               model, newton):
