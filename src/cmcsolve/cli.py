@@ -65,13 +65,17 @@ def cmd_radial(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        r = np.linspace(0.0, args.r0, args.samples)
+        u, du, d2u = radial_profile(sol, r)
+        lines = ["r,u,du,d2u"]
+        lines += [",".join(repr(float(v)) for v in row)
+                  for row in zip(r, u, du, d2u)]
+        text = "\n".join(lines) + "\n"
+    except MemoryError as exc:
+        print(f"error: --samples {args.samples} does not fit in memory: {exc}", file=sys.stderr)
+        return 2
     print(f"c = {sol.c:.9g}")
-    r = np.linspace(0.0, args.r0, args.samples)
-    u, du, d2u = radial_profile(sol, r)
-    lines = ["r,u,du,d2u"]
-    lines += [",".join(repr(float(v)) for v in row)
-              for row in zip(r, u, du, d2u)]
-    text = "\n".join(lines) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(text)

@@ -17,21 +17,20 @@ Hessians stay second-order accurate on the fanned polar layout:
   * pole: quadratic fit over the (centrally symmetric) first two rings;
   * first ring: cubic fit over 5 radial stations x 5 angular columns;
   * interior rings: interpolatory biquadratic tensor fits on 3x3 blocks
-    (9 nodes, 9 basis functions; the node's own grid ray is fitted in closed
-    form and the two side rays by one 6x6 solve per node, see
-    _interior_weights);
+    (the quadratics and r^2 t, r t^2, r^2 t^2: 9 nodes, 9 basis functions);
   * boundary ring: one-sided cubic fits over 4 x 5 blocks (used for export
     and diagnostics), while the gradient-image condition rows use mapped
     per-column differences (see _build_boundary_gradient_ops).
 
-The pole, first-ring and boundary fits are least squares, solved through a
-batched QR factorization of their tall design matrices.  The fitted
-unit-disk derivatives go to Cartesian ones by the constant chain rule
-Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1.  Every basis contains the
-quadratics, which an affine map keeps, so linear and quadratic potentials
-are reproduced to machine precision on any of the supported domains; the
-recovery is a fixed sparse linear operator, so residual linearizations stay
-exactly consistent with the residual itself.
+Every fit goes through one routine (_lsq_weights): a batched QR
+factorization of the design matrix, least squares on the tall pole,
+first-ring and boundary stencils and interpolation on the square interior
+ones.  The fitted unit-disk derivatives go to Cartesian ones by the
+constant chain rule Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1.  Every
+basis contains the quadratics, which an affine map keeps, so linear and
+quadratic potentials are reproduced to machine precision on any of the
+supported domains; the recovery is a fixed sparse linear operator, so
+residual linearizations stay exactly consistent with the residual itself.
 
 The unit-disk lattice is symmetric under every rotation by 2 pi / n_phi, so
 each node of a ring sees the same stencil in its own scaled rotated frame:
@@ -51,7 +50,7 @@ boundary integrals use arc-length weights |L e_t| dphi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -185,21 +184,6 @@ class MappedGrid:
                                np.repeat(np.arange(self.n_phi), np.diff(b_ptr)), recovery)
 
 
-def _scaled_frame(offsets, radial):
-    """Offsets (G, m, 2) in each node's rotated radial/tangential frame,
-    scaled per direction to the stencil's extent: (rr, tt), each (G, m), and
-    the scales (G, 2).  radial (G, 2) holds the unit radial directions.
-    Near the pole the stencils are extremely anisotropic (tangential arcs
-    shrink like rho), and a single isotropic scale would leave the fits ill
-    conditioned."""
-    c, s = radial[:, :1], radial[:, 1:]  # (G, 1) each; tangential is (-s, c)
-    ox, oy = offsets[..., 0], offsets[..., 1]
-    rr, tt = c * ox + s * oy, c * oy - s * ox
-    ell = np.maximum(np.stack([np.abs(rr).max(axis=1), np.abs(tt).max(axis=1)],
-                              axis=1), 1e-300)
-    return rr / ell[:, :1], tt / ell[:, 1:], ell
-
-
 def _cartesian_weights(w, ell, radial, center, chain):
     """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in the
     frame rotated to radial (G, 2) and scaled by ell (G, 2) -> Cartesian
@@ -221,73 +205,38 @@ def _cartesian_weights(w, ell, radial, center, chain):
     return _fold_defect((chain @ back) @ w, center)
 
 
-def _lsq_weights(offsets, radial, cubic):
+def _lsq_weights(offsets, extra):
     """Batched least-squares fit weights.
 
     offsets: (G, m, 2) unit-disk offsets of each stencil from its node.
-    radial:  (G, 2) unit directions of the rotated radial/tangential frame
-             the fit runs in (see _scaled_frame).
-    cubic:   complete the quadratic basis by the four cubic monomials of the
-             scaled frame.  Stencils on a polar lattice are not centrally
+             Every fit runs on ray 0 of its ring, whose radial/tangential
+             frame is the unit disk's own axes, so r and t are the offsets'
+             x and y, scaled per direction to the stencil's extent: near the
+             pole the stencils are extremely anisotropic (tangential arcs
+             shrink like rho), and a single isotropic scale would leave the
+             fits ill conditioned.
+    extra:   exponents (a, b) of the monomials r^a t^b that complete the
+             quadratic basis.  Stencils on a polar lattice are not centrally
              symmetric (one-sidedness at the pole and boundary, arc spacing
              growing with radius), and unmodeled cubic Taylor terms leak
-             into the fitted Hessian at first order; every cubic monomial
+             into the fitted Hessian at first order; every extra monomial
              must remain resolvable on the stencil (enough distinct radial
              and angular stations), otherwise the fit turns near-singular.
     Returns the frame weights (G, 5, m) of (r, t, r^2/2, rt, t^2/2) and
     the scales ell (G, 2), which _cartesian_weights takes to the weights
     for (ux, uy, uxx, uxy, uyy).
 
-    The tall design matrix A = QR is factored by a batched QR; the
-    least-squares coefficients are R^-1 Q^T u, and as R is upper triangular
-    rows 1.. of R^-1 Q^T need only the trailing block of R.  A duplicated
-    stencil entry acts as a doubled least-squares weight.
+    The design matrix A = QR is factored by a batched QR; the least-squares
+    coefficients are R^-1 Q^T u, and as R is upper triangular rows 1.. of
+    R^-1 Q^T need only the trailing block of R.  A square A interpolates,
+    and a duplicated stencil entry acts as a doubled least-squares weight.
     """
-    rr, tt, ell = _scaled_frame(offsets, radial)
+    ell = np.maximum(np.abs(offsets).max(axis=1), 1e-300)
+    rr, tt = np.moveaxis(offsets / ell[:, None], 2, 0)
     cols = [np.ones_like(rr), rr, tt, 0.5 * rr ** 2, rr * tt, 0.5 * tt ** 2]
-    if cubic:
-        cols += [rr ** 3, rr ** 2 * tt, rr * tt ** 2, tt ** 3]
+    cols += [rr ** a * tt ** b for a, b in extra]
     q, r = np.linalg.qr(np.stack(cols, axis=2))  # (G, m, n), (G, n, n)
     return np.linalg.solve(r[:, 1:, 1:], np.swapaxes(q[:, :, 1:], 1, 2))[:, :5], ell
-
-
-def _interior_weights(offsets, radial):
-    """Weights of the interpolatory biquadratic tensor fit on 3x3 blocks.
-
-    offsets: (G, 9, 2) in block order (di, dj) = (-1, -1), (-1, 0), ...,
-    (1, 1), di radial and dj angular, so entry 4 is the node itself; radial
-    (G, 2) is the direction of the node's own grid ray.  The basis is the
-    quadratics plus r^2 t, r t^2, r^2 t^2 of the scaled rotated frame: 9
-    functions through 9 nodes, leaving no residual space for stencil
-    patterns to hide in.
-
-    The centre ray (entries 1, 4, 7) lies on t = 0, where the basis reduces
-    to 1, r, r^2/2: the constant is the node value, and the r and r^2/2
-    coefficients are the three-point weights through (r-, 0, r+).  The six
-    t-carrying coefficients then interpolate the side rays' values less the
-    centre-ray quadratic (its Lagrange values there), one 6x6 solve per
-    node.  This is block elimination of the square 9x9 interpolation.
-    Returns frame weights (G, 5, 9) and scales (G, 2) as _lsq_weights.
-    """
-    rr, tt, ell = _scaled_frame(offsets, radial)
-    rm, rp = rr[:, 1:2], rr[:, 7:8]  # (G, 1): r- < 0 < r+
-    dm, d0, dp = rm * (rm - rp), rm * rp, rp * (rp - rm)
-    side = [0, 2, 3, 5, 6, 8]
-    r, t = rr[:, side], tt[:, side]  # (G, 6)
-    # transposed side design matrix, rows t, rt, t^2/2, r^2 t, r t^2, r^2 t^2
-    b_t = np.stack([t, r * t, 0.5 * t * t, r * r * t, r * t * t, (r * t) ** 2], axis=1)
-    # rows t, rt, t^2/2 of its inverse (solved against the transpose)
-    w_side = np.swapaxes(np.linalg.solve(b_t, np.eye(6)[:, :3]), 1, 2)  # (G, 3, 6)
-    # centre-ray quadratic's Lagrange basis at the side nodes: (G, 6, 3)
-    lagrange = np.stack([r * (r - rp) / dm, (r - rm) * (r - rp) / d0,
-                         r * (r - rm) / dp], axis=2)
-    centre, t_rows = [1, 4, 7], np.array([[1], [3], [4]])
-    w = np.zeros((rr.shape[0], 5, 9))
-    w[:, 0, centre] = np.concatenate([-rp / dm, -(rm + rp) / d0, -rm / dp], axis=1)
-    w[:, 2, centre] = np.concatenate([2.0 / dm, 2.0 / d0, 2.0 / dp], axis=1)
-    w[:, t_rows, side] = w_side
-    w[:, t_rows, centre] = -w_side @ lagrange
-    return w, ell
 
 
 def _fold_defect(w, center):
@@ -435,14 +384,14 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
         # w (..., 5, m) averaged with its image, entry k from entry_image[k]
         return 0.5 * (w + parity(fx, fy)[:, None] * w[..., entry_image])
 
-    def add_rings(rings, dis, djs, fit):
-        # fit(offsets, radial) weighs ray 0's blocks (di, dj) in their
-        # scaled rotated frames
+    def add_rings(rings, dis, djs, extra):
+        # ray 0's blocks (di, dj), fitted by the quadratics and the
+        # monomials extra (see _lsq_weights)
         stencil = _stencils(rings, dis, djs, n_phi)
         k, m = len(rings), stencil.shape[1]
         mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
         s = stencil[::n_phi]   # ray 0 of each ring
-        w, ell = fit(xi[s] - xi[s[:, mid, None]], np.tile(e[:1], (k, 1)))
+        w, ell = _lsq_weights(xi[s] - xi[s[:, mid, None]], extra)
         w = _cartesian_weights(np.repeat(w, n_fit, axis=0), np.repeat(ell, n_fit, axis=0),
                                np.tile(e[:n_fit], (k, 1)), mid, chain).reshape(k, n_fit, 5, m)
         reverse = np.arange(m).reshape(len(dis), len(djs))[:, ::-1].ravel()
@@ -470,9 +419,7 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
     # suffices.  Averaged with its y-mirror image and the result with its
     # x-mirror image, the row is exactly symmetric under all three images.
     pole_stencil = np.arange(1 + 2 * n_phi)
-    radial = np.array([[1.0, 0.0]])
-    w = _cartesian_weights(*_lsq_weights(xi[None, pole_stencil], radial, cubic=False),
-                           radial, 0, chain)
+    w = _cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain)
     j = np.arange(n_phi)
     for ray, f in ((-j, (1.0, -1.0)), (n_phi // 2 - j, (-1.0, 1.0))):
         w = symmetrized(w, np.append(0, 1 + np.mod(ray, n_phi) + [[0], [n_phi]]), *f)
@@ -480,19 +427,21 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
-    # into one pattern entry) x 5 angular columns, with the full cubic
-    # basis in the rotated frame
-    add_rings([1], range(-1, 4), range(-2, 3), partial(_lsq_weights, cubic=True))
+    # into one pattern entry) x 5 angular columns, with the full cubic basis
+    cubics = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    add_rings([1], range(-1, 4), range(-2, 3), cubics)
 
     # interior rings, all in one group: centered 3x3 blocks with the
-    # interpolatory biquadratic tensor basis (second-order Hessians; the
-    # basis covers the cross terms induced by the fanned arc spacing)
-    add_rings(np.arange(2, n_rho), range(-1, 2), range(-1, 2), _interior_weights)
+    # biquadratic tensor basis, 9 functions through 9 nodes (second-order
+    # Hessians; the basis covers the cross terms induced by the fanned arc
+    # spacing, and interpolation leaves no residual space for stencil
+    # patterns to hide in)
+    add_rings(np.arange(2, n_rho), range(-1, 2), range(-1, 2), [(2, 1), (1, 2), (2, 2)])
 
     # boundary ring (recovery for export/diagnostics; the gradient-image
     # condition rows use the mapped per-column operators instead): one-sided
     # 4x5 blocks with the full cubic basis
-    add_rings([n_rho], range(-3, 1), range(-2, 3), partial(_lsq_weights, cubic=True))
+    add_rings([n_rho], range(-3, 1), range(-2, 3), cubics)
 
     return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'], groups, n_nodes)
 

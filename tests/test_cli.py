@@ -106,6 +106,8 @@ class TestRadialCommand:
         (["--t0", "0.5", "--n", str(10 ** 400)], "need finite n"),
         (["--t0", "0.5", "--samples", "-1"], "--samples"),
         (["--t0", "0.5", "--samples", "0"], "--samples"),
+        # 8 PB of samples: past the address space, so no memory is touched
+        (["--t0", "0.5", "--samples", "1000000000000000"], "--samples"),
     ])
     def test_bad_input_exit_2(self, capsys, args, message):
         assert main(["radial", *args]) == 2

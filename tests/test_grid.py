@@ -208,18 +208,18 @@ def test_near_round_ellipse_operators_match_ball(center, n_rho, n_phi):
 @pytest.mark.parametrize("n_phi", [16, 18])
 @pytest.mark.parametrize("dom", [Ball((0.1, 0), 0.7), Ellipse((0.1, 0), (1.0, 0.8))])
 def test_fit_batch_sizes(monkeypatch, dom, n_phi):
-    # stencil rows per fit: the pole's one, then the first, interior and
-    # boundary rings, each ring fitted once on the unit-disk lattice
+    # (stencil rows, extra monomials) per fit: the pole's one, then the
+    # first, interior and boundary rings, each ring fitted once on the
+    # unit-disk lattice, all through the one fit routine
     batches = []
-    for name in ("_lsq_weights", "_interior_weights"):
-        def spy(offsets, *args, real=getattr(grid_module, name), name=name, **kwargs):
-            batches.append((name, len(offsets)))
-            return real(offsets, *args, **kwargs)
-        monkeypatch.setattr(grid_module, name, spy)
+
+    def spy(offsets, extra, real=grid_module._lsq_weights):
+        batches.append((len(offsets), len(extra)))
+        return real(offsets, extra)
+    monkeypatch.setattr(grid_module, "_lsq_weights", spy)
     n_rho = 8
     build_grid(dom, n_rho, n_phi)
-    assert batches == [("_lsq_weights", 1), ("_lsq_weights", 1),
-                       ("_interior_weights", n_rho - 2), ("_lsq_weights", 1)]
+    assert batches == [(1, 0), (1, 4), (n_rho - 2, 3), (1, 4)]
 
 
 def test_rotated_quadric_rejected():
