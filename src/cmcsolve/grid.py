@@ -35,12 +35,12 @@ residual linearizations stay exactly consistent with the residual itself.
 The unit-disk lattice is symmetric under every rotation by 2 pi / n_phi, so
 each node of a ring sees the same stencil in its own scaled rotated frame:
 only ray 0 of each ring is fitted, and its frame weights are taken through
-the frame of every fundamental ray j <= n_phi/4.  The half turn and the
-mirrors phi -> pi - phi and phi -> -phi commute with a diagonal L (the grid
-refuses a rotated quadric), so every other ray is the exact image of a
-fundamental one (_ray_images), its rows the source rows times the image's
-parity, reversed in angle under a mirror.  Ray 0, ray n_phi/4 and the pole,
-each its own image, are averaged with their images.
+the frame of every ray and the chain rule in one matrix product, for any
+symmetric L.  The polar frame is evaluated on the first quarter of the rays
+and taken to the others by exact mirror images (_ray_images), so the nodes
+and the quadrature weights are exactly symmetric under the half turn and
+the mirrors phi -> pi - phi and phi -> -phi of a diagonal L; the fitted
+rows agree with their images to roundoff.
 
 Quadrature: det L times the unit disk's trapezoid in rho of the polar
 integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
@@ -185,24 +185,28 @@ class MappedGrid:
 
 
 def _cartesian_weights(w, ell, radial, center, chain):
-    """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in the
-    frame rotated to radial (G, 2) and scaled by ell (G, 2) -> Cartesian
-    weights for (ux, uy, uxx, uxy, uyy), rounded by _fold_defect.  The
-    chain rule back through the scaling (inverse scales ir, it) and the
-    rotation gives the unit-disk derivatives back @ w, with back block
-    diagonal (gradient 2x2, Hessian 3x3), and the constant 5x5 chain takes
-    them through the domain's linear map."""
-    g = w.shape[0]
-    c, s = radial[:, :1], radial[:, 1:]
-    ir, it, z = 1.0 / ell[:, :1], 1.0 / ell[:, 1:], np.zeros((g, 1))
-    back = np.stack([
-        c * ir, -s * it, z, z, z,
-        s * ir, c * it, z, z, z,
-        z, z, c * c * ir * ir, -2.0 * c * s * ir * it, s * s * it * it,
-        z, z, c * s * ir * ir, (c * c - s * s) * ir * it, -c * s * it * it,
-        z, z, s * s * ir * ir, 2.0 * c * s * ir * it, c * c * it * it,
-    ], axis=1).reshape(g, 5, 5)
-    return _fold_defect((chain @ back) @ w, center)
+    """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in ray 0's
+    frame scaled by ell (G, 2) -> Cartesian weights (5, R, G, m) for (ux, uy,
+    uxx, uxy, uyy) in the frame of every ray radial (R, 2), rounded by
+    _fold_defect.  Undoing the scaling (inverse scales ir, it) gives the
+    unscaled frame weights; the rotation to a ray's frame, block diagonal
+    (gradient 2x2, Hessian 3x3), gives the unit-disk derivatives, and the
+    constant 5x5 chain takes them through the domain's linear map: one GEMM
+    of every ray's chain @ rotation against every unscaled row."""
+    ir, it = 1.0 / ell[:, :1], 1.0 / ell[:, 1:]
+    unscaled = np.stack([ir, it, ir * ir, ir * it, it * it], axis=1) * w
+    c, s = radial[:, 0], radial[:, 1]
+    z = np.zeros(len(radial))
+    rotation = np.stack([
+        c, -s, z, z, z,
+        s, c, z, z, z,
+        z, z, c * c, -2.0 * c * s, s * s,
+        z, z, c * s, c * c - s * s, -c * s,
+        z, z, s * s, 2.0 * c * s, c * c,
+    ], axis=1).reshape(-1, 5, 5)
+    back = np.swapaxes(chain @ rotation, 0, 1).reshape(-1, 5)   # rows (derivative, ray)
+    out = back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)
+    return _fold_defect(out.reshape(5, len(radial), *w.shape[::2]), center)
 
 
 def _lsq_weights(offsets, extra):
@@ -262,16 +266,14 @@ def _fold_defect(w, center):
 
 def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     """Construct the mapped grid with precomputed derivative operators and
-    quadrature weights.  The polar frame comes from the fundamental rays: a
-    mirror flips one component of e and the other of e_t.  The mirrors
-    commute with the domain's map only when its quadric A is diagonal."""
+    quadrature weights.  The polar frame is evaluated on the first quarter
+    of the rays and taken to the others by the mirrors and the half turn
+    (_ray_images), which flip one component of e and the other of e_t, so
+    every ray's frame is an exact image of a first-quarter one."""
     if n_rho < 8:
         raise ValueError(f"n_rho must be >= 8, got {n_rho}")
     if n_phi < 16 or n_phi % 2:
         raise ValueError(f"n_phi must be even and >= 16, got {n_phi}")
-    a = domain.quadric()[1]
-    if a[0, 1] or a[1, 0]:
-        raise ValueError(f"the grid's mirror images need a diagonal quadric, got {a.tolist()}")
     disk_map = domain.disk_map()
 
     rho = np.linspace(0.0, 1.0, n_rho + 1)
@@ -298,9 +300,13 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     w = np.append(0.0, np.repeat(np.linalg.det(disk_map) * frac * rho[1:] * drho * dphi, n_phi))
     boundary_weights = np.linalg.norm(e_t @ disk_map.T, axis=1) * dphi
 
-    # the chain rule Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1, L diagonal
-    ia, ib = 1.0 / np.diag(disk_map)
-    chain = np.diag([ia, ib, ia * ia, ia * ib, ib * ib])
+    # the chain rule Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1, with the
+    # symmetric L's inverse (a, b; b, d)
+    (a, b), (_, d) = np.linalg.inv(disk_map)
+    chain = np.zeros((5, 5))
+    chain[:2, :2] = (a, b), (b, d)
+    chain[2:, 2:] = ((a * a, 2 * a * b, b * b), (a * b, a * d + b * b, b * d),
+                     (b * b, 2 * b * d, d * d))
     ops = _build_derivative_ops(xi, e, chain, n_rho, n_phi)
     ops.update(_build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi))
 
@@ -318,7 +324,7 @@ def _on_one_pattern(names, groups, n):
     """
     sizes = np.concatenate([np.full(len(stencil), stencil.shape[1]) for stencil, _ in groups])
     indptr = np.append(np.zeros(n + 1 - len(sizes), dtype=int), np.cumsum(sizes))
-    # + 0.0: mirrored zero weights are -0.0
+    # + 0.0: a weight rounded to zero from below is -0.0
     vals = np.concatenate([w.reshape(len(names), -1) for _, w in groups], axis=1) + 0.0
     first = sp.csr_matrix((vals[0], np.concatenate([stencil.ravel() for stencil, _ in groups]),
                            indptr), shape=(n, n))
@@ -367,46 +373,24 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
     relative to the peak, in the rays' radial frames e, taken to Cartesian
     derivatives by chain.  Every node of a ring sees the same stencil in its
     own scaled rotated frame, so only ray 0 of each ring is fitted, and its
-    frame weights go through each fundamental ray's frame and chain
-    (_cartesian_weights).  xi and e are exact images of the
-    fundamental rays', so only those get weights: the row of an image node
-    is its source row times the image's parity per operator, and entry
-    (di, dj) of a mirror image is entry (di, -dj) of its source."""
+    frame weights go through every ray's frame and chain at once
+    (_cartesian_weights)."""
     n_nodes = 1 + n_rho * n_phi
-    n_fit = n_phi // 4 + 1
-    source, flip = _ray_images(n_phi)
     groups = []   # (stencil (G, m), weights (5, G, m)), in node order
-
-    def parity(fx, fy):  # of (dx, dy, dxx, dxy, dyy) under (x, y) -> (fx x, fy y)
-        return np.stack(np.broadcast_arrays(fx, fy, 1.0, fx * fy, 1.0), axis=-1)
-
-    def symmetrized(w, entry_image, fx, fy):
-        # w (..., 5, m) averaged with its image, entry k from entry_image[k]
-        return 0.5 * (w + parity(fx, fy)[:, None] * w[..., entry_image])
 
     def add_rings(rings, dis, djs, extra):
         # ray 0's blocks (di, dj), fitted by the quadratics and the
         # monomials extra (see _lsq_weights)
         stencil = _stencils(rings, dis, djs, n_phi)
-        k, m = len(rings), stencil.shape[1]
+        k = len(rings)
         mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
         s = stencil[::n_phi]   # ray 0 of each ring
-        w, ell = _lsq_weights(xi[s] - xi[s[:, mid, None]], extra)
-        w = _cartesian_weights(np.repeat(w, n_fit, axis=0), np.repeat(ell, n_fit, axis=0),
-                               np.tile(e[:n_fit], (k, 1)), mid, chain).reshape(k, n_fit, 5, m)
-        reverse = np.arange(m).reshape(len(dis), len(djs))[:, ::-1].ravel()
-        # their own images: ray 0 under the y-mirror, n_phi/4 under the x-mirror
-        for ray, f in [(0, (1.0, -1.0))] + [(n_fit - 1, (-1.0, 1.0))] * (n_phi % 4 == 0):
-            w[:, ray] = _fold_defect(symmetrized(w[:, ray], reverse, *f), mid)
-        # ray j takes its source ray's entries, reversed under a mirror, in
-        # the column order of its stencil, which depends only on j (the pole
-        # entries of ring 1 first, in stencil order)
+        w = _cartesian_weights(*_lsq_weights(xi[s] - xi[s[:, mid, None]], extra), e, mid, chain)
+        # every row in column order, which depends only on the ray (the pole
+        # entries of ring 1 first, in stencil order); w (5, ray, ring, m)
+        # gathered to (5, ring, ray, m), node order
         by_col = np.argsort(stencil[:n_phi], axis=1, kind="stable")
-        order = np.take_along_axis(np.where(flip[:, :1] * flip[:, 1:] < 0, reverse, np.arange(m)),
-                                   by_col, axis=1)
-        w = np.take(np.moveaxis(w, 2, 0).reshape(5, k, n_fit * m),
-                    (source[:, None] * m + order).ravel(), axis=2).reshape(5, k, n_phi, m)
-        w *= parity(*flip.T).T[:, None, :, None]
+        w = w[:, np.arange(n_phi)[:, None], np.arange(k)[:, None, None], by_col]
         stencil = np.take_along_axis(stencil, np.tile(by_col, (k, 1)), axis=1)
         if rings[0] + dis[0] == 0:   # station 0 is the pole: its entries summed into one
             w = np.concatenate([sum(np.moveaxis(w[..., :len(djs)], -1, 0))[..., None],
@@ -416,14 +400,10 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
 
     # pole: one fit over the first two rings plus the pole itself, nodes 0
     # .. 2 n_phi; the rings are centrally symmetric, so plain quadratic
-    # suffices.  Averaged with its y-mirror image and the result with its
-    # x-mirror image, the row is exactly symmetric under all three images.
+    # suffices
     pole_stencil = np.arange(1 + 2 * n_phi)
     w = _cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain)
-    j = np.arange(n_phi)
-    for ray, f in ((-j, (1.0, -1.0)), (n_phi // 2 - j, (-1.0, 1.0))):
-        w = symmetrized(w, np.append(0, 1 + np.mod(ray, n_phi) + [[0], [n_phi]]), *f)
-    groups.append((pole_stencil[None, :], np.swapaxes(_fold_defect(w, center=0), 0, 1)))
+    groups.append((pole_stencil[None, :], w.reshape(5, 1, -1)))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
@@ -484,9 +464,6 @@ class SolutionField:
                 a.flags.writeable = False
             self._derivatives = arrays
         return self._derivatives
-
-    def copy(self) -> "SolutionField":
-        return SolutionField(self.grid, self.u.copy(), self.c, self.model, self.dual)
 
 
 def lattice_spline(grid: MappedGrid, values):

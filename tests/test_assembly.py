@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,7 +38,7 @@ def fd_jacobian(spec, fld, step=1e-6):
     n = spec.grid.n_nodes
     cols = []
     for m in range(n + 1):
-        up, um = fld.copy(), fld.copy()
+        up, um = replace(fld, u=fld.u.copy()), replace(fld, u=fld.u.copy())
         if m < n:
             up.u[m] += step
             um.u[m] -= step

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -349,7 +350,7 @@ class TestVerifyCommand:
         spec = cmcsolve.ProblemSpec(omega, cmcsolve.Ball((0, 0), 0.5), model,
                                     cmcsolve.build_grid(omega, 8, 16))
         fld = cmcsolve.seed_field(spec)
-        odd = fld.copy()
+        odd = replace(fld, u=fld.u.copy())
         odd.u[:4] = [-0.0, 1e16, 1e-5, 5e-324]
         for k, f in enumerate([fld, odd]):
             path = tmp_path / f"f{k}.csv"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,8 +152,7 @@ class TestFullReport:
     def test_corrupted_field_fails(self, radial_32):
         spec, fld, _ = radial_32
         rng = np.random.default_rng(8)
-        bad = fld.copy()
-        bad.u = spec.grid.mean_zero(bad.u + 1e-2 * rng.standard_normal(len(bad.u)))
+        bad = replace(fld, u=spec.grid.mean_zero(fld.u + 1e-2 * rng.standard_normal(len(fld.u))))
         report = full_report(spec, bad)
         assert not report.all_pass
 
