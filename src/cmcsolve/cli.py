@@ -95,15 +95,14 @@ def _initial_field(cfg: RunConfig, spec: ProblemSpec):
     return seed_field(spec, strategy=strategy)
 
 
-def _step_entry(t, c, iterations, counts) -> dict:
-    """One summary.json step: t, c, Newton iterations and the solve's
-    linear-algebra counts, read off a NewtonInfo, HomotopyState or
-    NonConvergence."""
-    return {"t": t, "c": c, "iterations": iterations,
-            "factorizations": counts.factorizations,
-            "krylov_iterations": counts.krylov_iterations,
-            "krylov_misses": counts.krylov_misses,
-            "lu_fill": counts.lu_fill}
+def _step_entry(t, c, info) -> dict:
+    """One summary.json step: t, c, and the solve's Newton iterations and
+    linear-algebra counts."""
+    return {"t": t, "c": c, "iterations": info.iterations,
+            "factorizations": info.factorizations,
+            "krylov_iterations": info.krylov_iterations,
+            "krylov_misses": info.krylov_misses,
+            "lu_fill": info.lu_fill}
 
 
 def cmd_solve(args) -> int:
@@ -128,28 +127,24 @@ def cmd_solve(args) -> int:
             print(f"error: cannot write output.dir: {path} is a directory",
                   file=sys.stderr)
             return 2
-    steps_summary = []
     converged = True
     try:
         if cfg.homotopy_enabled:
             fld, history = run_homotopy(spec, cfg.options,
                                         steps=cfg.homotopy_steps,
                                         t_min=cfg.homotopy_t_min)
-            steps_summary = [_step_entry(h.t, h.field.c, h.newton_iterations, h)
-                             for h in history]
+            steps_summary = [_step_entry(h.t, h.field.c, h.info) for h in history]
         else:
             fld, info = newton_solve(spec, _initial_field(cfg, spec), cfg.options)
-            steps_summary = [_step_entry(1.0, fld.c, info.iterations, info)]
+            steps_summary = [_step_entry(1.0, fld.c, info)]
             del info   # frees the factor before the report and the field write
     except NonConvergence as exc:
         converged = False
         fld = exc.best_field
-        steps_summary = [_step_entry(exc.t if exc.t is not None else 1.0,
-                                     fld.c if fld is not None else None,
-                                     exc.iterations, exc)]
         print(f"non-convergence: {exc}", file=sys.stderr)
         if fld is None:
             return 1
+        steps_summary = [_step_entry(exc.t if exc.t is not None else 1.0, fld.c, exc.info)]
     except (ConfigError, MemoryError) as exc:   # MemoryError: the homotopy schedule
         print(f"config error: {exc}", file=sys.stderr)
         return 2

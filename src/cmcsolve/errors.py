@@ -42,24 +42,19 @@ class StepRejection(CMCSolveError):
 
 
 class NonConvergence(CMCSolveError):
-    """Newton iteration exhausted its budget.
+    """Newton solve failed: its budget ran out, its line search stalled, its
+    linear solve failed, or a residual or direction was not finite.
 
     Carries the best iterate seen so the caller can inspect or restart, and
-    the failed solve's linear-algebra counts (as on NewtonInfo).
+    the failed solve's NewtonInfo (iterations up to the failure, no factor).
     """
 
     def __init__(self, message: str, best_field=None, residual_norm: float | None = None,
-                 iterations: int | None = None, t: float | None = None,
-                 factorizations: int = 0, krylov_iterations: int = 0,
-                 krylov_misses: int = 0, lu_fill: int = 0):
+                 t: float | None = None, info=None):
         self.best_field = best_field
         self.residual_norm = residual_norm
-        self.iterations = iterations
         self.t = t
-        self.factorizations = factorizations
-        self.krylov_iterations = krylov_iterations
-        self.krylov_misses = krylov_misses
-        self.lu_fill = lu_fill
+        self.info = info
         super().__init__(message)
 
 

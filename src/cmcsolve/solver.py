@@ -73,8 +73,8 @@ misses within KRYLOV_BUDGET iterations, breaks down or meets a non-finite
 vector, the current Jacobian is factored and solved directly, and that
 factor serves the rest of the solve and the next homotopy step: a fresh
 factor comes only from a walk's first system or a miss.  The factor handed
-on lives on NewtonInfo.factor, so it is freed with the NewtonInfo;
-run_homotopy keeps none past its walk.
+on lives on NewtonInfo.factor until the next solve takes it: run_homotopy
+clears it from each step's record and keeps none past its walk.
 
 The homotopy walks increasing t on the problem's own grid, replacing only
 the target by its super-level set at t, and bisects the t increment of a
@@ -145,7 +145,10 @@ class SolveOptions:
 
 @dataclass
 class NewtonInfo:
-    converged: bool = False
+    """The record of one Newton solve: its iterations, accepted step
+    lengths and linear-algebra counts.  newton_solve returns it with a
+    converged field, and NonConvergence carries the failed solve's."""
+
     iterations: int = 0
     alphas: list = field(default_factory=list)
     factorizations: int = 0
@@ -163,15 +166,11 @@ class NewtonInfo:
 
 @dataclass
 class HomotopyState:
-    """Snapshot of one continuation step."""
+    """Snapshot of one continuation step: its t, field and solve record."""
 
     t: float
     field: SolutionField
-    newton_iterations: int = 0
-    factorizations: int = 0
-    krylov_iterations: int = 0
-    krylov_misses: int = 0
-    lu_fill: int = 0
+    info: NewtonInfo = field(default_factory=NewtonInfo)
 
 
 # SuperLU column ordering and diagonal pivot threshold; the module docstring
@@ -427,10 +426,10 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     preconditioned by the latest factor, to a tolerance tied to the stop
     target tol_residual (1 + |c|) (see _solve_linear).  The factor the
     solve ends with is left on info.factor.  Returns (field, NewtonInfo).
-    Raises NonConvergence with the best iterate and the solve's counts
-    attached when the budget runs out, the line search stalls, the linear
-    solve fails or the residual or direction is not finite; guard
-    violations of the initial field propagate as-is.
+    Raises NonConvergence with the best iterate and the solve's NewtonInfo,
+    less its factor, attached when the budget runs out, the line search
+    stalls, the linear solve fails or the residual or direction is not
+    finite; guard violations of the initial field propagate as-is.
     """
     opts = opts or SolveOptions()
     # only (u, c) come from the initial field; grid, model and dual tag are
@@ -448,34 +447,30 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     res = residual_from_state(spec, fld.u, fld.c, *state)
     t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
-    def failure(message, it, r_inf):
+    def failure(message, r_inf):
+        info.factor = None
         return NonConvergence(message, best_field=fld, residual_norm=r_inf,
-                              iterations=it, t=t_label,
-                              factorizations=info.factorizations,
-                              krylov_iterations=info.krylov_iterations,
-                              krylov_misses=info.krylov_misses,
-                              lu_fill=info.lu_fill)
+                              t=t_label, info=info)
 
     # max_newton steps leave max_newton + 1 residuals to test
     for it in range(opts.max_newton + 1):
+        info.iterations = it
         r_inf = float(np.max(np.abs(res)))
         if not np.isfinite(r_inf):
-            raise failure(f"non-finite residual at iteration {it + 1}", it, r_inf)
+            raise failure(f"non-finite residual at iteration {it + 1}", r_inf)
         target = opts.tol_residual * (1.0 + abs(fld.c))
         if r_inf <= target:
-            info.converged = True
-            info.iterations = it
             return fld, info
         if it == opts.max_newton:
             raise failure(f"no convergence in {it} iterations (residual {r_inf:.3e})",
-                          it, r_inf)
+                          r_inf)
 
         jac = jacobian(spec, *state)
         try:
             direction, factor, krylov = _solve_linear(jac, -res, info.factor, target)
         except RuntimeError as exc:   # a singular factor or bordering step
             raise failure(f"linear solve failed ({exc}) at iteration {it + 1}",
-                          it, r_inf) from exc
+                          r_inf) from exc
         info.krylov_iterations += krylov
         if factor is not info.factor:
             info.factorizations += 1
@@ -483,12 +478,12 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
             info.lu_fill = max(info.lu_fill, factor[0].lu.L.nnz + factor[0].lu.U.nnz)
         info.factor = factor
         if not np.all(np.isfinite(direction)):
-            raise failure(f"non-finite Newton direction at iteration {it + 1}", it, r_inf)
+            raise failure(f"non-finite Newton direction at iteration {it + 1}", r_inf)
         try:
             alpha, fld, res, state = damped_step(spec, fld, state, direction,
                                                  _norm2(res))
         except StepRejection as exc:
-            raise failure(f"line search stalled at iteration {it + 1}", it, r_inf) from exc
+            raise failure(f"line search stalled at iteration {it + 1}", r_inf) from exc
         info.alphas.append(alpha)
         logger.info("newton t=%s iter=%d res=%.9g alpha=%.9g c=%.9g",
                     t_str, it + 1, float(np.max(np.abs(res))), alpha, fld.c)
@@ -543,8 +538,9 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     schedule needs no special case.  If the guards refuse that start's
     solve (ConvexityLoss or SpacelikeViolation), the step is retried once
     from the one-point start before any bisection.  The first Newton system
-    of a step is preconditioned by the last accepted step's info.factor; a
-    failed attempt's factor is dropped.  For the graph operator, dilation
+    of a step is preconditioned by the last accepted step's factor, which
+    its HomotopyState.info no longer holds; a failed attempt's factor is
+    dropped.  For the graph operator, dilation
     is an exact symmetry (v(x) = s u(x0 + (x - x0)/s) keeps the gradient
     image and has constant c/s), so step t is the super-level pair
     (omega_t, omega_tilde_t) dilated onto omega and its c is sqrt(t) times
@@ -592,10 +588,8 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
             pending.insert(0, 0.5 * (history[-1].t + t))
             logger.info("homotopy bisect: inserting t=%.6g", pending[0])
             continue
-        history.append(HomotopyState(t, fld, info.iterations, info.factorizations,
-                                     info.krylov_iterations, info.krylov_misses,
-                                     info.lu_fill))
-        factor = info.factor
+        factor, info.factor = info.factor, None
+        history.append(HomotopyState(t, fld, info))
         pending.pop(0)
 
     return history[-1].field, history

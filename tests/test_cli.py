@@ -215,6 +215,19 @@ class TestSolveCommand:
         assert [step[key] for key in ("iterations", "factorizations", "krylov_iterations",
                                       "krylov_misses", "lu_fill")] == [0, 0, 0, 0, 0]
 
+    def test_failed_walk_reports_its_solve(self, tmp_path, capsys):
+        # one Newton step leaves the walk's first solve short of its target
+        # after it has factored; the fill moves with SuperLU's pivot ties,
+        # so only its sign is pinned
+        cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG, **{"solve.max_newton": 1})
+        assert main(["solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("non-convergence: no convergence in 1 ")
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert not summary["converged"]
+        [step] = summary["steps"]
+        assert (step["iterations"], step["factorizations"]) == (1, 1)
+        assert step["lu_fill"] > 0
+
     @pytest.mark.parametrize("blocked", ["output.dir under a file",
                                          "field.csv is a directory"])
     def test_unwritable_output_exit_2_before_solving(self, tmp_path, monkeypatch,

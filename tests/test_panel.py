@@ -5,9 +5,12 @@ The panel pairs Omega = Ellipse((0.2, 0.1), (1, b)), b in PANEL_B, with four
 targets, in both models at 32x64.  Every domain is an Ellipse, so no pair
 takes the radial seed.  Each pair is solved directly (Newton at t = 1 from
 the transport seed); the direct solve must pass every diagnostic, and
-dual_solve must pass dual_consistency against it.  A pair that fails today
-is marked strict xfail with its measured failure, so a fix shows as an
-XPASS that fails the suite until its mark is lifted.
+dual_solve must pass dual_consistency against it.  The same two checks run
+on near-cone pairs: Minkowski Ball(0, 1) -> Ball(0, t0), t0 in NEAR_CONE_T0,
+at 16x32 and 32x64, whose gradient image reaches within 1 - t0 of the light
+cone |Du| = 1.  A pair that fails today is marked strict xfail with its
+measured failure, so a fix shows as an XPASS that fails the suite until its
+mark is lifted.
 """
 
 import functools
@@ -18,7 +21,7 @@ from cmcsolve import (Ball, Ellipse, ProblemSpec, build_grid, newton_solve,
                       seed_field)
 from cmcsolve.diagnostics import full_report
 from cmcsolve.duality import dual_solve
-from cmcsolve.errors import ConvexityLoss
+from cmcsolve.errors import ConvexityLoss, SeedFailure
 from conftest import EUC, MINK
 
 PANEL_B = (1.0, 0.6, 0.35, 0.2, 0.1)
@@ -26,6 +29,14 @@ TARGETS = {"round": Ellipse((0, 0), (0.4, 0.4)),
            "offset": Ellipse((0.3, -0.2), (0.5, 0.25)),
            "high": Ellipse((0, 0.5), (0.3, 0.3)),
            "flat": Ellipse((0, 0), (0.9, 0.2))}
+NEAR_CONE_T0 = (0.95, 0.98, 0.99)
+# test id: (model, omega, omega_tilde, n_rho), solved at n_rho x 2 n_rho
+CASES = {
+    **{f"{model.value}-b{b}-{name}": (model, Ellipse((0.2, 0.1), (1.0, b)), target, 32)
+       for model in (MINK, EUC) for b in PANEL_B for name, target in TARGETS.items()},
+    **{f"near-cone-{n}x{2 * n}-t{t0}": (MINK, Ball((0, 0), 1.0), Ball((0, 0), t0), n)
+       for n in (16, 32) for t0 in NEAR_CONE_T0},
+}
 
 
 def _xfail(reason, raises=AssertionError):
@@ -34,48 +45,54 @@ def _xfail(reason, raises=AssertionError):
 
 _CONVEXITY_LOSS = _xfail("the direct solve raises ConvexityLoss at node 2001 "
                          "(min eig 2.1e-8)", raises=ConvexityLoss)
+_SEED_FAILURE = _xfail("seed_field raises SeedFailure: exact radial seed failed "
+                       "the admissibility guards", raises=SeedFailure)
+_NEAR_CONE_SEED_FAILURES = {f"near-cone-{case}": _SEED_FAILURE
+                            for case in ("16x32-t0.95", "16x32-t0.98", "16x32-t0.99",
+                                         "32x64-t0.98", "32x64-t0.99")}
 
 DIRECT_FAILS = {
-    (MINK, 0.2, "flat"): _xfail("mass_balance 2.30e-2 above its 2e-2 bound"),
-    (MINK, 0.1, "flat"): _CONVEXITY_LOSS,
-    (EUC, 0.1, "flat"): _xfail("mass_balance 2.007e-2 above its 2e-2 bound"),
+    "minkowski-b0.2-flat": _xfail("mass_balance 2.30e-2 above its 2e-2 bound"),
+    "minkowski-b0.1-flat": _CONVEXITY_LOSS,
+    "euclidean-b0.1-flat": _xfail("mass_balance 2.007e-2 above its 2e-2 bound"),
+    **_NEAR_CONE_SEED_FAILURES,
 }
 
 DUAL_MISSES = {
-    (MINK, 1.0, "flat"): _xfail("dual gap 1.80e-2 above its 1.09e-2 bound"),
-    (MINK, 0.6, "flat"): _xfail("dual gap 1.90e-2 above its 6.91e-3 bound"),
-    (MINK, 0.35, "offset"): _xfail("dual gap 1.53e-3 above its 7.82e-4 bound"),
-    (MINK, 0.35, "flat"): _xfail("dual gap 2.02e-2 above its 3.63e-3 bound"),
-    (MINK, 0.2, "offset"): _xfail("dual gap 6.42e-3 above its 1.06e-3 bound"),
-    (MINK, 0.1, "offset"): _xfail("dual gap 2.87e-2 above its 1.23e-2 bound"),
-    (MINK, 0.1, "flat"): _CONVEXITY_LOSS,
-    (EUC, 0.2, "round"): _xfail("dual gap 2.05e-5 above its 1.45e-5 bound"),
+    "minkowski-b1.0-flat": _xfail("dual gap 1.80e-2 above its 1.09e-2 bound"),
+    "minkowski-b0.6-flat": _xfail("dual gap 1.90e-2 above its 6.91e-3 bound"),
+    "minkowski-b0.35-offset": _xfail("dual gap 1.53e-3 above its 7.82e-4 bound"),
+    "minkowski-b0.35-flat": _xfail("dual gap 2.02e-2 above its 3.63e-3 bound"),
+    "minkowski-b0.2-offset": _xfail("dual gap 6.42e-3 above its 1.06e-3 bound"),
+    "minkowski-b0.1-offset": _xfail("dual gap 2.87e-2 above its 1.23e-2 bound"),
+    "minkowski-b0.1-flat": _CONVEXITY_LOSS,
+    "euclidean-b0.2-round": _xfail("dual gap 2.05e-5 above its 1.45e-5 bound"),
+    "near-cone-32x64-t0.95": _xfail("dual gap 2.57e-1 above its 2.27e-2 bound"),
+    **_NEAR_CONE_SEED_FAILURES,
 }
 
 
 def _panel(marks):
-    return [pytest.param(model, b, target, marks=marks.get((model, b, target), ()),
-                         id=f"{model.value}-b{b}-{target}")
-            for model in (MINK, EUC) for b in PANEL_B for target in TARGETS]
+    return [pytest.param(case, marks=marks.get(case, ()), id=case) for case in CASES]
 
 
 @functools.cache
-def _solved(model, b, target):
-    omega = Ellipse((0.2, 0.1), (1.0, b))
-    spec = ProblemSpec(omega, TARGETS[target], model, build_grid(omega, 32, 64))
+def _solved(case):
+    model, omega, omega_tilde, n_rho = CASES[case]
+    spec = ProblemSpec(omega, omega_tilde, model, build_grid(omega, n_rho, 2 * n_rho))
     fld, _ = newton_solve(spec, seed_field(spec))
     return spec, fld
 
 
-@pytest.mark.parametrize("model, b, target", _panel(DIRECT_FAILS))
-def test_direct_solve_passes_every_diagnostic(model, b, target):
-    report = full_report(*_solved(model, b, target))
+@pytest.mark.parametrize("case", _panel(DIRECT_FAILS))
+def test_direct_solve_passes_every_diagnostic(case):
+    report = full_report(*_solved(case))
     assert report.all_pass, {k: v for k, v in report.checks.items() if not v["passed"]}
 
 
-@pytest.mark.parametrize("model, b, target", _panel(DUAL_MISSES))
-def test_dual_solve_passes_dual_consistency(model, b, target):
-    spec, fld = _solved(model, b, target)
+@pytest.mark.parametrize("case", _panel(DUAL_MISSES))
+def test_dual_solve_passes_dual_consistency(case):
+    spec, fld = _solved(case)
     dual, _ = dual_solve(spec)
     check = full_report(spec, fld, dual=dual).checks["dual_consistency"]
     assert check["passed"], check
