@@ -14,7 +14,7 @@ from .kernel import ModelKind
 from .radial import (RadialSolution, radial_constant, radial_profile,
                      seed_field)
 from .solver import (HomotopyState, NewtonInfo, SolveOptions, damped_step,
-                     newton_solve, run_homotopy)
+                     direct_or_walk, newton_solve, run_homotopy)
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,7 @@ __all__ = [
     "MappedGrid", "SolutionField", "build_grid", "transfer_field",
     "OperatorKind", "ProblemSpec", "residual", "jacobian",
     "SolveOptions", "NewtonInfo", "HomotopyState",
-    "newton_solve", "damped_step", "run_homotopy",
+    "newton_solve", "damped_step", "run_homotopy", "direct_or_walk",
     "RadialSolution", "radial_constant", "radial_profile", "seed_field",
     "FieldInterpolant", "legendre_transform", "dual_residual", "dual_solve",
     "DiagnosticsReport", "full_report", "lambda_bounds",

@@ -31,7 +31,7 @@ from .fieldio import header_path, load_field, save_field
 from .grid import build_grid, transfer_field
 from .kernel import ModelKind
 from .radial import RadialSolution, radial_profile, seed_field
-from .solver import newton_solve, run_homotopy
+from .solver import direct_or_walk, newton_solve
 
 
 class _StdoutHandler(logging.StreamHandler):
@@ -130,9 +130,8 @@ def cmd_solve(args) -> int:
     converged = True
     try:
         if cfg.homotopy_enabled:
-            fld, history = run_homotopy(spec, cfg.options,
-                                        steps=cfg.homotopy_steps,
-                                        t_min=cfg.homotopy_t_min)
+            fld, history = direct_or_walk(spec, cfg.options, cfg.homotopy_steps,
+                                          cfg.homotopy_t_min)
             steps_summary = [_step_entry(h.t, h.field.c, h.info) for h in history]
         else:
             fld, info = newton_solve(spec, _initial_field(cfg, spec), cfg.options)
@@ -216,7 +215,7 @@ def cmd_verify(args) -> int:
     dual = None
     if args.dual:
         try:
-            dual = dual_solve(spec, cfg.options)[0]   # the info holds a factor
+            dual = dual_solve(spec, cfg.options)[0]
         except CMCSolveError as exc:
             print(f"dual solve failure: {exc}", file=sys.stderr)
             return 1

@@ -15,7 +15,8 @@ dot-namespaced, values are scalars or comma-separated pairs):
   solve.max_newton      int              (default: SolveOptions)
   homotopy.enabled      true | false     (default false)
   homotopy.steps        int >= 2         (default 12)
-  homotopy.t_min        auto | float     (default auto)
+  homotopy.t_min        auto | float     (default auto: solve at t = 1, walk only if that
+                                          fails; a number in (0, 1] forces the walk from it)
   seed.strategy         radial | quadratic | file   (default radial)
   seed.path             path             (required for seed.strategy = file)
   output.dir            path             (default ".")

@@ -18,18 +18,14 @@ angle, read through the grid's linear map x = peak + L xi.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 
 import numpy as np
 
 from .assembly import OperatorKind, ProblemSpec, inverse_hessian_operator
-from .errors import InversionFailure, NonConvergence
+from .errors import InversionFailure
 from .grid import MappedGrid, SolutionField, build_grid, lattice_spline
-from .radial import seed_field
-from .solver import SolveOptions, newton_solve, run_homotopy
-
-logger = logging.getLogger("cmcsolve.duality")
+from .solver import SolveOptions, direct_or_walk
 
 INVERSION_TOL = 1e-12
 INVERSION_MAX_NEWTON = 30
@@ -212,17 +208,12 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
 
     Swaps the domain roles, switches to the inverse-Hessian operator, seeds
     with the transport seed of the swapped pair (Hessian M^-1, the inverse
-    of the primal seed's), and runs the same Newton machinery (falling back
-    to the homotopy on non-convergence).  Returns
-    (dual_field, NewtonInfo-or-None).
+    of the primal seed's), and solves by direct_or_walk: Newton at t = 1,
+    and the homotopy walk only when that fails.  Returns (dual_field,
+    NewtonInfo of the direct solve, or None when the walk took over).
     """
-    opts = opts or SolveOptions()
     dual_grid = build_grid(spec.omega_tilde, spec.grid.n_rho, spec.grid.n_phi)
     dual_spec = replace(spec, omega=spec.omega_tilde, omega_tilde=spec.omega,
                         grid=dual_grid, operator=OperatorKind.INVERSE_HESSIAN)
-    try:
-        return newton_solve(dual_spec, seed_field(dual_spec), opts)
-    except NonConvergence:
-        logger.info("dual direct solve failed; retrying with homotopy")
-        fld, _ = run_homotopy(dual_spec, opts)
-        return fld, None
+    fld, history = direct_or_walk(dual_spec, opts)
+    return fld, history[0].info if len(history) == 1 else None

@@ -1,5 +1,7 @@
 """Damped Newton solve of the assembled system and the continuity-method
 homotopy that grows the target from a shrunken copy to its full size.
+direct_or_walk, the solve of homotopy.t_min = auto and of the dual, tries
+t = 1 from the seed first and walks only when that solve fails.
 
 Every accepted iterate satisfies the admissibility guards (uniform convexity
 everywhere, spacelike bound in the primal Minkowski model): the guards are
@@ -524,6 +526,15 @@ def _predicted_start(steps: list[HomotopyState], t: float,
     return replace(steps[-1].field, u=peak_potential + np.sqrt(t) * w, c=float(c))
 
 
+def _schedule(steps: int, t_min: float) -> list[float]:
+    """`steps` uniform values of t from t_min to 1, or 1 alone at t_min 1."""
+    if steps < 2:   # a one-point schedule from t_min < 1 never reaches t = 1
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not 0.0 < t_min <= 1.0:
+        raise ValueError(f"t_min must be in (0, 1], got {t_min!r}")
+    return [float(t) for t in np.linspace(t_min, 1.0, steps)] if t_min < 1.0 else [1.0]
+
+
 def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
                  steps: int = 12, t_min: float | None = None):
     """Continuity-method solve on spec.grid: step t solves spec with the
@@ -531,33 +542,27 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     the sqrt(t)-scaled copy of omega_tilde about its peak, a domain of the
     same class with the same |Dh| band.
 
-    Walks `steps` uniform values of t from t_min (auto_t_min when None) to
-    1, or t = 1 alone when t_min is 1.  The first step is seeded by
-    seed_field; each later one starts from _predicted_start through the
-    last PREDICTOR_POINTS accepted steps, at their actual t, so a bisected
-    schedule needs no special case.  If the guards refuse that start's
-    solve (ConvexityLoss or SpacelikeViolation), the step is retried once
-    from the one-point start before any bisection.  The first Newton system
-    of a step is preconditioned by the last accepted step's factor, which
-    its HomotopyState.info no longer holds; a failed attempt's factor is
-    dropped.  For the graph operator, dilation
-    is an exact symmetry (v(x) = s u(x0 + (x - x0)/s) keeps the gradient
-    image and has constant c/s), so step t is the super-level pair
-    (omega_t, omega_tilde_t) dilated onto omega and its c is sqrt(t) times
-    that pair's.  For the inverse-Hessian operator, whose coefficients
-    depend on node positions, step t is the Legendre dual of the primal
-    problem on omega_tilde_t with image omega, on the fixed dual domain.
-    Returns (final field, [HomotopyState]); raises ValueError for steps < 2
-    or a t_min outside (0, 1].
+    Walks the _schedule from t_min (auto_t_min when None).  The first step
+    is seeded by seed_field; each later one starts from _predicted_start
+    through the last PREDICTOR_POINTS accepted steps, at their actual t, so
+    a bisected schedule needs no special case.  If the guards refuse that
+    start's solve (ConvexityLoss or SpacelikeViolation), the step is retried
+    once from the one-point start before any bisection.  The first Newton
+    system of a step is preconditioned by the last accepted step's factor,
+    which its HomotopyState.info no longer holds; a failed attempt's factor
+    is dropped.  For the graph operator, dilation is an exact symmetry
+    (v(x) = s u(x0 + (x - x0)/s) keeps the gradient image and has constant
+    c/s), so step t is the super-level pair (omega_t, omega_tilde_t)
+    dilated onto omega and its c is sqrt(t) times that pair's.  For the
+    inverse-Hessian operator, whose coefficients depend on node positions,
+    step t is the Legendre dual of the primal problem on omega_tilde_t with
+    image omega, on the fixed dual domain.  Returns (final field,
+    [HomotopyState]); raises ValueError for steps < 2 or a t_min outside
+    (0, 1].
     """
-    if steps < 2:   # a one-point schedule from t_min < 1 never reaches t = 1
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    if t_min is not None and not 0.0 < t_min <= 1.0:
-        raise ValueError(f"t_min must be in (0, 1], got {t_min!r}")
-    opts = opts or SolveOptions()
     if t_min is None:
         t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
-    pending = [float(t) for t in np.linspace(t_min, 1.0, steps)] if t_min < 1.0 else [1.0]
+    pending = _schedule(steps, t_min)
     peak_potential = spec.grid.nodes @ spec.omega_tilde.peak
 
     history: list[HomotopyState] = []
@@ -593,3 +598,25 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
         pending.pop(0)
 
     return history[-1].field, history
+
+
+def direct_or_walk(spec: ProblemSpec, opts: SolveOptions | None = None,
+                   steps: int = 12, t_min: float | None = None):
+    """Newton at t = 1 from seed_field(spec), logged as t=-, and on
+    NonConvergence or a guard refusal one INFO line and run_homotopy from
+    auto_t_min, whose schedule is checked first; an explicit t_min forces
+    the walk.  Returns (field, [HomotopyState]), one state if direct."""
+    if t_min is not None:
+        return run_homotopy(spec, opts, steps, t_min)
+    t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
+    _schedule(steps, t_min)   # a bad steps fails before any solve
+    try:
+        fld, info = newton_solve(spec, seed_field(spec), opts)
+    except (NonConvergence, ConvexityLoss, SpacelikeViolation) as exc:
+        if t_min == 1.0:   # that walk is the same solve again
+            raise
+        logger.info("homotopy fallback: direct solve failed (%s); walking from t=%.6g",
+                    exc, t_min)
+        return run_homotopy(spec, opts, steps, t_min)
+    info.factor = None
+    return fld, [HomotopyState(1.0, fld, info)]

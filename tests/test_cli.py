@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cmcsolve
-from cmcsolve import cli, duality, solver
+from cmcsolve import cli, solver
 from cmcsolve.cli import main
 from cmcsolve.config import parse_config
 from cmcsolve.fieldio import load_field, save_field
@@ -216,16 +216,17 @@ class TestSolveCommand:
                                       "krylov_misses", "lu_fill")] == [0, 0, 0, 0, 0]
 
     def test_failed_walk_reports_its_solve(self, tmp_path, capsys):
-        # one Newton step leaves the walk's first solve short of its target
-        # after it has factored; the fill moves with SuperLU's pivot ties,
-        # so only its sign is pinned
+        # one Newton step leaves the direct solve, and then the walk's first
+        # solve, short of its target after it has factored; the entry is the
+        # walk's.  The fill moves with SuperLU's pivot ties, so only its sign
+        # is pinned
         cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG, **{"solve.max_newton": 1})
         assert main(["solve", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("non-convergence: no convergence in 1 ")
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert not summary["converged"]
         [step] = summary["steps"]
-        assert (step["iterations"], step["factorizations"]) == (1, 1)
+        assert (step["t"], step["iterations"], step["factorizations"]) == (0.25, 1, 1)
         assert step["lu_fill"] > 0
 
     @pytest.mark.parametrize("blocked", ["output.dir under a file",
@@ -257,10 +258,47 @@ class TestSolveCommand:
         assert err == ["error: cannot write output.dir: [Errno 28] No space left on device"]
 
     def test_homotopy_config(self, tmp_path):
-        cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG)
+        # an explicit t_min forces the walk; 0.25 is auto_t_min's value here
+        cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG, **{"homotopy.t_min": 0.25})
         assert main(["solve", "--config", str(cfg)]) == 0
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert len(summary["steps"]) == 8
+
+    def test_auto_homotopy_solves_directly(self, tmp_path):
+        # t_min = auto tries t = 1 first: one step, and the same artifacts,
+        # byte for byte, as the run without homotopy
+        auto, off = tmp_path / "auto", tmp_path / "off"
+        auto.mkdir()
+        off.mkdir()
+        assert main(["solve", "--config", str(write_config(auto, text=HOMOTOPY_CONFIG))]) == 0
+        cfg = write_config(off, text=HOMOTOPY_CONFIG.replace(
+            "homotopy.enabled = true", "homotopy.enabled = false"))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        [step] = json.loads((auto / "run" / "summary.json").read_text())["steps"]
+        assert (step["t"], step["iterations"], step["factorizations"]) == (1.0, 3, 1)
+        for name in ("field.csv", "field.json", "report.json", "summary.json"):
+            assert (auto / "run" / name).read_bytes() == (off / "run" / name).read_bytes()
+
+    def test_failed_direct_solve_walks(self, tmp_path, capsys):
+        # two Newton steps leave the direct solve at residual 1.9e-8; the
+        # walk from auto_t_min then converges in [2, 2, 2, 1, 1, 1, 1, 1]
+        # to the direct solve's c
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        assert main(["solve", "--config", str(write_config(direct, text=HOMOTOPY_CONFIG))]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG, **{"solve.max_newton": 2})
+        assert main(["solve", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        fallback = [line for line in captured.out.splitlines()
+                    if line.startswith("homotopy fallback: ")]
+        assert fallback == ["homotopy fallback: direct solve failed (no convergence in 2 "
+                            "iterations (residual 1.949e-08)); walking from t=0.25"]
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert len(summary["steps"]) == 8
+        c_direct = json.loads((direct / "run" / "summary.json").read_text())["c"]
+        assert summary["c"] == pytest.approx(c_direct, rel=1e-10)
 
     @pytest.mark.parametrize("text", [BASE_CONFIG, HOMOTOPY_CONFIG],
                              ids=["direct", "homotopy"])
@@ -405,8 +443,8 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(duality, "newton_solve", no_solve)
-        monkeypatch.setattr(duality, "run_homotopy", no_solve)
+        monkeypatch.setattr(solver, "newton_solve", no_solve)
+        monkeypatch.setattr(solver, "run_homotopy", no_solve)
         if blocked == "missing directory":
             out = tmp_path / "missing" / "verify.json"
         else:
@@ -694,7 +732,7 @@ def test_solved_field_differentiated_once(tmp_path, monkeypatch, text):
             return out
         return run
 
-    for name in ("newton_solve", "run_homotopy"):
+    for name in ("newton_solve", "direct_or_walk"):
         monkeypatch.setattr(cli, name, marking(getattr(cli, name)))
     assert main(["solve", "--config", str(write_config(tmp_path, text=text))]) == 0
     assert solved and calls.count(True) == 1
@@ -706,8 +744,8 @@ def test_homotopy_builds_each_grid_once(tmp_path, monkeypatch):
     real = cli.build_grid
     monkeypatch.setattr(cli, "build_grid",
                         lambda *a: builds.append(a) or real(*a))
-    assert main(["solve", "--config",
-                 str(write_config(tmp_path, text=HOMOTOPY_CONFIG))]) == 0
+    cfg = write_config(tmp_path, text=HOMOTOPY_CONFIG, **{"homotopy.t_min": 0.25})
+    assert main(["solve", "--config", str(cfg)]) == 0
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert len(summary["steps"]) == 8
     assert len(builds) == 1
