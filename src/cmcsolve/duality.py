@@ -215,5 +215,5 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     dual_grid = build_grid(spec.omega_tilde, spec.grid.n_rho, spec.grid.n_phi)
     dual_spec = replace(spec, omega=spec.omega_tilde, omega_tilde=spec.omega,
                         grid=dual_grid, operator=OperatorKind.INVERSE_HESSIAN)
-    fld, history = direct_or_walk(dual_spec, opts)
+    fld, history, _ = direct_or_walk(dual_spec, opts)
     return fld, history[0].info if len(history) == 1 else None

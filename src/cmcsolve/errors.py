@@ -17,7 +17,18 @@ class DegenerateSublevel(CMCSolveError):
     """Requested super-level set is too small to be resolved."""
 
 
-class SpacelikeViolation(CMCSolveError):
+class GuardViolation(CMCSolveError):
+    """An admissibility guard refused a field at node (a flat node index,
+    None for a single state).  When one ends a Newton solve, newton_solve
+    attaches the last accepted iterate as best_field and the solve's
+    NewtonInfo, less its factor, as info, as NonConvergence carries them."""
+
+    node: int | None = None
+    best_field = None
+    info = None
+
+
+class SpacelikeViolation(GuardViolation):
     """|Du| reached the Minkowski light-cone guard at some node."""
 
     def __init__(self, grad_norm: float, node: int | None = None):
@@ -27,7 +38,7 @@ class SpacelikeViolation(CMCSolveError):
         super().__init__(f"spacelike guard violated{where}: |Du| = {grad_norm:.9g}")
 
 
-class ConvexityLoss(CMCSolveError):
+class ConvexityLoss(GuardViolation):
     """Hessian eigenvalue dropped below the uniform convexity guard."""
 
     def __init__(self, eig_min: float, node: int | None = None):

@@ -5,10 +5,19 @@ A field is stored as a CSV of nodal data plus a JSON header.  CSV columns:
   rho_index, phi_index, x1, x2, u, du1, du2, d2u11, d2u12, d2u22
 
 with '.' decimal separator, ',' field separator, and a mandatory header row;
-the pole appears once as (0, 0).  Floats are written with repr (shortest
-round-trip), so u survives the round trip bit-exactly.  The JSON header
-carries c, the model tag, the resolutions, the dual flag, and the domain
-descriptors needed to rebuild the grid.
+the pole appears once as (0, 0).  Floats are written as their repr (the
+shortest string that reads back to the same double), so u survives the
+round trip bit-exactly and the bytes do not depend on how they are made.
+
+One orjson.dumps of the table's rows, a compiled shortest round-trip
+formatter, writes every index and nearly every float.  Its text equals
+repr's for 0.0, -0.0 and 1e-4 <= |v| < 1e16: the same digits, the same
+switch to exponent notation and the same ".0" on integral floats.  Outside
+that band the two differ in notation only (orjson 0.00001 and 1e16, repr
+1e-05 and 1e+16; orjson null for inf and nan), so those cells, 1-2 %
+of a solved field (roundoff-sized derivatives), are written by repr.  The
+JSON header carries c, the model tag, the resolutions, the dual flag, and
+the domain descriptors needed to rebuild the grid.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .domains import domain_from_dict
 from .errors import ConfigError, DegenerateSublevel
@@ -36,16 +46,19 @@ def save_field(field: SolutionField, csv_path, omega=None, omega_tilde=None) -> 
     """Write the CSV table and its JSON header next to it."""
     grid = field.grid
     du, d2u = field.derivatives()
-    i = np.repeat(np.arange(grid.n_rho + 1), [1] + [grid.n_phi] * grid.n_rho)
-    j = np.concatenate([[0], np.tile(np.arange(grid.n_phi), grid.n_rho)])
-    table = np.column_stack([i, j, grid.nodes, field.u, du, d2u[:, 0, 0], d2u[:, 0, 1],
-                             d2u[:, 1, 1]])
-    # one formatting pass over the whole table: %d of an integral float is
-    # its integer, %r of a float its repr
-    row = "%d,%d," + ",".join(["%r"] * 8) + "\n"
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n"
-                 + (row * len(table)) % tuple(table.ravel().tolist()))
+    values = np.column_stack([grid.nodes, field.u, du, d2u[:, 0, 0], d2u[:, 0, 1],
+                              d2u[:, 1, 1]])
+    cells = np.empty((grid.n_nodes, len(CSV_COLUMNS)), dtype=object)
+    cells[:, 0], cells[:, 1] = grid.lattice_indices()
+    cells[:, 2:] = values
+    # cells where orjson's notation is not repr's go as repr strings, whose
+    # JSON quotes are dropped below
+    magnitude = np.abs(values)
+    odd = ~((values == 0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+    cells[:, 2:][odd] = [repr(v) for v in values[odd].tolist()]
+    rows = orjson.dumps(cells.tolist())[2:-2].replace(b'"', b"").split(b"],[")
+    with open(csv_path, "wb") as fh:
+        fh.write(",".join(CSV_COLUMNS).encode() + b"\n" + b"\n".join(rows) + b"\n")
     header = {
         "c": field.c,
         "model": field.model.value,

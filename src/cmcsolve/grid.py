@@ -123,6 +123,12 @@ class MappedGrid:
     def interior_mask(self) -> np.ndarray:
         return np.arange(self.n_nodes) < self.n_nodes - self.n_phi
 
+    def lattice_indices(self):
+        """(ring, ray) index arrays (i, j) of the nodes, the pole as (0, 0)."""
+        i = np.repeat(np.arange(self.n_rho + 1), [1] + [self.n_phi] * self.n_rho)
+        j = np.concatenate([[0], np.tile(np.arange(self.n_phi), self.n_rho)])
+        return i, j
+
     def to_param_array(self, u: np.ndarray) -> np.ndarray:
         """Nodal vector -> (n_rho+1, n_phi) array on the parameter lattice
         (pole value replicated along row 0)."""

@@ -103,8 +103,7 @@ from scipy.sparse.linalg import splu
 from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
                        jacobian, residual_from_state)
 from .domains import SUBLEVEL_FLOOR, ConvexDomain
-from .errors import (ConvexityLoss, NonConvergence, SpacelikeViolation,
-                     StepRejection)
+from .errors import GuardViolation, NonConvergence, StepRejection
 from .grid import SolutionField
 from .radial import seed_field
 
@@ -428,10 +427,11 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     preconditioned by the latest factor, to a tolerance tied to the stop
     target tol_residual (1 + |c|) (see _solve_linear).  The factor the
     solve ends with is left on info.factor.  Returns (field, NewtonInfo).
-    Raises NonConvergence with the best iterate and the solve's NewtonInfo,
-    less its factor, attached when the budget runs out, the line search
+    Raises NonConvergence when the budget runs out, the line search
     stalls, the linear solve fails or the residual or direction is not
-    finite; guard violations of the initial field propagate as-is.
+    finite, and lets a GuardViolation propagate when the guards refuse the
+    initial field or every step the line search tries; either carries the
+    last accepted iterate and the solve's NewtonInfo, less its factor.
     """
     opts = opts or SolveOptions()
     # only (u, c) come from the initial field; grid, model and dual tag are
@@ -441,18 +441,21 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     # (Du, D2u, boundary Du) of the current iterate; damped_step returns the
     # accepted trial's, so no iterate is differentiated twice
     state = (*spec.grid.derivative_arrays(fld.u), spec.grid.boundary_gradients(fld.u))
-    guard = admissibility_violation(spec, *state[:2])
-    if guard is not None:
-        raise guard
-
     info = NewtonInfo(factor=factor)
-    res = residual_from_state(spec, fld.u, fld.c, *state)
-    t_str = f"{t_label:.4g}" if t_label is not None else "-"
+
+    def failed(exc):
+        info.factor = None
+        exc.best_field, exc.info = fld, info
+        return exc
 
     def failure(message, r_inf):
-        info.factor = None
-        return NonConvergence(message, best_field=fld, residual_norm=r_inf,
-                              t=t_label, info=info)
+        return failed(NonConvergence(message, residual_norm=r_inf, t=t_label))
+
+    guard = admissibility_violation(spec, *state[:2])
+    if guard is not None:
+        raise failed(guard)
+    res = residual_from_state(spec, fld.u, fld.c, *state)
+    t_str = f"{t_label:.4g}" if t_label is not None else "-"
 
     # max_newton steps leave max_newton + 1 residuals to test
     for it in range(opts.max_newton + 1):
@@ -486,6 +489,8 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
                                                  _norm2(res))
         except StepRejection as exc:
             raise failure(f"line search stalled at iteration {it + 1}", r_inf) from exc
+        except GuardViolation as exc:   # no admissible step
+            raise failed(exc)
         info.alphas.append(alpha)
         logger.info("newton t=%s iter=%d res=%.9g alpha=%.9g c=%.9g",
                     t_str, it + 1, float(np.max(np.abs(res))), alpha, fld.c)
@@ -546,7 +551,7 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
     is seeded by seed_field; each later one starts from _predicted_start
     through the last PREDICTOR_POINTS accepted steps, at their actual t, so
     a bisected schedule needs no special case.  If the guards refuse that
-    start's solve (ConvexityLoss or SpacelikeViolation), the step is retried
+    start's solve (GuardViolation), the step is retried
     once from the one-point start before any bisection.  The first Newton
     system of a step is preconditioned by the last accepted step's factor,
     which its HomotopyState.info no longer holds; a failed attempt's factor
@@ -578,7 +583,7 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
         try:
             try:
                 fld, info = newton_solve(spec_t, initial, opts, t_label=t, factor=factor)
-            except (ConvexityLoss, SpacelikeViolation):
+            except GuardViolation:
                 if points < 2:
                     raise
                 logger.info("homotopy predictor refused: restarting t=%.6g from t=%.6g",
@@ -605,18 +610,23 @@ def direct_or_walk(spec: ProblemSpec, opts: SolveOptions | None = None,
     """Newton at t = 1 from seed_field(spec), logged as t=-, and on
     NonConvergence or a guard refusal one INFO line and run_homotopy from
     auto_t_min, whose schedule is checked first; an explicit t_min forces
-    the walk.  Returns (field, [HomotopyState]), one state if direct."""
+    the walk.  Returns (field, [HomotopyState], attempt): one state if
+    direct; attempt is None, or the failed direct solve's HomotopyState
+    (t = 1, its last accepted iterate and NewtonInfo) when the walk ran."""
     if t_min is not None:
-        return run_homotopy(spec, opts, steps, t_min)
+        return (*run_homotopy(spec, opts, steps, t_min), None)
     t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
     _schedule(steps, t_min)   # a bad steps fails before any solve
     try:
         fld, info = newton_solve(spec, seed_field(spec), opts)
-    except (NonConvergence, ConvexityLoss, SpacelikeViolation) as exc:
+    except (NonConvergence, GuardViolation) as exc:
         if t_min == 1.0:   # that walk is the same solve again
             raise
         logger.info("homotopy fallback: direct solve failed (%s); walking from t=%.6g",
                     exc, t_min)
-        return run_homotopy(spec, opts, steps, t_min)
-    info.factor = None
-    return fld, [HomotopyState(1.0, fld, info)]
+        attempt = HomotopyState(1.0, exc.best_field, exc.info)
+    else:
+        info.factor = None
+        return fld, [HomotopyState(1.0, fld, info)], None
+    # outside the handler, so the failed solve's frames are freed first
+    return (*run_homotopy(spec, opts, steps, t_min), attempt)

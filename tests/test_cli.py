@@ -297,8 +297,42 @@ class TestSolveCommand:
                             "iterations (residual 1.949e-08)); walking from t=0.25"]
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert len(summary["steps"]) == 8
-        c_direct = json.loads((direct / "run" / "summary.json").read_text())["c"]
-        assert summary["c"] == pytest.approx(c_direct, rel=1e-10)
+        direct_summary = json.loads((direct / "run" / "summary.json").read_text())
+        assert "direct_attempt" not in direct_summary
+        assert summary["c"] == pytest.approx(direct_summary["c"], rel=1e-10)
+        # the failed direct attempt is counted: every logged Newton step and
+        # both factors (its own and the walk's) appear in summary.json
+        attempt, steps = summary["direct_attempt"], summary["steps"]
+        assert attempt.keys() == steps[0].keys()
+        assert (attempt["t"], attempt["iterations"], attempt["factorizations"]) == (1.0, 2, 1)
+        newton_lines = [line for line in captured.out.splitlines()
+                        if line.startswith("newton ")]
+        assert len(newton_lines) == attempt["iterations"] + sum(s["iterations"] for s in steps)
+        assert attempt["factorizations"] + sum(s["factorizations"] for s in steps) == 2
+
+    def test_guard_failure_names_its_node(self, tmp_path, capsys):
+        # the panel's minkowski-b0.1-flat pair: the direct solve's line search
+        # finds no convex step; node 2001 is on the boundary ring at the end
+        # of omega's short axis, (0.2, 0.1) + (0, 0.1)
+        cfg = write_config(tmp_path, text="""
+model = minkowski
+omega.kind = ellipse
+omega.center = 0.2, 0.1
+omega.semi_axes = 1.0, 0.1
+omega_tilde.kind = ellipse
+omega_tilde.center = 0, 0
+omega_tilde.semi_axes = 0.9, 0.2
+grid.n_rho = 32
+grid.n_phi = 64
+homotopy.enabled = false
+seed.strategy = radial
+output.dir = {out}
+""")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [err.strip()]
+        assert err.startswith("solver failure: convexity guard violated at node 2001: ")
+        assert err.rstrip().endswith(" (ring 32, ray 16; x = 0.2, y = 0.2)")
 
     @pytest.mark.parametrize("text", [BASE_CONFIG, HOMOTOPY_CONFIG],
                              ids=["direct", "homotopy"])

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
-                      SolutionField, SolveOptions, build_grid, damped_step,
-                      jacobian, lambda_bounds, newton_solve, run_homotopy,
-                      seed_field, solver)
+from cmcsolve import (Ball, Ellipse, ModelKind, NewtonInfo, OperatorKind,
+                      ProblemSpec, SolutionField, SolveOptions, build_grid,
+                      damped_step, jacobian, lambda_bounds, newton_solve,
+                      run_homotopy, seed_field, solver)
 from cmcsolve.assembly import CONVEXITY_RTOL, residual
 from cmcsolve.diagnostics import flux_identity
 from cmcsolve.duality import dual_solve
@@ -62,8 +62,25 @@ class TestNewtonSolve:
         spec = ProblemSpec(om, omt, MINK, grid)
         saddle = SolutionField(grid, grid.mean_zero(
             0.2 * grid.nodes[:, 0] ** 2 - 0.2 * grid.nodes[:, 1] ** 2), 0.0, MINK)
-        with pytest.raises(ConvexityLoss):
+        with pytest.raises(ConvexityLoss) as err:
             newton_solve(spec, saddle)
+        # refused before any iteration: the record is empty and the best
+        # iterate is the start
+        assert err.value.info == NewtonInfo()
+        assert np.array_equal(err.value.best_field.u, grid.mean_zero(saddle.u))
+
+    def test_line_search_guard_carries_the_solve_record(self):
+        # on this thin pair the line search finds no convex step after
+        # several accepted ones; the guard carries their record, as a
+        # NonConvergence would
+        om, omt = Ellipse((0.2, 0.1), (1.0, 0.1)), Ellipse((0, 0), (0.9, 0.2))
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
+        with pytest.raises(ConvexityLoss) as err:
+            newton_solve(spec, seed_field(spec))
+        info = err.value.info
+        assert info.iterations == len(info.alphas) > 0
+        assert info.factorizations >= 1 and info.factor is None
+        assert err.value.best_field.c != seed_field(spec).c
 
     def test_nonconvergence_carries_best_iterate(self):
         om, omt = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4)
