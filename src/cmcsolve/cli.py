@@ -27,12 +27,12 @@ from .assembly import ProblemSpec
 from .config import RunConfig, parse_config
 from .diagnostics import full_report
 from .duality import dual_solve
-from .errors import CMCSolveError, ConfigError, GuardViolation, NonConvergence
+from .errors import CMCSolveError, ConfigError, NonConvergence, SolveFailure
 from .fieldio import header_path, load_field, save_field
 from .grid import build_grid, transfer_field
 from .kernel import ModelKind
 from .radial import RadialSolution, radial_profile, seed_field
-from .solver import direct_or_walk, newton_solve
+from .solver import HomotopyState, direct_or_walk, newton_solve
 
 
 class _StdoutHandler(logging.StreamHandler):
@@ -96,14 +96,11 @@ def _initial_field(cfg: RunConfig, spec: ProblemSpec):
     return seed_field(spec, strategy=strategy)
 
 
-def _step_entry(t, c, info) -> dict:
+def _step_entry(state: HomotopyState) -> dict:
     """One summary.json step: t, c, and the solve's Newton iterations and
     linear-algebra counts."""
-    return {"t": t, "c": c, "iterations": info.iterations,
-            "factorizations": info.factorizations,
-            "krylov_iterations": info.krylov_iterations,
-            "krylov_misses": info.krylov_misses,
-            "lu_fill": info.lu_fill}
+    return {"t": state.t, "c": state.field.c, **{key: getattr(state.info, key) for key in (
+        "iterations", "factorizations", "krylov_iterations", "krylov_misses", "lu_fill")}}
 
 
 def _node_text(grid, node) -> str:
@@ -114,6 +111,18 @@ def _node_text(grid, node) -> str:
     i, j = (int(index[node]) for index in grid.lattice_indices())
     x, y = grid.nodes[node]
     return f" (ring {i}, ray {j}; x = {x:.9g}, y = {y:.9g})"
+
+
+def _unwritable(path: Path) -> str | None:
+    """Why a file cannot be written at path, or None if nothing shows that
+    it cannot."""
+    if path.is_dir():
+        return f"{path} is a directory"
+    if not path.parent.is_dir():
+        return f"{path.parent} is not a directory"
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        return f"{path} is not writable"
+    return None
 
 
 def cmd_solve(args) -> int:
@@ -134,44 +143,39 @@ def cmd_solve(args) -> int:
         return 2
     for path in (out / "field.csv", header_path(out / "field.csv"),
                  out / "report.json", out / "summary.json"):
-        if path.is_dir():
-            print(f"error: cannot write output.dir: {path} is a directory",
-                  file=sys.stderr)
+        if (reason := _unwritable(path)) is not None:
+            print(f"error: cannot write output.dir: {reason}", file=sys.stderr)
             return 2
-    converged = True
-    attempt = None
+    converged, attempt = True, None
     try:
         if cfg.homotopy_enabled:
             fld, history, attempt = direct_or_walk(spec, cfg.options, cfg.homotopy_steps,
                                                    cfg.homotopy_t_min)
-            steps_summary = [_step_entry(h.t, h.field.c, h.info) for h in history]
         else:
             fld, info = newton_solve(spec, _initial_field(cfg, spec), cfg.options)
-            steps_summary = [_step_entry(1.0, fld.c, info)]
-            del info   # frees the factor before the report and the field write
-    except NonConvergence as exc:
-        converged = False
-        fld = exc.best_field
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        if fld is None:
+            info.factor = None   # frees the factor before the report and the field write
+            history = [HomotopyState(1.0, fld, info)]
+    except SolveFailure as exc:   # a stopped Newton solve: its artifacts are written
+        if isinstance(exc, NonConvergence):
+            print(f"non-convergence: {exc}", file=sys.stderr)
+        else:
+            print(f"solver failure: {exc}{_node_text(spec.grid, exc.node)}", file=sys.stderr)
+        if exc.state is None:
             return 1
-        steps_summary = [_step_entry(exc.t if exc.t is not None else 1.0, fld.c, exc.info)]
+        converged, fld, history = False, exc.state.field, [exc.state]
     except (ConfigError, MemoryError) as exc:   # MemoryError: the homotopy schedule
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GuardViolation as exc:
-        print(f"solver failure: {exc}{_node_text(spec.grid, exc.node)}", file=sys.stderr)
-        return 1
     except CMCSolveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 
     report = full_report(spec, fld)
     summary = {"c": fld.c, "model": cfg.model.value, "converged": converged,
-               "all_pass": report.all_pass, "steps": steps_summary,
+               "all_pass": report.all_pass, "steps": [_step_entry(h) for h in history],
                "field": "field.csv", "report": "report.json"}
     if attempt is not None:   # the failed direct solve before the walk
-        summary["direct_attempt"] = _step_entry(attempt.t, attempt.field.c, attempt.info)
+        summary["direct_attempt"] = _step_entry(attempt)
     try:
         save_field(fld, out / "field.csv", omega=cfg.omega, omega_tilde=cfg.omega_tilde)
         report.to_json(out / "report.json")
@@ -185,18 +189,6 @@ def cmd_solve(args) -> int:
     if not converged:
         return 1
     return 0 if report.all_pass else 3
-
-
-def _unwritable(path: Path) -> str | None:
-    """Why a file cannot be written at path, or None if nothing shows that
-    it cannot."""
-    if path.is_dir():
-        return f"{path} is a directory"
-    if not path.parent.is_dir():
-        return f"{path.parent} is not a directory"
-    if not os.access(path if path.exists() else path.parent, os.W_OK):
-        return f"{path} is not writable"
-    return None
 
 
 def cmd_verify(args) -> int:

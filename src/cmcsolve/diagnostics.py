@@ -26,7 +26,7 @@ computed:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -138,7 +138,9 @@ class DiagnosticsReport:
         return all(c["passed"] for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "all_pass": self.all_pass}
+        """The fields in declaration order, then all_pass; not copied."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "all_pass": self.all_pass}
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)

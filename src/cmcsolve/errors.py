@@ -17,15 +17,20 @@ class DegenerateSublevel(CMCSolveError):
     """Requested super-level set is too small to be resolved."""
 
 
-class GuardViolation(CMCSolveError):
+class SolveFailure(CMCSolveError):
+    """A Newton solve stopped short of convergence.  newton_solve attaches
+    state, a solver.HomotopyState: the solve's t (its t_label, 1.0 outside
+    a walk), its last accepted iterate and its NewtonInfo less the factor."""
+
+    state = None
+
+
+class GuardViolation(SolveFailure):
     """An admissibility guard refused a field at node (a flat node index,
-    None for a single state).  When one ends a Newton solve, newton_solve
-    attaches the last accepted iterate as best_field and the solve's
-    NewtonInfo, less its factor, as info, as NonConvergence carries them."""
+    None for a single state).  It stops a Newton solve when it refuses the
+    start or every step the line search tries."""
 
     node: int | None = None
-    best_field = None
-    info = None
 
 
 class SpacelikeViolation(GuardViolation):
@@ -48,24 +53,13 @@ class ConvexityLoss(GuardViolation):
         super().__init__(f"convexity guard violated{where}: min eig = {eig_min:.9g}")
 
 
-class StepRejection(CMCSolveError):
-    """Backtracking line search shrank the Newton step below its floor."""
-
-
-class NonConvergence(CMCSolveError):
+class NonConvergence(SolveFailure):
     """Newton solve failed: its budget ran out, its line search stalled, its
     linear solve failed, or a residual or direction was not finite.
+    residual_norm is the inf-norm of the last residual tested."""
 
-    Carries the best iterate seen so the caller can inspect or restart, and
-    the failed solve's NewtonInfo (iterations up to the failure, no factor).
-    """
-
-    def __init__(self, message: str, best_field=None, residual_norm: float | None = None,
-                 t: float | None = None, info=None):
-        self.best_field = best_field
+    def __init__(self, message: str, residual_norm: float | None = None):
         self.residual_norm = residual_norm
-        self.t = t
-        self.info = info
         super().__init__(message)
 
 

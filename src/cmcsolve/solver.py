@@ -103,7 +103,7 @@ from scipy.sparse.linalg import splu
 from .assembly import (OperatorKind, ProblemSpec, admissibility_violation,
                        jacobian, residual_from_state)
 from .domains import SUBLEVEL_FLOOR, ConvexDomain
-from .errors import GuardViolation, NonConvergence, StepRejection
+from .errors import GuardViolation, NonConvergence, SolveFailure
 from .grid import SolutionField
 from .radial import seed_field
 
@@ -148,7 +148,7 @@ class SolveOptions:
 class NewtonInfo:
     """The record of one Newton solve: its iterations, accepted step
     lengths and linear-algebra counts.  newton_solve returns it with a
-    converged field, and NonConvergence carries the failed solve's."""
+    converged field, and a stopped solve's SolveFailure.state carries it."""
 
     iterations: int = 0
     alphas: list = field(default_factory=list)
@@ -167,7 +167,7 @@ class NewtonInfo:
 
 @dataclass
 class HomotopyState:
-    """Snapshot of one continuation step: its t, field and solve record."""
+    """t, field and record of one Newton solve: a walk step or a stopped one."""
 
     t: float
     field: SolutionField
@@ -383,9 +383,9 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndar
     state is the field's (Du, D2u, boundary Du).  The trial state is the
     linear combination of it and the direction's, so each trial costs no
     recovery mat-vec; a field is built only for the accepted step.  Returns
-    (alpha, trial_field, trial_residual, trial_state).  Raises the violated
-    guard if no admissible step exists above ALPHA_MIN, StepRejection if
-    admissible steps exist but none achieves the decrease.
+    (alpha, trial_field, trial_residual, trial_state), or None if admissible
+    steps exist above ALPHA_MIN but none achieves the decrease.  Raises the
+    violated guard if no admissible step exists above ALPHA_MIN.
     """
     grid = spec.grid
     n = grid.n_nodes
@@ -411,9 +411,9 @@ def damped_step(spec: ProblemSpec, fld: SolutionField, state, direction: np.ndar
         else:
             last_guard = guard
         alpha *= ARMIJO_FACTOR
-    if not any_admissible and last_guard is not None:
+    if not any_admissible:
         raise last_guard
-    raise StepRejection(f"no Armijo step above {ALPHA_MIN}")
+    return None
 
 
 def newton_solve(spec: ProblemSpec, initial: SolutionField,
@@ -429,9 +429,10 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     solve ends with is left on info.factor.  Returns (field, NewtonInfo).
     Raises NonConvergence when the budget runs out, the line search
     stalls, the linear solve fails or the residual or direction is not
-    finite, and lets a GuardViolation propagate when the guards refuse the
-    initial field or every step the line search tries; either carries the
-    last accepted iterate and the solve's NewtonInfo, less its factor.
+    finite, and the GuardViolation when the guards refuse the initial field
+    or every step the line search tries; failed() sets either's state to
+    HomotopyState(t_label, 1.0 outside a walk; the last accepted iterate;
+    the NewtonInfo less its factor).
     """
     opts = opts or SolveOptions()
     # only (u, c) come from the initial field; grid, model and dual tag are
@@ -445,11 +446,11 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
 
     def failed(exc):
         info.factor = None
-        exc.best_field, exc.info = fld, info
+        exc.state = HomotopyState(1.0 if t_label is None else t_label, fld, info)
         return exc
 
     def failure(message, r_inf):
-        return failed(NonConvergence(message, residual_norm=r_inf, t=t_label))
+        return failed(NonConvergence(message, residual_norm=r_inf))
 
     guard = admissibility_violation(spec, *state[:2])
     if guard is not None:
@@ -485,12 +486,12 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         if not np.all(np.isfinite(direction)):
             raise failure(f"non-finite Newton direction at iteration {it + 1}", r_inf)
         try:
-            alpha, fld, res, state = damped_step(spec, fld, state, direction,
-                                                 _norm2(res))
-        except StepRejection as exc:
-            raise failure(f"line search stalled at iteration {it + 1}", r_inf) from exc
+            step = damped_step(spec, fld, state, direction, _norm2(res))
         except GuardViolation as exc:   # no admissible step
             raise failed(exc)
+        if step is None:
+            raise failure(f"line search stalled at iteration {it + 1}", r_inf)
+        alpha, fld, res, state = step
         info.alphas.append(alpha)
         logger.info("newton t=%s iter=%d res=%.9g alpha=%.9g c=%.9g",
                     t_str, it + 1, float(np.max(np.abs(res))), alpha, fld.c)
@@ -607,24 +608,24 @@ def run_homotopy(spec: ProblemSpec, opts: SolveOptions | None = None,
 
 def direct_or_walk(spec: ProblemSpec, opts: SolveOptions | None = None,
                    steps: int = 12, t_min: float | None = None):
-    """Newton at t = 1 from seed_field(spec), logged as t=-, and on
-    NonConvergence or a guard refusal one INFO line and run_homotopy from
-    auto_t_min, whose schedule is checked first; an explicit t_min forces
-    the walk.  Returns (field, [HomotopyState], attempt): one state if
-    direct; attempt is None, or the failed direct solve's HomotopyState
-    (t = 1, its last accepted iterate and NewtonInfo) when the walk ran."""
+    """Newton at t = 1 from seed_field(spec), logged as t=-, and on a
+    SolveFailure one INFO line and run_homotopy from auto_t_min, whose
+    schedule is checked first; an explicit t_min forces the walk.  Returns
+    (field, [HomotopyState], attempt): one state if direct; attempt is
+    None, or the failed direct solve's SolveFailure.state (t = 1, its last
+    accepted iterate and NewtonInfo) when the walk ran."""
     if t_min is not None:
         return (*run_homotopy(spec, opts, steps, t_min), None)
     t_min = auto_t_min(spec.omega, spec.omega_tilde, spec.grid.n_rho)
     _schedule(steps, t_min)   # a bad steps fails before any solve
     try:
         fld, info = newton_solve(spec, seed_field(spec), opts)
-    except (NonConvergence, GuardViolation) as exc:
+    except SolveFailure as exc:
         if t_min == 1.0:   # that walk is the same solve again
             raise
         logger.info("homotopy fallback: direct solve failed (%s); walking from t=%.6g",
                     exc, t_min)
-        attempt = HomotopyState(1.0, exc.best_field, exc.info)
+        attempt = exc.state
     else:
         info.factor = None
         return fld, [HomotopyState(1.0, fld, info)], None

@@ -50,6 +50,23 @@ homotopy.steps = 8
 output.dir = {out}
 """
 
+# the panel's minkowski-b0.1-flat pair, solved directly: the line search
+# finds no convex step and a convexity guard stops the solve
+GUARD_CONFIG = """
+model = minkowski
+omega.kind = ellipse
+omega.center = 0.2, 0.1
+omega.semi_axes = 1.0, 0.1
+omega_tilde.kind = ellipse
+omega_tilde.center = 0, 0
+omega_tilde.semi_axes = 0.9, 0.2
+grid.n_rho = 32
+grid.n_phi = 64
+homotopy.enabled = false
+seed.strategy = radial
+output.dir = {out}
+"""
+
 
 def _json_tail(out):
     """The report JSON starts at the first brace (solver progress lines may
@@ -230,7 +247,8 @@ class TestSolveCommand:
         assert step["lu_fill"] > 0
 
     @pytest.mark.parametrize("blocked", ["output.dir under a file",
-                                         "field.csv is a directory"])
+                                         "field.csv is a directory",
+                                         "output.dir not writable"])
     def test_unwritable_output_exit_2_before_solving(self, tmp_path, monkeypatch,
                                                      capsys, blocked):
         def no_solve(*args, **kwargs):
@@ -241,8 +259,12 @@ class TestSolveCommand:
             (tmp_path / "file").write_text("")
             cfg = write_config(tmp_path, text=BASE_CONFIG.replace(
                 "output.dir = {out}", f"output.dir = {tmp_path / 'file' / 'run'}"))
-        else:
+        elif blocked == "field.csv is a directory":
             (tmp_path / "run" / "field.csv").mkdir(parents=True)
+            cfg = write_config(tmp_path)
+        else:
+            # root writes through any mode bits, so os.access is made to refuse
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
             cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -314,25 +336,30 @@ class TestSolveCommand:
         # the panel's minkowski-b0.1-flat pair: the direct solve's line search
         # finds no convex step; node 2001 is on the boundary ring at the end
         # of omega's short axis, (0.2, 0.1) + (0, 0.1)
-        cfg = write_config(tmp_path, text="""
-model = minkowski
-omega.kind = ellipse
-omega.center = 0.2, 0.1
-omega.semi_axes = 1.0, 0.1
-omega_tilde.kind = ellipse
-omega_tilde.center = 0, 0
-omega_tilde.semi_axes = 0.9, 0.2
-grid.n_rho = 32
-grid.n_phi = 64
-homotopy.enabled = false
-seed.strategy = radial
-output.dir = {out}
-""")
+        cfg = write_config(tmp_path, text=GUARD_CONFIG)
         assert main(["solve", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.strip().splitlines() == [err.strip()]
         assert err.startswith("solver failure: convexity guard violated at node 2001: ")
         assert err.rstrip().endswith(" (ring 32, ray 16; x = 0.2, y = 0.2)")
+
+    def test_guard_stopped_solve_writes_its_artifacts(self, tmp_path, capsys):
+        # a guard that stops the solve leaves the artifacts of its last
+        # accepted iterate, as every stopped Newton solve does.  The counts
+        # read 27 iterations and 1 factorization when added; the fill moves
+        # with SuperLU's pivot ties, so only their signs are pinned
+        cfg = write_config(tmp_path, text=GUARD_CONFIG)
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [err.strip()]
+        run = tmp_path / "run"
+        assert all((run / name).is_file() for name in ("field.csv", "field.json",
+                                                       "report.json", "summary.json"))
+        summary = json.loads((run / "summary.json").read_text())
+        assert summary["converged"] is False and summary["all_pass"] is False
+        [step] = summary["steps"]
+        assert step["t"] == 1.0 and step["iterations"] > 0
+        assert step["factorizations"] >= 1 and step["lu_fill"] > 0
 
     @pytest.mark.parametrize("text", [BASE_CONFIG, HOMOTOPY_CONFIG],
                              ids=["direct", "homotopy"])

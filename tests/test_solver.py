@@ -66,8 +66,38 @@ class TestNewtonSolve:
             newton_solve(spec, saddle)
         # refused before any iteration: the record is empty and the best
         # iterate is the start
-        assert err.value.info == NewtonInfo()
-        assert np.array_equal(err.value.best_field.u, grid.mean_zero(saddle.u))
+        assert err.value.state.info == NewtonInfo()
+        assert np.array_equal(err.value.state.field.u, grid.mean_zero(saddle.u))
+
+    def test_refusal_carries_its_t_label(self):
+        # a guard's record is the state a stopped solve in a walk leaves:
+        # it has the solve's t, 1.0 outside a walk
+        om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
+        grid = build_grid(om, 16, 32)
+        spec = ProblemSpec(om, omt, MINK, grid)
+        saddle = SolutionField(grid, grid.mean_zero(
+            0.2 * grid.nodes[:, 0] ** 2 - 0.2 * grid.nodes[:, 1] ** 2), 0.0, MINK)
+        with pytest.raises(ConvexityLoss) as err:
+            newton_solve(spec, saddle, t_label=0.5)
+        assert err.value.state.t == 0.5
+        assert err.value.state.info == NewtonInfo()
+        with pytest.raises(ConvexityLoss) as err:
+            newton_solve(spec, saddle)
+        assert err.value.state.t == 1.0
+
+    def test_stalled_line_search_is_nonconvergence(self, monkeypatch):
+        # no admissible step meets an unreachable Armijo decrease: damped_step
+        # returns None and the solve stops at its start
+        om, omt = Ball((0, 0), 1.0), Ball((0, 0), 0.5)
+        grid = build_grid(om, 16, 32)
+        spec = ProblemSpec(om, omt, MINK, grid)
+        initial = seed_field(spec)
+        monkeypatch.setattr(solver, "ARMIJO_C", 1e9)
+        with pytest.raises(NonConvergence, match=r"^line search stalled at iteration 1$") as err:
+            newton_solve(spec, initial)
+        assert np.array_equal(err.value.state.field.u, grid.mean_zero(initial.u))
+        assert err.value.state.info.iterations == 0
+        assert err.value.state.info.alphas == []
 
     def test_line_search_guard_carries_the_solve_record(self):
         # on this thin pair the line search finds no convex step after
@@ -77,10 +107,10 @@ class TestNewtonSolve:
         spec = ProblemSpec(om, omt, MINK, build_grid(om, 16, 32))
         with pytest.raises(ConvexityLoss) as err:
             newton_solve(spec, seed_field(spec))
-        info = err.value.info
+        info = err.value.state.info
         assert info.iterations == len(info.alphas) > 0
         assert info.factorizations >= 1 and info.factor is None
-        assert err.value.best_field.c != seed_field(spec).c
+        assert err.value.state.field.c != seed_field(spec).c
 
     def test_nonconvergence_carries_best_iterate(self):
         om, omt = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4)
@@ -88,7 +118,7 @@ class TestNewtonSolve:
         spec = ProblemSpec(om, omt, MINK, grid)
         with pytest.raises(NonConvergence) as err:
             newton_solve(spec, seed_field(spec), SolveOptions(max_newton=1))
-        assert err.value.best_field is not None
+        assert err.value.state.field is not None
         assert err.value.residual_norm > 0
 
     def test_budget_failure_states_its_budget(self):
@@ -99,7 +129,7 @@ class TestNewtonSolve:
         with pytest.raises(NonConvergence, match=r"^no convergence in 2 iterations "
                                                  r"\(residual ") as err:
             newton_solve(spec, seed_field(spec), SolveOptions(max_newton=2))
-        assert err.value.info.iterations == 2
+        assert err.value.state.info.iterations == 2
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -305,9 +335,9 @@ class TestLinearSolve:
         monkeypatch.setattr(solver, "splu", fake_splu)
         with pytest.raises(NonConvergence, match=reason) as err:
             newton_solve(spec, initial, t_label=0.5)
-        assert np.array_equal(err.value.best_field.u, grid.mean_zero(initial.u))
-        assert err.value.info.iterations == 0
-        assert err.value.t == 0.5
+        assert np.array_equal(err.value.state.field.u, grid.mean_zero(initial.u))
+        assert err.value.state.info.iterations == 0
+        assert err.value.state.t == 0.5
         assert np.isfinite(err.value.residual_norm)
 
     def test_nonfinite_residual_is_nonconvergence(self, monkeypatch):
@@ -460,8 +490,8 @@ class TestKrylovPath:
         assert all(h.info.factor is None for h in history)
         with pytest.raises(NonConvergence) as err:
             run_homotopy(_ellipse_homotopy_spec(16), SolveOptions(max_newton=1), steps=4)
-        assert err.value.info.factorizations == 1
-        assert err.value.info.factor is None
+        assert err.value.state.info.factorizations == 1
+        assert err.value.state.info.factor is None
 
     def test_large_grid_walk_factors_once(self):
         # at 128 x 256 a fixed 1e-10 GMRES tolerance sat on the roundoff
@@ -626,10 +656,10 @@ class TestKrylovPath:
         with pytest.raises(NonConvergence, match="linear solve failed") as err:
             newton_solve(spec, seed_field(spec))
         assert len(factors) == 2
-        assert err.value.info.iterations == 1
+        assert err.value.state.info.iterations == 1
         # the counts of the failed solve: its first factor, no factor made
         # for the miss
-        assert (err.value.info.factorizations, err.value.info.krylov_misses) == (1, 0)
+        assert (err.value.state.info.factorizations, err.value.state.info.krylov_misses) == (1, 0)
 
 
 @pytest.fixture(scope="module")
