@@ -13,7 +13,8 @@ solve runs the ordinary Newton machinery with the inverse-Hessian operator
 and the domain roles swapped; the transform itself inverts the gradient map
 pointwise with a damped Newton iteration on a tensor cubic spline of the
 primal field over the polar lattice of the unit disk, periodic in the polar
-angle, read through the grid's linear map x = peak + L xi.
+angle (grid.lattice_spline, numpy only), read through the grid's linear map
+x = peak + L xi.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ class FieldInterpolant:
     (rho, phi) parameter lattice of the unit disk, periodic in phi
     (lattice_spline), chained through the grid's map x = peak + L xi; the
     map inverse is closed form: xi = L^-1 (x - peak), rho = |xi| and phi
-    the angle of xi, and the gradient is L^-T D_xi u.  Up to rho_max, a
-    couple of cells past rho = 1, the spline's last radial piece continues,
-    so targets near the boundary remain evaluable.  The nodal Hessians get
-    a spline of their own, the Jacobian of the gradient inversion, which
-    starts from nodal_du, nodal_d2u.
+    the angle of xi, and the gradient is L^-T D_xi u, both partials from one
+    gather.  Up to rho_max, a couple of cells past rho = 1, the spline's
+    last radial piece continues, so targets near the boundary remain
+    evaluable.  The nodal Hessians get a spline of their own, the Jacobian
+    of the gradient inversion, which starts from nodal_du, nodal_d2u.
     """
 
     def __init__(self, field: SolutionField):
@@ -57,9 +58,8 @@ class FieldInterpolant:
         self.rho_max = 1.0 + EXTENSION_CELLS / grid.n_rho
         self._spl = lattice_spline(grid, grid.to_param_array(field.u))
         self.nodal_du, self.nodal_d2u = field.derivatives()
-        self._d2u_spl = lattice_spline(grid, np.stack(
-            [grid.to_param_array(self.nodal_d2u[:, i, j]) for i, j in ((0, 0), (0, 1), (1, 1))],
-            axis=-1))
+        self._d2u_spl = lattice_spline(   # xx, xy, yy
+            grid, grid.to_param_array(self.nodal_d2u[:, [0, 0, 1], [0, 1, 1]]))
 
         # the pole is a smooth point of the field but a parameter-map
         # singularity: its unit-disk gradient is a symmetric difference
@@ -87,12 +87,10 @@ class FieldInterpolant:
     def value(self, x):
         return self._spl(np.stack(self.params_of(x), axis=-1))
 
-    def gradient(self, x):
-        """Cartesian gradient of the interpolant (exact chain rule)."""
-        rho, phi, e = self._polar(x)
-        pts = np.stack([rho, phi], axis=-1)
-        u_r = self._spl(pts, nu=(1, 0))
-        u_p = self._spl(pts, nu=(0, 1))
+    def gradient(self, x, polar=None):
+        """Cartesian gradient of the interpolant (exact chain rule); polar is _polar(x)."""
+        rho, phi, e = self._polar(x) if polar is None else polar
+        u_r, u_p = self._spl.partials(np.stack([rho, phi], axis=-1), [(1, 0), (0, 1)])
         e_t = np.stack([-e[..., 1], e[..., 0]], axis=-1)
         # D_xi u = u_rho e + (u_phi / rho) e_t, and Du = L^-T D_xi u
         d_xi = u_r[..., None] * e + (u_p / np.maximum(rho, 1e-300))[..., None] * e_t
@@ -129,9 +127,8 @@ def invert_gradient(interp: FieldInterpolant, targets):
         xa, resa, ra = x[active], res[active], rn[active]
         alpha = np.ones(len(xa))
         for _ in range(12):
-            trial = xa - alpha[:, None] * step
-            trial = _clamp_to_extension(interp, trial)
-            rest = interp.gradient(trial) - targets[active]
+            trial, polar = _clamp_to_extension(interp, xa - alpha[:, None] * step)
+            rest = interp.gradient(trial, polar) - targets[active]
             rt = np.linalg.norm(rest, axis=-1)
             better = rt <= ra
             xa = np.where(better[:, None], trial, xa)
@@ -158,17 +155,21 @@ def _nodal_start(interp, targets):
         step = np.stack([c * r[:, 0] - b * r[:, 1],
                          a * r[:, 1] - b * r[:, 0]], axis=-1) / det[:, None]
     ok = (a > 0) & (det > 0) & np.all(np.isfinite(step), axis=-1)
-    return _clamp_to_extension(interp, interp.grid.nodes[k] + np.where(ok[:, None], step, 0.0))
+    return _clamp_to_extension(interp, interp.grid.nodes[k] + np.where(ok[:, None], step, 0.0))[0]
 
 
 def _clamp_to_extension(interp, x):
-    """x pulled back along its ray from the peak to rho <= rho_max."""
-    rho = interp.params_of(x)[0]
+    """(x pulled back along its ray from the peak to rho <= rho_max, its
+    interp._polar), the polar coordinates recomputed only where x moved."""
+    polar = interp._polar(x)
+    rho = polar[0]
     over = rho > interp.rho_max
     if np.any(over):
         x = x.copy()
         x[over] = interp.peak + (interp.rho_max / rho[over])[:, None] * (x[over] - interp.peak)
-    return x
+        for a, moved in zip(polar, interp._polar(x[over])):
+            a[over] = moved
+    return x, polar
 
 
 def legendre_transform(field: SolutionField, dual_grid: MappedGrid) -> SolutionField:

@@ -45,6 +45,9 @@ rows agree with their images to roundoff.
 Quadrature: det L times the unit disk's trapezoid in rho of the polar
 integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
 boundary integrals use arc-length weights |L e_t| dphi.
+
+Fields move between lattices, and the Legendre transform inverts Du, on
+lattice_spline, a tensor cubic spline on the (rho, phi) lattice in numpy.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.sparse as sp
+from scipy.linalg import solve_circulant
 
 from .domains import ConvexDomain, polar_frame
 from .kernel import ModelKind
@@ -130,11 +135,11 @@ class MappedGrid:
         return i, j
 
     def to_param_array(self, u: np.ndarray) -> np.ndarray:
-        """Nodal vector -> (n_rho+1, n_phi) array on the parameter lattice
-        (pole value replicated along row 0)."""
-        out = np.empty((self.n_rho + 1, self.n_phi))
-        out[0, :] = u[0]
-        out[1:, :] = u[1:].reshape(self.n_rho, self.n_phi)
+        """Nodal array (N, ...) -> (n_rho+1, n_phi, ...) array on the
+        parameter lattice (pole value replicated along row 0)."""
+        out = np.empty((self.n_rho + 1, self.n_phi) + u.shape[1:])
+        out[0] = u[0]
+        out[1:] = u[1:].reshape(out[1:].shape)
         return out
 
     def derivative_arrays(self, u: np.ndarray):
@@ -472,32 +477,86 @@ class SolutionField:
         return self._derivatives
 
 
-def lattice_spline(grid: MappedGrid, values):
+def _bspline_pieces(t):
+    """Power-basis coefficients out (M, 4, 4) of the cubic B-splines on knots t over
+    their M knot intervals l = 3 .. len(t) - 5, by Cox-de Boor on polynomials (de Boor
+    1978, ch. IX): B_{l-3+a}(t_l + sigma (t_l+1 - t_l)) = sum_p out[m, a, p] sigma^p."""
+    l = np.arange(3, len(t) - 4)
+    out = np.zeros((len(l), 1, 4)) + [1.0, 0.0, 0.0, 0.0]
+    for d in (1, 2, 3):
+        # B_{i,d} = v_i B_{i,d-1} + (1 - v_{i+1}) B_{i+1,d-1}, v_j = (x - t_j) / (t_j+d - t_j);
+        # p[..., 1:] holds B_{j,d-1}, j = l-d .. l+1, and p[..., :-1] sigma times it: it is
+        # zero at both ends and where t_j+d = t_j, so any finite v_j serves there
+        p = np.zeros((len(l), d + 2, 5))
+        p[:, 1:-1, 1:] = out
+        j = l[:, None] - d + np.arange(d + 2)
+        den = np.where(t[j + d] > t[j], t[j + d] - t[j], 1.0)[..., None]
+        vp = ((t[l, None] - t[j])[..., None] * p[..., 1:]
+              + (t[l + 1] - t[l])[:, None, None] * p[..., :-1]) / den
+        out = vp[:, :-1] + p[:, 1:, 1:] - vp[:, 1:]
+    return out
+
+
+def _locate(breaks, x):
+    """Interval m of each x among the increasing breaks (the end ones continued past
+    the ends) and the powers (1, s, s^2, s^3) of its local s in [0, 1], and their d/dx."""
+    m = np.searchsorted(breaks[1:-1], x, side="right")
+    w = breaks[m + 1] - breaks[m]
+    s = (x - breaks[m]) / w
+    return m, (np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-1),
+               np.stack([np.zeros_like(s), 1.0 / w, 2.0 * s / w, 3.0 * s * s / w], axis=-1))
+
+
+class LatticeSpline(NamedTuple):
+    """lattice_spline in piecewise-polynomial form: row m n_phi + j of
+    pieces (rows, ..., 16) holds the coefficients of tau^q sigma^p (at
+    4 q + p) on rho interval m and phi interval j of breaks, in their local
+    coordinates sigma and tau in [0, 1], for each value component."""
+
+    breaks: tuple   # (rho, phi) interval ends
+    pieces: np.ndarray
+
+    def __call__(self, points, nu=(0, 0)):
+        """Value, or the partial nu = (1, 0) or (0, 1), at (..., 2) points."""
+        return self.partials(points, [nu])[0]
+
+    def partials(self, points, nus):
+        """Partials nus, each (0, 0), (1, 0) or (0, 1), at (..., 2) points: one gather."""
+        (m, s), (j, t) = map(_locate, self.breaks, np.moveaxis(points, -1, 0).reshape(2, -1))
+        coef = self.pieces[m * (len(self.breaks[1]) - 1) + j]
+        weights = [np.einsum("nq,np->nqp", t[b], s[a]).reshape(-1, 16) for a, b in nus]
+        return [np.einsum("n...r,nr->n...", coef, w).reshape(points.shape[:-1] + coef.shape[1:-1])
+                for w in weights]
+
+
+def lattice_spline(grid: MappedGrid, values) -> LatticeSpline:
     """Tensor cubic spline through nodal values on the (rho, phi) lattice:
     periodic in phi, not-a-knot in rho.
 
     values: (n_rho + 1, n_phi, ...) as grid.to_param_array lays them out;
-    trailing axes make a vector-valued spline.  On the uniform periodic
-    phi lattice the cubic B-splines take the values 1/6, 4/6, 1/6 at the
-    nodes, so the phi coefficients solve one circulant system; rho is then
-    fitted column by column.  Evaluate at (..., 2) points (rho, phi) with
-    phi in [0, 2 pi]; past rho = 1 the last polynomial piece continues.
+    trailing axes make a vector-valued spline.  On the uniform periodic phi
+    lattice the cubic B-splines take the values 1/6, 4/6, 1/6 at the nodes,
+    so the phi coefficients solve one circulant system, and the rho ones one
+    collocation system on the not-a-knot knots (0 and 1 four times each,
+    rho_2 .. rho_{n_rho-2} between).  Evaluate at (..., 2) points (rho, phi)
+    with phi in [0, 2 pi]; past rho = 1 the last piece continues.
     """
-    # imported here, not at module level: only the Legendre transform and
-    # transfers between resolutions need them, and they would slow every
-    # command's start-up
-    from scipy.interpolate import NdBSpline, make_interp_spline
-    from scipy.linalg import solve_circulant
-
-    n = grid.n_phi
-    h = 2 * np.pi / n
-    col = np.zeros(n)
-    col[[0, 1, -1]] = [4 / 6, 1 / 6, 1 / 6]
-    d = solve_circulant(col, values, baxis=1, outaxis=1)
+    n_r, n = len(grid.rho), grid.n_phi
+    col = np.r_[4.0, 1.0, np.zeros(n - 3), 1.0] / 6
+    d = solve_circulant(col, np.reshape(values, (n_r, n, -1)), baxis=1, outaxis=1)
     # B-spline i is centred on phi_{i-1}: wrap one coefficient before, two after
     c_phi = np.concatenate([d[:, -1:], d, d[:, :2]], axis=1)
-    fit_rho = make_interp_spline(grid.rho, c_phi, k=3, axis=0)
-    return NdBSpline((fit_rho.t, h * np.arange(-3, n + 4)), fit_rho.c, 3)
+    knots = np.concatenate([np.zeros(4), grid.rho[2:-2], np.ones(4)])
+    basis, breaks = _bspline_pieces(knots), knots[3:-3]
+    m, (s, _) = _locate(breaks, grid.rho)
+    colloc = np.zeros((n_r, n_r))
+    np.put_along_axis(colloc, m[:, None] + np.arange(4), np.einsum("iap,ip->ia", basis[m], s), 1)
+    c = np.linalg.solve(colloc, c_phi.reshape(n_r, -1)).reshape(c_phi.shape)
+    # cell (m, j) takes coefficients m .. m+3 in rho, j .. j+3 in phi (uniform: knots 0 .. 7)
+    by_phi = sliding_window_view(c, 4, axis=1).reshape(-1, 4) @ _bspline_pieces(np.arange(8.0))[0]
+    pieces = sliding_window_view(by_phi.reshape(n_r, -1), 4, axis=0) @ basis
+    return LatticeSpline((breaks, 2 * np.pi / n * np.arange(n + 1)),
+                         pieces.reshape((len(basis) * n,) + np.shape(values)[2:] + (16,)))
 
 
 def transfer_field(field: SolutionField, new_grid: MappedGrid) -> SolutionField:
@@ -508,9 +567,7 @@ def transfer_field(field: SolutionField, new_grid: MappedGrid) -> SolutionField:
     if (g0.n_rho, g0.n_phi) == (g1.n_rho, g1.n_phi):
         u_new = field.u.copy()
     else:
-        # (rho, phi) of every new node in the unknown layout
-        rho = np.concatenate([[0.0], np.repeat(g1.rho[1:], g1.n_phi)])
-        phi = np.concatenate([[0.0], np.tile(g1.phi, g1.n_rho)])
+        i, j = g1.lattice_indices()   # (rho, phi) of every new node, the pole (0, 0)
         spl = lattice_spline(g0, g0.to_param_array(field.u))
-        u_new = spl(np.stack([rho, phi], axis=-1))
+        u_new = spl(np.stack([g1.rho[i], g1.phi[j]], axis=-1))
     return SolutionField(g1, g1.mean_zero(u_new), field.c, field.model, field.dual)

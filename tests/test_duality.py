@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import NdBSpline, make_interp_spline
 from scipy.spatial import cKDTree
 
+import cmcsolve
 from cmcsolve import (Ball, Ellipse, ModelKind, OperatorKind, ProblemSpec,
                       SolutionField, build_grid, duality, solver)
 from cmcsolve.assembly import operator_value
@@ -180,23 +185,60 @@ class TestPeriodicInterpolant:
             assert np.max(np.abs(g[0] - g[1])) <= 1e-11
 
     def test_matches_periodic_reference_fit(self):
-        # the circulant phi fit equals scipy's periodic interpolation; rho is
-        # not-a-knot in both
-        grid = build_grid(Ellipse((0.1, -0.2), (1.0, 0.6)), 16, 32)
+        # the numpy fit equals scipy's: periodic interpolation in phi,
+        # not-a-knot in rho, evaluated past rho = 1 and at phi = 2 pi in the
+        # last interval as NdBSpline does; n_phi = 18 is 2 mod 4
+        for n_rho, n_phi in ((16, 32), (32, 64), (16, 18)):
+            self._check_reference_fit(build_grid(Ellipse((0.1, -0.2), (1.0, 0.6)), n_rho, n_phi))
+
+    @staticmethod
+    def _check_reference_fit(grid):
         x, y = grid.nodes.T
-        arr = grid.to_param_array(np.exp(0.5 * x) * np.cos(y) + x * y ** 2)
-        phi = np.append(grid.phi, 2 * np.pi)
-        fit_phi = make_interp_spline(phi, np.concatenate([arr, arr[:, :1]], axis=1),
-                                     k=3, bc_type="periodic", axis=1)
-        fit_rho = make_interp_spline(grid.rho, fit_phi.c.T, k=3, axis=0)
-        ref = NdBSpline((fit_rho.t, fit_phi.t), fit_rho.c, 3)
-        spl = lattice_spline(grid, arr)
+        f = np.exp(0.5 * x) * np.cos(y) + x * y ** 2
         rng = np.random.default_rng(7)
         rho_max = 1.0 + duality.EXTENSION_CELLS / grid.n_rho
         pts = np.stack([rng.uniform(0, rho_max, 500),
                         rng.uniform(0, 2 * np.pi, 500)], axis=-1)
-        for nu in ((0, 0), (1, 0), (0, 1)):
-            assert np.max(np.abs(spl(pts, nu=nu) - ref(pts, nu=nu))) <= 1e-12
+        ends = np.array([[0.0, 0.0], [0.0, 2 * np.pi], [rho_max, 0.0], [rho_max, 2 * np.pi],
+                         [0.5, 0.0], [0.5, 2 * np.pi], [0.0, 1.0], [rho_max, 1.0]])
+        pts = np.concatenate([ends, pts])
+        phi = np.append(grid.phi, 2 * np.pi)
+        for values in (f, np.stack([f, x * y, np.cos(3 * x) * y], axis=-1)):
+            arr = grid.to_param_array(values)
+            fit_phi = make_interp_spline(phi, np.concatenate([arr, arr[:, :1]], axis=1),
+                                         k=3, bc_type="periodic", axis=1)
+            fit_rho = make_interp_spline(grid.rho, np.moveaxis(fit_phi.c, 0, 1), k=3, axis=0)
+            ref = NdBSpline((fit_rho.t, fit_phi.t), fit_rho.c, 3)
+            spl = lattice_spline(grid, arr)
+            for nu in ((0, 0), (1, 0), (0, 1)):
+                out = spl(pts, nu=nu)
+                assert out.shape == pts.shape[:1] + arr.shape[2:]
+                assert np.max(np.abs(out - ref(pts, nu=nu))) <= 1e-12
+            # the fused gradient is the two single-partial calls
+            d_rho, d_phi = spl.partials(pts, [(1, 0), (0, 1)])
+            assert np.array_equal(d_rho, spl(pts, nu=(1, 0)))
+            assert np.array_equal(d_phi, spl(pts, nu=(0, 1)))
+
+    def test_transform_and_transfer_leave_out_scipy_interpolate(self):
+        # the spline is numpy and scipy.linalg: neither the Legendre
+        # transform nor a transfer between resolutions may import the
+        # interpolation stack
+        src = str(Path(cmcsolve.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        script = (
+            "import sys\n"
+            "from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, build_grid,\n"
+            "                      legendre_transform, newton_solve, seed_field, transfer_field)\n"
+            "omega, target = Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4)\n"
+            "spec = ProblemSpec(omega, target, ModelKind.MINKOWSKI, build_grid(omega, 16, 32))\n"
+            "fld, _ = newton_solve(spec, seed_field(spec))\n"
+            "legendre_transform(fld, build_grid(target, 16, 32))\n"
+            "transfer_field(fld, build_grid(omega, 32, 64))\n"
+            "print('scipy.interpolate' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 @functools.cache
