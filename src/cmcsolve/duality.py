@@ -52,7 +52,6 @@ class FieldInterpolant:
     def __init__(self, field: SolutionField):
         grid = field.grid
         self.grid = grid
-        self.domain = grid.domain
         self.peak = grid.domain.peak
         self._inv = np.linalg.inv(grid.disk_map)   # L^-1
         self.rho_max = 1.0 + EXTENSION_CELLS / grid.n_rho
@@ -108,7 +107,8 @@ class FieldInterpolant:
 def invert_gradient(interp: FieldInterpolant, targets):
     """Solve interp.gradient(x) = y for each target y by damped Newton,
     starting one Newton step on the nodal derivatives away from the node
-    whose gradient is nearest the target (_nodal_start).
+    whose gradient is nearest the target (_nodal_start).  A step through a
+    singular spline Hessian is not finite, and the line search refuses it.
 
     Returns (points, gaps): the gradient residual norm left at each point.
     """
@@ -122,8 +122,7 @@ def invert_gradient(interp: FieldInterpolant, targets):
     for _ in range(INVERSION_MAX_NEWTON):
         if not np.any(active):
             break
-        h = interp.hessian_approx(x[active])
-        step = np.linalg.solve(h, res[active][..., None])[..., 0]
+        step, _ = _solve_2x2(interp.hessian_approx(x[active]), res[active])
         xa, resa, ra = x[active], res[active], rn[active]
         alpha = np.ones(len(xa))
         for _ in range(12):
@@ -148,14 +147,21 @@ def _nodal_start(interp, targets):
     from scipy.spatial import cKDTree
 
     _, k = cKDTree(interp.nodal_du).query(targets)
-    h, r = interp.nodal_d2u[k], targets - interp.nodal_du[k]
+    h = interp.nodal_d2u[k]
+    step, det = _solve_2x2(h, targets - interp.nodal_du[k])
+    ok = (h[:, 0, 0] > 0) & (det > 0) & np.all(np.isfinite(step), axis=-1)
+    return _clamp_to_extension(interp, interp.grid.nodes[k] + np.where(ok[:, None], step, 0.0))[0]
+
+
+def _solve_2x2(h, r):
+    """(h^-1 r, det h) for symmetric (n, 2, 2) h and (n, 2) r, by the
+    adjugate: the step is inf or NaN where h is singular."""
     a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
     det = a * c - b * b
     with np.errstate(all="ignore"):
         step = np.stack([c * r[:, 0] - b * r[:, 1],
                          a * r[:, 1] - b * r[:, 0]], axis=-1) / det[:, None]
-    ok = (a > 0) & (det > 0) & np.all(np.isfinite(step), axis=-1)
-    return _clamp_to_extension(interp, interp.grid.nodes[k] + np.where(ok[:, None], step, 0.0))[0]
+    return step, det
 
 
 def _clamp_to_extension(interp, x):

@@ -516,9 +516,9 @@ class LatticeSpline(NamedTuple):
     breaks: tuple   # (rho, phi) interval ends
     pieces: np.ndarray
 
-    def __call__(self, points, nu=(0, 0)):
-        """Value, or the partial nu = (1, 0) or (0, 1), at (..., 2) points."""
-        return self.partials(points, [nu])[0]
+    def __call__(self, points):
+        """Value at (..., 2) points."""
+        return self.partials(points, [(0, 0)])[0]
 
     def partials(self, points, nus):
         """Partials nus, each (0, 0), (1, 0) or (0, 1), at (..., 2) points: one gather."""

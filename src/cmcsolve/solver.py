@@ -16,38 +16,41 @@ system (the N x N Jacobian of the node rows in u) sends constants to zero:
 every recovery and boundary-gradient row cancels a constant exactly, as u
 is determined only up to one.  The c column g and the mean-zero row w
 border K to make the (N+1)-system nonsingular, and that border is dense.
-So SuperLU factors only K^ = K + e_j e_j^T, and a solve of the bordered
+So SuperLU factors only K^ = K - e_j e_j^T, sliced off the scaled matrix
+with g its last column and w its last row, and a solve of the bordered
 system is one triangular solve with K^ and a 2 x 2 step for (x_j, c), by
 block elimination (Keller's bordering algorithm, 1977): with z_j = K^-1 e_j
-(the constant vector, up to roundoff) and z_g = K^-1 g from one two-column
-solve per factor, a right-hand side (r, s) gives z = K^-1 r, then (a, gamma)
-from
+(minus the constant vector, up to roundoff) and z_g = K^-1 g from one
+two-column solve per factor, a right-hand side (r, s) gives z = K^-1 r,
+then (a, gamma) = (-x_j, c-component) from
 
-  (1 - z_j[j]) a + z_g[j] gamma = z[j],
+  (-1 - z_j[j]) a + z_g[j] gamma = z[j],
   (w^T z_j) a - (w^T z_g) gamma = s - w^T z,
 
-and x = z + a z_j - gamma z_g, with c-component gamma.  K^ is nonsingular
-and the 2 x 2 regular when K's left null vector y has y_j != 0 (then
-z_g[j] = y^T g / y_j).  j = N // 2 is a node at mid radius, an interior
-node whose (j, j) entry is in the pattern; on a test panel of four pairs
-(concentric balls at 64 x 128, a thin ellipse to a ball, a Euclidean
-ellipse pair and the dual operator) the directions agree with a plain LU
-of the whole bordered matrix to 5e-12 relative.  The columns of K^ are
-ordered by minimum degree on the symmetric pattern K^ + K^T, and that
-ordering plans for diagonal pivots, which the pivot threshold 1e-3 keeps: a
-diagonal entry is taken unless it is below 1e-3 of its column's largest
-(the small diagonal-preference tolerance of UMFPACK's symmetric strategy,
-Davis 2004).  On the concentric-ball system two others are taken, at the
-pivot node j and its outward neighbour.  The L+U fill is 118 k, 580 k and
-2.81 M at 32 x 64, 64 x 128 and 128 x 256; the whole bordered matrix's
-factor, under the same ordering and threshold, filled 122 k, 596 k and
-3.05 M, and the threshold 0.1 took 16 off-diagonal pivots there and filled
-183 k, 1.07 M and 5.97 M.  Looser pivoting can leave a direct solve less
-accurate, so where a target is given the direct direction is held to the
-bound GMRES meets (below) by one step of iterative refinement, against the
-full bordered Jacobian, on the same factor.  A failed factorization, a
-2 x 2 that is singular or not finite, or a non-finite residual or direction
-ends the solve in NonConvergence.
+and x = z + a z_j - gamma z_g.  K^ is nonsingular and the 2 x 2 regular
+when K's left null vector y has y_j != 0 (then z_g[j] = -y^T g / y_j).
+j = N // 2 is a node at mid radius, an interior node; on a test panel of
+four pairs (concentric balls at 64 x 128, a thin ellipse to a ball, a
+Euclidean ellipse pair and the dual operator) the directions agree with a
+plain LU of the whole bordered matrix to 5e-12 relative.  The columns of
+K^ are ordered by minimum degree on the symmetric pattern K^ + K^T, and
+that ordering plans for diagonal pivots, which the pivot threshold 1e-3
+keeps: a diagonal entry is taken unless it is below 1e-3 of its column's
+largest (the small diagonal-preference tolerance of UMFPACK's symmetric
+strategy, Davis 2004).  The scaled K[j, j] is -1, the centre weight of an
+elliptic row and its largest entry, so the shift takes it to -2, and on
+every seed system measured every pivot is diagonal; a shift of +1 left a
+stored zero there and took two off-diagonal pivots, at j and its outward
+neighbour.  On the concentric balls at the seed the L+U fill is 117 689,
+579 843 and 2 813 313 at 32 x 64, 64 x 128 and 128 x 256; the whole bordered
+matrix's factor, under the same ordering and threshold, filled 122 k,
+596 k and 3.05 M, and the threshold 0.1 took 16 off-diagonal pivots there
+and filled 183 k, 1.07 M and 5.97 M.  Looser pivoting can leave a direct
+solve less accurate, so where a target is given the direct direction is
+held to the bound GMRES meets (below) by one step of iterative refinement,
+against the full bordered Jacobian, on the same factor.  A failed
+factorization, a 2 x 2 that is singular or not finite, or a non-finite
+residual or direction ends the solve in NonConvergence.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -202,10 +205,10 @@ def _norm2(v: np.ndarray) -> float:
 
 class BorderedLU(NamedTuple):
     """Solves of the row-scaled bordered system [K g; w^T 0] (x, gamma) =
-    (r, s) through lu, the SuperLU factor of K + e_j e_j^T, and z = lu's
+    (r, s) through lu, the SuperLU factor of K - e_j e_j^T, and z = lu's
     solves of (e_j, g) as two columns: with y = lu.solve(r), the pair
-    (a, gamma) = inverse (y[j], s - w^T y) makes x = y + a z[:, 0] -
-    gamma z[:, 1] (see the module docstring)."""
+    (a, gamma) = inverse (y[j], s - w^T y), a = -x_j, makes x = y +
+    a z[:, 0] - gamma z[:, 1] (see the module docstring)."""
 
     lu: object
     j: int
@@ -219,51 +222,28 @@ class BorderedLU(NamedTuple):
         return np.append(y + self.z @ (a, -gamma), gamma)
 
 
-def _node_block(jac: sp.csr_matrix, row_max: np.ndarray):
-    """(K^, g, w, j) of jac = [K g; w^T 0] with every row scaled by 1 /
-    row_max: the node block K^ = K + e_j e_j^T in CSC form, the c column g,
-    the mean-zero row w and the pivot node j = N // 2, a node at mid radius
-    (see the module docstring).
-
-    jac is assembly.jacobian's bordered matrix, whose rows have sorted
-    columns: an interior node row ends in its c column entry, a boundary
-    row has none, and the last row is the mean-zero row.  K, g and w are
-    read off by that index arithmetic.
-    """
-    n = jac.shape[0] - 1
-    ptr, cols = jac.indptr, jac.indices
-    data = jac.data * np.repeat(1.0 / row_max, np.diff(ptr))
-    last = ptr[1:-1] - 1            # each node row's last entry
-    bordered = cols[last] == n      # the interior rows, ending in c
-    g = np.where(bordered, data[last], 0.0)
-    w = np.zeros(n)
-    w[cols[ptr[n]:]] = data[ptr[n]:]
-    keep = np.ones(ptr[n], dtype=bool)
-    keep[last[bordered]] = False
-    k_ptr = ptr[:-1] - np.append(0, np.cumsum(bordered))
-    k_data, k_cols = data[:ptr[n]][keep], cols[:ptr[n]][keep]
-    j = n // 2
-    jj = k_ptr[j] + np.searchsorted(k_cols[k_ptr[j]:k_ptr[j + 1]], j)
-    if jj == k_ptr[j + 1] or k_cols[jj] != j:   # an exact zero, eliminated
-        k_data, k_cols = np.insert(k_data, jj, 0.0), np.insert(k_cols, jj, j)
-        k_ptr[j + 1:] += 1
-    k_data[jj] += 1.0
-    return sp.csr_matrix((k_data, k_cols, k_ptr), shape=(n, n)).tocsc(), g, w, j
-
-
 def _factor(jac: sp.csr_matrix):
-    """BorderedLU of jac with every row scaled by its largest magnitude:
-    (factor, row scale).  Raises RuntimeError when SuperLU finds the node
-    block singular or the bordering step's 2 x 2 is singular or not
-    finite."""
+    """BorderedLU of jac = [K g; w^T 0] with every row scaled by its largest
+    magnitude: (factor, row scale).  SuperLU factors the scaled node block
+    shifted at the pivot node j = N // 2, K^ = K - e_j e_j^T, and g and w are
+    the scaled matrix's last column and row (see the module docstring).
+    Raises RuntimeError when SuperLU finds K^ singular or the bordering
+    step's 2 x 2 is singular or not finite."""
     row_max = np.asarray(abs(jac).max(axis=1).todense()).ravel()
     row_max[row_max == 0] = 1.0
-    k_hat, g, w, j = _node_block(jac, row_max)
+    n = jac.shape[0] - 1
+    j = n // 2
+    scaled = sp.csr_matrix((jac.data * np.repeat(1.0 / row_max, np.diff(jac.indptr)),
+                            jac.indices, jac.indptr), shape=jac.shape)
+    g, w = scaled[:n, n].toarray().ravel(), scaled[n, :n].toarray().ravel()
+    # the difference stores (j, j) also where K has no entry there
+    k_hat = (scaled[:n, :n] - sp.csr_matrix(([1.0], ([j], [j])), shape=(n, n))).tocsc()
+    del scaled   # not held through the factorization
     lu = splu(k_hat, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESH)
-    unit = np.zeros(len(g))
+    unit = np.zeros(n)
     unit[j] = 1.0
     z = lu.solve(np.stack([unit, g], axis=1))
-    m = np.array([[1.0 - z[j, 0], z[j, 1]], [w @ z[:, 0], -(w @ z[:, 1])]])
+    m = np.array([[-1.0 - z[j, 0], z[j, 1]], [w @ z[:, 0], -(w @ z[:, 1])]])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     # not (a > b) also refuses NaN
     if not abs(det) > BORDER_DET_RTOL * (abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])):

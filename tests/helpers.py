@@ -387,7 +387,7 @@ def factor_every_system(jac, rhs, factor=None, target=0.0):
 
 class ZeroLU:
     """A stand-in for a SuperLU factor whose every solve is zero, which
-    makes the bordering step's 2 x 2 [[1, 0], [0, 0]], singular."""
+    makes the bordering step's 2 x 2 [[-1, 0], [0, 0]], singular."""
 
     def solve(self, rhs):
         return np.zeros_like(rhs)

@@ -229,7 +229,7 @@ class TestLinearSolve:
     def test_bordering_matches_full_factor(self, monkeypatch, om, omt, model, operator,
                                            n_rho):
         # SuperLU sees only the N x N node block, its pivot node's diagonal
-        # raised by 1; the c column and the mean-zero row are taken out by
+        # lowered by 1; the c column and the mean-zero row are taken out by
         # the 2 x 2 bordering step.  At the seed and one full Newton step on,
         # the direction is the plain LU's of the whole bordered matrix
         shapes = []
@@ -253,7 +253,10 @@ class TestLinearSolve:
 
     def test_pivot_node_without_diagonal(self):
         # a Jacobian whose (j, j) entry at the pivot node j = N // 2 is an
-        # exact zero, and so not stored: the entry e_j e_j^T adds is put in
+        # exact zero, and so not stored: the sparse difference K - e_j e_j^T
+        # stores it as -1.  Zeroing it leaves K 1 != 0, so K^-1 e_j is not
+        # minus the constant vector, and the bordering step must use it as
+        # solved
         spec = ProblemSpec(Ball((0, 0), 1.0), Ball((0.2, 0), 0.3), MINK,
                            build_grid(Ball((0, 0), 1.0), 16, 32))
         fld = seed_field(spec)
@@ -291,14 +294,16 @@ class TestLinearSolve:
     def test_factor_keeps_planned_diagonal(self, om, omt, operator):
         # SuperLU factors Pr A Pc = L U, which puts A[i, i] at
         # (perm_r[i], perm_c[i]): a diagonal pivot keeps perm_r[i] ==
-        # perm_c[i].  Two others are taken here, at the pivot node of the
-        # bordering step and its outward neighbour on the same ray; the
+        # perm_c[i].  Every pivot is diagonal: the scaled K[j, j] at the
+        # bordering step's pivot node is -1, which the shift -e_j e_j^T moves
+        # to -2, away from zero (a shift of +1 left a stored zero there and
+        # took 2 off-diagonal pivots, at j and its outward neighbour); the
         # pivot threshold 0.1 took 7 on the bordered matrix and grew the
         # concentric fill to 182 720
         spec = ProblemSpec(om, omt, MINK, build_grid(om, 32, 64), operator=operator)
         factor, _ = solver._factor(jacobian(spec, *field_state(seed_field(spec))))
         lu = factor.lu
-        assert np.count_nonzero(lu.perm_r != lu.perm_c) <= 2
+        assert np.count_nonzero(lu.perm_r != lu.perm_c) == 0
         if operator is OperatorKind.GRAPH and isinstance(om, Ball):
             assert lu.L.nnz + lu.U.nnz <= 130_000
 
