@@ -7,9 +7,9 @@ The unknowns are the nodal potential values plus the constant c.  Rows:
   last row:         sum_i w_i u_i                (discrete mean-zero)
 
 G is either the graph mean-curvature operator (primal problem) or the
-Legendre-dual operator -G(y, [D^2 u]^{-1}) whose gradient slot is the node
-position (dual problem); both are assembled through one dispatch so the
-dual solve reuses the entire Newton machinery.
+Legendre-dual operator -G(y, W), the same kernel at the node position y and
+W = [D^2 u]^{-1} (dual problem); both are assembled through one dispatch so
+the dual solve reuses the entire Newton machinery.
 
 Because nodal derivatives are fixed sparse operators, the Jacobian is the
 exact chain rule of the residual: rows combine the pointwise operator
@@ -68,28 +68,22 @@ class ProblemSpec:
 
 
 def _inverse_2x2(d2u):
-    """Batched inverse; raises SingularHessian where |det| <= 1e-14 |H|_F^2,
-    a test that scaling H does not change."""
-    r11, r12, r21, r22 = d2u[..., 0, 0], d2u[..., 0, 1], d2u[..., 1, 0], d2u[..., 1, 1]
-    det = r11 * r22 - r12 * r21
-    norm2 = r11 * r11 + r12 * r12 + r21 * r21 + r22 * r22
+    """Symmetric batched inverse; raises SingularHessian where |det| <=
+    1e-14 |H|_F^2, a test that scaling H does not change."""
+    r11, r12, r22 = d2u[..., 0, 0], d2u[..., 0, 1], d2u[..., 1, 1]
+    det = r11 * r22 - r12 * r12
+    norm2 = r11 * r11 + r12 * r12 + r12 * r12 + r22 * r22
     singular = np.abs(det) <= 1e-14 * norm2
     if np.any(singular):
         k = np.flatnonzero(singular)[0]
         raise SingularHessian(f"Hessian determinant {det.flat[k]:.3e} at squared "
                               f"norm {norm2.flat[k]:.3e}")
-    w = np.empty_like(d2u)
-    w[..., 0, 0], w[..., 0, 1] = r22 / det, -r12 / det
-    w[..., 1, 0], w[..., 1, 1] = -r21 / det, r11 / det
-    return w
+    return _symmetric(r22 / det, -r12 / det, r11 / det)
 
 
 def inverse_hessian_operator(positions, d2u, model: ModelKind):
-    """The Legendre-dual operator -s(y) : [D^2u]^{-1}, with s the kernel's
-    coefficient matrix at the node positions y."""
-    w = _inverse_2x2(np.asarray(d2u, dtype=float))
-    _, _, _, s11, s12, s22 = _coefficients(positions, model)
-    return -(s11 * w[..., 0, 0] + s12 * (w[..., 0, 1] + w[..., 1, 0]) + s22 * w[..., 1, 1])
+    """The Legendre-dual operator -G(y, W) = -s(y) : W, W = [D^2u]^{-1}, at node positions y."""
+    return -mean_curvature(positions, _inverse_2x2(np.asarray(d2u, dtype=float)), model)
 
 
 def operator_value(spec: ProblemSpec, positions, du, d2u):

@@ -18,12 +18,13 @@ dot-namespaced, values are scalars or comma-separated pairs):
   homotopy.t_min        auto | float     (default auto: solve at t = 1, walk only if that
                                           fails; a number in (0, 1] forces the walk from it)
   seed.strategy         radial | quadratic | file   (default radial)
-  seed.path             path             (required for seed.strategy = file)
+  seed.path             path             (required for, and only for, seed.strategy = file)
   output.dir            path             (default ".")
 
 seed.strategy starts a solve without homotopy: radial from a ball pair's radial
 profile and any other pair's transport seed (radial.seed_field), quadratic from
-the transport seed for ball pairs too, file from a stored field.
+the transport seed for ball pairs too, file from a stored field.  The homotopy
+always starts from the radial seed, so it takes no other strategy.
 
 Unknown keys are rejected; every number must be finite, and all numeric
 fields are validated against their admissible ranges.
@@ -185,6 +186,11 @@ def parse_config(path) -> RunConfig:
     seed_path = entries.get("seed.path")
     if strategy == "file" and seed_path is None:
         raise ConfigError("seed.strategy = file requires seed.path")
+    if strategy != "file" and seed_path is not None:
+        raise ConfigError("seed.path is read only with seed.strategy = file")
+    if strategy != "radial" and hom_enabled == "true":
+        raise ConfigError(f"seed.strategy = {strategy} is not read with "
+                          f"homotopy.enabled = true, which seeds radial")
 
     return RunConfig(model=model, omega=omega, omega_tilde=omega_tilde,
                      n_rho=n_rho, n_phi=n_phi, options=options,

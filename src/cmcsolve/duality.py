@@ -26,6 +26,7 @@ import numpy as np
 from .assembly import OperatorKind, ProblemSpec, inverse_hessian_operator
 from .errors import InversionFailure
 from .grid import MappedGrid, SolutionField, build_grid, lattice_spline
+from .kernel import _symmetric
 from .solver import SolveOptions, direct_or_walk
 
 INVERSION_TOL = 1e-12
@@ -101,7 +102,7 @@ class FieldInterpolant:
         """Spline of the nodal Hessians (used only as the Jacobian of the
         gradient-inversion Newton iteration)."""
         comps = self._d2u_spl(np.stack(self.params_of(x), axis=-1))
-        return comps[..., [[0, 1], [1, 2]]]
+        return _symmetric(comps[..., 0], comps[..., 1], comps[..., 2])
 
 
 def invert_gradient(interp: FieldInterpolant, targets):

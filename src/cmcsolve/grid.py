@@ -62,7 +62,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_circulant
 
 from .domains import ConvexDomain, polar_frame
-from .kernel import ModelKind
+from .kernel import ModelKind, _symmetric
 
 
 def _ray_images(n_phi):
@@ -145,15 +145,7 @@ class MappedGrid:
     def derivative_arrays(self, u: np.ndarray):
         """(Du, D2u) at every node: Du (N, 2), D2u (N, 2, 2) symmetric."""
         du = np.stack([self.ops['dx'] @ u, self.ops['dy'] @ u], axis=-1)
-        uxx = self.ops['dxx'] @ u
-        uxy = self.ops['dxy'] @ u
-        uyy = self.ops['dyy'] @ u
-        d2u = np.empty((len(u), 2, 2))
-        d2u[:, 0, 0] = uxx
-        d2u[:, 0, 1] = uxy
-        d2u[:, 1, 0] = uxy
-        d2u[:, 1, 1] = uyy
-        return du, d2u
+        return du, _symmetric(self.ops['dxx'] @ u, self.ops['dxy'] @ u, self.ops['dyy'] @ u)
 
     def boundary_gradients(self, u: np.ndarray) -> np.ndarray:
         """Du on the rho = 1 ring via mapped per-column differences; shape

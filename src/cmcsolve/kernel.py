@@ -14,7 +14,8 @@ below, written out in 2x2 components from one coefficient pass per call.  The
 coefficient matrix s as a (..., 2, 2) array, the metric, the shape matrix, the
 principal curvatures and the shape-matrix route to dH/du_i are test oracles
 (tests/helpers.py).  Everything is vectorized over leading axes: du has shape
-(..., 2), d2u has shape (..., 2, 2).
+(..., 2), d2u has shape (..., 2, 2); _symmetric, the package's one builder
+of symmetric d2u batches, stores each [..., i, j] contiguously.
 """
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ from cmcsolve.assembly import (_inverse_2x2, admissibility_violation,
                                operator_state_derivatives)
 from cmcsolve.errors import (ConfigError, ConvexityLoss, SingularHessian,
                              SpacelikeViolation)
+from cmcsolve.kernel import mean_curvature
 from helpers import dump_triplets, field_state, random_states
 
 MINK = ModelKind.MINKOWSKI
@@ -275,6 +276,21 @@ class TestDualOperatorDerivatives:
             if i != j:   # the symmetric pair moves both entries
                 fd = fd / 2.0
             assert np.max(np.abs(g_r[:, i, j] - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("model", [MINK, EUC], ids=["minkowski", "euclidean"])
+def test_dual_operator_is_curvature_at_inverse_hessian(model):
+    # -G(y, [D^2u]^{-1}) on a seed field's Hessians, the inverse written out
+    # by the adjugate: the same arithmetic, so equal bit for bit
+    om = Ball((0.05, 0.0), 0.9)
+    spec = ProblemSpec(om, Ball((0, 0), 0.5), model, build_grid(om, 8, 16))
+    _, h = seed_field(spec).derivatives()
+    r11, r12, r22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    det = r11 * r22 - r12 * r12
+    w = np.stack([np.stack([r22 / det, -r12 / det], -1),
+                  np.stack([-r12 / det, r11 / det], -1)], -2)
+    y = spec.grid.nodes
+    assert np.array_equal(inverse_hessian_operator(y, h, model), -mean_curvature(y, w, model))
 
 
 class TestInverse2x2:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -546,6 +547,7 @@ BAD_NUMBERS = [
     ("omega_tilde.radius", "nan"),
     ("omega.center", "0.0, inf"),
     ("homotopy.steps", "1"),
+    ("grid.n_rho", "4"),
 ]
 
 
@@ -595,6 +597,56 @@ def test_unrepresentable_domain_exit_2(tmp_path, capsys, command, prefix, kind,
     assert "Traceback" not in err
     assert err.strip().splitlines() == [err.strip()]
     assert err.startswith(f"config error: {prefix}: ")
+
+
+def _one_error_line(capsys, pattern):
+    """Assert stderr holds one line, no traceback, matching pattern in full."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and re.fullmatch(pattern, lines[0]), err
+
+
+# configs refused before any solve: (keys dropped from BASE_CONFIG, keys
+# added, the stderr line); the seed keys a run would not read are refused
+# rather than ignored
+REFUSED_CONFIGS = {
+    "duplicate_key": ((), {"grid.n_phi": "32"},
+                      r"config error: line \d+: duplicate key 'grid\.n_phi'"),
+    "no_omega_kind": (("omega.kind",), {}, r"config error: missing required key omega\.kind"),
+    "no_omega_center": (("omega.center",), {},
+                        r"config error: missing required key 'omega\.center'"),
+    "no_omega_radius": (("omega.radius",), {},
+                        r"config error: missing required key 'omega\.radius'"),
+    "file_seed_without_path": ((), {"seed.strategy": "file"},
+                               r"config error: seed\.strategy = file requires seed\.path"),
+    "negative_semi_axis": (("omega.kind", "omega.radius"),
+                           {"omega.kind": "ellipse", "omega.semi_axes": "-1, 1"},
+                           r"config error: omega: semi-axes must be positive, got .*"),
+    "homotopy_quadratic_seed": ((), {"homotopy.enabled": "true", "seed.strategy": "quadratic"},
+                                r"config error: seed\.strategy = quadratic is not read .*"),
+    "homotopy_file_seed": ((), {"homotopy.enabled": "true", "seed.strategy": "file",
+                                "seed.path": "field.csv"},
+                           r"config error: seed\.strategy = file is not read .*"),
+    "seed_path_without_file": ((), {"seed.path": "field.csv"},
+                               r"config error: seed\.path is read only with .*"),
+    "seed_path_with_radial": ((), {"seed.strategy": "radial", "seed.path": "field.csv"},
+                              r"config error: seed\.path is read only with .*"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("case", sorted(REFUSED_CONFIGS))
+def test_refused_config_exit_2(tmp_path, capsys, command, case):
+    drop, add, pattern = REFUSED_CONFIGS[case]
+    text = "\n".join(line for line in BASE_CONFIG.splitlines()
+                     if line.split(" = ")[0] not in drop)
+    cfg = write_config(tmp_path, text=text, **add)
+    argv = ["solve", "--config", str(cfg)]
+    if command == "verify":
+        argv = ["verify", "--field", str(tmp_path / "absent.csv"), "--config", str(cfg)]
+    assert main(argv) == 2
+    _one_error_line(capsys, pattern)
 
 
 def _small_grid_config(tmp_path, **overrides):
@@ -726,7 +778,7 @@ def test_readme_config_example_parses(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block)
     cfg = parse_config(path)
-    assert cfg.homotopy_enabled and cfg.n_rho == 32
+    assert cfg.homotopy_enabled and cfg.seed_strategy == "radial" and cfg.n_rho == 32
 
 
 def _invalid_for(key, value):
@@ -865,6 +917,10 @@ FIELD_CORRUPTIONS = {
     "header_dual_text": _header("dual", "false"),
     "header_center_empty": _header("domain", {"kind": "ball", "center": [],
                                               "radius": 1.0}),
+    "header_domain_kind": _header("domain", {"kind": "triangle", "center": [0.0, 0.0],
+                                             "radius": 1.0}),
+    "header_without_c": lambda lines, header: header.pop("c"),
+    "csv_column_row": _cell(0, 2, "y1"),
     # the sublevel kind of earlier versions: level outside (0, h_max), and a
     # level whose set is below the resolvable floor (t = 1e-5)
     "header_sublevel_level_h_max": _header("domain", {
@@ -912,6 +968,52 @@ class TestCorruptedFieldFile:
         assert main(["verify", "--field", str(bad),
                      "--config", str(write_config(tmp_path))]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot read field file")
+
+
+# header texts of an intact field.csv that verify refuses (None: no header
+# file), and the stderr line
+UNREADABLE_HEADERS = {
+    "missing": (None, r"config error: missing field file or header: .*bad\.csv"),
+    "not_an_object": ("[1, 2]", r"config error: field header is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_HEADERS))
+def test_unreadable_header_exit_2(fuzz_dirs, tmp_path, capsys, case):
+    field_csv, _ = fuzz_dirs
+    text, pattern = UNREADABLE_HEADERS[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(field_csv.read_text())
+    if text is not None:
+        bad.with_suffix(".json").write_text(text)
+    assert main(["verify", "--field", str(bad),
+                 "--config", str(_small_grid_config(tmp_path))]) == 2
+    _one_error_line(capsys, pattern)
+
+
+# verify runs on a readable field that the config or the dual solve refuses:
+# (config keys replaced, --dual, exit code, the stderr line)
+VERIFY_REFUSALS = {
+    "model_mismatch": ({"model": "euclidean"}, False, 2,
+                       r"schema mismatch: model differs from config"),
+    "image_outside_unit_ball": ({"omega_tilde.radius": "1.5"}, False, 2,
+                                r"config error: Minkowski model needs the gradient-image "
+                                r"domain strictly inside the unit ball: .*"),
+    # one Newton iteration is too few for the dual's direct solve and for
+    # the first step of its walk
+    "dual_solve_failure": ({"solve.max_newton": "1"}, True, 1,
+                           r"dual solve failure: no convergence in 1 iterations .*"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_REFUSALS))
+def test_verify_refusal(fuzz_dirs, tmp_path, capsys, case):
+    field_csv, _ = fuzz_dirs
+    overrides, dual, code, pattern = VERIFY_REFUSALS[case]
+    argv = ["verify", "--field", str(field_csv),
+            "--config", str(_small_grid_config(tmp_path, **overrides))]
+    assert main(argv + ["--dual"] * dual) == code
+    _one_error_line(capsys, pattern)
 
 
 JSON_VALUES = st.recursive(

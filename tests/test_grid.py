@@ -249,6 +249,18 @@ def test_rotated_quadric(a, n_rho, n_phi):
     assert np.max(np.abs(d2u - [[2.0, 0.7], [0.7, -0.8]])) < 1e-8
 
 
+def test_hessian_batch_is_symmetric_by_components():
+    # D^2u comes from kernel._symmetric: exactly symmetric, and each entry
+    # d2u[:, i, j] a contiguous array, as the kernel and the Jacobian read it
+    g = build_grid(Ellipse((0.1, -0.2), (1.0, 0.8)), 8, 16)
+    x, y = g.nodes.T
+    _, d2u = g.derivative_arrays(np.exp(x) * np.cos(2 * y) + x * y)
+    assert np.array_equal(d2u, np.swapaxes(d2u, -1, -2))
+    for i in range(2):
+        for j in range(2):
+            assert d2u[:, i, j].flags.c_contiguous, (i, j)
+
+
 class TestQuadrature:
     def test_ball_area(self):
         g = build_grid(Ball((0, 0), 1.0), 32, 64)
