@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import ProblemSpec
+from .assembly import ProblemSpec, admissibility_violation
 from .config import RunConfig, parse_config
 from .diagnostics import full_report
 from .duality import dual_solve
-from .errors import CMCSolveError, ConfigError, NonConvergence, SolveFailure
+from .errors import CMCSolveError, ConfigError, NonConvergence, SeedFailure, SolveFailure
 from .fieldio import header_path, load_field, save_field
 from .grid import build_grid, transfer_field
 from .kernel import ModelKind
@@ -90,8 +90,13 @@ def cmd_radial(args) -> int:
 
 def _initial_field(cfg: RunConfig, spec: ProblemSpec):
     if cfg.seed_strategy == "file":
-        stored = load_field(cfg.seed_path)
-        return transfer_field(stored, spec.grid)
+        seed = transfer_field(load_field(cfg.seed_path), spec.grid)
+        # refused before any Newton solve, as seed_field refuses its own seeds
+        violation = admissibility_violation(spec, *spec.grid.derivative_arrays(seed.u))
+        if violation is not None:
+            raise SeedFailure(f"stored seed failed the admissibility guards: {violation}"
+                              f"{_node_text(spec.grid, violation.node)}")
+        return seed
     strategy = "quadratic" if cfg.seed_strategy == "quadratic" else "auto"
     return seed_field(spec, strategy=strategy)
 

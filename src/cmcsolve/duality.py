@@ -11,10 +11,10 @@ D^2 utilde = [D^2 u]^{-1}, and solves
 so an independently solved dual constant must come out as -c.  The dual
 solve runs the ordinary Newton machinery with the inverse-Hessian operator
 and the domain roles swapped; the transform itself inverts the gradient map
-pointwise with a damped Newton iteration on a tensor cubic spline of the
+pointwise with a damped Newton iteration on one tensor cubic spline of the
 primal field over the polar lattice of the unit disk, periodic in the polar
 angle (grid.lattice_spline, numpy only), read through the grid's linear map
-x = peak + L xi.
+x = peak + L xi; its Jacobian is the spline's own Hessian.
 """
 
 from __future__ import annotations
@@ -39,15 +39,15 @@ EXTENSION_CELLS = 2.0
 class FieldInterpolant:
     """Smooth evaluator of a nodal field over its domain.
 
-    Values and first derivatives come from a tensor cubic spline on the
-    (rho, phi) parameter lattice of the unit disk, periodic in phi
-    (lattice_spline), chained through the grid's map x = peak + L xi; the
-    map inverse is closed form: xi = L^-1 (x - peak), rho = |xi| and phi
-    the angle of xi, and the gradient is L^-T D_xi u, both partials from one
-    gather.  Up to rho_max, a couple of cells past rho = 1, the spline's
-    last radial piece continues, so targets near the boundary remain
-    evaluable.  The nodal Hessians get a spline of their own, the Jacobian
-    of the gradient inversion, which starts from nodal_du, nodal_d2u.
+    Values and first and second derivatives come from one tensor cubic
+    spline on the (rho, phi) parameter lattice of the unit disk, periodic in
+    phi (lattice_spline), chained through the grid's map x = peak + L xi;
+    the map inverse is closed form: xi = L^-1 (x - peak), rho = |xi| and phi
+    the angle of xi.  The gradient is L^-T D_xi u and the Hessian
+    L^-T D^2_xi u L^-1, each with its partials from one gather.  Up to
+    rho_max, a couple of cells past rho = 1, the spline's last radial piece
+    continues, so targets near the boundary remain evaluable.  The nodal
+    derivatives nodal_du, nodal_d2u start the gradient inversion.
     """
 
     def __init__(self, field: SolutionField):
@@ -58,8 +58,6 @@ class FieldInterpolant:
         self.rho_max = 1.0 + EXTENSION_CELLS / grid.n_rho
         self._spl = lattice_spline(grid, grid.to_param_array(field.u))
         self.nodal_du, self.nodal_d2u = field.derivatives()
-        self._d2u_spl = lattice_spline(   # xx, xy, yy
-            grid, grid.to_param_array(self.nodal_d2u[:, [0, 0, 1], [0, 1, 1]]))
 
         # the pole is a smooth point of the field but a parameter-map
         # singularity: its unit-disk gradient is a symmetric difference
@@ -98,11 +96,20 @@ class FieldInterpolant:
         grad[rho < 1e-9] = self._pole_grad
         return grad
 
-    def hessian_approx(self, x):
-        """Spline of the nodal Hessians (used only as the Jacobian of the
-        gradient-inversion Newton iteration)."""
-        comps = self._d2u_spl(np.stack(self.params_of(x), axis=-1))
-        return _symmetric(comps[..., 0], comps[..., 1], comps[..., 2])
+    def hessian(self, x):
+        """Cartesian Hessian of the interpolant (exact chain rule); at the
+        peak, where the polar map is singular, the pole node's nodal D^2u."""
+        rho, phi, e = self._polar(x)
+        u_r, u_p, u_rr, u_rp, u_pp = self._spl.partials(
+            np.stack([rho, phi], axis=-1), [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+        peak = rho < 1e-9
+        r = np.where(peak, 1.0, rho)   # the peak's entries are replaced below
+        # D^2_xi u in the frame (e, e_t), carried to x by F = L^-T (e, e_t)
+        f = self._inv.T @ np.stack([e, np.stack([-e[..., 1], e[..., 0]], axis=-1)], axis=-1)
+        h_xi = _symmetric(u_rr, u_rp / r - u_p / r ** 2, u_pp / r ** 2 + u_r / r)
+        hess = f @ h_xi @ np.swapaxes(f, -1, -2)
+        hess[peak] = self.nodal_d2u[0]
+        return hess
 
 
 def invert_gradient(interp: FieldInterpolant, targets):
@@ -123,7 +130,7 @@ def invert_gradient(interp: FieldInterpolant, targets):
     for _ in range(INVERSION_MAX_NEWTON):
         if not np.any(active):
             break
-        step, _ = _solve_2x2(interp.hessian_approx(x[active]), res[active])
+        step, _ = _solve_2x2(interp.hessian(x[active]), res[active])
         xa, resa, ra = x[active], res[active], rn[active]
         alpha = np.ones(len(xa))
         for _ in range(12):

@@ -491,12 +491,14 @@ def _bspline_pieces(t):
 
 def _locate(breaks, x):
     """Interval m of each x among the increasing breaks (the end ones continued past
-    the ends) and the powers (1, s, s^2, s^3) of its local s in [0, 1], and their d/dx."""
+    the ends) and the powers (1, s, s^2, s^3) of its local s in [0, 1], and their d/dx, d^2/dx^2."""
     m = np.searchsorted(breaks[1:-1], x, side="right")
     w = breaks[m + 1] - breaks[m]
     s = (x - breaks[m]) / w
+    zero = np.zeros_like(s)
     return m, (np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-1),
-               np.stack([np.zeros_like(s), 1.0 / w, 2.0 * s / w, 3.0 * s * s / w], axis=-1))
+               np.stack([zero, 1.0 / w, 2.0 * s / w, 3.0 * s * s / w], axis=-1),
+               np.stack([zero, zero, 2.0 / w ** 2, 6.0 * s / w ** 2], axis=-1))
 
 
 class LatticeSpline(NamedTuple):
@@ -513,7 +515,7 @@ class LatticeSpline(NamedTuple):
         return self.partials(points, [(0, 0)])[0]
 
     def partials(self, points, nus):
-        """Partials nus, each (0, 0), (1, 0) or (0, 1), at (..., 2) points: one gather."""
+        """Partials nus, each (d_rho, d_phi) of orders up to 2, at (..., 2) points: one gather."""
         (m, s), (j, t) = map(_locate, self.breaks, np.moveaxis(points, -1, 0).reshape(2, -1))
         coef = self.pieces[m * (len(self.breaks[1]) - 1) + j]
         weights = [np.einsum("nq,np->nqp", t[b], s[a]).reshape(-1, 16) for a, b in nus]
@@ -540,7 +542,7 @@ def lattice_spline(grid: MappedGrid, values) -> LatticeSpline:
     c_phi = np.concatenate([d[:, -1:], d, d[:, :2]], axis=1)
     knots = np.concatenate([np.zeros(4), grid.rho[2:-2], np.ones(4)])
     basis, breaks = _bspline_pieces(knots), knots[3:-3]
-    m, (s, _) = _locate(breaks, grid.rho)
+    m, (s, *_) = _locate(breaks, grid.rho)
     colloc = np.zeros((n_r, n_r))
     np.put_along_axis(colloc, m[:, None] + np.arange(4), np.einsum("iap,ip->ia", basis[m], s), 1)
     c = np.linalg.solve(colloc, c_phi.reshape(n_r, -1)).reshape(c_phi.shape)

@@ -403,6 +403,28 @@ class TestSolveCommand:
         assert main(["verify", "--field", str(mink / "run" / "field.csv"),
                      "--config", str(cfg2)]) == 0
 
+    def test_inadmissible_stored_seed_is_a_seed_failure(self, tmp_path, capsys):
+        # the Euclidean Ball(0, 1) -> Ball(0, 1.5) solution is spacelike
+        # nowhere near |Du| < 1: the Minkowski run refuses it before any
+        # Newton solve, as seed_field refuses its own seeds, and writes nothing
+        euc, mink = tmp_path / "euc", tmp_path / "mink"
+        euc.mkdir()
+        mink.mkdir()
+        cfg = write_config(euc, text=BASE_CONFIG.replace("minkowski", "euclidean").replace(
+            "omega_tilde.radius = 0.5", "omega_tilde.radius = 1.5"))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg2 = write_config(mink, **{"seed.strategy": "file",
+                                     "seed.path": str(euc / "run" / "field.csv")})
+        assert main(["solve", "--config", str(cfg2)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "solver failure: stored seed failed the admissibility guards: spacelike guard "
+            "violated at node 501: |Du| = 1.48431854 (ring 16, ray 20; x = -0.707106781, "
+            "y = -0.707106781)"]
+        assert "newton " not in captured.out
+        assert list((mink / "run").iterdir()) == []
+
     @pytest.mark.parametrize("text", [
         BASE_CONFIG.replace("minkowski", "euclidean"),
         HOMOTOPY_CONFIG.replace("minkowski", "euclidean").replace(

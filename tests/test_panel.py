@@ -8,9 +8,11 @@ the transport seed); the direct solve must pass every diagnostic, and
 dual_solve must pass dual_consistency against it.  The same two checks run
 on near-cone pairs: Minkowski Ball(0, 1) -> Ball(0, t0), t0 in NEAR_CONE_T0,
 at 16x32 and 32x64, whose gradient image reaches within 1 - t0 of the light
-cone |Du| = 1.  A pair that fails today is marked strict xfail with its
-measured failure, so a fix shows as an XPASS that fails the suite until its
-mark is lifted.
+cone |Du| = 1, and on the pair of the forced homotopy walk that CI runs,
+solved here directly.  Every solved pair's field must also Legendre-transform
+onto a grid over its gradient image without an InversionFailure.  A pair that
+fails today is marked strict xfail with its measured failure, so a fix shows
+as an XPASS that fails the suite until its mark is lifted.
 """
 
 import functools
@@ -20,8 +22,8 @@ import pytest
 from cmcsolve import (Ball, Ellipse, ProblemSpec, build_grid, newton_solve,
                       seed_field)
 from cmcsolve.diagnostics import full_report
-from cmcsolve.duality import dual_solve
-from cmcsolve.errors import ConvexityLoss, SeedFailure
+from cmcsolve.duality import dual_solve, legendre_transform
+from cmcsolve.errors import ConvexityLoss, InversionFailure, SeedFailure
 from conftest import EUC, MINK
 
 PANEL_B = (1.0, 0.6, 0.35, 0.2, 0.1)
@@ -36,6 +38,7 @@ CASES = {
        for model in (MINK, EUC) for b in PANEL_B for name, target in TARGETS.items()},
     **{f"near-cone-{n}x{2 * n}-t{t0}": (MINK, Ball((0, 0), 1.0), Ball((0, 0), t0), n)
        for n in (16, 32) for t0 in NEAR_CONE_T0},
+    "forced-walk-32x64": (MINK, Ellipse((0.05, 0), (1.0, 0.8)), Ball((0.1, 0), 0.85), 32),
 }
 
 
@@ -68,6 +71,15 @@ DUAL_MISSES = {
     "minkowski-b0.1-flat": _CONVEXITY_LOSS,
     "euclidean-b0.2-round": _xfail("dual gap 2.05e-5 above its 1.45e-5 bound"),
     "near-cone-32x64-t0.95": _xfail("dual gap 2.57e-1 above its 2.27e-2 bound"),
+    # the walk's own field misses by the same gap
+    "forced-walk-32x64": _xfail("dual gap 6.338e-2 above its 2.747e-2 bound"),
+    **_NEAR_CONE_SEED_FAILURES,
+}
+
+INVERSION_FAILS = {
+    "minkowski-b0.2-flat": _xfail("gradient gap 1.14e-3 left after 30 inversion iterations",
+                                  raises=InversionFailure),
+    "minkowski-b0.1-flat": _CONVEXITY_LOSS,
     **_NEAR_CONE_SEED_FAILURES,
 }
 
@@ -96,6 +108,13 @@ def test_dual_solve_passes_dual_consistency(case):
     dual, _ = dual_solve(spec)
     check = full_report(spec, fld, dual=dual).checks["dual_consistency"]
     assert check["passed"], check
+
+
+@pytest.mark.parametrize("case", _panel(INVERSION_FAILS))
+def test_legendre_transform_inverts_every_target(case):
+    spec, fld = _solved(case)
+    n_rho = spec.grid.n_rho
+    legendre_transform(fld, build_grid(spec.omega_tilde, n_rho, 2 * n_rho))
 
 
 def test_c_refines_at_second_order_on_a_thin_ellipse():
