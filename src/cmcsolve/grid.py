@@ -260,7 +260,7 @@ def _fold_defect(w, center):
     ones = np.ones(w.shape[-1])
     half = 0.5 * (np.abs(rows) @ ones + np.abs(rows @ ones))[:, None]
     q = np.ldexp(1.0, np.frexp(half * (1.0 + 2.0 ** -40))[1] - 53)
-    rows /= q  # in place: every caller passes a temporary
+    rows *= 1.0 / q  # exact, q being a power of two; in place on a temporary
     np.rint(rows, out=rows)
     rows *= q
     rows[:, center] -= rows @ ones

@@ -41,16 +41,21 @@ strategy, Davis 2004).  The scaled K[j, j] is -1, the centre weight of an
 elliptic row and its largest entry, so the shift takes it to -2, and on
 every seed system measured every pivot is diagonal; a shift of +1 left a
 stored zero there and took two off-diagonal pivots, at j and its outward
-neighbour.  On the concentric balls at the seed the L+U fill is 117 689,
-579 843 and 2 813 313 at 32 x 64, 64 x 128 and 128 x 256; the whole bordered
-matrix's factor, under the same ordering and threshold, filled 122 k,
-596 k and 3.05 M, and the threshold 0.1 took 16 off-diagonal pivots there
-and filled 183 k, 1.07 M and 5.97 M.  Looser pivoting can leave a direct
-solve less accurate, so where a target is given the direct direction is
-held to the bound GMRES meets (below) by one step of iterative refinement,
-against the full bordered Jacobian, on the same factor.  A failed
-factorization, a 2 x 2 that is singular or not finite, or a non-finite
-residual or direction ends the solve in NonConvergence.
+neighbour.  On the concentric balls at the seed K^ fills 117 689, 579 843
+and 2 813 313 (in CSC form) at 32 x 64, 64 x 128 and 128 x 256; the whole
+bordered matrix, under the same ordering and threshold, filled 122 k, 596 k
+and 3.05 M, and 183 k, 1.07 M and 5.97 M at the threshold 0.1 (16
+off-diagonal pivots).  SuperLU relaxes supernodes of at most LU_RELAX = 2
+columns and factors panels of LU_PANEL_SIZE = 4: that keeps the fill, and
+takes 3.6, 19 and 136 ms where its defaults took 4.8, 26 and 161 ms (2
+cores, one BLAS thread).  It stores that fill plus 141 entries, the
+SuperLU.nnz that NewtonInfo.lu_fill reads in O(1); the defaults' wider
+supernodes stored 140 648, 611 506 and 2 843 500.  Looser pivoting can leave
+a direct solve less accurate, so where a target is given the direct
+direction is held to the bound GMRES meets (below) by one step of iterative
+refinement, against the full bordered Jacobian, on the same factor.  A
+failed factorization, a 2 x 2 that is singular or not finite, or a
+non-finite residual or direction ends the solve in NonConvergence.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -58,28 +63,23 @@ sqrt(t)-dilation of the target on the same grid), so one factor can serve
 a whole homotopy walk: every later system is solved by GMRES on the same
 row scaling, right-preconditioned by the first factor (a Newton-Krylov
 method with a lagged preconditioner; Kelley 2003, Knoll & Keyes 2004),
-which needs a few Krylov iterations.  Under right preconditioning the residual GMRES
-minimises is the true residual of the scaled system, so its tolerance
-bounds the direction's actual error in the Newton equation.  That
+which needs a few Krylov iterations.  Under right preconditioning the
+residual GMRES minimises is the true residual of the scaled system, so its
+tolerance bounds the direction's actual error in the Newton equation.  That
 tolerance is a forcing term tied to the Newton stop test (Eisenstat &
 Walker 1996, with Kelley's 1995 safeguard): a system whose residual F sits
 above the stop target tol (1 + |c|) is solved until the direction leaves
 ||J d + F||_inf <= KRYLOV_FORCING tol (1 + |c|), in the norm the stop test
 reads, so the linear error left in the direction is a fixed fraction of
 what the stop test can see, and no system is solved beyond the relative
-residual KRYLOV_RTOL.  GMRES runs one Krylov space per system (_gmres):
-it keeps each preconditioned Arnoldi vector, so a direction is their
-combination and a system costs one triangular solve per iteration.  It
-first aims at the relative residual KRYLOV_FORCING tol (1 + |c|) / ||F||_inf
-of the row-scaled 2-norm; where the direction formed there leaves the
-unscaled inf-norm above the bound, the tolerance is tightened by the
-excess and the same Arnoldi process goes on, with no restart.  If GMRES
-misses within KRYLOV_BUDGET iterations, breaks down or meets a non-finite
-vector, the current Jacobian is factored and solved directly, and that
-factor serves the rest of the solve and the next homotopy step: a fresh
-factor comes only from a walk's first system or a miss.  The factor handed
-on lives on NewtonInfo.factor until the next solve takes it: run_homotopy
-clears it from each step's record and keeps none past its walk.
+residual KRYLOV_RTOL; GMRES runs one Krylov space per system, with no
+restart (see _gmres).  If GMRES misses within KRYLOV_BUDGET iterations,
+breaks down or meets a non-finite vector, the current Jacobian is factored
+and solved directly, and that factor serves the rest of the solve and the
+next homotopy step: a fresh factor comes only from a walk's first system or
+a miss.  The factor handed on lives on NewtonInfo.factor until the next
+solve takes it: run_homotopy clears it from each step's record and keeps
+none past its walk.
 
 The homotopy walks increasing t on the problem's own grid, replacing only
 the target by its super-level set at t, and bisects the t increment of a
@@ -160,8 +160,7 @@ class NewtonInfo:
     # fresh factors made because GMRES on a given one missed its tolerance
     # or returned a non-finite vector
     krylov_misses: int = 0
-    # largest L + U entry count of the N x N SuperLU factors the solve made,
-    # 0 if none
+    # largest SuperLU.nnz (stored L + U entries) of its factors, 0 if none
     lu_fill: int = 0
     # (BorderedLU, row scale) the solve ended with, which a later solve on
     # the same grid may reuse
@@ -177,10 +176,12 @@ class HomotopyState:
     info: NewtonInfo = field(default_factory=NewtonInfo)
 
 
-# SuperLU column ordering and diagonal pivot threshold; the module docstring
-# gives the reasons for both
+# SuperLU column ordering, diagonal pivot threshold, and the column limits of
+# a relaxed supernode and of a panel; the module docstring gives the reasons
 LU_ORDERING = "MMD_AT_PLUS_A"
 LU_PIVOT_THRESH = 1e-3
+LU_RELAX = 2
+LU_PANEL_SIZE = 4
 # the bordering step's 2 x 2 counts as singular when its determinant, the
 # difference of two products, is below this fraction of their magnitudes:
 # there it is roundoff
@@ -239,10 +240,9 @@ def _factor(jac: sp.csr_matrix):
     # the difference stores (j, j) also where K has no entry there
     k_hat = (scaled[:n, :n] - sp.csr_matrix(([1.0], ([j], [j])), shape=(n, n))).tocsc()
     del scaled   # not held through the factorization
-    lu = splu(k_hat, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESH)
-    unit = np.zeros(n)
-    unit[j] = 1.0
-    z = lu.solve(np.stack([unit, g], axis=1))
+    lu = splu(k_hat, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESH,
+              relax=LU_RELAX, panel_size=LU_PANEL_SIZE)
+    z = lu.solve(np.stack([np.eye(1, n, j)[0], g], axis=1))   # K^-1 (e_j, g)
     m = np.array([[-1.0 - z[j, 0], z[j, 1]], [w @ z[:, 0], -(w @ z[:, 1])]])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     # not (a > b) also refuses NaN
@@ -461,7 +461,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
         if factor is not info.factor:
             info.factorizations += 1
             info.krylov_misses += info.factor is not None
-            info.lu_fill = max(info.lu_fill, factor[0].lu.L.nnz + factor[0].lu.U.nnz)
+            info.lu_fill = max(info.lu_fill, factor[0].lu.nnz)
         info.factor = factor
         if not np.all(np.isfinite(direction)):
             raise failure(f"non-finite Newton direction at iteration {it + 1}", r_inf)

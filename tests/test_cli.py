@@ -404,14 +404,18 @@ class TestSolveCommand:
                      "--config", str(cfg2)]) == 0
 
     def test_inadmissible_stored_seed_is_a_seed_failure(self, tmp_path, capsys):
-        # the Euclidean Ball(0, 1) -> Ball(0, 1.5) solution is spacelike
-        # nowhere near |Du| < 1: the Minkowski run refuses it before any
-        # Newton solve, as seed_field refuses its own seeds, and writes nothing
+        # the Euclidean Ball(0, 1) -> Ball((0.2, 0.1), 1.5) solution is
+        # spacelike nowhere near |Du| < 1: the Minkowski run refuses it before
+        # any Newton solve, as seed_field refuses its own seeds, and writes
+        # nothing.  The target is off centre so that the worst node is unique:
+        # on a concentric field it ties with its half-turn image, and the
+        # roundoff of the solve picks one of the two
         euc, mink = tmp_path / "euc", tmp_path / "mink"
         euc.mkdir()
         mink.mkdir()
         cfg = write_config(euc, text=BASE_CONFIG.replace("minkowski", "euclidean").replace(
-            "omega_tilde.radius = 0.5", "omega_tilde.radius = 1.5"))
+            "omega_tilde.radius = 0.5", "omega_tilde.radius = 1.5").replace(
+            "omega_tilde.center = 0.0, 0.0", "omega_tilde.center = 0.2, 0.1"))
         assert main(["solve", "--config", str(cfg)]) == 0
         capsys.readouterr()
         cfg2 = write_config(mink, **{"seed.strategy": "file",
@@ -420,8 +424,8 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.err.strip().splitlines() == [
             "solver failure: stored seed failed the admissibility guards: spacelike guard "
-            "violated at node 501: |Du| = 1.48431854 (ring 16, ray 20; x = -0.707106781, "
-            "y = -0.707106781)"]
+            "violated at node 483: |Du| = 1.69968299 (ring 16, ray 2; x = 0.923879533, "
+            "y = 0.382683432)"]
         assert "newton " not in captured.out
         assert list((mink / "run").iterdir()) == []
 

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
@@ -190,10 +189,23 @@ class _NanLU:
     # a factor with no entries, whose every solve of one vector is NaN; its
     # solve of two columns, the bordering step's, returns them as they are,
     # which leaves that step's 2 x 2 regular
-    L = U = sp.csc_matrix((1, 1))
+    nnz = 0
 
     def solve(self, rhs):
         return rhs.copy() if rhs.ndim == 2 else np.full_like(rhs, np.nan)
+
+
+class _CopylessLU:
+    """A SuperLU factor whose L and U, the CSC copies SuperLU builds on
+    first read and keeps for the factor's life, raise when read."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"the factor's {name} was read")
+        return getattr(self.lu, name)
 
 
 class TestLinearSolve:
@@ -217,6 +229,28 @@ class TestLinearSolve:
         _, fld, _ = solve_direct(Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK)
         assert abs(fld.c - C_RADIAL) <= 1e-3
         assert lu_fills and max(lu_fills) <= 400_000
+
+    def test_lu_fill_is_superlu_stored_count(self, monkeypatch):
+        # lu_fill is SuperLU's own tally of its stored L + U entries, read
+        # in O(1): no solve reads a factor's L or U, whose CSC copies would
+        # cost a pass over the factor and stay in memory as long as it does
+        made = []
+        real_splu = solver.splu
+
+        def copyless_splu(*args, **kwargs):
+            lu = real_splu(*args, **kwargs)
+            made.append(lu.nnz)
+            return _CopylessLU(lu)
+
+        monkeypatch.setattr(solver, "splu", copyless_splu)
+        _, _, info = solve_direct(Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, 16, 32)
+        assert made and info.lu_fill == max(made)
+        made.clear()
+        omega = Ellipse((0, 0), (1.0, 0.8))
+        spec = ProblemSpec(omega, Ball((0, 0), 0.4), MINK, build_grid(omega, 16, 32))
+        _, history = run_homotopy(spec, steps=2, t_min=0.5)
+        assert len(history) == 2
+        assert made and max(step.info.lu_fill for step in history) == max(made)
 
     @pytest.mark.parametrize("om, omt, model, operator, n_rho", [
         (Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK, OperatorKind.GRAPH, 64),
