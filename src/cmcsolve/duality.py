@@ -44,7 +44,7 @@ class FieldInterpolant:
     phi (lattice_spline), chained through the grid's map x = peak + L xi;
     the map inverse is closed form: xi = L^-1 (x - peak), rho = |xi| and phi
     the angle of xi.  The gradient is L^-T D_xi u and the Hessian
-    L^-T D^2_xi u L^-1, each with its partials from one gather.  Up to
+    L^-T D^2_xi u L^-1, each with its partials from one blocked gather.  Up to
     rho_max, a couple of cells past rho = 1, the spline's last radial piece
     continues, so targets near the boundary remain evaluable.  The nodal
     derivatives nodal_du, nodal_d2u start the gradient inversion.
@@ -117,6 +117,8 @@ def invert_gradient(interp: FieldInterpolant, targets):
     starting one Newton step on the nodal derivatives away from the node
     whose gradient is nearest the target (_nodal_start).  A step through a
     singular spline Hessian is not finite, and the line search refuses it.
+    A target whose gap an iteration leaves unchanged is given up: no trial
+    of its line search lowered it, and from an unmoved point Newton repeats.
 
     Returns (points, gaps): the gradient residual norm left at each point.
     """
@@ -144,8 +146,8 @@ def invert_gradient(interp: FieldInterpolant, targets):
             alpha = np.where(better, alpha, alpha * 0.5)
             if np.all(better):
                 break
-        x[active], res[active], rn[active] = xa, resa, ra
-        active = rn > INVERSION_TOL * scale
+        x[active], res[active] = xa, resa
+        rn[active], active[active] = ra, (ra < rn[active]) & (ra > INVERSION_TOL * scale)
     return x, rn
 
 

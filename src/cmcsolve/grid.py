@@ -11,36 +11,27 @@ Unknown layout: index 0 is the pole; node (i, j) for 1 <= i <= n_rho maps to
 1 + (i-1) n_phi + j.  The rho = 1 ring lies on the boundary.
 
 Cartesian Du and D^2 u at a node are recovered from local polynomial fits in
-the unit-disk offsets, with the basis chosen per region so the fitted
-Hessians stay second-order accurate on the fanned polar layout:
-
-  * pole: quadratic fit over the (centrally symmetric) first two rings;
-  * first ring: cubic fit over 5 radial stations x 5 angular columns;
-  * interior rings: interpolatory biquadratic tensor fits on 3x3 blocks
-    (the quadratics and r^2 t, r t^2, r^2 t^2: 9 nodes, 9 basis functions);
-  * boundary ring: one-sided cubic fits over 4 x 5 blocks (used for export
-    and diagnostics), while the gradient-image condition rows use mapped
-    per-column differences (see _build_boundary_gradient_ops).
-
-Every fit goes through one routine (_lsq_weights): a batched QR
-factorization of the design matrix, least squares on the tall pole,
-first-ring and boundary stencils and interpolation on the square interior
-ones.  The fitted unit-disk derivatives go to Cartesian ones by the
-constant chain rule Du = L^-T D_xi u, D^2 u = L^-T D^2_xi u L^-1.  Every
-basis contains the quadratics, which an affine map keeps, so linear and
-quadratic potentials are reproduced to machine precision on any of the
-supported domains; the recovery is a fixed sparse linear operator, so
-residual linearizations stay exactly consistent with the residual itself.
+the unit-disk offsets, with the basis chosen per region (pole, first ring,
+interior rings, boundary ring; see _build_derivative_ops) so the fitted
+Hessians stay second-order accurate on the fanned polar layout, all through
+one batched QR fit (_lsq_weights).  The fitted unit-disk derivatives go to
+Cartesian ones by the constant chain rule Du = L^-T D_xi u, D^2 u = L^-T
+D^2_xi u L^-1.  Every basis contains the quadratics, which an affine map
+keeps, so linear and quadratic potentials are reproduced to machine
+precision on any of the supported domains; the recovery is a fixed sparse
+linear operator, so residual linearizations stay exactly consistent with
+the residual itself.
 
 The unit-disk lattice is symmetric under every rotation by 2 pi / n_phi, so
 each node of a ring sees the same stencil in its own scaled rotated frame:
-only ray 0 of each ring is fitted, and its frame weights are taken through
-the frame of every ray and the chain rule in one matrix product, for any
-symmetric L.  The polar frame is evaluated on the first quarter of the rays
-and taken to the others by exact mirror images (_ray_images), so the nodes
-and the quadrature weights are exactly symmetric under the half turn and
-the mirrors phi -> pi - phi and phi -> -phi of a diagonal L; the fitted
-rows agree with their images to roundoff.
+only ray 0 of each ring is fitted, and one GEMM takes its frame weights
+through every ray's frame and the chain rule, for any symmetric L; the
+weights are then written once, straight into the operators' CSR layout
+(_on_one_pattern).  The polar frame is evaluated on the first quarter of
+the rays and taken to the others by exact mirror images (_ray_images), so
+the nodes and the quadrature weights are exactly symmetric under the half
+turn and the mirrors phi -> pi - phi and phi -> -phi of a diagonal L; the
+fitted rows agree with their images to roundoff.
 
 Quadrature: det L times the unit disk's trapezoid in rho of the polar
 integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
@@ -52,6 +43,7 @@ lattice_spline, a tensor cubic spline on the (rho, phi) lattice in numpy.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -187,29 +179,16 @@ class MappedGrid:
                                np.repeat(np.arange(self.n_phi), np.diff(b_ptr)), recovery)
 
 
-def _cartesian_weights(w, ell, radial, center, chain):
+def _cartesian_weights(w, ell, back, center):
     """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in ray 0's
     frame scaled by ell (G, 2) -> Cartesian weights (5, R, G, m) for (ux, uy,
-    uxx, uxy, uyy) in the frame of every ray radial (R, 2), rounded by
-    _fold_defect.  Undoing the scaling (inverse scales ir, it) gives the
-    unscaled frame weights; the rotation to a ray's frame, block diagonal
-    (gradient 2x2, Hessian 3x3), gives the unit-disk derivatives, and the
-    constant 5x5 chain takes them through the domain's linear map: one GEMM
-    of every ray's chain @ rotation against every unscaled row."""
+    uxx, uxy, uyy) in the frame of every ray, rounded by _fold_defect: the
+    scaling undone (inverse scales ir, it), one GEMM with back (5 R, 5),
+    every ray's chain @ rotation in rows (derivative, ray)."""
     ir, it = 1.0 / ell[:, :1], 1.0 / ell[:, 1:]
     unscaled = np.stack([ir, it, ir * ir, ir * it, it * it], axis=1) * w
-    c, s = radial[:, 0], radial[:, 1]
-    z = np.zeros(len(radial))
-    rotation = np.stack([
-        c, -s, z, z, z,
-        s, c, z, z, z,
-        z, z, c * c, -2.0 * c * s, s * s,
-        z, z, c * s, c * c - s * s, -c * s,
-        z, z, s * s, 2.0 * c * s, c * c,
-    ], axis=1).reshape(-1, 5, 5)
-    back = np.swapaxes(chain @ rotation, 0, 1).reshape(-1, 5)   # rows (derivative, ray)
     out = back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)
-    return _fold_defect(out.reshape(5, len(radial), *w.shape[::2]), center)
+    return _fold_defect(out.reshape(5, -1, *w.shape[::2]), center)
 
 
 def _lsq_weights(offsets, extra):
@@ -319,20 +298,32 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
 
 
 def _on_one_pattern(names, groups, n):
-    """CSR operators sharing one indptr/indices pair: one pattern, one
-    coefficient set per name.  groups are (stencil (G, m), weights
-    (len(names), G, m)) pairs, one stencil row per node, in node order
-    through the last node; a row lists its unknowns once each, in
-    increasing order (explicit zeros are kept).
-    """
-    sizes = np.concatenate([np.full(len(stencil), stencil.shape[1]) for stencil, _ in groups])
-    indptr = np.append(np.zeros(n + 1 - len(sizes), dtype=int), np.cumsum(sizes))
-    # + 0.0: a weight rounded to zero from below is -0.0
-    vals = np.concatenate([w.reshape(len(names), -1) for _, w in groups], axis=1) + 0.0
-    first = sp.csr_matrix((vals[0], np.concatenate([stencil.ravel() for stencil, _ in groups]),
-                           indptr), shape=(n, n))
-    return {name: sp.csr_matrix((v, first.indices, first.indptr), shape=(n, n))
-            for name, v in zip(names, vals)}
+    """CSR operators on one int32 indptr/indices pair, one coefficient set
+    per name, from groups (cols (R, m), weights (len(names), R, G, m), keep)
+    of G rings of R rays in node order: row (g, r) holds the unknowns cols[r]
+    + g R sorted (equal ones in stencil order) less the first keep, and the
+    weights [:, r, g]: only seam rays, whose stencils wrap around phi = 0,
+    are permuted.  A group is one strided write into a data block, whose rows
+    shallow copies of one matrix take (scipy's constructor copies a row)."""
+    lengths = np.concatenate([np.full(w[0, ..., 0].size, w.shape[-1] - k) for _, w, k in groups])
+    indptr = np.append(np.zeros(n + 1 - len(lengths), np.int32), np.cumsum(lengths, dtype=np.int32))
+    bounds = np.cumsum([0] + [w[0, ..., k:].size for _, w, k in groups])
+    data = np.empty((len(names), indptr[-1]))
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for (cols, w, keep), start, stop in zip(groups, bounds, bounds[1:]):
+        order = np.argsort(cols, axis=1, kind="stable")[:, keep:] - keep
+        seam = np.flatnonzero(np.any(order != np.arange(order.shape[1]), axis=1))
+        w = np.swapaxes(w[..., keep:], 1, 2)   # (names, G, R, m): rows in node order
+        w[:, :, seam] = w[:, np.arange(w.shape[1])[:, None, None], seam[:, None], order[seam]]
+        np.add(w, 0.0, out=data[:, start:stop].reshape(w.shape))   # -0.0 weights read 0.0
+        np.add(np.sort(cols, axis=1)[:, keep:].astype(np.int32),
+               len(cols) * np.arange(w.shape[1], dtype=np.int32)[:, None, None],
+               out=indices[start:stop].reshape(w.shape[1:]))
+    first = sp.csr_matrix((data[0], indices, indptr), shape=(n, n))
+    ops = {name: copy.copy(first) for name in names}
+    for op, v in zip(ops.values(), data):
+        op.data = v
+    return ops
 
 
 def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
@@ -347,7 +338,6 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     nearly invisible to the boundary equations, whereas interpolatory
     per-column differences respond to them at full strength.
     """
-    n_nodes = 1 + n_rho * n_phi
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
 
@@ -366,53 +356,49 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     # (n_phi, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
-    order = np.argsort(cols, axis=1)   # each row in column order
-    w = np.take_along_axis(np.swapaxes(w, 0, 1), order[None], axis=2)
-    return _on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)], n_nodes)
+    return _on_one_pattern(['bx', 'by'], [(cols, np.swapaxes(w, 0, 1)[:, :, None], 0)],
+                           1 + n_rho * n_phi)
 
 
 def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
-    """dx, dy, dxx, dxy, dyy from fits in the unit-disk node positions xi
-    relative to the peak, in the rays' radial frames e, taken to Cartesian
-    derivatives by chain.  Every node of a ring sees the same stencil in its
-    own scaled rotated frame, so only ray 0 of each ring is fitted, and its
-    frame weights go through every ray's frame and chain at once
-    (_cartesian_weights)."""
-    n_nodes = 1 + n_rho * n_phi
-    groups = []   # (stencil (G, m), weights (5, G, m)), in node order
-
-    def add_rings(rings, dis, djs, extra):
-        # ray 0's blocks (di, dj), fitted by the quadratics and the
-        # monomials extra (see _lsq_weights)
-        stencil = _stencils(rings, dis, djs, n_phi)
-        k = len(rings)
-        mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
-        s = stencil[::n_phi]   # ray 0 of each ring
-        w = _cartesian_weights(*_lsq_weights(xi[s] - xi[s[:, mid, None]], extra), e, mid, chain)
-        # every row in column order, which depends only on the ray (the pole
-        # entries of ring 1 first, in stencil order); w (5, ray, ring, m)
-        # gathered to (5, ring, ray, m), node order
-        by_col = np.argsort(stencil[:n_phi], axis=1, kind="stable")
-        w = w[:, np.arange(n_phi)[:, None], np.arange(k)[:, None, None], by_col]
-        stencil = np.take_along_axis(stencil, np.tile(by_col, (k, 1)), axis=1)
-        if rings[0] + dis[0] == 0:   # station 0 is the pole: its entries summed into one
-            w = np.concatenate([sum(np.moveaxis(w[..., :len(djs)], -1, 0))[..., None],
-                                w[..., len(djs):]], axis=-1)
-            stencil = stencil[:, len(djs) - 1:]
-        groups.append((stencil, w.reshape(5, len(stencil), -1)))
+    """dx, dy, dxx, dxy, dyy from fits on ray 0 of each ring in the
+    unit-disk node positions xi relative to the peak, taken through the
+    rays' radial frames e and chain to Cartesian derivatives."""
+    # every ray's chain @ rotation to its frame (block diagonal: gradient
+    # 2x2, Hessian 3x3), rows (derivative, ray), shared by the groups
+    c, s = e[:, 0], e[:, 1]
+    z = np.zeros(n_phi)
+    rotation = np.stack([
+        c, -s, z, z, z,
+        s, c, z, z, z,
+        z, z, c * c, -2.0 * c * s, s * s,
+        z, z, c * s, c * c - s * s, -c * s,
+        z, z, s * s, 2.0 * c * s, c * c,
+    ], axis=1).reshape(-1, 5, 5)
+    back = np.swapaxes(chain @ rotation, 0, 1).reshape(-1, 5)
 
     # pole: one fit over the first two rings plus the pole itself, nodes 0
     # .. 2 n_phi; the rings are centrally symmetric, so plain quadratic
     # suffices
-    pole_stencil = np.arange(1 + 2 * n_phi)
-    w = _cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain)
-    groups.append((pole_stencil[None, :], w.reshape(5, 1, -1)))
+    pole = np.arange(1 + 2 * n_phi)[None, :]
+    groups = [(pole, _cartesian_weights(*_lsq_weights(xi[pole], []), back[::n_phi], 0), 0)]
+
+    def add_rings(rings, dis, djs, extra, keep=0):
+        # ray 0's blocks (di, dj) of every ring, fitted by the quadratics and
+        # the monomials extra (see _lsq_weights); the pole is only in ring 1's
+        cols = _stencils(rings[:1], dis, djs, n_phi)
+        mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
+        ray0 = cols[:1] + n_phi * (np.asarray(rings)[:, None] - rings[0])
+        w = _cartesian_weights(*_lsq_weights(xi[ray0] - xi[ray0[:, mid, None]], extra), back, mid)
+        if keep:   # the first keep + 1 entries, ring 1's pole, summed into one
+            w[..., keep] = sum(np.moveaxis(w[..., :keep + 1], -1, 0))
+        groups.append((cols, w, keep))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed
     # into one pattern entry) x 5 angular columns, with the full cubic basis
     cubics = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    add_rings([1], range(-1, 4), range(-2, 3), cubics)
+    add_rings([1], range(-1, 4), range(-2, 3), cubics, keep=4)
 
     # interior rings, all in one group: centered 3x3 blocks with the
     # biquadratic tensor basis, 9 functions through 9 nodes (second-order
@@ -426,7 +412,7 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
     # 4x5 blocks with the full cubic basis
     add_rings([n_rho], range(-3, 1), range(-2, 3), cubics)
 
-    return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'], groups, n_nodes)
+    return _on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'], groups, 1 + n_rho * n_phi)
 
 
 @dataclass
@@ -509,18 +495,24 @@ class LatticeSpline(NamedTuple):
 
     breaks: tuple   # (rho, phi) interval ends
     pieces: np.ndarray
+    BLOCK = 4096   # points per gather of partials
 
     def __call__(self, points):
         """Value at (..., 2) points."""
         return self.partials(points, [(0, 0)])[0]
 
     def partials(self, points, nus):
-        """Partials nus, each (d_rho, d_phi) of orders up to 2, at (..., 2) points: one gather."""
-        (m, s), (j, t) = map(_locate, self.breaks, np.moveaxis(points, -1, 0).reshape(2, -1))
-        coef = self.pieces[m * (len(self.breaks[1]) - 1) + j]
-        weights = [np.einsum("nq,np->nqp", t[b], s[a]).reshape(-1, 16) for a, b in nus]
-        return [np.einsum("n...r,nr->n...", coef, w).reshape(points.shape[:-1] + coef.shape[1:-1])
-                for w in weights]
+        """Partials nus, each (d_rho, d_phi) of orders up to 2, at (..., 2) points, gathered
+        BLOCK points at a time: the gather holds 16 pieces a point and value component."""
+        flat = np.reshape(points, (-1, 2))
+        out = [np.empty((len(flat),) + self.pieces.shape[1:-1]) for _ in nus]
+        for k in range(0, len(flat), self.BLOCK):
+            (m, s), (j, t) = map(_locate, self.breaks, flat[k:k + self.BLOCK].T)
+            coef = self.pieces[m * (len(self.breaks[1]) - 1) + j]
+            for o, (a, b) in zip(out, nus):
+                w = np.einsum("nq,np->nqp", t[b], s[a]).reshape(-1, 16)
+                o[k:k + self.BLOCK] = np.einsum("n...r,nr->n...", coef, w)
+        return [o.reshape(points.shape[:-1] + o.shape[1:]) for o in out]
 
 
 def lattice_spline(grid: MappedGrid, values) -> LatticeSpline:

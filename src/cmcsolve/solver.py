@@ -16,7 +16,7 @@ system (the N x N Jacobian of the node rows in u) sends constants to zero:
 every recovery and boundary-gradient row cancels a constant exactly, as u
 is determined only up to one.  The c column g and the mean-zero row w
 border K to make the (N+1)-system nonsingular, and that border is dense.
-So SuperLU factors only K^ = K - e_j e_j^T, sliced off the scaled matrix
+So SuperLU factors only K^ = K - e_j e_j^T, read off the scaled matrix
 with g its last column and w its last row, and a solve of the bordered
 system is one triangular solve with K^ and a 2 x 2 step for (x_j, c), by
 block elimination (Keller's bordering algorithm, 1977): with z_j = K^-1 e_j
@@ -41,21 +41,16 @@ strategy, Davis 2004).  The scaled K[j, j] is -1, the centre weight of an
 elliptic row and its largest entry, so the shift takes it to -2, and on
 every seed system measured every pivot is diagonal; a shift of +1 left a
 stored zero there and took two off-diagonal pivots, at j and its outward
-neighbour.  On the concentric balls at the seed K^ fills 117 689, 579 843
-and 2 813 313 (in CSC form) at 32 x 64, 64 x 128 and 128 x 256; the whole
-bordered matrix, under the same ordering and threshold, filled 122 k, 596 k
-and 3.05 M, and 183 k, 1.07 M and 5.97 M at the threshold 0.1 (16
-off-diagonal pivots).  SuperLU relaxes supernodes of at most LU_RELAX = 2
-columns and factors panels of LU_PANEL_SIZE = 4: that keeps the fill, and
-takes 3.6, 19 and 136 ms where its defaults took 4.8, 26 and 161 ms (2
-cores, one BLAS thread).  It stores that fill plus 141 entries, the
-SuperLU.nnz that NewtonInfo.lu_fill reads in O(1); the defaults' wider
-supernodes stored 140 648, 611 506 and 2 843 500.  Looser pivoting can leave
-a direct solve less accurate, so where a target is given the direct
-direction is held to the bound GMRES meets (below) by one step of iterative
-refinement, against the full bordered Jacobian, on the same factor.  A
-failed factorization, a 2 x 2 that is singular or not finite, or a
-non-finite residual or direction ends the solve in NonConvergence.
+neighbour.  SuperLU relaxes supernodes of at most LU_RELAX = 2 columns and
+factors panels of LU_PANEL_SIZE = 4: that keeps the fill of its defaults in
+73-84 % of their time, and it stores the CSC fill plus 141 entries, the
+SuperLU.nnz that NewtonInfo.lu_fill reads in O(1) (the README's Newton
+paragraph gives the fills and times).  Looser pivoting can leave a direct
+solve less accurate, so where a target is given the direct direction is
+held to the bound GMRES meets (below) by one step of iterative refinement,
+against the full bordered Jacobian, on the same factor.  A failed
+factorization, a 2 x 2 that is singular or not finite, or a non-finite
+residual or direction ends the solve in NonConvergence.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -230,16 +225,27 @@ def _factor(jac: sp.csr_matrix):
     the scaled matrix's last column and row (see the module docstring).
     Raises RuntimeError when SuperLU finds K^ singular or the bordering
     step's 2 x 2 is singular or not finite."""
-    row_max = np.asarray(abs(jac).max(axis=1).todense()).ravel()
+    row_max = np.maximum.reduceat(np.abs(jac.data), jac.indptr[:-1])   # no row is empty
     row_max[row_max == 0] = 1.0
     n = jac.shape[0] - 1
     j = n // 2
-    scaled = sp.csr_matrix((jac.data * np.repeat(1.0 / row_max, np.diff(jac.indptr)),
-                            jac.indices, jac.indptr), shape=jac.shape)
-    g, w = scaled[:n, n].toarray().ravel(), scaled[n, :n].toarray().ravel()
-    # the difference stores (j, j) also where K has no entry there
-    k_hat = (scaled[:n, :n] - sp.csr_matrix(([1.0], ([j], [j])), shape=(n, n))).tocsc()
-    del scaled   # not held through the factorization
+    data, end = jac.data * np.repeat(1.0 / row_max, np.diff(jac.indptr)), jac.indptr[n]
+    # the node rows by columns, K's then g; g and w are summed into zeros as
+    # a dense copy is, and K^ = K - e_j e_j^T is as a sparse difference
+    # leaves it: (j, j) stored also where K has none, exact zeros dropped
+    top = sp.csr_matrix((data[:end], jac.indices[:end], jac.indptr[:-1]), shape=(n, n + 1)).tocsc()
+    indptr, k = top.indptr[:-1], top.indptr[n]
+    g = np.bincount(top.indices[k:], top.data[k:], minlength=n)
+    w = np.bincount(jac.indices[end:], data[end:], minlength=n + 1)[:n]
+    rows, vals = top.indices[:k], top.data[:k]
+    at = indptr[j] + np.searchsorted(rows[indptr[j]:indptr[j + 1]], j)
+    if at == indptr[j + 1] or rows[at] != j:
+        rows, vals = np.insert(rows, at, j), np.insert(vals, at, 0.0)
+        indptr = indptr + (np.arange(n + 1) > j)
+    vals[at] -= 1.0
+    k_hat = sp.csc_matrix((vals, rows, indptr), shape=(n, n))
+    k_hat.eliminate_zeros()
+    del data, top   # not held through the factorization
     lu = splu(k_hat, permc_spec=LU_ORDERING, diag_pivot_thresh=LU_PIVOT_THRESH,
               relax=LU_RELAX, panel_size=LU_PANEL_SIZE)
     z = lu.solve(np.stack([np.eye(1, n, j)[0], g], axis=1))   # K^-1 (e_j, g)

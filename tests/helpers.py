@@ -7,8 +7,10 @@ concavity and gradient-band oracles, the sampled auto_t_min reference, a
 sparse-matrix dump, a grid's truncation scale, the
 lattice's unknown layout, the pseudo-inverse references of the interior and
 the least-squares fits, the isotropic quadratic seed, the full-matrix LU
-reference of the Newton linear solve, a factor stand-in that makes the
-bordering step singular, and the radial ODE oracle."""
+reference of the Newton linear solve, the sparse-slicing reference of the
+Newton factor's set-up, a factor stand-in that makes the bordering step
+singular, the gather-and-concatenate reference of the grid's operator
+build, the uncapped gradient inversion and the radial ODE oracle."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -20,7 +22,10 @@ from scipy.sparse.linalg import splu
 
 from cmcsolve import Ball, Ellipse, ModelKind, SolutionField
 from cmcsolve.assembly import admissibility_violation, operator_value
+from cmcsolve.duality import (INVERSION_MAX_NEWTON, INVERSION_TOL, _clamp_to_extension,
+                              _nodal_start, _solve_2x2)
 from cmcsolve.errors import DegenerateSublevel, SpacelikeViolation
+from cmcsolve.grid import _fold_defect, _lsq_weights, _stencils
 from cmcsolve.kernel import EPS_SPACE, _coefficients, _symmetric, mean_curvature
 from cmcsolve.solver import LU_ORDERING, LU_PIVOT_THRESH
 
@@ -385,12 +390,141 @@ def factor_every_system(jac, rhs, factor=None, target=0.0):
     return direction, (SimpleNamespace(lu=lu, solve=lu.solve), row_max), 0
 
 
+def reference_factor_setup(jac):
+    """The Newton factor's set-up by sparse slicing and a sparse difference:
+    (K^ in CSC, g, w, row scale) of jac = [K g; w^T 0], each row scaled by
+    its largest magnitude and K^ = K - e_j e_j^T at j = N // 2.  The
+    difference stores (j, j) also where K has none, and drops every entry
+    that is exactly zero."""
+    row_max = np.asarray(abs(jac).max(axis=1).todense()).ravel()
+    row_max[row_max == 0] = 1.0
+    n = jac.shape[0] - 1
+    j = n // 2
+    scaled = sp.csr_matrix((jac.data * np.repeat(1.0 / row_max, np.diff(jac.indptr)),
+                            jac.indices, jac.indptr), shape=jac.shape)
+    g, w = scaled[:n, n].toarray().ravel(), scaled[n, :n].toarray().ravel()
+    k_hat = (scaled[:n, :n] - sp.csr_matrix(([1.0], ([j], [j])), shape=(n, n))).tocsc()
+    return k_hat, g, w, row_max
+
+
 class ZeroLU:
     """A stand-in for a SuperLU factor whose every solve is zero, which
     makes the bordering step's 2 x 2 [[-1, 0], [0, 0]], singular."""
 
     def solve(self, rhs):
         return np.zeros_like(rhs)
+
+
+def _reference_cartesian_weights(w, ell, radial, center, chain):
+    """grid._cartesian_weights with the rotation frames built per call."""
+    ir, it = 1.0 / ell[:, :1], 1.0 / ell[:, 1:]
+    unscaled = np.stack([ir, it, ir * ir, ir * it, it * it], axis=1) * w
+    c, s = radial[:, 0], radial[:, 1]
+    z = np.zeros(len(radial))
+    rotation = np.stack([
+        c, -s, z, z, z,
+        s, c, z, z, z,
+        z, z, c * c, -2.0 * c * s, s * s,
+        z, z, c * s, c * c - s * s, -c * s,
+        z, z, s * s, 2.0 * c * s, c * c,
+    ], axis=1).reshape(-1, 5, 5)
+    back = np.swapaxes(chain @ rotation, 0, 1).reshape(-1, 5)
+    out = back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)
+    return _fold_defect(out.reshape(5, len(radial), *w.shape[::2]), center)
+
+
+def _reference_on_one_pattern(names, groups, n):
+    """CSR operators on one pattern from (stencil (G, m), weights (len(names),
+    G, m)) groups in node order, each row's unknowns increasing: the stencils
+    and the weights concatenated."""
+    sizes = np.concatenate([np.full(len(stencil), stencil.shape[1]) for stencil, _ in groups])
+    indptr = np.append(np.zeros(n + 1 - len(sizes), dtype=int), np.cumsum(sizes))
+    vals = np.concatenate([w.reshape(len(names), -1) for _, w in groups], axis=1) + 0.0
+    first = sp.csr_matrix((vals[0], np.concatenate([stencil.ravel() for stencil, _ in groups]),
+                           indptr), shape=(n, n))
+    return {name: sp.csr_matrix((v, first.indices, first.indptr), shape=(n, n))
+            for name, v in zip(names, vals)}
+
+
+def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
+    """grid._build_derivative_ops by full-size stencil arrays, a per-group
+    gather of the weights into column order and one concatenation: the
+    reference the operators must equal bit for bit."""
+    groups = []
+
+    def add_rings(rings, dis, djs, extra):
+        stencil = _stencils(rings, dis, djs, n_phi)
+        k = len(rings)
+        mid = list(dis).index(0) * len(djs) + len(djs) // 2
+        s = stencil[::n_phi]
+        w = _reference_cartesian_weights(*_lsq_weights(xi[s] - xi[s[:, mid, None]], extra),
+                                         e, mid, chain)
+        by_col = np.argsort(stencil[:n_phi], axis=1, kind="stable")
+        w = w[:, np.arange(n_phi)[:, None], np.arange(k)[:, None, None], by_col]
+        stencil = np.take_along_axis(stencil, np.tile(by_col, (k, 1)), axis=1)
+        if rings[0] + dis[0] == 0:
+            w = np.concatenate([sum(np.moveaxis(w[..., :len(djs)], -1, 0))[..., None],
+                                w[..., len(djs):]], axis=-1)
+            stencil = stencil[:, len(djs) - 1:]
+        groups.append((stencil, w.reshape(5, len(stencil), -1)))
+
+    pole_stencil = np.arange(1 + 2 * n_phi)
+    w = _reference_cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain)
+    groups.append((pole_stencil[None, :], w.reshape(5, 1, -1)))
+    cubics = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    add_rings([1], range(-1, 4), range(-2, 3), cubics)
+    add_rings(np.arange(2, n_rho), range(-1, 2), range(-1, 2), [(2, 1), (1, 2), (2, 2)])
+    add_rings([n_rho], range(-3, 1), range(-2, 3), cubics)
+    return _reference_on_one_pattern(['dx', 'dy', 'dxx', 'dxy', 'dyy'], groups,
+                                     1 + n_rho * n_phi)
+
+
+def reference_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
+    """grid._build_boundary_gradient_ops by a full gather into column order."""
+    drho = 1.0 / n_rho
+    dphi = 2 * np.pi / n_phi
+    jinv_t = np.linalg.inv(disk_map).T @ np.stack([e, e_t], axis=2)
+    rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
+    tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dphi)
+    cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
+                           _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
+    w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
+                                     jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
+    order = np.argsort(cols, axis=1)
+    w = np.take_along_axis(np.swapaxes(w, 0, 1), order[None], axis=2)
+    return _reference_on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)],
+                                     1 + n_rho * n_phi)
+
+
+def uncapped_invert_gradient(interp, targets):
+    """duality.invert_gradient iterating every target above the tolerance
+    through all INVERSION_MAX_NEWTON iterations, stalled or not."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    scale = float(np.max(np.abs(targets))) + 1.0
+    x = _nodal_start(interp, targets)
+    res = interp.gradient(x) - targets
+    rn = np.linalg.norm(res, axis=-1)
+    active = rn > INVERSION_TOL * scale
+    for _ in range(INVERSION_MAX_NEWTON):
+        if not np.any(active):
+            break
+        step, _ = _solve_2x2(interp.hessian(x[active]), res[active])
+        xa, resa, ra = x[active], res[active], rn[active]
+        alpha = np.ones(len(xa))
+        for _ in range(12):
+            trial, polar = _clamp_to_extension(interp, xa - alpha[:, None] * step)
+            rest = interp.gradient(trial, polar) - targets[active]
+            rt = np.linalg.norm(rest, axis=-1)
+            better = rt <= ra
+            xa = np.where(better[:, None], trial, xa)
+            resa = np.where(better[:, None], rest, resa)
+            ra = np.where(better, rt, ra)
+            alpha = np.where(better, alpha, alpha * 0.5)
+            if np.all(better):
+                break
+        x[active], res[active], rn[active] = xa, resa, ra
+        active = rn > INVERSION_TOL * scale
+    return x, rn
 
 
 def ode_crosscheck(sol, steps: int = 10_000) -> float:

@@ -24,7 +24,7 @@ from cmcsolve.kernel import mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile, seed_field
 from cmcsolve.solver import newton_solve, run_homotopy
 from conftest import C_RADIAL, EUC, MINK
-from helpers import coefficient_matrix, grid_tolerance
+from helpers import coefficient_matrix, grid_tolerance, uncapped_invert_gradient
 
 
 def quadratic_field(lam=0.5, n=16):
@@ -108,6 +108,41 @@ class TestLegendreTransform:
         assert np.array_equal(duality._nodal_start(interp, y)[bad], grid.nodes[k[bad]])
         with pytest.raises(InversionFailure):
             legendre_transform(fld, dual_grid)
+
+    @pytest.mark.parametrize("case, calls, uncapped_calls", [
+        ("minkowski-b0.2-flat", 18, 30), ("ellipse-ball", 2, 2), ("zero-field", 1, 30)])
+    def test_stalled_targets_stop_iterating(self, monkeypatch, case, calls, uncapped_calls):
+        # a target whose gap an iteration leaves unchanged is given up: the
+        # panel pair Minkowski Ellipse((0.2, 0.1), (1, 0.2)) -> Ellipse(0,
+        # (0.9, 0.2)) keeps one stalled target, and u = 0 stalls every one
+        # at once (its steps are NaN).  Points and gaps equal, bit for bit,
+        # those of the inversion that iterates every target above the
+        # tolerance to the cap; only Newton iterations, counted as calls of
+        # the iteration's Jacobian, are saved
+        if case == "zero-field":
+            grid = build_grid(Ball((0, 0), 1.0), 12, 24)
+            fld = SolutionField(grid, np.zeros(grid.n_nodes), 0.0, MINK)
+            y = np.array([[0.1, 0.2], [0.3, 0.0]])
+        else:
+            omega, target = {
+                "minkowski-b0.2-flat": (Ellipse((0.2, 0.1), (1.0, 0.2)),
+                                        Ellipse((0, 0), (0.9, 0.2))),
+                "ellipse-ball": (Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4))}[case]
+            spec = ProblemSpec(omega, target, MINK, build_grid(omega, 32, 64))
+            fld, _ = newton_solve(spec, seed_field(spec))
+            y = build_grid(target, 32, 64).nodes
+        interp = FieldInterpolant(fld)
+        counted, hessian = [], FieldInterpolant.hessian
+        monkeypatch.setattr(FieldInterpolant, "hessian",
+                            lambda self, x: counted.append(len(x)) or hessian(self, x))
+        x, gaps = duality.invert_gradient(interp, y)
+        assert len(counted) == calls
+        counted.clear()
+        x_ref, gaps_ref = uncapped_invert_gradient(interp, y)
+        assert len(counted) == uncapped_calls
+        assert x.tobytes() == x_ref.tobytes() and gaps.tobytes() == gaps_ref.tobytes()
+        if case == "minkowski-b0.2-flat":
+            assert np.max(gaps) == pytest.approx(1.14e-3, rel=5e-3)
 
     def test_singular_hessian_step_is_refused(self):
         # u = 0 has D^2u = 0 exactly: every Newton step is NaN, which the

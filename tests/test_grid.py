@@ -6,10 +6,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmcsolve import Ball, Ellipse, ModelKind, SolutionField, build_grid, transfer_field
+from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField, build_grid,
+                      newton_solve, seed_field, transfer_field)
 from cmcsolve import grid as grid_module
 from cmcsolve.grid import _stencils
-from helpers import interior_fit_oracle, lattice_index, lsq_fit_oracle, quadric_domains
+from helpers import (interior_fit_oracle, lattice_index, lsq_fit_oracle, quadric_domains,
+                     reference_boundary_gradient_ops, reference_derivative_ops)
 
 
 def derivative_errors(domain, n_rho, n_phi):
@@ -195,6 +197,43 @@ def test_stencil_layout(n_phi):
     assert np.array_equal(g.boundary_idx, lattice_index(g, 8, np.arange(n_phi)))
 
 
+class _RotatedQuadric(Ball):
+    """A quadric with an xy term, mapped by a symmetric L off the diagonal."""
+
+    def quadric(self):
+        return np.zeros(2), np.array([[1.0, 0.6], [0.6, 2.0]])
+
+
+@pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (16, 18), (16, 34), (32, 64), (64, 128)])
+@pytest.mark.parametrize("dom", [Ball((0.1, -0.2), 0.7), Ellipse((0.2, 0.1), (1.0, 0.35)),
+                                 _RotatedQuadric((0.1, 0), 1.0)],
+                         ids=["ball", "ellipse", "rotated"])
+def test_operators_match_the_gathered_build(monkeypatch, dom, n_rho, n_phi):
+    # the operators are written straight into their CSR layout, the seam
+    # rays (whose stencils wrap around the ring) permuted alone; every
+    # indptr, index and weight equals, bit for bit, the build that gathers
+    # full-size stencils into column order and concatenates them
+    # (n_phi / 4 is not an integer at 16 x 18 and 16 x 34)
+    inputs = {}
+    for name in ("_build_derivative_ops", "_build_boundary_gradient_ops"):
+        def spy(*args, name=name, real=getattr(grid_module, name)):
+            inputs[name] = args
+            return real(*args)
+        monkeypatch.setattr(grid_module, name, spy)
+    g = build_grid(dom, n_rho, n_phi)
+    want = {**reference_derivative_ops(*inputs["_build_derivative_ops"]),
+            **reference_boundary_gradient_ops(*inputs["_build_boundary_gradient_ops"])}
+    assert g.ops.keys() == want.keys()
+    for name, op in g.ops.items():
+        assert op.indptr.dtype == op.indices.dtype == np.int32, name
+        shared = g.ops['bx' if name in ('bx', 'by') else 'dx']
+        assert np.shares_memory(op.indices, shared.indices), name
+        assert np.shares_memory(op.indptr, shared.indptr), name
+        assert np.array_equal(op.indptr, want[name].indptr), name
+        assert np.array_equal(op.indices, want[name].indices), name
+        assert op.data.tobytes() == want[name].data.tobytes(), name
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.1)])
 @pytest.mark.parametrize("n_rho, n_phi", [(16, 32), (32, 64), (64, 128)])
 def test_near_round_ellipse_operators_match_ball(center, n_rho, n_phi):
@@ -259,6 +298,26 @@ def test_hessian_batch_is_symmetric_by_components():
     for i in range(2):
         for j in range(2):
             assert d2u[:, i, j].flags.c_contiguous, (i, j)
+
+
+def test_spline_partials_in_blocks_match_one_gather(monkeypatch):
+    # partials gather at most LatticeSpline.BLOCK points at a time: 8193 points
+    # (two full blocks and one point) give, bit for bit, the single gather's
+    # values, of a scalar and of a vector-valued spline on a solved field
+    omega = Ellipse((0, 0), (1.0, 0.8))
+    spec = ProblemSpec(omega, Ball((0, 0), 0.4), ModelKind.MINKOWSKI, build_grid(omega, 32, 64))
+    fld, _ = newton_solve(spec, seed_field(spec))
+    rng = np.random.default_rng(5)
+    points = np.stack([rng.uniform(0, 1.05, 8193), rng.uniform(0, 2 * np.pi, 8193)], axis=-1)
+    nus = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    splines = [grid_module.lattice_spline(fld.grid, fld.grid.to_param_array(v))
+               for v in (fld.u, np.stack([fld.u, fld.u ** 2], axis=-1))]
+    assert grid_module.LatticeSpline.BLOCK == 4096
+    blocked = [spl.partials(points, nus) for spl in splines]
+    monkeypatch.setattr(grid_module.LatticeSpline, "BLOCK", len(points))
+    for spl, got in zip(splines, blocked):
+        for a, b in zip(got, spl.partials(points, nus)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestQuadrature:

@@ -17,7 +17,8 @@ from cmcsolve.errors import ConvexityLoss, NonConvergence, SpacelikeViolation
 from cmcsolve.grid import MappedGrid
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
 from helpers import (ZeroLU, factor_every_system, field_state, full_lu_solve,
-                     isotropic_seed, quadric_domains, sampled_auto_t_min)
+                     isotropic_seed, quadric_domains, reference_factor_setup,
+                     sampled_auto_t_min)
 
 
 class TestNewtonSolve:
@@ -301,6 +302,47 @@ class TestLinearSolve:
         direction, _, _ = solver._solve_linear(jac, -res)
         reference, _, _ = full_lu_solve(jac, -res)
         assert np.max(np.abs(direction - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("case", ["concentric", "ellipse_ball", "no_pivot_diagonal",
+                                      "pivot_cancels"])
+    def test_factor_setup_matches_sparse_slicing(self, monkeypatch, case):
+        # _factor reads the row scale by one reduceat and g, w and K^ off the
+        # scaled CSR arrays; each must equal, bit for bit, what slicing and
+        # the sparse difference K - e_j e_j^T give: (j, j) stored where K has
+        # none, every exact zero dropped (the pivot entry that cancels, an
+        # explicit zero elsewhere) and a -0.0 in g read as 0.0
+        om, omt, n_rho = {"concentric": (Ball((0, 0), 1.0), Ball((0, 0), 0.5), 32)}.get(
+            case, (Ellipse((0, 0), (1.0, 0.8)), Ball((0, 0), 0.4), 16))
+        spec = ProblemSpec(om, omt, MINK, build_grid(om, n_rho, 2 * n_rho))
+        jac = jacobian(spec, *field_state(seed_field(spec)))
+        n, j = spec.grid.n_nodes, spec.grid.n_nodes // 2
+        if case == "no_pivot_diagonal":
+            jac[j, j] = 0.0
+            jac.eliminate_zeros()
+        elif case == "pivot_cancels":
+            jac[j, j] = 2.0 ** 40   # the row's largest: scaled to exactly 1
+            jac[j, j - 1] = 0.0
+            jac[0, n] = -0.0
+        made = []
+        real_splu = solver.splu
+
+        def recording_splu(a, **kwargs):
+            made.append((a.copy(), _RecordingLU(real_splu(a, **kwargs))))
+            return made[-1][1]
+
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        factor, row_max = solver._factor(jac)
+        (k_hat, lu), = made
+        want_k, want_g, want_w, want_row_max = reference_factor_setup(jac)
+        assert np.array_equal(k_hat.indptr, want_k.indptr)
+        assert np.array_equal(k_hat.indices, want_k.indices)
+        for got, want in [(k_hat.data, want_k.data), (lu.solved[0][:, 1], want_g),
+                          (factor.w, want_w), (row_max, want_row_max)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if case == "no_pivot_diagonal":
+            assert k_hat[j, j] == -1.0
+        elif case == "pivot_cancels":
+            assert k_hat.nnz == jac[:n, :n].nnz - 2
 
     @pytest.mark.parametrize("model, operator", [
         (MINK, OperatorKind.GRAPH),
