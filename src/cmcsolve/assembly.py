@@ -66,6 +66,15 @@ class ProblemSpec:
                            else self.omega)
             require_inside_unit_ball(constrained)
 
+    @property
+    def half_turn(self):
+        """grid.half_turn if the system is equivariant under the half turn
+        about omega's peak, else None: the graph operator is even in Du, so
+        the target must be centred at the origin, and the dual operator
+        reads the node positions, so omega too.  Sublevel sets keep that."""
+        peaks = [self.omega_tilde.peak, self.omega.peak][:2 - (self.operator is OperatorKind.GRAPH)]
+        return None if np.any(peaks) else self.grid.half_turn
+
 
 def _inverse_2x2(d2u):
     """Symmetric batched inverse; raises SingularHessian where |det| <=

@@ -73,7 +73,7 @@ class FieldInterpolant:
         xi = (np.asarray(x, dtype=float) - self.peak) @ self._inv.T
         rho = np.linalg.norm(xi, axis=-1)
         phi = np.mod(np.arctan2(xi[..., 1], xi[..., 0]), 2 * np.pi)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):   # rho = 0: |xi| underflows
             e = xi / rho[..., None]
         e[rho == 0] = (1.0, 0.0)
         return rho, phi, e

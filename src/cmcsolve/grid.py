@@ -30,8 +30,10 @@ weights are then written once, straight into the operators' CSR layout
 (_on_one_pattern).  The polar frame is evaluated on the first quarter of
 the rays and taken to the others by exact mirror images (_ray_images), so
 the nodes and the quadrature weights are exactly symmetric under the half
-turn and the mirrors phi -> pi - phi and phi -> -phi of a diagonal L; the
-fitted rows agree with their images to roundoff.
+turn and the mirrors phi -> pi - phi and phi -> -phi of a diagonal L.  The
+weights of rays j < n_phi/2 are rounded, and the others' written as their
+exact half-turn images (MappedGrid.half_turn), so every operator is
+exactly (anti)symmetric under the half turn; mirrors agree to roundoff.
 
 Quadrature: det L times the unit disk's trapezoid in rho of the polar
 integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
@@ -55,6 +57,9 @@ from scipy.linalg import solve_circulant
 
 from .domains import ConvexDomain, polar_frame
 from .kernel import ModelKind, _symmetric
+
+
+HALF_TURN = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None, None, None]   # dx .. dyy at -x
 
 
 def _ray_images(n_phi):
@@ -160,6 +165,19 @@ class MappedGrid:
         return u - (w @ u) / w.sum()
 
     @cached_property
+    def half_turn(self):
+        """The half turn about the peak, node (i, j) to (i, j + n_phi/2), as
+        (image, rows, fold), built on first use: the node each node goes to,
+        the bordered system's rows of the representatives (the pole and the
+        rays j < n_phi/2) and of c, and the representative, numbered among
+        them, of every unknown and of c."""
+        h = self.n_phi // 2
+        i, j = self.lattice_indices()
+        image = np.where(i == 0, 0, np.arange(self.n_nodes) + np.where(j < h, h, -h))
+        return (image, np.append(np.flatnonzero(j < h), self.n_nodes),
+                np.append(np.maximum(1 + (i - 1) * h + j % h, 0), 1 + self.n_rho * h))
+
+    @cached_property
     def bordered_pattern(self) -> BorderedPattern:
         """The bordered system matrix's pattern, built on first use (see
         BorderedPattern)."""
@@ -182,13 +200,17 @@ class MappedGrid:
 def _cartesian_weights(w, ell, back, center):
     """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in ray 0's
     frame scaled by ell (G, 2) -> Cartesian weights (5, R, G, m) for (ux, uy,
-    uxx, uxy, uyy) in the frame of every ray, rounded by _fold_defect: the
-    scaling undone (inverse scales ir, it), one GEMM with back (5 R, 5),
-    every ray's chain @ rotation in rows (derivative, ray)."""
+    uxx, uxy, uyy) in the frame of every ray: the scaling undone (inverse
+    scales ir, it), one GEMM with back (5 R, 5), every ray's chain @ rotation
+    in rows (derivative, ray).  _fold_defect rounds the first half of the
+    rays (R = 1: the one), HALF_TURN times them being the rest."""
     ir, it = 1.0 / ell[:, :1], 1.0 / ell[:, 1:]
     unscaled = np.stack([ir, it, ir * ir, ir * it, it * it], axis=1) * w
-    out = back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)
-    return _fold_defect(out.reshape(5, -1, *w.shape[::2]), center)
+    out = (back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)).reshape(5, -1, *w.shape[::2])
+    h = (out.shape[1] + 1) // 2
+    out[:, :h] = _fold_defect(out[:, :h], center)
+    out[:, h:] = HALF_TURN * out[:, :out.shape[1] - h]
+    return out
 
 
 def _lsq_weights(offsets, extra):
@@ -342,8 +364,9 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     dphi = 2 * np.pi / n_phi
 
     # grad = J^{-T} (d/drho, d/dphi) with J = [x_rho | x_phi] = L [e | e_t]
-    # at rho = 1; [e | e_t] is a rotation, so J^{-T} = L^{-T} [e | e_t]
-    jinv_t = np.linalg.inv(disk_map).T @ np.stack([e, e_t], axis=2)
+    # at rho = 1; [e | e_t] is a rotation, so J^{-T} = L^{-T} [e | e_t] (on
+    # the rays j < n_phi/2: the others' rows are their exact images)
+    jinv_t = np.linalg.inv(disk_map).T @ np.stack([e, e_t], axis=2)[:n_phi // 2]
 
     # radial: f'(rho=1) ~ (-1/3 f_{n-3} + 3/2 f_{n-2} - 3 f_{n-1} + 11/6 f_n)/drho
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
@@ -353,11 +376,11 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     # column 3 is the node itself
     cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
                            _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
-    # (n_phi, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
+    # (n_phi / 2, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
-    return _on_one_pattern(['bx', 'by'], [(cols, np.swapaxes(w, 0, 1)[:, :, None], 0)],
-                           1 + n_rho * n_phi)
+    w = np.swapaxes(np.concatenate([w, -w]), 0, 1)[:, :, None]
+    return _on_one_pattern(['bx', 'by'], [(cols, w, 0)], 1 + n_rho * n_phi)
 
 
 def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
@@ -379,9 +402,13 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
 
     # pole: one fit over the first two rings plus the pole itself, nodes 0
     # .. 2 n_phi; the rings are centrally symmetric, so plain quadratic
-    # suffices
+    # suffices; its second half of either ring: the first half's images
     pole = np.arange(1 + 2 * n_phi)[None, :]
-    groups = [(pole, _cartesian_weights(*_lsq_weights(xi[pole], []), back[::n_phi], 0), 0)]
+    w = _cartesian_weights(*_lsq_weights(xi[pole], []), back[::n_phi], 0)
+    ring_half = pole[:, 1:].reshape(2, 2, -1)   # (ring, half, ray)
+    w[..., ring_half[:, 1]] = HALF_TURN[..., None] * w[..., ring_half[:, 0]]
+    w[..., 0] -= w.sum(axis=-1)   # exact, as every partial sum of a folded row
+    groups = [(pole, w, 0)]
 
     def add_rings(rings, dis, djs, extra, keep=0):
         # ray 0's blocks (di, dj) of every ring, fitted by the quadratics and

@@ -10,17 +10,21 @@ the least-squares fits, the isotropic quadratic seed, the full-matrix LU
 reference of the Newton linear solve, the sparse-slicing reference of the
 Newton factor's set-up, a factor stand-in that makes the bordering step
 singular, the gather-and-concatenate reference of the grid's operator
-build, the uncapped gradient inversion and the radial ODE oracle."""
+build, the uncapped gradient inversion, the whole-lattice Newton systems
+that the half-turn reduction is checked against and the radial ODE
+oracle."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from cmcsolve import Ball, Ellipse, ModelKind, SolutionField
+from cmcsolve import Ball, Ellipse, ModelKind, ProblemSpec, SolutionField
 from cmcsolve.assembly import admissibility_violation, operator_value
 from cmcsolve.duality import (INVERSION_MAX_NEWTON, INVERSION_TOL, _clamp_to_extension,
                               _nodal_start, _solve_2x2)
@@ -407,12 +411,27 @@ def reference_factor_setup(jac):
     return k_hat, g, w, row_max
 
 
+@contextmanager
+def full_bordered_systems():
+    """The oracle of the half-turn reduction: inside it ProblemSpec.half_turn
+    reads None, so newton_solve takes its start as given and solves every
+    Newton system whole, on all N nodes and c, as for a problem without the
+    symmetry."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ProblemSpec, "half_turn", property(lambda self: None))
+        yield
+
+
 class ZeroLU:
     """A stand-in for a SuperLU factor whose every solve is zero, which
     makes the bordering step's 2 x 2 [[-1, 0], [0, 0]], singular."""
 
     def solve(self, rhs):
         return np.zeros_like(rhs)
+
+
+# signs of (dx, dy, dxx, dxy, dyy) under the half turn x -> -x
+_HALF_TURN_SIGN = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
 
 
 def _reference_cartesian_weights(w, ell, radial, center, chain):
@@ -430,7 +449,10 @@ def _reference_cartesian_weights(w, ell, radial, center, chain):
     ], axis=1).reshape(-1, 5, 5)
     back = np.swapaxes(chain @ rotation, 0, 1).reshape(-1, 5)
     out = back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)
-    return _fold_defect(out.reshape(5, len(radial), *w.shape[::2]), center)
+    out = _fold_defect(out.reshape(5, len(radial), *w.shape[::2]), center)
+    half = len(radial) // 2   # the second half of the rays: the first's exact images
+    out[:, len(radial) - half:] = _HALF_TURN_SIGN[:, None, None, None] * out[:, :half]
+    return out
 
 
 def _reference_on_one_pattern(names, groups, n):
@@ -449,7 +471,9 @@ def _reference_on_one_pattern(names, groups, n):
 def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
     """grid._build_derivative_ops by full-size stencil arrays, a per-group
     gather of the weights into column order and one concatenation: the
-    reference the operators must equal bit for bit."""
+    reference the operators must equal bit for bit.  Every ray is fitted and
+    rounded, and the second half's weights are then overwritten by the exact
+    half-turn images of the first half's."""
     groups = []
 
     def add_rings(rings, dis, djs, extra):
@@ -470,6 +494,13 @@ def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
 
     pole_stencil = np.arange(1 + 2 * n_phi)
     w = _reference_cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain)
+    # the pole's weights on the second half of each ring: the first half's
+    # exact images, and the centre weight the negated sum of the others
+    rings = w[..., 1:].reshape(5, 2, 2, n_phi // 2)
+    w = np.concatenate([np.zeros((5, 1, 1, 1)), np.stack(
+        [rings[:, :, 0], _HALF_TURN_SIGN[:, None, None] * rings[:, :, 0]], axis=2
+    ).reshape(5, 1, 1, -1)], axis=-1)
+    w[..., 0] = -np.sum(w, axis=-1)
     groups.append((pole_stencil[None, :], w.reshape(5, 1, -1)))
     cubics = [(3, 0), (2, 1), (1, 2), (0, 3)]
     add_rings([1], range(-1, 4), range(-2, 3), cubics)
@@ -490,6 +521,7 @@ def reference_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
                            _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
+    w[n_phi // 2:] = -w[:n_phi // 2]   # the half turn's exact images
     order = np.argsort(cols, axis=1)
     w = np.take_along_axis(np.swapaxes(w, 0, 1), order[None], axis=2)
     return _reference_on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)],

@@ -110,7 +110,7 @@ class TestLegendreTransform:
             legendre_transform(fld, dual_grid)
 
     @pytest.mark.parametrize("case, calls, uncapped_calls", [
-        ("minkowski-b0.2-flat", 18, 30), ("ellipse-ball", 2, 2), ("zero-field", 1, 30)])
+        ("minkowski-b0.2-flat", 23, 30), ("ellipse-ball", 2, 2), ("zero-field", 1, 30)])
     def test_stalled_targets_stop_iterating(self, monkeypatch, case, calls, uncapped_calls):
         # a target whose gap an iteration leaves unchanged is given up: the
         # panel pair Minkowski Ellipse((0.2, 0.1), (1, 0.2)) -> Ellipse(0,
@@ -329,10 +329,12 @@ def _ellipse_grid():
 @settings(max_examples=20, deadline=None)
 @given(bx=st.floats(-0.02, 0.02), by=st.floats(-0.02, 0.02))
 @example(bx=-0.02, by=1e-7)
+@example(bx=1.1125369292536007e-308, by=-0.005115663487844067)
 def test_transform_of_shifted_quadratic(bx, by):
     # u = 0.2 |x|^2 + b . x maps the ellipse onto its 0.4-scaled copy about
     # b, and transforms to |y - b|^2 / 0.8; a dual node on the target's
-    # centre line inverts onto the phi = 0 seam
+    # centre line inverts onto the phi = 0 seam.  A subnormal bx leaves a
+    # point whose |xi| underflows to 0 though xi does not
     assume(np.hypot(bx, by) <= 0.02)
     b = np.array([bx, by])
     grid = _ellipse_grid()

@@ -14,11 +14,12 @@ from cmcsolve.assembly import CONVEXITY_RTOL, residual
 from cmcsolve.diagnostics import flux_identity
 from cmcsolve.duality import dual_solve
 from cmcsolve.errors import ConvexityLoss, NonConvergence, SpacelikeViolation
-from cmcsolve.grid import MappedGrid
+from cmcsolve.fieldio import load_field, save_field
+from cmcsolve.grid import MappedGrid, transfer_field
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
-from helpers import (ZeroLU, factor_every_system, field_state, full_lu_solve,
-                     isotropic_seed, quadric_domains, reference_factor_setup,
-                     sampled_auto_t_min)
+from helpers import (ZeroLU, factor_every_system, field_state, full_bordered_systems,
+                     full_lu_solve, isotropic_seed, quadric_domains,
+                     reference_factor_setup, sampled_auto_t_min)
 
 
 class TestNewtonSolve:
@@ -465,6 +466,127 @@ class TestLinearSolve:
         assert calls["failed"]
         assert [h.t for h in history] == [0.5, 0.75, 1.0]
         assert handed[0] is None and handed[1] is not None and handed[2] is handed[1]
+
+
+def _assert_solves_agree(fld, info, fld_ref, info_ref):
+    """The same Newton and GMRES counts, c within 1e-11 relative and the
+    mean-zero u within 1e-11 max|u|."""
+    assert info.iterations == info_ref.iterations
+    assert info.krylov_iterations == info_ref.krylov_iterations
+    assert abs(fld.c - fld_ref.c) <= 1e-11 * abs(fld_ref.c)
+    assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-11 * np.max(np.abs(fld_ref.u))
+
+
+class TestHalfTurnReduction:
+    """A problem equivariant under the half turn about omega's peak solves
+    each Newton system on the pole, the rays j < n_phi / 2 and c; the
+    whole-lattice solve (helpers.full_bordered_systems) is the oracle."""
+
+    @pytest.fixture()
+    def iterates(self, monkeypatch):
+        # u of every iterate the line search accepts
+        accepted, real_step = [], solver.damped_step
+
+        def recording(*args):
+            step = real_step(*args)
+            if step is not None:
+                accepted.append(step[1].u)
+            return step
+
+        monkeypatch.setattr(solver, "damped_step", recording)
+        return accepted
+
+    @pytest.mark.parametrize("omega, target, operator, reduced", [
+        (Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4), OperatorKind.GRAPH, True),
+        (Ball((0, 0), 1.0), Ball((0, 1e-3), 0.4), OperatorKind.GRAPH, False),
+        (Ball((0, 0), 0.4), Ellipse((0, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN, True),
+        (Ball((0, 1e-3), 0.4), Ellipse((0, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN,
+         False),
+        (Ball((0, 0), 0.4), Ellipse((0.1, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN,
+         False),
+    ], ids=["graph", "graph-off-centre-target", "dual", "dual-off-centre-omega",
+            "dual-off-centre-target"])
+    def test_which_problems_are_reduced(self, omega, target, operator, reduced):
+        # the graph operator reads Du only, the dual one the node positions
+        # too; a sublevel set is scaled about its own peak, so a walk keeps
+        # the property
+        spec = ProblemSpec(omega, target, MINK, build_grid(omega, 8, 16), operator=operator)
+        assert (spec.half_turn is not None) == reduced
+        sub = replace(spec, omega_tilde=target.sublevel(0.3))
+        assert (sub.half_turn is not None) == reduced
+
+    @pytest.mark.parametrize("omega, target, model", [
+        (Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK),
+        (Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4), MINK),
+        (Ellipse((0, 0), (1.0, 0.8)), Ellipse((0, 0), (0.5, 0.3)), MINK),
+        (Ball((0, 0), 1.0), Ball((0, 0), 2.0), EUC),
+        (Ellipse((0.1, -0.2), (1.0, 0.6)), Ellipse((0, 0), (0.9, 0.6)), EUC),
+    ], ids=["minkowski-balls", "minkowski-off-centre-omega", "minkowski-ellipses",
+            "euclidean-balls", "euclidean-off-centre-omega"])
+    def test_direct_solve_matches_full_system(self, iterates, omega, target, model):
+        spec = ProblemSpec(omega, target, model, build_grid(omega, 32, 64))
+        image = spec.grid.half_turn[0]
+        fld, info = newton_solve(spec, seed_field(spec))
+        reduced = list(iterates)
+        with full_bordered_systems():
+            fld_ref, info_ref = newton_solve(spec, seed_field(spec))
+        _assert_solves_agree(fld, info, fld_ref, info_ref)
+        # every primal iterate is exactly half-turn even
+        assert len(reduced) == info.iterations
+        assert all(np.array_equal(u[image], u) for u in reduced)
+        assert info.lu_fill < 0.5 * info_ref.lu_fill
+
+    def test_dual_solve_matches_full_system(self, ci_instances):
+        spec, _, _ = ci_instances["ellipse_ball"]
+        fld, info = dual_solve(spec)
+        with full_bordered_systems():
+            fld_ref, info_ref = dual_solve(spec)
+        _assert_solves_agree(fld, info, fld_ref, info_ref)
+        assert np.array_equal(fld.u[fld.grid.half_turn[0]], fld.u)
+        assert info.lu_fill < 0.5 * info_ref.lu_fill
+
+    def test_forced_walk_matches_full_system(self, iterates):
+        # CI's forced walk with its target centred: every step, its
+        # predicted start included, solves on the representatives
+        omega = Ellipse((0.05, 0), (1.0, 0.8))
+        spec = ProblemSpec(omega, Ball((0, 0), 0.85), MINK, build_grid(omega, 32, 64))
+        _, history = run_homotopy(spec, steps=8, t_min=0.1)
+        reduced = list(iterates)
+        with full_bordered_systems():
+            _, history_ref = run_homotopy(spec, steps=8, t_min=0.1)
+        assert [h.t for h in history] == [h.t for h in history_ref]
+        for h, h_ref in zip(history, history_ref):
+            assert h.info.factorizations == h_ref.info.factorizations
+            _assert_solves_agree(h.field, h.info, h_ref.field, h_ref.info)
+        image = spec.grid.half_turn[0]
+        assert len(reduced) == sum(h.info.iterations for h in history)
+        assert all(np.array_equal(u[image], u) for u in reduced)
+
+    def test_file_seed_is_projected(self, tmp_path):
+        # seed.strategy = file: a 16 x 32 solution carried onto 32 x 64 by the
+        # lattice spline, half-turn even only to roundoff; the reduced solve
+        # starts from its even part, the oracle from the field as given
+        omega, target = Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4)
+        coarse = ProblemSpec(omega, target, MINK, build_grid(omega, 16, 32))
+        save_field(newton_solve(coarse, seed_field(coarse))[0], tmp_path / "field.csv")
+        spec = ProblemSpec(omega, target, MINK, build_grid(omega, 32, 64))
+        seed = transfer_field(load_field(tmp_path / "field.csv"), spec.grid)
+        assert not np.array_equal(seed.u[spec.grid.half_turn[0]], seed.u)
+        fld, info = newton_solve(spec, seed)
+        with full_bordered_systems():
+            fld_ref, info_ref = newton_solve(spec, seed)
+        _assert_solves_agree(fld, info, fld_ref, info_ref)
+
+    def test_off_centre_target_keeps_the_full_system(self):
+        # without the symmetry the reduction is the identity: the same
+        # factor, fill and iterates, bit for bit
+        omega = Ellipse((0, 0), (1.0, 0.8))
+        spec = ProblemSpec(omega, Ball((0.1, 0), 0.4), MINK, build_grid(omega, 32, 64))
+        fld, info = newton_solve(spec, seed_field(spec))
+        with full_bordered_systems():
+            fld_ref, info_ref = newton_solve(spec, seed_field(spec))
+        assert info == info_ref and info.lu_fill > 100_000
+        assert fld.u.tobytes() == fld_ref.u.tobytes() and fld.c == fld_ref.c
 
 
 def _ellipse_homotopy_spec(n_rho=32):
