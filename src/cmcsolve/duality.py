@@ -10,11 +10,13 @@ D^2 utilde = [D^2 u]^{-1}, and solves
 
 so an independently solved dual constant must come out as -c.  The dual
 solve runs the ordinary Newton machinery with the inverse-Hessian operator
-and the domain roles swapped; the transform itself inverts the gradient map
-pointwise with a damped Newton iteration on one tensor cubic spline of the
-primal field over the polar lattice of the unit disk, periodic in the polar
-angle (grid.lattice_spline, numpy only), read through the grid's linear map
-x = peak + L xi; its Jacobian is the spline's own Hessian.
+and the domain roles swapped, against Omega moved to the origin, so that it
+is half-turn symmetric whenever Omega_tilde is centred; the transform itself
+inverts the gradient map pointwise with a damped Newton iteration on one
+tensor cubic spline of the primal field over the polar lattice of the unit
+disk, periodic in the polar angle (grid.lattice_spline, numpy only), read
+through the grid's linear map x = peak + L xi; its Jacobian is the spline's
+own Hessian.  An even field is inverted on half a centred dual grid.
 """
 
 from __future__ import annotations
@@ -193,18 +195,29 @@ def legendre_transform(field: SolutionField, dual_grid: MappedGrid) -> SolutionF
 
     For each dual node y the primal point x with Du(x) = y is found by
     Newton on the interpolated gradient (uniform convexity makes the root
-    unique); then utilde(y) = x . y - u(x).  A gradient gap above
-    1e-8 (max |y| + 1) raises InversionFailure.  The additive constant is
-    inherited, not re-normalized.  The stored dual constant is -c.
+    unique); then utilde(y) = x . y - u(x).  If the dual grid is centred at
+    the origin and u is even bit for bit under the half turn about omega's
+    peak p (as a half-turn solve leaves it), Du(2p - x) = -Du(x): only the
+    representatives of dual_grid.half_turn (the pole and the rays j <
+    n_phi/2) are inverted, and each node takes utilde(y_rep) + (y - y_rep) . p
+    from its representative; otherwise every node is its own.  A
+    representative's gradient gap above 1e-8 (max |y| + 1) raises
+    InversionFailure.  The additive constant is inherited, not
+    re-normalized.  The stored dual constant is -c.
     """
-    interp = FieldInterpolant(field)
-    y = dual_grid.nodes
+    interp, y = FieldInterpolant(field), dual_grid.nodes
+    reps = fold = np.arange(len(y))
+    even = np.array_equal(field.u[field.grid.half_turn[0]], field.u)
+    if even and not np.any(dual_grid.domain.peak):
+        reps, fold = (a[:-1] for a in dual_grid.half_turn[1:])   # less c's entries
+    y_rep = y[reps]
     gap_tol = 1e-8 * (np.max(np.abs(y)) + 1.0)
-    x, gaps = invert_gradient(interp, y)
+    x, gaps = invert_gradient(interp, y_rep)
     worst = int(np.argmax(gaps))
     if gaps[worst] > gap_tol:
-        raise InversionFailure(float(gaps[worst]), point=y[worst])
-    u_t = np.einsum('ij,ij->i', x, y) - interp.value(x)
+        raise InversionFailure(float(gaps[worst]), point=y_rep[worst])
+    u_rep = np.einsum('ij,ij->i', x, y_rep) - interp.value(x)
+    u_t = u_rep[fold] + (y - y_rep[fold]) @ interp.peak
     return SolutionField(dual_grid, u_t, -field.c, field.model, dual=True)
 
 
@@ -226,11 +239,17 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     Swaps the domain roles, switches to the inverse-Hessian operator, seeds
     with the transport seed of the swapped pair (Hessian M^-1, the inverse
     of the primal seed's), and solves by direct_or_walk: Newton at t = 1,
-    and the homotopy walk only when that fails.  Returns (dual_field,
+    and the homotopy walk only when that fails.  The target is Omega less
+    its peak p: the dual operator reads only D^2 utilde and y, and
+    h_Omega(q) = h_(Omega - p)(q - p), so a solution utilde_0 there gives
+    utilde_0 + p . y, mean-zero, with the same c, and the system is half-turn
+    symmetric whenever Omega_tilde is centred.  Returns (dual_field,
     NewtonInfo of the direct solve, or None when the walk took over).
     """
     dual_grid = build_grid(spec.omega_tilde, spec.grid.n_rho, spec.grid.n_phi)
-    dual_spec = replace(spec, omega=spec.omega_tilde, omega_tilde=spec.omega,
-                        grid=dual_grid, operator=OperatorKind.INVERSE_HESSIAN)
+    dual_spec = replace(spec, omega=spec.omega_tilde, grid=dual_grid,
+                        omega_tilde=replace(spec.omega, center=(0.0, 0.0)),
+                        operator=OperatorKind.INVERSE_HESSIAN)
     fld, history, _ = direct_or_walk(dual_spec, opts)
+    fld = replace(fld, u=dual_grid.mean_zero(fld.u + dual_grid.nodes @ spec.omega.peak))
     return fld, history[0].info if len(history) == 1 else None

@@ -10,9 +10,9 @@ the least-squares fits, the isotropic quadratic seed, the full-matrix LU
 reference of the Newton linear solve, the sparse-slicing reference of the
 Newton factor's set-up, a factor stand-in that makes the bordering step
 singular, the gather-and-concatenate reference of the grid's operator
-build, the uncapped gradient inversion, the whole-lattice Newton systems
-that the half-turn reduction is checked against and the radial ODE
-oracle."""
+build, the uncapped gradient inversion, the whole-lattice Legendre
+transform and Newton systems that the half-turn reductions are checked
+against and the radial ODE oracle."""
 
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,9 +26,9 @@ from scipy.sparse.linalg import splu
 
 from cmcsolve import Ball, Ellipse, ModelKind, ProblemSpec, SolutionField
 from cmcsolve.assembly import admissibility_violation, operator_value
-from cmcsolve.duality import (INVERSION_MAX_NEWTON, INVERSION_TOL, _clamp_to_extension,
-                              _nodal_start, _solve_2x2)
-from cmcsolve.errors import DegenerateSublevel, SpacelikeViolation
+from cmcsolve.duality import (INVERSION_MAX_NEWTON, INVERSION_TOL, FieldInterpolant,
+                              _clamp_to_extension, _nodal_start, _solve_2x2, invert_gradient)
+from cmcsolve.errors import DegenerateSublevel, InversionFailure, SpacelikeViolation
 from cmcsolve.grid import _fold_defect, _lsq_weights, _stencils
 from cmcsolve.kernel import EPS_SPACE, _coefficients, _symmetric, mean_curvature
 from cmcsolve.solver import LU_ORDERING, LU_PIVOT_THRESH
@@ -557,6 +557,21 @@ def uncapped_invert_gradient(interp, targets):
         x[active], res[active], rn[active] = xa, resa, ra
         active = rn > INVERSION_TOL * scale
     return x, rn
+
+
+def whole_lattice_transform(field, dual_grid):
+    """duality.legendre_transform inverting the gradient at every dual node,
+    the oracle of its half-turn path, which inverts the representatives
+    only: the same gap check on every node, then utilde(y) = x . y - u(x)."""
+    interp = FieldInterpolant(field)
+    y = dual_grid.nodes
+    gap_tol = 1e-8 * (np.max(np.abs(y)) + 1.0)
+    x, gaps = invert_gradient(interp, y)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > gap_tol:
+        raise InversionFailure(float(gaps[worst]), point=y[worst])
+    u_t = np.einsum('ij,ij->i', x, y) - interp.value(x)
+    return SolutionField(dual_grid, u_t, -field.c, field.model, dual=True)
 
 
 def ode_crosscheck(sol, steps: int = 10_000) -> float:

@@ -24,7 +24,8 @@ from cmcsolve.kernel import mean_curvature
 from cmcsolve.radial import RadialSolution, radial_profile, seed_field
 from cmcsolve.solver import newton_solve, run_homotopy
 from conftest import C_RADIAL, EUC, MINK
-from helpers import coefficient_matrix, grid_tolerance, uncapped_invert_gradient
+from helpers import (coefficient_matrix, grid_tolerance, uncapped_invert_gradient,
+                     whole_lattice_transform)
 
 
 def quadratic_field(lam=0.5, n=16):
@@ -360,6 +361,58 @@ def test_off_centre_target_transforms(ci_instances):
             <= 1.1 * np.max(np.abs(dual_residual(centred))))
 
 
+class TestHalfTurnTransform:
+    """An even field on a dual grid centred at the origin is inverted at the
+    representatives of the dual grid's half turn only; the transform that
+    inverts every node (helpers.whole_lattice_transform) is the oracle."""
+
+    @pytest.fixture()
+    def targets(self, monkeypatch):
+        # the number of targets of every invert_gradient call
+        counts, real = [], duality.invert_gradient
+        monkeypatch.setattr(duality, "invert_gradient",
+                            lambda interp, y: counts.append(len(y)) or real(interp, y))
+        return counts
+
+    @staticmethod
+    @functools.cache
+    def _solved(model):
+        # direct half-turn solves with omega off the origin, exactly even
+        omega, target = {MINK: (Ellipse((0.03, -0.04), (1.0, 0.8)), Ball((0, 0), 0.4)),
+                         EUC: (Ellipse((0.1, -0.2), (1.0, 0.6)),
+                               Ellipse((0, 0), (0.9, 0.6)))}[model]
+        spec = ProblemSpec(omega, target, model, build_grid(omega, 32, 64))
+        return newton_solve(spec, seed_field(spec))[0], build_grid(target, 32, 64)
+
+    @pytest.mark.parametrize("model", [MINK, EUC])
+    def test_even_field_inverts_the_representatives(self, targets, model):
+        fld, dual_grid = self._solved(model)
+        assert np.array_equal(fld.u[fld.grid.half_turn[0]], fld.u)
+        dual = legendre_transform(fld, dual_grid)
+        assert targets == [1 + 32 * 64 // 2]
+        ref = whole_lattice_transform(fld, dual_grid)
+        # measured 3.0e-16 and 3.7e-16
+        assert np.max(np.abs(dual.u - ref.u)) <= 2e-15 * np.max(np.abs(ref.u))
+        assert dual.c == ref.c and dual.dual
+        # utilde - p . y is even: the images carry the linear term exactly
+        even = dual.u - dual_grid.nodes @ fld.grid.domain.peak
+        assert np.max(np.abs(even[dual_grid.half_turn[0]] - even)) <= 1e-15
+
+    @pytest.mark.parametrize("case", ["one-ulp-odd", "dual-grid-off-centre"])
+    def test_without_the_symmetry_every_node_is_inverted(self, targets, case):
+        # either condition missing leaves the whole lattice, bit for bit
+        fld, dual_grid = self._solved(MINK)
+        if case == "one-ulp-odd":
+            u = fld.u.copy()
+            u[100] = np.nextafter(u[100], np.inf)
+            fld = SolutionField(fld.grid, u, fld.c, fld.model)
+        else:
+            dual_grid = build_grid(Ball((0.01, 0), 0.35), 32, 64)
+        dual = legendre_transform(fld, dual_grid)
+        assert targets == [dual_grid.n_nodes]
+        assert dual.u.tobytes() == whole_lattice_transform(fld, dual_grid).u.tobytes()
+
+
 class TestDualResidual:
     def test_radial_transform_accuracy(self, radial_32):
         spec, fld, _ = radial_32
@@ -450,6 +503,16 @@ class TestDualSolve:
         assert info is None
         assert dual.dual
         assert abs(dual.c + fld.c) <= 2.0 * abs(fld.c - C_RADIAL)
+
+    def test_translating_omega_adds_its_linear_term(self):
+        # the dual's target is omega less its peak, so moving omega by q
+        # leaves c as it is, bit for bit, and adds q . y to utilde, also
+        # where omega_tilde is off the origin and the system is whole
+        omega_tilde, q = Ball((0.1, 0), 0.4), np.array([0.05, -0.03])
+        a, b = (dual_solve(ProblemSpec(omega, omega_tilde, MINK, build_grid(omega, 16, 32)))[0]
+                for omega in (Ellipse((0, 0), (1.0, 0.8)), Ellipse(tuple(q), (1.0, 0.8))))
+        assert a.c == b.c
+        assert np.max(np.abs(b.u - a.grid.mean_zero(a.u + a.grid.nodes @ q))) <= 1e-15
 
     def test_concentric_constant(self, radial_32):
         spec, fld, _ = radial_32

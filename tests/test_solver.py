@@ -545,6 +545,29 @@ class TestHalfTurnReduction:
         assert np.array_equal(fld.u[fld.grid.half_turn[0]], fld.u)
         assert info.lu_fill < 0.5 * info_ref.lu_fill
 
+    @pytest.mark.parametrize("omega, target, model", [
+        (Ellipse((0.03, -0.04), (1.0, 0.8)), Ball((0, 0), 0.4), MINK),
+        (Ellipse((0.1, -0.2), (1.0, 0.6)), Ellipse((0, 0), (0.9, 0.6)), EUC),
+    ], ids=["minkowski", "euclidean"])
+    def test_off_centre_dual_solve_matches_full_system(self, omega, target, model):
+        # dual_solve centres its target omega and adds p . y back, p omega's
+        # peak, so a centred omega_tilde is reduced wherever omega lies
+        spec = ProblemSpec(omega, target, model, build_grid(omega, 32, 64))
+        fld, info = dual_solve(spec)
+        with full_bordered_systems():
+            fld_ref, info_ref = dual_solve(spec)
+        _assert_solves_agree(fld, info, fld_ref, info_ref)
+        assert info.lu_fill < 0.5 * info_ref.lu_fill
+        even = fld.u - fld.grid.nodes @ omega.peak
+        assert np.max(np.abs(even[fld.grid.half_turn[0]] - even)) <= 1e-15
+        # the dual of the uncentred target, solved whole, has the same c:
+        # the discrete problems differ only where the boundary rows'
+        # tangential differences miss p . y by O(dphi^4) (3e-6 |p| at 32 x 64)
+        uncentred = replace(spec, omega=target, omega_tilde=omega, grid=fld.grid,
+                            operator=OperatorKind.INVERSE_HESSIAN)
+        fld_whole, _ = newton_solve(uncentred, seed_field(uncentred))
+        assert abs(fld.c - fld_whole.c) <= 1e-11 * abs(fld_whole.c)
+
     def test_forced_walk_matches_full_system(self, iterates):
         # CI's forced walk with its target centred: every step, its
         # predicted start included, solves on the representatives
