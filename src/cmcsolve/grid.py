@@ -34,6 +34,8 @@ turn and the mirrors phi -> pi - phi and phi -> -phi of a diagonal L.  The
 weights of rays j < n_phi/2 are rounded, and the others' written as their
 exact half-turn images (MappedGrid.half_turn), so every operator is
 exactly (anti)symmetric under the half turn; mirrors agree to roundoff.
+Rows keep stencil order, row (i, j + n_phi/2) the image of row (i, j) entry
+for entry: even fields get exactly odd Du (bar the pole's) and even D^2 u.
 
 Quadrature: det L times the unit disk's trapezoid in rho of the polar
 integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
@@ -320,27 +322,24 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
 
 
 def _on_one_pattern(names, groups, n):
-    """CSR operators on one int32 indptr/indices pair, one coefficient set
-    per name, from groups (cols (R, m), weights (len(names), R, G, m), keep)
-    of G rings of R rays in node order: row (g, r) holds the unknowns cols[r]
-    + g R sorted (equal ones in stencil order) less the first keep, and the
-    weights [:, r, g]: only seam rays, whose stencils wrap around phi = 0,
-    are permuted.  A group is one strided write into a data block, whose rows
-    shallow copies of one matrix take (scipy's constructor copies a row)."""
-    lengths = np.concatenate([np.full(w[0, ..., 0].size, w.shape[-1] - k) for _, w, k in groups])
+    """CSR operators on one read-only int32 indptr/indices pair (compacting or
+    sorting one operator in place would corrupt the others), one coefficient
+    set per name, from groups (cols (R, m), weights (len(names), R, G, m)) of
+    G rings of R rays in node order: row (g, r) holds the unknowns cols[r] +
+    g R in stencil order and the weights [:, r, g].  A group is one strided
+    write into a data block, whose rows shallow copies of one matrix take
+    (scipy's constructor copies a row)."""
+    lengths = np.concatenate([np.full(w[0, ..., 0].size, w.shape[-1]) for _, w in groups])
     indptr = np.append(np.zeros(n + 1 - len(lengths), np.int32), np.cumsum(lengths, dtype=np.int32))
-    bounds = np.cumsum([0] + [w[0, ..., k:].size for _, w, k in groups])
+    bounds = np.cumsum([0] + [w[0].size for _, w in groups])
     data = np.empty((len(names), indptr[-1]))
     indices = np.empty(indptr[-1], dtype=np.int32)
-    for (cols, w, keep), start, stop in zip(groups, bounds, bounds[1:]):
-        order = np.argsort(cols, axis=1, kind="stable")[:, keep:] - keep
-        seam = np.flatnonzero(np.any(order != np.arange(order.shape[1]), axis=1))
-        w = np.swapaxes(w[..., keep:], 1, 2)   # (names, G, R, m): rows in node order
-        w[:, :, seam] = w[:, np.arange(w.shape[1])[:, None, None], seam[:, None], order[seam]]
+    for (cols, w), start, stop in zip(groups, bounds, bounds[1:]):
+        w = np.swapaxes(w, 1, 2)   # (names, G, R, m): rows in node order
         np.add(w, 0.0, out=data[:, start:stop].reshape(w.shape))   # -0.0 weights read 0.0
-        np.add(np.sort(cols, axis=1)[:, keep:].astype(np.int32),
-               len(cols) * np.arange(w.shape[1], dtype=np.int32)[:, None, None],
-               out=indices[start:stop].reshape(w.shape[1:]))
+        rings = len(cols) * np.arange(w.shape[1], dtype=np.int32)[:, None, None]
+        np.add(cols.astype(np.int32), rings, out=indices[start:stop].reshape(w.shape[1:]))
+    indices.flags.writeable = indptr.flags.writeable = False
     first = sp.csr_matrix((data[0], indices, indptr), shape=(n, n))
     ops = {name: copy.copy(first) for name in names}
     for op, v in zip(ops.values(), data):
@@ -370,8 +369,9 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
 
     # radial: f'(rho=1) ~ (-1/3 f_{n-3} + 3/2 f_{n-2} - 3 f_{n-1} + 11/6 f_n)/drho
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
-    # tangential: 4th-order centered along the periodic ring
-    tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dphi)
+    # tangential: 4th-order centered along the periodic ring, over its factor
+    # (8 sin h - sin 2h) / (6 h) on cos' and sin', h = dphi: exact on linears
+    tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (2.0 * (8.0 * np.sin(dphi) - np.sin(2.0 * dphi)))
 
     # column 3 is the node itself
     cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
@@ -380,7 +380,7 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
     w = np.swapaxes(np.concatenate([w, -w]), 0, 1)[:, :, None]
-    return _on_one_pattern(['bx', 'by'], [(cols, w, 0)], 1 + n_rho * n_phi)
+    return _on_one_pattern(['bx', 'by'], [(cols, w)], 1 + n_rho * n_phi)
 
 
 def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
@@ -408,7 +408,7 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
     ring_half = pole[:, 1:].reshape(2, 2, -1)   # (ring, half, ray)
     w[..., ring_half[:, 1]] = HALF_TURN[..., None] * w[..., ring_half[:, 0]]
     w[..., 0] -= w.sum(axis=-1)   # exact, as every partial sum of a folded row
-    groups = [(pole, w, 0)]
+    groups = [(pole, w)]
 
     def add_rings(rings, dis, djs, extra, keep=0):
         # ray 0's blocks (di, dj) of every ring, fitted by the quadratics and
@@ -419,7 +419,7 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
         w = _cartesian_weights(*_lsq_weights(xi[ray0] - xi[ray0[:, mid, None]], extra), back, mid)
         if keep:   # the first keep + 1 entries, ring 1's pole, summed into one
             w[..., keep] = sum(np.moveaxis(w[..., :keep + 1], -1, 0))
-        groups.append((cols, w, keep))
+        groups.append((cols[:, keep:], w[..., keep:]))
 
     # first ring: 5 radial stations (station 0 collapses onto the pole,
     # whose duplicated entries act as least-squares weights and are summed

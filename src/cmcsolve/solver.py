@@ -58,9 +58,9 @@ Newton corrections: each system is solved on the pole, the rays j < n_phi/2
 and c (J_r: J's rows there, each column summed into its representative's),
 so bordering, GMRES and refinement run on half the unknowns, while the
 residual, line search, guards and stop test stay on the whole lattice.  The
-start is projected onto even fields, and its derivatives onto their odd
-(Du) and even (D2u) parts: the rows' sums run in other orders, an odd
-residual (2e-9 at 256 x 512) that no even direction removes.
+start is projected onto even fields; the rows' stencil order makes an even
+field's Du and boundary Du exactly odd and its D2u exactly even
+(grid._on_one_pattern), so the residual stays exactly even.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -437,14 +437,11 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     # accepted trial's, so no iterate is differentiated twice
     grid, (image, rows, fold) = spec.grid, spec.half_turn or (None, None, None)
     u = grid.mean_zero(initial.u)
-    du, d2u, du_b = *grid.derivative_arrays(u), grid.boundary_gradients(u)
-    if image is not None:   # the even part of u, and the odd, even, odd parts of these
+    if image is not None:   # a file seed or a transferred field need not be even
         u = 0.5 * (u + u[image])
-        du, d2u = 0.5 * (du - du[image]), 0.5 * (d2u + d2u[image])
-        du_b = 0.5 * (du_b - np.roll(du_b, grid.n_phi // 2, axis=0))
     fld = SolutionField(grid, u, initial.c, spec.model,
                         dual=spec.operator is OperatorKind.INVERSE_HESSIAN)
-    state = (du, d2u, du_b)
+    state = (*grid.derivative_arrays(u), grid.boundary_gradients(u))
     info = NewtonInfo(factor=factor)
 
     def failed(exc):

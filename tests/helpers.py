@@ -4,15 +4,15 @@ for the curvature kernel, finite-difference oracles for the pointwise
 operator derivatives, a Hypothesis strategy of quadric domains, a field's
 Newton state, the per-row reference text of field.csv, the quadric
 concavity and gradient-band oracles, the sampled auto_t_min reference, a
-sparse-matrix dump, a grid's truncation scale, the
-lattice's unknown layout, the pseudo-inverse references of the interior and
-the least-squares fits, the isotropic quadratic seed, the full-matrix LU
-reference of the Newton linear solve, the sparse-slicing reference of the
-Newton factor's set-up, a factor stand-in that makes the bordering step
-singular, the gather-and-concatenate reference of the grid's operator
-build, the uncapped gradient inversion, the whole-lattice Legendre
-transform and Newton systems that the half-turn reductions are checked
-against and the radial ODE oracle."""
+sparse-matrix dump, a grid's truncation scale, the lattice's unknown
+layout, the operators' rows in stencil order, the pseudo-inverse
+references of the interior and the least-squares fits, the isotropic
+quadratic seed, the full-matrix LU reference of the Newton linear solve,
+the sparse-slicing reference of the Newton factor's set-up, a factor
+stand-in that makes the bordering step singular, the concatenating
+reference of the grid's operator build, the uncapped gradient inversion,
+the whole-lattice Legendre transform and Newton systems that the half-turn
+reductions are checked against and the radial ODE oracle."""
 
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -304,6 +304,34 @@ def lattice_index(grid, i, j):
     return np.where(i == 0, 0, 1 + (i - 1) * grid.n_phi + np.mod(j, grid.n_phi))
 
 
+def stencil_rows(grid):
+    """The unknowns each operator row stores, in stencil order: the lists of
+    (recovery rows, bx/by rows) of every node.  The pole's row is the pole
+    and the first two rings; ring 1's rows are the pole, once, then rings
+    1-4 at rays j - 2 .. j + 2; an interior ring's its 3 x 3 block; the
+    boundary ring's the last 4 rings at rays j - 2 .. j + 2, each block
+    ring-major.  A bx/by row is the boundary node's ray from ring n_rho - 3
+    outward, then its ring at rays j - 2, j - 1, j + 1, j + 2; other nodes'
+    bx/by rows are empty."""
+    n_rho, n_phi = grid.n_rho, grid.n_phi
+
+    def block(i, j, dis, djs):
+        return [int(lattice_index(grid, i + di, j + dj)) for di in dis for dj in djs]
+
+    recovery = [list(range(1 + 2 * n_phi))]
+    boundary = [[] for _ in range(grid.n_nodes - n_phi)]
+    for i in range(1, n_rho + 1):
+        for j in range(n_phi):
+            if i == 1:
+                recovery.append([0] + block(1, j, range(4), range(-2, 3)))
+            elif i < n_rho:
+                recovery.append(block(i, j, range(-1, 2), range(-1, 2)))
+            else:
+                recovery.append(block(i, j, range(-3, 1), range(-2, 3)))
+                boundary.append(block(i, j, range(-3, 1), [0]) + block(i, j, [0], [-2, -1, 1, 2]))
+    return recovery, boundary
+
+
 def interior_fit_oracle(grid):
     """Reference weights of the interior recovery rows (rings 2 .. n_rho-1).
 
@@ -457,8 +485,8 @@ def _reference_cartesian_weights(w, ell, radial, center, chain):
 
 def _reference_on_one_pattern(names, groups, n):
     """CSR operators on one pattern from (stencil (G, m), weights (len(names),
-    G, m)) groups in node order, each row's unknowns increasing: the stencils
-    and the weights concatenated."""
+    G, m)) groups in node order, each row's unknowns in stencil order: the
+    stencils and the weights concatenated."""
     sizes = np.concatenate([np.full(len(stencil), stencil.shape[1]) for stencil, _ in groups])
     indptr = np.append(np.zeros(n + 1 - len(sizes), dtype=int), np.cumsum(sizes))
     vals = np.concatenate([w.reshape(len(names), -1) for _, w in groups], axis=1) + 0.0
@@ -469,23 +497,20 @@ def _reference_on_one_pattern(names, groups, n):
 
 
 def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
-    """grid._build_derivative_ops by full-size stencil arrays, a per-group
-    gather of the weights into column order and one concatenation: the
-    reference the operators must equal bit for bit.  Every ray is fitted and
-    rounded, and the second half's weights are then overwritten by the exact
-    half-turn images of the first half's."""
+    """grid._build_derivative_ops by full-size stencil arrays, the weights
+    taken to node order and one concatenation: the reference the operators
+    must equal bit for bit.  Every ray is fitted and rounded, and the second
+    half's weights are then overwritten by the exact half-turn images of the
+    first half's."""
     groups = []
 
     def add_rings(rings, dis, djs, extra):
         stencil = _stencils(rings, dis, djs, n_phi)
-        k = len(rings)
         mid = list(dis).index(0) * len(djs) + len(djs) // 2
         s = stencil[::n_phi]
         w = _reference_cartesian_weights(*_lsq_weights(xi[s] - xi[s[:, mid, None]], extra),
                                          e, mid, chain)
-        by_col = np.argsort(stencil[:n_phi], axis=1, kind="stable")
-        w = w[:, np.arange(n_phi)[:, None], np.arange(k)[:, None, None], by_col]
-        stencil = np.take_along_axis(stencil, np.tile(by_col, (k, 1)), axis=1)
+        w = np.swapaxes(w, 1, 2)   # (5, ring, ray, m)
         if rings[0] + dis[0] == 0:
             w = np.concatenate([sum(np.moveaxis(w[..., :len(djs)], -1, 0))[..., None],
                                 w[..., len(djs):]], axis=-1)
@@ -511,20 +536,22 @@ def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
 
 
 def reference_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
-    """grid._build_boundary_gradient_ops by a full gather into column order."""
+    """grid._build_boundary_gradient_ops on every ray, the second half's
+    weights then overwritten by the first half's exact images.  The
+    tangential weights are the centred 4-point difference [1, -8, 8, -1] /
+    (12 h) divided by the factor (8 sin h - sin 2h) / (6 h) it makes of the
+    derivative of cos and sin."""
     drho = 1.0 / n_rho
     dphi = 2 * np.pi / n_phi
     jinv_t = np.linalg.inv(disk_map).T @ np.stack([e, e_t], axis=2)
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
-    tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * dphi)
+    tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (2.0 * (8.0 * np.sin(dphi) - np.sin(2.0 * dphi)))
     cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
                            _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
     w[n_phi // 2:] = -w[:n_phi // 2]   # the half turn's exact images
-    order = np.argsort(cols, axis=1)
-    w = np.take_along_axis(np.swapaxes(w, 0, 1), order[None], axis=2)
-    return _reference_on_one_pattern(['bx', 'by'], [(np.take_along_axis(cols, order, axis=1), w)],
+    return _reference_on_one_pattern(['bx', 'by'], [(cols, np.swapaxes(w, 0, 1))],
                                      1 + n_rho * n_phi)
 
 

@@ -111,7 +111,7 @@ class TestLegendreTransform:
             legendre_transform(fld, dual_grid)
 
     @pytest.mark.parametrize("case, calls, uncapped_calls", [
-        ("minkowski-b0.2-flat", 23, 30), ("ellipse-ball", 2, 2), ("zero-field", 1, 30)])
+        ("minkowski-b0.2-flat", 16, 30), ("ellipse-ball", 2, 2), ("zero-field", 1, 30)])
     def test_stalled_targets_stop_iterating(self, monkeypatch, case, calls, uncapped_calls):
         # a target whose gap an iteration leaves unchanged is given up: the
         # panel pair Minkowski Ellipse((0.2, 0.1), (1, 0.2)) -> Ellipse(0,
@@ -143,7 +143,7 @@ class TestLegendreTransform:
         assert len(counted) == uncapped_calls
         assert x.tobytes() == x_ref.tobytes() and gaps.tobytes() == gaps_ref.tobytes()
         if case == "minkowski-b0.2-flat":
-            assert np.max(gaps) == pytest.approx(1.14e-3, rel=5e-3)
+            assert np.max(gaps) == pytest.approx(2.98e-4, rel=5e-3)
 
     def test_singular_hessian_step_is_refused(self):
         # u = 0 has D^2u = 0 exactly: every Newton step is NaN, which the
@@ -513,6 +513,23 @@ class TestDualSolve:
                 for omega in (Ellipse((0, 0), (1.0, 0.8)), Ellipse(tuple(q), (1.0, 0.8))))
         assert a.c == b.c
         assert np.max(np.abs(b.u - a.grid.mean_zero(a.u + a.grid.nodes @ q))) <= 1e-15
+
+    @pytest.mark.parametrize("omega, omega_tilde", [
+        (Ball((0.3, -0.2), 1.0), Ball((0.1, 0), 0.5)),
+        (Ellipse((0.2, 0.1), (1.0, 0.6)), Ellipse((0, 0), (0.9, 0.2)))],
+        ids=["balls", "ellipses"])
+    def test_recentred_target_matches_the_plain_dual(self, omega, omega_tilde):
+        # the dual solved against omega less its peak, then given back p . y,
+        # is the dual solved against omega itself, to roundoff: bx and by
+        # differentiate p . y exactly.  The ellipses' recentred dual runs on
+        # half the lattice, their plain dual on the whole
+        spec = ProblemSpec(omega, omega_tilde, MINK, build_grid(omega, 32, 64))
+        recentred, _ = dual_solve(spec)
+        plain, _, _ = solver.direct_or_walk(ProblemSpec(
+            omega_tilde, omega, MINK, build_grid(omega_tilde, 32, 64),
+            operator=OperatorKind.INVERSE_HESSIAN))
+        assert abs(recentred.c - plain.c) <= 1e-12 * abs(plain.c)
+        assert np.max(np.abs(recentred.u - plain.u)) <= 1e-12 * np.max(np.abs(plain.u))
 
     def test_concentric_constant(self, radial_32):
         spec, fld, _ = radial_32

@@ -11,7 +11,7 @@ from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField, buil
 from cmcsolve import grid as grid_module
 from cmcsolve.grid import _stencils
 from helpers import (interior_fit_oracle, lattice_index, lsq_fit_oracle, quadric_domains,
-                     reference_boundary_gradient_ops, reference_derivative_ops)
+                     reference_boundary_gradient_ops, reference_derivative_ops, stencil_rows)
 
 
 def derivative_errors(domain, n_rho, n_phi):
@@ -81,6 +81,16 @@ class TestDerivativeRecovery:
         du, d2u = g.derivative_arrays(u)
         assert np.max(np.abs(du - [2.0, -3.0])) < 1e-12
         assert np.max(np.abs(d2u)) < hess_tol
+        # the tangential difference is divided by its factor on cos and sin
+        assert np.max(np.abs(g.boundary_gradients(u) - [2.0, -3.0])) <= 1e-13
+
+    @pytest.mark.parametrize("n_rho", [16, 32, 64])
+    def test_boundary_gradients_linear(self, n_rho):
+        # exact to roundoff at every resolution: the tangential difference's
+        # error on cos and sin is divided out, not just of fourth order
+        g = build_grid(Ball((0, 0), 0.4), n_rho, 2 * n_rho)
+        p = np.array([0.1, -0.2])
+        assert np.max(np.abs(g.boundary_gradients(g.nodes @ p) - p)) <= 1e-13
 
     @pytest.mark.parametrize("dom, tol", [(Ball((0, 0), 1.0), 1e-10),
                                           (Ellipse((0, 0), (1.0, 0.8)), 1e-8),
@@ -153,11 +163,15 @@ class TestOperatorWeights:
 def test_constants_cancel_exactly_on_any_domain(dom):
     g = build_grid(dom, 8, 16)
     ones = np.ones(g.n_nodes)
+    recovery, boundary = stencil_rows(g)
     for name, op in g.ops.items():
         assert np.all(op @ ones == 0.0), name
-        # each row's columns increasing, none twice, as the bordered
-        # Jacobian's factor reads them (its c entry last)
-        assert op.has_canonical_format, name
+        # each row holds its stencil in stencil order, no column twice
+        # (ring 1's pole entries summed into one)
+        rows = boundary if name in ('bx', 'by') else recovery
+        assert np.array_equal(op.indptr, np.append(0, np.cumsum([len(r) for r in rows]))), name
+        assert np.array_equal(op.indices, np.concatenate(rows)), name
+        assert all(len(set(r)) == len(r) for r in rows), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,10 +223,9 @@ class _RotatedQuadric(Ball):
                                  _RotatedQuadric((0.1, 0), 1.0)],
                          ids=["ball", "ellipse", "rotated"])
 def test_operators_match_the_gathered_build(monkeypatch, dom, n_rho, n_phi):
-    # the operators are written straight into their CSR layout, the seam
-    # rays (whose stencils wrap around the ring) permuted alone; every
-    # indptr, index and weight equals, bit for bit, the build that gathers
-    # full-size stencils into column order and concatenates them
+    # the operators are written straight into their CSR layout, every row
+    # in stencil order; every indptr, index and weight equals, bit for bit,
+    # the build that concatenates full-size stencils and their weights
     # (n_phi / 4 is not an integer at 16 x 18 and 16 x 34)
     inputs = {}
     for name in ("_build_derivative_ops", "_build_boundary_gradient_ops"):
@@ -240,12 +253,14 @@ def test_operators_match_the_gathered_build(monkeypatch, dom, n_rho, n_phi):
                          ids=["ball", "ellipse", "off-centre-ellipse", "rotated"])
 def test_operators_are_exact_half_turn_images(dom, n_rho, n_phi):
     # P A P^T = -A for dx, dy, bx, by and +A for the Hessian operators, with
-    # P the half turn's node permutation, entry for entry, so a
-    # half-turn-even field has odd Du and even D2u up to the order of each
-    # row's sum, and the reduced Newton systems meet no odd residual.  Each
-    # fitted row was its image's only to roundoff: up to one fold quantum in
-    # 2-8 entries of an operator, such as 1.1e-13 in dxx on the ball at
-    # 32 x 64
+    # P the half turn's node permutation, entry for entry and in stored
+    # order: row image[r] stores image[the columns of row r] in the same
+    # order, with the weights times the sign, so it sums the same products
+    # in the same order (test_even_fields_have_exact_parity).  The pole,
+    # its own image, stores its columns in increasing order, and the image
+    # of its column k holds the sign times its weight there.  Each fitted
+    # row was its image's only to roundoff: up to one fold quantum in 2-8
+    # entries of an operator, such as 1.1e-13 in dxx on the ball at 32 x 64
     g = build_grid(dom, n_rho, n_phi)
     image, rows, fold = g.half_turn
     h = n_phi // 2
@@ -256,11 +271,57 @@ def test_operators_are_exact_half_turn_images(dom, n_rho, n_phi):
     assert np.array_equal(fold[:-1][image], fold[:-1])
     for name, op in g.ops.items():
         sign = -1.0 if name in ('dx', 'dy', 'bx', 'by') else 1.0
-        image_op = op[image][:, image]   # P A P^T, stored zeros kept
-        image_op.sort_indices()
-        assert np.array_equal(image_op.indptr, op.indptr), name
-        assert np.array_equal(image_op.indices, op.indices), name
-        assert np.array_equal(image_op.data, sign * op.data), name
+        lengths = np.diff(op.indptr)
+        assert np.array_equal(lengths[image], lengths), name
+        row = np.repeat(np.arange(g.n_nodes), lengths)
+        # the position of each entry's counterpart in the image row
+        at = op.indptr[image][row] + np.arange(op.nnz) - op.indptr[row]
+        ring = row > 0
+        assert np.array_equal(op.indices[at][ring], image[op.indices][ring]), name
+        assert np.array_equal(op.data[at][ring], sign * op.data[ring]), name
+        pole = slice(op.indptr[0], op.indptr[1])
+        assert np.array_equal(op.indices[pole], np.arange(lengths[0])), name
+        assert np.array_equal(op.data[pole][image[:lengths[0]]], sign * op.data[pole]), name
+
+
+@pytest.mark.parametrize("dom, n_rho, n_phi", [
+    (Ball((0, 0), 1.0), 16, 18), (Ball((0, 0), 1.0), 16, 34), (Ball((0, 0), 1.0), 64, 128),
+    (Ball((0, 0), 1.0), 256, 512), (Ellipse((0, 0), (1.0, 0.35)), 64, 128),
+    (_RotatedQuadric((0, 0), 1.0), 32, 64)],
+    ids=["ball-16-18", "ball-16-34", "ball-64-128", "ball-256-512", "ellipse-64-128",
+         "rotated-32-64"])
+def test_even_fields_have_exact_parity(dom, n_rho, n_phi):
+    # every row sums its image's products in the same order, so an exactly
+    # half-turn-even u has exactly odd Du and boundary Du and exactly even
+    # D2u, bit for bit, on every node but one: the pole is its own image,
+    # and its dx, dy sums run over the two halves of each ring in turn
+    g = build_grid(dom, n_rho, n_phi)
+    image = g.half_turn[0]
+    u = np.random.default_rng(7).standard_normal(g.n_nodes)
+    u = 0.5 * (u + u[image])
+    assert np.array_equal(u[image], u)
+    for name, op in g.ops.items():
+        sign = -1.0 if name in ('dx', 'dy', 'bx', 'by') else 1.0
+        v = op @ u
+        node = np.arange(1 if name in ('dx', 'dy') else 0, g.n_nodes)
+        assert np.array_equal(v[image[node]], sign * v[node]), name
+
+
+def test_shared_patterns_are_read_only():
+    # the recovery operators share one indices/indptr pair and bx, by
+    # another, so compacting or sorting one operator in place would change
+    # its siblings' products (bx stores 16 exact zeros here, and compacting
+    # it moved by's product by 127): each such call raises before writing
+    g = build_grid(Ball((0, 0), 1.0), 16, 32)
+    u = np.random.default_rng(3).standard_normal(g.n_nodes)
+    before = {name: op @ u for name, op in g.ops.items()}
+    for name, op in g.ops.items():
+        assert not (op.indices.flags.writeable or op.indptr.flags.writeable), name
+        for method in ("eliminate_zeros", "sort_indices", "sum_duplicates"):
+            with pytest.raises(ValueError):
+                getattr(op, method)()
+            for other, expected in before.items():
+                assert np.array_equal(g.ops[other] @ u, expected), (name, method, other)
 
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -0.1)])
