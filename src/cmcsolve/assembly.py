@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .domains import ConvexDomain, require_inside_unit_ball
 from .errors import ConvexityLoss, SingularHessian, SpacelikeViolation
-from .grid import MappedGrid, SolutionField
+from .grid import MappedGrid, SolutionField, diagonal
 from .kernel import (EPS_SPACE, ModelKind, _coefficients, _symmetric,
                      mean_curvature, operator_derivatives)
 
@@ -67,13 +67,18 @@ class ProblemSpec:
             require_inside_unit_ball(constrained)
 
     @property
-    def half_turn(self):
-        """grid.half_turn if the system is equivariant under the half turn
-        about omega's peak, else None: the graph operator is even in Du, so
-        the target must be centred at the origin, and the dual operator
-        reads the node positions, so omega too.  Sublevel sets keep that."""
+    def symmetry(self):
+        """The grid.Symmetry the system is equivariant under, about omega's
+        peak, or None: the graph operator is even in Du, so the half turn
+        needs the target centred at the origin, and the dual operator reads
+        the node positions, so omega too.  The mirrors need in addition
+        diagonal quadrics A of both domains and a diagonal grid map L
+        (grid.quarter).  Sublevel sets keep both."""
         peaks = [self.omega_tilde.peak, self.omega.peak][:2 - (self.operator is OperatorKind.GRAPH)]
-        return None if np.any(peaks) else self.grid.half_turn
+        if np.any(peaks):
+            return None
+        mirrors = all(diagonal(d.quadric()[1]) for d in (self.omega, self.omega_tilde))
+        return self.grid.quarter if mirrors and self.grid.quarter else self.grid.half_turn
 
 
 def _inverse_2x2(d2u):
@@ -162,7 +167,7 @@ def residual_from_state(spec: ProblemSpec, u, c, du, d2u, du_b):
     res[:grid.n_nodes] = g_val - c
     h_b, _, _ = spec.omega_tilde.defining(du_b)
     res[grid.boundary_idx] = h_b
-    res[grid.n_nodes] = grid.quad_weights @ u
+    res[grid.n_nodes] = grid.quadrature(u)
     return res
 
 

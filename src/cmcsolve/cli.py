@@ -102,10 +102,11 @@ def _initial_field(cfg: RunConfig, spec: ProblemSpec):
 
 
 def _step_entry(state: HomotopyState) -> dict:
-    """One summary.json step: t, c, and the solve's Newton iterations and
-    linear-algebra counts."""
+    """One summary.json step: t, c, and the solve's Newton iterations,
+    linear-algebra counts and the order of its Newton systems."""
     return {"t": state.t, "c": state.field.c, **{key: getattr(state.info, key) for key in (
-        "iterations", "factorizations", "krylov_iterations", "krylov_misses", "lu_fill")}}
+        "iterations", "factorizations", "krylov_iterations", "krylov_misses", "lu_fill",
+        "unknowns")}}
 
 
 def _node_text(grid, node) -> str:

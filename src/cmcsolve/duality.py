@@ -11,12 +11,13 @@ D^2 utilde = [D^2 u]^{-1}, and solves
 so an independently solved dual constant must come out as -c.  The dual
 solve runs the ordinary Newton machinery with the inverse-Hessian operator
 and the domain roles swapped, against Omega moved to the origin, so that it
-is half-turn symmetric whenever Omega_tilde is centred; the transform itself
-inverts the gradient map pointwise with a damped Newton iteration on one
-tensor cubic spline of the primal field over the polar lattice of the unit
-disk, periodic in the polar angle (grid.lattice_spline, numpy only), read
-through the grid's linear map x = peak + L xi; its Jacobian is the spline's
-own Hessian.  An even field is inverted on half a centred dual grid.
+is symmetric whenever Omega_tilde is centred (ProblemSpec.symmetry); the
+transform itself inverts the gradient map pointwise with a damped Newton
+iteration on one tensor cubic spline of the primal field over the polar
+lattice of the unit disk, periodic in the polar angle (grid.lattice_spline,
+numpy only), read through the grid's linear map x = peak + L xi; its
+Jacobian is the spline's own Hessian.  An even field is inverted on half,
+or with the mirrors on a quarter, of a centred dual grid.
 """
 
 from __future__ import annotations
@@ -114,11 +115,12 @@ class FieldInterpolant:
         return hess
 
 
-def invert_gradient(interp: FieldInterpolant, targets):
+def invert_gradient(interp: FieldInterpolant, targets, nodes=None):
     """Solve interp.gradient(x) = y for each target y by damped Newton,
-    starting one Newton step on the nodal derivatives away from the node
-    whose gradient is nearest the target (_nodal_start).  A step through a
-    singular spline Hessian is not finite, and the line search refuses it.
+    starting one Newton step on the nodal derivatives away from the node,
+    among nodes (default all), whose gradient is nearest the target
+    (_nodal_start).  A step through a singular spline Hessian is not
+    finite, and the line search refuses it.
     A target whose gap an iteration leaves unchanged is given up: no trial
     of its line search lowered it, and from an unmoved point Newton repeats.
 
@@ -126,7 +128,7 @@ def invert_gradient(interp: FieldInterpolant, targets):
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     scale = float(np.max(np.abs(targets))) + 1.0
-    x = _nodal_start(interp, targets)
+    x = _nodal_start(interp, targets, nodes)
 
     res = interp.gradient(x) - targets
     rn = np.linalg.norm(res, axis=-1)
@@ -153,12 +155,15 @@ def invert_gradient(interp: FieldInterpolant, targets):
     return x, rn
 
 
-def _nodal_start(interp, targets):
-    """x_k + (D^2u_k)^-1 (y - Du_k) from the node k with Du_k nearest each y,
-    clamped; x_k where D^2u_k is not positive definite or the step not finite."""
+def _nodal_start(interp, targets, nodes=None):
+    """x_k + (D^2u_k)^-1 (y - Du_k) from the node k, among nodes (default
+    all), with Du_k nearest each y, clamped; x_k where D^2u_k is not positive
+    definite or the step not finite."""
     from scipy.spatial import cKDTree
 
-    _, k = cKDTree(interp.nodal_du).query(targets)
+    nodes = np.arange(len(interp.nodal_du)) if nodes is None else nodes
+    _, k = cKDTree(interp.nodal_du[nodes]).query(targets)
+    k = nodes[k]
     h = interp.nodal_d2u[k]
     step, det = _solve_2x2(h, targets - interp.nodal_du[k])
     ok = (h[:, 0, 0] > 0) & (det > 0) & np.all(np.isfinite(step), axis=-1)
@@ -196,23 +201,33 @@ def legendre_transform(field: SolutionField, dual_grid: MappedGrid) -> SolutionF
     For each dual node y the primal point x with Du(x) = y is found by
     Newton on the interpolated gradient (uniform convexity makes the root
     unique); then utilde(y) = x . y - u(x).  If the dual grid is centred at
-    the origin and u is even bit for bit under the half turn about omega's
-    peak p (as a half-turn solve leaves it), Du(2p - x) = -Du(x): only the
-    representatives of dual_grid.half_turn (the pole and the rays j <
-    n_phi/2) are inverted, and each node takes utilde(y_rep) + (y - y_rep) . p
-    from its representative; otherwise every node is its own.  A
-    representative's gradient gap above 1e-8 (max |y| + 1) raises
-    InversionFailure.  The additive constant is inherited, not
+    the origin and u is even bit for bit under a grid Symmetry about
+    omega's peak p (as a reduced solve leaves it), Du(p + M (x - p)) = M
+    Du(x) for each of its isometries M, so utilde(M y) = utilde(y) + p .
+    (M y - y): only the representatives of the dual grid's quarter (if u is
+    even under the mirrors too and both grids have one) or half turn are
+    inverted, and each node takes utilde(y_rep) + (y - y_rep) . p from its
+    representative.  On the quarter the targets and the nearest of a nodal
+    gradient's mirror images lie in the first quadrant, so the starts are
+    searched among the representatives of u's grid only.  Otherwise every
+    node is its own.  A representative's gradient gap above 1e-8 (max |y| +
+    1) raises InversionFailure.  The additive constant is inherited, not
     re-normalized.  The stored dual constant is -c.
     """
     interp, y = FieldInterpolant(field), dual_grid.nodes
     reps = fold = np.arange(len(y))
-    even = np.array_equal(field.u[field.grid.half_turn[0]], field.u)
-    if even and not np.any(dual_grid.domain.peak):
-        reps, fold = (a[:-1] for a in dual_grid.half_turn[1:])   # less c's entries
+    starts = None
+    if not np.any(dual_grid.domain.peak):
+        for primal, dual in ((field.grid.quarter, dual_grid.quarter),
+                             (field.grid.half_turn, dual_grid.half_turn)):
+            if (primal is not None and dual is not None
+                    and np.all(field.u[primal.image] == field.u)):
+                reps, fold = dual.rows[:-1], dual.fold[:-1]   # less c's entries
+                starts = primal.rows[:-1] if primal is field.grid.quarter else None
+                break
     y_rep = y[reps]
     gap_tol = 1e-8 * (np.max(np.abs(y)) + 1.0)
-    x, gaps = invert_gradient(interp, y_rep)
+    x, gaps = invert_gradient(interp, y_rep, starts)
     worst = int(np.argmax(gaps))
     if gaps[worst] > gap_tol:
         raise InversionFailure(float(gaps[worst]), point=y_rep[worst])
@@ -243,8 +258,10 @@ def dual_solve(spec: ProblemSpec, opts: SolveOptions | None = None):
     its peak p: the dual operator reads only D^2 utilde and y, and
     h_Omega(q) = h_(Omega - p)(q - p), so a solution utilde_0 there gives
     utilde_0 + p . y, mean-zero, with the same c, and the system is half-turn
-    symmetric whenever Omega_tilde is centred.  Returns (dual_field,
-    NewtonInfo of the direct solve, or None when the walk took over).
+    symmetric whenever Omega_tilde is centred, and mirror symmetric too when
+    both domains are axis-aligned (ProblemSpec.symmetry).  Returns
+    (dual_field, NewtonInfo of the direct solve, or None when the walk took
+    over).
     """
     dual_grid = build_grid(spec.omega_tilde, spec.grid.n_rho, spec.grid.n_phi)
     dual_spec = replace(spec, omega=spec.omega_tilde, grid=dual_grid,

@@ -32,10 +32,15 @@ the rays and taken to the others by exact mirror images (_ray_images), so
 the nodes and the quadrature weights are exactly symmetric under the half
 turn and the mirrors phi -> pi - phi and phi -> -phi of a diagonal L.  The
 weights of rays j < n_phi/2 are rounded, and the others' written as their
-exact half-turn images (MappedGrid.half_turn), so every operator is
-exactly (anti)symmetric under the half turn; mirrors agree to roundoff.
-Rows keep stencil order, row (i, j + n_phi/2) the image of row (i, j) entry
-for entry: even fields get exactly odd Du (bar the pole's) and even D^2 u.
+exact half-turn images (MappedGrid.half_turn); with a diagonal L only rays
+j <= n_phi // 4 are rounded, and the rays between written as the exact
+x-mirror images of rays n_phi/2 - j first (MappedGrid.quarter,
+_exact_images).  Rows keep stencil order, an image row listing the images
+of its representative's entries in the same order (mirrored rows their ray
+offsets reversed), so a field even under the half turn, or the whole
+group, has each derivative's parities bit for bit, bar the orbits of the
+nodes an isometry fixes: the pole, and under the mirrors the rays on
+their axes.
 
 Quadrature: det L times the unit disk's trapezoid in rho of the polar
 integrand rho (the pole weight vanishes) and periodic trapezoid in phi;
@@ -62,6 +67,13 @@ from .kernel import ModelKind, _symmetric
 
 
 HALF_TURN = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None, None, None]   # dx .. dyy at -x
+MIRROR = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])[:, None, None, None]   # at (-x, y)
+
+
+def diagonal(m) -> bool:
+    """Whether the 2 x 2 matrix m is diagonal: the coordinate mirrors keep
+    it, as they keep a quadric or disk map of that form."""
+    return m[0, 1] == 0.0 and m[1, 0] == 0.0
 
 
 def _ray_images(n_phi):
@@ -75,13 +87,43 @@ def _ray_images(n_phi):
     return np.choose(image, [j, half - j, j - half, n_phi - j]), flip
 
 
-def _stencils(rings, dis, djs, n_phi):
+def _stencils(rings, dis, djs, n_phi, mirror=False):
     """Unknown indices (len(rings) n_phi, len(dis) len(djs)) of the nodes
     (i + di, j + dj), di-major, about every node (i, j) of the rings: node
-    (i, j) is 1 + (i - 1) n_phi + (j mod n_phi), and ring 0 the pole, 0."""
+    (i, j) is 1 + (i - 1) n_phi + (j mod n_phi), and ring 0 the pole, 0.
+    With mirror, the rays n_phi // 4 < j mod n_phi/2 (the x-mirror images of
+    rays n_phi/2 - j, and their half-turn images) list djs reversed, so
+    entry k of such a row is the mirror image of its representative's."""
+    djs = np.asarray(djs)
+    mirrored = np.arange(n_phi) % (n_phi // 2) > n_phi // 4
+    dj = np.where(mirrored[:, None], djs[::-1], djs) if mirror else djs
     i = np.add.outer(rings, dis)[:, None, :, None]
-    j = np.mod(np.add.outer(np.arange(n_phi), djs), n_phi)[None, :, None, :]
+    j = np.mod(np.arange(n_phi)[:, None] + dj, n_phi)[None, :, None, :]
     return np.maximum(1 + (i - 1) * n_phi + j, 0).reshape(len(rings) * n_phi, -1)
+
+
+def _exact_images(w, half_turn, mirror):
+    """Fill the rays of w (names, n_phi, ...), whose rays j < n_phi/2 are
+    set: with mirror (the names' signs at (-x, y), or None), rays q < j <
+    n_phi/2 by the x-mirror images of rays n_phi/2 - j, then rays j >=
+    n_phi/2 by the half-turn images (signs half_turn) of rays j - n_phi/2."""
+    q, h = w.shape[1] // 4, w.shape[1] // 2
+    if mirror is not None:
+        w[:, q + 1:h] = mirror * w[:, h - q - 1:0:-1]
+    w[:, h:] = half_turn * w[:, :h]
+    return w
+
+
+class Symmetry(NamedTuple):
+    """A group of node maps the operators are exactly equivariant under:
+    image (k, N), the node each non-identity map sends each node to; rows,
+    the bordered system's rows of the representatives (each orbit's node on
+    its smallest ray) and of c, the last; fold, the representative, numbered
+    among them, of every unknown and of c."""
+
+    image: np.ndarray
+    rows: np.ndarray
+    fold: np.ndarray
 
 
 class BorderedPattern(NamedTuple):
@@ -154,8 +196,10 @@ class MappedGrid:
                          (self.ops['by'] @ u)[bidx]], axis=-1)
 
     def quadrature(self, values: np.ndarray) -> float:
-        """Integral over the domain of a nodal integrand."""
-        return float(self.quad_weights @ values)
+        """Integral over the domain of a nodal integrand, by numpy's pairwise
+        sum: a BLAS dot product's blocking, and so its bits, follow the BLAS
+        thread count."""
+        return float(np.sum(self.quad_weights * values))
 
     def boundary_integral(self, ring_values: np.ndarray) -> float:
         """Integral over the boundary of values on the rho = 1 ring."""
@@ -163,21 +207,40 @@ class MappedGrid:
 
     def mean_zero(self, u: np.ndarray) -> np.ndarray:
         """Project onto the discrete mean-zero space."""
-        w = self.quad_weights
-        return u - (w @ u) / w.sum()
+        return u - self.quadrature(u) / self.quad_weights.sum()
+
+    def _symmetry(self, ray_maps) -> "Symmetry":
+        """The Symmetry of the node maps that send ray j to ray_maps[k][j]
+        (mod n_phi) on every ring and the pole to itself; with the identity
+        they must form a group, so a node's orbit is it and its images."""
+        i, j = self.lattice_indices()
+        node = np.arange(self.n_nodes)
+        image = np.where(i == 0, 0, node - j + np.mod(np.asarray(ray_maps), self.n_phi)[:, j])
+        rep = np.minimum(node, image.min(axis=0))   # the orbit's smallest ray
+        kept = rep == node
+        rank = np.cumsum(kept) - 1
+        return Symmetry(image, np.append(np.flatnonzero(kept), self.n_nodes),
+                        np.append(rank[rep], rank[-1] + 1))
 
     @cached_property
-    def half_turn(self):
-        """The half turn about the peak, node (i, j) to (i, j + n_phi/2), as
-        (image, rows, fold), built on first use: the node each node goes to,
-        the bordered system's rows of the representatives (the pole and the
-        rays j < n_phi/2) and of c, and the representative, numbered among
-        them, of every unknown and of c."""
-        h = self.n_phi // 2
-        i, j = self.lattice_indices()
-        image = np.where(i == 0, 0, np.arange(self.n_nodes) + np.where(j < h, h, -h))
-        return (image, np.append(np.flatnonzero(j < h), self.n_nodes),
-                np.append(np.maximum(1 + (i - 1) * h + j % h, 0), 1 + self.n_rho * h))
+    def half_turn(self) -> "Symmetry":
+        """The half turn about the peak, node (i, j) to (i, j + n_phi/2),
+        built on first use; its representatives are the pole and the rays
+        j < n_phi/2."""
+        j = np.arange(self.n_phi)
+        return self._symmetry([j + self.n_phi // 2])
+
+    @cached_property
+    def quarter(self) -> "Symmetry | None":
+        """The half turn and the mirrors (x, y) -> (-x, y), (x, -y) about the
+        peak, rays j to n_phi/2 - j and -j, built on first use; its
+        representatives are the pole and the rays j <= n_phi // 4.  None
+        unless L is diagonal: only then are the nodes and the operators
+        exact mirror images."""
+        if not diagonal(self.disk_map):
+            return None
+        j, h = np.arange(self.n_phi), self.n_phi // 2
+        return self._symmetry([j + h, h - j, -j])
 
     @cached_property
     def bordered_pattern(self) -> BorderedPattern:
@@ -199,20 +262,21 @@ class MappedGrid:
                                np.repeat(np.arange(self.n_phi), np.diff(b_ptr)), recovery)
 
 
-def _cartesian_weights(w, ell, back, center):
+def _cartesian_weights(w, ell, back, center, mirror=None):
     """Coefficient weights w (G, 5, m) of (r, t, r^2/2, rt, t^2/2) in ray 0's
     frame scaled by ell (G, 2) -> Cartesian weights (5, R, G, m) for (ux, uy,
     uxx, uxy, uyy) in the frame of every ray: the scaling undone (inverse
     scales ir, it), one GEMM with back (5 R, 5), every ray's chain @ rotation
-    in rows (derivative, ray).  _fold_defect rounds the first half of the
-    rays (R = 1: the one), HALF_TURN times them being the rest."""
+    in rows (derivative, ray).  _fold_defect rounds the rays j < R/2, or
+    with the mirror signs (MIRROR, else None) j <= R // 4 (R = 1: the one),
+    and _exact_images writes the rest from them."""
     ir, it = 1.0 / ell[:, :1], 1.0 / ell[:, 1:]
     unscaled = np.stack([ir, it, ir * ir, ir * it, it * it], axis=1) * w
     out = (back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)).reshape(5, -1, *w.shape[::2])
     h = (out.shape[1] + 1) // 2
-    out[:, :h] = _fold_defect(out[:, :h], center)
-    out[:, h:] = HALF_TURN * out[:, :out.shape[1] - h]
-    return out
+    k = h if mirror is None else out.shape[1] // 4 + 1
+    out[:, :k] = _fold_defect(out[:, :k], center)
+    return out if h == 1 else _exact_images(out, HALF_TURN, mirror)
 
 
 def _lsq_weights(offsets, extra):
@@ -275,7 +339,9 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     quadrature weights.  The polar frame is evaluated on the first quarter
     of the rays and taken to the others by the mirrors and the half turn
     (_ray_images), which flip one component of e and the other of e_t, so
-    every ray's frame is an exact image of a first-quarter one."""
+    every ray's frame is an exact image of a first-quarter one.  A diagonal
+    L keeps the mirrors, and then the operators' rows are exact mirror
+    images too (_exact_images, _stencils)."""
     if n_rho < 8:
         raise ValueError(f"n_rho must be >= 8, got {n_rho}")
     if n_phi < 16 or n_phi % 2:
@@ -313,8 +379,9 @@ def build_grid(domain: ConvexDomain, n_rho: int, n_phi: int) -> MappedGrid:
     chain[:2, :2] = (a, b), (b, d)
     chain[2:, 2:] = ((a * a, 2 * a * b, b * b), (a * b, a * d + b * b, b * d),
                      (b * b, 2 * b * d, d * d))
-    ops = _build_derivative_ops(xi, e, chain, n_rho, n_phi)
-    ops.update(_build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi))
+    mirror = diagonal(disk_map)
+    ops = _build_derivative_ops(xi, e, chain, n_rho, n_phi, mirror)
+    ops.update(_build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi, mirror))
 
     return MappedGrid(domain=domain, n_rho=n_rho, n_phi=n_phi, rho=rho, phi=phi,
                       disk_map=disk_map, nodes=nodes, quad_weights=w,
@@ -347,7 +414,7 @@ def _on_one_pattern(names, groups, n):
     return ops
 
 
-def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
+def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi, mirror):
     """Cartesian gradient operators for the boundary ring only, from mapped
     per-column differencing: a one-sided 4-point radial derivative along
     each grid ray and a 4th-order centered tangential derivative along the
@@ -375,18 +442,20 @@ def _build_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
 
     # column 3 is the node itself
     cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
-                           _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
-    # (n_phi / 2, 2, 8): rows x, y; the rho weights take J^{-T}'s first column
-    w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
-                                     jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
-    w = np.swapaxes(np.concatenate([w, -w]), 0, 1)[:, :, None]
-    return _on_one_pattern(['bx', 'by'], [(cols, w)], 1 + n_rho * n_phi)
+                           _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi, mirror)], axis=1)
+    # (2, n_phi, 8): rows x, y; the rho weights take J^{-T}'s first column
+    w = np.empty((2, n_phi, 8))
+    w[:, :n_phi // 2] = np.swapaxes(_fold_defect(np.concatenate(
+        [jinv_t[:, :, :1] * rad_w, jinv_t[:, :, 1:] * tan_w], axis=2), center=3), 0, 1)
+    w = _exact_images(w, -1.0, MIRROR[:2, 0] if mirror else None)
+    return _on_one_pattern(['bx', 'by'], [(cols, w[:, :, None])], 1 + n_rho * n_phi)
 
 
-def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
+def _build_derivative_ops(xi, e, chain, n_rho, n_phi, mirror):
     """dx, dy, dxx, dxy, dyy from fits on ray 0 of each ring in the
     unit-disk node positions xi relative to the peak, taken through the
-    rays' radial frames e and chain to Cartesian derivatives."""
+    rays' radial frames e and chain to Cartesian derivatives; with mirror,
+    rows are exact mirror images as well as half-turn ones."""
     # every ray's chain @ rotation to its frame (block diagonal: gradient
     # 2x2, Hessian 3x3), rows (derivative, ray), shared by the groups
     c, s = e[:, 0], e[:, 1]
@@ -413,10 +482,11 @@ def _build_derivative_ops(xi, e, chain, n_rho, n_phi):
     def add_rings(rings, dis, djs, extra, keep=0):
         # ray 0's blocks (di, dj) of every ring, fitted by the quadratics and
         # the monomials extra (see _lsq_weights); the pole is only in ring 1's
-        cols = _stencils(rings[:1], dis, djs, n_phi)
+        cols = _stencils(rings[:1], dis, djs, n_phi, mirror)
         mid = list(dis).index(0) * len(djs) + len(djs) // 2  # the node itself
         ray0 = cols[:1] + n_phi * (np.asarray(rings)[:, None] - rings[0])
-        w = _cartesian_weights(*_lsq_weights(xi[ray0] - xi[ray0[:, mid, None]], extra), back, mid)
+        w = _cartesian_weights(*_lsq_weights(xi[ray0] - xi[ray0[:, mid, None]], extra), back, mid,
+                               MIRROR if mirror else None)
         if keep:   # the first keep + 1 entries, ring 1's pole, summed into one
             w[..., keep] = sum(np.moveaxis(w[..., :keep + 1], -1, 0))
         groups.append((cols[:, keep:], w[..., keep:]))

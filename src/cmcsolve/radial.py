@@ -148,6 +148,5 @@ def seed_field(spec, strategy: str = "auto") -> SolutionField:
     violation = admissibility_violation(spec, du, d2u)
     if violation is not None:
         raise SeedFailure(f"transport seed failed the admissibility guards: {violation}")
-    w = grid.quad_weights
-    return SolutionField(grid, u, w @ operator_value(spec, grid.nodes, du, d2u) / np.sum(w),
-                         model)
+    c = grid.quadrature(operator_value(spec, grid.nodes, du, d2u)) / np.sum(grid.quad_weights)
+    return SolutionField(grid, u, c, model)

@@ -52,15 +52,18 @@ against the bordered Jacobian it solves, on the same factor.  A failed
 factorization, a 2 x 2 that is singular or not finite, or a non-finite
 residual or direction ends the solve in NonConvergence.
 
-A problem equivariant under the half turn about omega's peak
-(ProblemSpec.half_turn) has a unique, so half-turn-even, solution and even
-Newton corrections: each system is solved on the pole, the rays j < n_phi/2
-and c (J_r: J's rows there, each column summed into its representative's),
-so bordering, GMRES and refinement run on half the unknowns, while the
-residual, line search, guards and stop test stay on the whole lattice.  The
-start is projected onto even fields; the rows' stencil order makes an even
-field's Du and boundary Du exactly odd and its D2u exactly even
-(grid._on_one_pattern), so the residual stays exactly even.
+A problem equivariant under a group of isometries about omega's peak
+(ProblemSpec.symmetry: the half turn, or with the coordinate mirrors the
+quarter) has a unique, so group-even, solution and even Newton corrections:
+each system is solved on the representatives and c (J_r: J's rows there,
+each column summed into its representative's), the pole and the rays j <
+n_phi/2, or j <= n_phi // 4, so bordering, GMRES and refinement run on half
+or a quarter of the unknowns, while the residual, line search, guards and
+stop test stay on the whole lattice.  The start is projected onto even
+fields, each node taking its orbit's mean; every row that is not a
+representative's is its exact image (grid._exact_images, in stencil order),
+so an even field's derivatives there are its representative's with the
+image's signs, bit for bit, and the residual stays exactly even.
 
 The factorization dominates an iteration, and the Jacobian changes little
 from iteration to iteration, or from one homotopy step to the next (a
@@ -167,6 +170,9 @@ class NewtonInfo:
     krylov_misses: int = 0
     # largest SuperLU.nnz (stored L + U entries) of its factors, 0 if none
     lu_fill: int = 0
+    # order of the bordered Newton systems solved: N + 1 whole, the
+    # representatives and c when ProblemSpec.symmetry reduces them; 0 if none
+    unknowns: int = 0
     # (BorderedLU, row scale) the solve ended with, which a later solve on
     # the same grid may reuse
     factor: tuple | None = field(default=None, repr=False, compare=False)
@@ -435,10 +441,11 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
     # the spec's, so a seed solved under another model leaves no trace.
     # (Du, D2u, boundary Du) of the current iterate; damped_step returns the
     # accepted trial's, so no iterate is differentiated twice
-    grid, (image, rows, fold) = spec.grid, spec.half_turn or (None, None, None)
+    grid, (_, rows, fold) = spec.grid, spec.symmetry or (None, None, None)
     u = grid.mean_zero(initial.u)
-    if image is not None:   # a file seed or a transferred field need not be even
-        u = 0.5 * (u + u[image])
+    if rows is not None:   # a file seed or a transferred field need not be even
+        orbit = fold[:-1]
+        u = (np.bincount(orbit, u) / np.bincount(orbit))[orbit]
     fld = SolutionField(grid, u, initial.c, spec.model,
                         dual=spec.operator is OperatorKind.INVERSE_HESSIAN)
     state = (*grid.derivative_arrays(u), grid.boundary_gradients(u))
@@ -477,6 +484,7 @@ def newton_solve(spec: ProblemSpec, initial: SolutionField,
             jac = sp.csr_matrix((kept.data, fold[kept.indices], kept.indptr), shape=(n, n))
             jac.sum_duplicates()
             jac.eliminate_zeros()
+        info.unknowns = len(rhs)
         try:
             direction, factor, krylov = _solve_linear(jac, rhs, info.factor, target)
         except RuntimeError as exc:   # a singular factor or bordering step

@@ -297,11 +297,31 @@ def _pinv_fit(grid, rows, cols, phi, extra):
                         'dxy': hess[:, 0, 1], 'dyy': hess[:, 1, 1]}
 
 
+class RotatedQuadric(Ball):
+    """A quadric with an xy term, peaked at the origin and mapped by a
+    symmetric L off the diagonal: it keeps the half turn, not the mirrors."""
+
+    def quadric(self):
+        return np.zeros(2), np.array([[1.0, 0.6], [0.6, 2.0]])
+
+    def _scaled(self, k):
+        # the radii are sqrt(radius / lambda), lambda the eigenvalues of A
+        return RotatedQuadric(self.center, k * k * self.radius)
+
+
 def lattice_index(grid, i, j):
     """Unknown index of lattice node (i, j), 1 + (i - 1) n_phi + (j mod n_phi),
     and 0 (the pole) for i = 0."""
     i, j = np.broadcast_arrays(i, j)
     return np.where(i == 0, 0, 1 + (i - 1) * grid.n_phi + np.mod(j, grid.n_phi))
+
+
+def mirrored_rays(grid):
+    """Whether each ray's rows list their stencil in mirrored order: on a
+    grid with a diagonal map L, the rays q < j mod n_phi/2, q = n_phi // 4
+    (the x-mirror images of rays n_phi/2 - j, and their half-turn images)."""
+    diagonal = grid.disk_map[0, 1] == 0.0 == grid.disk_map[1, 0]
+    return diagonal & (np.arange(grid.n_phi) % (grid.n_phi // 2) > grid.n_phi // 4)
 
 
 def stencil_rows(grid):
@@ -312,10 +332,13 @@ def stencil_rows(grid):
     boundary ring's the last 4 rings at rays j - 2 .. j + 2, each block
     ring-major.  A bx/by row is the boundary node's ray from ring n_rho - 3
     outward, then its ring at rays j - 2, j - 1, j + 1, j + 2; other nodes'
-    bx/by rows are empty."""
+    bx/by rows are empty.  The mirrored_rays list every ray offset
+    reversed: j + 2 .. j - 2, and j + 2, j + 1, j - 1, j - 2."""
     n_rho, n_phi = grid.n_rho, grid.n_phi
+    mirrored = mirrored_rays(grid)
 
     def block(i, j, dis, djs):
+        djs = djs[::-1] if mirrored[j] else djs
         return [int(lattice_index(grid, i + di, j + dj)) for di in dis for dj in djs]
 
     recovery = [list(range(1 + 2 * n_phi))]
@@ -323,11 +346,11 @@ def stencil_rows(grid):
     for i in range(1, n_rho + 1):
         for j in range(n_phi):
             if i == 1:
-                recovery.append([0] + block(1, j, range(4), range(-2, 3)))
+                recovery.append([0] + block(1, j, range(4), [-2, -1, 0, 1, 2]))
             elif i < n_rho:
-                recovery.append(block(i, j, range(-1, 2), range(-1, 2)))
+                recovery.append(block(i, j, range(-1, 2), [-1, 0, 1]))
             else:
-                recovery.append(block(i, j, range(-3, 1), range(-2, 3)))
+                recovery.append(block(i, j, range(-3, 1), [-2, -1, 0, 1, 2]))
                 boundary.append(block(i, j, range(-3, 1), [0]) + block(i, j, [0], [-2, -1, 1, 2]))
     return recovery, boundary
 
@@ -441,12 +464,12 @@ def reference_factor_setup(jac):
 
 @contextmanager
 def full_bordered_systems():
-    """The oracle of the half-turn reduction: inside it ProblemSpec.half_turn
+    """The oracle of the symmetry reductions: inside it ProblemSpec.symmetry
     reads None, so newton_solve takes its start as given and solves every
-    Newton system whole, on all N nodes and c, as for a problem without the
+    Newton system whole, on all N nodes and c, as for a problem without a
     symmetry."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ProblemSpec, "half_turn", property(lambda self: None))
+        m.setattr(ProblemSpec, "symmetry", property(lambda self: None))
         yield
 
 
@@ -458,11 +481,37 @@ class ZeroLU:
         return np.zeros_like(rhs)
 
 
-# signs of (dx, dy, dxx, dxy, dyy) under the half turn x -> -x
+# signs of (dx, dy, dxx, dxy, dyy) under the half turn x -> -x and the
+# mirror (x, y) -> (-x, y)
 _HALF_TURN_SIGN = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
+_MIRROR_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, 1.0])
 
 
-def _reference_cartesian_weights(w, ell, radial, center, chain):
+def _reference_images(w, half_turn, mirror):
+    """Overwrite the rays of w (names, rays, ...), rounded on every ray: with
+    mirror (the signs, or None) ray j, q < j < h, by mirror times ray h - j,
+    then each ray of the second half by half_turn times ray j - h, where q =
+    rays // 4 and h = rays // 2."""
+    rays = w.shape[1]
+    q, h = rays // 4, rays // 2
+    for j in range(q + 1, h) if mirror is not None else ():
+        w[:, j] = mirror.reshape((-1,) + (1,) * (w.ndim - 2)) * w[:, h - j]
+    w[:, rays - h:] = half_turn.reshape((-1,) + (1,) * (w.ndim - 1)) * w[:, :h]
+    return w
+
+
+def _reference_stencils(rings, dis, djs, n_phi, mirror):
+    """_stencils, the rows of rays q < j mod n_phi/2 replaced, with mirror,
+    by the stencils with djs reversed."""
+    stencil = _stencils(rings, dis, djs, n_phi).reshape(len(rings), n_phi, -1)
+    if mirror:
+        flipped = _stencils(rings, dis, list(djs)[::-1], n_phi).reshape(stencil.shape)
+        rays = np.arange(n_phi) % (n_phi // 2) > n_phi // 4
+        stencil[:, rays] = flipped[:, rays]
+    return stencil.reshape(len(rings) * n_phi, -1)
+
+
+def _reference_cartesian_weights(w, ell, radial, center, chain, mirror):
     """grid._cartesian_weights with the rotation frames built per call."""
     ir, it = 1.0 / ell[:, :1], 1.0 / ell[:, 1:]
     unscaled = np.stack([ir, it, ir * ir, ir * it, it * it], axis=1) * w
@@ -478,9 +527,8 @@ def _reference_cartesian_weights(w, ell, radial, center, chain):
     back = np.swapaxes(chain @ rotation, 0, 1).reshape(-1, 5)
     out = back @ np.swapaxes(unscaled, 0, 1).reshape(5, -1)
     out = _fold_defect(out.reshape(5, len(radial), *w.shape[::2]), center)
-    half = len(radial) // 2   # the second half of the rays: the first's exact images
-    out[:, len(radial) - half:] = _HALF_TURN_SIGN[:, None, None, None] * out[:, :half]
-    return out
+    # rays q < j < h and the second half of the rays: exact images
+    return _reference_images(out, _HALF_TURN_SIGN, _MIRROR_SIGN if mirror else None)
 
 
 def _reference_on_one_pattern(names, groups, n):
@@ -496,20 +544,22 @@ def _reference_on_one_pattern(names, groups, n):
             for name, v in zip(names, vals)}
 
 
-def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
+def reference_derivative_ops(xi, e, chain, n_rho, n_phi, mirror):
     """grid._build_derivative_ops by full-size stencil arrays, the weights
     taken to node order and one concatenation: the reference the operators
-    must equal bit for bit.  Every ray is fitted and rounded, and the second
-    half's weights are then overwritten by the exact half-turn images of the
-    first half's."""
+    must equal bit for bit.  Every ray is fitted and rounded; with mirror
+    the weights of rays q < j < n_phi/2 are then overwritten by the exact
+    x-mirror images of rays n_phi/2 - j's, and their stencils listed with
+    the ray offsets reversed, and the second half's weights by the exact
+    half-turn images of the first half's."""
     groups = []
 
     def add_rings(rings, dis, djs, extra):
-        stencil = _stencils(rings, dis, djs, n_phi)
+        stencil = _reference_stencils(rings, dis, djs, n_phi, mirror)
         mid = list(dis).index(0) * len(djs) + len(djs) // 2
         s = stencil[::n_phi]
         w = _reference_cartesian_weights(*_lsq_weights(xi[s] - xi[s[:, mid, None]], extra),
-                                         e, mid, chain)
+                                         e, mid, chain, mirror)
         w = np.swapaxes(w, 1, 2)   # (5, ring, ray, m)
         if rings[0] + dis[0] == 0:
             w = np.concatenate([sum(np.moveaxis(w[..., :len(djs)], -1, 0))[..., None],
@@ -518,7 +568,8 @@ def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
         groups.append((stencil, w.reshape(5, len(stencil), -1)))
 
     pole_stencil = np.arange(1 + 2 * n_phi)
-    w = _reference_cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain)
+    w = _reference_cartesian_weights(*_lsq_weights(xi[None, pole_stencil], []), e[:1], 0, chain,
+                                     False)
     # the pole's weights on the second half of each ring: the first half's
     # exact images, and the centre weight the negated sum of the others
     rings = w[..., 1:].reshape(5, 2, 2, n_phi // 2)
@@ -535,9 +586,11 @@ def reference_derivative_ops(xi, e, chain, n_rho, n_phi):
                                      1 + n_rho * n_phi)
 
 
-def reference_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
-    """grid._build_boundary_gradient_ops on every ray, the second half's
-    weights then overwritten by the first half's exact images.  The
+def reference_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi, mirror):
+    """grid._build_boundary_gradient_ops on every ray, the weights then
+    overwritten as reference_derivative_ops's are (with the signs -1, 1 of
+    bx, by under the mirror), and the tangential columns listed reversed
+    on the mirrored rays.  The
     tangential weights are the centred 4-point difference [1, -8, 8, -1] /
     (12 h) divided by the factor (8 sin h - sin 2h) / (6 h) it makes of the
     derivative of cos and sin."""
@@ -546,13 +599,14 @@ def reference_boundary_gradient_ops(disk_map, e, e_t, n_rho, n_phi):
     jinv_t = np.linalg.inv(disk_map).T @ np.stack([e, e_t], axis=2)
     rad_w = np.array([-1.0 / 3.0, 1.5, -3.0, 11.0 / 6.0]) / drho
     tan_w = np.array([1.0, -8.0, 8.0, -1.0]) / (2.0 * (8.0 * np.sin(dphi) - np.sin(2.0 * dphi)))
-    cols = np.concatenate([_stencils([n_rho], range(-3, 1), [0], n_phi),
-                           _stencils([n_rho], [0], [-2, -1, 1, 2], n_phi)], axis=1)
+    cols = np.concatenate([_reference_stencils([n_rho], range(-3, 1), [0], n_phi, mirror),
+                           _reference_stencils([n_rho], [0], [-2, -1, 1, 2], n_phi, mirror)],
+                          axis=1)
     w = _fold_defect(np.concatenate([jinv_t[:, :, :1] * rad_w,
                                      jinv_t[:, :, 1:] * tan_w], axis=2), center=3)
-    w[n_phi // 2:] = -w[:n_phi // 2]   # the half turn's exact images
-    return _reference_on_one_pattern(['bx', 'by'], [(cols, np.swapaxes(w, 0, 1))],
-                                     1 + n_rho * n_phi)
+    w = _reference_images(np.swapaxes(w, 0, 1), -np.ones(2),
+                          _MIRROR_SIGN[:2] if mirror else None)
+    return _reference_on_one_pattern(['bx', 'by'], [(cols, w)], 1 + n_rho * n_phi)
 
 
 def uncapped_invert_gradient(interp, targets):

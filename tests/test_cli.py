@@ -379,6 +379,22 @@ class TestSolveCommand:
             assert step["krylov_misses"] == 0
             assert (step["lu_fill"] > 0) == (step["factorizations"] > 0)
 
+    @pytest.mark.parametrize("case, text, unknowns", [
+        ("concentric", BASE_CONFIG, 2 + 16 * 9),
+        ("off-centre-target", BASE_CONFIG.replace("omega_tilde.center = 0.0, 0.0",
+                                                  "omega_tilde.center = 0.1, 0.0"), 2 + 16 * 32),
+        ("guard-stopped", GUARD_CONFIG, 2 + 32 * 17)])
+    def test_steps_report_their_unknowns(self, tmp_path, case, text, unknowns):
+        # the order of the Newton systems solved: a concentric ball pair has
+        # the half turn and both mirrors (the pole, rays j <= n_phi // 4 and
+        # c), an off-centre target none (N + 1), and a failed run reports
+        # it as a converged one does
+        cfg = write_config(tmp_path, text=text)
+        assert main(["solve", "--config", str(cfg)]) == (1 if case == "guard-stopped" else 0)
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["converged"] is (case != "guard-stopped")
+        assert [step["unknowns"] for step in summary["steps"]] == [unknowns]
+
     def test_seed_file_strategy(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0

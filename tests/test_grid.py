@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +10,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmcsolve
 from cmcsolve import (Ball, Ellipse, ModelKind, ProblemSpec, SolutionField, build_grid,
                       newton_solve, seed_field, transfer_field)
 from cmcsolve import grid as grid_module
 from cmcsolve.grid import _stencils
 from helpers import (interior_fit_oracle, lattice_index, lsq_fit_oracle, quadric_domains,
-                     reference_boundary_gradient_ops, reference_derivative_ops, stencil_rows)
+                     RotatedQuadric, reference_boundary_gradient_ops, reference_derivative_ops,
+                     stencil_rows)
 
 
 def derivative_errors(domain, n_rho, n_phi):
@@ -211,16 +217,9 @@ def test_stencil_layout(n_phi):
     assert np.array_equal(g.boundary_idx, lattice_index(g, 8, np.arange(n_phi)))
 
 
-class _RotatedQuadric(Ball):
-    """A quadric with an xy term, mapped by a symmetric L off the diagonal."""
-
-    def quadric(self):
-        return np.zeros(2), np.array([[1.0, 0.6], [0.6, 2.0]])
-
-
 @pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (16, 18), (16, 34), (32, 64), (64, 128)])
 @pytest.mark.parametrize("dom", [Ball((0.1, -0.2), 0.7), Ellipse((0.2, 0.1), (1.0, 0.35)),
-                                 _RotatedQuadric((0.1, 0), 1.0)],
+                                 RotatedQuadric((0.1, 0), 1.0)],
                          ids=["ball", "ellipse", "rotated"])
 def test_operators_match_the_gathered_build(monkeypatch, dom, n_rho, n_phi):
     # the operators are written straight into their CSR layout, every row
@@ -249,7 +248,7 @@ def test_operators_match_the_gathered_build(monkeypatch, dom, n_rho, n_phi):
 
 @pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (16, 18), (16, 34), (32, 64), (64, 128)])
 @pytest.mark.parametrize("dom", [Ball((0, 0), 1.0), Ellipse((0, 0), (1.0, 0.8)),
-                                 Ellipse((0.2, 0.1), (1.0, 0.35)), _RotatedQuadric((0.1, 0), 1.0)],
+                                 Ellipse((0.2, 0.1), (1.0, 0.35)), RotatedQuadric((0.1, 0), 1.0)],
                          ids=["ball", "ellipse", "off-centre-ellipse", "rotated"])
 def test_operators_are_exact_half_turn_images(dom, n_rho, n_phi):
     # P A P^T = -A for dx, dy, bx, by and +A for the Hessian operators, with
@@ -262,7 +261,7 @@ def test_operators_are_exact_half_turn_images(dom, n_rho, n_phi):
     # row was its image's only to roundoff: up to one fold quantum in 2-8
     # entries of an operator, such as 1.1e-13 in dxx on the ball at 32 x 64
     g = build_grid(dom, n_rho, n_phi)
-    image, rows, fold = g.half_turn
+    (image,), rows, fold = g.half_turn
     h = n_phi // 2
     i, j = g.lattice_indices()
     assert np.array_equal(image, np.where(i == 0, 0, lattice_index(g, i, j + h)))
@@ -284,20 +283,78 @@ def test_operators_are_exact_half_turn_images(dom, n_rho, n_phi):
         assert np.array_equal(op.data[pole][image[:lengths[0]]], sign * op.data[pole]), name
 
 
+# signs of each operator under the half turn and the mirrors (x, y) -> (-x,
+# y) and (x, -y), the order of grid.quarter's maps
+_SIGNS = {'dx': (-1.0, -1.0, 1.0), 'dy': (-1.0, 1.0, -1.0), 'dxx': (1.0, 1.0, 1.0),
+          'dxy': (1.0, -1.0, -1.0), 'dyy': (1.0, 1.0, 1.0), 'bx': (-1.0, -1.0, 1.0),
+          'by': (-1.0, 1.0, -1.0)}
+
+
+def _four_node_orbits(image):
+    """The nodes whose orbit under the node maps image (3, N) has four
+    nodes: every ring node off the mirror axes."""
+    orbit = np.vstack([np.arange(image.shape[1]), image])
+    return np.flatnonzero(np.all(np.sort(orbit, axis=0)[1:] != np.sort(orbit, axis=0)[:-1],
+                                 axis=0))
+
+
+@pytest.mark.parametrize("n_rho, n_phi", [(8, 16), (16, 18), (16, 34), (32, 64), (64, 128)])
+@pytest.mark.parametrize("dom", [Ball((0, 0), 1.0), Ellipse((0, 0), (1.0, 0.8)),
+                                 Ellipse((0.2, 0.1), (1.0, 0.35)), RotatedQuadric((0.1, 0), 1.0)],
+                         ids=["ball", "ellipse", "off-centre-ellipse", "rotated"])
+def test_operators_are_exact_mirror_images(dom, n_rho, n_phi):
+    # on a diagonal L the mirrors about the peak, rays j to n_phi/2 - j and
+    # -j, are exact too: every row off the mirror axes is the exact image of
+    # its mirror images' rows in stored order, as under the half turn, so
+    # the rays q < j mod n_phi/2 list their ray offsets reversed.  Rows on
+    # the axes are their own mirror images or the half turn's images, and
+    # the pole is its own.  A rotated quadric's L keeps only the half turn
+    g = build_grid(dom, n_rho, n_phi)
+    if isinstance(dom, RotatedQuadric):
+        assert g.quarter is None
+        return
+    image, rows, fold = g.quarter
+    h, q = n_phi // 2, n_phi // 4
+    i, j = g.lattice_indices()
+    for ray, m in zip([j + h, h - j, -j], image):
+        assert np.array_equal(m, np.where(i == 0, 0, lattice_index(g, i, ray)))
+        assert np.array_equal(m[m], np.arange(g.n_nodes))
+    # the representatives: the pole and the rays j <= n_phi // 4
+    assert np.array_equal(rows[:-1], np.flatnonzero(j <= q))
+    assert len(rows) == 2 + n_rho * (q + 1) and rows[-1] == g.n_nodes
+    assert np.array_equal(fold[rows], np.arange(len(rows)))
+    assert all(np.array_equal(fold[:-1][m], fold[:-1]) for m in image)
+    nodes = _four_node_orbits(image)
+    assert len(nodes) == g.n_nodes - 1 - n_rho * (2 + 2 * (n_phi % 4 == 0))
+    for name, op in g.ops.items():
+        lengths = np.diff(op.indptr)
+        for m, sign in zip(image, _SIGNS[name]):
+            assert np.array_equal(lengths[m], lengths), name
+            row = np.repeat(np.arange(g.n_nodes), lengths)
+            at = op.indptr[m][row] + np.arange(op.nnz) - op.indptr[row]
+            kept = np.isin(row, nodes)
+            assert np.array_equal(op.indices[at][kept], m[op.indices][kept]), name
+            assert np.array_equal(op.data[at][kept], sign * op.data[kept]), name
+
+
 @pytest.mark.parametrize("dom, n_rho, n_phi", [
     (Ball((0, 0), 1.0), 16, 18), (Ball((0, 0), 1.0), 16, 34), (Ball((0, 0), 1.0), 64, 128),
     (Ball((0, 0), 1.0), 256, 512), (Ellipse((0, 0), (1.0, 0.35)), 64, 128),
-    (_RotatedQuadric((0, 0), 1.0), 32, 64)],
+    (RotatedQuadric((0, 0), 1.0), 32, 64)],
     ids=["ball-16-18", "ball-16-34", "ball-64-128", "ball-256-512", "ellipse-64-128",
          "rotated-32-64"])
 def test_even_fields_have_exact_parity(dom, n_rho, n_phi):
     # every row sums its image's products in the same order, so an exactly
     # half-turn-even u has exactly odd Du and boundary Du and exactly even
     # D2u, bit for bit, on every node but one: the pole is its own image,
-    # and its dx, dy sums run over the two halves of each ring in turn
+    # and its dx, dy sums run over the two halves of each ring in turn.  On
+    # a diagonal L an exactly mirror-even u has each derivative's mirror
+    # parities too, at every node off the mirror axes; a row on an axis is
+    # its own mirror image, so its odd derivatives are roundoff, not zero
     g = build_grid(dom, n_rho, n_phi)
-    image = g.half_turn[0]
-    u = np.random.default_rng(7).standard_normal(g.n_nodes)
+    (image,), _, _ = g.half_turn
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(g.n_nodes)
     u = 0.5 * (u + u[image])
     assert np.array_equal(u[image], u)
     for name, op in g.ops.items():
@@ -305,6 +362,43 @@ def test_even_fields_have_exact_parity(dom, n_rho, n_phi):
         v = op @ u
         node = np.arange(1 if name in ('dx', 'dy') else 0, g.n_nodes)
         assert np.array_equal(v[image[node]], sign * v[node]), name
+    if g.quarter is None:
+        assert isinstance(dom, RotatedQuadric)
+        return
+    images, _, fold = g.quarter
+    orbit = fold[:-1]
+    u = rng.standard_normal(g.n_nodes)
+    u = (np.bincount(orbit, u) / np.bincount(orbit))[orbit]
+    assert all(np.array_equal(u[m], u) for m in images)
+    nodes = _four_node_orbits(images)
+    for name, op in g.ops.items():
+        v = op @ u
+        for m, sign in zip(images, _SIGNS[name]):
+            assert np.array_equal(v[m[nodes]], sign * v[nodes]), name
+
+
+def test_seeds_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product of the quadrature weights (OpenBLAS's threaded ddot
+    # at N = 32 769) reads other bits with 1 and 2 threads, and so did the
+    # mean-zero projection of every seed; the quadrature's pairwise sum is
+    # the same under both.  The radial seed of a ball pair and the transport
+    # seed, whose c is a quadrature, at 128 x 256
+    src = str(Path(cmcsolve.__file__).parents[1])
+    script = (
+        "import hashlib\n"
+        "from cmcsolve import Ball, Ellipse, ModelKind, ProblemSpec, build_grid, seed_field\n"
+        "for omega, target in [(Ball((0, 0), 1.0), Ball((0, 0), 0.5)),\n"
+        "                      (Ellipse((0.2, 0.1), (1.0, 0.6)), Ellipse((0, 0), (0.5, 0.3)))]:\n"
+        "    seed = seed_field(ProblemSpec(omega, target, ModelKind.MINKOWSKI,\n"
+        "                                  build_grid(omega, 128, 256)))\n"
+        "    print(hashlib.sha256(seed.u.tobytes()).hexdigest(), seed.c.hex())\n")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True).stdout)
+    assert len(out[0].splitlines()) == 2 and out[0] == out[1]
 
 
 def test_shared_patterns_are_read_only():

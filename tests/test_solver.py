@@ -19,7 +19,7 @@ from cmcsolve.grid import MappedGrid, transfer_field
 from conftest import C_RADIAL, C_RADIAL_EUC, MINK, EUC, solve_direct
 from helpers import (ZeroLU, factor_every_system, field_state, full_bordered_systems,
                      full_lu_solve, isotropic_seed, quadric_domains,
-                     reference_factor_setup, sampled_auto_t_min)
+                     reference_factor_setup, RotatedQuadric, sampled_auto_t_min)
 
 
 class TestNewtonSolve:
@@ -477,10 +477,16 @@ def _assert_solves_agree(fld, info, fld_ref, info_ref):
     assert np.max(np.abs(fld.u - fld_ref.u)) <= 1e-11 * np.max(np.abs(fld_ref.u))
 
 
+def _is_even(u, images):
+    """Whether u is even, bit for bit, under every node map of images."""
+    return all(np.array_equal(u[m], u) for m in images)
+
+
 class TestHalfTurnReduction:
     """A problem equivariant under the half turn about omega's peak solves
-    each Newton system on the pole, the rays j < n_phi / 2 and c; the
-    whole-lattice solve (helpers.full_bordered_systems) is the oracle."""
+    each Newton system on the pole, the rays j < n_phi / 2 and c, and with
+    the coordinate mirrors too on the pole, the rays j <= n_phi // 4 and c;
+    the whole-lattice solve (helpers.full_bordered_systems) is the oracle."""
 
     @pytest.fixture()
     def iterates(self, monkeypatch):
@@ -497,23 +503,28 @@ class TestHalfTurnReduction:
         return accepted
 
     @pytest.mark.parametrize("omega, target, operator, reduced", [
-        (Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4), OperatorKind.GRAPH, True),
-        (Ball((0, 0), 1.0), Ball((0, 1e-3), 0.4), OperatorKind.GRAPH, False),
-        (Ball((0, 0), 0.4), Ellipse((0, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN, True),
+        (Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4), OperatorKind.GRAPH, "quarter"),
+        (Ball((0, 0), 1.0), Ball((0, 1e-3), 0.4), OperatorKind.GRAPH, None),
+        (Ball((0, 0), 0.4), Ellipse((0, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN,
+         "quarter"),
         (Ball((0, 1e-3), 0.4), Ellipse((0, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN,
-         False),
+         None),
         (Ball((0, 0), 0.4), Ellipse((0.1, 0), (1.0, 0.8)), OperatorKind.INVERSE_HESSIAN,
-         False),
+         None),
+        (RotatedQuadric((0, 0), 1.0), Ball((0, 0), 0.4), OperatorKind.GRAPH, "half_turn"),
+        (Ball((0.1, 0), 1.0), RotatedQuadric((0, 0), 0.3), OperatorKind.GRAPH, "half_turn"),
     ], ids=["graph", "graph-off-centre-target", "dual", "dual-off-centre-omega",
-            "dual-off-centre-target"])
+            "dual-off-centre-target", "graph-rotated-omega", "graph-rotated-target"])
     def test_which_problems_are_reduced(self, omega, target, operator, reduced):
         # the graph operator reads Du only, the dual one the node positions
-        # too; a sublevel set is scaled about its own peak, so a walk keeps
-        # the property
+        # too; the mirrors need both quadrics and the grid's L diagonal; a
+        # sublevel set is scaled about its own peak, so a walk keeps the
+        # property
         spec = ProblemSpec(omega, target, MINK, build_grid(omega, 8, 16), operator=operator)
-        assert (spec.half_turn is not None) == reduced
+        expected = None if reduced is None else getattr(spec.grid, reduced)
+        assert spec.symmetry is expected
         sub = replace(spec, omega_tilde=target.sublevel(0.3))
-        assert (sub.half_turn is not None) == reduced
+        assert sub.symmetry is expected
 
     @pytest.mark.parametrize("omega, target, model", [
         (Ball((0, 0), 1.0), Ball((0, 0), 0.5), MINK),
@@ -525,16 +536,18 @@ class TestHalfTurnReduction:
             "euclidean-balls", "euclidean-off-centre-omega"])
     def test_direct_solve_matches_full_system(self, iterates, omega, target, model):
         spec = ProblemSpec(omega, target, model, build_grid(omega, 32, 64))
-        image = spec.grid.half_turn[0]
+        assert spec.symmetry is spec.grid.quarter
         fld, info = newton_solve(spec, seed_field(spec))
         reduced = list(iterates)
         with full_bordered_systems():
             fld_ref, info_ref = newton_solve(spec, seed_field(spec))
         _assert_solves_agree(fld, info, fld_ref, info_ref)
-        # every primal iterate is exactly half-turn even
+        # every primal iterate is exactly even under the half turn and
+        # both mirrors
         assert len(reduced) == info.iterations
-        assert all(np.array_equal(u[image], u) for u in reduced)
-        assert info.lu_fill < 0.5 * info_ref.lu_fill
+        assert all(_is_even(u, spec.grid.quarter.image) for u in reduced)
+        assert (info.unknowns, info_ref.unknowns) == (2 + 32 * 17, spec.grid.n_nodes + 1)
+        assert info.lu_fill < 0.25 * info_ref.lu_fill
 
     def test_dual_solve_matches_full_system(self, ci_instances):
         spec, _, _ = ci_instances["ellipse_ball"]
@@ -542,8 +555,9 @@ class TestHalfTurnReduction:
         with full_bordered_systems():
             fld_ref, info_ref = dual_solve(spec)
         _assert_solves_agree(fld, info, fld_ref, info_ref)
-        assert np.array_equal(fld.u[fld.grid.half_turn[0]], fld.u)
-        assert info.lu_fill < 0.5 * info_ref.lu_fill
+        assert _is_even(fld.u, fld.grid.quarter.image)
+        assert info.unknowns == 2 + 32 * 17
+        assert info.lu_fill < 0.25 * info_ref.lu_fill
 
     @pytest.mark.parametrize("omega, target, model", [
         (Ellipse((0.03, -0.04), (1.0, 0.8)), Ball((0, 0), 0.4), MINK),
@@ -557,9 +571,10 @@ class TestHalfTurnReduction:
         with full_bordered_systems():
             fld_ref, info_ref = dual_solve(spec)
         _assert_solves_agree(fld, info, fld_ref, info_ref)
-        assert info.lu_fill < 0.5 * info_ref.lu_fill
+        assert info.unknowns == 2 + 32 * 17
+        assert info.lu_fill < 0.25 * info_ref.lu_fill
         even = fld.u - fld.grid.nodes @ omega.peak
-        assert np.max(np.abs(even[fld.grid.half_turn[0]] - even)) <= 1e-15
+        assert all(np.max(np.abs(even[m] - even)) <= 1e-15 for m in fld.grid.quarter.image)
         # the dual of the uncentred target, solved whole, has the same c:
         # the discrete problems differ only where the boundary rows'
         # tangential differences miss p . y by O(dphi^4) (3e-6 |p| at 32 x 64)
@@ -580,25 +595,26 @@ class TestHalfTurnReduction:
         assert [h.t for h in history] == [h.t for h in history_ref]
         for h, h_ref in zip(history, history_ref):
             assert h.info.factorizations == h_ref.info.factorizations
+            assert h.info.unknowns == 2 + 32 * 17
             _assert_solves_agree(h.field, h.info, h_ref.field, h_ref.info)
-        image = spec.grid.half_turn[0]
         assert len(reduced) == sum(h.info.iterations for h in history)
-        assert all(np.array_equal(u[image], u) for u in reduced)
+        assert all(_is_even(u, spec.grid.quarter.image) for u in reduced)
 
     def test_file_seed_is_projected(self, tmp_path):
         # seed.strategy = file: a 16 x 32 solution carried onto 32 x 64 by the
-        # lattice spline, half-turn even only to roundoff; the reduced solve
-        # starts from its even part, the oracle from the field as given
+        # lattice spline, even only to roundoff; the reduced solve starts
+        # from its even part, the oracle from the field as given
         omega, target = Ellipse((0.2, 0.1), (1.0, 0.35)), Ball((0, 0), 0.4)
         coarse = ProblemSpec(omega, target, MINK, build_grid(omega, 16, 32))
         save_field(newton_solve(coarse, seed_field(coarse))[0], tmp_path / "field.csv")
         spec = ProblemSpec(omega, target, MINK, build_grid(omega, 32, 64))
         seed = transfer_field(load_field(tmp_path / "field.csv"), spec.grid)
-        assert not np.array_equal(seed.u[spec.grid.half_turn[0]], seed.u)
+        assert not any(np.array_equal(seed.u[m], seed.u) for m in spec.grid.quarter.image)
         fld, info = newton_solve(spec, seed)
         with full_bordered_systems():
             fld_ref, info_ref = newton_solve(spec, seed)
         _assert_solves_agree(fld, info, fld_ref, info_ref)
+        assert info.unknowns == 2 + 32 * 17
 
     def test_off_centre_target_keeps_the_full_system(self):
         # without the symmetry the reduction is the identity: the same
@@ -609,6 +625,7 @@ class TestHalfTurnReduction:
         with full_bordered_systems():
             fld_ref, info_ref = newton_solve(spec, seed_field(spec))
         assert info == info_ref and info.lu_fill > 100_000
+        assert info.unknowns == spec.grid.n_nodes + 1
         assert fld.u.tobytes() == fld_ref.u.tobytes() and fld.c == fld_ref.c
 
 
